@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test lint race ci bench bench-all paper paper-small examples serve fleet-smoke clean
+.PHONY: all build test lint race ci bench benchmark bench-all paper paper-small examples serve fleet-smoke clean
 
 all: build test
 
@@ -25,15 +25,19 @@ lint:
 
 # Race-detector stress over the concurrency-bearing packages (mirrors the
 # CI race job): the dynamic counterpart to gpulint's static
-# phasepurity/wakesync/guardedby contracts.
+# phasepurity/wakesync/guardedby contracts. The sharded tick is opt-in, so
+# the tests that stress it name their worker counts (Workers/TickWorkers >= 2).
 race:
 	go test -race -count=3 ./internal/fleet ./internal/server ./internal/sim ./internal/gpu/parexec ./internal/gpu
 
-# Mirror of .github/workflows/ci.yml: build, lint, race-enabled tests, and
-# short fuzz smokes of the kernel-completion and request-wire properties.
+# Mirror of .github/workflows/ci.yml: build, lint, race-enabled tests, the
+# repository benchmark's own tests (a module of its own, so ./... does not
+# reach it), and short fuzz smokes of the kernel-completion and request-wire
+# properties.
 ci: lint
 	go build ./...
 	go test -race ./...
+	go -C benchmark test ./...
 	go test -run='^$$' -fuzz=FuzzKernel -fuzztime=10s .
 	go test -run='^$$' -fuzz=FuzzRequestJSON -fuzztime=10s ./internal/sim
 
@@ -49,17 +53,22 @@ ci: lint
 # invocation also drops CPU and heap profiles into BENCH_PROF (uploaded as
 # CI artifacts), so a regression flagged by the JSON diff comes with the
 # profile that explains it.
-BENCH_OUT ?= results/BENCH_10.json
+BENCH_OUT ?= results/BENCH_15.json
 BENCH_PROF ?= results/prof
 bench:
 	mkdir -p $(BENCH_PROF)
 	go test -run='^$$' -bench 'Fig5|Fig8|Fig14' -benchtime=1x -benchmem \
 		-cpuprofile $(BENCH_PROF)/figs.cpu.pprof -memprofile $(BENCH_PROF)/figs.mem.pprof \
-		-o $(BENCH_PROF)/bench.test . | tee /tmp/gpusched_bench.out
+		-o $(BENCH_PROF)/bench.test . | tee $(BENCH_PROF)/bench.out
 	go test -run='^$$' -bench 'SimulatorThroughput|ParallelTick' -benchtime=20x -benchmem \
 		-cpuprofile $(BENCH_PROF)/micro.cpu.pprof -memprofile $(BENCH_PROF)/micro.mem.pprof \
-		-o $(BENCH_PROF)/bench.test . | tee -a /tmp/gpusched_bench.out
-	go run ./cmd/benchjson -out $(BENCH_OUT) < /tmp/gpusched_bench.out
+		-o $(BENCH_PROF)/bench.test . | tee -a $(BENCH_PROF)/bench.out
+	go run ./cmd/benchjson -out $(BENCH_OUT) < $(BENCH_PROF)/bench.out
+
+# The repository benchmark BENCHMARK.json declares (benchmark/README.md):
+# five workloads, each in a process of its own, end-to-end metrics by name.
+benchmark:
+	bash benchmark/run.sh -workload all -seed 1
 
 # One benchmark per reproduced table/figure plus microbenchmarks.
 bench-all:

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -29,9 +30,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warpStr  = fs.String("warp", "gto", "warp scheduler: lrr | gto | baws")
 		sizeStr  = fs.String("size", "small", "problem size: tiny | small | full")
 		cores    = fs.Int("cores", 15, "SM count")
-		workers  = fs.Int("workers", 0, "OS threads ticking the SMs each cycle (0 = GOMAXPROCS, 1 = serial; never changes results)")
-		shards   = fs.Int("mem-shards", 0, "memory partition shards ticked in parallel per cycle (0 = derive from -workers, 1 = serial; never changes results)")
+		workers  = fs.Int("workers", 0, "OS threads ticking the SMs each cycle (0 = serial (1); > 1 opts into the sharded tick; never changes results)")
+		shards   = fs.Int("mem-shards", 0, "memory partition shards ticked in parallel per cycle (0 = derive from -workers, so serial by default; never changes results)")
 		window   = fs.Uint64("batch-window", 0, "max cycles batched through one barrier when every SM provably sleeps (0 = built-in default, 1 = off; never changes results)")
+		engStats = fs.Bool("engine-stats", false, "also print how the cycle loop executed the run: cycles ticked / fast-forwarded / batched, dispatcher polls made and skipped, barrier crossings")
 		list     = fs.Bool("list", false, "list workloads and exit")
 		traceOut = fs.String("trace", "", "write a per-epoch timeline CSV to this file")
 		epoch    = fs.Uint64("epoch", 1024, "trace sampling period in cycles")
@@ -78,7 +80,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if *engStats && *traceOut != "" {
+		fmt.Fprintln(stderr, "-engine-stats describes an untraced run (the trace hook changes how the loop executes); drop -trace")
+		return 2
+	}
+
 	var res gpusched.Result
+	var eng gpusched.EngineStats
 	if *traceOut != "" {
 		var tl *gpusched.Timeline
 		res, tl, err = gpusched.RunTraced(cfg, sched, *epoch, w.Kernel(size))
@@ -99,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "timeline        %d samples -> %s (peak IPC %.2f, mean resident CTAs %.1f)\n",
 			len(tl.Samples), *traceOut, tl.PeakIPC(), tl.MeanResident())
 	} else {
-		res, err = gpusched.Run(cfg, sched, w.Kernel(size))
+		res, eng, err = gpusched.RunEngineStats(context.Background(), cfg, sched, w.Kernel(size))
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -118,6 +126,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "load latency    %.0f cycles avg\n", res.AvgMemLatency)
 	if res.CTALimits != nil {
 		fmt.Fprintf(stdout, "LCS limits      %v\n", res.CTALimits)
+	}
+	if *engStats {
+		fmt.Fprintf(stdout, "engine cycles   %d ticked, %d fast-forwarded, %d batched\n",
+			eng.CyclesTicked, eng.CyclesFastForwarded, eng.CyclesBatched)
+		fmt.Fprintf(stdout, "engine polls    %d dispatcher ticks, %d skipped, %d barrier crossings\n",
+			eng.DispatcherTicks, eng.DispatcherSkips, eng.BarrierCrossings)
 	}
 	return 0
 }

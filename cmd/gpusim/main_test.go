@@ -58,6 +58,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-sched", "nope"},
 		{"-warp", "nope"},
 		{"-size", "nope"},
+		{"-engine-stats", "-trace", "unused.csv"},
 	}
 	for _, args := range cases {
 		var out, errb strings.Builder
@@ -76,6 +77,20 @@ func TestRunTinyEndToEnd(t *testing.T) {
 		t.Fatalf("run = %d, stderr %q", code, errb.String())
 	}
 	for _, want := range []string{"workload", "cycles", "IPC"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q in:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestRunEngineStats: -engine-stats adds the execution accounting, and at
+// the default worker count the run crosses no barrier.
+func TestRunEngineStats(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-workload", "vadd", "-size", "tiny", "-cores", "4", "-engine-stats"}, &out, &errb); code != 0 {
+		t.Fatalf("run = %d, stderr %q", code, errb.String())
+	}
+	for _, want := range []string{"engine cycles", "fast-forwarded", "dispatcher ticks", " 0 barrier crossings"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q in:\n%s", want, out.String())
 		}

@@ -119,8 +119,8 @@ type Config struct {
 	// MaxCycles bounds the simulation (0 = the 20M-cycle default).
 	MaxCycles uint64
 	// Workers is how many OS threads tick the simulated SMs each cycle
-	// (0 = derive from GOMAXPROCS, 1 = the serial reference path). It is
-	// an execution knob only: results are byte-identical for every worker
+	// (0 = serial (1); > 1 opts into the sharded tick). It is an
+	// execution knob only: results are byte-identical for every worker
 	// count, so it never needs to appear in result caches or comparisons.
 	Workers int
 	// Granule is the activity-set parking threshold in cycles: an SM leaves
@@ -129,8 +129,9 @@ type Config struct {
 	// Workers: results are byte-identical for every granule.
 	Granule uint64
 	// MemShards is how many shards the memory system's partitions tick in
-	// (0 = derive from Workers, 1 = the serial memory tick). Execution knob
-	// only, like Workers: results are byte-identical for every shard count.
+	// (0 = derive from Workers, so the serial memory tick by default).
+	// Execution knob only, like Workers: results are byte-identical for
+	// every shard count.
 	MemShards int
 	// BatchWindow caps the quiet-window cycle batch in cycles (0 = the
 	// built-in default, 1 = batching off). Execution knob only, like
@@ -307,6 +308,20 @@ func Run(cfg Config, sched Scheduler, kernels ...Kernel) (Result, error) {
 // RunContext is Run with cooperative cancellation: when ctx is canceled
 // the cycle loop stops mid-flight and ctx's error is returned.
 func RunContext(ctx context.Context, cfg Config, sched Scheduler, kernels ...Kernel) (Result, error) {
+	res, _, err := RunEngineStats(ctx, cfg, sched, kernels...)
+	return res, err
+}
+
+// EngineStats re-exports the cycle loop's execution accounting: how many
+// simulated cycles were ticked, fast-forwarded and batched, how often the
+// dispatcher was polled or provably skipped, and how many worker-pool
+// barriers the run crossed. It describes the host-side execution, not the
+// simulated machine — it moves with the execution knobs while Result does
+// not — so it is reported beside Result, never inside it.
+type EngineStats = gpu.EngineStats
+
+// RunEngineStats is RunContext plus the run's EngineStats.
+func RunEngineStats(ctx context.Context, cfg Config, sched Scheduler, kernels ...Kernel) (Result, EngineStats, error) {
 	specs := make([]*kernel.Spec, len(kernels))
 	for i, k := range kernels {
 		specs[i] = k.spec
@@ -314,13 +329,13 @@ func RunContext(ctx context.Context, cfg Config, sched Scheduler, kernels ...Ker
 	d := sched.spec.NewDispatcher()
 	g, err := gpu.New(cfg.build(), d, specs...)
 	if err != nil {
-		return Result{}, err
+		return Result{}, EngineStats{}, err
 	}
 	raw, err := g.RunContext(ctx)
 	if err != nil {
-		return Result{}, err
+		return Result{}, EngineStats{}, err
 	}
-	return resultFrom(raw, sched, d), nil
+	return resultFrom(raw, sched, d), g.EngineStats(), nil
 }
 
 // resultFrom converts the internal result record to the public one.

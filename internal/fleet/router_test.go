@@ -46,7 +46,9 @@ func newTestFleet(t *testing.T, n int, cfg Config, optFor func(i int) sim.Option
 	f := &testFleet{}
 	members := make([]*Shard, n)
 	for i := 0; i < n; i++ {
-		opt := sim.Options{CacheDir: t.TempDir()}
+		// The sharded tick is opt-in; name a count so the fleet race stress
+		// still runs simulations through the worker pool.
+		opt := sim.Options{CacheDir: t.TempDir(), TickWorkers: 2}
 		if optFor != nil {
 			opt = optFor(i)
 		}

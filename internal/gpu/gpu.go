@@ -7,7 +7,6 @@ package gpu
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"gpusched/internal/core"
 	"gpusched/internal/gpu/parexec"
@@ -34,8 +33,11 @@ type Config struct {
 	// suspected fast-forward bugs can be bisected against the reference.
 	DisableFastForward bool
 	// Workers is how many OS threads tick the SMs each cycle (phase A of
-	// the two-phase tick). 0 derives the count from GOMAXPROCS; 1 is the
-	// serial reference path. The count is execution-only: results are
+	// the two-phase tick). 0 = serial (1): no worker pool is built and both
+	// tick phases run inline on the caller's goroutine; > 1 opts into the
+	// sharded tick. Serial is the default because no recorded benchmark has
+	// the sharded tick winning — cores are spent on concurrent simulations
+	// instead (sim.Service). The count is execution-only: results are
 	// byte-identical for every value (the golden determinism tests diff
 	// worker counts against each other), so it never enters a cache key.
 	Workers int
@@ -50,11 +52,11 @@ type Config struct {
 	Granule uint64
 	// MemShards is how many contiguous partition ranges the memory system's
 	// phase-A2 tick is split into (mem.System.SetShards). 0 derives it from
-	// the worker count (clamped to the partition count); 1 is the serial
-	// reference path; values beyond the partition count leave the extra
-	// shards empty. Execution-only: the staged merge makes results
-	// byte-identical for every value (the golden determinism tests sweep
-	// it), so it never enters a cache key.
+	// the worker count (clamped to the partition count), so it is 1 — the
+	// serial memory tick — at the default Workers; values beyond the
+	// partition count leave the extra shards empty. Execution-only: the
+	// staged merge makes results byte-identical for every value (the golden
+	// determinism tests sweep it), so it never enters a cache key.
 	MemShards int
 	// BatchWindow caps the quiet-window cycle batch, in cycles: when no SM
 	// can run or receive a response for the next k cycles, the loop runs k
@@ -68,26 +70,24 @@ type Config struct {
 	BatchWindow uint64
 }
 
-// ResolveWorkers maps a Config.Workers value to the machine-derived worker
-// count before the per-instance SM clamp: zero and negative mean GOMAXPROCS.
-// Daemons use it to report the effective value of the knob they were
-// configured with (the gpuschedd_sim_workers gauge).
+// ResolveWorkers maps a Config.Workers value to the effective worker count
+// before the per-instance SM clamp: zero and negative mean 1, the serial
+// tick. Daemons use it to report the effective value of the knob they were
+// configured with (the gpuschedd_sim_workers gauge), and sim.Service to size
+// its run-level pool against the cores each simulation occupies.
 func ResolveWorkers(w int) int {
 	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
+		return 1
 	}
 	return w
 }
 
 // resolveWorkers maps Config.Workers to the effective phase-A shard count:
-// GOMAXPROCS-derived when unset, never more than one shard per SM.
+// serial when unset, never more than one shard per SM.
 func (c *Config) resolveWorkers() int {
 	w := ResolveWorkers(c.Workers)
 	if w > c.NumCores {
 		w = c.NumCores
-	}
-	if w < 1 {
-		w = 1
 	}
 	return w
 }
@@ -197,6 +197,31 @@ type Result struct {
 	Kernels []stats.Kernel
 }
 
+// EngineStats counts how the cycle loop spent a run: which mechanism covered
+// each simulated cycle, and how often the loop paid for the two costs that are
+// pure host overhead — a dispatcher poll and a worker-pool barrier crossing.
+// It describes the execution, not the simulated machine: the numbers move with
+// Workers, Granule, BatchWindow and DisableFastForward while Result does not,
+// so it is never part of Result and never enters a cache key.
+type EngineStats struct {
+	// CyclesTicked counts cycles that ran the full loop body (phase A, the
+	// commits, the memory tick). CyclesFastForwarded counts cycles the event
+	// horizon jumped over, CyclesBatched cycles covered by a quiet-window
+	// memory batch. The three sum to Result.Cycles.
+	CyclesTicked        uint64
+	CyclesFastForwarded uint64
+	CyclesBatched       uint64
+	// DispatcherTicks counts dispatcher.Tick calls; DispatcherSkips counts
+	// loop iterations where the quiescence certificate proved Tick a no-op
+	// and it was not called. One of the two advances per loop iteration (a
+	// ticked cycle or the first cycle of a batched window).
+	DispatcherTicks uint64
+	DispatcherSkips uint64
+	// BarrierCrossings counts worker-pool release/join round trips (phase A,
+	// phase A2 and batched windows). Zero whenever the tick is serial.
+	BarrierCrossings uint64
+}
+
 // GPU is one simulated device with a fixed launch table.
 //
 // GPU is shared state for the two-phase tick: phase-A code (anything
@@ -267,6 +292,9 @@ type GPU struct {
 	// shard closure (no per-window allocation) can read them — the same
 	// ordering contract g.now relies on.
 	winFrom, winTo uint64
+	// engine is the run's execution accounting, written only by the serial
+	// phases of RunContext.
+	engine EngineStats
 }
 
 // New builds a GPU running specs (in launch order) under dispatcher d.
@@ -384,6 +412,10 @@ func (g *GPU) SetEpochHook(every uint64, fn func(now uint64)) {
 	g.epochEvery = every
 	g.epochFn = fn
 }
+
+// EngineStats reports how the cycle loop executed the run so far (complete
+// once Run returns).
+func (g *GPU) EngineStats() EngineStats { return g.engine }
 
 // MemSystem exposes the shared memory hierarchy (tracing and tests).
 func (g *GPU) MemSystem() *mem.System { return g.memsys }
@@ -600,6 +632,15 @@ const minParallelParts = 4
 // to the reference loop (Config.DisableFastForward selects it; the golden
 // determinism tests diff the two). Horizon probes always run serially, on
 // the fully merged post-commit state.
+//
+// The dispatcher is polled only when it can act. A FastForwarder certifies
+// that its Tick is a pure no-op while no CTA is placed, retires, is evicted
+// or arrives and its NextDispatchEvent bound lies ahead; fast-forward uses
+// that certificate to jump idle stretches, and the loop uses the same one on
+// busy cycles to skip the Tick call itself (a full machine re-polls every
+// SM's CanAccept each cycle otherwise). The reference loop
+// (DisableFastForward) ticks the dispatcher every cycle, so the FF-on/FF-off
+// goldens diff the skip as well as the jump.
 func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 	maxCycles := g.cfg.MaxCycles
 	if maxCycles == 0 {
@@ -675,6 +716,10 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 			g.memsys.TickShardWindow(ms, g.winFrom, g.winTo)
 		}
 	}
+	// dispQuiet is the machine half of the dispatcher-quiescence certificate:
+	// the last dispatcher.Tick placed nothing, and no CTA has retired, been
+	// evicted or arrived since.
+	dispQuiet := false
 	done := ctx.Done()
 	for g.doneCount < len(g.kernels) && g.now < maxCycles {
 		if done != nil && g.now%ctxCheckInterval == 0 {
@@ -695,14 +740,25 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		issued := g.issuedTotal()
 		g.ctaEvent = false
 		g.admitArrivals()
-		if sleepOK && as.Sleeping() > 0 && ff.NextDispatchEvent(g.now) <= g.now {
-			// The dispatcher acts this cycle and may read per-core counters
-			// (DynCTA's epoch adjustment does); settle the sleepers first.
-			// Every sleeper's wake bound is beyond the last ticked cycle, so
-			// the replayed window is provably quiet.
-			g.syncAllTo(g.now)
+		tickDispatcher := true
+		if ff != nil {
+			due := ff.NextDispatchEvent(g.now) <= g.now
+			if due && as.Sleeping() > 0 {
+				// The dispatcher acts this cycle and may read per-core
+				// counters (DynCTA's epoch adjustment does); settle the
+				// sleepers first. Every sleeper's wake bound is beyond the
+				// last ticked cycle, so the replayed window is provably quiet.
+				g.syncAllTo(g.now)
+			}
+			tickDispatcher = due || !dispQuiet || g.ctaEvent
 		}
-		g.dispatcher.Tick(g)
+		if tickDispatcher {
+			g.dispatcher.Tick(g)
+			dispQuiet = g.dispatchedCTAs() == dispatched
+			g.engine.DispatcherTicks++
+		} else {
+			g.engine.DispatcherSkips++
+		}
 		if sleepOK && batchCap > 1 && as.Runnable(g.now) == 0 &&
 			g.memsys.NextEvent(g.now) <= g.now && g.memsys.StagedEmpty() {
 			// Quiet window: every SM is parked past this cycle, nothing is
@@ -712,8 +768,10 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 			// crossing and merge once.
 			if end := g.batchWindowEnd(ff, done != nil, maxCycles, batchCap); end > g.now+1 {
 				g.winFrom, g.winTo = g.now, end
+				g.engine.CyclesBatched += end - g.now
 				if pool != nil && g.memsys.LiveParts() >= minParallelParts {
 					pool.Run(memWindowFn)
+					g.engine.BarrierCrossings++
 				} else {
 					for ms := 0; ms < memShards; ms++ {
 						g.memsys.TickShardWindow(ms, g.winFrom, g.winTo)
@@ -734,6 +792,7 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		}
 		if pool != nil && as.Runnable(g.now) >= parallelMinRunnable {
 			pool.Run(tickShard)
+			g.engine.BarrierCrossings++
 		} else {
 			// Inline phase A: same shards, same order, no barrier. This is
 			// the common path late in a run and in deep stall phases, where
@@ -751,12 +810,16 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		}
 		g.commitRetirements()
 		g.commitPreemptions()
+		if g.ctaEvent {
+			dispQuiet = false
+		}
 		if pool != nil && g.memsys.LiveParts() >= minParallelParts {
 			// Phase A2: the partitions tick concurrently on the same pool,
 			// each confined to partition-owned state, then the staging cells
 			// fold serially. Identical statements to the serial path in an
 			// identical per-partition order, so results cannot differ.
 			pool.Run(memShardFn)
+			g.engine.BarrierCrossings++
 			g.memsys.TickMerge(g.now)
 		} else {
 			g.memsys.Tick(g.now)
@@ -764,9 +827,12 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		idle := ff != nil && !g.ctaEvent &&
 			g.dispatchedCTAs() == dispatched && g.issuedTotal() == issued
 		g.now++
+		g.engine.CyclesTicked++
 		g.postTick = false
 		if idle && g.now >= g.ffNextTry {
-			if skipped := g.fastForward(ff, done != nil, maxCycles); skipped == 0 {
+			skipped := g.fastForward(ff, done != nil, maxCycles)
+			g.engine.CyclesFastForwarded += skipped
+			if skipped == 0 {
 				if g.ffBackoff < maxFFBackoff {
 					g.ffBackoff = max2(2*g.ffBackoff, 2)
 				}

@@ -429,3 +429,126 @@ func TestWorkerCountInvarianceNoFastForward(t *testing.T) {
 		}
 	}
 }
+
+// quiescenceCase is one dispatcher on a launch that exercises it.
+type quiescenceCase struct {
+	name  string
+	build func() core.Dispatcher
+	specs func() []*kernel.Spec
+}
+
+// quiescenceCases is every dispatcher the sim registry can build:
+// single-kernel policies on one workload, the concurrent-kernel policies on
+// two, and the arrival-driven ones (mixed and preemptive) with the second
+// kernel arriving mid-run.
+func quiescenceCases() []quiescenceCase {
+	one := func(name string) func() []*kernel.Spec {
+		return func() []*kernel.Spec {
+			w, _ := workloads.ByName(name)
+			return []*kernel.Spec{w.Build(workloads.ScaleTest)}
+		}
+	}
+	two := func(a, b string, arrival uint64) func() []*kernel.Spec {
+		return func() []*kernel.Spec {
+			wa, _ := workloads.ByName(a)
+			wb, _ := workloads.ByName(b)
+			sb := wb.Build(workloads.ScaleTest)
+			sb.Arrival = arrival
+			return []*kernel.Spec{wa.Build(workloads.ScaleTest), sb}
+		}
+	}
+	return []quiescenceCase{
+		{"baseline", func() core.Dispatcher { return core.NewRoundRobin() }, one("stencil")},
+		{"static", func() core.Dispatcher { return core.NewLimited(2) }, one("spmv")},
+		{"lcs", func() core.Dispatcher { return core.NewLCS() }, one("spmv")},
+		{"adaptive", func() core.Dispatcher { return core.NewAdaptiveLCS() }, one("stencil")},
+		{"dyncta", func() core.Dispatcher { return core.NewDynCTA() }, one("spmv")},
+		{"bcs", func() core.Dispatcher { return core.NewBCS() }, one("stencil")},
+		{"sequential", func() core.Dispatcher { return core.NewSequential() }, two("vadd", "kmeans", 0)},
+		{"spatial", func() core.Dispatcher { return core.NewSpatial() }, two("vadd", "kmeans", 0)},
+		{"mixed-arrival", func() core.Dispatcher { return core.NewMixed(2) }, two("spmv", "blackscholes", 3000)},
+		{"preemptive-arrival", func() core.Dispatcher { return core.NewPreemptive(1, 0) }, two("spmv", "vadd", 3000)},
+	}
+}
+
+// TestDispatcherQuiescence is the engine-level statement of dispatcher
+// quiescence: skipping the dispatcher poll on cycles the FastForwarder
+// certificate covers must be unobservable. Every case is compared against
+// the reference loop (DisableFastForward ticks the dispatcher every cycle)
+// and across the serial and sharded tick. The same runs pin the EngineStats
+// cycle identity: every simulated cycle is covered by exactly one mechanism.
+func TestDispatcherQuiescence(t *testing.T) {
+	for _, tc := range quiescenceCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int, disableFF bool) (Result, EngineStats) {
+				cfg := testConfig()
+				cfg.Workers = workers
+				cfg.DisableFastForward = disableFF
+				g, err := New(cfg, tc.build(), tc.specs()...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := g.Run()
+				if r.TimedOut {
+					t.Fatalf("timed out at %d cycles", r.Cycles)
+				}
+				es := g.EngineStats()
+				if sum := es.CyclesTicked + es.CyclesFastForwarded + es.CyclesBatched; sum != r.Cycles {
+					t.Errorf("Workers=%d DisableFastForward=%v: ticked %d + fast-forwarded %d + batched %d = %d, simulated %d",
+						workers, disableFF, es.CyclesTicked, es.CyclesFastForwarded, es.CyclesBatched, sum, r.Cycles)
+				}
+				return r, es
+			}
+			ref, refStats := run(1, true)
+			if refStats.DispatcherSkips != 0 || refStats.DispatcherTicks != ref.Cycles {
+				t.Errorf("reference loop must tick the dispatcher every cycle: %d ticks, %d skips, %d cycles",
+					refStats.DispatcherTicks, refStats.DispatcherSkips, ref.Cycles)
+			}
+			for _, workers := range []int{0, 1, 2} {
+				r, es := run(workers, false)
+				if !reflect.DeepEqual(r, ref) {
+					t.Errorf("Workers=%d diverged from the DisableFastForward reference:\n%+v\nvs\n%+v", workers, r, ref)
+				}
+				if es.DispatcherSkips == 0 {
+					t.Errorf("Workers=%d: the dispatcher was never skipped", workers)
+				}
+				if serial := workers < 2; serial != (es.BarrierCrossings == 0) {
+					t.Errorf("Workers=%d: %d barrier crossings; want none on the serial tick and some on the sharded one",
+						workers, es.BarrierCrossings)
+				}
+			}
+		})
+	}
+}
+
+// TestResolveWorkersDefaultsToSerial pins the meaning of the zero knob: no
+// worker pool unless one is asked for by count.
+func TestResolveWorkersDefaultsToSerial(t *testing.T) {
+	for in, want := range map[int]int{-1: 1, 0: 1, 1: 1, 2: 2, 8: 8} {
+		if got := ResolveWorkers(in); got != want {
+			t.Errorf("ResolveWorkers(%d) = %d, want %d", in, got, want)
+		}
+	}
+}
+
+// TestEngineStatsDispatcherSkipsDominateWhenFull runs the shape the skip was
+// built for: a machine that stays full of one-warp CTAs of dependent loads,
+// where the dispatcher can act only when a CTA retires.
+func TestEngineStatsDispatcherSkipsDominateWhenFull(t *testing.T) {
+	g, err := New(DefaultConfig(), core.NewRoundRobin(), workloads.ChaseSpec(480, 1, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := g.Run(); r.TimedOut {
+		t.Fatal("timed out")
+	}
+	es := g.EngineStats()
+	if es.DispatcherSkips <= es.DispatcherTicks {
+		t.Errorf("DispatcherSkips = %d, DispatcherTicks = %d: want skips to dominate on a full machine",
+			es.DispatcherSkips, es.DispatcherTicks)
+	}
+	if es.BarrierCrossings != 0 {
+		t.Errorf("BarrierCrossings = %d at the default Workers, want 0", es.BarrierCrossings)
+	}
+}

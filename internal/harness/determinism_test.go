@@ -110,15 +110,18 @@ func TestGoldenMemShardDeterminism(t *testing.T) {
 
 // TestGoldenDeterminismAcrossGOMAXPROCS pins down that worker parallelism
 // never leaks into results: one experiment run on a single-threaded
-// scheduler must match the default parallel run bit for bit.
+// scheduler must match the same run on every core bit for bit. The tick
+// worker count is named (the sharded tick is opt-in), so both the run-level
+// pool and the per-simulation pool change shape with GOMAXPROCS.
 func TestGoldenDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	e, ok := ByID("fig5")
 	if !ok {
 		t.Fatal("fig5 experiment missing")
 	}
-	wide := renderExperiment(t, e, Options{Scale: workloads.ScaleTest})
+	opt := Options{Scale: workloads.ScaleTest, TickWorkers: 2}
+	wide := renderExperiment(t, e, opt)
 	prev := runtime.GOMAXPROCS(1)
-	narrow := renderExperiment(t, e, Options{Scale: workloads.ScaleTest})
+	narrow := renderExperiment(t, e, opt)
 	runtime.GOMAXPROCS(prev)
 	if !bytes.Equal(wide, narrow) {
 		t.Errorf("GOMAXPROCS changed fig5:\n--- parallel ---\n%s--- serial ---\n%s", wide, narrow)

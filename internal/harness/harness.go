@@ -38,7 +38,7 @@ type Options struct {
 	// identical tables.
 	NoFastForward bool
 	// TickWorkers is the per-simulation worker count for the two-phase
-	// parallel tick (0 = GOMAXPROCS, 1 = serial reference). Execution
+	// tick (0 = serial (1); > 1 opts into the sharded tick). Execution
 	// only: the golden determinism tests require identical tables for
 	// every value.
 	TickWorkers int
@@ -47,7 +47,7 @@ type Options struct {
 	// determinism tests sweep granules and require identical tables.
 	TickGranule uint64
 	// MemShards is the memory system's phase-A2 shard count (0 = derived
-	// from TickWorkers, 1 = serial memory tick). Execution only, like
+	// from TickWorkers, so the serial memory tick by default). Execution only, like
 	// TickWorkers: the golden determinism tests sweep shard counts and
 	// require identical tables.
 	MemShards int

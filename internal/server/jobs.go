@@ -264,7 +264,7 @@ type Manager struct {
 // plus the TTL reaper.
 func newManager(svc *sim.Service, cfg Config) *Manager {
 	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU()
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64

@@ -42,7 +42,7 @@ import (
 
 // Config tunes the daemon. Zero values select daemon-sane defaults.
 type Config struct {
-	// Workers is the number of job runner goroutines (0 = NumCPU). The
+	// Workers is the number of job runner goroutines (0 = GOMAXPROCS). The
 	// sim.Service's own worker pool additionally bounds simulator
 	// concurrency, so this mostly bounds how many jobs can be mid-flight.
 	Workers int

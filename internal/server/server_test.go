@@ -25,7 +25,12 @@ import (
 // can reference it, so tests can hold jobs in chosen states.
 func newTestServer(t *testing.T, cfg Config, stub func(context.Context, sim.Request) (sim.Outcome, error)) (*Server, *httptest.Server) {
 	t.Helper()
-	svc := sim.NewService(sim.Options{})
+	return newTestServerOver(t, sim.NewService(sim.Options{}), cfg, stub)
+}
+
+// newTestServerOver is newTestServer over a caller-configured sim.Service.
+func newTestServerOver(t *testing.T, svc *sim.Service, cfg Config, stub func(context.Context, sim.Request) (sim.Outcome, error)) (*Server, *httptest.Server) {
+	t.Helper()
 	s := New(svc, cfg)
 	if stub != nil {
 		s.jobs.runSim = stub
@@ -157,17 +162,42 @@ func TestJobLifecycleEndToEnd(t *testing.T) {
 		`gpuschedd_jobs_finished_total{state="done"} 1`,
 		"gpuschedd_job_cycles_count 1",
 		"gpuschedd_queue_capacity 64",
-		fmt.Sprintf("gpuschedd_sim_workers %d", runtime.GOMAXPROCS(0)),
+		"gpuschedd_sim_workers 1", // the default tick is serial
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// An explicit tick-worker count is reported as configured, and a job
+	// through the sharded tick finishes with the same outcome.
+	_, sharded := newTestServerOver(t, sim.NewService(sim.Options{TickWorkers: 2}), Config{}, nil)
+	if again := pollJob(t, sharded.URL, submitJob(t, sharded.URL, tinyBody).ID); again.State != StateDone ||
+		again.Outcome == nil || again.Outcome.Result.Cycles != got.Outcome.Result.Cycles {
+		t.Errorf("TickWorkers=2 job = %+v, want done with %d cycles", again, got.Outcome.Result.Cycles)
+	}
+	if _, data, _ := doJSON(t, http.MethodGet, sharded.URL+"/metrics", ""); !strings.Contains(string(data), "gpuschedd_sim_workers 2") {
+		t.Errorf("/metrics of a TickWorkers=2 service missing %q", "gpuschedd_sim_workers 2")
 	}
 
 	// The job list includes it.
 	code, data, _ = doJSON(t, http.MethodGet, ts.URL+"/v1/jobs", "")
 	if code != http.StatusOK || !strings.Contains(string(data), j.ID) {
 		t.Errorf("/v1/jobs = %d, missing %s: %s", code, j.ID, data)
+	}
+}
+
+// TestDefaultRunnersFollowGOMAXPROCS: the runner pool is sized from what the
+// process may use, not from the machine, so a GOMAXPROCS (or container CPU)
+// limit below NumCPU does not oversubscribe.
+func TestDefaultRunnersFollowGOMAXPROCS(t *testing.T) {
+	if runtime.NumCPU() == 1 {
+		t.Skip("needs NumCPU > 1 to set GOMAXPROCS below it")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU() - 1))
+	s, _ := newTestServer(t, Config{}, nil)
+	if got, want := s.jobs.cfg.Workers, runtime.NumCPU()-1; got != want {
+		t.Errorf("default runner goroutines = %d at GOMAXPROCS=%d (NumCPU=%d), want %d",
+			got, want, runtime.NumCPU(), want)
 	}
 }
 

@@ -14,14 +14,16 @@ import (
 
 // Options configures a Service.
 type Options struct {
-	// Workers bounds concurrent simulations (0 = NumCPU).
+	// Workers bounds concurrent simulations. 0 spends the core budget:
+	// GOMAXPROCS divided by the resolved TickWorkers (at least 1), so
+	// concurrent simulations × tick workers never exceeds the cores by
+	// default.
 	Workers int
 	// TickWorkers is the per-simulation worker count for the GPU's
-	// two-phase parallel tick (gpu.Config.Workers): 0 derives it from
-	// GOMAXPROCS, 1 forces the serial reference path. It is an execution
-	// knob only — results are byte-identical for every value — so it is
-	// deliberately NOT part of Request.Key: cached outcomes stay valid
-	// across worker-count changes.
+	// two-phase tick (gpu.Config.Workers): 0 = serial (1); > 1 opts into
+	// the sharded tick. It is an execution knob only — results are
+	// byte-identical for every value — so it is deliberately NOT part of
+	// Request.Key: cached outcomes stay valid across worker-count changes.
 	TickWorkers int
 	// TickGranule is the per-SM parking threshold for the activity-set tick
 	// (gpu.Config.Granule): 0 derives it from gpu.DefaultGranule. Like
@@ -29,8 +31,8 @@ type Options struct {
 	// for every value — so it is deliberately NOT part of Request.Key.
 	TickGranule uint64
 	// MemShards is the memory system's phase-A2 shard count
-	// (gpu.Config.MemShards): 0 derives it from the tick workers, 1 forces
-	// the serial memory tick. Execution-only, like TickWorkers — never part
+	// (gpu.Config.MemShards): 0 derives it from the tick workers (so serial
+	// at the default), 1 forces the serial memory tick. Execution-only, like TickWorkers — never part
 	// of Request.Key.
 	MemShards int
 	// BatchWindow caps the quiet-window cycle batch (gpu.Config.BatchWindow):
@@ -127,7 +129,7 @@ type flight struct {
 func NewService(opt Options) *Service {
 	workers := opt.Workers
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = max(1, runtime.GOMAXPROCS(0)/gpu.ResolveWorkers(opt.TickWorkers))
 	}
 	s := &Service{
 		opt:     opt,
@@ -227,8 +229,9 @@ func (s *Service) RunAll(ctx context.Context, reqs []Request) error {
 }
 
 // TickWorkers returns the effective per-simulation worker count the
-// Service runs with (the configured knob, GOMAXPROCS-resolved; individual
-// simulations may clamp further to their SM count).
+// Service runs with (the configured knob resolved: 0 = serial (1); > 1 opts
+// into the sharded tick; individual simulations may clamp further to their
+// SM count).
 func (s *Service) TickWorkers() int { return gpu.ResolveWorkers(s.opt.TickWorkers) }
 
 // Stats returns a snapshot of the request counters.
