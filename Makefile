@@ -25,10 +25,10 @@ lint:
 
 # Race-detector stress over the concurrency-bearing packages (mirrors the
 # CI race job): the dynamic counterpart to gpulint's static
-# phasepurity/wakesync/guardedby contracts. The sharded tick is opt-in, so
-# the tests that stress it name their worker counts (Workers/TickWorkers >= 2).
+# guardedby/ctxflow contracts. The cycle loop itself is serial; internal/gpu
+# rides along for its cancellation poll.
 race:
-	go test -race -count=3 ./internal/fleet ./internal/server ./internal/sim ./internal/gpu/parexec ./internal/gpu
+	go test -race -count=3 ./internal/fleet ./internal/server ./internal/sim ./internal/gpu
 
 # Mirror of .github/workflows/ci.yml: build, lint, race-enabled tests, the
 # repository benchmark's own tests (a module of its own, so ./... does not
@@ -41,10 +41,10 @@ ci: lint
 	go test -run='^$$' -fuzz=FuzzKernel -fuzztime=10s .
 	go test -run='^$$' -fuzz=FuzzRequestJSON -fuzztime=10s ./internal/sim
 
-# Headline benchmarks (simulator throughput, worker-scaling, and two figure
-# experiments), recorded as JSON so CI can diff against the committed
-# baseline. The figure experiments run once (-benchtime=1x: one iteration is
-# a whole experiment); the throughput/scaling microbenches are pinned to a
+# Headline benchmarks (simulator throughput and three figure experiments),
+# recorded as JSON so CI can diff against the committed baseline. The figure
+# experiments run once (-benchtime=1x: one iteration is a whole
+# experiment); the throughput microbenches are pinned to a
 # fixed 20-iteration count because a single ~10ms run drifts ~20% between
 # otherwise identical invocations (the stencil number was recorded at ~300k
 # simcycles/s in one run and 249k in the committed BENCH_3.json for exactly
@@ -53,14 +53,14 @@ ci: lint
 # invocation also drops CPU and heap profiles into BENCH_PROF (uploaded as
 # CI artifacts), so a regression flagged by the JSON diff comes with the
 # profile that explains it.
-BENCH_OUT ?= results/BENCH_15.json
+BENCH_OUT ?= results/BENCH_19.json
 BENCH_PROF ?= results/prof
 bench:
 	mkdir -p $(BENCH_PROF)
 	go test -run='^$$' -bench 'Fig5|Fig8|Fig14' -benchtime=1x -benchmem \
 		-cpuprofile $(BENCH_PROF)/figs.cpu.pprof -memprofile $(BENCH_PROF)/figs.mem.pprof \
 		-o $(BENCH_PROF)/bench.test . | tee $(BENCH_PROF)/bench.out
-	go test -run='^$$' -bench 'SimulatorThroughput|ParallelTick' -benchtime=20x -benchmem \
+	go test -run='^$$' -bench 'SimulatorThroughput' -benchtime=20x -benchmem \
 		-cpuprofile $(BENCH_PROF)/micro.cpu.pprof -memprofile $(BENCH_PROF)/micro.mem.pprof \
 		-o $(BENCH_PROF)/bench.test . | tee -a $(BENCH_PROF)/bench.out
 	go run ./cmd/benchjson -out $(BENCH_OUT) < $(BENCH_PROF)/bench.out

@@ -10,9 +10,7 @@ package gpusched_test
 //	go test -bench=Fig5 -benchtime=1x
 
 import (
-	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -121,63 +119,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
 	})
-}
-
-// BenchmarkParallelTick measures how the opt-in sharded tick scales with the
-// phase-A worker count on the same two bracket shapes as
-// BenchmarkSimulatorThroughput. workers=1 is the serial path (the default,
-// so these rows must match SimulatorThroughput within noise); results are
-// byte-identical at every count (the golden determinism tests enforce it),
-// so the only thing that may change here is wall clock. Speedup is workers=N
-// simcycles/s over workers=1; compare ratios within one host's record, not
-// absolutes across hosts.
-func BenchmarkParallelTick(b *testing.B) {
-	for _, workers := range parallelTickWorkers(runtime.NumCPU()) {
-		b.Run(fmt.Sprintf("stall-heavy/workers=%d", workers), func(b *testing.B) {
-			cfg := gpu.DefaultConfig()
-			cfg.Workers = workers
-			var cycles uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g, err := gpu.New(cfg, sim.Baseline().NewDispatcher(), workloads.ChaseSpec(1, 1, 1024))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				cycles += g.Run().Cycles
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
-		})
-		b.Run(fmt.Sprintf("stencil/workers=%d", workers), func(b *testing.B) {
-			w, _ := gpusched.WorkloadByName("stencil")
-			cfg := gpusched.DefaultConfig()
-			cfg.Workers = workers
-			var cycles uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := gpusched.MustRun(cfg, gpusched.Baseline(), w.Kernel(gpusched.SizeTiny))
-				cycles += res.Cycles
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
-		})
-	}
-}
-
-// parallelTickWorkers picks the worker counts BenchmarkParallelTick records
-// on a host with cpus cores. From 4 cores up it is the fixed 1/4/8 ladder the
-// CI scaling gate reads. Below that an oversubscribed w4/w8 row measures the
-// spin barrier fighting the scheduler, not the tick, so the record is the
-// serial row and the one count the host can actually run in parallel.
-func parallelTickWorkers(cpus int) []int {
-	switch {
-	case cpus >= 4:
-		return []int{1, 4, 8}
-	case cpus > 1:
-		return []int{1, cpus}
-	default:
-		return []int{1}
-	}
 }
 
 // BenchmarkSchedulerOverheads compares the dispatch policies' wall cost on

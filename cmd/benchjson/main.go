@@ -11,10 +11,9 @@
 // ns/op always, plus B/op, allocs/op, and any custom b.ReportMetric units
 // (simcycles/s, geomean-speedup, ...). When a benchmark appears several
 // times (-count > 1) the metrics are averaged. The record also carries the
-// host shape (NumCPU, GOMAXPROCS) it was captured on: worker-scaling
-// benchmarks measure how the simulator uses cores, so comparing them across
-// machines with different core counts is noise, and -compare skips those
-// rows (with a loud note) when the hosts differ.
+// host shape (NumCPU, GOMAXPROCS) it was captured on, so a reader can tell
+// which machine a row came from; -compare reports rows present in both
+// records and skips the rest.
 package main
 
 import (
@@ -33,8 +32,7 @@ import (
 // Record is the persisted benchmark snapshot.
 type Record struct {
 	// Host is the machine shape the benchmarks ran on. Nil in records
-	// written before the field existed; host-sensitive checks are skipped
-	// when either side lacks it.
+	// written before the field existed.
 	Host *HostInfo `json:"host,omitempty"`
 	// Benchmarks maps benchmark name to unit ("ns/op", "simcycles/s", ...)
 	// to value.
@@ -45,13 +43,6 @@ type Record struct {
 type HostInfo struct {
 	NumCPU     int `json:"num_cpu"`
 	GOMAXPROCS int `json:"gomaxprocs"`
-}
-
-// workerScalingBench marks benchmark names whose numbers are a function of
-// host core count (the worker-sweep rows): they are incomparable across
-// machines with different core counts.
-func workerScalingBench(name string) bool {
-	return strings.Contains(name, "ParallelTick")
 }
 
 // multiFlag collects repeated -assert values.
@@ -215,22 +206,9 @@ func runCompare(oldPath, newPath string, asserts []string, w io.Writer) error {
 		return err
 	}
 
-	// Worker-scaling rows measure how the simulator spreads over cores; on
-	// a host with a different core count the old numbers answer a different
-	// question. Skip them rather than report meaningless drift.
-	skipScaling := oldRec.Host != nil && newRec.Host != nil &&
-		oldRec.Host.NumCPU != newRec.Host.NumCPU
-	if skipScaling {
-		fmt.Fprintf(w, "NOTE: host core counts differ (baseline: %d CPUs, new: %d CPUs); worker-scaling rows (ParallelTick) are NOT comparable and are skipped\n",
-			oldRec.Host.NumCPU, newRec.Host.NumCPU)
-	}
-
 	var names []string
 	for name := range oldRec.Benchmarks {
 		if _, ok := newRec.Benchmarks[name]; !ok {
-			continue
-		}
-		if skipScaling && workerScalingBench(name) {
 			continue
 		}
 		names = append(names, name)

@@ -30,10 +30,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warpStr  = fs.String("warp", "gto", "warp scheduler: lrr | gto | baws")
 		sizeStr  = fs.String("size", "small", "problem size: tiny | small | full")
 		cores    = fs.Int("cores", 15, "SM count")
-		workers  = fs.Int("workers", 0, "OS threads ticking the SMs each cycle (0 = serial (1); > 1 opts into the sharded tick; never changes results)")
-		shards   = fs.Int("mem-shards", 0, "memory partition shards ticked in parallel per cycle (0 = derive from -workers, so serial by default; never changes results)")
-		window   = fs.Uint64("batch-window", 0, "max cycles batched through one barrier when every SM provably sleeps (0 = built-in default, 1 = off; never changes results)")
-		engStats = fs.Bool("engine-stats", false, "also print how the cycle loop executed the run: cycles ticked / fast-forwarded / batched, dispatcher polls made and skipped, barrier crossings")
+		window   = fs.Uint64("batch-window", 0, "max memory-system cycles batched into one call when every SM provably sleeps (0 = built-in default, 1 = off; never changes results)")
+		engStats = fs.Bool("engine-stats", false, "also print how the cycle loop executed the run: cycles ticked / fast-forwarded / batched, dispatcher polls made and skipped")
 		list     = fs.Bool("list", false, "list workloads and exit")
 		traceOut = fs.String("trace", "", "write a per-epoch timeline CSV to this file")
 		epoch    = fs.Uint64("epoch", 1024, "trace sampling period in cycles")
@@ -66,8 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg := gpusched.DefaultConfig()
 	cfg.Cores = *cores
-	cfg.Workers = *workers
-	cfg.MemShards = *shards
 	cfg.BatchWindow = *window
 	cfg.WarpPolicy, err = gpusched.ParseWarpPolicy(*warpStr)
 	if err != nil {
@@ -130,8 +126,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *engStats {
 		fmt.Fprintf(stdout, "engine cycles   %d ticked, %d fast-forwarded, %d batched\n",
 			eng.CyclesTicked, eng.CyclesFastForwarded, eng.CyclesBatched)
-		fmt.Fprintf(stdout, "engine polls    %d dispatcher ticks, %d skipped, %d barrier crossings\n",
-			eng.DispatcherTicks, eng.DispatcherSkips, eng.BarrierCrossings)
+		fmt.Fprintf(stdout, "engine polls    %d dispatcher ticks, %d skipped\n",
+			eng.DispatcherTicks, eng.DispatcherSkips)
 	}
 	return 0
 }

@@ -118,24 +118,15 @@ type Config struct {
 	WarpPolicy WarpPolicy
 	// MaxCycles bounds the simulation (0 = the 20M-cycle default).
 	MaxCycles uint64
-	// Workers is how many OS threads tick the simulated SMs each cycle
-	// (0 = serial (1); > 1 opts into the sharded tick). It is an
-	// execution knob only: results are byte-identical for every worker
-	// count, so it never needs to appear in result caches or comparisons.
-	Workers int
 	// Granule is the activity-set parking threshold in cycles: an SM leaves
 	// the per-cycle tick only when it can prove at least this many quiet
-	// cycles ahead (0 = the built-in default). Execution knob only, like
-	// Workers: results are byte-identical for every granule.
+	// cycles ahead (0 = the built-in default). It is an execution knob
+	// only: results are byte-identical for every granule, so it never needs
+	// to appear in result caches or comparisons.
 	Granule uint64
-	// MemShards is how many shards the memory system's partitions tick in
-	// (0 = derive from Workers, so the serial memory tick by default).
-	// Execution knob only, like Workers: results are byte-identical for
-	// every shard count.
-	MemShards int
 	// BatchWindow caps the quiet-window cycle batch in cycles (0 = the
 	// built-in default, 1 = batching off). Execution knob only, like
-	// Workers: results are byte-identical for every window.
+	// Granule: results are byte-identical for every window.
 	BatchWindow uint64
 
 	// Advanced knobs. Nil fields keep Fermi-class defaults.
@@ -178,9 +169,7 @@ func (c Config) build() gpu.Config {
 	if c.MaxCycles > 0 {
 		g.MaxCycles = c.MaxCycles
 	}
-	g.Workers = c.Workers
 	g.Granule = c.Granule
-	g.MemShards = c.MemShards
 	g.BatchWindow = c.BatchWindow
 	return g
 }
@@ -313,9 +302,8 @@ func RunContext(ctx context.Context, cfg Config, sched Scheduler, kernels ...Ker
 }
 
 // EngineStats re-exports the cycle loop's execution accounting: how many
-// simulated cycles were ticked, fast-forwarded and batched, how often the
-// dispatcher was polled or provably skipped, and how many worker-pool
-// barriers the run crossed. It describes the host-side execution, not the
+// simulated cycles were ticked, fast-forwarded and batched, and how often the
+// dispatcher was polled or provably skipped. It describes the host-side execution, not the
 // simulated machine — it moves with the execution knobs while Result does
 // not — so it is reported beside Result, never inside it.
 type EngineStats = gpu.EngineStats

@@ -47,14 +47,14 @@ type KernelState struct {
 	DoneCycle   uint64
 	launched    bool
 	// requeued holds evicted-but-unfinished CTA ids awaiting re-dispatch,
-	// FIFO. Only the GPU's phase-B preemption commit appends (in core-index
+	// FIFO. Only the GPU's preemption commit appends (in core-index
 	// order within a cycle) and only place pops, so the re-dispatch order is
 	// deterministically keyed by (eviction cycle, core index).
 	requeued []int
 }
 
 // Requeue appends an evicted CTA id for re-dispatch. Called by the GPU's
-// serial preemption commit, never from phase-A worker goroutines.
+// preemption commit (core-index order), never from inside an SM's tick.
 func (k *KernelState) Requeue(ctaID int) {
 	k.requeued = append(k.requeued, ctaID)
 	k.Evicted++

@@ -81,8 +81,9 @@ func (l *evictLogger) OnCTAEvicted(m core.Machine, coreID int, cta *sm.CTA) {
 
 // TestPreemptiveDeterminism proves the preemption path holds the simulator's
 // core invariant: results and the full eviction log are identical across
-// phase-A worker counts and with fast-forward on or off, and the log is
-// ordered by (eviction cycle, core index) — the requeue FIFO key.
+// parking granules (which change the order SMs are visited in) and with
+// fast-forward on or off, and the log is ordered by (eviction cycle, core
+// index) — the requeue FIFO key.
 func TestPreemptiveDeterminism(t *testing.T) {
 	batch := uniformKernel("batch", 64, 4, 300, 32)
 	prio := uniformKernel("prio", 6, 4, 80, 32)
@@ -94,15 +95,15 @@ func TestPreemptiveDeterminism(t *testing.T) {
 	}
 	var ref *outcome
 	var refName string
-	for _, workers := range []int{1, 2, 7} {
+	for _, granule := range []uint64{0, 1, 16} {
 		for _, noFF := range []bool{false, true} {
-			name := fmt.Sprintf("workers=%d ff=%v", workers, !noFF)
+			name := fmt.Sprintf("granule=%d ff=%v", granule, !noFF)
 			d := &evictLogger{Preemptive: core.NewPreemptive(1, 0)}
 			cfg := gpu.DefaultConfig()
 			cfg.NumCores = 4
 			cfg.MaxCycles = 5_000_000
 			cfg.Core.WarpPolicy = sm.PolicyGTO
-			cfg.Workers = workers
+			cfg.Granule = granule
 			cfg.DisableFastForward = noFF
 			g, err := gpu.New(cfg, d, batch, prio)
 			if err != nil {

@@ -51,7 +51,7 @@ func newFakeMachine(spec *kernel.Spec) *fakeMachine {
 
 // TestPlacePopsRequeueFIFO is the re-dispatch determinism regression: place()
 // must serve evicted CTA ids strictly in Requeue() append order — the
-// (eviction cycle, core index) order the GPU's phase-B commit produces —
+// (eviction cycle, core index) order the GPU's preemption commit produces —
 // before touching NextCTA, with Placed counting both kinds of placement.
 func TestPlacePopsRequeueFIFO(t *testing.T) {
 	spec := requeueSpec(64)

@@ -46,9 +46,7 @@ func newTestFleet(t *testing.T, n int, cfg Config, optFor func(i int) sim.Option
 	f := &testFleet{}
 	members := make([]*Shard, n)
 	for i := 0; i < n; i++ {
-		// The sharded tick is opt-in; name a count so the fleet race stress
-		// still runs simulations through the worker pool.
-		opt := sim.Options{CacheDir: t.TempDir(), TickWorkers: 2}
+		opt := sim.Options{CacheDir: t.TempDir()}
 		if optFor != nil {
 			opt = optFor(i)
 		}

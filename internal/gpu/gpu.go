@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"gpusched/internal/core"
-	"gpusched/internal/gpu/parexec"
 	"gpusched/internal/kernel"
 	"gpusched/internal/mem"
 	"gpusched/internal/sm"
@@ -32,35 +31,18 @@ type Config struct {
 	// way — the flag exists so tests can prove exactly that, and so
 	// suspected fast-forward bugs can be bisected against the reference.
 	DisableFastForward bool
-	// Workers is how many OS threads tick the SMs each cycle (phase A of
-	// the two-phase tick). 0 = serial (1): no worker pool is built and both
-	// tick phases run inline on the caller's goroutine; > 1 opts into the
-	// sharded tick. Serial is the default because no recorded benchmark has
-	// the sharded tick winning — cores are spent on concurrent simulations
-	// instead (sim.Service). The count is execution-only: results are
-	// byte-identical for every value (the golden determinism tests diff
-	// worker counts against each other), so it never enters a cache key.
-	Workers int
 	// Granule is the minimum provably-quiet window, in cycles, an SM must
-	// have ahead of it before its shard parks it in the activity set's wake
-	// heap (0 means DefaultGranule). A parked SM is skipped without being
+	// have ahead of it before it is parked in the activity set's wake heap
+	// (0 means DefaultGranule). A parked SM is skipped without being
 	// visited until its wake cycle; the skipped cycles' ActiveCycles and
 	// stall counters are replayed in one FastForward when it next runs.
-	// Like Workers it is execution-only: parking is semantically inert, so
-	// results are byte-identical for every granule (the golden determinism
-	// tests sweep it) and it never enters a cache key.
+	// Execution-only: parking is semantically inert, so results are
+	// byte-identical for every granule (the golden determinism tests sweep
+	// it) and it never enters a cache key.
 	Granule uint64
-	// MemShards is how many contiguous partition ranges the memory system's
-	// phase-A2 tick is split into (mem.System.SetShards). 0 derives it from
-	// the worker count (clamped to the partition count), so it is 1 — the
-	// serial memory tick — at the default Workers; values beyond the
-	// partition count leave the extra shards empty. Execution-only: the
-	// staged merge makes results byte-identical for every value (the golden
-	// determinism tests sweep it), so it never enters a cache key.
-	MemShards int
 	// BatchWindow caps the quiet-window cycle batch, in cycles: when no SM
 	// can run or receive a response for the next k cycles, the loop runs k
-	// memory-system ticks inside one barrier crossing instead of k. The
+	// memory-system ticks in one call instead of k loop iterations. The
 	// effective window is additionally bounded by the crossbar latency (a
 	// response delivered inside the window cannot become poppable before the
 	// window ends, so no SM interaction is ever skipped). 0 means
@@ -68,28 +50,6 @@ type Config struct {
 	// byte-identical for every value (the golden determinism tests sweep it),
 	// so it never enters a cache key.
 	BatchWindow uint64
-}
-
-// ResolveWorkers maps a Config.Workers value to the effective worker count
-// before the per-instance SM clamp: zero and negative mean 1, the serial
-// tick. Daemons use it to report the effective value of the knob they were
-// configured with (the gpuschedd_sim_workers gauge), and sim.Service to size
-// its run-level pool against the cores each simulation occupies.
-func ResolveWorkers(w int) int {
-	if w <= 0 {
-		return 1
-	}
-	return w
-}
-
-// resolveWorkers maps Config.Workers to the effective phase-A shard count:
-// serial when unset, never more than one shard per SM.
-func (c *Config) resolveWorkers() int {
-	w := ResolveWorkers(c.Workers)
-	if w > c.NumCores {
-		w = c.NumCores
-	}
-	return w
 }
 
 // DefaultMaxCycles is the runaway-simulation cap applied when
@@ -136,24 +96,6 @@ func (c *Config) resolveBatchWindow() uint64 {
 	return w
 }
 
-// resolveMemShards maps Config.MemShards to the effective phase-A2 shard
-// count: derived from the worker count (never more than one shard per
-// partition) when unset, the configured value otherwise — mem.System
-// tolerates counts beyond the partition count by leaving shards empty.
-func (c *Config) resolveMemShards(workers int) int {
-	n := c.MemShards
-	if n <= 0 {
-		n = workers
-		if n > c.Mem.Partitions {
-			n = c.Mem.Partitions
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // DefaultConfig returns the Fermi-class (GTX480 ballpark) GPU used by the
 // paper-reproduction experiments: 15 SMs, 2 schedulers each, 6 memory
 // partitions.
@@ -198,14 +140,14 @@ type Result struct {
 }
 
 // EngineStats counts how the cycle loop spent a run: which mechanism covered
-// each simulated cycle, and how often the loop paid for the two costs that are
-// pure host overhead — a dispatcher poll and a worker-pool barrier crossing.
-// It describes the execution, not the simulated machine: the numbers move with
-// Workers, Granule, BatchWindow and DisableFastForward while Result does not,
-// so it is never part of Result and never enters a cache key.
+// each simulated cycle, and how often the loop paid for a dispatcher poll —
+// pure host overhead whenever the dispatcher cannot act. It describes the
+// execution, not the simulated machine: the numbers move with Granule,
+// BatchWindow and DisableFastForward while Result does not, so it is never
+// part of Result and never enters a cache key.
 type EngineStats struct {
-	// CyclesTicked counts cycles that ran the full loop body (phase A, the
-	// commits, the memory tick). CyclesFastForwarded counts cycles the event
+	// CyclesTicked counts cycles that ran the full loop body (the SM ticks,
+	// the commits, the memory tick). CyclesFastForwarded counts cycles the event
 	// horizon jumped over, CyclesBatched cycles covered by a quiet-window
 	// memory batch. The three sum to Result.Cycles.
 	CyclesTicked        uint64
@@ -217,19 +159,9 @@ type EngineStats struct {
 	// ticked cycle or the first cycle of a batched window).
 	DispatcherTicks uint64
 	DispatcherSkips uint64
-	// BarrierCrossings counts worker-pool release/join round trips (phase A,
-	// phase A2 and batched windows). Zero whenever the tick is serial.
-	BarrierCrossings uint64
 }
 
 // GPU is one simulated device with a fixed launch table.
-//
-// GPU is shared state for the two-phase tick: phase-A code (anything
-// reachable from SM.Tick or a shard visit) must not mutate it except
-// through the declared staging sinks (onCTADone, onCTADrained, the visit
-// closure's per-core probe throttles) — gpulint phasepurity enforces this.
-//
-//gpulint:shared
 type GPU struct {
 	cfg        Config
 	cores      []*sm.SM
@@ -251,19 +183,20 @@ type GPU struct {
 	// arrived is how many launch-table kernels have reached their Arrival
 	// cycle; Kernels() exposes exactly that prefix to dispatchers.
 	arrived int
-	// pendingRetire[c] collects core c's CTA retirements during phase A of
-	// a cycle. A core's SM appends only to its own list (so cores may tick
-	// concurrently); commitRetirements replays every list serially in
-	// core-index order before the memory system ticks, so the dispatcher,
-	// the observer, and the kernel bookkeeping see retirements in one fixed
-	// order whatever the phase-A interleaving was.
+	// pendingRetire[c] collects core c's CTA retirements while the SMs tick.
+	// The activity set visits SMs in an order that depends on the run's
+	// park/wake history (woken SMs rejoin at the tail), so a retirement is
+	// only recorded in its core's own list; commitRetirements replays every
+	// list in core-index order before the memory system ticks, and the
+	// dispatcher, the observer, and the kernel bookkeeping see retirements
+	// in one fixed order whatever the visit order was — which is what keeps
+	// results independent of Granule.
 	pendingRetire [][]*sm.CTA
-	// pendingPreempt[c] collects core c's drain evictions during phase A,
-	// mirroring pendingRetire: the SM appends only to its own list, and
-	// commitPreemptions replays every list serially in core-index order
-	// right after commitRetirements. Re-dispatch order after eviction is
-	// therefore a deterministic FIFO keyed by (eviction cycle, core index)
-	// whatever the phase-A worker interleaving was.
+	// pendingPreempt[c] collects core c's drain evictions, mirroring
+	// pendingRetire: commitPreemptions replays every list in core-index
+	// order right after commitRetirements. Re-dispatch order after eviction
+	// is therefore a deterministic FIFO keyed by (eviction cycle, core
+	// index), not by SM visit order.
 	pendingPreempt [][]*sm.CTA
 	// ffNextTry/ffBackoff throttle horizon probes. Probing costs real work
 	// (every scheduler and memory queue is consulted), so an attempt that
@@ -273,27 +206,21 @@ type GPU struct {
 	ffNextTry uint64
 	ffBackoff uint64
 	// activity tracks which SMs have ready work this cycle (built by
-	// RunContext, nil before). Sleeping SMs are skipped by phase A entirely;
-	// wakeCore is the only way back in.
-	activity *parexec.ActivitySet
+	// RunContext, nil before). Sleeping SMs are not ticked at all; wakeCore
+	// is the only way back in.
+	activity *activitySet
 	// probeAt[i]/probeBO[i] throttle core i's sleep probes, mirroring
 	// ffNextTry/ffBackoff: an SM that stalls without being parkable doubles
 	// the wait before its next NextEvent probe, and a successful park resets
-	// it. Written only by the shard that owns core i during phase A.
+	// it.
 	probeAt []uint64
 	probeBO []uint64
-	// postTick is true between phase A and the end of the cycle (commits and
-	// the memory tick). wakeCore uses it to pick the sync boundary: once
-	// phase A has run, a sleeping core provably accounts for the current
+	// postTick is true between the SM ticks and the end of the cycle (commits
+	// and the memory tick). wakeCore uses it to pick the sync boundary: once
+	// the SMs have ticked, a sleeping core provably accounts for the current
 	// cycle too, and cannot tick again before the next one.
 	postTick bool
-	// winFrom/winTo are the current batched quiet window's bounds, written
-	// serially before the window's phase-A2 pool release so the reusable
-	// shard closure (no per-window allocation) can read them — the same
-	// ordering contract g.now relies on.
-	winFrom, winTo uint64
-	// engine is the run's execution accounting, written only by the serial
-	// phases of RunContext.
+	// engine is the run's execution accounting.
 	engine EngineStats
 }
 
@@ -346,17 +273,15 @@ func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 
 // wakeCore is the single wake funnel: the SMs' pre-mutation notification
 // (AddCTA, and Preempt below) and the memory system's response-delivery hook
-// both land here, always in a serial phase. It settles the target core's
+// both land here, never from inside an SM's tick. It settles the target core's
 // lazily-accrued counters up to the current stage boundary — callers invoke
 // it *before* mutating the core, while the parked window is still provably
-// quiet — then lowers the core's wake bound so the skipped SM rejoins
-// phase A in time. Waking an active core is a harmless no-op.
-//
-//gpulint:phaseb wake/sync runs in serial phases only; a phase-A caller would race the wake heap and the watermark
+// quiet — then lowers the core's wake bound so the skipped SM is ticked
+// again in time. Waking an active core is a harmless no-op.
 func (g *GPU) wakeCore(coreID int, at uint64) {
 	sync, wake := at, at
 	if g.postTick {
-		// Phase A for cycle g.now already ran: the core either ticked this
+		// The SM ticks of cycle g.now already ran: the core either ticked this
 		// cycle or slept through it (its wake bound is beyond g.now), so
 		// cycle g.now is provably accounted for — settle through it while
 		// that proof still holds, and wake no earlier than the next cycle.
@@ -367,17 +292,14 @@ func (g *GPU) wakeCore(coreID int, at uint64) {
 	}
 	g.cores[coreID].SyncTo(sync)
 	if g.activity != nil {
-		g.activity.Wake(coreID, wake)
+		g.activity.wake(coreID, wake)
 	}
 }
 
 // syncAllTo settles every core's lazily-accrued counters through cycle t
-// (exclusive) — the serial-phase barrier before any consumer that may read a
-// sleeping core's Stats: the dispatcher when it is due to act, commit
-// callbacks, the epoch hook, and final collection. Cores already synced past
-// t are untouched.
-//
-//gpulint:phaseb the serial-phase sync barrier; running it during phase A would race the cores it settles
+// (exclusive) — run before any consumer that may read a sleeping core's
+// Stats: the dispatcher when it is due to act, commit callbacks, the epoch
+// hook, and final collection. Cores already synced past t are untouched.
 func (g *GPU) syncAllTo(t uint64) {
 	for _, c := range g.cores {
 		c.SyncTo(t)
@@ -450,7 +372,7 @@ func (g *GPU) admitArrivals() {
 // Preempt implements core.Machine: it asks core coreID to drain cta for
 // preemption. The request is accepted only for a resident, running CTA (a
 // natural completion that raced the request loses it harmlessly). The
-// eviction itself lands later, through the phase-B preemption commit.
+// eviction itself lands later, through commitPreemptions.
 func (g *GPU) Preempt(coreID int, cta *sm.CTA) bool {
 	if coreID < 0 || coreID >= len(g.cores) {
 		return false
@@ -462,20 +384,16 @@ func (g *GPU) Preempt(coreID int, cta *sm.CTA) bool {
 	return g.cores[coreID].DrainCTA(cta)
 }
 
-// onCTADone is the SMs' retirement callback. It may run on a phase-A worker
-// goroutine, so it only records the event in the retiring core's private
-// list; every side effect that touches shared state happens in
-// commitRetirements, serially.
-//
-//gpulint:staged appends only to the retiring core's own pendingRetire list
+// onCTADone is the SMs' retirement callback. It runs inside an SM's tick, at
+// a point in the visit order that depends on park/wake history, so it only
+// records the event in the retiring core's own list; every side effect on
+// machine-wide state happens in commitRetirements, in core-index order.
 func (g *GPU) onCTADone(coreID int, cta *sm.CTA) {
 	g.pendingRetire[coreID] = append(g.pendingRetire[coreID], cta)
 }
 
-// onCTADrained is the SMs' drain-eviction callback — same phase-A discipline
-// as onCTADone: record in the core's private list, commit serially later.
-//
-//gpulint:staged appends only to the draining core's own pendingPreempt list
+// onCTADrained is the SMs' drain-eviction callback — same discipline as
+// onCTADone: record in the core's own list, commit in core-index order later.
 func (g *GPU) onCTADrained(coreID int, cta *sm.CTA) {
 	g.pendingPreempt[coreID] = append(g.pendingPreempt[coreID], cta)
 }
@@ -483,11 +401,8 @@ func (g *GPU) onCTADrained(coreID int, cta *sm.CTA) {
 // commitRetirements replays the cycle's CTA retirements strictly in
 // core-index order (and, within a core, retirement order): kernel completion
 // bookkeeping, the experiment observer, then the dispatcher's
-// OnCTAComplete probe — the same per-CTA sequence the serial path has always
-// run, now at a fixed point of the cycle (after every core ticked, before
-// the memory system ticks).
-//
-//gpulint:phaseb replays shared-state side effects after the phase-A barrier
+// OnCTAComplete probe — at a fixed point of the cycle (after every core
+// ticked, before the memory system ticks).
 func (g *GPU) commitRetirements() {
 	for c := range g.pendingRetire {
 		list := g.pendingRetire[c]
@@ -513,7 +428,7 @@ func (g *GPU) commitRetirements() {
 				g.observer(c, cta, g.now)
 			}
 			g.dispatcher.OnCTAComplete(g, c, cta)
-			// Every shared-state consumer of this retirement has now run, so
+			// Every consumer of this retirement has now run, so
 			// the context can go back to its core's pool. A placement made by
 			// a later callback this same cycle may already reuse it.
 			g.cores[c].Recycle(cta)
@@ -531,10 +446,8 @@ func (g *GPU) commitRetirements() {
 // and before the memory system ticks: the evicted CTA id joins its kernel's
 // re-dispatch queue, per-kernel eviction counters advance, and a dispatcher
 // implementing PreemptionObserver is notified. Because this is the only
-// place evictions touch shared state, the requeue order is a pure function
-// of (eviction cycle, core index) — independent of phase-A interleaving.
-//
-//gpulint:phaseb replays shared-state side effects after the phase-A barrier
+// place evictions touch machine-wide state, the requeue order is a pure
+// function of (eviction cycle, core index) — independent of SM visit order.
 func (g *GPU) commitPreemptions() {
 	po, _ := g.dispatcher.(core.PreemptionObserver)
 	for c := range g.pendingPreempt {
@@ -576,50 +489,34 @@ func (g *GPU) Run() Result {
 // that cancellation lands within microseconds of wall time.
 const ctxCheckInterval = 4096
 
-// parallelMinRunnable is the smallest phase-A population worth a barrier
-// crossing: below it the shards run inline on the caller's goroutine (same
-// shard split, same visit order within a shard, so results are unchanged).
-// A stall phase with one or two live SMs must not pay a park/wake round trip
-// per cycle just because eight workers were configured.
-const parallelMinRunnable = 6
-
 // maxProbeBackoff bounds the per-SM sleep-probe backoff (see probeAt/probeBO
 // on GPU), for the same reason maxFFBackoff bounds the global one: when a
 // busy phase ends, the SM must start parking again within a few dozen cycles.
 const maxProbeBackoff = 64
 
-// minParallelParts is the smallest live-partition population worth a
-// phase-A2 barrier crossing: below it the memory system ticks serially on
-// the caller's goroutine (same shard split, same per-partition order, so
-// results are unchanged). A tail phase with one busy DRAM channel must not
-// pay a pool release/join per cycle.
-const minParallelParts = 4
-
 // RunContext is Run with cooperative cancellation: when ctx is canceled
 // the cycle loop stops mid-flight and the context's error is returned
 // alongside the partial result.
 //
-// Each cycle is two phases. Phase A ticks the SMs with ready work —
-// concurrently over a persistent worker pool when Config.Workers allows and
-// enough SMs are runnable, serially otherwise; either way each SM confines
+// The loop is serial; cores are spent on concurrent simulations instead
+// (sim.Service). Each cycle ticks the SMs with ready work, each confining
 // itself to core-private state (its pipeline, its L1, its staging slot in
-// the memory system, its retirement list). Phase B is always serial: CTA
-// retirements replay in core-index order, then the memory system commits the
-// staged traffic and ticks. The committed state is a pure function of the
-// request, independent of worker count and interleaving (the golden
-// determinism tests diff worker counts byte-for-byte).
+// the memory system, its retirement list); then CTA retirements and
+// evictions replay in core-index order, and the memory system commits the
+// staged traffic and ticks. The staging is what makes the committed state
+// independent of the order the SMs were visited in (DESIGN.md "Staged commit
+// order").
 //
-// Which SMs have ready work is tracked by an activity set (parexec): after
-// ticking, an SM that issued nothing and can prove at least Granule quiet
-// cycles ahead parks in its shard's wake heap and is skipped — not visited
-// at all — until its wake cycle arrives or an external event (CTA placement,
-// drain request, memory response) lowers its bound through wakeCore. The
-// skipped cycles' ActiveCycles and stall counters accrue lazily: each SM
-// carries a synced-through watermark and replays the gap in one FastForward
-// the next time it runs (or when a serial-phase reader forces syncAllTo).
-// Parking is semantically inert — the park/wake decisions are pure per-SM
-// functions — so results are byte-identical for every granule; the golden
-// determinism tests sweep granules and worker counts against each other.
+// Which SMs have ready work is tracked by an activity set: after ticking, an
+// SM that issued nothing and can prove at least Granule quiet cycles ahead
+// parks in the wake heap and is skipped — not visited at all — until its
+// wake cycle arrives or an external event (CTA placement, drain request,
+// memory response) lowers its bound through wakeCore. The skipped cycles'
+// ActiveCycles and stall counters accrue lazily: each SM carries a
+// synced-through watermark and replays the gap in one FastForward the next
+// time it runs (or when a reader forces syncAllTo). Parking is semantically
+// inert — the park/wake decisions are pure per-SM functions — so results are
+// byte-identical for every granule; the golden determinism tests sweep it.
 //
 // The loop runs cycle-by-cycle while anything happens. After a cycle in
 // which no CTA was placed or retired and no instruction issued, it asks
@@ -630,8 +527,8 @@ const minParallelParts = 4
 // The jump is exact, not approximate: every NextEvent bound is conservative
 // and the skipped window is provably frozen, so results are bit-identical
 // to the reference loop (Config.DisableFastForward selects it; the golden
-// determinism tests diff the two). Horizon probes always run serially, on
-// the fully merged post-commit state.
+// determinism tests diff the two). Horizon probes run on the post-commit
+// state, after the memory tick.
 //
 // The dispatcher is polled only when it can act. A FastForwarder certifies
 // that its Tick is a pure no-op while no CTA is placed, retires, is evicted
@@ -655,18 +552,14 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 	// reference configuration keeps every SM in the active set permanently.
 	sleepOK := ff != nil
 	granule := g.cfg.resolveGranule()
-	workers := g.cfg.resolveWorkers()
-	as := parexec.NewActivitySet(len(g.cores), workers)
+	as := newActivitySet(len(g.cores))
 	g.activity = as
 	g.probeAt = make([]uint64, len(g.cores))
 	g.probeBO = make([]uint64, len(g.cores))
 	// visit ticks one SM for the current cycle and returns its next wake
-	// bound: <= now+1 keeps it active, anything later parks it. It runs on
-	// phase-A workers but touches only core i's private state (the probe
-	// throttle arrays are per-core, the response pipe is core-private, and
-	// g.now is ordered by the pool's release/join edges).
-	//
-	//gpulint:staged the probe throttle slots probeAt[i]/probeBO[i] are owned by core i's shard; no cross-core state is touched
+	// bound: <= now+1 keeps it active, anything later parks it. It touches
+	// only core i's private state (its probe throttle slots, its response
+	// lanes), so the order cores are visited in cannot matter.
 	visit := func(i int) uint64 {
 		c := g.cores[i]
 		before := c.Stats.InstrIssued
@@ -693,29 +586,7 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		g.probeAt[i] = now + g.probeBO[i]
 		return 0
 	}
-	tickShard := func(shard int) { as.TickShard(shard, g.now, visit) }
-	var pool *parexec.Pool
-	if workers > 1 {
-		pool = parexec.New(workers)
-		defer pool.Close()
-	}
-	memShards := g.cfg.resolveMemShards(workers)
-	g.memsys.SetShards(memShards)
 	batchCap := g.cfg.resolveBatchWindow()
-	// memShardFn runs phase A2 on a pool worker: pool shard w ticks memory
-	// shards w, w+workers, ... — a pure function of (w, workers, memShards),
-	// so the partition→worker mapping never depends on scheduling.
-	memShardFn := func(shard int) {
-		for ms := shard; ms < memShards; ms += workers {
-			g.memsys.TickShard(ms, g.now)
-		}
-	}
-	// memWindowFn is memShardFn for a batched quiet window [winFrom, winTo).
-	memWindowFn := func(shard int) {
-		for ms := shard; ms < memShards; ms += workers {
-			g.memsys.TickShardWindow(ms, g.winFrom, g.winTo)
-		}
-	}
 	// dispQuiet is the machine half of the dispatcher-quiescence certificate:
 	// the last dispatcher.Tick placed nothing, and no CTA has retired, been
 	// evicted or arrived since.
@@ -731,19 +602,18 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 			}
 		}
 		if g.epochFn != nil && g.now%g.epochEvery == 0 {
-			if as.Sleeping() > 0 {
+			if as.sleeping() > 0 {
 				g.syncAllTo(g.now) // the hook may read any core's counters
 			}
 			g.epochFn(g.now)
 		}
-		dispatched := g.dispatchedCTAs()
 		issued := g.issuedTotal()
 		g.ctaEvent = false
 		g.admitArrivals()
 		tickDispatcher := true
 		if ff != nil {
 			due := ff.NextDispatchEvent(g.now) <= g.now
-			if due && as.Sleeping() > 0 {
+			if due && as.sleeping() > 0 {
 				// The dispatcher acts this cycle and may read per-core
 				// counters (DynCTA's epoch adjustment does); settle the
 				// sleepers first. Every sleeper's wake bound is beyond the
@@ -753,59 +623,42 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 			tickDispatcher = due || !dispQuiet || g.ctaEvent
 		}
 		if tickDispatcher {
+			placed := g.dispatchedCTAs()
 			g.dispatcher.Tick(g)
-			dispQuiet = g.dispatchedCTAs() == dispatched
+			dispQuiet = g.dispatchedCTAs() == placed
 			g.engine.DispatcherTicks++
 		} else {
 			g.engine.DispatcherSkips++
 		}
-		if sleepOK && batchCap > 1 && as.Runnable(g.now) == 0 &&
+		if sleepOK && batchCap > 1 && as.idle(g.now) &&
 			g.memsys.NextEvent(g.now) <= g.now && g.memsys.StagedEmpty() {
 			// Quiet window: every SM is parked past this cycle, nothing is
-			// staged, and the memory system has work — phase A and the
+			// staged, and the memory system has work — the SM ticks and the
 			// commits are provably no-ops for every cycle before the window
-			// end, so run the whole window's memory ticks inside one barrier
-			// crossing and merge once.
+			// end, so run the whole window's memory ticks in one call.
 			if end := g.batchWindowEnd(ff, done != nil, maxCycles, batchCap); end > g.now+1 {
-				g.winFrom, g.winTo = g.now, end
 				g.engine.CyclesBatched += end - g.now
-				if pool != nil && g.memsys.LiveParts() >= minParallelParts {
-					pool.Run(memWindowFn)
-					g.engine.BarrierCrossings++
-				} else {
-					for ms := 0; ms < memShards; ms++ {
-						g.memsys.TickShardWindow(ms, g.winFrom, g.winTo)
-					}
-				}
-				// Merge with the clock parked on the window's last cycle and
-				// postTick set, so the response hooks' wake/sync semantics
-				// are exactly what per-cycle execution would have produced:
-				// every core provably slept through the window, so wakeCore
-				// settles it to the window end and wakes it no earlier.
+				// The window's response hooks fire at its end, so park the
+				// clock on its last cycle with postTick set: their wake/sync
+				// semantics are then exactly what per-cycle execution would
+				// have produced — every core provably slept through the
+				// window, so wakeCore settles it to the window end and wakes
+				// it no earlier.
+				from := g.now
 				g.now = end - 1
 				g.postTick = true
-				g.memsys.TickMerge(g.now)
+				g.memsys.TickWindow(from, end)
 				g.now = end
 				g.postTick = false
 				continue
 			}
 		}
-		if pool != nil && as.Runnable(g.now) >= parallelMinRunnable {
-			pool.Run(tickShard)
-			g.engine.BarrierCrossings++
-		} else {
-			// Inline phase A: same shards, same order, no barrier. This is
-			// the common path late in a run and in deep stall phases, where
-			// one or two live SMs don't amortize a pool release/join.
-			for s := 0; s < as.Shards(); s++ {
-				as.TickShard(s, g.now, visit)
-			}
-		}
+		as.tick(g.now, visit)
 		g.postTick = true
-		if as.Sleeping() > 0 && g.havePendingCommits() {
+		if as.sleeping() > 0 && g.havePendingCommits() {
 			// Commit callbacks (the observer, dispatcher probes) may read
 			// any core's counters; settle sleepers through this cycle —
-			// phase A just proved they slept through it.
+			// the SM ticks just proved they slept through it.
 			g.syncAllTo(g.now + 1)
 		}
 		g.commitRetirements()
@@ -813,19 +666,10 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		if g.ctaEvent {
 			dispQuiet = false
 		}
-		if pool != nil && g.memsys.LiveParts() >= minParallelParts {
-			// Phase A2: the partitions tick concurrently on the same pool,
-			// each confined to partition-owned state, then the staging cells
-			// fold serially. Identical statements to the serial path in an
-			// identical per-partition order, so results cannot differ.
-			pool.Run(memShardFn)
-			g.engine.BarrierCrossings++
-			g.memsys.TickMerge(g.now)
-		} else {
-			g.memsys.Tick(g.now)
-		}
-		idle := ff != nil && !g.ctaEvent &&
-			g.dispatchedCTAs() == dispatched && g.issuedTotal() == issued
+		g.memsys.Tick(g.now)
+		// Only the dispatcher's Tick and the commit callbacks place CTAs, and a
+		// commit sets ctaEvent, so !ctaEvent && dispQuiet is "nothing placed".
+		idle := ff != nil && !g.ctaEvent && dispQuiet && g.issuedTotal() == issued
 		g.now++
 		g.engine.CyclesTicked++
 		g.postTick = false
@@ -908,24 +752,22 @@ func (g *GPU) fastForward(ff core.FastForwarder, clampCtx bool, maxCycles uint64
 	}
 	// Sleeping SMs contribute through the activity set's heap minimum — one
 	// comparison for the whole parked population instead of a NextEvent probe
-	// each. A sleeper's bound can only move earlier through wakeCore, which
-	// runs in serial phases, so the heap is current here.
-	if hv := g.activity.Horizon(); hv < horizon {
+	// each.
+	if hv := g.activity.horizon(); hv < horizon {
 		horizon = hv
 	}
 	if horizon <= from {
 		return 0
 	}
-	stop := false
-	g.activity.Actives(func(i int) bool {
+	// Sleepers due at from are not on the active list; the heap minimum
+	// above bounds exactly those.
+	for _, i := range g.activity.active {
 		if ev := g.cores[i].NextEvent(from); ev < horizon {
 			horizon = ev
 		}
-		stop = horizon <= from
-		return !stop
-	})
-	if stop {
-		return 0
+		if horizon <= from {
+			return 0
+		}
 	}
 	if horizon > maxCycles {
 		horizon = maxCycles
@@ -942,10 +784,9 @@ func (g *GPU) fastForward(ff core.FastForwarder, clampCtx bool, maxCycles uint64
 	// Only the live set accrues eagerly; sleepers stay lazy (their watermark
 	// replay covers the same window when they next run). The horizon never
 	// reaches a sleeper's wake cycle, so no parked SM oversleeps the jump.
-	g.activity.Actives(func(i int) bool {
+	for _, i := range g.activity.active {
 		g.cores[i].SyncTo(horizon)
-		return true
-	})
+	}
 	g.now = horizon
 	return horizon - from
 }
@@ -976,7 +817,7 @@ func (g *GPU) batchWindowEnd(ff core.FastForwarder, clampCtx bool, maxCycles, ca
 			end = a
 		}
 	}
-	if hv := g.activity.Horizon(); hv < end {
+	if hv := g.activity.horizon(); hv < end {
 		end = hv
 	}
 	if end > maxCycles {

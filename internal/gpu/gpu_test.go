@@ -294,138 +294,69 @@ func TestTimeoutReported(t *testing.T) {
 	}
 }
 
-// TestWorkerCountInvariance is the package-level statement of the parallel
-// tick's contract: the committed Result is a pure function of the request,
-// whatever Config.Workers and Config.Granule say (the harness golden tests
-// restate this over every experiment and full Result rendering). Worker
-// counts above GOMAXPROCS are included deliberately — oversubscription
-// changes the interleaving as violently as extra cores do — and each count
-// is crossed with a different parking granule so shard boundaries and
-// park/wake cycles shift together.
-func TestWorkerCountInvariance(t *testing.T) {
-	for _, name := range []string{"stencil", "spmv"} {
-		w, _ := workloads.ByName(name)
-		for _, d := range []func() core.Dispatcher{
-			func() core.Dispatcher { return core.NewRoundRobin() },
-			func() core.Dispatcher { return core.NewLCS() },
-		} {
-			cfg := testConfig()
-			cfg.Workers = 1
-			base := mustRun(t, cfg, d(), w.Build(workloads.ScaleTest))
-			sched := d().Name()
-			for _, wc := range []struct {
-				workers int
-				granule uint64
-			}{{2, 1}, {3, 4}, {7, 16}} {
+// TestGranuleInvariance is the package-level statement of the parking
+// contract: the committed Result is a pure function of the request, whatever
+// Config.Granule says (the harness golden tests restate this over every
+// experiment and full Result rendering). Every parking threshold — from "park
+// on any provable stall" to one far beyond any real stall — must commit the
+// same Result as the default, with fast-forward on and off (without a
+// fast-forward proof chain no SM is ever parked, so the granule must be inert
+// there). DynCTA is used deliberately: its epoch adjustment reads per-core
+// stall counters, so a missing sleeper sync would diverge here before
+// anywhere else; stencil adds the memory-bound shape, where the SM visit order
+// changes most as cores park and wake.
+func TestGranuleInvariance(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		build    func() core.Dispatcher
+	}{
+		{"spmv", func() core.Dispatcher { return core.NewDynCTA() }},
+		{"spmv", func() core.Dispatcher { return core.NewRoundRobin() }},
+		{"spmv", func() core.Dispatcher { return core.NewLCS() }},
+		{"stencil", func() core.Dispatcher { return core.NewRoundRobin() }},
+		{"stencil", func() core.Dispatcher { return core.NewLCS() }},
+		{"stencil", func() core.Dispatcher { return core.NewBCS() }},
+	} {
+		w, _ := workloads.ByName(tc.workload)
+		base := mustRun(t, testConfig(), tc.build(), w.Build(workloads.ScaleTest))
+		for _, disableFF := range []bool{false, true} {
+			for _, granule := range []uint64{1, 4, 16, 4096} {
 				cfg := testConfig()
-				cfg.Workers = wc.workers
-				cfg.Granule = wc.granule
-				r := mustRun(t, cfg, d(), w.Build(workloads.ScaleTest))
+				cfg.Granule = granule
+				cfg.DisableFastForward = disableFF
+				r := mustRun(t, cfg, tc.build(), w.Build(workloads.ScaleTest))
 				if !reflect.DeepEqual(r, base) {
-					t.Errorf("%s/%s: Workers=%d Granule=%d diverged from Workers=1:\n%+v\nvs\n%+v",
-						name, sched, wc.workers, wc.granule, r, base)
+					t.Errorf("%s/%s: Granule=%d DisableFastForward=%v diverged from the default:\n%+v\nvs\n%+v",
+						tc.workload, tc.build().Name(), granule, disableFF, r, base)
 				}
 			}
 		}
 	}
 }
 
-// TestGranuleInvariance isolates the granule axis: with workers fixed, every
-// parking threshold — including one far beyond any real stall — must commit
-// the same Result as the serial default. DynCTA is used deliberately: its
-// epoch adjustment reads per-core stall counters, so a missing sleeper sync
-// would diverge here before anywhere else.
-func TestGranuleInvariance(t *testing.T) {
-	w, _ := workloads.ByName("spmv")
-	cfg := testConfig()
-	cfg.Workers = 1
-	base := mustRun(t, cfg, core.NewDynCTA(), w.Build(workloads.ScaleTest))
-	for _, granule := range []uint64{1, 16, 4096} {
-		cfg := testConfig()
-		cfg.Workers = 2
-		cfg.Granule = granule
-		r := mustRun(t, cfg, core.NewDynCTA(), w.Build(workloads.ScaleTest))
-		if !reflect.DeepEqual(r, base) {
-			t.Errorf("Granule=%d diverged from serial default:\n%+v\nvs\n%+v", granule, r, base)
-		}
-	}
-}
-
-// TestMemShardInvariance is the package-level statement of the phase-A2
-// contract: the committed Result is a pure function of the request, whatever
-// Config.MemShards and Config.BatchWindow say. The sweep crosses shard
-// counts (including more shards than partitions, which leaves the trailing
-// shards empty) with batch windows (1 = batching off, 0 = the default) and
-// worker counts, against a serial-memory unbatched baseline. Stencil is used
-// deliberately: it is the memory-bound workload whose serial memory tick
-// motivated the shard split, so partition-order bugs diverge here first.
-func TestMemShardInvariance(t *testing.T) {
+// TestBatchWindowInvariance pins the quiet-window batch: the committed
+// Result is a pure function of the request, whatever Config.BatchWindow says
+// — 1 (batching off), 2, 0 (the default) and 64 (beyond the crossbar clamp) —
+// against an unbatched baseline. Stencil is used deliberately: it is the
+// memory-bound workload whose long all-cores-parked stretches the batch was
+// built for, so a hook fired at the wrong cycle diverges here first. With
+// fast-forward off batching is structurally off (it needs the sleep proofs),
+// so the window must be inert there too.
+func TestBatchWindowInvariance(t *testing.T) {
 	w, _ := workloads.ByName("stencil")
 	cfg := testConfig()
-	cfg.Workers = 1
-	cfg.MemShards = 1
 	cfg.BatchWindow = 1
 	base := mustRun(t, cfg, core.NewLCS(), w.Build(workloads.ScaleTest))
-	for _, c := range []struct {
-		workers, shards int
-		window          uint64
-	}{
-		{1, 2, 1},  // sharded staging under the serial loop, no batching
-		{2, 6, 0},  // one shard per partition, default window
-		{3, 9, 2},  // more shards than partitions: trailing shards are empty
-		{7, 0, 64}, // derived shard count, window beyond the crossbar clamp
-		{2, 1, 0},  // serial memory tick inside a parallel pool, batching on
-	} {
-		cfg := testConfig()
-		cfg.Workers = c.workers
-		cfg.MemShards = c.shards
-		cfg.BatchWindow = c.window
-		r := mustRun(t, cfg, core.NewLCS(), w.Build(workloads.ScaleTest))
-		if !reflect.DeepEqual(r, base) {
-			t.Errorf("Workers=%d MemShards=%d BatchWindow=%d diverged from serial unbatched baseline:\n%+v\nvs\n%+v",
-				c.workers, c.shards, c.window, r, base)
-		}
-	}
-}
-
-// TestMemShardInvarianceNoFastForward pins the shard axis on the reference
-// loop. Quiet-window batching needs the fast-forward machinery's sleep
-// proofs, so it is structurally off here — what remains under test is the
-// per-cycle ingress/egress staging and the shard merge, which must be inert
-// however the partitions are cut.
-func TestMemShardInvarianceNoFastForward(t *testing.T) {
-	w, _ := workloads.ByName("stencil")
-	cfg := testConfig()
-	cfg.Workers = 1
-	cfg.MemShards = 1
-	cfg.DisableFastForward = true
-	base := mustRun(t, cfg, core.NewRoundRobin(), w.Build(workloads.ScaleTest))
-	for _, shards := range []int{2, 6, 9} {
-		cfg := testConfig()
-		cfg.Workers = 4
-		cfg.MemShards = shards
-		cfg.DisableFastForward = true
-		if r := mustRun(t, cfg, core.NewRoundRobin(), w.Build(workloads.ScaleTest)); !reflect.DeepEqual(r, base) {
-			t.Errorf("MemShards=%d (no FF) diverged from serial baseline:\n%+v\nvs\n%+v", shards, r, base)
-		}
-	}
-}
-
-// TestWorkerCountInvarianceNoFastForward pins the same contract on the
-// reference loop, so a fast-forward interaction cannot mask a phase-A
-// ordering bug (or vice versa). Granule plumbing must be inert here: without
-// a fast-forward proof chain no SM is ever parked.
-func TestWorkerCountInvarianceNoFastForward(t *testing.T) {
-	w, _ := workloads.ByName("stencil")
-	cfg := testConfig()
-	cfg.Workers = 1
-	cfg.DisableFastForward = true
-	base := mustRun(t, cfg, core.NewBCS(), w.Build(workloads.ScaleTest))
-	for _, granule := range []uint64{0, 16} {
-		cfg.Workers = 4
-		cfg.Granule = granule
-		if r := mustRun(t, cfg, core.NewBCS(), w.Build(workloads.ScaleTest)); !reflect.DeepEqual(r, base) {
-			t.Errorf("Workers=4 Granule=%d (no FF) diverged from Workers=1:\n%+v\nvs\n%+v", granule, r, base)
+	for _, disableFF := range []bool{false, true} {
+		for _, window := range []uint64{1, 2, 0, 64} {
+			cfg := testConfig()
+			cfg.BatchWindow = window
+			cfg.DisableFastForward = disableFF
+			r := mustRun(t, cfg, core.NewLCS(), w.Build(workloads.ScaleTest))
+			if !reflect.DeepEqual(r, base) {
+				t.Errorf("BatchWindow=%d DisableFastForward=%v diverged from the unbatched baseline:\n%+v\nvs\n%+v",
+					window, disableFF, r, base)
+			}
 		}
 	}
 }
@@ -474,16 +405,15 @@ func quiescenceCases() []quiescenceCase {
 // TestDispatcherQuiescence is the engine-level statement of dispatcher
 // quiescence: skipping the dispatcher poll on cycles the FastForwarder
 // certificate covers must be unobservable. Every case is compared against
-// the reference loop (DisableFastForward ticks the dispatcher every cycle)
-// and across the serial and sharded tick. The same runs pin the EngineStats
-// cycle identity: every simulated cycle is covered by exactly one mechanism.
+// the reference loop (DisableFastForward ticks the dispatcher every cycle).
+// The same runs pin the EngineStats cycle identity: every simulated cycle is
+// covered by exactly one mechanism.
 func TestDispatcherQuiescence(t *testing.T) {
 	for _, tc := range quiescenceCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(workers int, disableFF bool) (Result, EngineStats) {
+			run := func(disableFF bool) (Result, EngineStats) {
 				cfg := testConfig()
-				cfg.Workers = workers
 				cfg.DisableFastForward = disableFF
 				g, err := New(cfg, tc.build(), tc.specs()...)
 				if err != nil {
@@ -495,40 +425,24 @@ func TestDispatcherQuiescence(t *testing.T) {
 				}
 				es := g.EngineStats()
 				if sum := es.CyclesTicked + es.CyclesFastForwarded + es.CyclesBatched; sum != r.Cycles {
-					t.Errorf("Workers=%d DisableFastForward=%v: ticked %d + fast-forwarded %d + batched %d = %d, simulated %d",
-						workers, disableFF, es.CyclesTicked, es.CyclesFastForwarded, es.CyclesBatched, sum, r.Cycles)
+					t.Errorf("DisableFastForward=%v: ticked %d + fast-forwarded %d + batched %d = %d, simulated %d",
+						disableFF, es.CyclesTicked, es.CyclesFastForwarded, es.CyclesBatched, sum, r.Cycles)
 				}
 				return r, es
 			}
-			ref, refStats := run(1, true)
+			ref, refStats := run(true)
 			if refStats.DispatcherSkips != 0 || refStats.DispatcherTicks != ref.Cycles {
 				t.Errorf("reference loop must tick the dispatcher every cycle: %d ticks, %d skips, %d cycles",
 					refStats.DispatcherTicks, refStats.DispatcherSkips, ref.Cycles)
 			}
-			for _, workers := range []int{0, 1, 2} {
-				r, es := run(workers, false)
-				if !reflect.DeepEqual(r, ref) {
-					t.Errorf("Workers=%d diverged from the DisableFastForward reference:\n%+v\nvs\n%+v", workers, r, ref)
-				}
-				if es.DispatcherSkips == 0 {
-					t.Errorf("Workers=%d: the dispatcher was never skipped", workers)
-				}
-				if serial := workers < 2; serial != (es.BarrierCrossings == 0) {
-					t.Errorf("Workers=%d: %d barrier crossings; want none on the serial tick and some on the sharded one",
-						workers, es.BarrierCrossings)
-				}
+			r, es := run(false)
+			if !reflect.DeepEqual(r, ref) {
+				t.Errorf("diverged from the DisableFastForward reference:\n%+v\nvs\n%+v", r, ref)
+			}
+			if es.DispatcherSkips == 0 {
+				t.Error("the dispatcher was never skipped")
 			}
 		})
-	}
-}
-
-// TestResolveWorkersDefaultsToSerial pins the meaning of the zero knob: no
-// worker pool unless one is asked for by count.
-func TestResolveWorkersDefaultsToSerial(t *testing.T) {
-	for in, want := range map[int]int{-1: 1, 0: 1, 1: 1, 2: 2, 8: 8} {
-		if got := ResolveWorkers(in); got != want {
-			t.Errorf("ResolveWorkers(%d) = %d, want %d", in, got, want)
-		}
 	}
 }
 
@@ -547,8 +461,5 @@ func TestEngineStatsDispatcherSkipsDominateWhenFull(t *testing.T) {
 	if es.DispatcherSkips <= es.DispatcherTicks {
 		t.Errorf("DispatcherSkips = %d, DispatcherTicks = %d: want skips to dominate on a full machine",
 			es.DispatcherSkips, es.DispatcherTicks)
-	}
-	if es.BarrierCrossings != 0 {
-		t.Errorf("BarrierCrossings = %d at the default Workers, want 0", es.BarrierCrossings)
 	}
 }

@@ -37,22 +37,12 @@ type Options struct {
 	// determinism tests run every experiment both ways and require
 	// identical tables.
 	NoFastForward bool
-	// TickWorkers is the per-simulation worker count for the two-phase
-	// tick (0 = serial (1); > 1 opts into the sharded tick). Execution
-	// only: the golden determinism tests require identical tables for
-	// every value.
-	TickWorkers int
 	// TickGranule is the per-SM parking threshold for the activity-set tick
-	// (0 = gpu.DefaultGranule). Execution only, like TickWorkers: the golden
-	// determinism tests sweep granules and require identical tables.
+	// (0 = gpu.DefaultGranule). Execution only: the golden determinism
+	// tests sweep granules and require identical tables.
 	TickGranule uint64
-	// MemShards is the memory system's phase-A2 shard count (0 = derived
-	// from TickWorkers, so the serial memory tick by default). Execution only, like
-	// TickWorkers: the golden determinism tests sweep shard counts and
-	// require identical tables.
-	MemShards int
 	// BatchWindow caps the quiet-window cycle batch (0 = the default, 1 =
-	// batching off). Execution only, like TickWorkers: the golden
+	// batching off). Execution only, like TickGranule: the golden
 	// determinism tests sweep windows and require identical tables.
 	BatchWindow uint64
 }
@@ -136,9 +126,7 @@ func New(opt Options) *Harness {
 		svc: sim.NewService(sim.Options{
 			Progress:    opt.Progress,
 			CacheDir:    opt.CacheDir,
-			TickWorkers: opt.TickWorkers,
 			TickGranule: opt.TickGranule,
-			MemShards:   opt.MemShards,
 			BatchWindow: opt.BatchWindow,
 		}),
 	}

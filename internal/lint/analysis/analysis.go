@@ -74,23 +74,11 @@ const (
 	// exported field of the named package-local struct type:
 	// //gpulint:cachekey TypeName
 	KindCachekey = "cachekey"
-	// KindPhaseA marks the annotated function as a root of the phase-A
-	// (parallel) tick path for the phasepurity and wakesync analyzers:
-	// //gpulint:phasea <why this is a phase-A entry point>
+	// KindPhaseA marks the annotated function as a root of a core's own
+	// tick path for the wakesync analyzer — code below it reads the core's
+	// lazy counters at the core's own watermark:
+	// //gpulint:phasea <why reads below this root are current>
 	KindPhaseA = "phasea"
-	// KindPhaseB marks the annotated function as a serial commit step; its
-	// being reachable from any phase-A root is a phasepurity error:
-	// //gpulint:phaseb <why this must stay serial>
-	KindPhaseB = "phaseb"
-	// KindStaged marks the annotated function (or function literal on the
-	// same or previous line) as a declared staging sink: phase-A code may
-	// mutate shared state through it, and phasepurity does not look inside:
-	// //gpulint:staged <which core-private slot it writes>
-	KindStaged = "staged"
-	// KindShared marks the annotated type's state as shared across the
-	// phase-A shards; phasepurity flags any phase-A-reachable mutation of
-	// it outside the staged sinks: //gpulint:shared <who shares it>
-	KindShared = "shared"
 	// KindSynced marks the annotated function as a wake/sync funnel (or a
 	// reader that provably runs after one), exempting its lazy-counter
 	// reads from the wakesync analyzer: //gpulint:synced <why it is synced>

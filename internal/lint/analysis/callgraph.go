@@ -10,9 +10,9 @@ import (
 )
 
 // Program is the whole-program view the cross-package analyzers
-// (phasepurity, wakesync, ctxflow) run on: every loaded package, a
+// (wakesync, ctxflow, guardedby) run on: every loaded package, a
 // type-based call graph over their functions, and directive attachment
-// resolved down to functions, types, and struct fields. One Program is
+// resolved down to functions and struct fields. One Program is
 // built per driver invocation and shared by every pass through Pass.Prog.
 //
 // The call graph is deliberately conservative, in the classic
@@ -29,7 +29,7 @@ import (
 //     is identical to the call's.
 //
 // Function literals are their own nodes, not folded into their enclosing
-// declaration: a closure handed to a phase-A visitor runs on the phase-A
+// declaration: a closure handed to a visitor runs on the visitor's call
 // path even though the function that built it never does, and vice versa.
 type Program struct {
 	Fset *token.FileSet
@@ -46,7 +46,6 @@ type Program struct {
 	byFn      map[string]*FuncNode   // funcKey (FullName) -> declared function node
 	fields    map[string][]Directive // VarKey -> struct-field directives
 	fieldAnns []FieldAnnotation
-	typeDs    map[string][]Directive // typeKey (pkgpath.Name) -> type directives
 }
 
 // FieldAnnotation is one directive attached to a struct field, with the
@@ -143,7 +142,6 @@ func NewProgram(fset *token.FileSet, pkgs []*ProgPkg) *Program {
 		byAST:  make(map[ast.Node]*FuncNode),
 		byFn:   make(map[string]*FuncNode),
 		fields: make(map[string][]Directive),
-		typeDs: make(map[string][]Directive),
 	}
 	p.collectNodes()
 	p.attachDirectives()
@@ -178,15 +176,6 @@ func funcKey(fn *types.Func) string {
 		fn = o
 	}
 	return fn.FullName()
-}
-
-// typeKey is the canonical identity of a package-level named type across
-// type-checking universes.
-func typeKey(tn *types.TypeName) string {
-	if tn.Pkg() != nil {
-		return tn.Pkg().Path() + "." + tn.Name()
-	}
-	return tn.Name()
 }
 
 // VarKey is the canonical identity of a struct field across type-checking
@@ -236,7 +225,7 @@ func (p *Program) AnnotatedFields(kind string) []FieldAnnotation {
 }
 
 // AttachedPositions returns the source positions of every directive that
-// resolved to a function, type, or struct field — the complement is the
+// resolved to a function or struct field — the complement is the
 // set of structural directives that annotate nothing, which the analyzers
 // report as misattached.
 func (p *Program) AttachedPositions() map[token.Pos]bool {
@@ -246,39 +235,15 @@ func (p *Program) AttachedPositions() map[token.Pos]bool {
 			out[d.Pos] = true
 		}
 	}
-	//gpulint:ordered-irrelevant building a position set; insertion order is unobservable
-	for _, ds := range p.typeDs {
-		for _, d := range ds {
-			out[d.Pos] = true
-		}
-	}
 	for _, fa := range p.fieldAnns {
 		out[fa.D.Pos] = true
 	}
 	return out
 }
 
-// TypeDirectives returns the directives attached to a type declaration.
-// The type object may come from any type-checking universe.
-func (p *Program) TypeDirectives(t *types.TypeName) []Directive { return p.typeDs[typeKey(t)] }
-
-// TypeHasDirective reports whether the named type's declaration carries a
-// directive of the kind.
-func (p *Program) TypeHasDirective(t *types.TypeName, kind string) bool {
-	for _, d := range p.typeDs[typeKey(t)] {
-		if d.Kind == kind {
-			return true
-		}
-	}
-	return false
-}
-
 // Reachable walks call edges breadth-first from roots and returns the BFS
-// tree as a child->parent map (roots map to nil). stop, when non-nil,
-// prunes traversal below a node — the node itself is still recorded as
-// reached, so analyzers can report on cut points (a //gpulint:phaseb
-// function reached from phase A) without cascading into their bodies.
-func (p *Program) Reachable(roots []*FuncNode, stop func(*FuncNode) bool) map[*FuncNode]*FuncNode {
+// tree as a child->parent map (roots map to nil).
+func (p *Program) Reachable(roots []*FuncNode) map[*FuncNode]*FuncNode {
 	parents := make(map[*FuncNode]*FuncNode)
 	queue := make([]*FuncNode, 0, len(roots))
 	for _, r := range roots {
@@ -290,9 +255,6 @@ func (p *Program) Reachable(roots []*FuncNode, stop func(*FuncNode) bool) map[*F
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		if stop != nil && stop(n) {
-			continue
-		}
 		for _, c := range n.callees {
 			if _, ok := parents[c]; !ok {
 				parents[c] = n
@@ -467,9 +429,8 @@ func (p *Program) attachOne(pkg *ProgPkg, d Directive) {
 	}
 }
 
-// attachGen attaches a directive inside a type declaration: to the type
-// itself (GenDecl or TypeSpec doc) or to one of its struct fields (field
-// doc or trailing comment).
+// attachGen attaches a directive inside a type declaration to one of its
+// struct fields (field doc or trailing comment).
 func (p *Program) attachGen(pkg *ProgPkg, gd *ast.GenDecl, d Directive, dp token.Position) bool {
 	if gd.Tok != token.TYPE {
 		return false
@@ -480,14 +441,6 @@ func (p *Program) attachGen(pkg *ProgPkg, gd *ast.GenDecl, d Directive, dp token
 			continue
 		}
 		tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-		inDoc := ts.Doc != nil && ts.Doc.Pos() <= d.Pos && d.Pos <= ts.Doc.End()
-		inDoc = inDoc || (gd.Doc != nil && gd.Doc.Pos() <= d.Pos && d.Pos <= gd.Doc.End() && len(gd.Specs) == 1)
-		if inDoc {
-			if tn != nil {
-				p.typeDs[typeKey(tn)] = append(p.typeDs[typeKey(tn)], d)
-			}
-			return true
-		}
 		st, ok := ts.Type.(*ast.StructType)
 		if !ok || st.Fields == nil {
 			continue

@@ -8,8 +8,7 @@ import (
 )
 
 // Check runs the suite over one package in isolation. Prefer CheckAll for
-// multi-package runs: the whole-program analyzers (phasepurity, wakesync,
-// ctxflow) only see cross-package call edges when the packages are loaded
+// multi-package runs: the whole-program analyzers (wakesync, ctxflow) only see cross-package call edges when the packages are loaded
 // together.
 func Check(fset *token.FileSet, pkg *load.Package) []analysis.Diagnostic {
 	return CheckAll(fset, []*load.Package{pkg})

@@ -33,7 +33,7 @@ var Ctxflow = &analysis.Analyzer{
 
 func runCtxflow(pass *analysis.Pass) error {
 	prog := analysis.ProgramFromPass(pass)
-	handlerReach := prog.Reachable(httpHandlers(prog), nil)
+	handlerReach := prog.Reachable(httpHandlers(prog))
 
 	for _, n := range prog.Nodes() {
 		if n.Pkg.Pkg != pass.Pkg {

@@ -18,29 +18,25 @@ import (
 // function of their inputs: everything between a kernel spec and a result
 // table. detmap and wallclock police these.
 var DetPackages = []string{
-	"internal/gpu", "internal/gpu/parexec", "internal/sm", "internal/mem",
+	"internal/gpu", "internal/sm", "internal/mem",
 	"internal/core", "internal/kernel", "internal/isa", "internal/workloads",
 	"internal/harness", "internal/stats",
 }
 
 // CycleLoopPackages are the subset that executes inside gpu.RunContext's
 // cycle loop, where any goroutine or channel operation would make replay
-// (and the event-horizon fast-forward) unsound. nogoroutine polices these.
-// internal/gpu/parexec is deliberately included even though it exists to
-// run goroutines: every concurrency primitive in it must carry a reasoned
-// //gpulint:allow nogoroutine, so the carve-out stays enumerable and
-// reviewed instead of becoming a blanket exemption (DESIGN.md "Two-phase
-// parallel tick").
+// (and the event-horizon fast-forward) unsound. nogoroutine polices these,
+// and that ban is the cycle loop's whole concurrency contract: the one
+// reasoned //gpulint:allow nogoroutine in them is RunContext's cancellation
+// poll (the self-check test counts it).
 var CycleLoopPackages = []string{
-	"internal/gpu", "internal/gpu/parexec", "internal/sm", "internal/mem",
-	"internal/core",
+	"internal/gpu", "internal/sm", "internal/mem", "internal/core",
 }
 
 // ConcurrencyPackages are the serving-tier packages whose goroutines hold
 // locks and block on the network: the fleet router/prober, the daemon's
 // job manager, and the singleflight service. guardedby and ctxflow police
-// these (the simulator packages are covered by the phase discipline
-// instead — they are not allowed goroutines at all outside parexec).
+// these (the simulator packages are not allowed goroutines at all).
 var ConcurrencyPackages = []string{
 	"internal/fleet", "internal/server", "internal/sim",
 }
@@ -81,11 +77,10 @@ func Suite() []ScopedAnalyzer {
 		{Nogoroutine, matchSuffix(CycleLoopPackages)},
 		{Cachekey, matchAll},
 		{Hotalloc, matchAll},
-		// The whole-program analyzers: phasepurity/wakesync/guardedby are
+		// The whole-program analyzers: wakesync/guardedby are
 		// annotation-driven and run everywhere their markers can appear;
 		// ctxflow's blocking-call bans are a serving-tier policy, so it is
 		// scoped to the concurrency packages.
-		{Phasepurity, matchAll},
 		{Wakesync, matchAll},
 		{Guardedby, matchAll},
 		{Ctxflow, matchSuffix(ConcurrencyPackages)},
@@ -118,8 +113,7 @@ func suppressionTargets(d analysis.Directive) []string {
 var knownDirectives = []string{
 	analysis.KindOrderedIrrelevant, analysis.KindAllow,
 	analysis.KindHotpath, analysis.KindCachekey,
-	analysis.KindPhaseA, analysis.KindPhaseB, analysis.KindStaged,
-	analysis.KindShared, analysis.KindSynced, analysis.KindLazy,
+	analysis.KindPhaseA, analysis.KindSynced, analysis.KindLazy,
 	analysis.KindGuardedby,
 }
 
@@ -211,6 +205,20 @@ func ApplySuppressions(fset *token.FileSet, diags []analysis.Diagnostic, dirs []
 
 	SortDiagnostics(fset, out)
 	return out
+}
+
+// reportMisattached flags structural directives of the given kinds (in the
+// current package) that resolved to no function or field — an annotation
+// floating next to nothing enforces nothing.
+func reportMisattached(pass *analysis.Pass, prog *analysis.Program, kinds map[string]string) {
+	attached := prog.AttachedPositions()
+	for _, d := range pass.Directives {
+		want, tracked := kinds[d.Kind]
+		if !tracked || attached[d.Pos] {
+			continue
+		}
+		pass.Reportf(d.Pos, "//gpulint:%s is not attached to %s", d.Kind, want)
+	}
 }
 
 func knownAnalyzer(name string) bool {

@@ -1,6 +1,6 @@
 // Package wakesync exercises the wakesync analyzer: sub-fields named by a
-// //gpulint:lazy container annotation may only be read on the phase-A
-// path (the owner replays itself to the current cycle) or in functions
+// //gpulint:lazy container annotation may only be read on the owner's own
+// tick path (the owner replays itself to the current cycle) or in functions
 // annotated //gpulint:synced.
 package wakesync
 
@@ -38,9 +38,9 @@ func (c *Core) SyncTo(now uint64) uint64 {
 	return c.Stats.Active
 }
 
-// Tick is the phase-A path: a core at its own watermark reads freely.
+// Tick is the core's own tick path: a core at its own watermark reads freely.
 //
-//gpulint:phasea shard workers replay the core before reading
+//gpulint:phasea the core replays itself before reading
 func (c *Core) Tick(now uint64) {
 	c.FastForward(now)
 	if c.Stats.Active > 10 {
@@ -49,7 +49,7 @@ func (c *Core) Tick(now uint64) {
 	c.helper()
 }
 
-// helper is phase-A reachable, so its reads are watermark-correct too.
+// helper is reachable from Tick, so its reads are watermark-correct too.
 func (c *Core) helper() uint64 {
 	return c.Stats.Stall + c.Stats.Exact
 }

@@ -17,15 +17,16 @@ import (
 // is a lazily-accrued container — the named sub-fields only hold their
 // true value after the owner has been fast-forwarded to the reader's
 // cycle. sm.SM annotates its Stats field this way: ActiveCycles and the
-// stall counters accrue in SM.FastForward, so a serial-phase read that
-// skips the wake/sync funnel sees a stale watermark. Reads of the listed
-// sub-fields (or copies of the whole container) are only legal inside
-// phase-A-reachable code (a core replaying itself is, by construction, at
-// its own watermark) or in functions annotated //gpulint:synced — the
-// funnels, and readers that provably run after one.
+// stall counters accrue in SM.FastForward, so a read from outside the
+// core's own tick that skips the wake/sync funnel sees a stale watermark.
+// Reads of the listed sub-fields (or copies of the whole container) are
+// only legal in code reachable from a //gpulint:phasea root — SM.Tick: a
+// core replaying itself is, by construction, at its own watermark — or in
+// functions annotated //gpulint:synced: the funnels, and readers that
+// provably run after one.
 var Wakesync = &analysis.Analyzer{
 	Name: "wakesync",
-	Doc: "reads of //gpulint:lazy counters outside the phase-A path must happen in //gpulint:synced " +
+	Doc: "reads of //gpulint:lazy counters outside the //gpulint:phasea tick path must happen in //gpulint:synced " +
 		"functions; keeps the PR 8 watermark contract (sync before you read) mechanical",
 	Run: runWakesync,
 }
@@ -33,6 +34,7 @@ var Wakesync = &analysis.Analyzer{
 func runWakesync(pass *analysis.Pass) error {
 	prog := analysis.ProgramFromPass(pass)
 	reportMisattached(pass, prog, map[string]string{
+		analysis.KindPhaseA: "a function declaration or literal",
 		analysis.KindSynced: "a function declaration or literal",
 		analysis.KindLazy:   "a struct field",
 	})
@@ -81,7 +83,7 @@ func runWakesync(pass *analysis.Pass) error {
 		return nil
 	}
 
-	phaseA := prog.Reachable(prog.AnnotatedFuncs(analysis.KindPhaseA), nil)
+	phaseA := prog.Reachable(prog.AnnotatedFuncs(analysis.KindPhaseA))
 	for _, n := range prog.Nodes() {
 		if n.Pkg.Pkg != pass.Pkg || n.HasDirective(analysis.KindSynced) {
 			continue

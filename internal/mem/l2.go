@@ -31,18 +31,16 @@ type L2Partition struct {
 	wbBuf []Request
 	// lookupFreeAt models the tag-pipeline occupancy for atomics.
 	lookupFreeAt uint64
-	// inflight, when bound, is the owning System's per-partition in-flight
-	// delta cell (partCell.delta — partition-owned so phase-A2 shards never
-	// write shared state; TickMerge folds it); the partition adjusts it where
-	// requests are absorbed (store hits) or spawned (dirty write-backs). Nil
-	// for standalone partitions (tests).
+	// inflight, when bound, is the owning System's in-flight request count;
+	// the partition adjusts it where requests are absorbed (store hits) or
+	// spawned (dirty write-backs). Nil for standalone partitions (tests).
 	inflight *int
 
 	Stats stats.Cache
 }
 
-// bindInflight attaches the System's per-partition in-flight delta cell to
-// the partition and its DRAM channel.
+// bindInflight attaches the System's in-flight counter to the partition and
+// its DRAM channel.
 func (p *L2Partition) bindInflight(ctr *int) {
 	p.inflight = ctr
 	p.dram.inflight = ctr

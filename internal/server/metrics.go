@@ -74,7 +74,7 @@ func formatBound(v float64) string {
 // writeMetrics renders the full /metrics payload: job lifecycle counters
 // and gauges from the Manager, request-satisfaction counters from the
 // sim.Service, and the per-job simulated-cycle histogram.
-func writeMetrics(w io.Writer, ms managerStats, ss sim.Stats, bs batchView, ready bool, tickWorkers int, cycles *histogram) {
+func writeMetrics(w io.Writer, ms managerStats, ss sim.Stats, bs batchView, ready bool, cycles *histogram) {
 	gauge := func(name, help string, v int) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
@@ -113,7 +113,6 @@ func writeMetrics(w io.Writer, ms managerStats, ss sim.Stats, bs batchView, read
 	gauge("gpuschedd_inflight_simulations", "Job simulations executing right now.", ms.Running)
 	gauge("gpuschedd_jobs_tracked", "Jobs retained for status queries (bounded by the result TTL).", ms.Tracked)
 
-	gauge("gpuschedd_sim_workers", "Worker threads ticking the SMs inside each simulation (execution-only; never affects results).", tickWorkers)
 	counter("gpuschedd_sim_simulated_total", "Actual simulator executions.", uint64(ss.Simulated))
 	counter("gpuschedd_sim_memo_hits_total", "Requests coalesced into or satisfied by an in-memory flight.", uint64(ss.MemoHits))
 	counter("gpuschedd_sim_disk_hits_total", "Requests satisfied by the on-disk result cache.", uint64(ss.DiskHits))

@@ -367,5 +367,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	ready, _ := s.Ready()
-	writeMetrics(w, s.jobs.stats(), s.svc.Stats(), s.batchStats(), ready, s.svc.TickWorkers(), s.jobs.cycles)
+	writeMetrics(w, s.jobs.stats(), s.svc.Stats(), s.batchStats(), ready, s.jobs.cycles)
 }

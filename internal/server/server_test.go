@@ -25,13 +25,7 @@ import (
 // can reference it, so tests can hold jobs in chosen states.
 func newTestServer(t *testing.T, cfg Config, stub func(context.Context, sim.Request) (sim.Outcome, error)) (*Server, *httptest.Server) {
 	t.Helper()
-	return newTestServerOver(t, sim.NewService(sim.Options{}), cfg, stub)
-}
-
-// newTestServerOver is newTestServer over a caller-configured sim.Service.
-func newTestServerOver(t *testing.T, svc *sim.Service, cfg Config, stub func(context.Context, sim.Request) (sim.Outcome, error)) (*Server, *httptest.Server) {
-	t.Helper()
-	s := New(svc, cfg)
+	s := New(sim.NewService(sim.Options{}), cfg)
 	if stub != nil {
 		s.jobs.runSim = stub
 	}
@@ -162,21 +156,10 @@ func TestJobLifecycleEndToEnd(t *testing.T) {
 		`gpuschedd_jobs_finished_total{state="done"} 1`,
 		"gpuschedd_job_cycles_count 1",
 		"gpuschedd_queue_capacity 64",
-		"gpuschedd_sim_workers 1", // the default tick is serial
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
-	}
-	// An explicit tick-worker count is reported as configured, and a job
-	// through the sharded tick finishes with the same outcome.
-	_, sharded := newTestServerOver(t, sim.NewService(sim.Options{TickWorkers: 2}), Config{}, nil)
-	if again := pollJob(t, sharded.URL, submitJob(t, sharded.URL, tinyBody).ID); again.State != StateDone ||
-		again.Outcome == nil || again.Outcome.Result.Cycles != got.Outcome.Result.Cycles {
-		t.Errorf("TickWorkers=2 job = %+v, want done with %d cycles", again, got.Outcome.Result.Cycles)
-	}
-	if _, data, _ := doJSON(t, http.MethodGet, sharded.URL+"/metrics", ""); !strings.Contains(string(data), "gpuschedd_sim_workers 2") {
-		t.Errorf("/metrics of a TickWorkers=2 service missing %q", "gpuschedd_sim_workers 2")
 	}
 
 	// The job list includes it.

@@ -14,30 +14,18 @@ import (
 
 // Options configures a Service.
 type Options struct {
-	// Workers bounds concurrent simulations. 0 spends the core budget:
-	// GOMAXPROCS divided by the resolved TickWorkers (at least 1), so
-	// concurrent simulations × tick workers never exceeds the cores by
-	// default.
+	// Workers bounds concurrent simulations (0 = GOMAXPROCS). Each
+	// simulation's cycle loop is serial, so this pool is what uses the cores.
 	Workers int
-	// TickWorkers is the per-simulation worker count for the GPU's
-	// two-phase tick (gpu.Config.Workers): 0 = serial (1); > 1 opts into
-	// the sharded tick. It is an execution knob only — results are
-	// byte-identical for every value — so it is deliberately NOT part of
-	// Request.Key: cached outcomes stay valid across worker-count changes.
-	TickWorkers int
 	// TickGranule is the per-SM parking threshold for the activity-set tick
-	// (gpu.Config.Granule): 0 derives it from gpu.DefaultGranule. Like
-	// TickWorkers it is an execution knob only — results are byte-identical
-	// for every value — so it is deliberately NOT part of Request.Key.
+	// (gpu.Config.Granule): 0 derives it from gpu.DefaultGranule. It is an
+	// execution knob only — results are byte-identical for every value — so
+	// it is deliberately NOT part of Request.Key: cached outcomes stay valid
+	// across granule changes.
 	TickGranule uint64
-	// MemShards is the memory system's phase-A2 shard count
-	// (gpu.Config.MemShards): 0 derives it from the tick workers (so serial
-	// at the default), 1 forces the serial memory tick. Execution-only, like TickWorkers — never part
-	// of Request.Key.
-	MemShards int
 	// BatchWindow caps the quiet-window cycle batch (gpu.Config.BatchWindow):
 	// 0 derives gpu.DefaultBatchWindow, 1 disables batching. Execution-only,
-	// like TickWorkers — never part of Request.Key.
+	// like TickGranule — never part of Request.Key.
 	BatchWindow uint64
 	// CacheDir, when non-empty, enables the on-disk result cache
 	// (conventionally results/.simcache).
@@ -129,7 +117,7 @@ type flight struct {
 func NewService(opt Options) *Service {
 	workers := opt.Workers
 	if workers <= 0 {
-		workers = max(1, runtime.GOMAXPROCS(0)/gpu.ResolveWorkers(opt.TickWorkers))
+		workers = runtime.GOMAXPROCS(0)
 	}
 	s := &Service{
 		opt:     opt,
@@ -228,12 +216,6 @@ func (s *Service) RunAll(ctx context.Context, reqs []Request) error {
 	return errors.Join(errs...)
 }
 
-// TickWorkers returns the effective per-simulation worker count the
-// Service runs with (the configured knob resolved: 0 = serial (1); > 1 opts
-// into the sharded tick; individual simulations may clamp further to their
-// SM count).
-func (s *Service) TickWorkers() int { return gpu.ResolveWorkers(s.opt.TickWorkers) }
-
 // Stats returns a snapshot of the request counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
@@ -284,11 +266,9 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 
 	d := req.Sched.NewDispatcher()
 	cfg := req.config()
-	// Execution-only knob: applied after the key-covered config is built,
-	// so it can never leak into cache identity.
-	cfg.Workers = s.opt.TickWorkers
+	// Execution-only knobs: applied after the key-covered config is built,
+	// so they can never leak into cache identity.
 	cfg.Granule = s.opt.TickGranule
-	cfg.MemShards = s.opt.MemShards
 	cfg.BatchWindow = s.opt.BatchWindow
 	g, err := gpu.New(cfg, d, specs...)
 	if err != nil {

@@ -238,9 +238,7 @@ func TestRunErrors(t *testing.T) {
 // simulation within the poll interval and surfaces context.Canceled. The
 // canceled flight must not be memoized.
 func TestCancellationStopsMidFlight(t *testing.T) {
-	// TickWorkers is named so the race job cancels a run with a live worker
-	// pool (the sharded tick is opt-in; the default would never build one).
-	svc := sim.NewService(sim.Options{TickWorkers: 2})
+	svc := sim.NewService(sim.Options{})
 	// A full-scale run takes far longer than the cancellation delay.
 	req := sim.Request{
 		Workloads: []string{"sgemm"},

@@ -61,8 +61,8 @@ type SM struct {
 	// instructions by kernel index (sized by the GPU at construction).
 	// The listed counters advance once per skipped-or-ticked cycle and are
 	// replayed lazily through FastForward when the core is parked, so a
-	// serial-phase reader must sync the core to the current cycle first
-	// (gpulint wakesync polices this). The issue/retirement counters
+	// reader outside the core's own Tick must sync the core to the current
+	// cycle first (gpulint wakesync polices this). The issue/retirement counters
 	// (InstrIssued, ThreadInstr, CTAsCompleted, ...) are exact at all
 	// times: a parked core provably cannot issue or retire.
 	//
@@ -100,7 +100,8 @@ func (s *SM) ID() int { return s.id }
 
 // SetDrainHandler registers the eviction callback invoked when a draining
 // CTA has left the core (distinct from retirement). Must be set before the
-// first Tick. Like onCTADone it may run on a phase-A worker goroutine, so
+// first Tick. Like onCTADone it runs inside the core's Tick, at a point in
+// the GPU's SM visit order that depends on park/wake history, so
 // implementations must confine themselves to core-private state.
 func (s *SM) SetDrainHandler(fn func(coreID int, cta *CTA)) { s.onCTADrained = fn }
 
@@ -210,7 +211,7 @@ func (s *SM) AddCTA(spec *kernel.Spec, kernelIdx, ctaID int, addrBase uint64, bl
 		// A placement mutates scheduler state, so any parked window must be
 		// accrued against the pre-placement verdicts first. The notifier owns
 		// the sync: it knows whether the core can still tick this cycle
-		// (dispatcher placement, before phase A) or only the next one
+		// (dispatcher placement, before the SMs tick) or only the next one
 		// (placement from a commit callback), and settles the counters up to
 		// exactly that boundary before this mutation lands.
 		s.onWake(s.id, now)
@@ -289,13 +290,13 @@ func (s *SM) takeCTA() (*CTA, []*Warp) {
 }
 
 // Recycle returns a retired or evicted CTA's context to the core's pool for
-// reuse by a later AddCTA. The caller — the GPU's serial commit phase, after
-// every completion callback has run — certifies that nothing else still
-// holds the pointer. A CTA whose trailing memory work is still in flight
+// reuse by a later AddCTA. The caller — the GPU's retirement or eviction
+// commit, after every completion callback has run — certifies that nothing
+// else still holds the pointer. A CTA whose trailing memory work is still in flight
 // (memRefs > 0: a store queued or filling past the last warp's exit) is
 // armed for deferred pooling instead; the LDST unit hands it over when the
 // last reference drains, which is always a later cycle than the commit, so
-// no shared-state reader can observe the reuse. Warp programs are returned
+// no commit-callback reader can observe the reuse. Warp programs are returned
 // to their factory's pool here, where the warps provably can never fetch
 // again.
 func (s *SM) Recycle(cta *CTA) {
@@ -336,12 +337,12 @@ func (s *SM) leastLoadedScheduler() *scheduler {
 // replays the skipped cycles' counters, so its Stats are current the moment
 // it runs again.
 //
-// Tick is a phase-A root: it may run on a worker goroutine concurrently
-// with other cores' ticks, so everything reachable from it must confine
-// itself to core-private state and the declared staging sinks (gpulint
-// phasepurity polices the reachable set).
+// The GPU ticks its cores in an order that depends on park/wake history, so
+// everything reachable from Tick must confine itself to core-private state
+// and the staged sinks (the core's memory port, its retirement and eviction
+// callbacks) for results to be independent of that order.
 //
-//gpulint:phasea
+//gpulint:phasea the core replaying its own parked window: reads of its lazy counters below Tick are current by construction
 func (s *SM) Tick(now uint64) {
 	if s.onWake != nil && now > s.syncedTo {
 		s.FastForward(s.syncedTo, now)
