@@ -53,7 +53,7 @@ ci: lint
 # invocation also drops CPU and heap profiles into BENCH_PROF (uploaded as
 # CI artifacts), so a regression flagged by the JSON diff comes with the
 # profile that explains it.
-BENCH_OUT ?= results/BENCH_19.json
+BENCH_OUT ?= results/BENCH_21.json
 BENCH_PROF ?= results/prof
 bench:
 	mkdir -p $(BENCH_PROF)
@@ -97,5 +97,7 @@ examples:
 	go run ./examples/concurrentkernels
 	go run ./examples/timeline
 
+# Only what is generated and git-ignored: results/ also holds the committed
+# CSVs and BENCH_*.json records.
 clean:
-	rm -rf results timeline_*.csv
+	rm -rf results/prof results/.simcache timeline_*.csv .bench_build benchmark/out

@@ -168,7 +168,7 @@ func (d *DynCTA) NextDispatchEvent(now uint64) uint64 {
 // initializes its allowance to the occupancy it was running at. It reads
 // the lazily-accrued IssueStallCycles counter: safe because commit
 // callbacks run after RunContext settles sleepers through the current
-// cycle (the havePendingCommits branch).
+// cycle (the sync ahead of commitRetirements).
 //
 //gpulint:synced RunContext syncs all cores before the retirement commits that invoke this
 func (d *DynCTA) OnCTAComplete(m Machine, coreID int, cta *sm.CTA) {

@@ -12,14 +12,14 @@ func xs(s uint32) uint32 {
 
 // TestActivitySetNeverDoubleTicksOrSkips drives an activitySet against a
 // naive reference model with items entering and leaving the set mid-run:
-// every cycle, each item that is runnable must be visited exactly once and
-// no parked item may be visited at all.
+// every cycle, each item that is runnable must be visited exactly once, in
+// strictly ascending index, and no parked item may be visited at all.
 func TestActivitySetNeverDoubleTicksOrSkips(t *testing.T) {
 	const n = 13
 	const cycles = 400
 	a := newActivitySet(n)
-	// Reference model: parked[i] says item i is in the wake heap; wake[i]
-	// is its pending wake cycle (meaningful only while parked).
+	// Reference model: parked[i] says item i is asleep; wake[i] is its
+	// pending wake cycle (meaningful only while parked).
 	parked := make([]bool, n)
 	wake := make([]uint64, n)
 	seed := uint32(0x1234)
@@ -48,8 +48,15 @@ func TestActivitySetNeverDoubleTicksOrSkips(t *testing.T) {
 		if got := a.idle(now); got == anyRunnable {
 			t.Fatalf("cycle=%d: idle() = %v with runnable items = %v", now, got, anyRunnable)
 		}
+		last := -1
 		a.tick(now, func(i int) uint64 {
 			visited[i]++
+			// Index order is what makes the SMs' direct sends and
+			// retirements independent of park/wake history.
+			if i <= last {
+				t.Fatalf("cycle=%d: item %d visited after item %d", now, i, last)
+			}
+			last = i
 			// Deterministic per-(item, cycle) next bound: mostly stay
 			// active, sometimes nap, occasionally sleep indefinitely.
 			h := xs(uint32(i+1)*2654435761 + uint32(now+1)*40503)
@@ -129,17 +136,16 @@ func TestActivitySetWakeSemantics(t *testing.T) {
 		t.Fatalf("after wake(0): horizon = %d, want 1", got)
 	}
 	// The re-sleep-to-same-cycle race: item parks to w, is woken, runs, and
-	// parks to the same w again while the stale entry is still heaped. The
-	// first pop activates it; the duplicate must be discarded, not double-run.
+	// parks to the same w again. It must run once at w, not twice.
 	b := newActivitySet(1)
 	b.tick(0, func(int) uint64 { return 10 }) // sleep until 10
 	b.wake(0, 5)
 	visits := 0
-	b.tick(5, func(int) uint64 { visits++; return 10 }) // re-sleep to 10: duplicate heap entry
+	b.tick(5, func(int) uint64 { visits++; return 10 }) // re-sleep to 10
 	b.tick(10, func(int) uint64 { visits++; return neverWake })
 	b.tick(11, func(int) uint64 { visits++; return neverWake })
 	if visits != 2 {
-		t.Fatalf("duplicate wake entries: %d visits, want 2", visits)
+		t.Fatalf("re-sleep to the same cycle: %d visits, want 2", visits)
 	}
 }
 

@@ -32,7 +32,7 @@ type Config struct {
 	// suspected fast-forward bugs can be bisected against the reference.
 	DisableFastForward bool
 	// Granule is the minimum provably-quiet window, in cycles, an SM must
-	// have ahead of it before it is parked in the activity set's wake heap
+	// have ahead of it before it is parked in the activity set
 	// (0 means DefaultGranule). A parked SM is skipped without being
 	// visited until its wake cycle; the skipped cycles' ActiveCycles and
 	// stall counters are replayed in one FastForward when it next runs.
@@ -59,8 +59,8 @@ const DefaultMaxCycles uint64 = 20_000_000
 // DefaultGranule is the parking threshold applied when Config.Granule is
 // zero: an SM leaves the activity set only when it can prove at least this
 // many quiet cycles ahead. Small enough that short stalls still park, large
-// enough that an SM bouncing on 1–2 cycle hazards stays on the active list
-// instead of churning the wake heap.
+// enough that an SM bouncing on 1–2 cycle hazards stays active instead of
+// parking and waking every other cycle.
 const DefaultGranule uint64 = 4
 
 // resolveGranule maps Config.Granule to the effective parking threshold.
@@ -183,21 +183,13 @@ type GPU struct {
 	// arrived is how many launch-table kernels have reached their Arrival
 	// cycle; Kernels() exposes exactly that prefix to dispatchers.
 	arrived int
-	// pendingRetire[c] collects core c's CTA retirements while the SMs tick.
-	// The activity set visits SMs in an order that depends on the run's
-	// park/wake history (woken SMs rejoin at the tail), so a retirement is
-	// only recorded in its core's own list; commitRetirements replays every
-	// list in core-index order before the memory system ticks, and the
-	// dispatcher, the observer, and the kernel bookkeeping see retirements
-	// in one fixed order whatever the visit order was — which is what keeps
-	// results independent of Granule.
-	pendingRetire [][]*sm.CTA
-	// pendingPreempt[c] collects core c's drain evictions, mirroring
-	// pendingRetire: commitPreemptions replays every list in core-index
-	// order right after commitRetirements. Re-dispatch order after eviction
-	// is therefore a deterministic FIFO keyed by (eviction cycle, core
-	// index), not by SM visit order.
-	pendingPreempt [][]*sm.CTA
+	// retired and evicted collect the cycle's CTA retirements and drain
+	// evictions while the SMs tick — in ascending core index, so both are
+	// already in (core, event) order. commitRetirements and commitPreemptions
+	// replay them once the last SM has ticked, before the memory system does:
+	// dispatcher, observer and kernel bookkeeping never see a half-ticked
+	// machine, and wakeCore is never called from inside an SM's tick.
+	retired, evicted []coreCTA
 	// ffNextTry/ffBackoff throttle horizon probes. Probing costs real work
 	// (every scheduler and memory queue is consulted), so an attempt that
 	// finds nothing to skip doubles the wait before the next attempt; a
@@ -257,8 +249,6 @@ func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 		})
 	}
 	g.memsys = mem.NewSystem(&cfg.Mem, cfg.NumCores)
-	g.pendingRetire = make([][]*sm.CTA, cfg.NumCores)
-	g.pendingPreempt = make([][]*sm.CTA, cfg.NumCores)
 	g.cores = make([]*sm.SM, cfg.NumCores)
 	g.coreCfgs = make([]sm.Config, cfg.NumCores)
 	for i := range g.cores {
@@ -274,7 +264,7 @@ func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 // wakeCore is the single wake funnel: the SMs' pre-mutation notification
 // (AddCTA, and Preempt below) and the memory system's response-delivery hook
 // both land here, never from inside an SM's tick. It settles the target core's
-// lazily-accrued counters up to the current stage boundary — callers invoke
+// lazily-accrued counters up to the current cycle boundary — callers invoke
 // it *before* mutating the core, while the parked window is still provably
 // quiet — then lowers the core's wake bound so the skipped SM is ticked
 // again in time. Waking an active core is a harmless no-op.
@@ -304,18 +294,6 @@ func (g *GPU) syncAllTo(t uint64) {
 	for _, c := range g.cores {
 		c.SyncTo(t)
 	}
-}
-
-// havePendingCommits reports whether any core recorded a retirement or drain
-// eviction this cycle — the trigger for settling sleepers before the commit
-// callbacks (observer, dispatcher probes) run.
-func (g *GPU) havePendingCommits() bool {
-	for c := range g.pendingRetire {
-		if len(g.pendingRetire[c]) > 0 || len(g.pendingPreempt[c]) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // SetObserver registers an experiment probe called on every CTA retirement
@@ -384,97 +362,78 @@ func (g *GPU) Preempt(coreID int, cta *sm.CTA) bool {
 	return g.cores[coreID].DrainCTA(cta)
 }
 
-// onCTADone is the SMs' retirement callback. It runs inside an SM's tick, at
-// a point in the visit order that depends on park/wake history, so it only
-// records the event in the retiring core's own list; every side effect on
-// machine-wide state happens in commitRetirements, in core-index order.
+// coreCTA is one recorded retirement or eviction: cta left core this cycle.
+type coreCTA struct {
+	core int
+	cta  *sm.CTA
+}
+
+// onCTADone and onCTADrained are the SMs' retirement and drain-eviction
+// callbacks. They run inside an SM's tick, so they only record the event;
+// every side effect on machine-wide state happens in commitRetirements and
+// commitPreemptions, once every SM has ticked.
 func (g *GPU) onCTADone(coreID int, cta *sm.CTA) {
-	g.pendingRetire[coreID] = append(g.pendingRetire[coreID], cta)
+	g.retired = append(g.retired, coreCTA{coreID, cta})
 }
 
-// onCTADrained is the SMs' drain-eviction callback — same discipline as
-// onCTADone: record in the core's own list, commit in core-index order later.
 func (g *GPU) onCTADrained(coreID int, cta *sm.CTA) {
-	g.pendingPreempt[coreID] = append(g.pendingPreempt[coreID], cta)
+	g.evicted = append(g.evicted, coreCTA{coreID, cta})
 }
 
-// commitRetirements replays the cycle's CTA retirements strictly in
-// core-index order (and, within a core, retirement order): kernel completion
-// bookkeeping, the experiment observer, then the dispatcher's
-// OnCTAComplete probe — at a fixed point of the cycle (after every core
-// ticked, before the memory system ticks).
+// commitRetirements replays the cycle's CTA retirements in (core, retirement)
+// order: kernel completion bookkeeping, the experiment observer, then the
+// dispatcher's OnCTAComplete probe — at a fixed point of the cycle, after
+// every core ticked and before the memory system ticks.
 func (g *GPU) commitRetirements() {
-	for c := range g.pendingRetire {
-		list := g.pendingRetire[c]
-		if len(list) == 0 {
-			continue
+	// Index loop, not range: no current callback retires a CTA synchronously,
+	// but if one ever does, its append replays in this same commit, in order,
+	// instead of being discarded by the reset below.
+	for i := 0; i < len(g.retired); i++ {
+		c, cta := g.retired[i].core, g.retired[i].cta
+		g.retired[i].cta = nil
+		g.ctaEvent = true
+		ks := g.kernels[cta.KernelIdx]
+		ks.Completed++
+		if ks.Done() {
+			ks.DoneCycle = g.now
+			g.doneCount++
 		}
-		// Detach the list while replaying: no current callback retires a CTA
-		// synchronously, but if one ever does, the onCTADone append must not
-		// land in list's backing array, where the reset below would silently
-		// discard it. Same-core re-entrant retirement is caught by the length
-		// check after the loop; appends for other cores land in their own
-		// (restored) buffers and replay in this or the next cycle's commit.
-		g.pendingRetire[c] = nil
-		for i, cta := range list {
-			g.ctaEvent = true
-			ks := g.kernels[cta.KernelIdx]
-			ks.Completed++
-			if ks.Done() {
-				ks.DoneCycle = g.now
-				g.doneCount++
-			}
-			if g.observer != nil {
-				g.observer(c, cta, g.now)
-			}
-			g.dispatcher.OnCTAComplete(g, c, cta)
-			// Every consumer of this retirement has now run, so
-			// the context can go back to its core's pool. A placement made by
-			// a later callback this same cycle may already reuse it.
-			g.cores[c].Recycle(cta)
-			list[i] = nil
+		if g.observer != nil {
+			g.observer(c, cta, g.now)
 		}
-		if len(g.pendingRetire[c]) != 0 {
-			panic("gpu: retirement callback retired a CTA for the same core re-entrantly; commitRetirements cannot replay it this cycle")
-		}
-		g.pendingRetire[c] = list[:0]
+		g.dispatcher.OnCTAComplete(g, c, cta)
+		// Every consumer of this retirement has now run, so the context can
+		// go back to its core's pool. A placement made by a later callback
+		// this same cycle may already reuse it.
+		g.cores[c].Recycle(cta)
 	}
+	g.retired = g.retired[:0]
 }
 
-// commitPreemptions replays the cycle's drain evictions strictly in
-// core-index order (and, within a core, eviction order), after retirements
-// and before the memory system ticks: the evicted CTA id joins its kernel's
-// re-dispatch queue, per-kernel eviction counters advance, and a dispatcher
-// implementing PreemptionObserver is notified. Because this is the only
-// place evictions touch machine-wide state, the requeue order is a pure
-// function of (eviction cycle, core index) — independent of SM visit order.
+// commitPreemptions replays the cycle's drain evictions in (core, eviction)
+// order, after retirements and before the memory system ticks: the evicted
+// CTA id joins its kernel's re-dispatch queue, per-kernel eviction counters
+// advance, and a dispatcher implementing PreemptionObserver is notified. This
+// is the only place evictions touch machine-wide state, so the requeue order
+// is a pure function of (eviction cycle, core index).
 func (g *GPU) commitPreemptions() {
 	po, _ := g.dispatcher.(core.PreemptionObserver)
-	for c := range g.pendingPreempt {
-		list := g.pendingPreempt[c]
-		if len(list) == 0 {
-			continue
+	for i := 0; i < len(g.evicted); i++ { // index loop: see commitRetirements
+		c, cta := g.evicted[i].core, g.evicted[i].cta
+		g.evicted[i].cta = nil
+		// An eviction changes dispatch state (capacity freed, requeue grown),
+		// so the cycle is never idle for fast-forward purposes.
+		g.ctaEvent = true
+		ks := g.kernels[cta.KernelIdx]
+		ks.Requeue(cta.ID)
+		if po != nil {
+			po.OnCTAEvicted(g, c, cta)
 		}
-		g.pendingPreempt[c] = nil
-		for i, cta := range list {
-			// An eviction changes dispatch state (capacity freed, requeue
-			// grown), so the cycle is never idle for fast-forward purposes.
-			g.ctaEvent = true
-			ks := g.kernels[cta.KernelIdx]
-			ks.Requeue(cta.ID)
-			if po != nil {
-				po.OnCTAEvicted(g, c, cta)
-			}
-			// Eviction guarantees memRefs == 0, so the context pools
-			// immediately; the re-dispatch builds a fresh CTA from the id.
-			g.cores[c].Recycle(cta)
-			list[i] = nil
-		}
-		if len(g.pendingPreempt[c]) != 0 {
-			panic("gpu: eviction callback drained a CTA for the same core re-entrantly; commitPreemptions cannot replay it this cycle")
-		}
-		g.pendingPreempt[c] = list[:0]
+		// Eviction guarantees memRefs == 0, so the context pools immediately;
+		// the re-dispatch builds a fresh CTA from the id.
+		g.cores[c].Recycle(cta)
 	}
+	g.evicted = g.evicted[:0]
 }
 
 // Run simulates to completion (or MaxCycles) and returns the result.
@@ -499,19 +458,19 @@ const maxProbeBackoff = 64
 // alongside the partial result.
 //
 // The loop is serial; cores are spent on concurrent simulations instead
-// (sim.Service). Each cycle ticks the SMs with ready work, each confining
-// itself to core-private state (its pipeline, its L1, its staging slot in
-// the memory system, its retirement list); then CTA retirements and
-// evictions replay in core-index order, and the memory system commits the
-// staged traffic and ticks. The staging is what makes the committed state
-// independent of the order the SMs were visited in (DESIGN.md "Staged commit
-// order").
+// (sim.Service). Each cycle ticks the SMs with ready work in ascending core
+// index — each sending straight into the request crossbar and popping its own
+// response FIFO — then replays CTA retirements and evictions in the same
+// order, then ticks the memory system. A parked SM exports nothing, so
+// skipping it cannot reorder the ones that run: the committed state is what
+// ticking every SM every cycle in index order produces — the loop
+// DisableFastForward selects.
 //
 // Which SMs have ready work is tracked by an activity set: after ticking, an
 // SM that issued nothing and can prove at least Granule quiet cycles ahead
-// parks in the wake heap and is skipped — not visited at all — until its
-// wake cycle arrives or an external event (CTA placement, drain request,
-// memory response) lowers its bound through wakeCore. The skipped cycles'
+// parks and is skipped — not visited at all — until its wake cycle arrives or
+// an external event (CTA placement, drain request, memory response) lowers
+// its bound through wakeCore. The skipped cycles'
 // ActiveCycles and stall counters accrue lazily: each SM carries a
 // synced-through watermark and replays the gap in one FastForward the next
 // time it runs (or when a reader forces syncAllTo). Parking is semantically
@@ -522,7 +481,7 @@ const maxProbeBackoff = 64
 // which no CTA was placed or retired and no instruction issued, it asks
 // every component for its event horizon — the earliest future cycle at
 // which it can act — and jumps straight there. Sleeping SMs contribute
-// their wake bounds through the activity set's heap minimum instead of
+// their wake bounds through the activity set's table minimum instead of
 // being probed individually, so the probe cost scales with the live set.
 // The jump is exact, not approximate: every NextEvent bound is conservative
 // and the skipped window is provably frozen, so results are bit-identical
@@ -557,9 +516,7 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 	g.probeAt = make([]uint64, len(g.cores))
 	g.probeBO = make([]uint64, len(g.cores))
 	// visit ticks one SM for the current cycle and returns its next wake
-	// bound: <= now+1 keeps it active, anything later parks it. It touches
-	// only core i's private state (its probe throttle slots, its response
-	// lanes), so the order cores are visited in cannot matter.
+	// bound: <= now+1 keeps it active, anything later parks it.
 	visit := func(i int) uint64 {
 		c := g.cores[i]
 		before := c.Stats.InstrIssued
@@ -630,12 +587,11 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		} else {
 			g.engine.DispatcherSkips++
 		}
-		if sleepOK && batchCap > 1 && as.idle(g.now) &&
-			g.memsys.NextEvent(g.now) <= g.now && g.memsys.StagedEmpty() {
-			// Quiet window: every SM is parked past this cycle, nothing is
-			// staged, and the memory system has work — the SM ticks and the
-			// commits are provably no-ops for every cycle before the window
-			// end, so run the whole window's memory ticks in one call.
+		if sleepOK && batchCap > 1 && as.idle(g.now) && g.memsys.NextEvent(g.now) <= g.now {
+			// Quiet window: every SM is parked past this cycle and the memory
+			// system has work — the SM ticks and the commits are provably
+			// no-ops for every cycle before the window end, so run the whole
+			// window's memory ticks in one call.
 			if end := g.batchWindowEnd(ff, done != nil, maxCycles, batchCap); end > g.now+1 {
 				g.engine.CyclesBatched += end - g.now
 				// The window's response hooks fire at its end, so park the
@@ -655,7 +611,7 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		}
 		as.tick(g.now, visit)
 		g.postTick = true
-		if as.sleeping() > 0 && g.havePendingCommits() {
+		if as.sleeping() > 0 && len(g.retired)+len(g.evicted) > 0 {
 			// Commit callbacks (the observer, dispatcher probes) may read
 			// any core's counters; settle sleepers through this cycle —
 			// the SM ticks just proved they slept through it.
@@ -750,18 +706,20 @@ func (g *GPU) fastForward(ff core.FastForwarder, clampCtx bool, maxCycles uint64
 	if ev := g.memsys.NextEvent(from); ev < horizon {
 		horizon = ev
 	}
-	// Sleeping SMs contribute through the activity set's heap minimum — one
-	// comparison for the whole parked population instead of a NextEvent probe
-	// each.
+	// Sleeping SMs contribute through the activity set's table minimum — a
+	// word compare each instead of a NextEvent probe each.
 	if hv := g.activity.horizon(); hv < horizon {
 		horizon = hv
 	}
 	if horizon <= from {
 		return 0
 	}
-	// Sleepers due at from are not on the active list; the heap minimum
-	// above bounds exactly those.
-	for _, i := range g.activity.active {
+	// Sleepers due at from are not active; the minimum above bounds exactly
+	// those.
+	for i, at := range g.activity.wakeAt {
+		if at != 0 {
+			continue
+		}
 		if ev := g.cores[i].NextEvent(from); ev < horizon {
 			horizon = ev
 		}
@@ -784,8 +742,10 @@ func (g *GPU) fastForward(ff core.FastForwarder, clampCtx bool, maxCycles uint64
 	// Only the live set accrues eagerly; sleepers stay lazy (their watermark
 	// replay covers the same window when they next run). The horizon never
 	// reaches a sleeper's wake cycle, so no parked SM oversleeps the jump.
-	for _, i := range g.activity.active {
-		g.cores[i].SyncTo(horizon)
+	for i, at := range g.activity.wakeAt {
+		if at == 0 {
+			g.cores[i].SyncTo(horizon)
+		}
 	}
 	g.now = horizon
 	return horizon - from

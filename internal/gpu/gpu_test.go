@@ -303,8 +303,8 @@ func TestTimeoutReported(t *testing.T) {
 // fast-forward proof chain no SM is ever parked, so the granule must be inert
 // there). DynCTA is used deliberately: its epoch adjustment reads per-core
 // stall counters, so a missing sleeper sync would diverge here before
-// anywhere else; stencil adds the memory-bound shape, where the SM visit order
-// changes most as cores park and wake.
+// anywhere else; stencil adds the memory-bound shape, where cores park and wake
+// most while the crossbar they send into is contended.
 func TestGranuleInvariance(t *testing.T) {
 	for _, tc := range []struct {
 		workload string

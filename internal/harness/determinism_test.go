@@ -45,11 +45,12 @@ func TestGoldenFastForwardDeterminism(t *testing.T) {
 // TestGoldenGranuleDeterminism is the gate on activity-set parking: every
 // experiment, run at the default granule (4) and with the parking threshold
 // swept from park-eagerly (1) through park-reluctantly (16) to never-park
-// (4096), must render byte-identical tables. Parking changes the order the
-// cycle loop visits SMs in, so this is also the gate on the staged commit
-// order (DESIGN.md): any state an SM's tick leaks outside its core-private
-// staging shows up here as a table diff. The NoFastForward combo pins that
-// the reference loop is untouched by granule plumbing.
+// (4096), must render byte-identical tables. Parking changes which SMs the
+// cycle loop visits, never their relative order, so this is the gate on the
+// parking invariant (DESIGN.md "Activity sets"): an SM parked while it still
+// had something to send, issue or retire shows up here as a table diff. The
+// NoFastForward combo is the independent reference: every SM, every cycle,
+// in index order.
 func TestGoldenGranuleDeterminism(t *testing.T) {
 	combos := []Options{
 		{TickGranule: 1},

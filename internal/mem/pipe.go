@@ -34,14 +34,6 @@ func (p *pipe[T]) Push(now uint64, v T) bool {
 	return true
 }
 
-// forcePush enqueues v at cycle now regardless of the capacity bound — the
-// commit path for admission decisions already taken against a snapshot (see
-// System.tickPartition). The pipe may transiently exceed cap; CanPush then
-// reports full until it drains back under the bound.
-func (p *pipe[T]) forcePush(now uint64, v T) {
-	p.entries = append(p.entries, pipeEntry[T]{ready: now + p.latency, val: v})
-}
-
 // CanPop reports whether the head entry has traversed the pipe.
 func (p *pipe[T]) CanPop(now uint64) bool {
 	return len(p.entries) > 0 && p.entries[0].ready <= now

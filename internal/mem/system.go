@@ -7,70 +7,37 @@ import "gpusched/internal/stats"
 // through per-core Port values (which implement Sender for their L1) and
 // drain responses with PopResponse each cycle.
 //
-// Injection is *staged*: within a cycle, a port's Send appends to its core's
-// private per-partition bucket and CanSend admits against the crossbar
-// occupancy snapshotted at the end of the previous tick (plus the core's own
-// staged requests). The partition tick then commits the staged requests into
-// the request crossbar in core-index order before the partition runs. The
-// staging is load-bearing even though the cycle loop is serial: the GPU
-// visits its SMs in an order that depends on the run's park/wake history
-// (gpu.activitySet), and a core's admission verdict depends only on the
-// snapshot and its own staged requests — never on which other cores have
-// already sent this cycle — so the committed state is identical whatever
-// order the cores ticked in.
-//
-// The snapshot admits optimistically against the *committed* queue: every
-// core sees the same free space f in a partition and may stage up to f
-// requests there, so a commit can transiently exceed the configured capacity
-// by up to (numCores-1)*f entries — as much as (numCores-1)*capacity when
-// the queue started the cycle empty. The pipe absorbs the overshoot and
-// CanSend reports the partition full until it drains back under the bound —
-// backpressure is preserved (the overfill is bounded and cleared before new
-// admissions), just assessed once per cycle instead of once per send, which
-// admits one cycle's burst more than a per-send check would.
+// Admission is per send: CanSend asks the target partition's request pipe for
+// space at that moment, and Send pushes straight into it, so a core sees the
+// sends of every core that ticked before it this cycle and a full queue
+// pushes back within the cycle. That is deterministic because the GPU ticks
+// its SMs in ascending core index (gpu.activitySet), and a parked SM — the
+// only kind that is skipped — sends nothing.
 //
 // Tick order within a cycle is fixed: partitions run in index order, each
-// committing its cores' staged requests in core-index order immediately
-// before it runs; response-delivery hooks fire after every partition has
-// ticked; and a core pops its response lanes (one virtual-channel pipe per
-// (partition, core) pair) by (ready cycle, partition index) — exactly the
-// order a single shared FIFO fed in partition order would have produced.
+// delivering into the per-core response FIFOs, and the response-delivery
+// hooks fire after every partition has ticked.
 type System struct {
 	cfg        *Config
 	partitions []*L2Partition
 	// toPart[i] carries requests to partition i (request crossbar).
 	toPart []*pipe[Request]
-	// vc[i*numCores+c] carries responses from partition i back to core c —
-	// the response crossbar as per-(partition,core) virtual channels, so a
-	// core's pop never has to look past another core's responses.
-	// PopResponse merges the lanes by (ready, partition index).
-	vc       []*pipe[Response]
-	numCores int
-	// slots[c] is core c's staging area. During a cycle each core mutates
-	// only its own slot; partition i drains every slot's bucket i.
-	slots []coreSlot
-	// deliver[i] is partition i's egress into its response lanes, built once
+	// toCore[c] carries responses back to core c (response crossbar), fed by
+	// the partitions in (cycle, partition index) order.
+	toCore []*pipe[Response]
+	// deliver is the partitions' egress into the response crossbar, built once
 	// at NewSystem. now is the cycle the partitions are currently ticking —
-	// set before they run so the closures can stamp response ready times
+	// set before they run so the closure can stamp response ready times
 	// without being rebuilt per cycle.
-	deliver []func(core int, resp Response) bool
+	deliver func(core int, resp Response) bool
 	now     uint64
-	// respCount[i] is the number of responses buffered in partition i's
-	// lanes. PopResponse, ResponseNextReady and NextEvent use a zero to skip
-	// the partition's lanes outright.
-	respCount []int
-	// snapLen[i] is toPart[i].Len() at the end of the previous tick — the
-	// occupancy CanSend admits against.
-	snapLen []int
-	// xbarCap mirrors the request pipes' capacity clamp (see newPipe).
-	xbarCap int
 	// inflight counts requests anywhere in the hierarchy: +1 where a request
-	// is staged and on write-back spawn, -1 where a request leaves (a
-	// response popped, a store absorbed by an L2 hit, a write burst scheduled
-	// at DRAM). It is what keeps Drained O(1).
+	// is sent and on write-back spawn, -1 where a request leaves (a response
+	// popped, a store absorbed by an L2 hit, a write burst scheduled at
+	// DRAM). It is what keeps Drained O(1).
 	inflight int
-	// onResponse, when set, observes every response committed into a core's
-	// return lane, with the cycle it becomes poppable. The GPU's activity set
+	// onResponse, when set, observes every response pushed into a core's
+	// return FIFO, with the cycle it becomes poppable. The GPU's activity set
 	// uses it to lower a parked core's wake bound — a response headed for a
 	// sleeping SM must wake it no later than the cycle it can be popped. The
 	// events are buffered in hooks in delivery order and fired once every
@@ -81,20 +48,7 @@ type System struct {
 	hooks      []respHook
 }
 
-// coreSlot is one core's cycle-private staging area.
-type coreSlot struct {
-	// staged[i] holds the requests sent to partition i this cycle, in send
-	// order. Bucketing by destination is what lets partition i commit its
-	// ingress without scanning other partitions' traffic.
-	staged [][]Request
-	// stagedTotal counts the core's staged requests across every bucket,
-	// reset once every partition has ticked; the partition ticks read it to
-	// skip cores that staged nothing — the common case — without touching
-	// each bucket.
-	stagedTotal int
-}
-
-// respHook is one buffered response-delivery event: core's lane has a
+// respHook is one buffered response-delivery event: core's FIFO has a
 // response poppable at ready.
 type respHook struct {
 	core  int
@@ -106,76 +60,55 @@ const NeverEvent = ^uint64(0)
 
 // NewSystem builds the memory system for numCores cores.
 func NewSystem(cfg *Config, numCores int) *System {
-	s := &System{cfg: cfg, numCores: numCores}
+	s := &System{cfg: cfg}
 	s.partitions = make([]*L2Partition, cfg.Partitions)
 	s.toPart = make([]*pipe[Request], cfg.Partitions)
-	s.deliver = make([]func(core int, resp Response) bool, cfg.Partitions)
-	s.vc = make([]*pipe[Response], cfg.Partitions*numCores)
-	for i := range s.vc {
-		// Return lanes are sized generously relative to request queues:
-		// responses must always drain or the hierarchy deadlocks.
-		s.vc[i] = newPipe[Response](cfg.XbarQueueCap*cfg.Partitions, cfg.XbarLatency)
-	}
 	for i := range s.partitions {
 		s.partitions[i] = NewL2Partition(cfg, i)
 		s.partitions[i].bindInflight(&s.inflight)
 		s.toPart[i] = newPipe[Request](cfg.XbarQueueCap, cfg.XbarLatency)
-		part, base := i, i*numCores
-		// Partition i's egress: push into the (partition, core) lane and
-		// buffer the wake event, reading the tick cycle from s.now rather
-		// than capturing it per cycle.
-		s.deliver[i] = func(core int, resp Response) bool {
-			if !s.vc[base+core].Push(s.now, resp) {
-				return false
-			}
-			s.respCount[part]++
-			if s.onResponse != nil {
-				s.hooks = append(s.hooks, respHook{core: core, ready: s.now + s.cfg.XbarLatency})
-			}
-			return true
+	}
+	s.toCore = make([]*pipe[Response], numCores)
+	for c := range s.toCore {
+		// The return path is sized generously relative to request queues:
+		// responses must always drain or the hierarchy deadlocks.
+		s.toCore[c] = newPipe[Response](cfg.XbarQueueCap*cfg.Partitions, cfg.XbarLatency)
+	}
+	// Push into the core's FIFO and buffer the wake event, reading the tick
+	// cycle from s.now rather than capturing it per cycle.
+	s.deliver = func(core int, resp Response) bool {
+		if !s.toCore[core].Push(s.now, resp) {
+			return false
 		}
+		if s.onResponse != nil {
+			s.hooks = append(s.hooks, respHook{core: core, ready: s.now + s.cfg.XbarLatency})
+		}
+		return true
 	}
-	s.slots = make([]coreSlot, numCores)
-	for c := range s.slots {
-		s.slots[c].staged = make([][]Request, cfg.Partitions)
-	}
-	s.respCount = make([]int, cfg.Partitions)
-	s.snapLen = make([]int, cfg.Partitions)
-	s.xbarCap = s.toPart[0].cap
 	return s
 }
 
 // Config returns the memory configuration.
 func (s *System) Config() *Config { return s.cfg }
 
-// Port returns core coreID's injection port.
-func (s *System) Port(coreID int) Sender { return &port{sys: s, core: coreID} }
+// Port returns core coreID's injection port. Every port feeds the same
+// request crossbar; admission does not depend on which core is asking.
+func (s *System) Port(coreID int) Sender { return &port{sys: s} }
 
-type port struct {
-	sys  *System
-	core int
-}
+type port struct{ sys *System }
 
-// CanSend admits against the start-of-cycle snapshot plus this core's own
-// staged requests — deliberately blind to other cores' same-cycle sends, so
-// the verdict is identical whatever order the cores tick in.
+// CanSend reports whether the target partition's request queue has space
+// right now, counting every send already made this cycle.
 func (p *port) CanSend(lineAddr uint64) bool {
-	s := p.sys
-	tgt := s.cfg.PartitionOf(lineAddr)
-	return s.snapLen[tgt]+len(s.slots[p.core].staged[tgt]) < s.xbarCap
+	return p.sys.toPart[p.sys.cfg.PartitionOf(lineAddr)].CanPush()
 }
 
-// Send stages the request in the core's private bucket for the target
-// partition; that partition's next tick commits it.
+// Send pushes the request into the target partition's request queue.
 func (p *port) Send(req Request, now uint64) {
 	s := p.sys
-	tgt := s.cfg.PartitionOf(req.LineAddr)
-	sl := &s.slots[p.core]
-	if s.snapLen[tgt]+len(sl.staged[tgt]) >= s.xbarCap {
+	if !s.toPart[s.cfg.PartitionOf(req.LineAddr)].Push(now, req) {
 		panic("mem: Send without CanSend")
 	}
-	sl.staged[tgt] = append(sl.staged[tgt], req)
-	sl.stagedTotal++
 	s.inflight++
 }
 
@@ -184,129 +117,56 @@ func (p *port) Send(req Request, now uint64) {
 func (s *System) SetResponseHook(fn func(core int, ready uint64)) { s.onResponse = fn }
 
 // ResponseNextReady returns the cycle core's next buffered response becomes
-// poppable, NeverEvent when none is buffered. Each lane is FIFO with uniform
-// latency, so no later response can become poppable earlier; later
-// deliveries are covered by the response hook.
-func (s *System) ResponseNextReady(core int) uint64 {
-	next := uint64(NeverEvent)
-	for p := 0; p < len(s.partitions); p++ {
-		if s.respCount[p] == 0 {
-			continue
-		}
-		if ev := s.vc[p*s.numCores+core].NextReady(); ev < next {
-			next = ev
-		}
-	}
-	return next
-}
+// poppable, NeverEvent when none is buffered. The FIFO has uniform latency,
+// so no later response can become poppable earlier; later deliveries are
+// covered by the response hook.
+func (s *System) ResponseNextReady(core int) uint64 { return s.toCore[core].NextReady() }
 
-// PopResponse returns the next ready response for coreID, if any: the ready
-// lane head with the earliest ready cycle, ties to the lowest partition
-// index — the exact order a single shared FIFO fed in partition order would
-// pop, so the lane split is invisible to the cores.
+// PopResponse returns the next ready response for coreID, if any.
 func (s *System) PopResponse(coreID int, now uint64) (Response, bool) {
-	best := -1
-	var bestReady uint64
-	for p := 0; p < len(s.partitions); p++ {
-		if s.respCount[p] == 0 {
-			continue
-		}
-		q := s.vc[p*s.numCores+coreID]
-		if r := q.NextReady(); r <= now && (best < 0 || r < bestReady) {
-			best, bestReady = p, r
-		}
-	}
-	if best < 0 {
+	q := s.toCore[coreID]
+	if !q.CanPop(now) {
 		return Response{}, false
 	}
 	s.inflight--
-	s.respCount[best]--
-	return s.vc[best*s.numCores+coreID].Pop(), true
+	return q.Pop(), true
 }
 
 // Tick advances the whole hierarchy one cycle: every partition in index
-// order, each committing its cores' staged ingress first, then the response
-// hooks and the admission snapshot.
+// order, then the response hooks.
 func (s *System) Tick(now uint64) { s.TickWindow(now, now+1) }
 
 // TickWindow advances the hierarchy through every cycle in [from, to) in one
 // call — the quiet-window batch path; a window of one cycle is exactly Tick.
-// The caller must guarantee no core ticks (and so nothing is staged or
-// popped) inside the window; ingress is therefore only scanned at the first
-// cycle. The loop is cycle-major, so the buffered response hooks come out in
-// (ready, partition) order — the order per-cycle ticks would have fired them
-// in — and fire once, at the window's end.
+// The caller must guarantee no core ticks (and so nothing is sent or popped)
+// inside the window. The loop is cycle-major, so the buffered response hooks
+// come out in (ready, partition) order — the order per-cycle ticks would have
+// fired them in — and fire once, at the window's end.
 //
 //gpulint:hotpath
 func (s *System) TickWindow(from, to uint64) {
 	for cy := from; cy < to; cy++ {
 		s.now = cy
-		for i := range s.partitions {
-			s.tickPartition(i, cy, cy == from)
+		for i, p := range s.partitions {
+			p.Tick(cy, s.toPart[i], s.deliver)
 		}
 	}
 	for _, h := range s.hooks { // empty unless onResponse is set
 		s.onResponse(h.core, h.ready)
 	}
 	s.hooks = s.hooks[:0]
-	for c := range s.slots {
-		// Every partition ticked since the cores last staged, so every
-		// bucket has drained; the totals restart from zero.
-		s.slots[c].stagedTotal = 0
-	}
-	for i, q := range s.toPart {
-		s.snapLen[i] = q.Len()
-	}
-}
-
-// tickPartition is partition i's ingress commit and tick. The ingress commit
-// drains every core's bucket i into the request crossbar in core-index order
-// with the same ready cycle a direct send would have had; running it
-// immediately before partition i's tick is indistinguishable from committing
-// all partitions up front, because no partition reads another partition's
-// pipe. forcePush may overfill the pipe past its capacity (see the System
-// comment): the cores were all admitted against the same snapshot.
-func (s *System) tickPartition(i int, now uint64, ingress bool) {
-	if ingress {
-		q := s.toPart[i]
-		for c := range s.slots {
-			if s.slots[c].stagedTotal == 0 {
-				continue
-			}
-			b := s.slots[c].staged[i]
-			if len(b) == 0 {
-				continue
-			}
-			for j := range b {
-				q.forcePush(now, b[j])
-			}
-			s.slots[c].staged[i] = b[:0]
-		}
-	}
-	s.partitions[i].Tick(now, s.toPart[i], s.deliver[i])
-}
-
-// StagedEmpty reports whether no core has a staged, uncommitted request —
-// a precondition the GPU checks before entering a batched quiet window.
-func (s *System) StagedEmpty() bool {
-	for c := range s.slots {
-		if s.slots[c].stagedTotal > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Drained reports whether no requests or responses remain anywhere in the
-// hierarchy — staged-but-uncommitted sends count as in flight. Used by tests
-// and quiescence checks. O(1): the in-flight counter tracks every request
-// from the Send that stages it to the pop, absorption or write burst that
-// retires it (drainedScan is the checkable definition it must agree with).
-func (s *System) Drained(now uint64) bool { return s.inflight == 0 }
+// hierarchy. Used by tests and quiescence checks. O(1): the in-flight counter
+// tracks every request from its Send to the pop, absorption or write burst
+// that retires it (drainedScan is the checkable definition it must agree
+// with).
+func (s *System) Drained() bool { return s.inflight == 0 }
 
 // drainedScan is the structural definition of quiescence: no request or
-// response buffered (or staged) anywhere. Tests assert it stays equivalent
-// to the counter-based Drained.
+// response buffered anywhere. Tests assert it stays equivalent to the
+// counter-based Drained.
 func (s *System) drainedScan() bool {
 	for _, p := range s.partitions {
 		if !p.Drained() {
@@ -318,32 +178,19 @@ func (s *System) drainedScan() bool {
 			return false
 		}
 	}
-	for _, q := range s.vc {
+	for _, q := range s.toCore {
 		if q.Len() > 0 {
 			return false
-		}
-	}
-	for c := range s.slots {
-		for p := range s.slots[c].staged {
-			if len(s.slots[c].staged[p]) > 0 {
-				return false
-			}
 		}
 	}
 	return true
 }
 
 // NextEvent returns the earliest cycle >= now at which the hierarchy can
-// make progress on its own: a staged request committing at the next tick, a
-// partition acting (its request pipe included) or a response reaching a
-// core's pop point. NeverEvent means the hierarchy is quiescent until a core
-// sends a new request.
+// make progress on its own: a partition acting (its request pipe included)
+// or a response reaching a core's pop point. NeverEvent means the hierarchy
+// is quiescent until a core sends a new request.
 func (s *System) NextEvent(now uint64) uint64 {
-	for c := range s.slots {
-		if s.slots[c].stagedTotal > 0 {
-			return now
-		}
-	}
 	next := uint64(NeverEvent)
 	for i, p := range s.partitions {
 		if ev := p.NextEvent(now, s.toPart[i]); ev < next {
@@ -353,19 +200,13 @@ func (s *System) NextEvent(now uint64) uint64 {
 			return now
 		}
 	}
-	for i := range s.partitions {
-		if s.respCount[i] == 0 {
-			continue
+	for _, q := range s.toCore {
+		if ev := q.NextReady(); ev < next {
+			next = ev
 		}
-		base := i * s.numCores
-		for c := 0; c < s.numCores; c++ {
-			if ev := s.vc[base+c].NextReady(); ev < next {
-				next = ev
-			}
-			if next <= now {
-				return now
-			}
-		}
+	}
+	if next < now {
+		return now
 	}
 	return next
 }

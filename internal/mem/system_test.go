@@ -71,7 +71,7 @@ func TestLoadMissRoundTrip(t *testing.T) {
 	if res := h.l1.Load(0, 43, h.now); res != AccessHit {
 		t.Fatalf("warm load = %v, want hit", res)
 	}
-	if !h.sys.Drained(h.now) {
+	if !h.sys.Drained() {
 		t.Fatal("system not drained")
 	}
 }
@@ -130,7 +130,7 @@ func TestStoreReachesDRAMOnL2Miss(t *testing.T) {
 	if d.Writes != 1 {
 		t.Fatalf("DRAM writes = %d, want 1 (no-allocate store miss)", d.Writes)
 	}
-	if !h.sys.Drained(h.now) {
+	if !h.sys.Drained() {
 		t.Fatal("store left system undrained")
 	}
 }
@@ -204,7 +204,7 @@ func TestResponseTokenRoutingManyLoads(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("received %d/%d responses", len(got), n)
 	}
-	if !h.sys.Drained(h.now) {
+	if !h.sys.Drained() {
 		t.Fatal("system not drained after all responses")
 	}
 }
@@ -245,7 +245,7 @@ func TestBackpressureStallsNotDrops(t *testing.T) {
 	if stalls == 0 {
 		t.Fatal("expected structural stalls with tiny queues")
 	}
-	if !h.sys.Drained(h.now) {
+	if !h.sys.Drained() {
 		t.Fatal("undrained after backpressure test")
 	}
 }
@@ -336,13 +336,13 @@ func TestDrainedCounterMatchesScan(t *testing.T) {
 		c.L2Ways = 2
 	})
 	check := func() {
-		if got, want := h.sys.Drained(h.now), h.sys.drainedScan(); got != want {
+		if got, want := h.sys.Drained(), h.sys.drainedScan(); got != want {
 			t.Fatalf("cycle %d: Drained() = %t, scan = %t (inflight=%d)",
 				h.now, got, want, h.sys.inflight)
 		}
 	}
 	issued := 0
-	for h.now < 20000 && (issued < 48 || !h.sys.Drained(h.now)) {
+	for h.now < 20000 && (issued < 48 || !h.sys.Drained()) {
 		if issued < 48 {
 			addr := uint64(issued) * uint64(h.cfg.LineBytes)
 			var res AccessResult
@@ -366,7 +366,7 @@ func TestDrainedCounterMatchesScan(t *testing.T) {
 	if issued < 48 {
 		t.Fatalf("only issued %d/48 accesses", issued)
 	}
-	if !h.sys.Drained(h.now) {
+	if !h.sys.Drained() {
 		t.Fatal("system never drained")
 	}
 	check()
@@ -381,7 +381,7 @@ func TestSystemNextEventBounds(t *testing.T) {
 		t.Fatalf("quiescent NextEvent = %d, want NeverEvent", ev)
 	}
 	h.l1.Load(0, 7, h.now)
-	for !h.sys.Drained(h.now) {
+	for !h.sys.Drained() {
 		ev := h.sys.NextEvent(h.now)
 		if ev == NeverEvent {
 			t.Fatalf("cycle %d: in-flight work but NextEvent = NeverEvent", h.now)
@@ -398,5 +398,58 @@ func TestSystemNextEventBounds(t *testing.T) {
 	}
 	if ev := h.sys.NextEvent(h.now); ev != NeverEvent {
 		t.Fatalf("drained NextEvent = %d, want NeverEvent", ev)
+	}
+}
+
+// TestCrossbarAdmitsPerSend bursts 15 ports at one partition in one cycle:
+// admission is per send, so CanSend turns false at the XbarQueueCap-th send
+// within the cycle — whichever port makes it — and the request pipe never
+// holds more than its capacity after any Tick. Back-pressure inside a cycle
+// is what lets the crossbar throttle the baseline at all.
+func TestCrossbarAdmitsPerSend(t *testing.T) {
+	const cores = 15
+	cfg := DefaultConfig()
+	sys := NewSystem(&cfg, cores)
+	ports := make([]Sender, cores)
+	for c := range ports {
+		ports[c] = sys.Port(c)
+	}
+	stride := uint64(cfg.Partitions * cfg.LineBytes) // every line maps to partition 0
+	sent, popped := 0, 0
+	for now := uint64(0); now < 400; now++ {
+		free := cfg.XbarQueueCap - sys.toPart[0].Len()
+		admitted := 0
+		for c, p := range ports {
+			for k := 0; k < 4; k++ { // up to 4 sends per port per cycle
+				addr := uint64(sent) * stride
+				if !p.CanSend(addr) {
+					break
+				}
+				if admitted == free {
+					t.Fatalf("cycle %d: port %d admitted with the queue full (%d sends into %d free entries)", now, c, admitted+1, free)
+				}
+				p.Send(Request{Kind: ReqLoad, LineAddr: addr, CoreID: c, Token: uint32(sent), Born: now}, now)
+				admitted++
+				sent++
+			}
+		}
+		if now == 0 && admitted != cfg.XbarQueueCap {
+			t.Fatalf("cycle 0: %d sends admitted into an empty queue of %d", admitted, cfg.XbarQueueCap)
+		}
+		sys.Tick(now)
+		if n := sys.toPart[0].Len(); n > cfg.XbarQueueCap {
+			t.Fatalf("cycle %d: request pipe holds %d entries, capacity %d", now, n, cfg.XbarQueueCap)
+		}
+		for c := 0; c < cores; c++ {
+			for {
+				if _, ok := sys.PopResponse(c, now); !ok {
+					break
+				}
+				popped++
+			}
+		}
+	}
+	if popped == 0 || popped > sent {
+		t.Fatalf("popped %d responses for %d sends", popped, sent)
 	}
 }

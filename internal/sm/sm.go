@@ -100,9 +100,9 @@ func (s *SM) ID() int { return s.id }
 
 // SetDrainHandler registers the eviction callback invoked when a draining
 // CTA has left the core (distinct from retirement). Must be set before the
-// first Tick. Like onCTADone it runs inside the core's Tick, at a point in
-// the GPU's SM visit order that depends on park/wake history, so
-// implementations must confine themselves to core-private state.
+// first Tick. Like onCTADone it runs inside the core's Tick, so
+// implementations must only record the event and must not wake or mutate
+// any core (the GPU commits both once every SM has ticked).
 func (s *SM) SetDrainHandler(fn func(coreID int, cta *CTA)) { s.onCTADrained = fn }
 
 // SetWakeHandler registers the activity-set notifier and arms lazy counter
@@ -337,10 +337,11 @@ func (s *SM) leastLoadedScheduler() *scheduler {
 // replays the skipped cycles' counters, so its Stats are current the moment
 // it runs again.
 //
-// The GPU ticks its cores in an order that depends on park/wake history, so
-// everything reachable from Tick must confine itself to core-private state
-// and the staged sinks (the core's memory port, its retirement and eviction
-// callbacks) for results to be independent of that order.
+// The GPU ticks its cores in ascending core index and skips only parked
+// ones. A core with a pending send, a runnable warp or a draining CTA is
+// never parked (NextEvent returns now for it), so what Tick exports — sends
+// through the memory port, the retirement and eviction callbacks — reaches
+// the shared machine in index order whatever the park/wake history was.
 //
 //gpulint:phasea the core replaying its own parked window: reads of its lazy counters below Tick are current by construction
 func (s *SM) Tick(now uint64) {
