@@ -53,7 +53,7 @@ ci: lint
 # invocation also drops CPU and heap profiles into BENCH_PROF (uploaded as
 # CI artifacts), so a regression flagged by the JSON diff comes with the
 # profile that explains it.
-BENCH_OUT ?= results/BENCH_21.json
+BENCH_OUT ?= results/BENCH_22.json
 BENCH_PROF ?= results/prof
 bench:
 	mkdir -p $(BENCH_PROF)

@@ -31,7 +31,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sizeStr  = fs.String("size", "small", "problem size: tiny | small | full")
 		cores    = fs.Int("cores", 15, "SM count")
 		window   = fs.Uint64("batch-window", 0, "max memory-system cycles batched into one call when every SM provably sleeps (0 = built-in default, 1 = off; never changes results)")
-		engStats = fs.Bool("engine-stats", false, "also print how the cycle loop executed the run: cycles ticked / fast-forwarded / batched, dispatcher polls made and skipped")
+		engStats = fs.Bool("engine-stats", false, "also print how the cycle loop executed the run: cycles ticked / fast-forwarded / batched, dispatcher polls made and skipped, warp-scheduler walks vs certificate reads")
 		list     = fs.Bool("list", false, "list workloads and exit")
 		traceOut = fs.String("trace", "", "write a per-epoch timeline CSV to this file")
 		epoch    = fs.Uint64("epoch", 1024, "trace sampling period in cycles")
@@ -128,6 +128,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			eng.CyclesTicked, eng.CyclesFastForwarded, eng.CyclesBatched)
 		fmt.Fprintf(stdout, "engine polls    %d dispatcher ticks, %d skipped\n",
 			eng.DispatcherTicks, eng.DispatcherSkips)
+		fmt.Fprintf(stdout, "engine issue    %d scheduler-cycles walked the warps, %d served by a stall certificate\n",
+			eng.IssueWalks, eng.IssueServed)
 	}
 	return 0
 }

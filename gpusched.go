@@ -302,8 +302,9 @@ func RunContext(ctx context.Context, cfg Config, sched Scheduler, kernels ...Ker
 }
 
 // EngineStats re-exports the cycle loop's execution accounting: how many
-// simulated cycles were ticked, fast-forwarded and batched, and how often the
-// dispatcher was polled or provably skipped. It describes the host-side execution, not the
+// simulated cycles were ticked, fast-forwarded and batched, how often the
+// dispatcher was polled or provably skipped, and how many warp-scheduler
+// verdicts took a walk or a stall-certificate read. It describes the host-side execution, not the
 // simulated machine — it moves with the execution knobs while Result does
 // not — so it is reported beside Result, never inside it.
 type EngineStats = gpu.EngineStats

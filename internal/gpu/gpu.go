@@ -159,6 +159,12 @@ type EngineStats struct {
 	// ticked cycle or the first cycle of a batched window).
 	DispatcherTicks uint64
 	DispatcherSkips uint64
+	// IssueWalks counts scheduler-cycles (one warp scheduler with resident
+	// warps, one cycle) whose verdict took a walk over the warps, IssueServed
+	// those read from a stall certificate (sm.SM.IssueCounts, summed). Together
+	// they are Result.Core.InstrIssued + IssueStallCycles.
+	IssueWalks  uint64
+	IssueServed uint64
 }
 
 // GPU is one simulated device with a fixed launch table.
@@ -201,12 +207,6 @@ type GPU struct {
 	// RunContext, nil before). Sleeping SMs are not ticked at all; wakeCore
 	// is the only way back in.
 	activity *activitySet
-	// probeAt[i]/probeBO[i] throttle core i's sleep probes, mirroring
-	// ffNextTry/ffBackoff: an SM that stalls without being parkable doubles
-	// the wait before its next NextEvent probe, and a successful park resets
-	// it.
-	probeAt []uint64
-	probeBO []uint64
 	// postTick is true between the SM ticks and the end of the cycle (commits
 	// and the memory tick). wakeCore uses it to pick the sync boundary: once
 	// the SMs have ticked, a sleeping core provably accounts for the current
@@ -315,7 +315,15 @@ func (g *GPU) SetEpochHook(every uint64, fn func(now uint64)) {
 
 // EngineStats reports how the cycle loop executed the run so far (complete
 // once Run returns).
-func (g *GPU) EngineStats() EngineStats { return g.engine }
+func (g *GPU) EngineStats() EngineStats {
+	e := g.engine
+	for _, c := range g.cores {
+		walks, served := c.IssueCounts()
+		e.IssueWalks += walks
+		e.IssueServed += served
+	}
+	return e
+}
 
 // MemSystem exposes the shared memory hierarchy (tracing and tests).
 func (g *GPU) MemSystem() *mem.System { return g.memsys }
@@ -448,11 +456,6 @@ func (g *GPU) Run() Result {
 // that cancellation lands within microseconds of wall time.
 const ctxCheckInterval = 4096
 
-// maxProbeBackoff bounds the per-SM sleep-probe backoff (see probeAt/probeBO
-// on GPU), for the same reason maxFFBackoff bounds the global one: when a
-// busy phase ends, the SM must start parking again within a few dozen cycles.
-const maxProbeBackoff = 64
-
 // RunContext is Run with cooperative cancellation: when ctx is canceled
 // the cycle loop stops mid-flight and the context's error is returned
 // alongside the partial result.
@@ -513,8 +516,8 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 	granule := g.cfg.resolveGranule()
 	as := newActivitySet(len(g.cores))
 	g.activity = as
-	g.probeAt = make([]uint64, len(g.cores))
-	g.probeBO = make([]uint64, len(g.cores))
+	// issued records that some SM issued an instruction this cycle.
+	issued := false
 	// visit ticks one SM for the current cycle and returns its next wake
 	// bound: <= now+1 keeps it active, anything later parks it.
 	visit := func(i int) uint64 {
@@ -522,25 +525,25 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		before := c.Stats.InstrIssued
 		now := g.now
 		c.Tick(now)
-		if !sleepOK || c.Stats.InstrIssued != before || now < g.probeAt[i] {
-			return 0 // issued or probe-throttled: stay active
+		if c.Stats.InstrIssued != before {
+			issued = true
+			return 0
+		}
+		if !sleepOK {
+			return 0
 		}
 		// The SM stalled this cycle; ask whether the stall provably extends
-		// a full granule. Its own bound covers pipeline and L1/LDST state;
-		// the response pipe bound covers replies already in flight toward it
-		// (later deliveries wake it through the response hook).
+		// a full granule. Its own bound — the schedulers' stall certificates
+		// and the LDST unit, a few words to read — covers pipeline and L1/LDST
+		// state; the response pipe bound covers replies already in flight
+		// toward it (later deliveries wake it through the response hook).
 		wake := c.NextEvent(now + 1)
 		if rv := g.memsys.ResponseNextReady(i); rv < wake {
 			wake = rv
 		}
 		if wake >= now+1+granule {
-			g.probeAt[i], g.probeBO[i] = 0, 0
 			return wake
 		}
-		if g.probeBO[i] < maxProbeBackoff {
-			g.probeBO[i] = max2(2*g.probeBO[i], 2)
-		}
-		g.probeAt[i] = now + g.probeBO[i]
 		return 0
 	}
 	batchCap := g.cfg.resolveBatchWindow()
@@ -564,7 +567,7 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 			}
 			g.epochFn(g.now)
 		}
-		issued := g.issuedTotal()
+		issued = false
 		g.ctaEvent = false
 		g.admitArrivals()
 		tickDispatcher := true
@@ -625,7 +628,7 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		g.memsys.Tick(g.now)
 		// Only the dispatcher's Tick and the commit callbacks place CTAs, and a
 		// commit sets ctaEvent, so !ctaEvent && dispQuiet is "nothing placed".
-		idle := ff != nil && !g.ctaEvent && dispQuiet && g.issuedTotal() == issued
+		idle := ff != nil && !g.ctaEvent && dispQuiet && !issued
 		g.now++
 		g.engine.CyclesTicked++
 		g.postTick = false
@@ -634,7 +637,7 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 			g.engine.CyclesFastForwarded += skipped
 			if skipped == 0 {
 				if g.ffBackoff < maxFFBackoff {
-					g.ffBackoff = max2(2*g.ffBackoff, 2)
+					g.ffBackoff = max(2*g.ffBackoff, 2)
 				}
 				g.ffNextTry = g.now + g.ffBackoff
 			} else {
@@ -658,15 +661,6 @@ func (g *GPU) dispatchedCTAs() int {
 	return n
 }
 
-// issuedTotal sums issued instructions over all cores.
-func (g *GPU) issuedTotal() uint64 {
-	var n uint64
-	for _, c := range g.cores {
-		n += c.Stats.InstrIssued
-	}
-	return n
-}
-
 // maxFFBackoff bounds the probe backoff so a long busy phase ending in a
 // deep stall starts skipping again within a few hundred cycles. Only a
 // probe that skips nothing at all grows the backoff: memory round trips
@@ -674,13 +668,6 @@ func (g *GPU) issuedTotal() uint64 {
 // DRAM windows, and punishing those small-but-real jumps starves the skip
 // chain exactly where it pays most.
 const maxFFBackoff = 256
-
-func max2(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // fastForward jumps g.now to the machine's event horizon: the earliest
 // cycle at which the dispatcher, any core, or the memory hierarchy can act.

@@ -406,8 +406,9 @@ func quiescenceCases() []quiescenceCase {
 // quiescence: skipping the dispatcher poll on cycles the FastForwarder
 // certificate covers must be unobservable. Every case is compared against
 // the reference loop (DisableFastForward ticks the dispatcher every cycle).
-// The same runs pin the EngineStats cycle identity: every simulated cycle is
-// covered by exactly one mechanism.
+// The same runs pin the EngineStats identities: every simulated cycle is
+// covered by exactly one mechanism, and every scheduler-cycle with resident
+// warps got its verdict from exactly one of a warp walk or a stall certificate.
 func TestDispatcherQuiescence(t *testing.T) {
 	for _, tc := range quiescenceCases() {
 		tc := tc
@@ -427,6 +428,10 @@ func TestDispatcherQuiescence(t *testing.T) {
 				if sum := es.CyclesTicked + es.CyclesFastForwarded + es.CyclesBatched; sum != r.Cycles {
 					t.Errorf("DisableFastForward=%v: ticked %d + fast-forwarded %d + batched %d = %d, simulated %d",
 						disableFF, es.CyclesTicked, es.CyclesFastForwarded, es.CyclesBatched, sum, r.Cycles)
+				}
+				if got, want := es.IssueWalks+es.IssueServed, r.Core.InstrIssued+r.Core.IssueStallCycles; got != want {
+					t.Errorf("DisableFastForward=%v: %d walks + %d served = %d, want %d scheduler-cycles (issued %d + stalled %d)",
+						disableFF, es.IssueWalks, es.IssueServed, got, want, r.Core.InstrIssued, r.Core.IssueStallCycles)
 				}
 				return r, es
 			}
@@ -448,18 +453,28 @@ func TestDispatcherQuiescence(t *testing.T) {
 
 // TestEngineStatsDispatcherSkipsDominateWhenFull runs the shape the skip was
 // built for: a machine that stays full of one-warp CTAs of dependent loads,
-// where the dispatcher can act only when a CTA retires.
+// where the dispatcher can act only when a CTA retires. Nearly every
+// scheduler-cycle of that shape repeats the stall of the cycle before, so the
+// stall certificates must serve most of them too.
 func TestEngineStatsDispatcherSkipsDominateWhenFull(t *testing.T) {
 	g, err := New(DefaultConfig(), core.NewRoundRobin(), workloads.ChaseSpec(480, 1, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := g.Run(); r.TimedOut {
+	r := g.Run()
+	if r.TimedOut {
 		t.Fatal("timed out")
 	}
 	es := g.EngineStats()
 	if es.DispatcherSkips <= es.DispatcherTicks {
 		t.Errorf("DispatcherSkips = %d, DispatcherTicks = %d: want skips to dominate on a full machine",
 			es.DispatcherSkips, es.DispatcherTicks)
+	}
+	if got, want := es.IssueWalks+es.IssueServed, r.Core.InstrIssued+r.Core.IssueStallCycles; got != want {
+		t.Errorf("%d walks + %d served = %d, want %d scheduler-cycles", es.IssueWalks, es.IssueServed, got, want)
+	}
+	if es.IssueServed <= es.IssueWalks {
+		t.Errorf("IssueServed = %d, IssueWalks = %d: want certificate reads to dominate on dependent loads",
+			es.IssueServed, es.IssueWalks)
 	}
 }

@@ -9,6 +9,8 @@
 // the levers CTA scheduling pulls on.
 package mem
 
+import "math/bits"
+
 // Config collects the memory-system parameters. The zero value is not
 // usable; start from DefaultConfig.
 type Config struct {
@@ -95,13 +97,7 @@ func DefaultConfig() Config {
 }
 
 // LineShift returns log2(LineBytes). LineBytes must be a power of two.
-func (c *Config) LineShift() uint {
-	s := uint(0)
-	for 1<<s < c.LineBytes {
-		s++
-	}
-	return s
-}
+func (c *Config) LineShift() uint { return uint(bits.TrailingZeros(uint(c.LineBytes))) }
 
 // LineAddr truncates a byte address to its line address.
 func (c *Config) LineAddr(addr uint64) uint64 {

@@ -21,9 +21,6 @@ type L2Partition struct {
 	mshr  *MSHR
 	dram  *DRAMChannel
 
-	// atomicPending marks MSHR lines allocated by an atomic primary miss;
-	// their responses must not fill the requester's L1.
-	atomicPending map[uint64]bool
 	// out holds responses ordered by ready time, waiting for the return
 	// network.
 	out []routedResponse
@@ -49,11 +46,10 @@ func (p *L2Partition) bindInflight(ctr *int) {
 // NewL2Partition builds partition id.
 func NewL2Partition(cfg *Config, id int) *L2Partition {
 	p := &L2Partition{
-		cfg:           cfg,
-		id:            id,
-		cache:         NewCache(cfg.L2BytesPerPartition, cfg.LineBytes, cfg.L2Ways),
-		mshr:          NewMSHR(cfg.L2MSHREntries, cfg.L2MSHRMerges),
-		atomicPending: make(map[uint64]bool),
+		cfg:   cfg,
+		id:    id,
+		cache: NewCache(cfg.L2BytesPerPartition, cfg.LineBytes, cfg.L2Ways),
+		mshr:  NewMSHR(cfg.L2MSHREntries, cfg.L2MSHRMerges),
 	}
 	p.dram = NewDRAMChannel(cfg, p.onDRAMComplete)
 	return p
@@ -65,8 +61,9 @@ func (p *L2Partition) DRAMStats() *stats.DRAM { return &p.dram.Stats }
 // onDRAMComplete fills the cache from a finished DRAM read and releases the
 // MSHR waiters.
 func (p *L2Partition) onDRAMComplete(req Request, now uint64) {
-	dirty := p.atomicPending[req.LineAddr]
-	delete(p.atomicPending, req.LineAddr)
+	// An atomic among the waiters dirties the line, and its response must not
+	// fill the requester's L1.
+	dirty := p.mshr.Atomic(req.LineAddr)
 	ev := p.cache.Fill(req.LineAddr, dirty)
 	if ev.Valid {
 		p.Stats.Evictions++
@@ -185,7 +182,7 @@ func (p *L2Partition) handleLoad(req Request, now uint64, atomic bool) bool {
 		p.Stats.Misses++
 		p.Stats.MSHRMerges++
 		if atomic {
-			p.atomicPending[req.LineAddr] = true
+			p.mshr.MarkAtomic(req.LineAddr)
 		}
 		return true
 	}
@@ -216,7 +213,7 @@ func (p *L2Partition) handleLoad(req Request, now uint64, atomic bool) bool {
 		return false
 	}
 	if atomic {
-		p.atomicPending[req.LineAddr] = true
+		p.mshr.MarkAtomic(req.LineAddr)
 	}
 	p.dram.Enqueue(Request{Kind: ReqLoad, LineAddr: req.LineAddr, Born: now}, now)
 	return true

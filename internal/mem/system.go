@@ -19,6 +19,7 @@ import "gpusched/internal/stats"
 // hooks fire after every partition has ticked.
 type System struct {
 	cfg        *Config
+	lineShift  uint // cfg.LineShift(), computed once: partOf runs on every send
 	partitions []*L2Partition
 	// toPart[i] carries requests to partition i (request crossbar).
 	toPart []*pipe[Request]
@@ -60,7 +61,7 @@ const NeverEvent = ^uint64(0)
 
 // NewSystem builds the memory system for numCores cores.
 func NewSystem(cfg *Config, numCores int) *System {
-	s := &System{cfg: cfg}
+	s := &System{cfg: cfg, lineShift: cfg.LineShift()}
 	s.partitions = make([]*L2Partition, cfg.Partitions)
 	s.toPart = make([]*pipe[Request], cfg.Partitions)
 	for i := range s.partitions {
@@ -97,16 +98,20 @@ func (s *System) Port(coreID int) Sender { return &port{sys: s} }
 
 type port struct{ sys *System }
 
+// partOf is cfg.PartitionOf on the cached line shift: the request pipe of
+// lineAddr's partition.
+func (s *System) partOf(lineAddr uint64) *pipe[Request] {
+	return s.toPart[(lineAddr>>s.lineShift)%uint64(len(s.toPart))]
+}
+
 // CanSend reports whether the target partition's request queue has space
 // right now, counting every send already made this cycle.
-func (p *port) CanSend(lineAddr uint64) bool {
-	return p.sys.toPart[p.sys.cfg.PartitionOf(lineAddr)].CanPush()
-}
+func (p *port) CanSend(lineAddr uint64) bool { return p.sys.partOf(lineAddr).CanPush() }
 
 // Send pushes the request into the target partition's request queue.
 func (p *port) Send(req Request, now uint64) {
 	s := p.sys
-	if !s.toPart[s.cfg.PartitionOf(req.LineAddr)].Push(now, req) {
+	if !s.partOf(req.LineAddr).Push(now, req) {
 		panic("mem: Send without CanSend")
 	}
 	s.inflight++

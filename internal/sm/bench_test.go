@@ -50,22 +50,27 @@ func BenchmarkSMTickLRR(b *testing.B)  { benchTick(b, PolicyLRR) }
 func BenchmarkSMTickGTO(b *testing.B)  { benchTick(b, PolicyGTO) }
 func BenchmarkSMTickBAWS(b *testing.B) { benchTick(b, PolicyBAWS) }
 
+// BenchmarkSchedulerPickStalled is the dominant scheduler-cycle of memory-
+// bound phases: every warp waits on a pending load. "served" is the steady
+// state, the verdict read from the stall certificate; "walk" is the cycle
+// after an invalidation, one pass over the warps that writes the next one.
 func BenchmarkSchedulerPickStalled(b *testing.B) {
-	// Worst case: every warp scoreboard-stalled, full scan each pick.
 	s, _ := benchSM(PolicyGTO, 8)
 	sched := &s.schedulers[0]
 	for _, w := range sched.warps {
 		w.fetch()
-		w.readyAt[1] = ^uint64(0)
+		w.readyAt[1] = notReady
 	}
-	ready := func(w *Warp) (bool, skipReason) {
-		if !w.operandsReady(1) {
-			return false, skipScoreboard
+	pick := func(b *testing.B, invalidate bool) {
+		for i := 0; i < b.N; i++ {
+			if invalidate {
+				sched.cert.until = 0
+			}
+			if w, reason := s.pickOrReason(sched, 1); w != nil || reason != skipScoreboard {
+				b.Fatalf("pick = (%v, %d), want a scoreboard stall", w, reason)
+			}
 		}
-		return true, skipNone
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sched.pick(ready)
-	}
+	b.Run("served", func(b *testing.B) { pick(b, false) })
+	b.Run("walk", func(b *testing.B) { pick(b, true) })
 }

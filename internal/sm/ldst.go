@@ -58,6 +58,11 @@ type ldstUnit struct {
 	// per global memory instruction. Entries own their buffer from accept
 	// to popHead.
 	linePool [][]uint64
+
+	// freeGen advances whenever a queue slot or a pending-load token frees —
+	// the only ways canAccept turns true — so a stall certificate that rests
+	// on LDST back-pressure lapses exactly then.
+	freeGen uint64
 }
 
 func newLDSTUnit(s *SM) *ldstUnit {
@@ -213,6 +218,7 @@ func (u *ldstUnit) tickGlobal(e *ldstEntry, now uint64) {
 
 //gpulint:hotpath
 func (u *ldstUnit) popHead() {
+	u.freeGen++
 	cta := u.queue[0].warp.cta
 	cta.memRefs--
 	if cta.recycleArmed && cta.memRefs == 0 {
@@ -265,6 +271,7 @@ func (u *ldstUnit) completeOne(t uint32, now uint64) {
 	u.sm.memLoadsDone++
 	p.inUse = false
 	u.free = append(u.free, t)
+	u.freeGen++
 }
 
 // busy reports whether any instruction or transaction is still in flight.

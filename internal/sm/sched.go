@@ -1,5 +1,7 @@
 package sm
 
+import "gpusched/internal/isa"
+
 // skipReason classifies why a warp could not issue this cycle, for stall
 // attribution. Reasons are evaluated in readiness order.
 type skipReason uint8
@@ -28,26 +30,59 @@ type scheduler struct {
 	active     []*Warp
 	pending    []*Warp
 	activeSize int
-	// longBlocked counts warps parked on a condition only an external event
-	// can clear (blockedMem or atBarrier). It is maintained on state
-	// transitions, so "every warp is parked" — the dominant state of
-	// memory-bound phases — is a single compare instead of a rescan.
-	longBlocked int
+	// cert is the verdict of the last failed pick, served until something
+	// that can change it happens (see stallCert).
+	cert stallCert
 	// byAge holds the warps sorted by policy age key, oldest first (equal
 	// keys in add order). Age keys are immutable after add, so the order
 	// only changes on add/remove/policy switch. Greedy-oldest picks walk it
 	// in order and stop at the first ready warp instead of evaluating every
-	// warp's readiness, and byAge[0] resolves stall attribution without a
-	// rescan.
+	// warp's readiness, and byAge[0] resolves stall attribution.
 	byAge []*Warp
 }
 
-// oldestWarp returns the policy-oldest warp (nil when empty).
-func (s *scheduler) oldestWarp() *Warp {
-	if len(s.byAge) == 0 {
-		return nil
+// stallCert is a scheduler's stall certificate: the last failed pick looked
+// at every warp, so its verdict (nil, reason) holds for every cycle now <
+// until — the earliest time-driven wake among them (a scoreboard stall
+// expiring, the SFU pipe freeing; NeverEvent if none) — unless a transition
+// that can change it clears the certificate first: a load return, a barrier
+// release, add/remove, DrainCTA, SetWarpPolicy. When the walk saw a warp
+// stalled on the LDST unit, the certificate also lapses once the unit frees
+// a queue slot or a pending-load token (ldstGen != ldstUnit.freeGen).
+type stallCert struct {
+	until       uint64 // 0: no certificate
+	reason      skipReason
+	waitsOnLDST bool
+	ldstGen     uint64
+}
+
+// stalled folds warp w, which cannot issue for reason, into the certificate
+// c under construction.
+//
+//gpulint:hotpath
+func (s *scheduler) stalled(c *stallCert, w *Warp, reason skipReason) {
+	switch reason {
+	case skipScoreboard:
+		// operandsReady cached the wake cycle; notReady (a pending load) is
+		// NeverEvent, and the load's return clears the certificate.
+		c.until = min(c.until, w.stallUntil)
+	case skipStructural:
+		if w.cur.Op == isa.OpSfu {
+			c.until = min(c.until, s.sfuFreeAt)
+		} else {
+			c.waitsOnLDST = true
+		}
 	}
-	return s.byAge[0]
+}
+
+// certify ends a failed pick that evaluated every warp and mutated nothing:
+// its verdict becomes the scheduler's certificate.
+//
+//gpulint:hotpath
+func (s *scheduler) certify(c stallCert, reason skipReason) (*Warp, skipReason) {
+	c.reason = reason
+	s.cert = c
+	return nil, reason
 }
 
 // add registers a warp with this scheduler.
@@ -61,9 +96,7 @@ func (s *scheduler) add(w *Warp) {
 			s.pending = append(s.pending, w)
 		}
 	}
-	if w.blockedMem || w.atBarrier {
-		s.longBlocked++ // impossible for fresh warps; defensive for tests
-	}
+	s.cert.until = 0
 	s.insertByAge(w)
 }
 
@@ -108,9 +141,7 @@ func (s *scheduler) remove(w *Warp) {
 	}
 	s.warps = drop(s.warps)
 	s.byAge = drop(s.byAge)
-	if w.blockedMem || w.atBarrier {
-		s.longBlocked--
-	}
+	s.cert.until = 0
 	if s.policy == PolicyTwoLevel {
 		was := len(s.active)
 		s.active = drop(s.active)
@@ -164,13 +195,14 @@ func ageLess(a1, a2, a3, b1, b2, b3 uint64) bool {
 	return a3 < b3
 }
 
-// pick selects the next warp to issue. ready reports whether a warp can
-// issue right now (operands, barrier, structural); it may be called several
-// times per warp per cycle. The returned reason explains the preferred
-// warp's stall when nothing was ready.
+// pick selects the next warp to issue at cycle now. ready reports whether a
+// warp can issue right now (operands, barrier, structural); it may be called
+// several times per warp per cycle. The returned reason explains the
+// preferred warp's stall when nothing was ready; a failed pick that mutated
+// nothing also leaves that verdict behind as the scheduler's stallCert.
 //
 //gpulint:hotpath
-func (s *scheduler) pick(ready func(w *Warp) (bool, skipReason)) (*Warp, skipReason) {
+func (s *scheduler) pick(now uint64, ready func(w *Warp) (bool, skipReason)) (*Warp, skipReason) {
 	if len(s.warps) == 0 {
 		return nil, skipNone
 	}
@@ -180,7 +212,7 @@ func (s *scheduler) pick(ready func(w *Warp) (bool, skipReason)) (*Warp, skipRea
 	case PolicyTwoLevel:
 		return s.pickTwoLevel(ready)
 	default:
-		return s.pickGreedyOldest(ready)
+		return s.pickGreedyOldest(now, ready)
 	}
 }
 
@@ -205,6 +237,7 @@ func (s *scheduler) pickTwoLevel(ready func(w *Warp) (bool, skipReason)) (*Warp,
 		}
 	}
 	firstReason := skipNone
+	c := stallCert{until: NeverEvent}
 	for k := 0; k < len(s.active); k++ {
 		w := s.active[(start+k)%len(s.active)]
 		ok, reason := ready(w)
@@ -212,6 +245,7 @@ func (s *scheduler) pickTwoLevel(ready func(w *Warp) (bool, skipReason)) (*Warp,
 			s.last = w
 			return w, skipNone
 		}
+		s.stalled(&c, w, reason)
 		if firstReason == skipNone {
 			firstReason = reason
 		}
@@ -235,8 +269,10 @@ func (s *scheduler) pickTwoLevel(ready func(w *Warp) (bool, skipReason)) (*Warp,
 			}
 			break // one swap per cycle
 		}
+		return nil, firstReason // the fetch groups changed: nothing to certify
 	}
-	return nil, firstReason
+	// Nothing pending: every warp is active and was just evaluated.
+	return s.certify(c, firstReason)
 }
 
 //gpulint:hotpath
@@ -252,6 +288,7 @@ func (s *scheduler) pickLRR(ready func(w *Warp) (bool, skipReason)) (*Warp, skip
 	}
 	n := len(s.warps)
 	firstReason := skipNone
+	c := stallCert{until: NeverEvent}
 	for k := 0; k < n; k++ {
 		w := s.warps[(start+k)%n]
 		// Parked warps cannot issue; derive their reason without the
@@ -261,7 +298,7 @@ func (s *scheduler) pickLRR(ready func(w *Warp) (bool, skipReason)) (*Warp, skip
 		switch {
 		case w.atBarrier:
 			reason = skipBarrier
-		case w.blockedMem:
+		case w.stallUntil == notReady:
 			reason = skipScoreboard
 		default:
 			ok, reason = ready(w)
@@ -270,50 +307,56 @@ func (s *scheduler) pickLRR(ready func(w *Warp) (bool, skipReason)) (*Warp, skip
 			s.last = w
 			return w, skipNone
 		}
+		s.stalled(&c, w, reason)
 		if firstReason == skipNone {
 			firstReason = reason
 		}
 	}
-	return nil, firstReason
+	return s.certify(c, firstReason)
 }
 
 // pickGreedyOldest implements GTO and BAWS: the last issuer goes first; if
 // it cannot issue, the oldest ready warp (by the policy's age key) wins and
-// becomes the new greedy warp. Warps parked on a memory result or a barrier
-// are skipped without evaluation: their readiness check is a guaranteed
-// no-op failure, and the cached oldest warp supplies stall attribution.
+// becomes the new greedy warp. Warps at a barrier or still inside a cached
+// scoreboard stall are skipped without evaluation: their readiness check is
+// a guaranteed no-op failure.
 //
 //gpulint:hotpath
-func (s *scheduler) pickGreedyOldest(ready func(w *Warp) (bool, skipReason)) (*Warp, skipReason) {
-	if s.last != nil && !s.last.blockedMem && !s.last.atBarrier {
-		if ok, _ := ready(s.last); ok {
-			return s.last, skipNone
+func (s *scheduler) pickGreedyOldest(now uint64, ready func(w *Warp) (bool, skipReason)) (*Warp, skipReason) {
+	if l := s.last; l != nil && !l.atBarrier && l.stallUntil <= now {
+		if ok, _ := ready(l); ok {
+			return l, skipNone
 		}
 	}
+	c := stallCert{until: NeverEvent}
 	for _, w := range s.byAge {
-		if w.blockedMem || w.atBarrier {
+		if w.atBarrier {
 			continue
 		}
-		if ok, _ := ready(w); ok {
+		if w.stallUntil > now {
+			c.until = min(c.until, w.stallUntil)
+			continue
+		}
+		ok, reason := ready(w)
+		if ok {
 			// byAge is oldest-first, so the first ready warp is the pick.
 			s.last = w
 			return w, skipNone
 		}
+		s.stalled(&c, w, reason)
 	}
-	return nil, s.oldestReason(ready)
+	return s.certify(c, s.oldestReason(ready))
 }
 
 // oldestReason attributes a no-issue cycle to the stall of the overall-
-// oldest warp — the one the greedy policies *want* to run.
+// oldest warp — the one the greedy policies *want* to run (pick has checked
+// that there is one).
 func (s *scheduler) oldestReason(ready func(w *Warp) (bool, skipReason)) skipReason {
-	w := s.oldestWarp()
-	if w == nil {
-		return skipNone
-	}
+	w := s.byAge[0]
 	switch {
 	case w.atBarrier:
 		return skipBarrier
-	case w.blockedMem:
+	case w.stallUntil == notReady:
 		return skipScoreboard
 	default:
 		_, reason := ready(w)

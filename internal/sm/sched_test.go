@@ -30,7 +30,7 @@ func TestLRRRotation(t *testing.T) {
 	}
 	var picks []uint64
 	for i := 0; i < 6; i++ {
-		w, _ := s.pick(allReady)
+		w, _ := s.pick(0, allReady)
 		picks = append(picks, w.seq)
 	}
 	want := []uint64{0, 1, 2, 0, 1, 2}
@@ -55,7 +55,7 @@ func TestLRRSkipsUnready(t *testing.T) {
 	}
 	seen := map[uint64]int{}
 	for i := 0; i < 4; i++ {
-		w, _ := s.pick(ready)
+		w, _ := s.pick(0, ready)
 		seen[w.seq]++
 	}
 	if seen[1] != 0 || seen[0] != 2 || seen[2] != 2 {
@@ -71,7 +71,7 @@ func TestGTOGreedyPersistence(t *testing.T) {
 	}
 	// First pick: oldest (seq 0). It stays greedy while ready.
 	for i := 0; i < 3; i++ {
-		w, _ := s.pick(allReady)
+		w, _ := s.pick(0, allReady)
 		if w.seq != 0 {
 			t.Fatalf("pick %d = warp %d, want greedy warp 0", i, w.seq)
 		}
@@ -83,11 +83,11 @@ func TestGTOGreedyPersistence(t *testing.T) {
 		}
 		return true, skipNone
 	}
-	w, _ := s.pick(ready)
+	w, _ := s.pick(0, ready)
 	if w.seq != 1 {
 		t.Fatalf("fallback pick = %d, want oldest ready 1", w.seq)
 	}
-	w, _ = s.pick(allReady)
+	w, _ = s.pick(0, allReady)
 	if w.seq != 1 {
 		t.Fatalf("greedy did not switch: pick = %d, want 1", w.seq)
 	}
@@ -98,7 +98,7 @@ func TestGTOStallAttributionUsesOldest(t *testing.T) {
 	for _, w := range mkWarps(2) {
 		s.add(w)
 	}
-	w, reason := s.pick(noneReady)
+	w, reason := s.pick(0, noneReady)
 	if w != nil || reason != skipScoreboard {
 		t.Fatalf("pick = (%v, %v), want (nil, scoreboard)", w, reason)
 	}
@@ -128,7 +128,7 @@ func TestBAWSInterleavesGangWarps(t *testing.T) {
 		return false, skipFinished
 	}
 	for len(remaining) > 0 {
-		w, _ := s.pick(ready)
+		w, _ := s.pick(0, ready)
 		order = append(order, w.seq)
 		delete(remaining, w.seq)
 		s.last = nil // disable greediness to observe pure age order
@@ -147,7 +147,7 @@ func TestBAWSOlderBlockFirst(t *testing.T) {
 	young := &Warp{seq: 1, cta: &CTA{BlockKey: 2, IndexInBlock: 0}, warpInCTA: 0}
 	s.add(young)
 	s.add(old)
-	w, _ := s.pick(allReady)
+	w, _ := s.pick(0, allReady)
 	if w != old {
 		t.Fatal("BAWS did not prioritize the older block")
 	}
@@ -159,7 +159,7 @@ func TestSchedulerRemove(t *testing.T) {
 	for _, w := range ws {
 		s.add(w)
 	}
-	s.pick(allReady) // last = ws[0]
+	s.pick(0, allReady) // last = ws[0]
 	s.remove(ws[0])
 	if len(s.warps) != 2 {
 		t.Fatalf("len = %d after remove", len(s.warps))
@@ -167,7 +167,7 @@ func TestSchedulerRemove(t *testing.T) {
 	if s.last != nil {
 		t.Fatal("remove did not clear last pointer")
 	}
-	w, _ := s.pick(allReady)
+	w, _ := s.pick(0, allReady)
 	if w == ws[0] {
 		t.Fatal("removed warp picked")
 	}
@@ -180,7 +180,7 @@ func TestSchedulerRemove(t *testing.T) {
 
 func TestEmptySchedulerPick(t *testing.T) {
 	s := &scheduler{policy: PolicyGTO}
-	if w, reason := s.pick(allReady); w != nil || reason != skipNone {
+	if w, reason := s.pick(0, allReady); w != nil || reason != skipNone {
 		t.Fatalf("empty pick = (%v,%v)", w, reason)
 	}
 }
@@ -218,7 +218,7 @@ func TestAgeLess(t *testing.T) {
 }
 
 func TestWarpStallCache(t *testing.T) {
-	w := &Warp{cta: &CTA{}}
+	w := &Warp{cta: &CTA{}, sched: &scheduler{}}
 	w.cur = isa.WarpInstr{Op: isa.OpFAlu, Dst: 2, Src: [3]isa.Reg{1}, Mask: isa.FullMask}
 	w.curValid = true
 	w.readyAt[1] = 100

@@ -71,6 +71,10 @@ type SM struct {
 	KernelIssued  []uint64
 	memLatencySum uint64
 	memLoadsDone  uint64
+	// issueWalks/issueServed count the scheduler-cycles pickOrReason resolved
+	// by walking the warps vs. by reading a stall certificate. Host-side
+	// accounting, kept out of Stats so it can never reach a Result.
+	issueWalks, issueServed uint64
 }
 
 // New builds SM id attached to the shared memory system. numKernels sizes
@@ -130,6 +134,10 @@ func (s *SM) SyncTo(t uint64) {
 // SyncedTo exposes the accrual frontier (tests).
 func (s *SM) SyncedTo() uint64 { return s.syncedTo }
 
+// IssueCounts returns how many scheduler-cycles were resolved by a warp walk
+// and how many were served from a stall certificate (gpu.EngineStats).
+func (s *SM) IssueCounts() (walks, served uint64) { return s.issueWalks, s.issueServed }
+
 // Draining returns the number of resident CTAs currently draining.
 func (s *SM) Draining() int { return s.draining }
 
@@ -170,6 +178,7 @@ func (s *SM) SetWarpPolicy(p Policy) {
 		// Age keys are policy-dependent (GTO ages by arrival, BAWS by
 		// block); refresh the cached oldest warp.
 		sched.rebuildAge()
+		sched.cert.until = 0
 	}
 }
 
@@ -391,6 +400,9 @@ func (s *SM) DrainCTA(cta *CTA) bool {
 	}
 	cta.state = CTADraining
 	s.draining++
+	for i := range s.schedulers {
+		s.schedulers[i].cert.until = 0 // the CTA's warps stop issuing everywhere
+	}
 	return true
 }
 
@@ -463,26 +475,30 @@ func (s *SM) issueOne(sched *scheduler, now uint64) {
 // pickOrReason resolves one scheduler slot's verdict for one cycle: the
 // issuing warp, or nil plus the stall attribution. It is the single verdict
 // path shared by Tick and FastForward, so skipped cycles accrue exactly the
-// counters executed cycles would.
-//
-// Fast path for the greedy policies: when every warp is parked on a memory
-// result or a barrier — the dominant state of memory-bound phases — pick
-// would fail without side effects, attributing the stall to the oldest
-// warp. Reproduce that verdict from the transition-maintained counter
-// instead of scanning. (LRR and two-level attribute to rotation order /
-// mutate fetch groups, so they keep the scan.)
+// counters executed cycles would. While the slot's stall
+// certificate holds — the common case: most scheduler-cycles are failed
+// picks repeating the cycle before — the verdict is read, not recomputed.
 //
 //gpulint:hotpath
 func (s *SM) pickOrReason(sched *scheduler, now uint64) (*Warp, skipReason) {
-	if sched.longBlocked == len(sched.warps) &&
-		sched.policy != PolicyLRR && sched.policy != PolicyTwoLevel {
-		if sched.oldestWarp().atBarrier {
-			return nil, skipBarrier
-		}
-		return nil, skipScoreboard
+	if s.certified(sched, now) {
+		s.issueServed++
+		return nil, sched.cert.reason
 	}
+	s.issueWalks++
 	ready := func(w *Warp) (bool, skipReason) { return s.canIssue(sched, w, now) }
-	return sched.pick(ready)
+	sched.cert.until = 0 // a certificate only ever describes the latest pick
+	w, reason := sched.pick(now, ready)
+	sched.cert.ldstGen = s.ldst.freeGen
+	return w, reason
+}
+
+// certified reports whether sched's stall certificate holds at cycle now.
+//
+//gpulint:hotpath
+func (s *SM) certified(sched *scheduler, now uint64) bool {
+	c := &sched.cert
+	return now < c.until && (!c.waitsOnLDST || c.ldstGen == s.ldst.freeGen)
 }
 
 // canIssue evaluates every issue condition for w's current instruction.
@@ -501,13 +517,6 @@ func (s *SM) canIssue(sched *scheduler, w *Warp, now uint64) (bool, skipReason) 
 		return false, skipFinished
 	}
 	if !w.operandsReady(now) {
-		// A stall pinned on a pending load parks the warp: only the load's
-		// return (clearStall) can wake it, so track it in the scheduler's
-		// long-blocked count rather than re-evaluating it every cycle.
-		if w.stallUntil == notReady && !w.blockedMem {
-			w.blockedMem = true
-			sched.longBlocked++
-		}
 		return false, skipScoreboard
 	}
 	wi := &w.cur
@@ -565,7 +574,6 @@ func (s *SM) execute(sched *scheduler, w *Warp, now uint64) {
 
 func (s *SM) arriveBarrier(w *Warp) {
 	w.atBarrier = true
-	w.sched.longBlocked++
 	cta := w.cta
 	cta.barCount++
 	if cta.barCount >= cta.liveWarps {
@@ -573,14 +581,14 @@ func (s *SM) arriveBarrier(w *Warp) {
 	}
 }
 
-// releaseBarrier frees every warp of cta waiting at the barrier, keeping
-// the per-scheduler long-blocked counts in step (the CTA's warps are spread
-// across schedulers).
+// releaseBarrier frees every warp of cta waiting at the barrier and clears
+// their schedulers' stall certificates (the CTA's warps are spread across
+// schedulers).
 func releaseBarrier(cta *CTA) {
 	for _, x := range cta.warps {
 		if x.atBarrier {
 			x.atBarrier = false
-			x.sched.longBlocked--
+			x.sched.cert.until = 0
 		}
 	}
 	cta.barCount = 0
@@ -636,10 +644,8 @@ const NeverEvent = ^uint64(0)
 // progress on its own: a ripe LDST event, a scoreboard stall expiring, or
 // an SFU pipe freeing. The bound is conservative — waking early is safe
 // (Tick runs and finds nothing), waking late would skip cycles where state
-// changes, which the bit-identical gate forbids. The probe may evaluate
-// canIssue, whose side effects (fetch, stallUntil caching, blockedMem
-// parking) are exactly what the next real pick would compute, so the
-// machine remains deterministic whether or not a probe ran.
+// changes, which the bit-identical gate forbids. It reads the schedulers'
+// stall certificates and evaluates no warp.
 func (s *SM) NextEvent(now uint64) uint64 {
 	if s.Idle() {
 		return NeverEvent
@@ -660,56 +666,13 @@ func (s *SM) NextEvent(now uint64) uint64 {
 		if len(sched.warps) == 0 {
 			continue
 		}
-		if ev := s.schedulerNextEvent(sched, now); ev < next {
-			next = ev
-		}
-		if next <= now {
+		// A slot that failed its last pick holds a certificate, whose bound is
+		// the answer; one that issued, or whose certificate lapsed (two-level
+		// demoting fetch groups never writes one), might act right now.
+		if !s.certified(sched, now) {
 			return now
 		}
-	}
-	return next
-}
-
-// schedulerNextEvent bounds when sched might issue or mutate state,
-// assuming no instruction issues and no memory response arrives before the
-// returned cycle (the GPU only skips when every component agrees).
-func (s *SM) schedulerNextEvent(sched *scheduler, now uint64) uint64 {
-	if sched.policy == PolicyTwoLevel && len(sched.pending) > 0 {
-		// pickTwoLevel demotes/promotes fetch groups on no-issue cycles —
-		// a state mutation — so these cycles can never be skipped.
-		return now
-	}
-	if sched.longBlocked == len(sched.warps) {
-		// Every warp parked on a memory result or barrier: only a response
-		// can wake the slot.
-		return NeverEvent
-	}
-	next := uint64(NeverEvent)
-	for _, w := range sched.warps {
-		if w.blockedMem || w.atBarrier {
-			continue
-		}
-		ok, reason := s.canIssue(sched, w, now)
-		if ok {
-			return now
-		}
-		switch reason {
-		case skipScoreboard:
-			// operandsReady cached the wake cycle; notReady means the probe
-			// just parked the warp on a pending load.
-			if w.stallUntil != notReady && w.stallUntil < next {
-				next = w.stallUntil
-			}
-		case skipStructural:
-			if w.cur.Op == isa.OpSfu {
-				if sched.sfuFreeAt < next {
-					next = sched.sfuFreeAt
-				}
-			}
-			// LDST back-pressure frees via the unit's own queue progress
-			// (ldst.nextEvent) or a memory response (the system's bound);
-			// no time-driven wake originates here.
-		}
+		next = min(next, sched.cert.until)
 	}
 	return next
 }
@@ -741,6 +704,7 @@ func (s *SM) FastForward(from, to uint64) {
 			//gpulint:allow hotalloc unreachable-by-contract panic path; formatting cost is irrelevant when the simulator is already broken
 			panic(fmt.Sprintf("sm %d: fast-forward across an issuable cycle at %d", s.id, from))
 		}
+		s.issueServed += k - 1 // one verdict stands for the whole window
 		s.Stats.IssueStallCycles += k
 		switch reason {
 		case skipScoreboard:

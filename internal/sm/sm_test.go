@@ -16,6 +16,8 @@ type rig struct {
 	sys  *mem.System
 	now  uint64
 	done []*CTA
+	// beforeStep, when set, runs at the top of every step (cert_test.go).
+	beforeStep func(*rig)
 }
 
 func newRig(t *testing.T, mutate func(*Config)) *rig {
@@ -33,6 +35,9 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 }
 
 func (r *rig) step() {
+	if r.beforeStep != nil {
+		r.beforeStep(r)
+	}
 	r.sm.Tick(r.now)
 	r.sys.Tick(r.now)
 	r.now++

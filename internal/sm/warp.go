@@ -19,8 +19,7 @@ type Warp struct {
 	warpInCTA int
 
 	// sched is the owning issue slot, so state transitions (load return,
-	// barrier arrival/release) can maintain its blocked-warp accounting
-	// without a scan.
+	// barrier release) can clear its stall certificate.
 	sched *scheduler
 
 	prog     isa.Program
@@ -29,31 +28,23 @@ type Warp struct {
 
 	finished  bool
 	atBarrier bool
-	// blockedMem marks a warp whose scoreboard stall is a pending memory
-	// result (stallUntil == notReady): it cannot issue until a response
-	// arrives, never merely by time passing. Together with atBarrier it
-	// feeds scheduler.longBlocked, the transition-maintained count that
-	// lets pick and the fast-forward probe skip scanning parked warps.
-	blockedMem bool
 
 	// readyAt[r] is the cycle register r's pending write completes;
 	// 0 means no write pending. Register 0 is hardwired ready.
 	readyAt [isa.MaxRegs]uint64
 	// stallUntil caches the cycle the current instruction's operands all
 	// become ready, so schedulers skip scoreboard-stalled warps with one
-	// compare. A pending load contributes notReady; the LDST unit clears
-	// the cache when the load returns.
+	// compare. A pending load contributes notReady — the warp then cannot
+	// issue until a response arrives, never merely by time passing; the LDST
+	// unit clears the cache when the load returns.
 	stallUntil uint64
 }
 
 // clearStall invalidates the scoreboard fast-path (called on load return)
-// and moves the warp out of its scheduler's long-blocked set.
+// and, with it, the scheduler's stall certificate.
 func (w *Warp) clearStall() {
 	w.stallUntil = 0
-	if w.blockedMem {
-		w.blockedMem = false
-		w.sched.longBlocked--
-	}
+	w.sched.cert.until = 0
 }
 
 // fetch ensures cur holds the next unissued instruction. Returns false when
