@@ -51,8 +51,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		addr         = fs.String("addr", ":8080", "listen address")
 		workers      = fs.Int("workers", 0, "job runner goroutines (0 = GOMAXPROCS)")
 		simWorkers   = fs.Int("sim-workers", 0, "concurrent simulator executions (0 = GOMAXPROCS)")
-		tickGranule  = fs.Uint64("tick-granule", 0, "min proven-quiet cycles before an SM is parked out of the tick loop (0 = built-in default; never changes results)")
-		batchWindow  = fs.Uint64("batch-window", 0, "max memory-system cycles batched into one call when every SM provably sleeps (0 = built-in default, 1 = off; never changes results)")
 		queue        = fs.Int("queue", 64, "admission queue depth (full queue = HTTP 429)")
 		cacheDir     = fs.String("cache", "results/.simcache", "on-disk result cache directory ('off' = disabled)")
 		cacheEntries = fs.Int("cache-entries", 0, "on-disk cache entry budget; oldest-mtime entries are evicted on store (0 = unbounded)")
@@ -73,8 +71,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	opt := sim.Options{
-		Workers: *simWorkers, TickGranule: *tickGranule, BatchWindow: *batchWindow,
-		MaxFlights: *maxFlights, CacheEntries: *cacheEntries, CacheBytes: *cacheBytes,
+		Workers: *simWorkers, MaxFlights: *maxFlights,
+		CacheEntries: *cacheEntries, CacheBytes: *cacheBytes,
 	}
 	if *cacheDir != "" && *cacheDir != "off" {
 		opt.CacheDir = *cacheDir

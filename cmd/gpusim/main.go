@@ -30,8 +30,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warpStr  = fs.String("warp", "gto", "warp scheduler: lrr | gto | baws")
 		sizeStr  = fs.String("size", "small", "problem size: tiny | small | full")
 		cores    = fs.Int("cores", 15, "SM count")
-		window   = fs.Uint64("batch-window", 0, "max memory-system cycles batched into one call when every SM provably sleeps (0 = built-in default, 1 = off; never changes results)")
-		engStats = fs.Bool("engine-stats", false, "also print how the cycle loop executed the run: cycles ticked / fast-forwarded / batched, dispatcher polls made and skipped, warp-scheduler walks vs certificate reads")
+		engStats = fs.Bool("engine-stats", false, "also print how the cycle loop executed the run: cycles ticked, and cycles the all-parked advance step jumped (fast-forwarded) or covered with memory-only ticks (batched); dispatcher polls made and skipped; warp-scheduler walks vs certificate reads")
 		list     = fs.Bool("list", false, "list workloads and exit")
 		traceOut = fs.String("trace", "", "write a per-epoch timeline CSV to this file")
 		epoch    = fs.Uint64("epoch", 1024, "trace sampling period in cycles")
@@ -64,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg := gpusched.DefaultConfig()
 	cfg.Cores = *cores
-	cfg.BatchWindow = *window
 	cfg.WarpPolicy, err = gpusched.ParseWarpPolicy(*warpStr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)

@@ -2,6 +2,7 @@ package gpusched_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gpusched"
@@ -10,7 +11,9 @@ import (
 // FuzzKernel is the fuzzer-driven form of the completion property below:
 // whatever shape the fuzzer picks, the generated kernel must finish under
 // the selected scheduler/warp-policy pair with the exact instruction count
-// the generator produced. Run with go test -fuzz=FuzzKernel.
+// the generator produced, and with the same Result as the reference loop
+// (the oracle for parking and the advance step). Run with
+// go test -fuzz=FuzzKernel.
 func FuzzKernel(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(10), uint8(1), int64(1), uint8(0), uint8(1))
 	f.Add(uint8(12), uint8(4), uint8(24), uint8(2), int64(42), uint8(3), uint8(2))
@@ -88,13 +91,28 @@ func FuzzKernel(f *testing.F) {
 			t.Fatalf("%s/%s: issued %d, want %d (ctas=%d warps=%d instr=%d)",
 				sched.Name(), cfg.WarpPolicy, res.InstrIssued, want, ctas, warps, nInstr)
 		}
+		matchReference(t, cfg, sched, k, res)
 	})
+}
+
+// matchReference reruns k on the reference cycle loop and fails unless it
+// commits the same Result as the default loop did.
+func matchReference(t *testing.T, cfg gpusched.Config, sched gpusched.Scheduler, k gpusched.Kernel, res gpusched.Result) {
+	t.Helper()
+	ref, err := gpusched.RunReference(cfg, sched, k)
+	if err != nil {
+		t.Fatalf("%s/%s reference: %v", sched.Name(), cfg.WarpPolicy, err)
+	}
+	if !reflect.DeepEqual(res, ref) {
+		t.Fatalf("%s/%s: diverged from the reference loop:\n%+v\nvs\n%+v", sched.Name(), cfg.WarpPolicy, res, ref)
+	}
 }
 
 // TestRandomKernelsCompleteExactly is an end-to-end fuzz property: randomly
 // generated kernels — arbitrary mixes of ALU/SFU/memory/barrier work,
 // divergent gathers included — must complete under every scheduler with the
-// exact instruction count the generator produced.
+// exact instruction count the generator produced, and with the reference
+// loop's Result.
 func TestRandomKernelsCompleteExactly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many randomized simulations")
@@ -175,5 +193,6 @@ func TestRandomKernelsCompleteExactly(t *testing.T) {
 			t.Fatalf("trial %d (%s/%s): issued %d, want %d",
 				trial, sched.Name(), cfg.WarpPolicy, res.InstrIssued, want)
 		}
+		matchReference(t, cfg, sched, k, res)
 	}
 }

@@ -118,16 +118,6 @@ type Config struct {
 	WarpPolicy WarpPolicy
 	// MaxCycles bounds the simulation (0 = the 20M-cycle default).
 	MaxCycles uint64
-	// Granule is the activity-set parking threshold in cycles: an SM leaves
-	// the per-cycle tick only when it can prove at least this many quiet
-	// cycles ahead (0 = the built-in default). It is an execution knob
-	// only: results are byte-identical for every granule, so it never needs
-	// to appear in result caches or comparisons.
-	Granule uint64
-	// BatchWindow caps the quiet-window cycle batch in cycles (0 = the
-	// built-in default, 1 = batching off). Execution knob only, like
-	// Granule: results are byte-identical for every window.
-	BatchWindow uint64
 
 	// Advanced knobs. Nil fields keep Fermi-class defaults.
 	SM  *SMConfig
@@ -169,8 +159,6 @@ func (c Config) build() gpu.Config {
 	if c.MaxCycles > 0 {
 		g.MaxCycles = c.MaxCycles
 	}
-	g.Granule = c.Granule
-	g.BatchWindow = c.BatchWindow
 	return g
 }
 
@@ -302,21 +290,17 @@ func RunContext(ctx context.Context, cfg Config, sched Scheduler, kernels ...Ker
 }
 
 // EngineStats re-exports the cycle loop's execution accounting: how many
-// simulated cycles were ticked, fast-forwarded and batched, how often the
-// dispatcher was polled or provably skipped, and how many warp-scheduler
-// verdicts took a walk or a stall-certificate read. It describes the host-side execution, not the
-// simulated machine — it moves with the execution knobs while Result does
-// not — so it is reported beside Result, never inside it.
+// simulated cycles were ticked, and how many the all-parked advance step
+// jumped over or covered with memory-only ticks; how often the dispatcher was
+// polled or provably skipped; and how many warp-scheduler verdicts took a walk
+// or a stall-certificate read. It describes the host-side execution, not the
+// simulated machine — the reference loop reports different numbers for the
+// same Result — so it is reported beside Result, never inside it.
 type EngineStats = gpu.EngineStats
 
 // RunEngineStats is RunContext plus the run's EngineStats.
 func RunEngineStats(ctx context.Context, cfg Config, sched Scheduler, kernels ...Kernel) (Result, EngineStats, error) {
-	specs := make([]*kernel.Spec, len(kernels))
-	for i, k := range kernels {
-		specs[i] = k.spec
-	}
-	d := sched.spec.NewDispatcher()
-	g, err := gpu.New(cfg.build(), d, specs...)
+	g, d, err := newGPU(cfg.build(), sched, kernels)
 	if err != nil {
 		return Result{}, EngineStats{}, err
 	}
@@ -325,6 +309,18 @@ func RunEngineStats(ctx context.Context, cfg Config, sched Scheduler, kernels ..
 		return Result{}, EngineStats{}, err
 	}
 	return resultFrom(raw, sched, d), g.EngineStats(), nil
+}
+
+// newGPU builds the simulated device for kernels (in launch order) under a
+// fresh dispatcher of sched.
+func newGPU(cfg gpu.Config, sched Scheduler, kernels []Kernel) (*gpu.GPU, core.Dispatcher, error) {
+	specs := make([]*kernel.Spec, len(kernels))
+	for i, k := range kernels {
+		specs[i] = k.spec
+	}
+	d := sched.spec.NewDispatcher()
+	g, err := gpu.New(cfg, d, specs...)
+	return g, d, err
 }
 
 // resultFrom converts the internal result record to the public one.
@@ -382,12 +378,7 @@ type TraceSample = trace.Sample
 // Timelines make scheduling behaviour visible over time — the LCS throttle
 // point, BCS gang waves, mixed-CKE phase changes.
 func RunTraced(cfg Config, sched Scheduler, epoch uint64, kernels ...Kernel) (Result, *Timeline, error) {
-	specs := make([]*kernel.Spec, len(kernels))
-	for i, k := range kernels {
-		specs[i] = k.spec
-	}
-	d := sched.spec.NewDispatcher()
-	g, err := gpu.New(cfg.build(), d, specs...)
+	g, d, err := newGPU(cfg.build(), sched, kernels)
 	if err != nil {
 		return Result{}, nil, err
 	}

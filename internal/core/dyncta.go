@@ -114,7 +114,7 @@ func (d *DynCTA) epoch() uint64 {
 // adjust runs one controller step for core i. It reads the lazily-accrued
 // IssueStallCycles counter: safe because the GPU loop settles every parked
 // core (syncAllTo) before a cycle in which NextDispatchEvent says the
-// controller is due — see the sleepOK branch in RunContext.
+// controller is due — see the due-dispatcher sync in RunContext.
 //
 //gpulint:synced RunContext syncs all cores before any due dispatcher tick
 func (d *DynCTA) adjust(i int, c *sm.SM, now uint64) {

@@ -80,10 +80,10 @@ func (l *evictLogger) OnCTAEvicted(m core.Machine, coreID int, cta *sm.CTA) {
 }
 
 // TestPreemptiveDeterminism proves the preemption path holds the simulator's
-// core invariant: results and the full eviction log are identical across
-// parking granules (which change the order SMs are visited in) and with
-// fast-forward on or off, and the log is ordered by (eviction cycle, core
-// index) — the requeue FIFO key.
+// core invariant: results and the full eviction log are identical with
+// fast-forward on or off (parking and the advance step change which SMs the
+// loop visits and which cycles it ticks), and the log is ordered by
+// (eviction cycle, core index) — the requeue FIFO key.
 func TestPreemptiveDeterminism(t *testing.T) {
 	batch := uniformKernel("batch", 64, 4, 300, 32)
 	prio := uniformKernel("prio", 6, 4, 80, 32)
@@ -95,44 +95,41 @@ func TestPreemptiveDeterminism(t *testing.T) {
 	}
 	var ref *outcome
 	var refName string
-	for _, granule := range []uint64{0, 1, 16} {
-		for _, noFF := range []bool{false, true} {
-			name := fmt.Sprintf("granule=%d ff=%v", granule, !noFF)
-			d := &evictLogger{Preemptive: core.NewPreemptive(1, 0)}
-			cfg := gpu.DefaultConfig()
-			cfg.NumCores = 4
-			cfg.MaxCycles = 5_000_000
-			cfg.Core.WarpPolicy = sm.PolicyGTO
-			cfg.Granule = granule
-			cfg.DisableFastForward = noFF
-			g, err := gpu.New(cfg, d, batch, prio)
-			if err != nil {
-				t.Fatal(err)
+	for _, noFF := range []bool{false, true} {
+		name := fmt.Sprintf("ff=%v", !noFF)
+		d := &evictLogger{Preemptive: core.NewPreemptive(1, 0)}
+		cfg := gpu.DefaultConfig()
+		cfg.NumCores = 4
+		cfg.MaxCycles = 5_000_000
+		cfg.Core.WarpPolicy = sm.PolicyGTO
+		cfg.DisableFastForward = noFF
+		g, err := gpu.New(cfg, d, batch, prio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := g.Run()
+		if r.TimedOut {
+			t.Fatalf("%s timed out", name)
+		}
+		got := &outcome{result: r, log: d.log}
+		if len(got.log) == 0 {
+			t.Fatalf("%s: no evictions logged", name)
+		}
+		for i := 1; i < len(got.log); i++ {
+			a, b := got.log[i-1], got.log[i]
+			if b.Cycle < a.Cycle || (b.Cycle == a.Cycle && b.CoreID < a.CoreID) {
+				t.Fatalf("%s: eviction log out of (cycle, core) order at %d: %+v then %+v", name, i, a, b)
 			}
-			r := g.Run()
-			if r.TimedOut {
-				t.Fatalf("%s timed out", name)
-			}
-			got := &outcome{result: r, log: d.log}
-			if len(got.log) == 0 {
-				t.Fatalf("%s: no evictions logged", name)
-			}
-			for i := 1; i < len(got.log); i++ {
-				a, b := got.log[i-1], got.log[i]
-				if b.Cycle < a.Cycle || (b.Cycle == a.Cycle && b.CoreID < a.CoreID) {
-					t.Fatalf("%s: eviction log out of (cycle, core) order at %d: %+v then %+v", name, i, a, b)
-				}
-			}
-			if ref == nil {
-				ref, refName = got, name
-				continue
-			}
-			if !reflect.DeepEqual(got.result, ref.result) {
-				t.Errorf("result diverged: %s vs %s", name, refName)
-			}
-			if !reflect.DeepEqual(got.log, ref.log) {
-				t.Errorf("eviction log diverged: %s vs %s\n%v\nvs\n%v", name, refName, got.log, ref.log)
-			}
+		}
+		if ref == nil {
+			ref, refName = got, name
+			continue
+		}
+		if !reflect.DeepEqual(got.result, ref.result) {
+			t.Errorf("result diverged: %s vs %s", name, refName)
+		}
+		if !reflect.DeepEqual(got.log, ref.log) {
+			t.Errorf("eviction log diverged: %s vs %s\n%v\nvs\n%v", name, refName, got.log, ref.log)
 		}
 	}
 }

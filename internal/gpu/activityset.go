@@ -62,8 +62,8 @@ func (a *activitySet) wake(i int, at uint64) {
 }
 
 // horizon returns the earliest pending wake — the sleepers' contribution to
-// the global fast-forward horizon. neverWake means every sleeping item waits
-// on an external event.
+// the advance target. neverWake means every sleeping item waits on an
+// external event.
 func (a *activitySet) horizon() uint64 {
 	h := neverWake
 	for _, at := range a.wakeAt {
@@ -72,12 +72,6 @@ func (a *activitySet) horizon() uint64 {
 		}
 	}
 	return h
-}
-
-// idle reports whether a tick at cycle now would visit nothing: no item is
-// active and no sleeper's wake cycle has arrived.
-func (a *activitySet) idle(now uint64) bool {
-	return a.asleep == len(a.wakeAt) && a.horizon() > now
 }
 
 // sleeping returns how many items are currently parked.

@@ -40,13 +40,8 @@ func TestActivitySetNeverDoubleTicksOrSkips(t *testing.T) {
 			visited[i] = 0
 		}
 		runnable := make([]bool, n)
-		anyRunnable := false
 		for i := 0; i < n; i++ {
 			runnable[i] = !parked[i] || wake[i] <= now
-			anyRunnable = anyRunnable || runnable[i]
-		}
-		if got := a.idle(now); got == anyRunnable {
-			t.Fatalf("cycle=%d: idle() = %v with runnable items = %v", now, got, anyRunnable)
 		}
 		last := -1
 		a.tick(now, func(i int) uint64 {
@@ -146,33 +141,5 @@ func TestActivitySetWakeSemantics(t *testing.T) {
 	b.tick(11, func(int) uint64 { visits++; return neverWake })
 	if visits != 2 {
 		t.Fatalf("re-sleep to the same cycle: %d visits, want 2", visits)
-	}
-}
-
-// TestActivitySetIdle checks the quiet-window precondition: the set is idle
-// exactly when nothing is active and no sleeper's wake cycle has arrived.
-func TestActivitySetIdle(t *testing.T) {
-	a := newActivitySet(6)
-	if a.idle(0) {
-		t.Fatal("idle(0) with every item active")
-	}
-	// Park everything: 0,1 until cycle 5; 2,3 until cycle 9; 4,5 forever.
-	a.tick(0, func(i int) uint64 {
-		switch {
-		case i < 2:
-			return 5
-		case i < 4:
-			return 9
-		default:
-			return neverWake
-		}
-	})
-	for _, tc := range []struct {
-		now  uint64
-		want bool
-	}{{1, true}, {4, true}, {5, false}, {9, false}} {
-		if got := a.idle(tc.now); got != tc.want {
-			t.Fatalf("idle(%d) = %v, want %v", tc.now, got, tc.want)
-		}
 	}
 }

@@ -31,70 +31,11 @@ type Config struct {
 	// way — the flag exists so tests can prove exactly that, and so
 	// suspected fast-forward bugs can be bisected against the reference.
 	DisableFastForward bool
-	// Granule is the minimum provably-quiet window, in cycles, an SM must
-	// have ahead of it before it is parked in the activity set
-	// (0 means DefaultGranule). A parked SM is skipped without being
-	// visited until its wake cycle; the skipped cycles' ActiveCycles and
-	// stall counters are replayed in one FastForward when it next runs.
-	// Execution-only: parking is semantically inert, so results are
-	// byte-identical for every granule (the golden determinism tests sweep
-	// it) and it never enters a cache key.
-	Granule uint64
-	// BatchWindow caps the quiet-window cycle batch, in cycles: when no SM
-	// can run or receive a response for the next k cycles, the loop runs k
-	// memory-system ticks in one call instead of k loop iterations. The
-	// effective window is additionally bounded by the crossbar latency (a
-	// response delivered inside the window cannot become poppable before the
-	// window ends, so no SM interaction is ever skipped). 0 means
-	// DefaultBatchWindow; 1 disables batching. Execution-only: results are
-	// byte-identical for every value (the golden determinism tests sweep it),
-	// so it never enters a cache key.
-	BatchWindow uint64
 }
 
 // DefaultMaxCycles is the runaway-simulation cap applied when
 // Config.MaxCycles is zero — the single definition every layer shares.
 const DefaultMaxCycles uint64 = 20_000_000
-
-// DefaultGranule is the parking threshold applied when Config.Granule is
-// zero: an SM leaves the activity set only when it can prove at least this
-// many quiet cycles ahead. Small enough that short stalls still park, large
-// enough that an SM bouncing on 1–2 cycle hazards stays active instead of
-// parking and waking every other cycle.
-const DefaultGranule uint64 = 4
-
-// resolveGranule maps Config.Granule to the effective parking threshold.
-func (c *Config) resolveGranule() uint64 {
-	if c.Granule == 0 {
-		return DefaultGranule
-	}
-	return c.Granule
-}
-
-// DefaultBatchWindow is the quiet-window batch cap applied when
-// Config.BatchWindow is zero. It only bounds the merge buffers: the
-// effective window is almost always the crossbar latency (the SM↔memsys
-// interaction bound), which is far below it.
-const DefaultBatchWindow uint64 = 64
-
-// resolveBatchWindow maps Config.BatchWindow to the effective batch cap:
-// the configured (or default) cap, never more than the crossbar latency —
-// a response delivered at cycle c becomes poppable at c+XbarLatency, so a
-// window bounded by the latency provably contains no SM-visible event.
-func (c *Config) resolveBatchWindow() uint64 {
-	w := c.BatchWindow
-	if w == 0 {
-		w = DefaultBatchWindow
-	}
-	lat := c.Mem.XbarLatency
-	if lat < 1 {
-		lat = 1
-	}
-	if w > lat {
-		w = lat
-	}
-	return w
-}
 
 // DefaultConfig returns the Fermi-class (GTX480 ballpark) GPU used by the
 // paper-reproduction experiments: 15 SMs, 2 schedulers each, 6 memory
@@ -142,21 +83,22 @@ type Result struct {
 // EngineStats counts how the cycle loop spent a run: which mechanism covered
 // each simulated cycle, and how often the loop paid for a dispatcher poll —
 // pure host overhead whenever the dispatcher cannot act. It describes the
-// execution, not the simulated machine: the numbers move with Granule,
-// BatchWindow and DisableFastForward while Result does not, so it is never
-// part of Result and never enters a cache key.
+// execution, not the simulated machine: the numbers move with
+// DisableFastForward while Result does not, so it is never part of Result
+// and never enters a cache key.
 type EngineStats struct {
 	// CyclesTicked counts cycles that ran the full loop body (the SM ticks,
-	// the commits, the memory tick). CyclesFastForwarded counts cycles the event
-	// horizon jumped over, CyclesBatched cycles covered by a quiet-window
-	// memory batch. The three sum to Result.Cycles.
+	// the commits, the memory tick). The other two split the cycles the
+	// advance step covered while every SM was parked: CyclesFastForwarded
+	// those it jumped over outright, CyclesBatched those in which it ticked
+	// the memory system alone. The three sum to Result.Cycles.
 	CyclesTicked        uint64
 	CyclesFastForwarded uint64
 	CyclesBatched       uint64
 	// DispatcherTicks counts dispatcher.Tick calls; DispatcherSkips counts
-	// loop iterations where the quiescence certificate proved Tick a no-op
-	// and it was not called. One of the two advances per loop iteration (a
-	// ticked cycle or the first cycle of a batched window).
+	// ticked cycles where the quiescence certificate proved Tick a no-op and
+	// it was not called. Exactly one of the two advances per ticked cycle; the
+	// advance step polls the dispatcher on none of the cycles it covers.
 	DispatcherTicks uint64
 	DispatcherSkips uint64
 	// IssueWalks counts scheduler-cycles (one warp scheduler with resident
@@ -183,8 +125,8 @@ type GPU struct {
 	epochFn    func(now uint64)
 	epochEvery uint64
 	// ctaEvent records that a CTA retired during the current cycle; with
-	// the placement and issue counters it decides whether the cycle was
-	// idle and the loop may consult the event horizon.
+	// the placement counter it decides whether the cycle left the dispatcher
+	// quiet, so the loop may advance past an all-parked stretch.
 	ctaEvent bool
 	// arrived is how many launch-table kernels have reached their Arrival
 	// cycle; Kernels() exposes exactly that prefix to dispatchers.
@@ -196,13 +138,6 @@ type GPU struct {
 	// dispatcher, observer and kernel bookkeeping never see a half-ticked
 	// machine, and wakeCore is never called from inside an SM's tick.
 	retired, evicted []coreCTA
-	// ffNextTry/ffBackoff throttle horizon probes. Probing costs real work
-	// (every scheduler and memory queue is consulted), so an attempt that
-	// finds nothing to skip doubles the wait before the next attempt; a
-	// productive skip resets it. Busy phases therefore pay a bounded,
-	// vanishing probe overhead while stall phases skip at full fidelity.
-	ffNextTry uint64
-	ffBackoff uint64
 	// activity tracks which SMs have ready work this cycle (built by
 	// RunContext, nil before). Sleeping SMs are not ticked at all; wakeCore
 	// is the only way back in.
@@ -346,7 +281,7 @@ func (g *GPU) Kernels() []*core.KernelState { return g.kernels[:g.arrived] }
 
 // admitArrivals moves newly arrived kernels into the dispatchers' view of
 // the launch table. An admission changes dispatch state, so the cycle is
-// marked non-idle (fast-forward additionally clamps its horizon to the next
+// marked non-idle (advance additionally clamps its target to the next
 // pending arrival, so no admission cycle is ever skipped).
 func (g *GPU) admitArrivals() {
 	for g.arrived < len(g.kernels) && g.kernels[g.arrived].Spec.Arrival <= g.now {
@@ -430,7 +365,7 @@ func (g *GPU) commitPreemptions() {
 		c, cta := g.evicted[i].core, g.evicted[i].cta
 		g.evicted[i].cta = nil
 		// An eviction changes dispatch state (capacity freed, requeue grown),
-		// so the cycle is never idle for fast-forward purposes.
+		// so the cycle is never idle for advance purposes.
 		g.ctaEvent = true
 		ks := g.kernels[cta.KernelIdx]
 		ks.Requeue(cta.ID)
@@ -470,36 +405,31 @@ const ctxCheckInterval = 4096
 // DisableFastForward selects.
 //
 // Which SMs have ready work is tracked by an activity set: after ticking, an
-// SM that issued nothing and can prove at least Granule quiet cycles ahead
-// parks and is skipped — not visited at all — until its wake cycle arrives or
-// an external event (CTA placement, drain request, memory response) lowers
-// its bound through wakeCore. The skipped cycles'
-// ActiveCycles and stall counters accrue lazily: each SM carries a
-// synced-through watermark and replays the gap in one FastForward the next
-// time it runs (or when a reader forces syncAllTo). Parking is semantically
-// inert — the park/wake decisions are pure per-SM functions — so results are
-// byte-identical for every granule; the golden determinism tests sweep it.
+// SM whose NextEvent bound (and its response FIFO's) lies beyond the next
+// cycle parks and is skipped — not visited at all — until its wake cycle
+// arrives or an external event (CTA placement, drain request, memory
+// response) lowers its bound through wakeCore. An SM that issued holds no
+// stall certificate, so its bound is the next cycle and it stays active. The
+// skipped cycles' ActiveCycles and stall counters accrue lazily: each SM
+// carries a synced-through watermark and replays the gap in one FastForward
+// the next time it runs (or when a reader forces syncAllTo).
 //
-// The loop runs cycle-by-cycle while anything happens. After a cycle in
-// which no CTA was placed or retired and no instruction issued, it asks
-// every component for its event horizon — the earliest future cycle at
-// which it can act — and jumps straight there. Sleeping SMs contribute
-// their wake bounds through the activity set's table minimum instead of
-// being probed individually, so the probe cost scales with the live set.
-// The jump is exact, not approximate: every NextEvent bound is conservative
-// and the skipped window is provably frozen, so results are bit-identical
-// to the reference loop (Config.DisableFastForward selects it; the golden
-// determinism tests diff the two). Horizon probes run on the post-commit
-// state, after the memory tick.
+// When a ticked cycle leaves every SM parked and the dispatcher quiet,
+// advance covers the stretch up to the first cycle anything but the memory
+// system can act, ticking only the memory system on the way. The skip is
+// exact, not approximate: every bound is conservative and the skipped SM
+// ticks, commits and dispatcher polls are provably no-ops, so results are
+// bit-identical to the reference loop (Config.DisableFastForward selects it;
+// the golden determinism tests diff the two).
 //
 // The dispatcher is polled only when it can act. A FastForwarder certifies
 // that its Tick is a pure no-op while no CTA is placed, retires, is evicted
-// or arrives and its NextDispatchEvent bound lies ahead; fast-forward uses
-// that certificate to jump idle stretches, and the loop uses the same one on
-// busy cycles to skip the Tick call itself (a full machine re-polls every
+// or arrives and its NextDispatchEvent bound lies ahead; advance uses that
+// certificate to cover all-parked stretches, and the loop uses the same one
+// on busy cycles to skip the Tick call itself (a full machine re-polls every
 // SM's CanAccept each cycle otherwise). The reference loop
 // (DisableFastForward) ticks the dispatcher every cycle, so the FF-on/FF-off
-// goldens diff the skip as well as the jump.
+// goldens diff the skip as well as the advance.
 func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 	maxCycles := g.cfg.MaxCycles
 	if maxCycles == 0 {
@@ -509,15 +439,8 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 	if g.cfg.DisableFastForward {
 		ff = nil
 	}
-	// Parking rides on the same proof machinery as fast-forward: without a
-	// FastForwarder the quiet-window replay has no dispatcher bound, so the
-	// reference configuration keeps every SM in the active set permanently.
-	sleepOK := ff != nil
-	granule := g.cfg.resolveGranule()
 	as := newActivitySet(len(g.cores))
 	g.activity = as
-	// issued records that some SM issued an instruction this cycle.
-	issued := false
 	// visit ticks one SM for the current cycle and returns its next wake
 	// bound: <= now+1 keeps it active, anything later parks it.
 	visit := func(i int) uint64 {
@@ -525,28 +448,21 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		before := c.Stats.InstrIssued
 		now := g.now
 		c.Tick(now)
-		if c.Stats.InstrIssued != before {
-			issued = true
+		if ff == nil || c.Stats.InstrIssued != before {
+			// Parking rides on the same proof machinery as advance: without a
+			// FastForwarder a parked window has no dispatcher bound, so the
+			// reference configuration keeps every SM active permanently. An SM
+			// that issued holds no stall certificate, so its bound would be
+			// now+1 anyway: skipping the probe saves it on every issuing cycle
+			// (1 % of sim-issue host time).
 			return 0
 		}
-		if !sleepOK {
-			return 0
-		}
-		// The SM stalled this cycle; ask whether the stall provably extends
-		// a full granule. Its own bound — the schedulers' stall certificates
-		// and the LDST unit, a few words to read — covers pipeline and L1/LDST
-		// state; the response pipe bound covers replies already in flight
-		// toward it (later deliveries wake it through the response hook).
-		wake := c.NextEvent(now + 1)
-		if rv := g.memsys.ResponseNextReady(i); rv < wake {
-			wake = rv
-		}
-		if wake >= now+1+granule {
-			return wake
-		}
-		return 0
+		// The SM's own bound — the schedulers' stall certificates and the LDST
+		// unit, a few words to read — covers pipeline and L1/LDST state; the
+		// response pipe bound covers replies already in flight toward it
+		// (later deliveries wake it through the response hook).
+		return min(c.NextEvent(now+1), g.memsys.ResponseNextReady(i))
 	}
-	batchCap := g.cfg.resolveBatchWindow()
 	// dispQuiet is the machine half of the dispatcher-quiescence certificate:
 	// the last dispatcher.Tick placed nothing, and no CTA has retired, been
 	// evicted or arrived since.
@@ -567,7 +483,6 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 			}
 			g.epochFn(g.now)
 		}
-		issued = false
 		g.ctaEvent = false
 		g.admitArrivals()
 		tickDispatcher := true
@@ -590,28 +505,6 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		} else {
 			g.engine.DispatcherSkips++
 		}
-		if sleepOK && batchCap > 1 && as.idle(g.now) && g.memsys.NextEvent(g.now) <= g.now {
-			// Quiet window: every SM is parked past this cycle and the memory
-			// system has work — the SM ticks and the commits are provably
-			// no-ops for every cycle before the window end, so run the whole
-			// window's memory ticks in one call.
-			if end := g.batchWindowEnd(ff, done != nil, maxCycles, batchCap); end > g.now+1 {
-				g.engine.CyclesBatched += end - g.now
-				// The window's response hooks fire at its end, so park the
-				// clock on its last cycle with postTick set: their wake/sync
-				// semantics are then exactly what per-cycle execution would
-				// have produced — every core provably slept through the
-				// window, so wakeCore settles it to the window end and wakes
-				// it no earlier.
-				from := g.now
-				g.now = end - 1
-				g.postTick = true
-				g.memsys.TickWindow(from, end)
-				g.now = end
-				g.postTick = false
-				continue
-			}
-		}
 		as.tick(g.now, visit)
 		g.postTick = true
 		if as.sleeping() > 0 && len(g.retired)+len(g.evicted) > 0 {
@@ -626,23 +519,14 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 			dispQuiet = false
 		}
 		g.memsys.Tick(g.now)
-		// Only the dispatcher's Tick and the commit callbacks place CTAs, and a
-		// commit sets ctaEvent, so !ctaEvent && dispQuiet is "nothing placed".
-		idle := ff != nil && !g.ctaEvent && dispQuiet && !issued
 		g.now++
 		g.engine.CyclesTicked++
 		g.postTick = false
-		if idle && g.now >= g.ffNextTry {
-			skipped := g.fastForward(ff, done != nil, maxCycles)
-			g.engine.CyclesFastForwarded += skipped
-			if skipped == 0 {
-				if g.ffBackoff < maxFFBackoff {
-					g.ffBackoff = max(2*g.ffBackoff, 2)
-				}
-				g.ffNextTry = g.now + g.ffBackoff
-			} else {
-				g.ffBackoff = 0
-			}
+		// Only the dispatcher's Tick and the commit callbacks place CTAs, and a
+		// commit sets ctaEvent, so !ctaEvent && dispQuiet is "nothing placed".
+		// The reference loop never parks, so the last clause implies ff != nil.
+		if !g.ctaEvent && dispQuiet && as.sleeping() == len(g.cores) {
+			g.advance(ff, done != nil, maxCycles)
 		}
 	}
 	g.syncAllTo(g.now)
@@ -661,127 +545,61 @@ func (g *GPU) dispatchedCTAs() int {
 	return n
 }
 
-// maxFFBackoff bounds the probe backoff so a long busy phase ending in a
-// deep stall starts skipping again within a few hundred cycles. Only a
-// probe that skips nothing at all grows the backoff: memory round trips
-// ripple through the pipeline in short (1–4 cycle) hops between the long
-// DRAM windows, and punishing those small-but-real jumps starves the skip
-// chain exactly where it pays most.
-const maxFFBackoff = 256
-
-// fastForward jumps g.now to the machine's event horizon: the earliest
-// cycle at which the dispatcher, any core, or the memory hierarchy can act.
-// The skipped window [g.now, horizon) is provably frozen — the previous
-// cycle did nothing and no component wakes inside it — so each core merely
-// accrues the stall counters its Tick would have produced. The horizon is
-// clamped so no epoch-hook cycle (and, when cancellation is armed, no
-// context-check cycle) falls strictly inside the skipped window, and never
-// exceeds maxCycles: the cap cycle itself is never executed, matching the
-// reference loop's exit arithmetic. Returns how many cycles were skipped.
+// advance covers an all-parked stretch starting at g.now: the cycle before
+// it left every SM parked beyond it, placed nothing, and retired, evicted and
+// admitted nothing. Until a target — the first of the dispatcher's next
+// event, the next kernel arrival, the earliest SM wake and maxCycles — no SM
+// tick, commit or dispatcher poll can do anything, so only the memory system
+// has to run. The target is clamped so that no epoch-hook cycle (and, when
+// cancellation is armed, no context-poll cycle) falls in [g.now, target):
+// those run at the top of the loop. The target itself is executed, never
+// skipped — except the maxCycles cap, which is never executed, matching the
+// reference loop's exit arithmetic.
+//
+// Where the memory system is quiet too, advance jumps. Where it has work, it
+// ticks it alone in windows of at most XbarLatency cycles: a response
+// delivered at cycle c becomes poppable at c+XbarLatency, at or after the
+// window's end, so no SM could have popped it inside the window. The
+// window's response hooks fire at its end, so the clock is parked on its last
+// cycle with postTick set: wakeCore then settles each woken core through the
+// window and wakes it no earlier than the window's end — what per-cycle
+// execution would have produced. A wake may lower the earliest SM wake, so
+// the target is recomputed after every window. Parked SMs stay lazy
+// throughout: their watermark replay covers the stretch when they next run.
 //
 //gpulint:hotpath
-func (g *GPU) fastForward(ff core.FastForwarder, clampCtx bool, maxCycles uint64) uint64 {
-	from := g.now
-	horizon := ff.NextDispatchEvent(from)
-	if g.arrived < len(g.kernels) {
-		// A pending kernel arrival changes dispatch state; its cycle must
-		// execute, not be skipped.
-		if a := g.kernels[g.arrived].Spec.Arrival; a < horizon {
-			horizon = a
+func (g *GPU) advance(ff core.FastForwarder, clampCtx bool, maxCycles uint64) {
+	window := max(g.cfg.Mem.XbarLatency, 1)
+	for {
+		from := g.now
+		target := min(ff.NextDispatchEvent(from), g.activity.horizon(), maxCycles)
+		if g.arrived < len(g.kernels) {
+			target = min(target, g.kernels[g.arrived].Spec.Arrival)
 		}
-	}
-	if ev := g.memsys.NextEvent(from); ev < horizon {
-		horizon = ev
-	}
-	// Sleeping SMs contribute through the activity set's table minimum — a
-	// word compare each instead of a NextEvent probe each.
-	if hv := g.activity.horizon(); hv < horizon {
-		horizon = hv
-	}
-	if horizon <= from {
-		return 0
-	}
-	// Sleepers due at from are not active; the minimum above bounds exactly
-	// those.
-	for i, at := range g.activity.wakeAt {
-		if at != 0 {
-			continue
+		if g.epochFn != nil {
+			target = clampToBoundary(target, from, g.epochEvery)
 		}
-		if ev := g.cores[i].NextEvent(from); ev < horizon {
-			horizon = ev
+		if clampCtx {
+			target = clampToBoundary(target, from, ctxCheckInterval)
 		}
-		if horizon <= from {
-			return 0
+		if target <= from {
+			return
 		}
-	}
-	if horizon > maxCycles {
-		horizon = maxCycles
-	}
-	if g.epochFn != nil {
-		horizon = clampToBoundary(horizon, from, g.epochEvery)
-	}
-	if clampCtx {
-		horizon = clampToBoundary(horizon, from, ctxCheckInterval)
-	}
-	if horizon <= from {
-		return 0
-	}
-	// Only the live set accrues eagerly; sleepers stay lazy (their watermark
-	// replay covers the same window when they next run). The horizon never
-	// reaches a sleeper's wake cycle, so no parked SM oversleeps the jump.
-	for i, at := range g.activity.wakeAt {
-		if at == 0 {
-			g.cores[i].SyncTo(horizon)
+		ev := g.memsys.NextEvent(from)
+		if ev >= target {
+			g.engine.CyclesFastForwarded += target - from
+			g.now = target
+			return
 		}
+		end := min(target, ev+window)
+		g.engine.CyclesFastForwarded += ev - from
+		g.engine.CyclesBatched += end - ev
+		g.now = end - 1
+		g.postTick = true
+		g.memsys.TickWindow(ev, end)
+		g.now = end
+		g.postTick = false
 	}
-	g.now = horizon
-	return horizon - from
-}
-
-// batchWindowEnd bounds a quiet window starting at g.now: the largest end
-// such that every cycle in [g.now, end) provably needs only a memory-system
-// tick. The caller has established that no SM is runnable at g.now and that
-// this cycle's dispatcher tick already ran; the clamps guarantee the rest:
-//
-//   - cap (≤ crossbar latency): a response delivered at cycle c inside the
-//     window becomes poppable at c+XbarLatency ≥ end, and its wake hook
-//     lands ≥ end, so no SM needs to tick before the window ends;
-//   - NextDispatchEvent(g.now+1): the dispatcher provably does nothing at
-//     the skipped cycles (the same contract fastForward uses);
-//   - the next kernel arrival, the activity set's earliest wake, MaxCycles,
-//     and the epoch/context boundaries, all of which must execute at the
-//     top of the loop.
-//
-// Any end ≤ g.now+1 means "no window": a one-cycle batch is the normal path.
-func (g *GPU) batchWindowEnd(ff core.FastForwarder, clampCtx bool, maxCycles, cap uint64) uint64 {
-	from := g.now
-	end := from + cap
-	if nd := ff.NextDispatchEvent(from + 1); nd < end {
-		end = nd
-	}
-	if g.arrived < len(g.kernels) {
-		if a := g.kernels[g.arrived].Spec.Arrival; a < end {
-			end = a
-		}
-	}
-	if hv := g.activity.horizon(); hv < end {
-		end = hv
-	}
-	if end > maxCycles {
-		end = maxCycles
-	}
-	if end <= from+1 {
-		return from
-	}
-	// Boundary cycles run hooks/polls at the top of the loop; from itself
-	// already ran them, so only (from, end) must stay boundary-free.
-	if g.epochFn != nil {
-		end = clampToBoundary(end, from+1, g.epochEvery)
-	}
-	if clampCtx {
-		end = clampToBoundary(end, from+1, ctxCheckInterval)
-	}
-	return end
 }
 
 // clampToBoundary caps horizon so that no multiple of every lies in

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -294,17 +296,120 @@ func TestTimeoutReported(t *testing.T) {
 	}
 }
 
+// runFFAndReference runs specs through run twice under fresh dispatchers —
+// on the default loop and on the DisableFastForward reference loop — and
+// fails unless both commit the same Result.
+func runFFAndReference(t *testing.T, cfg Config, build func() core.Dispatcher, specs func() []*kernel.Spec, run func(*GPU) Result) Result {
+	t.Helper()
+	var results [2]Result
+	for i, disableFF := range []bool{false, true} {
+		cfg.DisableFastForward = disableFF
+		g, err := New(cfg, build(), specs()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = run(g)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Errorf("diverged from the DisableFastForward reference:\n%+v\nvs\n%+v", results[0], results[1])
+	}
+	return results[0]
+}
+
+func roundRobin() core.Dispatcher { return core.NewRoundRobin() }
+
+// TestRunContextLiveContext pins advance's context-poll clamp. A live context
+// arms the poll every ctxCheckInterval cycles, so the advance must stop at
+// each poll cycle: a run that is never canceled must equal Run (no poll at
+// all) and the reference. That alone cannot see a skipped poll — it changes
+// nothing when no cancel is pending — so a second run cancels at the first
+// CTA retirement, a short chase finishing while a long one still waits on
+// DRAM: it must stop exactly at the next poll cycle, with the same partial
+// Result as the reference loop canceled at the same retirement.
+func TestRunContextLiveContext(t *testing.T) {
+	chases := func() []*kernel.Spec {
+		return []*kernel.Spec{workloads.ChaseSpec(1, 1, 8), workloads.ChaseSpec(1, 1, 256)}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	live := runFFAndReference(t, testConfig(), roundRobin, chases, func(g *GPU) Result {
+		r, err := g.RunContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	})
+	if plain := mustRun(t, testConfig(), roundRobin(), chases()...); !reflect.DeepEqual(live, plain) {
+		t.Errorf("live context diverged from Run:\n%+v\nvs\n%+v", live, plain)
+	}
+	if live.Cycles < 2*ctxCheckInterval {
+		t.Fatalf("run of %d cycles spans too few poll cycles to test the clamp", live.Cycles)
+	}
+	r := runFFAndReference(t, testConfig(), roundRobin, chases, func(g *GPU) Result {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		g.SetObserver(func(int, *sm.CTA, uint64) { cancel() })
+		r, err := g.RunContext(ctx)
+		if err == nil {
+			t.Errorf("run finished at %d cycles despite the cancel", r.Cycles)
+		}
+		return r
+	})
+	if r.Cycles%ctxCheckInterval != 0 {
+		t.Errorf("canceled run stopped at cycle %d, not a poll cycle", r.Cycles)
+	}
+}
+
+// TestAdvanceStopsInsideParkedWait pins advance's other clamps, each on a
+// pointer chase whose event lands while the resident warps wait on DRAM and
+// every SM is parked. The event's cycle must execute rather than be jumped
+// over: a second kernel's arrival (admission, then placement on an idle SM),
+// the MaxCycles cap (the run stops exactly there), and a dispatcher's
+// time-driven event (DynCTA's epoch controller, at an epoch that lands
+// between DRAM responses).
+func TestAdvanceStopsInsideParkedWait(t *testing.T) {
+	const arrival = 1237
+	t.Run("arrival", func(t *testing.T) {
+		r := runFFAndReference(t, testConfig(), roundRobin, func() []*kernel.Spec {
+			late := workloads.ChaseSpec(1, 1, 4)
+			late.Arrival = arrival
+			return []*kernel.Spec{workloads.ChaseSpec(1, 1, 16), late}
+		}, (*GPU).Run)
+		if got := r.Kernels[1].LaunchCycle; got != arrival {
+			t.Errorf("late kernel launched at %d, want its arrival cycle %d", got, arrival)
+		}
+	})
+	t.Run("max-cycles", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.MaxCycles = arrival
+		r := runFFAndReference(t, cfg, roundRobin, func() []*kernel.Spec {
+			return []*kernel.Spec{workloads.ChaseSpec(1, 1, 64)}
+		}, (*GPU).Run)
+		if !r.TimedOut || r.Cycles != arrival {
+			t.Errorf("run stopped at %d cycles (timed out: %v), want the %d-cycle cap", r.Cycles, r.TimedOut, arrival)
+		}
+	})
+	t.Run("dispatcher-epoch", func(t *testing.T) {
+		runFFAndReference(t, testConfig(), func() core.Dispatcher {
+			d := core.NewDynCTA()
+			d.EpochCycles = 333
+			return d
+		}, func() []*kernel.Spec {
+			return []*kernel.Spec{workloads.ChaseSpec(128, 1, 8)}
+		}, (*GPU).Run)
+	})
+}
+
 // TestGranuleInvariance is the package-level statement of the parking
-// contract: the committed Result is a pure function of the request, whatever
-// Config.Granule says (the harness golden tests restate this over every
-// experiment and full Result rendering). Every parking threshold — from "park
-// on any provable stall" to one far beyond any real stall — must commit the
-// same Result as the default, with fast-forward on and off (without a
-// fast-forward proof chain no SM is ever parked, so the granule must be inert
-// there). DynCTA is used deliberately: its epoch adjustment reads per-core
-// stall counters, so a missing sleeper sync would diverge here before
-// anywhere else; stencil adds the memory-bound shape, where cores park and wake
-// most while the crossbar they send into is contended.
+// contract. The name is kept from the parking-threshold sweep it replaces:
+// with one rule left (park on any stall bound beyond the next cycle), what
+// still moves which SMs park, and how often every SM is parked at once and
+// the advance step runs, is how many SMs there are. Each case on 1, 4 and 15
+// SMs must commit the same Result as the reference loop, which never parks.
+// DynCTA is used deliberately: its epoch adjustment reads per-core stall
+// counters, so a missing sleeper sync would diverge here before anywhere
+// else; stencil adds the memory-bound shape, where cores park and wake most
+// while the crossbar they send into is contended.
 func TestGranuleInvariance(t *testing.T) {
 	for _, tc := range []struct {
 		workload string
@@ -318,45 +423,42 @@ func TestGranuleInvariance(t *testing.T) {
 		{"stencil", func() core.Dispatcher { return core.NewBCS() }},
 	} {
 		w, _ := workloads.ByName(tc.workload)
-		base := mustRun(t, testConfig(), tc.build(), w.Build(workloads.ScaleTest))
-		for _, disableFF := range []bool{false, true} {
-			for _, granule := range []uint64{1, 4, 16, 4096} {
-				cfg := testConfig()
-				cfg.Granule = granule
-				cfg.DisableFastForward = disableFF
-				r := mustRun(t, cfg, tc.build(), w.Build(workloads.ScaleTest))
-				if !reflect.DeepEqual(r, base) {
-					t.Errorf("%s/%s: Granule=%d DisableFastForward=%v diverged from the default:\n%+v\nvs\n%+v",
-						tc.workload, tc.build().Name(), granule, disableFF, r, base)
-				}
-			}
+		specs := func() []*kernel.Spec { return []*kernel.Spec{w.Build(workloads.ScaleTest)} }
+		for _, cores := range []int{1, 4, 15} {
+			cfg := testConfig()
+			cfg.NumCores = cores
+			t.Run(fmt.Sprintf("%s/%s/%d-sm", tc.workload, tc.build().Name(), cores), func(t *testing.T) {
+				runFFAndReference(t, cfg, tc.build, specs, (*GPU).Run)
+			})
 		}
 	}
 }
 
-// TestBatchWindowInvariance pins the quiet-window batch: the committed
-// Result is a pure function of the request, whatever Config.BatchWindow says
-// — 1 (batching off), 2, 0 (the default) and 64 (beyond the crossbar clamp) —
-// against an unbatched baseline. Stencil is used deliberately: it is the
-// memory-bound workload whose long all-cores-parked stretches the batch was
-// built for, so a hook fired at the wrong cycle diverges here first. With
-// fast-forward off batching is structurally off (it needs the sleep proofs),
-// so the window must be inert there too.
+// TestBatchWindowInvariance pins the advance step's memory-system windows,
+// which replaced quiet-window batching: the window that a knob used to cap
+// is now the crossbar latency from the config. Stencil under LCS
+// — the memory-bound workload whose long all-parked stretches the windows
+// were built for, so a hook fired at the wrong cycle diverges here first —
+// must commit the reference loop's Result at every latency: 1 (one-cycle
+// windows), 2, the default and 64. Each default-loop run must also have
+// ticked the memory system alone on some cycle, or the window went untested.
 func TestBatchWindowInvariance(t *testing.T) {
 	w, _ := workloads.ByName("stencil")
-	cfg := testConfig()
-	cfg.BatchWindow = 1
-	base := mustRun(t, cfg, core.NewLCS(), w.Build(workloads.ScaleTest))
-	for _, disableFF := range []bool{false, true} {
-		for _, window := range []uint64{1, 2, 0, 64} {
-			cfg := testConfig()
-			cfg.BatchWindow = window
-			cfg.DisableFastForward = disableFF
-			r := mustRun(t, cfg, core.NewLCS(), w.Build(workloads.ScaleTest))
-			if !reflect.DeepEqual(r, base) {
-				t.Errorf("BatchWindow=%d DisableFastForward=%v diverged from the unbatched baseline:\n%+v\nvs\n%+v",
-					window, disableFF, r, base)
-			}
+	for _, latency := range []uint64{1, 2, DefaultConfig().Mem.XbarLatency, 64} {
+		cfg := testConfig()
+		cfg.Mem.XbarLatency = latency
+		var batched uint64
+		runFFAndReference(t, cfg, func() core.Dispatcher { return core.NewLCS() },
+			func() []*kernel.Spec { return []*kernel.Spec{w.Build(workloads.ScaleTest)} },
+			func(g *GPU) Result {
+				r := g.Run()
+				if !g.cfg.DisableFastForward {
+					batched = g.EngineStats().CyclesBatched
+				}
+				return r
+			})
+		if batched == 0 {
+			t.Errorf("XbarLatency=%d: the advance step ticked no memory-system window", latency)
 		}
 	}
 }
@@ -407,8 +509,9 @@ func quiescenceCases() []quiescenceCase {
 // certificate covers must be unobservable. Every case is compared against
 // the reference loop (DisableFastForward ticks the dispatcher every cycle).
 // The same runs pin the EngineStats identities: every simulated cycle is
-// covered by exactly one mechanism, and every scheduler-cycle with resident
-// warps got its verdict from exactly one of a warp walk or a stall certificate.
+// covered by exactly one mechanism, every ticked cycle polled or skipped the
+// dispatcher, and every scheduler-cycle with resident warps got its verdict
+// from exactly one of a warp walk or a stall certificate.
 func TestDispatcherQuiescence(t *testing.T) {
 	for _, tc := range quiescenceCases() {
 		tc := tc
@@ -432,6 +535,10 @@ func TestDispatcherQuiescence(t *testing.T) {
 				if got, want := es.IssueWalks+es.IssueServed, r.Core.InstrIssued+r.Core.IssueStallCycles; got != want {
 					t.Errorf("DisableFastForward=%v: %d walks + %d served = %d, want %d scheduler-cycles (issued %d + stalled %d)",
 						disableFF, es.IssueWalks, es.IssueServed, got, want, r.Core.InstrIssued, r.Core.IssueStallCycles)
+				}
+				if es.DispatcherTicks+es.DispatcherSkips != es.CyclesTicked {
+					t.Errorf("DisableFastForward=%v: %d dispatcher ticks + %d skips, want one per ticked cycle (%d)",
+						disableFF, es.DispatcherTicks, es.DispatcherSkips, es.CyclesTicked)
 				}
 				return r, es
 			}

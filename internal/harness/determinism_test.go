@@ -21,12 +21,14 @@ func renderExperiment(t *testing.T, e Experiment, opt Options) []byte {
 	return buf.Bytes()
 }
 
-// TestGoldenFastForwardDeterminism is the gate on the event-horizon
-// fast-forward: every experiment, run with the fast-forward active and with
-// it force-disabled, must render byte-identical tables. The skip logic is
-// only allowed to elide cycles it can prove change nothing — any divergence
-// in Cycles, InstrIssued, stall attribution, or per-kernel stats shows up
-// here as a table diff.
+// TestGoldenFastForwardDeterminism is the gate on SM parking and the advance
+// step: every experiment, run with both active and on the reference loop
+// (every SM and the dispatcher, every cycle, in index order), must render
+// byte-identical tables. The skip logic is only allowed to elide visits and
+// cycles it can prove change nothing — an SM parked while it still had
+// something to send, issue or retire, or any divergence in Cycles,
+// InstrIssued, stall attribution, or per-kernel stats, shows up here as a
+// table diff.
 func TestGoldenFastForwardDeterminism(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
@@ -42,63 +44,44 @@ func TestGoldenFastForwardDeterminism(t *testing.T) {
 	}
 }
 
-// TestGoldenGranuleDeterminism is the gate on activity-set parking: every
-// experiment, run at the default granule (4) and with the parking threshold
-// swept from park-eagerly (1) through park-reluctantly (16) to never-park
-// (4096), must render byte-identical tables. Parking changes which SMs the
-// cycle loop visits, never their relative order, so this is the gate on the
-// parking invariant (DESIGN.md "Activity sets"): an SM parked while it still
-// had something to send, issue or retire shows up here as a table diff. The
-// NoFastForward combo is the independent reference: every SM, every cycle,
-// in index order.
+// TestGoldenGranuleDeterminism is the gate on the parking rule on a second
+// machine shape. The name is kept from the parking-threshold sweep it
+// replaces: with one rule left (park on any stall bound beyond the next
+// cycle), what still moves which SMs park, for how long and how often they
+// all park at once is how many there are. Every experiment on a 4-SM machine
+// — more CTA waves per SM, so more retire-and-refill wakes crossing parked
+// stretches than the 15-SM default above — must render byte-identical tables
+// with parking and the advance step active and on the reference loop.
 func TestGoldenGranuleDeterminism(t *testing.T) {
-	combos := []Options{
-		{TickGranule: 1},
-		{TickGranule: 16},
-		{TickGranule: 4096},
-		{TickGranule: 16, NoFastForward: true},
-	}
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			base := renderExperiment(t, e, Options{Scale: workloads.ScaleTest})
-			for _, c := range combos {
-				c.Scale = workloads.ScaleTest
-				got := renderExperiment(t, e, c)
-				if !bytes.Equal(base, got) {
-					t.Errorf("granule=%d noff=%t changed %s:\n--- default ---\n%s--- variant ---\n%s",
-						c.TickGranule, c.NoFastForward, e.ID, base, got)
-				}
+			fast := renderExperiment(t, e, Options{Scale: workloads.ScaleTest, Cores: 4})
+			ref := renderExperiment(t, e, Options{Scale: workloads.ScaleTest, Cores: 4, NoFastForward: true})
+			if !bytes.Equal(fast, ref) {
+				t.Errorf("parking changed %s on 4 SMs:\n--- parked ---\n%s--- reference ---\n%s",
+					e.ID, fast, ref)
 			}
 		})
 	}
 }
 
-// TestGoldenBatchWindowDeterminism is the gate on quiet-window cycle
-// batching: one experiment, rendered with batching off (BatchWindow=1), must
-// be byte-identical under every window — 2, the default, one beyond the
-// crossbar clamp — and with the fast-forward toggle (batching is structurally
-// off without fast-forward sleep proofs). One experiment, not all: the full
-// cross is covered cheaply in internal/gpu.
+// TestGoldenBatchWindowDeterminism is the gate on the advance step's
+// memory-system windows, which replaced quiet-window batching. On a single
+// SM every stall of that SM is an all-parked stretch, so the advance covers
+// the most cycles there and ticks the memory system alone in windows the
+// most often. fig5, the memory-bound throttling sweep, on one SM must render
+// byte-identical tables with the advance active and on the reference loop.
 func TestGoldenBatchWindowDeterminism(t *testing.T) {
 	e, ok := ByID("fig5")
 	if !ok {
 		t.Fatal("fig5 experiment missing")
 	}
-	unbatched := renderExperiment(t, e, Options{Scale: workloads.ScaleTest, BatchWindow: 1})
-	for _, c := range []Options{
-		{BatchWindow: 2},
-		{},
-		{BatchWindow: 64},
-		{NoFastForward: true},
-	} {
-		c.Scale = workloads.ScaleTest
-		got := renderExperiment(t, e, c)
-		if !bytes.Equal(unbatched, got) {
-			t.Errorf("window=%d noff=%t changed fig5:\n--- unbatched ---\n%s--- variant ---\n%s",
-				c.BatchWindow, c.NoFastForward, unbatched, got)
-		}
+	fast := renderExperiment(t, e, Options{Scale: workloads.ScaleTest, Cores: 1})
+	ref := renderExperiment(t, e, Options{Scale: workloads.ScaleTest, Cores: 1, NoFastForward: true})
+	if !bytes.Equal(fast, ref) {
+		t.Errorf("the advance step changed fig5 on 1 SM:\n--- advance ---\n%s--- reference ---\n%s", fast, ref)
 	}
 }
 

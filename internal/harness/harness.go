@@ -37,14 +37,6 @@ type Options struct {
 	// determinism tests run every experiment both ways and require
 	// identical tables.
 	NoFastForward bool
-	// TickGranule is the per-SM parking threshold for the activity-set tick
-	// (0 = gpu.DefaultGranule). Execution only: the golden determinism
-	// tests sweep granules and require identical tables.
-	TickGranule uint64
-	// BatchWindow caps the quiet-window cycle batch (0 = the default, 1 =
-	// batching off). Execution only, like TickGranule: the golden
-	// determinism tests sweep windows and require identical tables.
-	BatchWindow uint64
 }
 
 // Table is one rendered experiment.
@@ -124,10 +116,8 @@ func New(opt Options) *Harness {
 	return &Harness{
 		opt: opt,
 		svc: sim.NewService(sim.Options{
-			Progress:    opt.Progress,
-			CacheDir:    opt.CacheDir,
-			TickGranule: opt.TickGranule,
-			BatchWindow: opt.BatchWindow,
+			Progress: opt.Progress,
+			CacheDir: opt.CacheDir,
 		}),
 	}
 }

@@ -142,9 +142,9 @@ func (s *System) PopResponse(coreID int, now uint64) (Response, bool) {
 func (s *System) Tick(now uint64) { s.TickWindow(now, now+1) }
 
 // TickWindow advances the hierarchy through every cycle in [from, to) in one
-// call — the quiet-window batch path; a window of one cycle is exactly Tick.
-// The caller must guarantee no core ticks (and so nothing is sent or popped)
-// inside the window. The loop is cycle-major, so the buffered response hooks
+// call — the GPU advance step's memory-only window; a window of one cycle is
+// exactly Tick. The caller must guarantee no core ticks (and so nothing is
+// sent or popped) inside the window. The loop is cycle-major, so the buffered response hooks
 // come out in (ready, partition) order — the order per-cycle ticks would have
 // fired them in — and fire once, at the window's end.
 //

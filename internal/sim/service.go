@@ -17,16 +17,6 @@ type Options struct {
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS). Each
 	// simulation's cycle loop is serial, so this pool is what uses the cores.
 	Workers int
-	// TickGranule is the per-SM parking threshold for the activity-set tick
-	// (gpu.Config.Granule): 0 derives it from gpu.DefaultGranule. It is an
-	// execution knob only — results are byte-identical for every value — so
-	// it is deliberately NOT part of Request.Key: cached outcomes stay valid
-	// across granule changes.
-	TickGranule uint64
-	// BatchWindow caps the quiet-window cycle batch (gpu.Config.BatchWindow):
-	// 0 derives gpu.DefaultBatchWindow, 1 disables batching. Execution-only,
-	// like TickGranule — never part of Request.Key.
-	BatchWindow uint64
 	// CacheDir, when non-empty, enables the on-disk result cache
 	// (conventionally results/.simcache).
 	CacheDir string
@@ -265,12 +255,7 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 	}
 
 	d := req.Sched.NewDispatcher()
-	cfg := req.config()
-	// Execution-only knobs: applied after the key-covered config is built,
-	// so they can never leak into cache identity.
-	cfg.Granule = s.opt.TickGranule
-	cfg.BatchWindow = s.opt.BatchWindow
-	g, err := gpu.New(cfg, d, specs...)
+	g, err := gpu.New(req.config(), d, specs...)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("sim: %s: %w", key, err)
 	}

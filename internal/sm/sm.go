@@ -41,7 +41,7 @@ type SM struct {
 	// placement) makes a possibly-parked core runnable at a cycle. Setting it
 	// also arms lazy counter accrual: the core may then be left unticked
 	// across provably-quiet windows, with Tick/SyncTo replaying the skipped
-	// cycles' counters through FastForward ("granule replay").
+	// cycles' counters through FastForward ("lazy replay").
 	onWake func(coreID int, at uint64)
 	// syncedTo is the next cycle whose counters have not been accrued —
 	// Stats reflects exactly the cycles in [0, syncedTo). Active cores keep
@@ -66,7 +66,7 @@ type SM struct {
 	// (InstrIssued, ThreadInstr, CTAsCompleted, ...) are exact at all
 	// times: a parked core provably cannot issue or retire.
 	//
-	//gpulint:lazy ActiveCycles,IssueStallCycles,StallScoreboard,StallLDSTFull,StallBarrier,StallDrain accrued by FastForward granule replay; stale while parked
+	//gpulint:lazy ActiveCycles,IssueStallCycles,StallScoreboard,StallLDSTFull,StallBarrier,StallDrain accrued by FastForward lazy replay; stale while parked
 	Stats         stats.Core
 	KernelIssued  []uint64
 	memLatencySum uint64
@@ -117,7 +117,7 @@ func (s *SM) SetDrainHandler(fn func(coreID int, cta *CTA)) { s.onCTADrained = f
 func (s *SM) SetWakeHandler(fn func(coreID int, at uint64)) { s.onWake = fn }
 
 // SyncTo accrues the counters for every unprocessed cycle in [syncedTo, t)
-// in one granule replay. The caller certifies the window is quiet — the
+// in one lazy replay. The caller certifies the window is quiet — the
 // core was parked with a wake bound >= t, so no cycle in it could have
 // issued, popped a response, or mutated state (FastForward panics if that
 // certificate is wrong). Safe to call redundantly: a window the core has

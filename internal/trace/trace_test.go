@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"gpusched/internal/core"
 	"gpusched/internal/gpu"
+	"gpusched/internal/kernel"
 	"gpusched/internal/workloads"
 )
 
@@ -77,6 +79,43 @@ func TestTimelineShowsThrottleDrop(t *testing.T) {
 	if lim.MeanResident() >= base.MeanResident() {
 		t.Fatalf("throttled occupancy %.1f not below baseline %.1f",
 			lim.MeanResident(), base.MeanResident())
+	}
+}
+
+// TestTracedRunMatchesReference pins the advance step's epoch clamp: the
+// sampling hook runs at the top of the loop, so every epoch cycle must be
+// executed rather than jumped over. An epoch of 100 is deliberately not a
+// multiple of the crossbar latency, so memory-only windows end between epoch
+// cycles too. Stencil and a DRAM-bound pointer chase, traced with
+// fast-forward on and on the reference loop, must give equal timelines and
+// results.
+func TestTracedRunMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec func() *kernel.Spec
+	}{
+		{"stencil", func() *kernel.Spec { w, _ := workloads.ByName("stencil"); return w.Build(workloads.ScaleTest) }},
+		{"chase", func() *kernel.Spec { return workloads.ChaseSpec(4, 1, 64) }},
+	} {
+		run := func(disableFF bool) (*Timeline, gpu.Result) {
+			cfg := gpu.DefaultConfig()
+			cfg.NumCores = 4
+			cfg.DisableFastForward = disableFF
+			g, err := gpu.New(cfg, core.NewRoundRobin(), tc.spec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl := Attach(g, 100)
+			return tl, g.Run()
+		}
+		tl, r := run(false)
+		refTL, ref := run(true)
+		if !reflect.DeepEqual(r, ref) {
+			t.Errorf("%s: traced result diverged from the reference:\n%+v\nvs\n%+v", tc.name, r, ref)
+		}
+		if !reflect.DeepEqual(tl, refTL) {
+			t.Errorf("%s: timeline diverged from the reference: %d vs %d samples", tc.name, len(tl.Samples), len(refTL.Samples))
+		}
 	}
 }
 
