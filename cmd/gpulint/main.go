@@ -65,8 +65,8 @@ func run(dir string, patterns []string, asJSON, github bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// One whole-program pass: the call-graph analyzers need every package
-	// loaded together to see cross-package edges.
+	// One whole-program pass: guardedby needs every package loaded together
+	// to see a field annotated in one package and accessed in another.
 	diags := lint.CheckAll(fset, pkgs)
 
 	out := make([]jsonDiag, len(diags))

@@ -119,7 +119,7 @@ func (a *AdaptiveLCS) OnCTAComplete(m Machine, coreID int, cta *sm.CTA) {
 		a.maxAllowed[coreID] = c.ResidentOf(a.KernelIdx) + 1
 		a.decided[coreID] = true
 		a.lastCycle[coreID] = now
-		a.lastInstr[coreID] = c.Stats.InstrIssued
+		a.lastInstr[coreID] = c.InstrIssued()
 		a.bestRate[coreID] = 0
 		a.bestLimit[coreID] = a.limit[coreID]
 		return
@@ -138,7 +138,7 @@ func (a *AdaptiveLCS) OnCTAComplete(m Machine, coreID int, cta *sm.CTA) {
 		// Still draining toward the new limit: rates measured now mix two
 		// occupancy levels. Restart the window at steady state.
 		a.lastCycle[coreID] = now
-		a.lastInstr[coreID] = c.Stats.InstrIssued
+		a.lastInstr[coreID] = c.InstrIssued()
 		a.completions[coreID] = 0
 		return
 	}
@@ -147,9 +147,9 @@ func (a *AdaptiveLCS) OnCTAComplete(m Machine, coreID int, cta *sm.CTA) {
 	if a.completions[coreID] < a.minCompletions() || dc < a.MinWindowCycles {
 		return // not enough evidence yet
 	}
-	rate := float64(c.Stats.InstrIssued-a.lastInstr[coreID]) / float64(dc)
+	rate := float64(c.InstrIssued()-a.lastInstr[coreID]) / float64(dc)
 	a.lastCycle[coreID] = now
-	a.lastInstr[coreID] = c.Stats.InstrIssued
+	a.lastInstr[coreID] = c.InstrIssued()
 	a.completions[coreID] = 0
 
 	if a.bestRate[coreID] > 0 && rate < a.bestRate[coreID]*(1-a.Tolerance) {

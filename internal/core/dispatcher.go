@@ -19,6 +19,7 @@ package core
 import (
 	"gpusched/internal/kernel"
 	"gpusched/internal/sm"
+	"gpusched/internal/stats"
 )
 
 // KernelState is one launched kernel's dispatch bookkeeping, owned by the
@@ -86,6 +87,9 @@ type Machine interface {
 	NumCores() int
 	// Core returns SM i.
 	Core(i int) *sm.SM
+	// CoreCounters returns SM i's counters through the current cycle,
+	// including the cycles a parked SM has not yet stored.
+	CoreCounters(i int) stats.Core
 	// Kernels returns the launch table in launch order.
 	Kernels() []*KernelState
 	// Preempt asks core coreID to drain cta at the next CTA boundary. It

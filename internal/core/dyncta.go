@@ -1,6 +1,9 @@
 package core
 
-import "gpusched/internal/sm"
+import (
+	"gpusched/internal/sm"
+	"gpusched/internal/stats"
+)
 
 // DynCTA reimplements the DYNCTA-style dynamic CTA throttling of Kayiran et
 // al. (PACT 2013), the prior work the paper compares against. Where LCS
@@ -78,7 +81,7 @@ func (d *DynCTA) Tick(m Machine) {
 			continue
 		}
 		if now-d.lastEpoch[i] >= d.epoch() {
-			d.adjust(i, c, now)
+			d.adjust(i, m.CoreCounters(i), now)
 		}
 	}
 	// Placement: identical to the baseline but capped per core.
@@ -111,19 +114,14 @@ func (d *DynCTA) epoch() uint64 {
 	return d.EpochCycles
 }
 
-// adjust runs one controller step for core i. It reads the lazily-accrued
-// IssueStallCycles counter: safe because the GPU loop settles every parked
-// core (syncAllTo) before a cycle in which NextDispatchEvent says the
-// controller is due — see the due-dispatcher sync in RunContext.
-//
-//gpulint:synced RunContext syncs all cores before any due dispatcher tick
-func (d *DynCTA) adjust(i int, c *sm.SM, now uint64) {
+// adjust runs one controller step for core i from its counters c.
+func (d *DynCTA) adjust(i int, c stats.Core, now uint64) {
 	dc := now - d.lastEpoch[i]
-	stalls := c.Stats.IssueStallCycles - d.lastStall[i]
-	issued := c.Stats.InstrIssued - d.lastIssued[i]
+	stalls := c.IssueStallCycles - d.lastStall[i]
+	issued := c.InstrIssued - d.lastIssued[i]
 	d.lastEpoch[i] = now
-	d.lastStall[i] = c.Stats.IssueStallCycles
-	d.lastIssued[i] = c.Stats.InstrIssued
+	d.lastStall[i] = c.IssueStallCycles
+	d.lastIssued[i] = c.InstrIssued
 	if dc == 0 || issued+stalls == 0 {
 		return
 	}
@@ -165,20 +163,15 @@ func (d *DynCTA) NextDispatchEvent(now uint64) uint64 {
 }
 
 // OnCTAComplete implements Dispatcher: the first completion on a core
-// initializes its allowance to the occupancy it was running at. It reads
-// the lazily-accrued IssueStallCycles counter: safe because commit
-// callbacks run after RunContext settles sleepers through the current
-// cycle (the sync ahead of commitRetirements).
-//
-//gpulint:synced RunContext syncs all cores before the retirement commits that invoke this
+// initializes its allowance to the occupancy it was running at.
 func (d *DynCTA) OnCTAComplete(m Machine, coreID int, cta *sm.CTA) {
 	d.ensure(m.NumCores())
 	if cta.KernelIdx != d.KernelIdx || d.limit[coreID] != 0 {
 		return
 	}
-	c := m.Core(coreID)
-	d.limit[coreID] = c.ResidentOf(d.KernelIdx) + 1
+	d.limit[coreID] = m.Core(coreID).ResidentOf(d.KernelIdx) + 1
 	d.lastEpoch[coreID] = m.Now()
-	d.lastStall[coreID] = c.Stats.IssueStallCycles
-	d.lastIssued[coreID] = c.Stats.InstrIssued
+	c := m.CoreCounters(coreID)
+	d.lastStall[coreID] = c.IssueStallCycles
+	d.lastIssued[coreID] = c.InstrIssued
 }

@@ -7,6 +7,7 @@ import (
 	"gpusched/internal/kernel"
 	"gpusched/internal/mem"
 	"gpusched/internal/sm"
+	"gpusched/internal/stats"
 )
 
 // fakeMachine is the minimal Machine for exercising place() directly.
@@ -20,6 +21,9 @@ func (f *fakeMachine) Now() uint64             { return f.now }
 func (f *fakeMachine) NumCores() int           { return len(f.cores) }
 func (f *fakeMachine) Core(i int) *sm.SM       { return f.cores[i] }
 func (f *fakeMachine) Kernels() []*KernelState { return f.kernels }
+func (f *fakeMachine) CoreCounters(i int) stats.Core {
+	return f.cores[i].Counters(f.now)
+}
 func (f *fakeMachine) Preempt(coreID int, cta *sm.CTA) bool {
 	return f.cores[coreID].DrainCTA(cta)
 }

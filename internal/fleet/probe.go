@@ -40,6 +40,7 @@ func NewProber(ring *Ring, interval, timeout time.Duration, failAfter int, onCha
 	if timeout <= 0 {
 		timeout = interval / 2
 	}
+	//gpulint:allow ctxflow the prober lives as long as its router, not any request; Stop cancels it
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Prober{
 		ring:      ring,

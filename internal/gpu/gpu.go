@@ -143,9 +143,10 @@ type GPU struct {
 	// is the only way back in.
 	activity *activitySet
 	// postTick is true between the SM ticks and the end of the cycle (commits
-	// and the memory tick). wakeCore uses it to pick the sync boundary: once
-	// the SMs have ticked, a sleeping core provably accounts for the current
-	// cycle too, and cannot tick again before the next one.
+	// and the memory tick). wakeCore and CoreCounters use it to pick the
+	// counter boundary: once the SMs have ticked, a sleeping core provably
+	// accounts for the current cycle too, and cannot tick again before the
+	// next one.
 	postTick bool
 	// engine is the run's execution accounting.
 	engine EngineStats
@@ -198,7 +199,7 @@ func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 
 // wakeCore is the single wake funnel: the SMs' pre-mutation notification
 // (AddCTA, and Preempt below) and the memory system's response-delivery hook
-// both land here, never from inside an SM's tick. It settles the target core's
+// both land here, never from inside an SM's tick. It stores the target core's
 // lazily-accrued counters up to the current cycle boundary — callers invoke
 // it *before* mutating the core, while the parked window is still provably
 // quiet — then lowers the core's wake bound so the skipped SM is ticked
@@ -218,16 +219,6 @@ func (g *GPU) wakeCore(coreID int, at uint64) {
 	g.cores[coreID].SyncTo(sync)
 	if g.activity != nil {
 		g.activity.wake(coreID, wake)
-	}
-}
-
-// syncAllTo settles every core's lazily-accrued counters through cycle t
-// (exclusive) — run before any consumer that may read a sleeping core's
-// Stats: the dispatcher when it is due to act, commit callbacks, the epoch
-// hook, and final collection. Cores already synced past t are untouched.
-func (g *GPU) syncAllTo(t uint64) {
-	for _, c := range g.cores {
-		c.SyncTo(t)
 	}
 }
 
@@ -253,7 +244,7 @@ func (g *GPU) SetEpochHook(every uint64, fn func(now uint64)) {
 func (g *GPU) EngineStats() EngineStats {
 	e := g.engine
 	for _, c := range g.cores {
-		walks, served := c.IssueCounts()
+		walks, served := c.IssueCounts(g.now)
 		e.IssueWalks += walks
 		e.IssueServed += served
 	}
@@ -271,6 +262,18 @@ func (g *GPU) NumCores() int { return len(g.cores) }
 
 // Core implements core.Machine.
 func (g *GPU) Core(i int) *sm.SM { return g.cores[i] }
+
+// CoreCounters implements core.Machine: core i's counters through the current
+// stage boundary — g.now before the SMs tick, g.now+1 once they have (the
+// boundary wakeCore settles at) — so every reader in one stage sees every
+// core through the same cycle, parked or not.
+func (g *GPU) CoreCounters(i int) stats.Core {
+	t := g.now
+	if g.postTick {
+		t++
+	}
+	return g.cores[i].Counters(t)
+}
 
 // Kernels implements core.Machine. It returns only the kernels that have
 // arrived: g.kernels holds the full launch table, and because arrivals are
@@ -298,8 +301,8 @@ func (g *GPU) Preempt(coreID int, cta *sm.CTA) bool {
 	if coreID < 0 || coreID >= len(g.cores) {
 		return false
 	}
-	// Settle and wake before the drain flag lands: the drain changes what a
-	// replayed stall window would look like, so the window must close first.
+	// Settle and wake before the drain flag lands: the drain clears the stall
+	// certificates the parked window is charged from, so it must close first.
 	// If the request is refused the spurious wake costs one visit.
 	g.wakeCore(coreID, g.now)
 	return g.cores[coreID].DrainCTA(cta)
@@ -411,8 +414,8 @@ const ctxCheckInterval = 4096
 // response) lowers its bound through wakeCore. An SM that issued holds no
 // stall certificate, so its bound is the next cycle and it stays active. The
 // skipped cycles' ActiveCycles and stall counters accrue lazily: each SM
-// carries a synced-through watermark and replays the gap in one FastForward
-// the next time it runs (or when a reader forces syncAllTo).
+// carries a synced-through watermark, readers charge the gap from its stall
+// certificates (CoreCounters), and the SM stores it the next time it runs.
 //
 // When a ticked cycle leaves every SM parked and the dispatcher quiet,
 // advance covers the stretch up to the first cycle anything but the memory
@@ -445,10 +448,10 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 	// bound: <= now+1 keeps it active, anything later parks it.
 	visit := func(i int) uint64 {
 		c := g.cores[i]
-		before := c.Stats.InstrIssued
+		before := c.InstrIssued()
 		now := g.now
 		c.Tick(now)
-		if ff == nil || c.Stats.InstrIssued != before {
+		if ff == nil || c.InstrIssued() != before {
 			// Parking rides on the same proof machinery as advance: without a
 			// FastForwarder a parked window has no dispatcher bound, so the
 			// reference configuration keeps every SM active permanently. An SM
@@ -472,30 +475,18 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		if done != nil && g.now%ctxCheckInterval == 0 {
 			select { //gpulint:allow nogoroutine cancellation poll only aborts the run; a canceled simulation returns an error and is never cached or reported
 			case <-done:
-				g.syncAllTo(g.now)
 				return g.collect(), ctx.Err()
 			default:
 			}
 		}
 		if g.epochFn != nil && g.now%g.epochEvery == 0 {
-			if as.sleeping() > 0 {
-				g.syncAllTo(g.now) // the hook may read any core's counters
-			}
 			g.epochFn(g.now)
 		}
 		g.ctaEvent = false
 		g.admitArrivals()
 		tickDispatcher := true
 		if ff != nil {
-			due := ff.NextDispatchEvent(g.now) <= g.now
-			if due && as.sleeping() > 0 {
-				// The dispatcher acts this cycle and may read per-core
-				// counters (DynCTA's epoch adjustment does); settle the
-				// sleepers first. Every sleeper's wake bound is beyond the
-				// last ticked cycle, so the replayed window is provably quiet.
-				g.syncAllTo(g.now)
-			}
-			tickDispatcher = due || !dispQuiet || g.ctaEvent
+			tickDispatcher = ff.NextDispatchEvent(g.now) <= g.now || !dispQuiet || g.ctaEvent
 		}
 		if tickDispatcher {
 			placed := g.dispatchedCTAs()
@@ -507,12 +498,6 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		}
 		as.tick(g.now, visit)
 		g.postTick = true
-		if as.sleeping() > 0 && len(g.retired)+len(g.evicted) > 0 {
-			// Commit callbacks (the observer, dispatcher probes) may read
-			// any core's counters; settle sleepers through this cycle —
-			// the SM ticks just proved they slept through it.
-			g.syncAllTo(g.now + 1)
-		}
 		g.commitRetirements()
 		g.commitPreemptions()
 		if g.ctaEvent {
@@ -529,7 +514,6 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 			g.advance(ff, done != nil, maxCycles)
 		}
 	}
-	g.syncAllTo(g.now)
 	return g.collect(), nil
 }
 
@@ -565,7 +549,7 @@ func (g *GPU) dispatchedCTAs() int {
 // window and wakes it no earlier than the window's end — what per-cycle
 // execution would have produced. A wake may lower the earliest SM wake, so
 // the target is recomputed after every window. Parked SMs stay lazy
-// throughout: their watermark replay covers the stretch when they next run.
+// throughout: their stall certificates charge the stretch on read.
 //
 //gpulint:hotpath
 func (g *GPU) advance(ff core.FastForwarder, clampCtx bool, maxCycles uint64) {
@@ -614,27 +598,17 @@ func clampToBoundary(horizon, from, every uint64) uint64 {
 	return horizon
 }
 
-//gpulint:synced RunContext runs syncAllTo(g.now) before both collect call sites, so every core's lazy counters are settled
+// collect builds the Result at g.now; both call sites run at the top of a
+// cycle, so CoreCounters reads every core through g.now.
 func (g *GPU) collect() Result {
 	r := Result{
 		Cycles:   g.now,
 		TimedOut: g.doneCount < len(g.kernels),
 	}
 	var latSum, latN uint64
-	for _, c := range g.cores {
-		s := c.Stats
-		r.Core.ActiveCycles += s.ActiveCycles
-		r.Core.InstrIssued += s.InstrIssued
-		r.Core.ThreadInstr += s.ThreadInstr
-		r.Core.IssueStallCycles += s.IssueStallCycles
-		r.Core.StallScoreboard += s.StallScoreboard
-		r.Core.StallLDSTFull += s.StallLDSTFull
-		r.Core.StallBarrier += s.StallBarrier
-		r.Core.StallDrain += s.StallDrain
-		r.Core.CTAsCompleted += s.CTAsCompleted
-		r.Core.CTAsDrained += s.CTAsDrained
-		r.Core.SharedAccesses += s.SharedAccesses
-		r.Core.SharedConflictPasses += s.SharedConflictPasses
+	for i, c := range g.cores {
+		s := g.CoreCounters(i)
+		r.Core.Add(&s)
 		r.L1.Add(c.L1Stats())
 		sum, n := c.MemLatencyRaw()
 		latSum += sum

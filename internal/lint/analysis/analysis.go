@@ -39,10 +39,11 @@ type Pass struct {
 	// read their markers here; suppression directives are applied by the
 	// driver after the analyzer runs.
 	Directives []Directive
-	// Prog is the whole-program view (call graph, cross-package directive
-	// attachment) when the driver loaded multiple packages together. Nil in
-	// single-package runs; program-level analyzers then build a one-package
-	// Program via ProgramFromPass, so fixtures exercise the same code path.
+	// Prog is the whole-program view (every function, and struct-field
+	// directives resolved across packages) when CheckAll loaded multiple
+	// packages together. Nil in single-package runs; program-level analyzers
+	// then build a one-package Program via ProgramFromPass, so fixtures
+	// exercise the same code path.
 	Prog   *Program
 	Report func(Diagnostic)
 }
@@ -74,19 +75,6 @@ const (
 	// exported field of the named package-local struct type:
 	// //gpulint:cachekey TypeName
 	KindCachekey = "cachekey"
-	// KindPhaseA marks the annotated function as a root of a core's own
-	// tick path for the wakesync analyzer — code below it reads the core's
-	// lazy counters at the core's own watermark:
-	// //gpulint:phasea <why reads below this root are current>
-	KindPhaseA = "phasea"
-	// KindSynced marks the annotated function as a wake/sync funnel (or a
-	// reader that provably runs after one), exempting its lazy-counter
-	// reads from the wakesync analyzer: //gpulint:synced <why it is synced>
-	KindSynced = "synced"
-	// KindLazy marks the annotated struct field as a lazily-accrued
-	// container whose named sub-fields are only valid after a watermark
-	// sync: //gpulint:lazy Field[,Field...] <what syncs them>
-	KindLazy = "lazy"
 	// KindGuardedby marks the annotated struct field as protected by the
 	// named sibling mutex field: //gpulint:guardedby mu
 	KindGuardedby = "guardedby"
@@ -126,7 +114,7 @@ func ParseDirectives(files []*ast.File) []Directive {
 				rest = strings.TrimSpace(rest)
 				d := Directive{Pos: c.Pos(), Kind: kind}
 				switch kind {
-				case KindAllow, KindCachekey, KindLazy, KindGuardedby:
+				case KindAllow, KindCachekey, KindGuardedby:
 					arg, reason, _ := strings.Cut(rest, " ")
 					if arg != "" {
 						d.Args = strings.Split(arg, ",")

@@ -8,14 +8,14 @@ import (
 )
 
 // Check runs the suite over one package in isolation. Prefer CheckAll for
-// multi-package runs: the whole-program analyzers (wakesync, ctxflow) only see cross-package call edges when the packages are loaded
-// together.
+// multi-package runs: guardedby only sees a field annotated in another
+// package when the packages are loaded together.
 func Check(fset *token.FileSet, pkg *load.Package) []analysis.Diagnostic {
 	return CheckAll(fset, []*load.Package{pkg})
 }
 
 // CheckAll runs every suite analyzer over the loaded packages, sharing one
-// whole-program view (call graph + directive attachment) across all of
+// whole-program view (functions + field directive attachment) across all of
 // them, applies each package's suppression directives, and returns the
 // surviving diagnostics sorted by position. This is the one entry point
 // cmd/gpulint and the self-test share, so "the repo is gpulint-clean"

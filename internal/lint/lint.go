@@ -77,11 +77,9 @@ func Suite() []ScopedAnalyzer {
 		{Nogoroutine, matchSuffix(CycleLoopPackages)},
 		{Cachekey, matchAll},
 		{Hotalloc, matchAll},
-		// The whole-program analyzers: wakesync/guardedby are
-		// annotation-driven and run everywhere their markers can appear;
-		// ctxflow's blocking-call bans are a serving-tier policy, so it is
-		// scoped to the concurrency packages.
-		{Wakesync, matchAll},
+		// guardedby is annotation-driven and runs everywhere its markers can
+		// appear; ctxflow's bans are a serving-tier policy, so it is scoped
+		// to the concurrency packages.
 		{Guardedby, matchAll},
 		{Ctxflow, matchSuffix(ConcurrencyPackages)},
 	}
@@ -112,9 +110,7 @@ func suppressionTargets(d analysis.Directive) []string {
 // unknown-directive diagnostic lists it.
 var knownDirectives = []string{
 	analysis.KindOrderedIrrelevant, analysis.KindAllow,
-	analysis.KindHotpath, analysis.KindCachekey,
-	analysis.KindPhaseA, analysis.KindSynced, analysis.KindLazy,
-	analysis.KindGuardedby,
+	analysis.KindHotpath, analysis.KindCachekey, analysis.KindGuardedby,
 }
 
 // knownDirective reports whether the kind is part of the grammar.

@@ -1,5 +1,5 @@
 // Package ctxflow exercises the ctxflow analyzer: no bare time.Sleep, no
-// context-free HTTP, and no fresh context roots in handler-reachable code.
+// context-free HTTP, and no fresh context roots without a reasoned allow.
 package ctxflow
 
 import (
@@ -41,21 +41,23 @@ func fetchCtx(ctx context.Context, c *http.Client) error {
 	return resp.Body.Close()
 }
 
-// handle -> helper: the fresh context two calls below the handler is
-// found through the call graph.
-func handle(w http.ResponseWriter, r *http.Request) {
-	helper()
-}
-
+// helper mints a fresh root: flagged wherever it sits, whoever calls it.
 func helper() {
-	ctx := context.Background() // want "ctxflow: ctxflow.helper is reachable from an HTTP handler \\(ctxflow.handle -> ctxflow.helper\\) but mints a fresh context.Background"
+	ctx := context.Background() // want "ctxflow: context.Background mints a fresh root context in the serving tier"
 	_ = ctx
 }
 
-// runner is a detached background loop, not handler-reachable: a fresh
-// root is exactly right for it.
+// runner is a detached background loop: a fresh root is right for it, and
+// the allow says why.
 func runner() {
-	ctx := context.TODO()
+	ctx := context.TODO() //gpulint:allow ctxflow a background loop outlives every request; its stop channel ends it
+	_ = ctx
+}
+
+// derived threads its caller's context, so its allow suppresses nothing.
+func derived(parent context.Context) {
+	ctx, cancel := context.WithCancel(parent) //gpulint:allow ctxflow stale detach note // want "unused //gpulint:allow suppression: no ctxflow diagnostic"
+	defer cancel()
 	_ = ctx
 }
 

@@ -380,9 +380,11 @@ func (m *Manager) runner() {
 // deadlined) context, then folds the terminal state into the counters and
 // the cycle histogram.
 func (m *Manager) runJob(job *Job) {
-	ctx, cancel := context.WithCancel(context.Background())
+	//gpulint:allow ctxflow a job outlives the request that submitted it; Cancel and the job timeout bound it instead
+	base := context.Background()
+	ctx, cancel := context.WithCancel(base)
 	if job.timeout > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), job.timeout)
+		ctx, cancel = context.WithTimeout(base, job.timeout)
 	}
 	defer cancel()
 	if !job.markRunning(cancel) {

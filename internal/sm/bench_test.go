@@ -43,7 +43,7 @@ func benchTick(b *testing.B, policy Policy) {
 		s.Tick(now)
 		sys.Tick(now)
 	}
-	b.ReportMetric(float64(s.Stats.InstrIssued)/float64(b.N), "instr/cycle")
+	b.ReportMetric(float64(s.counters.InstrIssued)/float64(b.N), "instr/cycle")
 }
 
 func BenchmarkSMTickLRR(b *testing.B)  { benchTick(b, PolicyLRR) }

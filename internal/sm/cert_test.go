@@ -210,7 +210,7 @@ func certRun(t *testing.T, sc certScenario, policy Policy, hook func(*rig)) stri
 	})
 	r.beforeStep = hook
 	sc.run(r)
-	return fmt.Sprintf("%d cycles, core %+v, L1 %+v, load latency sum %d", r.now, r.sm.Stats, *r.sm.L1Stats(), r.sm.memLatencySum)
+	return fmt.Sprintf("%d cycles, core %+v, L1 %+v, load latency sum %d", r.now, r.sm.counters, *r.sm.L1Stats(), r.sm.memLatencySum)
 }
 
 // TestStallCertificateLockstep runs every scenario twice per greedy policy:
@@ -226,7 +226,7 @@ func TestStallCertificateLockstep(t *testing.T) {
 				served := uint64(0)
 				got := certRun(t, sc, policy, func(r *rig) {
 					checkCerts(r)
-					_, served = r.sm.IssueCounts()
+					_, served = r.sm.IssueCounts(r.now)
 				})
 				if served == 0 {
 					t.Error("no scheduler-cycle was served by a certificate")
@@ -306,9 +306,9 @@ func TestStallCertificateInvalidationSites(t *testing.T) {
 			r.sm.AddCTA(specWith(1, progOf(loadThenUse)), 0, 1, 0, 0, 0, r.now)
 			stepTo(r, at)
 			r.sm.DrainCTA(victim)
-			issued := r.sm.Stats.InstrIssued
+			issued := r.sm.counters.InstrIssued
 			r.step() // the drain tick: the pick fails and certifies, then the victim is evicted
-			met := r.sm.Stats.InstrIssued == issued && r.sm.ResidentCTAs() == 1
+			met := r.sm.counters.InstrIssued == issued && r.sm.ResidentCTAs() == 1
 			r.runUntilDone(1, 10000)
 			return met
 		})

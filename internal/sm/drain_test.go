@@ -39,7 +39,7 @@ func TestDrainCTAEvictsAfterMemoryQuiesces(t *testing.T) {
 	if r.sm.Draining() != 1 {
 		t.Fatalf("Draining() = %d, want 1", r.sm.Draining())
 	}
-	issuedAtDrain := r.sm.Stats.InstrIssued
+	issuedAtDrain := r.sm.counters.InstrIssued
 	for i := 0; i < 5000 && len(*drained) == 0; i++ {
 		r.step()
 	}
@@ -49,7 +49,7 @@ func TestDrainCTAEvictsAfterMemoryQuiesces(t *testing.T) {
 	if cta.State() != CTAEvicted {
 		t.Fatalf("state after eviction = %d, want CTAEvicted", cta.State())
 	}
-	if got := r.sm.Stats.InstrIssued; got != issuedAtDrain {
+	if got := r.sm.counters.InstrIssued; got != issuedAtDrain {
 		t.Fatalf("draining warps issued %d instructions", got-issuedAtDrain)
 	}
 	if r.sm.ResidentCTAs() != 0 || r.sm.Draining() != 0 {
@@ -61,8 +61,8 @@ func TestDrainCTAEvictsAfterMemoryQuiesces(t *testing.T) {
 	if r.sm.ResidentOf(0) != 0 {
 		t.Fatal("per-kernel residency not released")
 	}
-	if r.sm.Stats.CTAsDrained != 1 || r.sm.Stats.CTAsCompleted != 0 {
-		t.Fatalf("drained=%d completed=%d, want 1/0", r.sm.Stats.CTAsDrained, r.sm.Stats.CTAsCompleted)
+	if r.sm.counters.CTAsDrained != 1 || r.sm.counters.CTAsCompleted != 0 {
+		t.Fatalf("drained=%d completed=%d, want 1/0", r.sm.counters.CTAsDrained, r.sm.counters.CTAsCompleted)
 	}
 	if len(r.done) != 0 {
 		t.Fatal("drained CTA must not be reported as retired")
@@ -82,11 +82,11 @@ func TestDrainCTARacesNaturalCompletion(t *testing.T) {
 	if r.sm.DrainCTA(cta) {
 		t.Fatal("DrainCTA accepted an already-retired CTA")
 	}
-	if r.sm.Stats.CTAsDrained != 0 || len(*drained) != 0 {
+	if r.sm.counters.CTAsDrained != 0 || len(*drained) != 0 {
 		t.Fatal("losing drain request still produced an eviction")
 	}
-	if r.sm.Stats.CTAsCompleted != 1 || len(r.done) != 1 {
-		t.Fatalf("natural completion lost: completed=%d done=%d", r.sm.Stats.CTAsCompleted, len(r.done))
+	if r.sm.counters.CTAsCompleted != 1 || len(r.done) != 1 {
+		t.Fatalf("natural completion lost: completed=%d done=%d", r.sm.counters.CTAsCompleted, len(r.done))
 	}
 	// Re-draining an evicted or draining CTA is likewise refused.
 	if cta.State() != CTARunning {

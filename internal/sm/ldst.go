@@ -165,8 +165,8 @@ func (u *ldstUnit) tickShared(e *ldstEntry, now uint64) {
 		if passes == 0 {
 			passes = 1
 		}
-		u.sm.Stats.SharedAccesses++
-		u.sm.Stats.SharedConflictPasses += passes
+		u.sm.counters.SharedAccesses++
+		u.sm.counters.SharedConflictPasses += passes
 		e.finishAt = now + passes
 	}
 	if now < e.finishAt {
@@ -207,7 +207,7 @@ func (u *ldstUnit) tickGlobal(e *ldstEntry, now uint64) {
 		res = u.sm.l1.Atomic(line, e.token, now)
 	}
 	if res == mem.AccessStall {
-		u.sm.Stats.StallLDSTFull++
+		u.sm.counters.StallLDSTFull++
 		return // retry same transaction next cycle
 	}
 	e.next++

@@ -22,7 +22,7 @@ func TestPendingTableExhaustionStalls(t *testing.T) {
 	}
 	r.sm.AddCTA(specWith(4, prog), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 50000)
-	if r.sm.Stats.StallLDSTFull == 0 && r.sm.Stats.StallScoreboard == 0 {
+	if r.sm.counters.StallLDSTFull == 0 && r.sm.counters.StallScoreboard == 0 {
 		t.Error("no structural pressure recorded with a 1-entry pending table")
 	}
 }
@@ -45,7 +45,7 @@ func TestLDSTQueueFullStallsCounted(t *testing.T) {
 	}
 	r.sm.AddCTA(specWith(4, prog), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 100000)
-	if r.sm.Stats.StallLDSTFull == 0 {
+	if r.sm.counters.StallLDSTFull == 0 {
 		t.Fatal("no LDST-full stalls with a 1-deep queue and divergent loads")
 	}
 }
@@ -66,8 +66,8 @@ func TestSharedStoreNoToken(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		r.step()
 	}
-	if r.sm.Stats.SharedAccesses != 20 {
-		t.Fatalf("shared accesses = %d, want 20", r.sm.Stats.SharedAccesses)
+	if r.sm.counters.SharedAccesses != 20 {
+		t.Fatalf("shared accesses = %d, want 20", r.sm.counters.SharedAccesses)
 	}
 }
 
@@ -128,13 +128,13 @@ func TestActiveCycleAccounting(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.step()
 	}
-	if r.sm.Stats.ActiveCycles != 0 {
-		t.Fatalf("idle core recorded %d active cycles", r.sm.Stats.ActiveCycles)
+	if r.sm.counters.ActiveCycles != 0 {
+		t.Fatalf("idle core recorded %d active cycles", r.sm.counters.ActiveCycles)
 	}
 	b := isa.NewBuilder().IAlu(1, 0).Exit()
 	r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 1000)
-	if r.sm.Stats.ActiveCycles == 0 {
+	if r.sm.counters.ActiveCycles == 0 {
 		t.Fatal("busy core recorded no active cycles")
 	}
 }

@@ -40,13 +40,13 @@ type SM struct {
 	// onWake, when set, is notified whenever an external event (a CTA
 	// placement) makes a possibly-parked core runnable at a cycle. Setting it
 	// also arms lazy counter accrual: the core may then be left unticked
-	// across provably-quiet windows, with Tick/SyncTo replaying the skipped
-	// cycles' counters through FastForward ("lazy replay").
+	// across provably-quiet windows, whose counters Counters computes on read
+	// and Tick/SyncTo store when the core next runs or is mutated.
 	onWake func(coreID int, at uint64)
-	// syncedTo is the next cycle whose counters have not been accrued —
-	// Stats reflects exactly the cycles in [0, syncedTo). Active cores keep
-	// it at now+1 after every Tick; parked cores fall behind and catch up in
-	// one FastForward when something next looks at them.
+	// syncedTo is the next cycle whose counters have not been stored —
+	// counters holds exactly the cycles in [0, syncedTo). Active cores keep
+	// it at now+1 after every Tick; parked cores fall behind, and the window
+	// [syncedTo, t) is charged on read (see Counters).
 	syncedTo uint64
 	// onCTADrained is invoked when a draining CTA is evicted — the
 	// preemption counterpart of onCTADone, reported distinctly because the
@@ -57,23 +57,21 @@ type SM struct {
 	// fast-forward must not skip across a drain window.
 	draining int
 
-	// Stats accumulates the core counters; KernelIssued buckets issued
-	// instructions by kernel index (sized by the GPU at construction).
-	// The listed counters advance once per skipped-or-ticked cycle and are
-	// replayed lazily through FastForward when the core is parked, so a
-	// reader outside the core's own Tick must sync the core to the current
-	// cycle first (gpulint wakesync polices this). The issue/retirement counters
-	// (InstrIssued, ThreadInstr, CTAsCompleted, ...) are exact at all
+	// counters accumulates the core counters through syncedTo; KernelIssued
+	// buckets issued instructions by kernel index (sized by the GPU at
+	// construction). ActiveCycles and the stall counters advance once per
+	// cycle and lag behind while the core is parked, so counters is
+	// unexported: a reader outside the core must pass the time it reads at
+	// (Counters), which charges the parked window. The issue/retirement
+	// counters (InstrIssued, ThreadInstr, CTAsCompleted, ...) are exact at all
 	// times: a parked core provably cannot issue or retire.
-	//
-	//gpulint:lazy ActiveCycles,IssueStallCycles,StallScoreboard,StallLDSTFull,StallBarrier,StallDrain accrued by FastForward lazy replay; stale while parked
-	Stats         stats.Core
+	counters      stats.Core
 	KernelIssued  []uint64
 	memLatencySum uint64
 	memLoadsDone  uint64
 	// issueWalks/issueServed count the scheduler-cycles pickOrReason resolved
 	// by walking the warps vs. by reading a stall certificate. Host-side
-	// accounting, kept out of Stats so it can never reach a Result.
+	// accounting, kept out of counters so it can never reach a Result.
 	issueWalks, issueServed uint64
 }
 
@@ -116,27 +114,69 @@ func (s *SM) SetDrainHandler(fn func(coreID int, cta *CTA)) { s.onCTADrained = f
 // strict tick-every-cycle semantics.
 func (s *SM) SetWakeHandler(fn func(coreID int, at uint64)) { s.onWake = fn }
 
-// SyncTo accrues the counters for every unprocessed cycle in [syncedTo, t)
-// in one lazy replay. The caller certifies the window is quiet — the
-// core was parked with a wake bound >= t, so no cycle in it could have
-// issued, popped a response, or mutated state (FastForward panics if that
-// certificate is wrong). Safe to call redundantly: a window the core has
-// already processed is empty.
-//
-//gpulint:synced SyncTo is the accrual funnel itself: it advances the watermark rather than reading behind it
+// SyncTo stores the counters of the parked window [syncedTo, t) and advances
+// the watermark to t. The GPU calls it before mutating a parked core (a
+// placement, a drain request, a memory response), while the window is still
+// provably quiet; Tick calls it when the core runs again. Safe to call
+// redundantly: a window the core has already processed is empty.
 func (s *SM) SyncTo(t uint64) {
 	if t > s.syncedTo {
-		s.FastForward(s.syncedTo, t)
+		c := s.Counters(t)
+		// Every windowed scheduler-cycle is a stall read off a certificate.
+		s.issueServed += c.IssueStallCycles - s.counters.IssueStallCycles
+		s.counters = c
 		s.syncedTo = t
 	}
 }
 
-// SyncedTo exposes the accrual frontier (tests).
-func (s *SM) SyncedTo() uint64 { return s.syncedTo }
+// Counters returns the core's counters through cycle t (exclusive) without
+// mutating anything: the stored ones plus the parked window [syncedTo, t).
+// A parked core holds a stall certificate on every scheduler with warps —
+// otherwise NextEvent would have kept it active — and nothing that could
+// change a verdict happens before the core is synced, so each window cycle
+// repeats the certified reason: the window is (t − syncedTo) × that reason
+// per scheduler, plus as many ActiveCycles if the core holds work. A draining
+// core is never parked (NextEvent pins its horizon), so StallDrain never
+// accrues here. A t at or before syncedTo reads the stored counters.
+//
+// A scheduler with warps whose certificate does not cover the window means a
+// parked window contained a cycle that could have issued, which the event
+// horizon must never allow; that is a bug, not a recoverable state.
+//
+//gpulint:hotpath
+func (s *SM) Counters(t uint64) stats.Core {
+	c := s.counters
+	if t <= s.syncedTo {
+		return c
+	}
+	k := t - s.syncedTo
+	if len(s.ctas) > 0 || s.ldst.busy() {
+		c.ActiveCycles += k
+	}
+	for i := range s.schedulers {
+		sched := &s.schedulers[i]
+		if len(sched.warps) == 0 {
+			continue
+		}
+		if !s.certified(sched, t-1) {
+			//gpulint:allow hotalloc unreachable-by-contract panic path; formatting cost is irrelevant when the simulator is already broken
+			panic(fmt.Sprintf("sm %d: counters read across an uncertified parked window [%d, %d)", s.id, s.syncedTo, t))
+		}
+		chargeStall(&c, sched.cert.reason, k)
+	}
+	return c
+}
 
-// IssueCounts returns how many scheduler-cycles were resolved by a warp walk
-// and how many were served from a stall certificate (gpu.EngineStats).
-func (s *SM) IssueCounts() (walks, served uint64) { return s.issueWalks, s.issueServed }
+// InstrIssued returns the warp instructions issued so far — exact at all
+// times, so reading it needs no time.
+func (s *SM) InstrIssued() uint64 { return s.counters.InstrIssued }
+
+// IssueCounts returns how many scheduler-cycles through cycle t (exclusive)
+// were resolved by a warp walk and how many were served from a stall
+// certificate (gpu.EngineStats). Every cycle of a parked window is served.
+func (s *SM) IssueCounts(t uint64) (walks, served uint64) {
+	return s.issueWalks, s.issueServed + s.Counters(t).IssueStallCycles - s.counters.IssueStallCycles
+}
 
 // Draining returns the number of resident CTAs currently draining.
 func (s *SM) Draining() int { return s.draining }
@@ -343,23 +383,21 @@ func (s *SM) leastLoadedScheduler() *scheduler {
 // Tick advances the core one cycle: drain memory responses, advance the
 // LDST pipeline, then let each scheduler issue one instruction. Under lazy
 // accrual (SetWakeHandler armed) a core waking from a parked window first
-// replays the skipped cycles' counters, so its Stats are current the moment
-// it runs again.
+// stores the skipped cycles' counters (SyncTo), so they are current the
+// moment it runs again.
 //
 // The GPU ticks its cores in ascending core index and skips only parked
 // ones. A core with a pending send, a runnable warp or a draining CTA is
 // never parked (NextEvent returns now for it), so what Tick exports — sends
 // through the memory port, the retirement and eviction callbacks — reaches
 // the shared machine in index order whatever the park/wake history was.
-//
-//gpulint:phasea the core replaying its own parked window: reads of its lazy counters below Tick are current by construction
 func (s *SM) Tick(now uint64) {
 	if s.onWake != nil && now > s.syncedTo {
-		s.FastForward(s.syncedTo, now)
+		s.SyncTo(now) // not inlined: keep the common no-window case a compare
 	}
 	s.syncedTo = now + 1
 	if len(s.ctas) > 0 || s.ldst.busy() {
-		s.Stats.ActiveCycles++
+		s.counters.ActiveCycles++
 	}
 	for {
 		resp, ok := s.sys.PopResponse(s.id, now)
@@ -443,7 +481,7 @@ func (s *SM) evictCTA(cta *CTA, now uint64) {
 	}
 	s.draining--
 	cta.state = CTAEvicted
-	s.Stats.CTAsDrained++
+	s.counters.CTAsDrained++
 	if s.onCTADrained != nil {
 		s.onCTADrained(s.id, cta)
 	}
@@ -456,26 +494,31 @@ func (s *SM) issueOne(sched *scheduler, now uint64) {
 	}
 	w, reason := s.pickOrReason(sched, now)
 	if w == nil {
-		s.Stats.IssueStallCycles++
-		switch reason {
-		case skipScoreboard:
-			s.Stats.StallScoreboard++
-		case skipStructural:
-			s.Stats.StallLDSTFull++
-		case skipBarrier:
-			s.Stats.StallBarrier++
-		case skipDraining:
-			s.Stats.StallDrain++
-		}
+		chargeStall(&s.counters, reason, 1)
 		return
 	}
 	s.execute(sched, w, now)
 }
 
+// chargeStall charges k scheduler-cycles stalled for reason to c: one from
+// issueOne, a parked window's worth from Counters, so skipped cycles accrue
+// exactly the counters executed cycles would.
+func chargeStall(c *stats.Core, reason skipReason, k uint64) {
+	c.IssueStallCycles += k
+	switch reason {
+	case skipScoreboard:
+		c.StallScoreboard += k
+	case skipStructural:
+		c.StallLDSTFull += k
+	case skipBarrier:
+		c.StallBarrier += k
+	case skipDraining:
+		c.StallDrain += k
+	}
+}
+
 // pickOrReason resolves one scheduler slot's verdict for one cycle: the
-// issuing warp, or nil plus the stall attribution. It is the single verdict
-// path shared by Tick and FastForward, so skipped cycles accrue exactly the
-// counters executed cycles would. While the slot's stall
+// issuing warp, or nil plus the stall attribution. While the slot's stall
 // certificate holds — the common case: most scheduler-cycles are failed
 // picks repeating the cycle before — the verdict is read, not recomputed.
 //
@@ -534,8 +577,8 @@ func (s *SM) execute(sched *scheduler, w *Warp, now uint64) {
 	wi := &w.cur
 	w.curValid = false
 
-	s.Stats.InstrIssued++
-	s.Stats.ThreadInstr += uint64(wi.ActiveLanes())
+	s.counters.InstrIssued++
+	s.counters.ThreadInstr += uint64(wi.ActiveLanes())
 	w.cta.Issued++
 	if w.cta.KernelIdx < len(s.KernelIssued) {
 		s.KernelIssued[w.cta.KernelIdx]++
@@ -624,7 +667,7 @@ func (s *SM) completeCTA(cta *CTA, now uint64) {
 	if cta.KernelIdx >= 0 && cta.KernelIdx < len(s.residentByKernel) {
 		s.residentByKernel[cta.KernelIdx]--
 	}
-	s.Stats.CTAsCompleted++
+	s.counters.CTAsCompleted++
 	if s.onCTADone != nil {
 		s.onCTADone(s.id, cta)
 	}
@@ -675,48 +718,4 @@ func (s *SM) NextEvent(now uint64) uint64 {
 		next = min(next, sched.cert.until)
 	}
 	return next
-}
-
-// FastForward accrues the per-cycle counters Tick would have produced for
-// the skipped window [from, to). The caller guarantees the machine is
-// frozen across the window — nothing issues, no memory response arrives,
-// no CTA is placed or retires — so the per-slot stall verdict is constant
-// and one evaluation at `from` replicates every skipped cycle. A non-nil
-// pick here would mean the window contained an issuable cycle, which the
-// event horizon must never allow; that is a bug, not a recoverable state.
-//
-//gpulint:hotpath
-func (s *SM) FastForward(from, to uint64) {
-	if to <= from {
-		return
-	}
-	k := to - from
-	if len(s.ctas) > 0 || s.ldst.busy() {
-		s.Stats.ActiveCycles += k
-	}
-	for i := range s.schedulers {
-		sched := &s.schedulers[i]
-		if len(sched.warps) == 0 {
-			continue
-		}
-		w, reason := s.pickOrReason(sched, from)
-		if w != nil {
-			//gpulint:allow hotalloc unreachable-by-contract panic path; formatting cost is irrelevant when the simulator is already broken
-			panic(fmt.Sprintf("sm %d: fast-forward across an issuable cycle at %d", s.id, from))
-		}
-		s.issueServed += k - 1 // one verdict stands for the whole window
-		s.Stats.IssueStallCycles += k
-		switch reason {
-		case skipScoreboard:
-			s.Stats.StallScoreboard += k
-		case skipStructural:
-			s.Stats.StallLDSTFull += k
-		case skipBarrier:
-			s.Stats.StallBarrier += k
-		case skipDraining:
-			// Unreachable: NextEvent pins the horizon while draining, so no
-			// window containing a drain is ever skipped. Kept for symmetry.
-			s.Stats.StallDrain += k
-		}
-	}
 }

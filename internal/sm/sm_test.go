@@ -88,10 +88,10 @@ func TestALUChainLatency(t *testing.T) {
 	if r.now < wantMin {
 		t.Fatalf("chain finished at %d, want >= %d", r.now, wantMin)
 	}
-	if r.sm.Stats.InstrIssued != 11 {
-		t.Fatalf("issued %d, want 11", r.sm.Stats.InstrIssued)
+	if r.sm.counters.InstrIssued != 11 {
+		t.Fatalf("issued %d, want 11", r.sm.counters.InstrIssued)
 	}
-	if r.sm.Stats.StallScoreboard == 0 {
+	if r.sm.counters.StallScoreboard == 0 {
 		t.Fatal("dependence chain produced no scoreboard stalls")
 	}
 }
@@ -128,7 +128,7 @@ func TestDualIssue(t *testing.T) {
 	spec := specWith(8, fixedProg(b))
 	r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 100000)
-	ipc := float64(r.sm.Stats.InstrIssued) / float64(r.now)
+	ipc := float64(r.sm.counters.InstrIssued) / float64(r.now)
 	if ipc < 1.5 {
 		t.Fatalf("IPC = %.2f, want near 2 with dual schedulers", ipc)
 	}
@@ -157,7 +157,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	if r.now < minSlowArrival {
 		t.Fatalf("CTA done at %d, before slow warp could reach barrier (%d)", r.now, minSlowArrival)
 	}
-	if r.sm.Stats.StallBarrier == 0 {
+	if r.sm.counters.StallBarrier == 0 {
 		t.Fatal("no barrier stalls recorded")
 	}
 }

@@ -41,6 +41,22 @@ type Core struct {
 	SharedConflictPasses uint64
 }
 
+// Add accumulates other into c (for summing per-core counters).
+func (c *Core) Add(other *Core) {
+	c.ActiveCycles += other.ActiveCycles
+	c.InstrIssued += other.InstrIssued
+	c.ThreadInstr += other.ThreadInstr
+	c.IssueStallCycles += other.IssueStallCycles
+	c.StallScoreboard += other.StallScoreboard
+	c.StallLDSTFull += other.StallLDSTFull
+	c.StallBarrier += other.StallBarrier
+	c.StallDrain += other.StallDrain
+	c.CTAsCompleted += other.CTAsCompleted
+	c.CTAsDrained += other.CTAsDrained
+	c.SharedAccesses += other.SharedAccesses
+	c.SharedConflictPasses += other.SharedConflictPasses
+}
+
 // Cache aggregates hit/miss counters for one cache (or one level summed).
 type Cache struct {
 	Accesses uint64

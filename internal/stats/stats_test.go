@@ -2,9 +2,28 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// TestCoreAddCoversEveryField fails when a counter added to Core is not
+// summed by Add (the per-core collection would silently drop it).
+func TestCoreAddCoversEveryField(t *testing.T) {
+	var one Core
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	var sum Core
+	sum.Add(&one)
+	sum.Add(&one)
+	for i := 0; i < v.NumField(); i++ {
+		if got, want := reflect.ValueOf(sum).Field(i).Uint(), 2*uint64(i+1); got != want {
+			t.Errorf("%s: Add summed %d, want %d", v.Type().Field(i).Name, got, want)
+		}
+	}
+}
 
 func TestCacheRates(t *testing.T) {
 	c := Cache{Accesses: 100, Hits: 75, Misses: 25}

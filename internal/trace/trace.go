@@ -54,7 +54,7 @@ func Attach(g *gpu.GPU, epoch uint64) *Timeline {
 		resident, active := 0, 0
 		for i := 0; i < g.NumCores(); i++ {
 			c := g.Core(i)
-			instr += c.Stats.InstrIssued
+			instr += c.InstrIssued()
 			l1.Add(c.L1Stats())
 			if n := c.ResidentCTAs(); n > 0 {
 				resident += n
