@@ -19,6 +19,11 @@ func Coalesce(dst []uint64, wi *isa.WarpInstr, base uint64, lineBytes int) []uin
 			continue
 		}
 		line := (base + uint64(wi.Addrs[lane])) & lineMask
+		// Neighbouring lanes mostly share a line: a repeat of the last one
+		// needs no scan.
+		if n := len(dst); n > 0 && dst[n-1] == line {
+			continue
+		}
 		found := false
 		for _, d := range dst {
 			if d == line {

@@ -2,14 +2,18 @@ package mem
 
 import "gpusched/internal/stats"
 
-// dramReq is a queued DRAM transaction. The bank/row mapping is fixed by
-// the line address, so it is computed once at enqueue rather than on every
-// FR-FCFS scan.
+// dramReq is a queued DRAM transaction.
 type dramReq struct {
 	req     Request
 	arrived uint64
-	bank    int
-	row     uint64
+}
+
+// dramKey is a queued transaction's bank and row. The mapping is fixed by
+// the line address, so it is computed once at enqueue, and it is kept apart
+// from the request so the FR-FCFS scan reads 16 bytes per entry, not 64.
+type dramKey struct {
+	row  uint64
+	bank int
 }
 
 // DRAMChannel models one GDDR channel: a bounded request queue scheduled
@@ -19,17 +23,19 @@ type dramReq struct {
 type DRAMChannel struct {
 	cfg   *Config
 	queue []dramReq
+	keys  []dramKey // keys[i] belongs to queue[i]
 	banks []dramBank
 	// Cached address-mapping constants (hot path).
 	lineShift   uint
 	linesPerRow uint64
 	// busFreeAt is when the data bus can start the next transfer.
 	busFreeAt uint64
-	// nextSchedAt caches the outcome of an empty FR-FCFS scan: no queued
-	// request's bank frees before this cycle, so Tick skips the scan until
-	// then. Bank states only change when a request is scheduled (impossible
-	// while every candidate bank is busy) and Enqueue resets the bound, so
-	// the gate never alters a scheduling decision.
+	// nextSchedAt is the earliest cycle a queued request's bank is free
+	// (NeverEvent when the queue is empty): the first cycle the FR-FCFS scan
+	// can pick anything. Bank free times move only when a request is
+	// scheduled, so keeping it exact takes a min at Enqueue and one pass over
+	// the queue per pick; Tick scans only when it is due, and every scan
+	// picks.
 	nextSchedAt uint64
 	// onComplete receives finished read requests (loads/atomics).
 	onComplete func(req Request, now uint64)
@@ -62,7 +68,9 @@ func NewDRAMChannel(cfg *Config, onComplete func(req Request, now uint64)) *DRAM
 		cfg:         cfg,
 		banks:       make([]dramBank, cfg.DRAMBanks),
 		queue:       make([]dramReq, 0, cfg.DRAMQueueCap),
+		keys:        make([]dramKey, 0, cfg.DRAMQueueCap),
 		onComplete:  onComplete,
+		nextSchedAt: NeverEvent,
 		lineShift:   cfg.LineShift(),
 		linesPerRow: uint64(cfg.DRAMRowBytes / cfg.LineBytes),
 	}
@@ -77,8 +85,9 @@ func (d *DRAMChannel) Enqueue(req Request, now uint64) {
 		panic("mem: DRAM enqueue past capacity")
 	}
 	bank, row := d.bankAndRow(req.LineAddr)
-	d.queue = append(d.queue, dramReq{req: req, arrived: now, bank: bank, row: row})
-	d.nextSchedAt = 0
+	d.queue = append(d.queue, dramReq{req: req, arrived: now})
+	d.keys = append(d.keys, dramKey{row: row, bank: bank})
+	d.nextSchedAt = min(d.nextSchedAt, d.banks[bank].freeAt)
 }
 
 // QueueLen returns the number of waiting (unscheduled) requests.
@@ -113,18 +122,17 @@ func (d *DRAMChannel) Tick(now uint64) {
 		}
 	}
 
-	if len(d.queue) == 0 || now < d.nextSchedAt {
+	if now < d.nextSchedAt {
 		return
 	}
 	pick := -1
 	pickHit := false
-	for i := range d.queue {
-		qr := &d.queue[i]
-		b := &d.banks[qr.bank]
+	for i, k := range d.keys {
+		b := &d.banks[k.bank]
 		if b.freeAt > now {
 			continue
 		}
-		hit := b.rowValid && b.openRow == qr.row
+		hit := b.rowValid && b.openRow == k.row
 		if d.cfg.DRAMSchedFCFS {
 			// Strict arrival order: take the oldest serviceable request.
 			pick, pickHit = i, hit
@@ -139,24 +147,13 @@ func (d *DRAMChannel) Tick(now uint64) {
 			pick = i
 		}
 	}
-	if pick == -1 {
-		// All candidate banks busy: nothing schedules until the earliest
-		// of their free times, so park the scan there.
-		next := uint64(NeverEvent)
-		for i := range d.queue {
-			if at := d.banks[d.queue[i].bank].freeAt; at < next {
-				next = at
-			}
-		}
-		d.nextSchedAt = next
-		return
-	}
-	qr := d.queue[pick]
+	qr, k := d.queue[pick], d.keys[pick]
 	copy(d.queue[pick:], d.queue[pick+1:])
 	d.queue = d.queue[:len(d.queue)-1]
+	copy(d.keys[pick:], d.keys[pick+1:])
+	d.keys = d.keys[:len(d.keys)-1]
 
-	bank, row := qr.bank, qr.row
-	b := &d.banks[bank]
+	b := &d.banks[k.bank]
 	act := uint64(0)
 	if pickHit {
 		d.Stats.RowHits++
@@ -164,19 +161,24 @@ func (d *DRAMChannel) Tick(now uint64) {
 		d.Stats.RowMisses++
 		act = d.cfg.DRAMtRowExtra
 	}
-	b.openRow = row
+	b.openRow = k.row
 	b.rowValid = true
 
 	// The column access begins after any activation; the burst begins when
 	// both the column data is ready and the bus is free.
 	colReady := now + act + d.cfg.DRAMtCAS
-	busStart := max64(colReady, d.busFreeAt)
+	busStart := max(colReady, d.busFreeAt)
 	busEnd := busStart + d.cfg.DRAMtBurst
 	d.busFreeAt = busEnd
 	b.freeAt = busEnd // simplification: bank busy until its burst drains
 	d.Stats.BusyCycles += d.cfg.DRAMtBurst
 	d.Stats.QueueLatencySum += now - qr.arrived
 	d.Stats.ServicedRequests++
+
+	d.nextSchedAt = NeverEvent
+	for _, k := range d.keys {
+		d.nextSchedAt = min(d.nextSchedAt, d.banks[k.bank].freeAt)
+	}
 
 	switch qr.req.Kind {
 	case ReqStore, reqWriteBack:
@@ -187,18 +189,11 @@ func (d *DRAMChannel) Tick(now uint64) {
 		}
 	default:
 		d.Stats.Reads++
-		d.insertCompletion(dramCompletion{at: busEnd, req: qr.req})
+		// Every burst ends after the one before it (busStart >= busFreeAt),
+		// so appending keeps completions in finish-time order.
+		//gpulint:allow hotalloc at most one read per bank is in flight (its bank stays busy until the completion is delivered), so the backing array stops growing at DRAMBanks entries
+		d.completions = append(d.completions, dramCompletion{at: busEnd, req: qr.req})
 	}
-}
-
-func (d *DRAMChannel) insertCompletion(c dramCompletion) {
-	i := len(d.completions)
-	for i > 0 && d.completions[i-1].at > c.at {
-		i--
-	}
-	d.completions = append(d.completions, dramCompletion{})
-	copy(d.completions[i+1:], d.completions[i:])
-	d.completions[i] = c
 }
 
 // Drained reports whether no requests are queued or in flight.
@@ -207,33 +202,12 @@ func (d *DRAMChannel) Drained() bool {
 }
 
 // NextEvent returns the earliest cycle >= now at which Tick does work: the
-// head completion delivers (completions are sorted by finish time), or a
-// queued request's bank frees so the FR-FCFS scan can schedule it. Bank
-// free times only move when a request is scheduled, so within a frozen
-// window the earliest of them is exact.
+// head completion delivers (completions are in finish-time order), or a
+// queued request's bank frees so the FR-FCFS scan can schedule it.
 func (d *DRAMChannel) NextEvent(now uint64) uint64 {
-	next := uint64(NeverEvent)
+	next := d.nextSchedAt
 	if len(d.completions) > 0 {
-		if d.completions[0].at <= now {
-			return now
-		}
-		next = d.completions[0].at
+		next = min(next, d.completions[0].at)
 	}
-	for i := range d.queue {
-		at := d.banks[d.queue[i].bank].freeAt
-		if at <= now {
-			return now
-		}
-		if at < next {
-			next = at
-		}
-	}
-	return next
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return max(next, now)
 }

@@ -248,7 +248,7 @@ func (p *L2Partition) NextEvent(now uint64, in *pipe[Request]) uint64 {
 		return now
 	}
 	if in.Len() > 0 {
-		at := max64(in.NextReady(), p.lookupFreeAt)
+		at := max(in.NextReady(), p.lookupFreeAt)
 		if at <= now {
 			return now
 		}

@@ -1,35 +1,40 @@
 package mem
 
+import "math/bits"
+
 // MSHR is a miss-status holding register file: it tracks lines with an
 // outstanding fill and merges subsequent misses to the same line so only one
 // request per line leaves the cache. Tokens of merged requesters are
 // released together when the fill completes.
 //
-// The file is slot-based: maxEntries token buffers are allocated once and
-// recycled through a free list, so steady-state operation allocates nothing
-// (primary misses are the hottest allocation site in long simulations
-// otherwise). The slice Complete returns aliases the retired entry's slot
-// buffer and is valid only until the next Allocate — both cache levels
-// consume it before returning to the cycle loop.
+// The file is slot-based: maxEntries token buffers are carved from one slab
+// allocated once and recycled through a free list, so steady-state
+// operation allocates nothing (primary misses are the hottest allocation
+// site in long simulations otherwise). The slice Complete returns aliases
+// the retired entry's slot buffer and is valid only until the next Allocate
+// — both cache levels consume it before returning to the cycle loop.
 type MSHR struct {
-	// lines[s] is the pending line slot s tracks (noLine when free). A file
-	// has a few dozen slots at most, so finding a line is a linear scan of
-	// this array — cheaper than hashing into a map of the same size.
+	// lines[s] is the pending line slot s tracks (stale when s is free).
 	lines []uint64
+	// Pending slots are chained by line hash: head[b] is the first slot of
+	// bucket b (-1 when empty) and next[s] the slot after s. With at least
+	// two buckets per slot a chain is almost always empty or one long, so
+	// every lookup — above all the "not pending" answer each primary miss
+	// asks for twice — costs O(1) instead of a scan of every slot. Which
+	// slot holds a line is still decided by the free list alone.
+	head  []int32
+	next  []int32
+	shift uint // 64 - log2(len(head)): bucket is the hash's top bits
 	// atomic[s] marks a slot some atomic requester allocated or merged into.
 	atomic []bool
-	// slots holds the per-entry token buffers; retired buffers keep their
-	// backing arrays (capacity grows to maxMerges once and stays).
-	slots [][]uint32
-	free  []int32
+	// Slot s's waiters are tokens[s*maxMerges:][:count[s]], in arrival order.
+	tokens []uint32
+	count  []int32
+	free   []int32
 
 	maxEntries int
 	maxMerges  int
 }
-
-// noLine marks a free slot: line addresses are multiples of the line size,
-// never all-ones.
-const noLine = ^uint64(0)
 
 // NewMSHR builds an MSHR file with maxEntries distinct pending lines and up
 // to maxMerges requesters per line (the primary miss counts as one).
@@ -40,31 +45,42 @@ func NewMSHR(maxEntries, maxMerges int) *MSHR {
 	if maxMerges <= 0 {
 		maxMerges = 1
 	}
+	logBuckets := bits.Len(uint(2*maxEntries - 1)) // 2*maxEntries rounded up to a power of two
 	m := &MSHR{
 		lines:      make([]uint64, maxEntries),
+		head:       make([]int32, 1<<logBuckets),
+		next:       make([]int32, maxEntries),
+		shift:      uint(64 - logBuckets),
 		atomic:     make([]bool, maxEntries),
-		slots:      make([][]uint32, maxEntries),
+		tokens:     make([]uint32, maxEntries*maxMerges),
+		count:      make([]int32, maxEntries),
 		free:       make([]int32, 0, maxEntries),
 		maxEntries: maxEntries,
 		maxMerges:  maxMerges,
 	}
-	// One slab backs every slot at full merge capacity: Merge's len check
-	// keeps a slot at <= maxMerges tokens, so no append ever reallocates and
-	// the whole file costs one buffer allocation instead of maxEntries.
-	slab := make([]uint32, maxEntries*maxMerges)
+	for b := range m.head {
+		m.head[b] = -1
+	}
 	for i := maxEntries - 1; i >= 0; i-- {
-		m.slots[i] = slab[i*maxMerges : i*maxMerges : (i+1)*maxMerges]
-		m.lines[i] = noLine
 		m.free = append(m.free, int32(i))
 	}
 	return m
 }
 
+// bucket hashes lineAddr to its chain (Fibonacci hashing: the multiply
+// spreads the line-index bits into the top bits the shift keeps, so the
+// zero offset bits of a line address do not matter).
+func (m *MSHR) bucket(lineAddr uint64) int {
+	return int((lineAddr * 0x9E3779B97F4A7C15) >> m.shift)
+}
+
 // find returns the slot tracking lineAddr, -1 when it is not pending.
+//
+//gpulint:hotpath
 func (m *MSHR) find(lineAddr uint64) int {
-	for s, l := range m.lines {
-		if l == lineAddr {
-			return s
+	for s := m.head[m.bucket(lineAddr)]; s >= 0; s = m.next[s] {
+		if m.lines[s] == lineAddr {
+			return int(s)
 		}
 	}
 	return -1
@@ -98,8 +114,10 @@ func (m *MSHR) Allocate(lineAddr uint64, token uint32) bool {
 	}
 	s := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
-	m.slots[s] = append(m.slots[s][:0], token)
+	m.tokens[int(s)*m.maxMerges], m.count[s] = token, 1
 	m.lines[s] = lineAddr
+	b := m.bucket(lineAddr)
+	m.next[s], m.head[b] = m.head[b], s
 	return true
 }
 
@@ -110,10 +128,12 @@ func (m *MSHR) Merge(lineAddr uint64, token uint32) bool {
 	if s < 0 {
 		panic("mem: MSHR Merge on non-pending line")
 	}
-	if len(m.slots[s]) >= m.maxMerges {
+	n := int(m.count[s])
+	if n >= m.maxMerges {
 		return false
 	}
-	m.slots[s] = append(m.slots[s], token)
+	m.tokens[s*m.maxMerges+n] = token
+	m.count[s]++
 	return true
 }
 
@@ -123,13 +143,20 @@ func (m *MSHR) Merge(lineAddr uint64, token uint32) bool {
 // issuing new misses. Completing a non-pending line returns nil (a response
 // can race a flush only in tests; real fills always have an entry).
 func (m *MSHR) Complete(lineAddr uint64) []uint32 {
-	s := m.find(lineAddr)
+	link := &m.head[m.bucket(lineAddr)]
+	for *link >= 0 && m.lines[*link] != lineAddr {
+		link = &m.next[*link]
+	}
+	s := *link
 	if s < 0 {
 		return nil
 	}
-	m.lines[s], m.atomic[s] = noLine, false
-	m.free = append(m.free, int32(s))
-	return m.slots[s]
+	*link = m.next[s]
+	m.atomic[s] = false
+	m.free = append(m.free, s)
+	base := int(s) * m.maxMerges
+	end := base + int(m.count[s])
+	return m.tokens[base:end:end]
 }
 
 // Used returns the number of occupied line entries.

@@ -9,11 +9,10 @@ import (
 // warp alternates a fully-coalesced global load with an ALU op consuming the
 // loaded value, so the warp parks on the scoreboard for the full memory
 // round trip between issues. Every warp touches distinct lines (no reuse,
-// all misses), which drives the machine into the worst case for a
-// cycle-by-cycle loop: long stretches where every resident warp is
-// memory-blocked and nothing happens. It is not part of the paper's
-// workload registry — it exists to benchmark the simulator itself (the
-// event-horizon fast-forward in particular), not a scheduling policy.
+// all misses). With many CTAs it keeps L1, crossbar, L2 and DRAM busy every
+// cycle; with one warp nearly every cycle is one the GPU loop's all-parked
+// advance step skips. It is not part of the paper's workload registry — it
+// exists to benchmark the simulator itself, not a scheduling policy.
 func ChaseSpec(ctas, warpsPerCTA, iters int) *kernel.Spec {
 	return &kernel.Spec{
 		Name:          "chase",
@@ -21,21 +20,14 @@ func ChaseSpec(ctas, warpsPerCTA, iters int) *kernel.Spec {
 		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread: 8,
 		Program: func(ctaID, w int) isa.Program {
-			instrs := make([]isa.WarpInstr, 0, 2*iters+1)
-			for i := 0; i < iters; i++ {
-				var ld isa.WarpInstr
-				ld.Op = isa.OpLoadGlobal
-				ld.Dst = 2
-				ld.Mask = isa.FullMask
-				line := uint32(((ctaID*warpsPerCTA+w)*iters + i) * 128)
-				for lane := 0; lane < isa.WarpSize; lane++ {
-					ld.Addrs[lane] = line + uint32(lane*4)
-				}
-				instrs = append(instrs, ld,
-					isa.WarpInstr{Op: isa.OpIAlu, Dst: 3, Src: [3]isa.Reg{2}, Mask: isa.FullMask})
+			first := (ctaID*warpsPerCTA + w) * iters
+			return &loopProgram{
+				iters: iters,
+				body: []Emit{
+					ldg(2, func(i int) uint32 { return uint32((first + i) * 128) }),
+					alu(isa.OpIAlu, 3, 2),
+				},
 			}
-			instrs = append(instrs, isa.WarpInstr{Op: isa.OpExit, Mask: isa.FullMask})
-			return &isa.SliceProgram{Instrs: instrs}
 		},
 	}
 }
