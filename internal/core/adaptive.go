@@ -99,7 +99,7 @@ func (a *AdaptiveLCS) Tick(m Machine) {
 	}
 }
 
-// NextDispatchEvent implements FastForwarder: like LCS, every internal
+// NextDispatchEvent implements Dispatcher: like LCS, every internal
 // transition (initial decision, probe step, lock) happens in OnCTAComplete.
 func (a *AdaptiveLCS) NextDispatchEvent(uint64) uint64 { return NeverEvent }
 

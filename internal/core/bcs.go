@@ -93,7 +93,7 @@ func canAcceptN(c *sm.SM, ks *KernelState, n int) bool {
 	return c.Usage().Add(ks.Spec, n).Fits(c.Limits())
 }
 
-// NextDispatchEvent implements FastForwarder: gang/filler bookkeeping moves
+// NextDispatchEvent implements Dispatcher: gang/filler bookkeeping moves
 // only on placements and completions.
 func (b *BCS) NextDispatchEvent(uint64) uint64 { return NeverEvent }
 

@@ -40,7 +40,7 @@ func (s *Sequential) Tick(m Machine) {
 // OnCTAComplete implements Dispatcher.
 func (s *Sequential) OnCTAComplete(Machine, int, *sm.CTA) {}
 
-// NextDispatchEvent implements FastForwarder: the kernel barrier advances
+// NextDispatchEvent implements Dispatcher: the kernel barrier advances
 // only when a CTA completes.
 func (s *Sequential) NextDispatchEvent(uint64) uint64 { return NeverEvent }
 
@@ -89,7 +89,7 @@ func (s *Spatial) Tick(m Machine) {
 // OnCTAComplete implements Dispatcher.
 func (s *Spatial) OnCTAComplete(Machine, int, *sm.CTA) {}
 
-// NextDispatchEvent implements FastForwarder: the core partition is static.
+// NextDispatchEvent implements Dispatcher: the core partition is static.
 func (s *Spatial) NextDispatchEvent(uint64) uint64 { return NeverEvent }
 
 // Mixed is the paper's mixed concurrent kernel execution: both kernels
@@ -147,5 +147,5 @@ func (x *Mixed) limitA() int {
 // OnCTAComplete implements Dispatcher.
 func (x *Mixed) OnCTAComplete(Machine, int, *sm.CTA) {}
 
-// NextDispatchEvent implements FastForwarder: LimitA is fixed for the run.
+// NextDispatchEvent implements Dispatcher: LimitA is fixed for the run.
 func (x *Mixed) NextDispatchEvent(uint64) uint64 { return NeverEvent }

@@ -110,6 +110,15 @@ type Dispatcher interface {
 	// OnCTAComplete is called when a CTA retires, after the owning
 	// KernelState counters were updated.
 	OnCTAComplete(m Machine, coreID int, cta *sm.CTA)
+	// NextDispatchEvent returns the earliest cycle >= now at which Tick may
+	// do time-driven work. It is the certificate that lets the GPU cycle loop
+	// skip provably-idle cycles across the dispatcher: as long as no CTA is
+	// placed or completes, Tick is a pure no-op for every cycle in [now, that
+	// bound) — no internal state changes, no placements, no counter updates.
+	// Policies whose Tick does time-driven work (epoch controllers) return
+	// their next boundary; policies that only react to machine state return
+	// NeverEvent.
+	NextDispatchEvent(now uint64) uint64
 }
 
 // PreemptionObserver is the optional Dispatcher extension notified when a
@@ -120,22 +129,9 @@ type PreemptionObserver interface {
 	OnCTAEvicted(m Machine, coreID int, cta *sm.CTA)
 }
 
-// NeverEvent is the FastForwarder bound meaning "no time-driven work: only a
-// CTA placement or completion can change what Tick does".
+// NeverEvent is the NextDispatchEvent bound meaning "no time-driven work:
+// only a CTA placement or completion can change what Tick does".
 const NeverEvent = ^uint64(0)
-
-// FastForwarder is the opt-in contract a Dispatcher signs so the GPU cycle
-// loop may skip provably-idle cycles across it. NextDispatchEvent(now)
-// returns the earliest cycle >= now at which Tick may do time-driven work;
-// the implementation certifies that, as long as no CTA is placed or
-// completes, Tick is a pure no-op for every cycle in [now, that bound) — no
-// internal state changes, no placements, no counter updates. Policies whose
-// Tick does time-driven work (epoch controllers) return their next
-// boundary; policies that only react to machine state return NeverEvent.
-// Dispatchers that do not implement the interface are never skipped.
-type FastForwarder interface {
-	NextDispatchEvent(now uint64) uint64
-}
 
 // place dispatches kernel ks's next CTA onto core c with the given BCS gang
 // identity, stamping launch bookkeeping. Evicted CTAs re-dispatch first

@@ -141,7 +141,7 @@ func (d *DynCTA) minLimit() int {
 	return d.MinLimit
 }
 
-// NextDispatchEvent implements FastForwarder. Unlike the pure policies,
+// NextDispatchEvent implements Dispatcher. Unlike the pure policies,
 // DynCTA's Tick does time-driven work: once a core's allowance is
 // initialized, its controller fires when now reaches lastEpoch+EpochCycles.
 // The skip bound is therefore the earliest epoch boundary over initialized

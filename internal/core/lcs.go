@@ -100,7 +100,7 @@ func (l *LCS) Tick(m Machine) {
 	}
 }
 
-// NextDispatchEvent implements FastForwarder: limits change only in
+// NextDispatchEvent implements Dispatcher: limits change only in
 // OnCTAComplete, and placement reads only machine state.
 func (l *LCS) NextDispatchEvent(uint64) uint64 { return NeverEvent }
 

@@ -45,5 +45,5 @@ func (l *Limited) Tick(m Machine) {
 // OnCTAComplete implements Dispatcher.
 func (l *Limited) OnCTAComplete(Machine, int, *sm.CTA) {}
 
-// NextDispatchEvent implements FastForwarder: the static cap is read-only.
+// NextDispatchEvent implements Dispatcher: the static cap is read-only.
 func (l *Limited) NextDispatchEvent(uint64) uint64 { return NeverEvent }

@@ -230,7 +230,7 @@ func (p *Preemptive) OnCTAEvicted(m Machine, coreID int, cta *sm.CTA) {
 	}
 }
 
-// NextDispatchEvent implements FastForwarder: between epoch boundaries Tick
+// NextDispatchEvent implements Dispatcher: between epoch boundaries Tick
 // only attempts placements, which are no-ops while the machine is frozen, so
 // the next time-driven work is the next epoch boundary.
 func (p *Preemptive) NextDispatchEvent(now uint64) uint64 {

@@ -1,7 +1,7 @@
 package core_test
 
 import (
-	"fmt"
+	"context"
 	"reflect"
 	"testing"
 
@@ -67,8 +67,8 @@ type evictRecord struct {
 }
 
 // evictLogger wraps Preemptive, recording each committed eviction. Embedding
-// promotes Dispatcher, FastForwarder, and OnCTAComplete; OnCTAEvicted is
-// overridden to log before delegating.
+// promotes Dispatcher and OnCTAComplete; OnCTAEvicted is overridden to log
+// before delegating.
 type evictLogger struct {
 	*core.Preemptive
 	log []evictRecord
@@ -80,9 +80,9 @@ func (l *evictLogger) OnCTAEvicted(m core.Machine, coreID int, cta *sm.CTA) {
 }
 
 // TestPreemptiveDeterminism proves the preemption path holds the simulator's
-// core invariant: results and the full eviction log are identical with
-// fast-forward on or off (parking and the advance step change which SMs the
-// loop visits and which cycles it ticks), and the log is ordered by
+// core invariant: results and the full eviction log are identical on
+// RunContext and RunReference (parking and the advance step change which SMs
+// the loop visits and which cycles it ticks), and the log is ordered by
 // (eviction cycle, core index) — the requeue FIFO key.
 func TestPreemptiveDeterminism(t *testing.T) {
 	batch := uniformKernel("batch", 64, 4, 300, 32)
@@ -95,19 +95,21 @@ func TestPreemptiveDeterminism(t *testing.T) {
 	}
 	var ref *outcome
 	var refName string
-	for _, noFF := range []bool{false, true} {
-		name := fmt.Sprintf("ff=%v", !noFF)
+	for _, loop := range []struct {
+		name string
+		run  func(*gpu.GPU, context.Context) (gpu.Result, error)
+	}{{"fast", (*gpu.GPU).RunContext}, {"reference", (*gpu.GPU).RunReference}} {
+		name := loop.name
 		d := &evictLogger{Preemptive: core.NewPreemptive(1, 0)}
 		cfg := gpu.DefaultConfig()
 		cfg.NumCores = 4
 		cfg.MaxCycles = 5_000_000
 		cfg.Core.WarpPolicy = sm.PolicyGTO
-		cfg.DisableFastForward = noFF
 		g, err := gpu.New(cfg, d, batch, prio)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := g.Run()
+		r, _ := loop.run(g, context.Background())
 		if r.TimedOut {
 			t.Fatalf("%s timed out", name)
 		}

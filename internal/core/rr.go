@@ -39,7 +39,7 @@ func (r *RoundRobin) Tick(m Machine) {
 // OnCTAComplete implements Dispatcher; refills happen on subsequent Ticks.
 func (r *RoundRobin) OnCTAComplete(Machine, int, *sm.CTA) {}
 
-// NextDispatchEvent implements FastForwarder: placement depends only on
+// NextDispatchEvent implements Dispatcher: placement depends only on
 // machine state, so only a completion (or a placement) can change a no-op
 // Tick into an active one.
 func (r *RoundRobin) NextDispatchEvent(uint64) uint64 { return NeverEvent }

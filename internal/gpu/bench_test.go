@@ -25,10 +25,9 @@ func benchSpec(b *testing.B, stallHeavy bool) *kernel.Spec {
 	return w.Build(workloads.ScaleTest)
 }
 
-func benchLoop(b *testing.B, stallHeavy, disableFF bool) {
+func benchLoop(b *testing.B, stallHeavy bool, loop loop) {
 	cfg := DefaultConfig()
 	cfg.NumCores = 4
-	cfg.DisableFastForward = disableFF
 	b.ReportAllocs()
 	var cycles uint64
 	b.ResetTimer()
@@ -40,7 +39,7 @@ func benchLoop(b *testing.B, stallHeavy, disableFF bool) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		r := g.Run()
+		r := runToEnd(g, loop)
 		if r.TimedOut {
 			b.Fatal("benchmark kernel timed out")
 		}
@@ -53,13 +52,13 @@ func benchLoop(b *testing.B, stallHeavy, disableFF bool) {
 // event-horizon fast-forward targets; the reference variant pins the
 // before/after ratio in one `go test -bench StallHeavy` run.
 func BenchmarkStallHeavy(b *testing.B) {
-	b.Run("fastforward", func(b *testing.B) { benchLoop(b, true, false) })
-	b.Run("reference", func(b *testing.B) { benchLoop(b, true, true) })
+	b.Run("fastforward", func(b *testing.B) { benchLoop(b, true, (*GPU).RunContext) })
+	b.Run("reference", func(b *testing.B) { benchLoop(b, true, (*GPU).RunReference) })
 }
 
 // BenchmarkStencil measures a moderately memory-bound stencil — busier than
 // the chase kernel, so the fast-forward win is smaller but must still hold.
 func BenchmarkStencil(b *testing.B) {
-	b.Run("fastforward", func(b *testing.B) { benchLoop(b, false, false) })
-	b.Run("reference", func(b *testing.B) { benchLoop(b, false, true) })
+	b.Run("fastforward", func(b *testing.B) { benchLoop(b, false, (*GPU).RunContext) })
+	b.Run("reference", func(b *testing.B) { benchLoop(b, false, (*GPU).RunReference) })
 }

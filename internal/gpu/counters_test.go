@@ -35,6 +35,15 @@ type counterSamples struct {
 	parkedDispatch, parkedCommit int
 }
 
+// parked counts g's parked cores: none on RunReference, which has no
+// activity set.
+func parked(g *GPU) int {
+	if g.activity == nil {
+		return 0
+	}
+	return g.activity.sleeping()
+}
+
 func sampleCores(g *GPU) []stats.Core {
 	out := make([]stats.Core, g.NumCores())
 	for i := range out {
@@ -60,25 +69,23 @@ func TestCountersReadMidRunMatchReference(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var runs [2]counterSamples
-			for i, disableFF := range []bool{false, true} {
-				cfg := testConfig()
-				cfg.DisableFastForward = disableFF
+			for i, loop := range []loop{(*GPU).RunContext, (*GPU).RunReference} {
 				d := &dueSampler{DynCTA: core.NewDynCTA()}
 				d.EpochCycles = 333
-				g, err := New(cfg, d, tc.spec())
+				g, err := New(testConfig(), d, tc.spec())
 				if err != nil {
 					t.Fatal(err)
 				}
 				s := &runs[i]
 				d.onDue = func() {
 					s.dispatch = append(s.dispatch, sampleCores(g))
-					s.parkedDispatch += g.activity.sleeping()
+					s.parkedDispatch += parked(g)
 				}
 				g.SetObserver(func(int, *sm.CTA, uint64) {
 					s.commit = append(s.commit, sampleCores(g))
-					s.parkedCommit += g.activity.sleeping()
+					s.parkedCommit += parked(g)
 				})
-				if r := g.Run(); r.TimedOut {
+				if r := runToEnd(g, loop); r.TimedOut {
 					t.Fatalf("timed out at %d cycles", r.Cycles)
 				}
 			}

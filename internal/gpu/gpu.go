@@ -26,11 +26,6 @@ type Config struct {
 	// MaxCycles aborts runaway simulations; Result.TimedOut is set.
 	// Zero means DefaultMaxCycles.
 	MaxCycles uint64
-	// DisableFastForward forces the reference cycle-by-cycle loop, never
-	// skipping provably-idle stretches. Results are bit-identical either
-	// way — the flag exists so tests can prove exactly that, and so
-	// suspected fast-forward bugs can be bisected against the reference.
-	DisableFastForward bool
 }
 
 // DefaultMaxCycles is the runaway-simulation cap applied when
@@ -83,9 +78,9 @@ type Result struct {
 // EngineStats counts how the cycle loop spent a run: which mechanism covered
 // each simulated cycle, and how often the loop paid for a dispatcher poll —
 // pure host overhead whenever the dispatcher cannot act. It describes the
-// execution, not the simulated machine: the numbers move with
-// DisableFastForward while Result does not, so it is never part of Result
-// and never enters a cache key.
+// execution, not the simulated machine: RunReference reports different
+// numbers for the same Result, so it is never part of Result and never
+// enters a cache key.
 type EngineStats struct {
 	// CyclesTicked counts cycles that ran the full loop body (the SM ticks,
 	// the commits, the memory tick). The other two split the cycles the
@@ -124,10 +119,11 @@ type GPU struct {
 	// epochFn, when set, runs every epochEvery cycles (tracing hooks).
 	epochFn    func(now uint64)
 	epochEvery uint64
-	// ctaEvent records that a CTA retired during the current cycle; with
-	// the placement counter it decides whether the cycle left the dispatcher
-	// quiet, so the loop may advance past an all-parked stretch.
-	ctaEvent bool
+	// dispQuiet is the machine half of the dispatcher-quiescence certificate:
+	// the last dispatcher.Tick placed nothing and admitted no kernel, and no
+	// CTA has retired or been evicted since. The dispatcher tick sets it and
+	// both commits clear it.
+	dispQuiet bool
 	// arrived is how many launch-table kernels have reached their Arrival
 	// cycle; Kernels() exposes exactly that prefix to dispatchers.
 	arrived int
@@ -139,8 +135,8 @@ type GPU struct {
 	// machine, and wakeCore is never called from inside an SM's tick.
 	retired, evicted []coreCTA
 	// activity tracks which SMs have ready work this cycle (built by
-	// RunContext, nil before). Sleeping SMs are not ticked at all; wakeCore
-	// is the only way back in.
+	// RunContext; nil on RunReference). Sleeping SMs are not ticked at all;
+	// wakeCore is the only way back in.
 	activity *activitySet
 	// postTick is true between the SM ticks and the end of the cycle (commits
 	// and the memory tick). wakeCore and CoreCounters use it to pick the
@@ -163,6 +159,9 @@ func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 	}
 	if cfg.NumCores > 255 {
 		return nil, fmt.Errorf("gpu: NumCores %d exceeds response-routing width", cfg.NumCores)
+	}
+	if cfg.MaxCycles == 0 {
+		cfg.MaxCycles = DefaultMaxCycles
 	}
 	g := &GPU{cfg: cfg, dispatcher: d}
 	for i, spec := range specs {
@@ -283,14 +282,16 @@ func (g *GPU) CoreCounters(i int) stats.Core {
 func (g *GPU) Kernels() []*core.KernelState { return g.kernels[:g.arrived] }
 
 // admitArrivals moves newly arrived kernels into the dispatchers' view of
-// the launch table. An admission changes dispatch state, so the cycle is
-// marked non-idle (advance additionally clamps its target to the next
-// pending arrival, so no admission cycle is ever skipped).
-func (g *GPU) admitArrivals() {
+// the launch table and reports whether any arrived. An admission changes
+// dispatch state, so RunContext polls the dispatcher on that cycle and ends
+// it not quiet (advance additionally clamps its target to the next pending
+// arrival, so no admission cycle is ever skipped).
+func (g *GPU) admitArrivals() bool {
+	from := g.arrived
 	for g.arrived < len(g.kernels) && g.kernels[g.arrived].Spec.Arrival <= g.now {
 		g.arrived++
-		g.ctaEvent = true
 	}
+	return g.arrived != from
 }
 
 // Preempt implements core.Machine: it asks core coreID to drain cta for
@@ -337,7 +338,7 @@ func (g *GPU) commitRetirements() {
 	for i := 0; i < len(g.retired); i++ {
 		c, cta := g.retired[i].core, g.retired[i].cta
 		g.retired[i].cta = nil
-		g.ctaEvent = true
+		g.dispQuiet = false
 		ks := g.kernels[cta.KernelIdx]
 		ks.Completed++
 		if ks.Done() {
@@ -369,7 +370,7 @@ func (g *GPU) commitPreemptions() {
 		g.evicted[i].cta = nil
 		// An eviction changes dispatch state (capacity freed, requeue grown),
 		// so the cycle is never idle for advance purposes.
-		g.ctaEvent = true
+		g.dispQuiet = false
 		ks := g.kernels[cta.KernelIdx]
 		ks.Requeue(cta.ID)
 		if po != nil {
@@ -389,59 +390,44 @@ func (g *GPU) Run() Result {
 	return res
 }
 
-// ctxCheckInterval is how often (in cycles) RunContext polls for
+// ctxCheckInterval is how often (in cycles) the cycle loops poll for
 // cancellation — rare enough to keep the cycle loop hot, frequent enough
 // that cancellation lands within microseconds of wall time.
 const ctxCheckInterval = 4096
+
+// canceled is both cycle loops' cancellation poll, run on poll cycles.
+func canceled(ctx context.Context) bool {
+	select { //gpulint:allow nogoroutine cancellation poll only aborts the run; a canceled simulation returns an error and is never cached or reported
+	case <-ctx.Done():
+		return true
+	default:
+		return false
+	}
+}
 
 // RunContext is Run with cooperative cancellation: when ctx is canceled
 // the cycle loop stops mid-flight and the context's error is returned
 // alongside the partial result.
 //
-// The loop is serial; cores are spent on concurrent simulations instead
-// (sim.Service). Each cycle ticks the SMs with ready work in ascending core
-// index — each sending straight into the request crossbar and popping its own
-// response FIFO — then replays CTA retirements and evictions in the same
-// order, then ticks the memory system. A parked SM exports nothing, so
-// skipping it cannot reorder the ones that run: the committed state is what
-// ticking every SM every cycle in index order produces — the loop
-// DisableFastForward selects.
+// The loop is serial (sim.Service runs simulations concurrently instead) and
+// commits exactly what RunReference commits — the dispatcher, every SM in
+// index order, both commits and the memory system, every cycle — while
+// skipping the work it proves empty (DESIGN.md, "Idle skipping"):
+//   - An SM whose NextEvent bound (and its response FIFO's) lies beyond the
+//     next cycle parks in the activity set and is not visited until then or
+//     until wakeCore lowers its bound. A parked SM exports nothing, so the
+//     SMs that run keep their index order, and its counters are charged from
+//     its stall certificates on read (CoreCounters).
+//   - The dispatcher is not ticked while dispQuiet holds and its
+//     NextDispatchEvent lies ahead (a full machine re-polls every SM's
+//     CanAccept each cycle otherwise).
+//   - When a cycle leaves every SM parked and the dispatcher quiet, advance
+//     covers the stretch up to the first cycle anything but the memory system
+//     can act, ticking only the memory system.
 //
-// Which SMs have ready work is tracked by an activity set: after ticking, an
-// SM whose NextEvent bound (and its response FIFO's) lies beyond the next
-// cycle parks and is skipped — not visited at all — until its wake cycle
-// arrives or an external event (CTA placement, drain request, memory
-// response) lowers its bound through wakeCore. An SM that issued holds no
-// stall certificate, so its bound is the next cycle and it stays active. The
-// skipped cycles' ActiveCycles and stall counters accrue lazily: each SM
-// carries a synced-through watermark, readers charge the gap from its stall
-// certificates (CoreCounters), and the SM stores it the next time it runs.
-//
-// When a ticked cycle leaves every SM parked and the dispatcher quiet,
-// advance covers the stretch up to the first cycle anything but the memory
-// system can act, ticking only the memory system on the way. The skip is
-// exact, not approximate: every bound is conservative and the skipped SM
-// ticks, commits and dispatcher polls are provably no-ops, so results are
-// bit-identical to the reference loop (Config.DisableFastForward selects it;
-// the golden determinism tests diff the two).
-//
-// The dispatcher is polled only when it can act. A FastForwarder certifies
-// that its Tick is a pure no-op while no CTA is placed, retires, is evicted
-// or arrives and its NextDispatchEvent bound lies ahead; advance uses that
-// certificate to cover all-parked stretches, and the loop uses the same one
-// on busy cycles to skip the Tick call itself (a full machine re-polls every
-// SM's CanAccept each cycle otherwise). The reference loop
-// (DisableFastForward) ticks the dispatcher every cycle, so the FF-on/FF-off
-// goldens diff the skip as well as the advance.
+// Every bound is conservative, so results are bit-identical to RunReference;
+// the golden determinism tests diff the two.
 func (g *GPU) RunContext(ctx context.Context) (Result, error) {
-	maxCycles := g.cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = DefaultMaxCycles
-	}
-	ff, _ := g.dispatcher.(core.FastForwarder)
-	if g.cfg.DisableFastForward {
-		ff = nil
-	}
 	as := newActivitySet(len(g.cores))
 	g.activity = as
 	// visit ticks one SM for the current cycle and returns its next wake
@@ -451,13 +437,10 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		before := c.InstrIssued()
 		now := g.now
 		c.Tick(now)
-		if ff == nil || c.InstrIssued() != before {
-			// Parking rides on the same proof machinery as advance: without a
-			// FastForwarder a parked window has no dispatcher bound, so the
-			// reference configuration keeps every SM active permanently. An SM
-			// that issued holds no stall certificate, so its bound would be
-			// now+1 anyway: skipping the probe saves it on every issuing cycle
-			// (1 % of sim-issue host time).
+		if c.InstrIssued() != before {
+			// An SM that issued holds no stall certificate, so its bound would
+			// be now+1 anyway: skipping the probe saves it on every issuing
+			// cycle (1 % of sim-issue host time).
 			return 0
 		}
 		// The SM's own bound — the schedulers' stall certificates and the LDST
@@ -466,32 +449,19 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		// (later deliveries wake it through the response hook).
 		return min(c.NextEvent(now+1), g.memsys.ResponseNextReady(i))
 	}
-	// dispQuiet is the machine half of the dispatcher-quiescence certificate:
-	// the last dispatcher.Tick placed nothing, and no CTA has retired, been
-	// evicted or arrived since.
-	dispQuiet := false
-	done := ctx.Done()
-	for g.doneCount < len(g.kernels) && g.now < maxCycles {
-		if done != nil && g.now%ctxCheckInterval == 0 {
-			select { //gpulint:allow nogoroutine cancellation poll only aborts the run; a canceled simulation returns an error and is never cached or reported
-			case <-done:
-				return g.collect(), ctx.Err()
-			default:
-			}
+	live := ctx.Done() != nil
+	for g.doneCount < len(g.kernels) && g.now < g.cfg.MaxCycles {
+		if live && g.now%ctxCheckInterval == 0 && canceled(ctx) {
+			return g.collect(), ctx.Err()
 		}
 		if g.epochFn != nil && g.now%g.epochEvery == 0 {
 			g.epochFn(g.now)
 		}
-		g.ctaEvent = false
-		g.admitArrivals()
-		tickDispatcher := true
-		if ff != nil {
-			tickDispatcher = ff.NextDispatchEvent(g.now) <= g.now || !dispQuiet || g.ctaEvent
-		}
-		if tickDispatcher {
+		arrived := g.admitArrivals()
+		if arrived || !g.dispQuiet || g.dispatcher.NextDispatchEvent(g.now) <= g.now {
 			placed := g.dispatchedCTAs()
 			g.dispatcher.Tick(g)
-			dispQuiet = g.dispatchedCTAs() == placed
+			g.dispQuiet = !arrived && g.dispatchedCTAs() == placed
 			g.engine.DispatcherTicks++
 		} else {
 			g.engine.DispatcherSkips++
@@ -500,18 +470,14 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		g.postTick = true
 		g.commitRetirements()
 		g.commitPreemptions()
-		if g.ctaEvent {
-			dispQuiet = false
-		}
 		g.memsys.Tick(g.now)
 		g.now++
 		g.engine.CyclesTicked++
 		g.postTick = false
 		// Only the dispatcher's Tick and the commit callbacks place CTAs, and a
-		// commit sets ctaEvent, so !ctaEvent && dispQuiet is "nothing placed".
-		// The reference loop never parks, so the last clause implies ff != nil.
-		if !g.ctaEvent && dispQuiet && as.sleeping() == len(g.cores) {
-			g.advance(ff, done != nil, maxCycles)
+		// commit clears dispQuiet, so dispQuiet here is "nothing placed".
+		if g.dispQuiet && as.sleeping() == len(g.cores) {
+			g.advance(live)
 		}
 	}
 	return g.collect(), nil
@@ -532,13 +498,13 @@ func (g *GPU) dispatchedCTAs() int {
 // advance covers an all-parked stretch starting at g.now: the cycle before
 // it left every SM parked beyond it, placed nothing, and retired, evicted and
 // admitted nothing. Until a target — the first of the dispatcher's next
-// event, the next kernel arrival, the earliest SM wake and maxCycles — no SM
+// event, the next kernel arrival, the earliest SM wake and MaxCycles — no SM
 // tick, commit or dispatcher poll can do anything, so only the memory system
 // has to run. The target is clamped so that no epoch-hook cycle (and, when
 // cancellation is armed, no context-poll cycle) falls in [g.now, target):
 // those run at the top of the loop. The target itself is executed, never
-// skipped — except the maxCycles cap, which is never executed, matching the
-// reference loop's exit arithmetic.
+// skipped — except the MaxCycles cap, which is never executed, matching
+// RunReference's exit arithmetic.
 //
 // Where the memory system is quiet too, advance jumps. Where it has work, it
 // ticks it alone in windows of at most XbarLatency cycles: a response
@@ -552,11 +518,11 @@ func (g *GPU) dispatchedCTAs() int {
 // throughout: their stall certificates charge the stretch on read.
 //
 //gpulint:hotpath
-func (g *GPU) advance(ff core.FastForwarder, clampCtx bool, maxCycles uint64) {
+func (g *GPU) advance(clampCtx bool) {
 	window := max(g.cfg.Mem.XbarLatency, 1)
 	for {
 		from := g.now
-		target := min(ff.NextDispatchEvent(from), g.activity.horizon(), maxCycles)
+		target := min(g.dispatcher.NextDispatchEvent(from), g.activity.horizon(), g.cfg.MaxCycles)
 		if g.arrived < len(g.kernels) {
 			target = min(target, g.kernels[g.arrived].Spec.Arrival)
 		}

@@ -296,22 +296,31 @@ func TestTimeoutReported(t *testing.T) {
 	}
 }
 
+// loop is one of the two cycle loops, as a method expression:
+// (*GPU).RunContext or (*GPU).RunReference.
+type loop func(*GPU, context.Context) (Result, error)
+
+// runToEnd runs g on loop with no cancellation, like Run.
+func runToEnd(g *GPU, loop loop) Result {
+	r, _ := loop(g, context.Background())
+	return r
+}
+
 // runFFAndReference runs specs through run twice under fresh dispatchers —
-// on the default loop and on the DisableFastForward reference loop — and
-// fails unless both commit the same Result.
-func runFFAndReference(t *testing.T, cfg Config, build func() core.Dispatcher, specs func() []*kernel.Spec, run func(*GPU) Result) Result {
+// on RunContext and on RunReference — and fails unless both commit the same
+// Result.
+func runFFAndReference(t *testing.T, cfg Config, build func() core.Dispatcher, specs func() []*kernel.Spec, run func(*GPU, loop) Result) Result {
 	t.Helper()
 	var results [2]Result
-	for i, disableFF := range []bool{false, true} {
-		cfg.DisableFastForward = disableFF
+	for i, loop := range []loop{(*GPU).RunContext, (*GPU).RunReference} {
 		g, err := New(cfg, build(), specs()...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		results[i] = run(g)
+		results[i] = run(g, loop)
 	}
 	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Errorf("diverged from the DisableFastForward reference:\n%+v\nvs\n%+v", results[0], results[1])
+		t.Errorf("diverged from RunReference:\n%+v\nvs\n%+v", results[0], results[1])
 	}
 	return results[0]
 }
@@ -332,8 +341,8 @@ func TestRunContextLiveContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	live := runFFAndReference(t, testConfig(), roundRobin, chases, func(g *GPU) Result {
-		r, err := g.RunContext(ctx)
+	live := runFFAndReference(t, testConfig(), roundRobin, chases, func(g *GPU, loop loop) Result {
+		r, err := loop(g, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,11 +354,11 @@ func TestRunContextLiveContext(t *testing.T) {
 	if live.Cycles < 2*ctxCheckInterval {
 		t.Fatalf("run of %d cycles spans too few poll cycles to test the clamp", live.Cycles)
 	}
-	r := runFFAndReference(t, testConfig(), roundRobin, chases, func(g *GPU) Result {
+	r := runFFAndReference(t, testConfig(), roundRobin, chases, func(g *GPU, loop loop) Result {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		g.SetObserver(func(int, *sm.CTA, uint64) { cancel() })
-		r, err := g.RunContext(ctx)
+		r, err := loop(g, ctx)
 		if err == nil {
 			t.Errorf("run finished at %d cycles despite the cancel", r.Cycles)
 		}
@@ -374,7 +383,7 @@ func TestAdvanceStopsInsideParkedWait(t *testing.T) {
 			late := workloads.ChaseSpec(1, 1, 4)
 			late.Arrival = arrival
 			return []*kernel.Spec{workloads.ChaseSpec(1, 1, 16), late}
-		}, (*GPU).Run)
+		}, runToEnd)
 		if got := r.Kernels[1].LaunchCycle; got != arrival {
 			t.Errorf("late kernel launched at %d, want its arrival cycle %d", got, arrival)
 		}
@@ -384,7 +393,7 @@ func TestAdvanceStopsInsideParkedWait(t *testing.T) {
 		cfg.MaxCycles = arrival
 		r := runFFAndReference(t, cfg, roundRobin, func() []*kernel.Spec {
 			return []*kernel.Spec{workloads.ChaseSpec(1, 1, 64)}
-		}, (*GPU).Run)
+		}, runToEnd)
 		if !r.TimedOut || r.Cycles != arrival {
 			t.Errorf("run stopped at %d cycles (timed out: %v), want the %d-cycle cap", r.Cycles, r.TimedOut, arrival)
 		}
@@ -396,7 +405,7 @@ func TestAdvanceStopsInsideParkedWait(t *testing.T) {
 			return d
 		}, func() []*kernel.Spec {
 			return []*kernel.Spec{workloads.ChaseSpec(128, 1, 8)}
-		}, (*GPU).Run)
+		}, runToEnd)
 	})
 }
 
@@ -428,7 +437,7 @@ func TestGranuleInvariance(t *testing.T) {
 			cfg := testConfig()
 			cfg.NumCores = cores
 			t.Run(fmt.Sprintf("%s/%s/%d-sm", tc.workload, tc.build().Name(), cores), func(t *testing.T) {
-				runFFAndReference(t, cfg, tc.build, specs, (*GPU).Run)
+				runFFAndReference(t, cfg, tc.build, specs, runToEnd)
 			})
 		}
 	}
@@ -450,11 +459,9 @@ func TestBatchWindowInvariance(t *testing.T) {
 		var batched uint64
 		runFFAndReference(t, cfg, func() core.Dispatcher { return core.NewLCS() },
 			func() []*kernel.Spec { return []*kernel.Spec{w.Build(workloads.ScaleTest)} },
-			func(g *GPU) Result {
-				r := g.Run()
-				if !g.cfg.DisableFastForward {
-					batched = g.EngineStats().CyclesBatched
-				}
+			func(g *GPU, loop loop) Result {
+				r := runToEnd(g, loop)
+				batched += g.EngineStats().CyclesBatched // RunReference never batches
 				return r
 			})
 		if batched == 0 {
@@ -505,9 +512,9 @@ func quiescenceCases() []quiescenceCase {
 }
 
 // TestDispatcherQuiescence is the engine-level statement of dispatcher
-// quiescence: skipping the dispatcher poll on cycles the FastForwarder
+// quiescence: skipping the dispatcher poll on cycles the NextDispatchEvent
 // certificate covers must be unobservable. Every case is compared against
-// the reference loop (DisableFastForward ticks the dispatcher every cycle).
+// RunReference, which ticks the dispatcher every cycle.
 // The same runs pin the EngineStats identities: every simulated cycle is
 // covered by exactly one mechanism, every ticked cycle polled or skipped the
 // dispatcher, and every scheduler-cycle with resident warps got its verdict
@@ -516,40 +523,38 @@ func TestDispatcherQuiescence(t *testing.T) {
 	for _, tc := range quiescenceCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(disableFF bool) (Result, EngineStats) {
-				cfg := testConfig()
-				cfg.DisableFastForward = disableFF
-				g, err := New(cfg, tc.build(), tc.specs()...)
+			run := func(name string, loop loop) (Result, EngineStats) {
+				g, err := New(testConfig(), tc.build(), tc.specs()...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				r := g.Run()
+				r := runToEnd(g, loop)
 				if r.TimedOut {
 					t.Fatalf("timed out at %d cycles", r.Cycles)
 				}
 				es := g.EngineStats()
 				if sum := es.CyclesTicked + es.CyclesFastForwarded + es.CyclesBatched; sum != r.Cycles {
-					t.Errorf("DisableFastForward=%v: ticked %d + fast-forwarded %d + batched %d = %d, simulated %d",
-						disableFF, es.CyclesTicked, es.CyclesFastForwarded, es.CyclesBatched, sum, r.Cycles)
+					t.Errorf("%s: ticked %d + fast-forwarded %d + batched %d = %d, simulated %d",
+						name, es.CyclesTicked, es.CyclesFastForwarded, es.CyclesBatched, sum, r.Cycles)
 				}
 				if got, want := es.IssueWalks+es.IssueServed, r.Core.InstrIssued+r.Core.IssueStallCycles; got != want {
-					t.Errorf("DisableFastForward=%v: %d walks + %d served = %d, want %d scheduler-cycles (issued %d + stalled %d)",
-						disableFF, es.IssueWalks, es.IssueServed, got, want, r.Core.InstrIssued, r.Core.IssueStallCycles)
+					t.Errorf("%s: %d walks + %d served = %d, want %d scheduler-cycles (issued %d + stalled %d)",
+						name, es.IssueWalks, es.IssueServed, got, want, r.Core.InstrIssued, r.Core.IssueStallCycles)
 				}
 				if es.DispatcherTicks+es.DispatcherSkips != es.CyclesTicked {
-					t.Errorf("DisableFastForward=%v: %d dispatcher ticks + %d skips, want one per ticked cycle (%d)",
-						disableFF, es.DispatcherTicks, es.DispatcherSkips, es.CyclesTicked)
+					t.Errorf("%s: %d dispatcher ticks + %d skips, want one per ticked cycle (%d)",
+						name, es.DispatcherTicks, es.DispatcherSkips, es.CyclesTicked)
 				}
 				return r, es
 			}
-			ref, refStats := run(true)
+			ref, refStats := run("RunReference", (*GPU).RunReference)
 			if refStats.DispatcherSkips != 0 || refStats.DispatcherTicks != ref.Cycles {
 				t.Errorf("reference loop must tick the dispatcher every cycle: %d ticks, %d skips, %d cycles",
 					refStats.DispatcherTicks, refStats.DispatcherSkips, ref.Cycles)
 			}
-			r, es := run(false)
+			r, es := run("RunContext", (*GPU).RunContext)
 			if !reflect.DeepEqual(r, ref) {
-				t.Errorf("diverged from the DisableFastForward reference:\n%+v\nvs\n%+v", r, ref)
+				t.Errorf("diverged from RunReference:\n%+v\nvs\n%+v", r, ref)
 			}
 			if es.DispatcherSkips == 0 {
 				t.Error("the dispatcher was never skipped")

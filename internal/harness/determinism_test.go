@@ -2,9 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
+	"gpusched/internal/sim"
 	"gpusched/internal/workloads"
 )
 
@@ -12,34 +17,96 @@ import (
 // rendered table.
 func renderExperiment(t *testing.T, e Experiment, opt Options) []byte {
 	t.Helper()
-	tab, err := e.Run(New(opt))
+	return render(t, e, New(opt))
+}
+
+func render(t *testing.T, e Experiment, h *Harness) []byte {
+	t.Helper()
+	tab, err := e.Run(h)
 	if err != nil {
-		t.Fatalf("%s (noff=%t): %v", e.ID, opt.NoFastForward, err)
+		t.Fatalf("%s: %v", e.ID, err)
 	}
 	var buf bytes.Buffer
 	tab.Render(&buf)
 	return buf.Bytes()
 }
 
+// refChecker is the harness's runner in the golden determinism tests: it
+// passes every lookup to the service and diffs the Outcome (Result and
+// Limits) of each distinct request against sim.Reference, the same request
+// on the reference cycle loop. References run at most GOMAXPROCS at a time.
+type refChecker struct {
+	t   *testing.T
+	svc *sim.Service
+	sem chan struct{}
+
+	mu      sync.Mutex
+	checked map[string]bool
+}
+
+// checkReference runs e on a fresh harness with opt, diffing every
+// simulation against the reference loop.
+func checkReference(t *testing.T, e Experiment, opt Options) {
+	t.Helper()
+	h := New(opt)
+	c := &refChecker{t: t, svc: h.svc, sem: make(chan struct{}, runtime.GOMAXPROCS(0)), checked: map[string]bool{}}
+	h.run = c
+	render(t, e, h)
+	t.Logf("%s: %d distinct requests match the reference loop", e.ID, len(c.checked))
+}
+
+func (c *refChecker) Run(ctx context.Context, req sim.Request) (sim.Outcome, error) {
+	out, err := c.svc.Run(ctx, req)
+	if err != nil {
+		return out, err
+	}
+	key := req.Key()
+	c.mu.Lock()
+	seen := c.checked[key]
+	c.checked[key] = true
+	c.mu.Unlock()
+	if seen {
+		return out, nil
+	}
+	c.sem <- struct{}{}
+	ref, err := sim.Reference(ctx, req)
+	<-c.sem
+	if err != nil {
+		c.t.Errorf("%s: reference loop failed where the service succeeded: %v", key, err)
+	} else if !reflect.DeepEqual(out, ref) {
+		c.t.Errorf("%s: diverged from the reference loop:\n%+v\nvs\n%+v", key, out, ref)
+	}
+	return out, nil
+}
+
+func (c *refChecker) RunAll(ctx context.Context, reqs []sim.Request) error {
+	var wg sync.WaitGroup
+	errs := make([]error, len(reqs))
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = c.Run(ctx, req)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // TestGoldenFastForwardDeterminism is the gate on SM parking and the advance
-// step: every experiment, run with both active and on the reference loop
-// (every SM and the dispatcher, every cycle, in index order), must render
-// byte-identical tables. The skip logic is only allowed to elide visits and
-// cycles it can prove change nothing — an SM parked while it still had
-// something to send, issue or retire, or any divergence in Cycles,
-// InstrIssued, stall attribution, or per-kernel stats, shows up here as a
-// table diff.
+// step: every simulation of every experiment must commit the same Outcome as
+// the reference loop (every SM and the dispatcher, every cycle, in index
+// order). The skip logic is only allowed to elide visits and cycles it can
+// prove change nothing — an SM parked while it still had something to send,
+// issue or retire shows up here as a diff in Cycles, InstrIssued, stall
+// attribution, per-kernel stats or a scheduler's limits, whether or not the
+// rendered table would show it.
 func TestGoldenFastForwardDeterminism(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			fast := renderExperiment(t, e, Options{Scale: workloads.ScaleTest})
-			ref := renderExperiment(t, e, Options{Scale: workloads.ScaleTest, NoFastForward: true})
-			if !bytes.Equal(fast, ref) {
-				t.Errorf("fast-forward changed %s:\n--- fast-forward ---\n%s--- reference ---\n%s",
-					e.ID, fast, ref)
-			}
+			checkReference(t, e, Options{Scale: workloads.ScaleTest})
 		})
 	}
 }
@@ -48,21 +115,16 @@ func TestGoldenFastForwardDeterminism(t *testing.T) {
 // machine shape. The name is kept from the parking-threshold sweep it
 // replaces: with one rule left (park on any stall bound beyond the next
 // cycle), what still moves which SMs park, for how long and how often they
-// all park at once is how many there are. Every experiment on a 4-SM machine
-// — more CTA waves per SM, so more retire-and-refill wakes crossing parked
-// stretches than the 15-SM default above — must render byte-identical tables
-// with parking and the advance step active and on the reference loop.
+// all park at once is how many there are. Every simulation of every
+// experiment on a 4-SM machine — more CTA waves per SM, so more
+// retire-and-refill wakes crossing parked stretches than the 15-SM default
+// above — must commit the reference loop's Outcome.
 func TestGoldenGranuleDeterminism(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			fast := renderExperiment(t, e, Options{Scale: workloads.ScaleTest, Cores: 4})
-			ref := renderExperiment(t, e, Options{Scale: workloads.ScaleTest, Cores: 4, NoFastForward: true})
-			if !bytes.Equal(fast, ref) {
-				t.Errorf("parking changed %s on 4 SMs:\n--- parked ---\n%s--- reference ---\n%s",
-					e.ID, fast, ref)
-			}
+			checkReference(t, e, Options{Scale: workloads.ScaleTest, Cores: 4})
 		})
 	}
 }
@@ -71,18 +133,14 @@ func TestGoldenGranuleDeterminism(t *testing.T) {
 // memory-system windows, which replaced quiet-window batching. On a single
 // SM every stall of that SM is an all-parked stretch, so the advance covers
 // the most cycles there and ticks the memory system alone in windows the
-// most often. fig5, the memory-bound throttling sweep, on one SM must render
-// byte-identical tables with the advance active and on the reference loop.
+// most often. Every simulation of fig5, the memory-bound throttling sweep,
+// on one SM must commit the reference loop's Outcome.
 func TestGoldenBatchWindowDeterminism(t *testing.T) {
 	e, ok := ByID("fig5")
 	if !ok {
 		t.Fatal("fig5 experiment missing")
 	}
-	fast := renderExperiment(t, e, Options{Scale: workloads.ScaleTest, Cores: 1})
-	ref := renderExperiment(t, e, Options{Scale: workloads.ScaleTest, Cores: 1, NoFastForward: true})
-	if !bytes.Equal(fast, ref) {
-		t.Errorf("the advance step changed fig5 on 1 SM:\n--- advance ---\n%s--- reference ---\n%s", fast, ref)
-	}
+	checkReference(t, e, Options{Scale: workloads.ScaleTest, Cores: 1})
 }
 
 // TestGoldenDeterminismAcrossGOMAXPROCS pins down that run-level parallelism

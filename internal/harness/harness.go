@@ -32,11 +32,6 @@ type Options struct {
 	// CacheDir, when non-empty, persists simulation results on disk
 	// (conventionally results/.simcache) so repeated runs skip them.
 	CacheDir string
-	// NoFastForward forces every simulation onto the reference
-	// cycle-by-cycle loop (see gpu.Config.DisableFastForward). The
-	// determinism tests run every experiment both ways and require
-	// identical tables.
-	NoFastForward bool
 }
 
 // Table is one rendered experiment.
@@ -109,17 +104,22 @@ func (t *Table) CSV(w io.Writer) {
 type Harness struct {
 	opt Options
 	svc *sim.Service
+	// run is where every lookup goes: svc itself, or a wrapper around it
+	// (the determinism tests diff each outcome against sim.Reference).
+	run runner
+}
+
+// runner is the lookup seam between the experiments and the service;
+// *sim.Service satisfies it.
+type runner interface {
+	Run(ctx context.Context, req sim.Request) (sim.Outcome, error)
+	RunAll(ctx context.Context, reqs []sim.Request) error
 }
 
 // New builds a harness.
 func New(opt Options) *Harness {
-	return &Harness{
-		opt: opt,
-		svc: sim.NewService(sim.Options{
-			Progress: opt.Progress,
-			CacheDir: opt.CacheDir,
-		}),
-	}
+	svc := sim.NewService(sim.Options{Progress: opt.Progress, CacheDir: opt.CacheDir})
+	return &Harness{opt: opt, svc: svc, run: svc}
 }
 
 // Service exposes the underlying simulation service (request statistics).
@@ -133,12 +133,11 @@ func (h *Harness) single(name string, sched sim.SchedSpec, policy sm.Policy) sim
 // multi builds a multi-kernel request at the harness's scale/core count.
 func (h *Harness) multi(names []string, sched sim.SchedSpec, policy sm.Policy) sim.Request {
 	return sim.Request{
-		Workloads:     names,
-		Sched:         sched,
-		Warp:          policy,
-		Scale:         h.opt.Scale,
-		Cores:         h.opt.Cores,
-		NoFastForward: h.opt.NoFastForward,
+		Workloads: names,
+		Sched:     sched,
+		Warp:      policy,
+		Scale:     h.opt.Scale,
+		Cores:     h.opt.Cores,
 	}
 }
 
@@ -158,7 +157,7 @@ func (r *resolver) get(req sim.Request) sim.Outcome {
 	if r.err != nil {
 		return sim.Outcome{}
 	}
-	out, err := r.h.svc.Run(context.Background(), req)
+	out, err := r.h.run.Run(context.Background(), req)
 	if err != nil {
 		r.err = err
 		return sim.Outcome{}
@@ -172,7 +171,7 @@ func (r *resolver) warm(reqs []sim.Request) {
 	if r.err != nil {
 		return
 	}
-	if err := r.h.svc.RunAll(context.Background(), reqs); err != nil {
+	if err := r.h.run.RunAll(context.Background(), reqs); err != nil {
 		r.err = err
 	}
 }

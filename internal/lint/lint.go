@@ -23,12 +23,12 @@ var DetPackages = []string{
 	"internal/harness", "internal/stats",
 }
 
-// CycleLoopPackages are the subset that executes inside gpu.RunContext's
-// cycle loop, where any goroutine or channel operation would make replay
-// (and the event-horizon fast-forward) unsound. nogoroutine polices these,
-// and that ban is the cycle loop's whole concurrency contract: the one
-// reasoned //gpulint:allow nogoroutine in them is RunContext's cancellation
-// poll (the self-check test counts it).
+// CycleLoopPackages are the subset that executes inside gpu's cycle loops,
+// where any goroutine or channel operation would make replay (and the
+// event-horizon fast-forward) unsound. nogoroutine polices these, and that
+// ban is the cycle loops' whole concurrency contract: the one reasoned
+// //gpulint:allow nogoroutine in them is the loops' shared cancellation poll
+// (the self-check test counts it).
 var CycleLoopPackages = []string{
 	"internal/gpu", "internal/sm", "internal/mem", "internal/core",
 }

@@ -10,7 +10,7 @@ import (
 
 // Nogoroutine forbids concurrency constructs inside the cycle-loop
 // packages. The simulator's central contract — equal Request keys produce
-// byte-identical Results, on any GOMAXPROCS, with fast-forward on or off —
+// byte-identical Results, on any GOMAXPROCS, on either cycle loop —
 // holds because one goroutine advances the machine cycle by cycle. A `go`
 // statement or channel operation inside gpu/sm/mem/core would let host
 // scheduling order reach simulated state, which no test can reliably

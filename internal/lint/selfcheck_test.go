@@ -50,10 +50,10 @@ func TestRepoGpulintClean(t *testing.T) {
 
 // TestCycleLoopHasOneConcurrencyCarveOut makes "no concurrency in the cycle
 // loop" mechanical: nogoroutine bans goroutines and channels in the
-// cycle-loop packages, and the only reasoned exception they may carry is
-// RunContext's cancellation poll. A second //gpulint:allow nogoroutine is a
-// second way for host scheduling to reach simulated state, and fails here
-// however well it is justified in its comment.
+// cycle-loop packages, and the only reasoned exception they may carry is the
+// cycle loops' shared cancellation poll. A second //gpulint:allow nogoroutine
+// is a second way for host scheduling to reach simulated state, and fails
+// here however well it is justified in its comment.
 func TestCycleLoopHasOneConcurrencyCarveOut(t *testing.T) {
 	pkgs, fset := repoPackages(t)
 	var inCycleLoop func(pkgPath string) bool
@@ -79,7 +79,7 @@ func TestCycleLoopHasOneConcurrencyCarveOut(t *testing.T) {
 		}
 	}
 	if len(allows) != 1 || filepath.Base(allows[0].Filename) != "gpu.go" {
-		t.Errorf("cycle-loop packages carry %d //gpulint:allow nogoroutine, want exactly one (the RunContext cancellation poll in gpu.go): %v",
+		t.Errorf("cycle-loop packages carry %d //gpulint:allow nogoroutine, want exactly one (the cycle loops' cancellation poll in gpu.go): %v",
 			len(allows), allows)
 	}
 }

@@ -15,13 +15,14 @@ import (
 // result cache depends on: unmarshal(marshal(r)) has r's cache key, and a
 // second marshal hop is a fixed point. This is the invariant the cachekey
 // analyzer enforces statically; the fuzzer enforces it dynamically (it is
-// what caught the wire form silently dropping NoFastForward).
+// what caught the wire form silently dropping a since-retired execution
+// flag).
 func FuzzRequestJSON(f *testing.F) {
-	f.Add("vadd", uint8(0), 0, 0, uint8(0), uint8(0), 0, 0, false, uint64(0), false, uint64(0))
-	f.Add("spmv", uint8(4), 2, 0, uint8(2), uint8(1), 8, 16<<10, true, uint64(5000), true, uint64(0))
-	f.Add("", uint8(5), -3, 9, uint8(3), uint8(2), -1, -7, false, uint64(1)<<40, true, uint64(12345))
-	f.Add("dct8x8", uint8(9), 1, 60000, uint8(1), uint8(1), 0, 0, false, uint64(0), false, uint64(4096))
-	f.Fuzz(func(t *testing.T, name string, kind uint8, arg, arg2 int, warp, scale uint8, cores, l1 int, fcfs bool, maxCycles uint64, noFF bool, arrival uint64) {
+	f.Add("vadd", uint8(0), 0, 0, uint8(0), uint8(0), 0, 0, false, uint64(0), uint64(0))
+	f.Add("spmv", uint8(4), 2, 0, uint8(2), uint8(1), 8, 16<<10, true, uint64(5000), uint64(0))
+	f.Add("", uint8(5), -3, 9, uint8(3), uint8(2), -1, -7, false, uint64(1)<<40, uint64(12345))
+	f.Add("dct8x8", uint8(9), 1, 60000, uint8(1), uint8(1), 0, 0, false, uint64(0), uint64(4096))
+	f.Fuzz(func(t *testing.T, name string, kind uint8, arg, arg2 int, warp, scale uint8, cores, l1 int, fcfs bool, maxCycles uint64, arrival uint64) {
 		// Clamp to the constructible domain: policy args and size overrides
 		// are non-negative, enum fields take their declared values, and
 		// workload names must survive json.Marshal's UTF-8 sanitization
@@ -49,7 +50,6 @@ func FuzzRequestJSON(f *testing.F) {
 			L1Bytes:       l1,
 			DRAMSchedFCFS: fcfs,
 			MaxCycles:     maxCycles,
-			NoFastForward: noFF,
 		}
 		data, err := json.Marshal(req)
 		if err != nil {

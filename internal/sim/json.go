@@ -19,7 +19,6 @@ type requestJSON struct {
 	L1Bytes       int      `json:"l1_bytes,omitempty"`
 	DRAMSchedFCFS bool     `json:"dram_fcfs,omitempty"`
 	MaxCycles     uint64   `json:"max_cycles,omitempty"`
-	NoFastForward bool     `json:"no_fast_forward,omitempty"`
 	// PriorityKernel and DeadlineCycles are accepted on input as a
 	// convenience spelling of the preemptive scheduler's parameters, for
 	// clients that submit priority/deadline jobs without assembling the
@@ -58,7 +57,6 @@ func (r Request) MarshalJSON() ([]byte, error) {
 		L1Bytes:       r.L1Bytes,
 		DRAMSchedFCFS: r.DRAMSchedFCFS,
 		MaxCycles:     r.MaxCycles,
-		NoFastForward: r.NoFastForward,
 	})
 }
 
@@ -126,7 +124,6 @@ func (r *Request) UnmarshalJSON(data []byte) error {
 	out.L1Bytes = w.L1Bytes
 	out.DRAMSchedFCFS = w.DRAMSchedFCFS
 	out.MaxCycles = w.MaxCycles
-	out.NoFastForward = w.NoFastForward
 	*r = out
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"gpusched/internal/core"
 	"gpusched/internal/gpu"
 	"gpusched/internal/kernel"
 	"gpusched/internal/sm"
@@ -39,12 +40,6 @@ type Request struct {
 	DRAMSchedFCFS bool
 	// MaxCycles overrides the simulation bound (0 = the 20M default).
 	MaxCycles uint64
-	// NoFastForward forces the reference cycle-by-cycle loop instead of the
-	// event-horizon fast-forward. Results are bit-identical either way, but
-	// the flag must stay part of the cache identity: the determinism tests
-	// run both variants and each must actually simulate, not coalesce into
-	// the other's flight.
-	NoFastForward bool
 }
 
 // Key returns the canonical identity of the request: two requests with
@@ -58,35 +53,22 @@ func (r Request) Key() string {
 	key := fmt.Sprintf("w=%s|sched=%s|warp=%s|scale=%s|cores=%d|l1=%d|fcfs=%t|max=%d",
 		strings.Join(r.Workloads, "+"), r.Sched, r.Warp,
 		ScaleName(r.Scale), r.Cores, r.L1Bytes, r.DRAMSchedFCFS, r.MaxCycles)
-	if r.NoFastForward {
-		// Appended rather than inlined so existing disk caches keep their
-		// keys for the default (fast-forwarding) variant.
-		key += "|noff=true"
-	}
-	if len(r.Arrivals) > 0 {
-		// Appended (same cache-compatibility reasoning) and only when some
-		// arrival is nonzero: all-zero arrivals are semantically the zero
-		// value and must key like it.
-		any := false
-		for _, a := range r.Arrivals {
-			if a != 0 {
-				any = true
-				break
-			}
+	// Appended rather than inlined so existing disk caches keep their keys
+	// for requests without arrivals, and only when some arrival is nonzero:
+	// all-zero arrivals are semantically the zero value and must key like it.
+	if arr := normalizeArrivals(r.Arrivals); arr != nil {
+		parts := make([]string, len(arr))
+		for i, a := range arr {
+			parts[i] = fmt.Sprintf("%d", a)
 		}
-		if any {
-			parts := make([]string, len(r.Arrivals))
-			for i, a := range r.Arrivals {
-				parts[i] = fmt.Sprintf("%d", a)
-			}
-			key += "|arr=" + strings.Join(parts, "+")
-		}
+		key += "|arr=" + strings.Join(parts, "+")
 	}
 	return key
 }
 
-// Validate checks the request names known workloads and launches at least
-// one kernel.
+// Validate checks the request names known workloads, launches at least one
+// kernel, and overrides no size with a negative value: config ignores those,
+// so they would simulate the default machine under a key of their own.
 func (r Request) Validate() error {
 	if len(r.Workloads) == 0 {
 		return fmt.Errorf("sim: request launches no workloads")
@@ -105,23 +87,10 @@ func (r Request) Validate() error {
 				i, r.Arrivals[i], r.Arrivals[i-1])
 		}
 	}
-	return nil
-}
-
-// kernels builds the kernel specs for the request's workloads.
-func (r Request) kernels() ([]*kernel.Spec, error) {
-	specs := make([]*kernel.Spec, len(r.Workloads))
-	for i, n := range r.Workloads {
-		w, ok := workloads.ByName(n)
-		if !ok {
-			return nil, fmt.Errorf("sim: unknown workload %q", n)
-		}
-		specs[i] = w.Build(r.Scale)
-		if i < len(r.Arrivals) {
-			specs[i].Arrival = r.Arrivals[i]
-		}
+	if r.Cores < 0 || r.L1Bytes < 0 {
+		return fmt.Errorf("sim: request cores and l1_bytes must be >= 0 (got %d, %d)", r.Cores, r.L1Bytes)
 	}
-	return specs, nil
+	return nil
 }
 
 // config assembles the GPU configuration the request's overrides select.
@@ -138,8 +107,26 @@ func (r Request) config() gpu.Config {
 	if r.MaxCycles > 0 {
 		cfg.MaxCycles = r.MaxCycles
 	}
-	cfg.DisableFastForward = r.NoFastForward
 	return cfg
+}
+
+// build validates the request and assembles its machine under a fresh
+// dispatcher: the step Service.simulate and Reference share.
+func (r Request) build() (*gpu.GPU, core.Dispatcher, error) {
+	if err := r.Validate(); err != nil {
+		return nil, nil, err
+	}
+	specs := make([]*kernel.Spec, len(r.Workloads))
+	for i, n := range r.Workloads {
+		w, _ := workloads.ByName(n) // Validate checked every name
+		specs[i] = w.Build(r.Scale)
+		if i < len(r.Arrivals) {
+			specs[i].Arrival = r.Arrivals[i]
+		}
+	}
+	d := r.Sched.NewDispatcher()
+	g, err := gpu.New(r.config(), d, specs...)
+	return g, d, err
 }
 
 // Outcome couples a simulation result with the scheduler-internal limit
@@ -147,4 +134,17 @@ func (r Request) config() gpu.Config {
 type Outcome struct {
 	Result gpu.Result
 	Limits []int `json:",omitempty"`
+}
+
+// outcome couples raw, a finished run of the machine build returned with d,
+// with d's limit decisions; a timed-out run is an error.
+func (r Request) outcome(key string, d core.Dispatcher, raw gpu.Result) (Outcome, error) {
+	if raw.TimedOut {
+		return Outcome{}, fmt.Errorf("sim: %s timed out after %d cycles", key, raw.Cycles)
+	}
+	out := Outcome{Result: raw}
+	if limits, ok := r.Sched.Limits(d); ok {
+		out.Limits = append([]int(nil), limits...)
+	}
+	return out, nil
 }

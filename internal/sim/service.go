@@ -8,8 +8,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"gpusched/internal/gpu"
 )
 
 // Options configures a Service.
@@ -219,10 +217,6 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 	if err := req.Validate(); err != nil {
 		return Outcome{}, err
 	}
-	specs, err := req.kernels()
-	if err != nil {
-		return Outcome{}, err
-	}
 	if s.cache != nil {
 		if out, ok := s.cache.load(key); ok {
 			s.mu.Lock()
@@ -254,8 +248,7 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 		return Outcome{}, ctx.Err()
 	}
 
-	d := req.Sched.NewDispatcher()
-	g, err := gpu.New(req.config(), d, specs...)
+	g, d, err := req.build()
 	if err != nil {
 		return Outcome{}, fmt.Errorf("sim: %s: %w", key, err)
 	}
@@ -272,12 +265,9 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 	s.mu.Lock()
 	s.stats.Simulated++
 	s.mu.Unlock()
-	if raw.TimedOut {
-		return Outcome{}, fmt.Errorf("sim: %s timed out after %d cycles", key, raw.Cycles)
-	}
-	out := Outcome{Result: raw}
-	if limits, ok := req.Sched.Limits(d); ok {
-		out.Limits = append([]int(nil), limits...)
+	out, err := req.outcome(key, d, raw)
+	if err != nil {
+		return Outcome{}, err
 	}
 	if s.opt.Progress != nil {
 		s.progressMu.Lock()
@@ -288,6 +278,22 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 		s.recordEvictions(s.cache.store(key, out))
 	}
 	return out, nil
+}
+
+// Reference is the request-level oracle: req simulated on the reference
+// cycle loop (gpu.GPU.RunReference), with no cache, memo or worker pool in
+// the way. It shares the build and outcome steps with Service, so the two
+// differ only in which loop they call.
+func Reference(ctx context.Context, req Request) (Outcome, error) {
+	g, d, err := req.build()
+	if err != nil {
+		return Outcome{}, err
+	}
+	raw, err := g.RunReference(ctx)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return req.outcome(req.Key(), d, raw)
 }
 
 // recordEvictions folds a store's eviction count into the stats.

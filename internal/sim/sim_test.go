@@ -420,9 +420,6 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 			Warp: sm.PolicyBAWS, Scale: workloads.ScaleSmall,
 			Cores: 8, L1Bytes: 16 << 10, DRAMSchedFCFS: true, MaxCycles: 5000,
 		},
-		// Regression: the wire form once dropped NoFastForward, silently
-		// aliasing the reference-loop variant onto the fast-forward cache.
-		{Workloads: []string{"vadd"}, NoFastForward: true},
 		{
 			Workloads: []string{"spmv", "dct8x8"}, Arrivals: []uint64{0, 40000},
 			Sched: sim.Preemptive(1, 120000), Scale: workloads.ScaleSmall, Cores: 4,
@@ -451,6 +448,20 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 	}
 	if min.Key() != (sim.Request{Workloads: []string{"vadd"}}).Key() {
 		t.Errorf("minimal request key = %q", min.Key())
+	}
+	// The retired execution knob no_fast_forward decodes, validates and keys
+	// like its absence, and the default key is unchanged, so cache entries
+	// written while the knob existed stay valid.
+	const defaultKey = "w=vadd|sched=baseline|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"
+	var retired sim.Request
+	if err := json.Unmarshal([]byte(`{"workloads":["vadd"],"no_fast_forward":true}`), &retired); err != nil {
+		t.Fatalf("retired no_fast_forward field rejected: %v", err)
+	}
+	if err := retired.Validate(); err != nil {
+		t.Errorf("retired no_fast_forward field fails Validate: %v", err)
+	}
+	if retired.Key() != defaultKey || min.Key() != defaultKey {
+		t.Errorf("keys %q (no_fast_forward) and %q (minimal), want %q", retired.Key(), min.Key(), defaultKey)
 	}
 	for _, bad := range []string{
 		`{"workloads":["vadd"],"sched":"nope"}`,
@@ -502,5 +513,16 @@ func TestRequestJSONPreemptiveConvenience(t *testing.T) {
 	}
 	if err := dec.Validate(); err == nil {
 		t.Error("decreasing arrivals passed Validate")
+	}
+	// Negative size overrides fail Validate on the Go path too, matching the
+	// wire rule: config ignores them, so they would simulate the default
+	// machine under a cores=-1 or l1=-1 key of their own.
+	for _, bad := range []sim.Request{
+		{Workloads: []string{"vadd"}, Cores: -1},
+		{Workloads: []string{"vadd"}, L1Bytes: -1},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", bad)
+		}
 	}
 }

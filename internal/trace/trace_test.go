@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -86,9 +87,8 @@ func TestTimelineShowsThrottleDrop(t *testing.T) {
 // sampling hook runs at the top of the loop, so every epoch cycle must be
 // executed rather than jumped over. An epoch of 100 is deliberately not a
 // multiple of the crossbar latency, so memory-only windows end between epoch
-// cycles too. Stencil and a DRAM-bound pointer chase, traced with
-// fast-forward on and on the reference loop, must give equal timelines and
-// results.
+// cycles too. Stencil and a DRAM-bound pointer chase, traced on RunContext
+// and on RunReference, must give equal timelines and results.
 func TestTracedRunMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -97,19 +97,19 @@ func TestTracedRunMatchesReference(t *testing.T) {
 		{"stencil", func() *kernel.Spec { w, _ := workloads.ByName("stencil"); return w.Build(workloads.ScaleTest) }},
 		{"chase", func() *kernel.Spec { return workloads.ChaseSpec(4, 1, 64) }},
 	} {
-		run := func(disableFF bool) (*Timeline, gpu.Result) {
+		run := func(loop func(*gpu.GPU, context.Context) (gpu.Result, error)) (*Timeline, gpu.Result) {
 			cfg := gpu.DefaultConfig()
 			cfg.NumCores = 4
-			cfg.DisableFastForward = disableFF
 			g, err := gpu.New(cfg, core.NewRoundRobin(), tc.spec())
 			if err != nil {
 				t.Fatal(err)
 			}
 			tl := Attach(g, 100)
-			return tl, g.Run()
+			r, _ := loop(g, context.Background())
+			return tl, r
 		}
-		tl, r := run(false)
-		refTL, ref := run(true)
+		tl, r := run((*gpu.GPU).RunContext)
+		refTL, ref := run((*gpu.GPU).RunReference)
 		if !reflect.DeepEqual(r, ref) {
 			t.Errorf("%s: traced result diverged from the reference:\n%+v\nvs\n%+v", tc.name, r, ref)
 		}
