@@ -81,7 +81,7 @@ paper:
 paper-small:
 	go run ./cmd/paperbench -scale small -out results
 
-# Run the simulation daemon (HTTP job API on :8080; see README).
+# Run the simulation daemon (POST /v1/simulate on :8080; see README).
 serve:
 	go run ./cmd/gpuschedd
 

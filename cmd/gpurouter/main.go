@@ -7,11 +7,11 @@
 //	gpurouter -shards http://10.0.0.1:8080,http://10.0.0.2:8080
 //	gpurouter -shards s-east=http://a:8080,s-west=http://b:8080 -probe-interval 500ms
 //
-// Shards are probed on /readyz; a shard that fails -fail-after probes in
-// a row is marked down and its keys rehash onto the survivors. Forwards
-// retry with linear backoff onto fallback shards on transport errors and
-// 502/503/504. Job ids come back fleet-scoped ("s0/job-7") so status,
-// cancel, and event-stream requests route back to the owning shard.
+// The router serves POST /v1/simulate, GET /v1/fleet/stats, /readyz and
+// /metrics. Shards are probed on /readyz; a shard that fails -fail-after
+// probes in a row is marked down and its keys rehash onto the survivors.
+// Forwards retry with linear backoff onto fallback shards on transport
+// errors and 502/503/504.
 package main
 
 import (

@@ -1,19 +1,17 @@
 // Command gpuschedd is the simulation daemon: a long-lived HTTP front
-// door over the internal/sim service layer, so a fleet of clients can
-// submit, watch, and cancel kernel-scheduling experiments concurrently
-// instead of each running a one-shot CLI.
+// door over the internal/sim service layer, so many clients can run
+// kernel-scheduling experiments concurrently and share one deduplicating
+// result cache instead of each running a one-shot CLI.
 //
-//	gpuschedd                        # serve on :8080, cache in results/.simcache
-//	gpuschedd -addr :9090 -queue 256 # bigger admission queue
-//	gpuschedd -cache off -ttl 5m     # stateless, short-lived results
+//	gpuschedd                          # serve on :8080, cache in results/.simcache
+//	gpuschedd -addr :9090 -cache off   # stateless
 //
-// Submit a job and poll it:
+// Run a simulation; the reply carries its cache key and outcome:
 //
-//	curl -s localhost:8080/v1/jobs -d '{"workloads":["spmv"],"sched":"lcs","scale":"small"}'
-//	curl -s localhost:8080/v1/jobs/job-1
+//	curl -s localhost:8080/v1/simulate -d '{"workloads":["spmv"],"sched":"lcs","scale":"small"}'
 //
-// The daemon drains gracefully on SIGINT/SIGTERM: admission stops,
-// in-flight jobs finish (up to -drain), then the process exits.
+// The daemon drains gracefully on SIGINT/SIGTERM: readiness flips to 503,
+// in-flight simulations finish (up to -drain), then the process exits.
 package main
 
 import (
@@ -49,20 +47,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr         = fs.String("addr", ":8080", "listen address")
-		workers      = fs.Int("workers", 0, "job runner goroutines (0 = GOMAXPROCS)")
 		simWorkers   = fs.Int("sim-workers", 0, "concurrent simulator executions (0 = GOMAXPROCS)")
-		queue        = fs.Int("queue", 64, "admission queue depth (full queue = HTTP 429)")
 		cacheDir     = fs.String("cache", "results/.simcache", "on-disk result cache directory ('off' = disabled)")
 		cacheEntries = fs.Int("cache-entries", 0, "on-disk cache entry budget; oldest-mtime entries are evicted on store (0 = unbounded)")
 		cacheBytes   = fs.Int64("cache-bytes", 0, "on-disk cache byte budget (0 = unbounded)")
 		peers        = fs.String("peers", "", "comma-separated peer shard base URLs for fetch-before-simulate (fleet peer-cache protocol)")
 		peerTimeout  = fs.Duration("peer-timeout", 2*time.Second, "per-peer deadline for one cache fetch")
 		maxFlights   = fs.Int("max-flights", 4096, "in-memory result memo cap (0 = unbounded)")
-		ttl          = fs.Duration("ttl", time.Hour, "how long finished jobs stay queryable")
-		timeout      = fs.Duration("timeout", 0, "default per-job deadline (0 = none)")
-		maxTimeout   = fs.Duration("max-timeout", 0, "cap on client-requested job deadlines (0 = uncapped)")
 		syncTimeout  = fs.Duration("sync-timeout", 2*time.Minute, "deadline for POST /v1/simulate")
-		drain        = fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
+		drain        = fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight simulations")
 		pprofAddr    = fs.String("pprof", "", "listen address for net/http/pprof (empty = disabled)")
 		verbose      = fs.Bool("v", false, "log each completed simulation")
 	)
@@ -92,17 +85,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		opt.Progress = stderr
 	}
 	svc := sim.NewService(opt)
-	srv := server.New(svc, server.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTimeout,
-		ResultTTL:      *ttl,
-		SyncTimeout:    *syncTimeout,
-	})
+	srv := server.New(svc, server.Config{SyncTimeout: *syncTimeout})
 
 	// The profiling endpoints live on their own listener so the public
-	// job API never exposes them; net/http/pprof registers its handlers
+	// API never exposes them; net/http/pprof registers its handlers
 	// on http.DefaultServeMux at import.
 	if *pprofAddr != "" {
 		pln, err := net.Listen("tcp", *pprofAddr)
@@ -121,7 +107,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	fmt.Fprintf(stdout, "gpuschedd listening on %s (cache %q, queue %d)\n", ln.Addr(), opt.CacheDir, *queue)
+	fmt.Fprintf(stdout, "gpuschedd listening on %s (cache %q)\n", ln.Addr(), opt.CacheDir)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
@@ -136,12 +122,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "gpuschedd: signal received, draining (up to %v)\n", *drain)
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	// Stop accepting connections first, then drain the job table, so no
-	// new request races the closing admission queue.
+	// Flip readiness first, then stop accepting connections and wait for
+	// in-flight simulations.
+	_ = srv.Shutdown(dctx) // only flips readiness; it cannot fail
 	if err := httpSrv.Shutdown(dctx); err != nil {
-		fmt.Fprintf(stderr, "gpuschedd: http shutdown: %v\n", err)
-	}
-	if err := srv.Shutdown(dctx); err != nil {
 		fmt.Fprintf(stderr, "gpuschedd: drain incomplete: %v\n", err)
 		return 1
 	}

@@ -31,8 +31,8 @@ func (s *syncBuf) String() string {
 	return s.b.String()
 }
 
-// TestDaemonEndToEnd boots the daemon on an ephemeral port, drives one
-// paper workload job over HTTP to completion, checks /metrics saw the
+// TestDaemonEndToEnd boots the daemon on an ephemeral port, waits for
+// readiness, runs one paper workload over HTTP, checks /metrics saw the
 // simulation, then stops it the way SIGTERM would and expects a clean
 // drain.
 func TestDaemonEndToEnd(t *testing.T) {
@@ -69,46 +69,35 @@ func TestDaemonEndToEnd(t *testing.T) {
 		return resp.StatusCode, data
 	}
 
-	if code, data := get("/healthz"); code != http.StatusOK {
-		t.Fatalf("healthz = %d: %s", code, data)
+	for code, data := get("/readyz"); code != http.StatusOK; code, data = get("/readyz") {
+		if time.Now().After(deadline) {
+			t.Fatalf("readyz = %d: %s", code, data)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
-	resp, err := http.Post(base+"/v1/jobs", "application/json",
+	resp, err := http.Post(base+"/v1/simulate", "application/json",
 		strings.NewReader(`{"workloads":["vadd"],"sched":"lcs","scale":"tiny","cores":4}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate = %d: %s", resp.StatusCode, body)
 	}
-	var job struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
+	var sim struct {
+		Outcome struct {
+			Result struct {
+				Cycles uint64 `json:"Cycles"`
+			} `json:"Result"`
+		} `json:"outcome"`
 	}
-	if err := json.Unmarshal(body, &job); err != nil {
+	if err := json.Unmarshal(body, &sim); err != nil {
 		t.Fatal(err)
 	}
-
-	for {
-		code, data := get("/v1/jobs/" + job.ID)
-		if code != http.StatusOK {
-			t.Fatalf("status = %d: %s", code, data)
-		}
-		if err := json.Unmarshal(data, &job); err != nil {
-			t.Fatal(err)
-		}
-		if job.State == "done" {
-			break
-		}
-		if job.State == "failed" || job.State == "canceled" {
-			t.Fatalf("job ended %s: %s", job.State, data)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %q", job.State)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if sim.Outcome.Result.Cycles == 0 {
+		t.Fatalf("simulate reply has no cycles: %s", body)
 	}
 
 	if _, data := get("/metrics"); !strings.Contains(string(data), "gpuschedd_sim_simulated_total 1") {

@@ -1,10 +1,10 @@
 // Command loadgen drives a gpurouter (or a single gpuschedd shard) with a
-// configurable mix of cached, uncached, and duplicate simulation requests
-// and reports what the fleet did with them: p50/p90/p99 admission
-// latency, fleet-wide dedup hit rate, and per-shard balance.
+// configurable mix of cached, uncached, and duplicate POST /v1/simulate
+// requests and reports what the fleet did with them: p50/p90/p99
+// admission latency, fleet-wide dedup hit rate, and per-shard balance.
 //
 //	loadgen -target http://127.0.0.1:8070 -requests 200 -unique 32 -concurrency 16
-//	loadgen -mode batch -batch 32 -min-dedup 0.3   # gate for CI smokes
+//	loadgen -min-dedup 0.5   # gate for CI smokes
 //
 // The request pool holds -unique distinct cache keys (the per-key
 // max_cycles override varies the key without changing the simulated
@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -128,8 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		requests    = fs.Int("requests", 200, "total requests to send")
 		unique      = fs.Int("unique", 32, "distinct cache keys in the pool (requests > unique means duplicates)")
 		concurrency = fs.Int("concurrency", 16, "concurrent client connections")
-		mode        = fs.String("mode", "simulate", "driver: 'simulate' (POST /v1/simulate per request) or 'batch' (POST /v1/jobs:batch)")
-		batchSize   = fs.Int("batch", 32, "items per batch in -mode batch")
 		workloadsCS = fs.String("workloads", "vadd", "comma-separated workload names rotated through the pool")
 		scale       = fs.String("scale", "tiny", "problem scale for every request")
 		cores       = fs.Int("cores", 4, "simulated SM count for every request")
@@ -141,8 +138,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *requests <= 0 || *unique <= 0 || *concurrency <= 0 || *batchSize <= 0 {
-		fmt.Fprintln(stderr, "loadgen: -requests, -unique, -concurrency, -batch must be positive")
+	if *requests <= 0 || *unique <= 0 || *concurrency <= 0 {
+		fmt.Fprintln(stderr, "loadgen: -requests, -unique, -concurrency must be positive")
 		return 2
 	}
 	names := strings.Split(*workloadsCS, ",")
@@ -189,15 +186,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	results := make([]result, *requests)
 	start := time.Now()
-	switch *mode {
-	case "simulate":
-		runSimulate(client, *target, pool, schedule, *concurrency, results)
-	case "batch":
-		runBatch(client, *target, pool, schedule, *batchSize, *concurrency, results)
-	default:
-		fmt.Fprintf(stderr, "loadgen: unknown -mode %q\n", *mode)
-		return 2
-	}
+	runSimulate(client, *target, pool, schedule, *concurrency, results)
 	wall := time.Since(start)
 
 	after, err := fetchCounters(client, *target)
@@ -230,7 +219,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	report := map[string]any{
 		"target":         *target,
-		"mode":           *mode,
 		"requests":       *requests,
 		"unique_keys":    *unique,
 		"concurrency":    *concurrency,
@@ -315,84 +303,6 @@ func runSimulate(client *http.Client, target string, pool [][]byte, schedule []i
 	}
 	for i := range schedule {
 		work <- i
-	}
-	close(work)
-	wg.Wait()
-}
-
-// runBatch drives POST /v1/jobs:batch with batchSize items per call,
-// `concurrency` batches in flight. Per-item latency is the time from
-// batch submission to that item's completion line arriving — the
-// streaming contract makes cached items cheap even in mixed batches.
-func runBatch(client *http.Client, target string, pool [][]byte, schedule []int, batchSize, concurrency int, results []result) {
-	type batchJob struct {
-		start int // offset into schedule/results
-		n     int
-	}
-	var wg sync.WaitGroup
-	work := make(chan batchJob)
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for job := range work {
-				items := make([]json.RawMessage, job.n)
-				for i := 0; i < job.n; i++ {
-					items[i] = pool[schedule[job.start+i]]
-				}
-				body, _ := json.Marshal(map[string]any{"items": items})
-				t0 := time.Now()
-				resp, err := client.Post(target+"/v1/jobs:batch", "application/json", bytes.NewReader(body))
-				if err != nil {
-					for i := 0; i < job.n; i++ {
-						results[job.start+i] = result{err: err, latency: time.Since(t0)}
-					}
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain
-					resp.Body.Close()
-					for i := 0; i < job.n; i++ {
-						results[job.start+i] = result{status: resp.StatusCode, latency: time.Since(t0)}
-					}
-					continue
-				}
-				sc := bufio.NewScanner(resp.Body)
-				sc.Buffer(make([]byte, 64*1024), 1<<20)
-				for sc.Scan() {
-					line := bytes.TrimSpace(sc.Bytes())
-					if len(line) == 0 {
-						continue
-					}
-					var item struct {
-						Index int             `json:"index"`
-						Shard string          `json:"shard"`
-						Error json.RawMessage `json:"error"`
-					}
-					if json.Unmarshal(line, &item) != nil || item.Index < 0 || item.Index >= job.n {
-						continue
-					}
-					status := http.StatusOK
-					if len(item.Error) > 0 && string(item.Error) != "null" {
-						status = http.StatusInternalServerError
-					}
-					results[job.start+item.Index] = result{latency: time.Since(t0), status: status, shard: item.Shard}
-				}
-				resp.Body.Close()
-				for i := 0; i < job.n; i++ {
-					if results[job.start+i].status == 0 && results[job.start+i].err == nil {
-						results[job.start+i] = result{err: fmt.Errorf("batch stream ended early"), latency: time.Since(t0)}
-					}
-				}
-			}
-		}()
-	}
-	for start := 0; start < len(schedule); start += batchSize {
-		n := batchSize
-		if start+n > len(schedule) {
-			n = len(schedule) - start
-		}
-		work <- batchJob{start: start, n: n}
 	}
 	close(work)
 	wg.Wait()

@@ -67,71 +67,64 @@ func newLoadgenFleet(t *testing.T) string {
 }
 
 // TestLoadgenAgainstFleet: the full harness path — loadgen drives a
-// 2-shard fleet in both modes, sees zero errors, and measures the dedup
-// the duplicate schedule guarantees (24 requests over 4 keys).
+// 2-shard fleet, sees zero errors, and measures the dedup the duplicate
+// schedule guarantees (24 requests over 4 keys).
 func TestLoadgenAgainstFleet(t *testing.T) {
-	for _, mode := range []string{"simulate", "batch"} {
-		t.Run(mode, func(t *testing.T) {
-			target := newLoadgenFleet(t)
-			var stdout, stderr bytes.Buffer
-			code := run([]string{
-				"-target", target,
-				"-mode", mode,
-				"-requests", "24",
-				"-unique", "4",
-				"-concurrency", "4",
-				"-batch", "6",
-				"-scale", "test",
-				"-min-dedup", "0.5",
-				"-json",
-			}, &stdout, &stderr)
-			if code != 0 {
-				t.Fatalf("loadgen exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-			}
-			var report struct {
-				Errors     int `json:"errors"`
-				FleetDelta struct {
-					Simulated    int     `json:"simulated"`
-					DedupHitRate float64 `json:"dedup_hit_rate"`
-				} `json:"fleet_delta"`
-				Latency map[string]float64 `json:"latency_ms"`
-				Balance map[string]int     `json:"shard_balance"`
-			}
-			if err := json.Unmarshal(stdout.Bytes(), &report); err != nil {
-				t.Fatalf("decoding report: %v\n%s", err, stdout.String())
-			}
-			if report.Errors != 0 {
-				t.Errorf("report counts %d errors", report.Errors)
-			}
-			// 4 unique keys: everything past the first hit of each key is a
-			// cache hit somewhere in the fleet.
-			if report.FleetDelta.Simulated != 4 {
-				t.Errorf("fleet simulated %d, want 4 (one per unique key)", report.FleetDelta.Simulated)
-			}
-			if rate := report.FleetDelta.DedupHitRate; rate < 0.5 {
-				t.Errorf("dedup_hit_rate = %v, want >= 0.5", rate)
-			}
-			if _, ok := report.Latency["p99"]; !ok {
-				t.Error("report has no p99 latency")
-			}
-			total := 0
-			for _, n := range report.Balance {
-				total += n
-			}
-			if total != 24 {
-				t.Errorf("shard balance accounts for %d requests, want 24 (%v)", total, report.Balance)
-			}
-		})
-	}
+	t.Run("simulate", func(t *testing.T) {
+		target := newLoadgenFleet(t)
+		var stdout, stderr bytes.Buffer
+		code := run([]string{
+			"-target", target,
+			"-requests", "24",
+			"-unique", "4",
+			"-concurrency", "4",
+			"-scale", "test",
+			"-min-dedup", "0.5",
+			"-json",
+		}, &stdout, &stderr)
+		if code != 0 {
+			t.Fatalf("loadgen exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+		}
+		var report struct {
+			Errors     int `json:"errors"`
+			FleetDelta struct {
+				Simulated    int     `json:"simulated"`
+				DedupHitRate float64 `json:"dedup_hit_rate"`
+			} `json:"fleet_delta"`
+			Latency map[string]float64 `json:"latency_ms"`
+			Balance map[string]int     `json:"shard_balance"`
+		}
+		if err := json.Unmarshal(stdout.Bytes(), &report); err != nil {
+			t.Fatalf("decoding report: %v\n%s", err, stdout.String())
+		}
+		if report.Errors != 0 {
+			t.Errorf("report counts %d errors", report.Errors)
+		}
+		// 4 unique keys: everything past the first hit of each key is a
+		// cache hit somewhere in the fleet.
+		if report.FleetDelta.Simulated != 4 {
+			t.Errorf("fleet simulated %d, want 4 (one per unique key)", report.FleetDelta.Simulated)
+		}
+		if rate := report.FleetDelta.DedupHitRate; rate < 0.5 {
+			t.Errorf("dedup_hit_rate = %v, want >= 0.5", rate)
+		}
+		if _, ok := report.Latency["p99"]; !ok {
+			t.Error("report has no p99 latency")
+		}
+		total := 0
+		for _, n := range report.Balance {
+			total += n
+		}
+		if total != 24 {
+			t.Errorf("shard balance accounts for %d requests, want 24 (%v)", total, report.Balance)
+		}
+	})
 }
 
 func TestLoadgenFlagErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-requests", "0"}, &stdout, &stderr); code != 2 {
 		t.Errorf("zero requests: exit %d, want 2", code)
-	}
-	if code := run([]string{"-mode", "nope", "-target", "http://127.0.0.1:0"}, &stdout, &stderr); code == 0 {
-		t.Error("unknown mode should not exit 0")
 	}
 	if code := run([]string{"-scale", "galactic"}, &stdout, &stderr); code != 2 {
 		t.Errorf("bad scale: exit %d, want 2", code)

@@ -13,9 +13,9 @@
 //   - PeerCache: the fetch side of the peer-cache protocol
 //     (GET /v1/cache/{addr}), wired into sim.Options.PeerFetch on each
 //     shard so results that change owners migrate instead of resimulating.
-//   - Router: the HTTP front door that forwards by key with bounded
-//     retry + failover, fans batches out by owner, and aggregates fleet
-//     stats and metrics.
+//   - Router: the HTTP front door that forwards POST /v1/simulate by key
+//     with bounded retry + failover, and aggregates fleet stats and
+//     metrics.
 package fleet
 
 import (
@@ -24,15 +24,15 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Shard is one gpuschedd backend: a stable name (its ring identity), a
 // base URL, and mutable health state. The name, not the URL, feeds the
 // hash, so a shard can move hosts without reshuffling the key space.
 type Shard struct {
-	// Name is the ring identity ("s0"). Must be unique in a ring and must
-	// not contain '/' (job references are "<name>/<shard job id>").
+	// Name is the ring identity ("s0"), and the shard's label in the
+	// X-Fleet-Shard header, the metrics and the fleet stats. Must be unique
+	// in a ring.
 	Name string
 	// URL is the shard's base URL ("http://10.0.0.7:8080"), no trailing
 	// slash.
@@ -49,8 +49,6 @@ type Shard struct {
 	fails int
 	//gpulint:guardedby mu
 	lastErr string
-	//gpulint:guardedby mu
-	lastProbe time.Time
 }
 
 // Healthy reports whether the shard is currently considered up. A fresh
@@ -81,7 +79,6 @@ func (s *Shard) noteSuccess() (recovered bool) {
 	s.down = false
 	s.fails = 0
 	s.lastErr = ""
-	s.lastProbe = time.Now()
 	return recovered
 }
 
@@ -96,7 +93,6 @@ func (s *Shard) noteFailure(msg string, failAfter int) (wentDown bool) {
 	defer s.mu.Unlock()
 	s.fails++
 	s.lastErr = msg
-	s.lastProbe = time.Now()
 	if !s.down && s.fails >= failAfter {
 		s.down = true
 		return true
@@ -126,16 +122,6 @@ func NewRing(shards []*Shard) *Ring {
 
 // Shards returns the full membership in construction order.
 func (r *Ring) Shards() []*Shard { return r.shards }
-
-// ShardByName resolves a ring member by name (nil when absent).
-func (r *Ring) ShardByName(name string) *Shard {
-	for _, s := range r.shards {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
 
 // score is the rendezvous weight of a (shard, key) pair: the first 8
 // bytes of sha256(name, 0x00, key). sha256 keeps placement independent of

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,30 +38,20 @@ type Config struct {
 // maxRouterBody bounds router request bodies (matches the shard limit).
 const maxRouterBody = 1 << 20
 
-// maxBatchItems mirrors the shard-side batch cap: router sub-batches are
-// subsets of the incoming batch, so respecting the cap here guarantees
-// every sub-batch is admissible downstream.
-const maxBatchItems = 256
-
 // Router is the fleet front door: it owns the ring and the prober, and
 // forwards requests to the owning shard by canonical cache key — so
 // duplicate requests from any number of client connections land on one
 // shard and coalesce in its singleflight/memo/disk layers.
 //
-// The API mirrors gpuschedd's, plus fleet endpoints:
+// The API:
 //
-//	POST   /v1/jobs             route by key; job id comes back as "<shard>/<id>"
-//	GET    /v1/jobs             merged job list across shards
-//	GET    /v1/jobs/{shard}/{id}[/events]  proxy to the owning shard
-//	DELETE /v1/jobs/{shard}/{id}
-//	POST   /v1/jobs:batch       fan out by key, merged NDJSON completion stream
-//	POST   /v1/simulate         route by key with retry + failover
-//	GET    /v1/cache/{addr}     first shard holding the entry
-//	GET    /v1/workloads        proxy to any healthy shard
-//	GET    /v1/fleet/stats      aggregated shard + routing stats (JSON)
-//	GET    /healthz             router liveness
-//	GET    /readyz              503 unless ≥1 shard is healthy
-//	GET    /metrics             router + per-shard Prometheus metrics
+//	POST /v1/simulate     route by key with retry + failover
+//	GET  /v1/fleet/stats  aggregated shard + routing stats (JSON)
+//	GET  /readyz          503 unless ≥1 shard is healthy
+//	GET  /metrics         router + per-shard Prometheus metrics
+//
+// Peers fetch cache entries from each other's shards directly, not
+// through the router.
 type Router struct {
 	ring   *Ring
 	cfg    Config
@@ -71,10 +59,8 @@ type Router struct {
 	prober *Prober
 	mux    *http.ServeMux
 
-	failovers  atomic.Uint64
-	fwdErrors  atomic.Uint64
-	batches    atomic.Uint64
-	batchItems atomic.Uint64
+	failovers atomic.Uint64
+	fwdErrors atomic.Uint64
 }
 
 // NewRouter builds a router over the shard set. Call Start to begin
@@ -95,23 +81,16 @@ func NewRouter(shards []*Shard, cfg Config) *Router {
 	rt := &Router{
 		ring: NewRing(shards),
 		cfg:  cfg,
-		// No client-level timeout: SSE and batch streams are long-lived;
-		// request contexts bound everything else.
+		// No client-level timeout: a forwarded simulation takes as long as
+		// it takes (the shard's -sync-timeout bounds it), and the incoming
+		// request's context cancels the forward when the client goes away.
 		client: &http.Client{},
 	}
 	rt.prober = NewProber(rt.ring, cfg.ProbeInterval, cfg.ProbeTimeout, cfg.FailAfter, cfg.OnHealthChange)
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", rt.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", rt.handleList)
-	mux.HandleFunc("GET /v1/jobs/{ref...}", rt.handleJobProxy)
-	mux.HandleFunc("DELETE /v1/jobs/{ref...}", rt.handleJobProxy)
-	mux.HandleFunc("POST /v1/jobs:batch", rt.handleBatch)
 	mux.HandleFunc("POST /v1/simulate", rt.handleSimulate)
-	mux.HandleFunc("GET /v1/cache/{addr}", rt.handleCacheGet)
-	mux.HandleFunc("GET /v1/workloads", rt.handleWorkloads)
 	mux.HandleFunc("GET /v1/fleet/stats", rt.handleFleetStats)
-	mux.HandleFunc("GET /healthz", rt.handleHealth)
 	mux.HandleFunc("GET /readyz", rt.handleReady)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux = mux
@@ -152,18 +131,18 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 var errNoShards = errors.New("fleet: no shards configured")
 
 // retryableStatus reports whether a shard response should fail over to
-// the next candidate: the shard itself is unhealthy or draining. A 429 is
-// NOT retryable — it is per-shard backpressure, and bouncing the request
-// to a non-owner would break key affinity (and with it dedup).
+// the next candidate: the shard itself is unhealthy or draining. Any
+// other status is the request's own answer and is relayed as is.
 func retryableStatus(code int) bool {
 	return code == http.StatusBadGateway || code == http.StatusServiceUnavailable || code == http.StatusGatewayTimeout
 }
 
-// forward sends body to the best shard for key, failing over through the
-// ring's candidate order with linear backoff. The caller owns the
-// returned response body. Transport failures feed the shard's failure
-// streak, so a dead shard is marked down by traffic even between probes.
-func (rt *Router) forward(ctx context.Context, method, path, key string, body []byte, contentType string) (*http.Response, *Shard, error) {
+// forward POSTs body to /v1/simulate on the best shard for key, failing
+// over through the ring's candidate order with linear backoff. The caller
+// owns the returned response body. Transport failures feed the shard's
+// failure streak, so a dead shard is marked down by traffic even between
+// probes.
+func (rt *Router) forward(ctx context.Context, key string, body []byte) (*http.Response, *Shard, error) {
 	cands := rt.ring.Candidates(key)
 	if len(cands) == 0 {
 		return nil, nil, errNoShards
@@ -183,13 +162,11 @@ func (rt *Router) forward(ctx context.Context, method, path, key string, body []
 			}
 		}
 		shard := cands[i]
-		req, err := http.NewRequestWithContext(ctx, method, shard.URL+path, bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, shard.URL+"/v1/simulate", bytes.NewReader(body))
 		if err != nil {
 			return nil, nil, err
 		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
-		}
+		req.Header.Set("Content-Type", "application/json")
 		resp, err := rt.client.Do(req)
 		if err != nil {
 			shard.noteFailure("forward: "+err.Error(), rt.cfg.FailAfter)
@@ -198,7 +175,7 @@ func (rt *Router) forward(ctx context.Context, method, path, key string, body []
 		}
 		if retryableStatus(resp.StatusCode) {
 			resp.Body.Close()
-			shard.noteFailure(fmt.Sprintf("forward: %s %s -> %s", method, path, resp.Status), rt.cfg.FailAfter)
+			shard.noteFailure("forward: "+resp.Status, rt.cfg.FailAfter)
 			lastErr = fmt.Errorf("fleet: shard %s: %s", shard.Name, resp.Status)
 			continue
 		}
@@ -228,264 +205,28 @@ func decodeBody(w http.ResponseWriter, r *http.Request) (req sim.Request, body [
 	return req, body, true
 }
 
-// copyResponse relays a shard response verbatim, stamping the routing
-// headers so clients and load harnesses can see placement.
-func copyResponse(w http.ResponseWriter, resp *http.Response, shard *Shard, key string) {
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.Header().Set("X-Fleet-Shard", shard.Name)
-	if key != "" {
-		w.Header().Set("X-Fleet-Key", key)
-	}
-	w.WriteHeader(resp.StatusCode)
-	flushingCopy(w, resp.Body)
-}
-
-// flushingCopy streams body to w, flushing after every chunk so SSE and
-// NDJSON relays deliver lines as they happen, not when buffers fill.
-func flushingCopy(w http.ResponseWriter, body io.Reader) {
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
-	for {
-		n, err := body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
+// handleSimulate routes one request to its key's owner and relays the
+// shard's response verbatim, stamping the routing headers so clients and
+// load harnesses can see placement.
 func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	req, body, ok := decodeBody(w, r)
 	if !ok {
 		return
 	}
 	key := req.Key()
-	resp, shard, err := rt.forward(r.Context(), http.MethodPost, "/v1/simulate", key, body, "application/json")
+	resp, shard, err := rt.forward(r.Context(), key, body)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "no_shard", "no shard could serve the request: %v", err)
 		return
 	}
 	defer resp.Body.Close()
-	copyResponse(w, resp, shard, key)
-}
-
-func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, body, ok := decodeBody(w, r)
-	if !ok {
-		return
+	if ct := resp.Header.Get("Content-Type"); ct != "" {
+		w.Header().Set("Content-Type", ct)
 	}
-	key := req.Key()
-	resp, shard, err := rt.forward(r.Context(), http.MethodPost, "/v1/jobs", key, body, "application/json")
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "no_shard", "no shard could accept the job: %v", err)
-		return
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxRouterBody))
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "shard_error", "reading shard response: %v", err)
-		return
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		w.Header().Set("X-Fleet-Shard", shard.Name)
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			w.Header().Set("Retry-After", ra)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		w.Write(respBody) //nolint:errcheck // passthrough
-		return
-	}
-	rewritten, id := prefixJobID(respBody, shard.Name)
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Fleet-Shard", shard.Name)
 	w.Header().Set("X-Fleet-Key", key)
-	if id != "" {
-		w.Header().Set("Location", "/v1/jobs/"+shard.Name+"/"+id)
-	}
-	w.WriteHeader(http.StatusAccepted)
-	w.Write(rewritten) //nolint:errcheck // passthrough
-}
-
-// prefixJobID rewrites a shard job payload's "id" to the fleet-scoped
-// "<shard>/<id>" form and records which shard owns it. Returns the
-// original (unprefixed) id for Location headers; on any decode trouble
-// the payload passes through untouched.
-func prefixJobID(payload []byte, shardName string) (out []byte, id string) {
-	var m map[string]any
-	if json.Unmarshal(payload, &m) != nil {
-		return payload, ""
-	}
-	rawID, ok := m["id"].(string)
-	if !ok {
-		return payload, ""
-	}
-	m["id"] = shardName + "/" + rawID
-	m["shard"] = shardName
-	enc, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return payload, ""
-	}
-	return enc, rawID
-}
-
-// handleJobProxy forwards GET/DELETE /v1/jobs/<shard>/<id>[/events] to
-// the named shard. No failover: the job's state lives on exactly that
-// shard, and a draining shard still answers these (liveness vs readiness).
-func (rt *Router) handleJobProxy(w http.ResponseWriter, r *http.Request) {
-	ref := r.PathValue("ref")
-	shardName, rest, found := strings.Cut(ref, "/")
-	if !found || rest == "" {
-		writeError(w, http.StatusNotFound, "not_found",
-			"fleet job references are \"<shard>/<id>\" (got %q)", ref)
-		return
-	}
-	shard := rt.ring.ShardByName(shardName)
-	if shard == nil {
-		writeError(w, http.StatusNotFound, "not_found", "no shard %q", shardName)
-		return
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, shard.URL+"/v1/jobs/"+rest, nil)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
-		return
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "shard_error", "shard %s: %v", shardName, err)
-		return
-	}
-	defer resp.Body.Close()
-	// Plain job-status payloads get their id re-prefixed; event streams
-	// (and anything else) relay verbatim.
-	if r.Method == http.MethodGet && !strings.Contains(rest, "/") && resp.StatusCode == http.StatusOK {
-		respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxRouterBody))
-		if err != nil {
-			writeError(w, http.StatusBadGateway, "shard_error", "reading shard response: %v", err)
-			return
-		}
-		rewritten, _ := prefixJobID(respBody, shardName)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Fleet-Shard", shardName)
-		w.WriteHeader(http.StatusOK)
-		w.Write(rewritten) //nolint:errcheck // passthrough
-		return
-	}
-	copyResponse(w, resp, shard, "")
-}
-
-// handleList merges every shard's job list, ids fleet-prefixed. Shards
-// that fail to answer are reported in "errors" rather than failing the
-// whole listing.
-func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	type shardResult struct {
-		name string
-		jobs []map[string]any
-		err  error
-	}
-	shards := rt.ring.Shards()
-	results := make([]shardResult, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		wg.Add(1)
-		go func(i int, s *Shard) {
-			defer wg.Done()
-			results[i].name = s.Name
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, s.URL+"/v1/jobs", nil)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			var payload struct {
-				Jobs []map[string]any `json:"jobs"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-				results[i].err = err
-				return
-			}
-			results[i].jobs = payload.Jobs
-		}(i, s)
-	}
-	wg.Wait()
-	merged := make([]map[string]any, 0)
-	errsByShard := map[string]string{}
-	for _, res := range results {
-		if res.err != nil {
-			errsByShard[res.name] = res.err.Error()
-			continue
-		}
-		for _, j := range res.jobs {
-			if id, ok := j["id"].(string); ok {
-				j["id"] = res.name + "/" + id
-			}
-			j["shard"] = res.name
-			merged = append(merged, j)
-		}
-	}
-	out := map[string]any{"jobs": merged}
-	if len(errsByShard) > 0 {
-		out["errors"] = errsByShard
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleCacheGet looks the content address up across the fleet, owner
-// first (the address stands in for the key in the candidate ordering, so
-// the walk usually ends on the first shard).
-func (rt *Router) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	addr := r.PathValue("addr")
-	for _, shard := range rt.ring.Candidates(addr) {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, shard.URL+"/v1/cache/"+addr, nil)
-		if err != nil {
-			continue
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			continue
-		}
-		defer resp.Body.Close()
-		copyResponse(w, resp, shard, "")
-		return
-	}
-	writeError(w, http.StatusNotFound, "not_found", "no shard holds cache entry %q", addr)
-}
-
-func (rt *Router) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	// The workload suite is identical on every shard; ask the healthiest
-	// candidate for an arbitrary constant key.
-	resp, shard, err := rt.forward(r.Context(), http.MethodGet, "/v1/workloads", "workloads", nil, "")
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "no_shard", "no shard answered: %v", err)
-		return
-	}
-	defer resp.Body.Close()
-	copyResponse(w, resp, shard, "")
-}
-
-func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	w.WriteHeader(resp.StatusCode)
+	io.Copy(w, resp.Body) //nolint:errcheck // the response is already committed
 }
 
 func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
@@ -518,8 +259,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	counter("gpurouter_failovers_total", "Forward attempts that fell over to a lower-preference shard.", rt.failovers.Load())
 	counter("gpurouter_forward_errors_total", "Forwards that exhausted every candidate.", rt.fwdErrors.Load())
-	counter("gpurouter_batches_total", "Batches accepted on /v1/jobs:batch.", rt.batches.Load())
-	counter("gpurouter_batch_items_total", "Batch items fanned out to shards.", rt.batchItems.Load())
 	fmt.Fprintf(w, "# HELP gpurouter_shards_healthy Healthy shards in the ring.\n")
 	fmt.Fprintf(w, "# TYPE gpurouter_shards_healthy gauge\n")
 	fmt.Fprintf(w, "gpurouter_shards_healthy %d\n", rt.ring.HealthyCount())
@@ -528,14 +267,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // shardStatsPayload mirrors the shard's GET /v1/stats JSON (the fields
 // the router aggregates).
 type shardStatsPayload struct {
-	Ready    bool      `json:"ready"`
-	Draining bool      `json:"draining"`
-	Sim      sim.Stats `json:"sim"`
-	Jobs     struct {
-		Submitted uint64 `json:"submitted"`
-		Done      uint64 `json:"done"`
-		Failed    uint64 `json:"failed"`
-	} `json:"jobs"`
+	Ready bool      `json:"ready"`
+	Sim   sim.Stats `json:"sim"`
 }
 
 // handleFleetStats aggregates per-shard /v1/stats into the fleet view the
@@ -614,174 +347,9 @@ func (rt *Router) handleFleetStats(w http.ResponseWriter, r *http.Request) {
 			"requests_routed": routedTotal,
 			"failovers":       rt.failovers.Load(),
 			"forward_errors":  rt.fwdErrors.Load(),
-			"batches":         rt.batches.Load(),
-			"batch_items":     rt.batchItems.Load(),
 			"dedup_hit_rate":  rate,
 			"sim":             agg,
 		},
 		"shards": views,
 	})
-}
-
-// batchLine is one merged NDJSON line of the router's batch response;
-// Index is in the client's original item order.
-type batchLine struct {
-	Index   int             `json:"index"`
-	Key     string          `json:"key"`
-	Shard   string          `json:"shard,omitempty"`
-	Outcome json.RawMessage `json:"outcome,omitempty"`
-	Error   *apiError       `json:"error,omitempty"`
-}
-
-// shardBatchLine is the wire shape a shard's batch endpoint emits.
-type shardBatchLine struct {
-	Index   int             `json:"index"`
-	Key     string          `json:"key"`
-	Outcome json.RawMessage `json:"outcome,omitempty"`
-	Error   *apiError       `json:"error,omitempty"`
-}
-
-// handleBatch fans a mixed batch out by cache key: items group by owning
-// shard, each group goes down as one shard batch, and the per-item
-// completions merge into a single NDJSON stream in completion order with
-// the client's original indices.
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRouterBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "validation", "reading body: %v", err)
-		return
-	}
-	var env struct {
-		Items     []json.RawMessage `json:"items"`
-		TimeoutMS int64             `json:"timeout_ms"`
-	}
-	if err := json.Unmarshal(body, &env); err != nil {
-		writeError(w, http.StatusBadRequest, "validation", "%v", err)
-		return
-	}
-	if len(env.Items) == 0 {
-		writeError(w, http.StatusBadRequest, "validation", "batch has no items")
-		return
-	}
-	if len(env.Items) > maxBatchItems {
-		writeError(w, http.StatusBadRequest, "validation", "batch has %d items (max %d)", len(env.Items), maxBatchItems)
-		return
-	}
-	keys := make([]string, len(env.Items))
-	for i, raw := range env.Items {
-		var req sim.Request
-		if err := json.Unmarshal(raw, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "validation", "item %d: %v", i, err)
-			return
-		}
-		if err := req.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "validation", "item %d: %v", i, err)
-			return
-		}
-		keys[i] = req.Key()
-	}
-
-	// Group item indices by owning shard. The map is drained in ring
-	// order, so fan-out order is deterministic.
-	groups := map[string][]int{}
-	for i, key := range keys {
-		owner := rt.ring.Owner(key)
-		if owner == nil {
-			writeError(w, http.StatusBadGateway, "no_shard", "no shards configured")
-			return
-		}
-		groups[owner.Name] = append(groups[owner.Name], i)
-	}
-	rt.batches.Add(1)
-	rt.batchItems.Add(uint64(len(env.Items)))
-
-	lines := make(chan batchLine)
-	var wg sync.WaitGroup
-	for _, shard := range rt.ring.Shards() {
-		indices := groups[shard.Name]
-		if len(indices) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(shard *Shard, indices []int) {
-			defer wg.Done()
-			rt.forwardSubBatch(r.Context(), shard, indices, env.Items, keys, env.TimeoutMS, lines)
-		}(shard, indices)
-	}
-	go func() {
-		wg.Wait()
-		close(lines)
-	}()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for line := range lines {
-		enc.Encode(line) //nolint:errcheck // the stream is already committed
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-}
-
-// forwardSubBatch sends one shard's share of a batch and relays its
-// completion lines, remapping shard-local indices to the client's. The
-// whole sub-batch fails over together (keyed by its first item) if the
-// owner is unreachable; items lost to a mid-stream failure come back as
-// per-item errors, never silence.
-func (rt *Router) forwardSubBatch(ctx context.Context, shard *Shard, indices []int, items []json.RawMessage, keys []string, timeoutMS int64, lines chan<- batchLine) {
-	sub := make([]json.RawMessage, len(indices))
-	for i, idx := range indices {
-		sub[i] = items[idx]
-	}
-	subBody, err := json.Marshal(map[string]any{"items": sub, "timeout_ms": timeoutMS})
-	if err != nil {
-		for _, idx := range indices {
-			lines <- batchLine{Index: idx, Key: keys[idx], Error: &apiError{Code: "internal", Message: err.Error()}}
-		}
-		return
-	}
-	resp, usedShard, err := rt.forward(ctx, http.MethodPost, "/v1/jobs:batch", keys[indices[0]], subBody, "application/json")
-	if err != nil {
-		for _, idx := range indices {
-			lines <- batchLine{Index: idx, Key: keys[idx], Error: &apiError{Code: "no_shard", Message: err.Error()}}
-		}
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		for _, idx := range indices {
-			lines <- batchLine{Index: idx, Key: keys[idx], Shard: usedShard.Name,
-				Error: &apiError{Code: "shard_error", Message: fmt.Sprintf("%s: %s", resp.Status, strings.TrimSpace(string(data)))}}
-		}
-		return
-	}
-	seen := make([]bool, len(indices))
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), maxRouterBody)
-	for sc.Scan() {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var sl shardBatchLine
-		if json.Unmarshal(raw, &sl) != nil || sl.Index < 0 || sl.Index >= len(indices) {
-			continue
-		}
-		seen[sl.Index] = true
-		lines <- batchLine{Index: indices[sl.Index], Key: sl.Key, Shard: usedShard.Name, Outcome: sl.Outcome, Error: sl.Error}
-	}
-	scanErr := sc.Err()
-	for i, idx := range indices {
-		if seen[i] {
-			continue
-		}
-		msg := "shard stream ended before this item completed"
-		if scanErr != nil {
-			msg = "shard stream broke: " + scanErr.Error()
-		}
-		lines <- batchLine{Index: idx, Key: keys[idx], Shard: usedShard.Name, Error: &apiError{Code: "shard_error", Message: msg}}
-	}
 }

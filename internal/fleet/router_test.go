@@ -1,13 +1,11 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -236,8 +234,21 @@ func TestShardDownFailover(t *testing.T) {
 	if got := f.router.failovers.Load(); got == 0 {
 		t.Error("failover counter still 0 after a rerouted request")
 	}
-	if s0 := f.router.Ring().ShardByName("s0"); s0.Healthy() {
+	if s0 := f.router.Ring().Shards()[0]; s0.Healthy() {
 		t.Error("dead shard still marked healthy after a forward failure with FailAfter=1")
+	}
+	// The router's /metrics shows the same.
+	mr, err := http.Get(f.front.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := new(bytes.Buffer)
+	metrics.ReadFrom(mr.Body) //nolint:errcheck // test helper
+	mr.Body.Close()
+	for _, want := range []string{`gpurouter_shard_healthy{shard="s0"} 0`, "gpurouter_failovers_total 1", "gpurouter_shards_healthy 1"} {
+		if !bytes.Contains(metrics.Bytes(), []byte(want)) {
+			t.Errorf("router /metrics missing %q:\n%s", want, metrics)
+		}
 	}
 	// The router stays ready on one healthy shard.
 	rr, err := http.Get(f.front.URL + "/readyz")
@@ -250,7 +261,7 @@ func TestShardDownFailover(t *testing.T) {
 	}
 	// ...and flips unready when the survivor dies too.
 	f.shards[1].Close()
-	f.router.Ring().ShardByName("s1").noteFailure("closed", 1)
+	f.router.Ring().Shards()[1].noteFailure("closed", 1)
 	rr2, err := http.Get(f.front.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
@@ -306,200 +317,5 @@ func TestProberMarksDownAndRecovers(t *testing.T) {
 	}
 	if !shard.Healthy() {
 		t.Error("shard unhealthy after recovery")
-	}
-}
-
-// TestRouterBatch: a batch with duplicate items fans out by key, streams
-// every index back exactly once with its key and outcome, and the
-// duplicates coalesce fleet-wide.
-func TestRouterBatch(t *testing.T) {
-	f := newTestFleet(t, 2, Config{}, nil)
-	const unique = 3
-	items := make([]json.RawMessage, 0, unique*2)
-	for pass := 0; pass < 2; pass++ {
-		for seq := 0; seq < unique; seq++ {
-			raw, _ := json.Marshal(tinyRequest(seq))
-			items = append(items, raw)
-		}
-	}
-	body, _ := json.Marshal(map[string]any{"items": items})
-	resp, err := http.Post(f.front.URL+"/v1/jobs:batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: %s", resp.Status)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("Content-Type = %q, want application/x-ndjson", ct)
-	}
-	seen := map[int]batchLine{}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var line batchLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		if _, dup := seen[line.Index]; dup {
-			t.Errorf("index %d emitted twice", line.Index)
-		}
-		seen[line.Index] = line
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(items) {
-		t.Fatalf("got %d lines, want %d", len(seen), len(items))
-	}
-	for i := range items {
-		line, ok := seen[i]
-		if !ok {
-			t.Errorf("index %d missing from the stream", i)
-			continue
-		}
-		if line.Error != nil {
-			t.Errorf("index %d failed: %s", i, line.Error.Message)
-		}
-		if len(line.Outcome) == 0 {
-			t.Errorf("index %d has no outcome", i)
-		}
-		if want := tinyRequest(i % unique).Key(); line.Key != want {
-			t.Errorf("index %d key = %q, want %q", i, line.Key, want)
-		}
-		if line.Shard == "" {
-			t.Errorf("index %d has no shard attribution", i)
-		}
-	}
-	_, agg := f.fleetStats(t)
-	if agg.Simulated != unique {
-		t.Errorf("fleet simulated %d times for %d unique items, want %d", agg.Simulated, unique, unique)
-	}
-}
-
-// TestJobSubmitAndProxy: async jobs submitted at the router come back
-// fleet-scoped ("<shard>/<id>"), and status/list/cache requests resolve
-// through the router.
-func TestJobSubmitAndProxy(t *testing.T) {
-	f := newTestFleet(t, 2, Config{}, nil)
-	req := tinyRequest(0)
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(f.front.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var created struct {
-		ID    string `json:"id"`
-		Shard string `json:"shard"`
-		Key   string `json:"key"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %s", resp.Status)
-	}
-	if created.Shard == "" || !strings.HasPrefix(created.ID, created.Shard+"/") {
-		t.Fatalf("job id %q not fleet-scoped to shard %q", created.ID, created.Shard)
-	}
-	if created.Key != req.Key() {
-		t.Errorf("create response echoes key %q, want %q", created.Key, req.Key())
-	}
-	if loc := resp.Header.Get("Location"); loc != "/v1/jobs/"+created.ID {
-		t.Errorf("Location = %q, want %q", loc, "/v1/jobs/"+created.ID)
-	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		sr, err := http.Get(f.front.URL + "/v1/jobs/" + created.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var view struct {
-			ID      string          `json:"id"`
-			State   string          `json:"state"`
-			Key     string          `json:"key"`
-			Outcome json.RawMessage `json:"outcome"`
-		}
-		if err := json.NewDecoder(sr.Body).Decode(&view); err != nil {
-			t.Fatal(err)
-		}
-		sr.Body.Close()
-		if sr.StatusCode != http.StatusOK {
-			t.Fatalf("status: %s", sr.Status)
-		}
-		if view.ID != created.ID {
-			t.Fatalf("status id %q, want the fleet-scoped %q", view.ID, created.ID)
-		}
-		if view.State == "done" {
-			if view.Key != req.Key() {
-				t.Errorf("status echoes key %q, want %q", view.Key, req.Key())
-			}
-			if len(view.Outcome) == 0 {
-				t.Error("done job has no outcome")
-			}
-			break
-		}
-		if view.State == "failed" || view.State == "canceled" {
-			t.Fatalf("job ended %s", view.State)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in state %q", view.State)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	lr, err := http.Get(f.front.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var listing struct {
-		Jobs []struct {
-			ID string `json:"id"`
-		} `json:"jobs"`
-	}
-	if err := json.NewDecoder(lr.Body).Decode(&listing); err != nil {
-		t.Fatal(err)
-	}
-	lr.Body.Close()
-	found := false
-	for _, j := range listing.Jobs {
-		if j.ID == created.ID {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("merged listing misses job %s", created.ID)
-	}
-
-	// The finished result is content-addressed fleet-wide.
-	cr, err := http.Get(f.front.URL + "/v1/cache/" + sim.CacheAddr(req.Key()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := new(bytes.Buffer)
-	data.ReadFrom(cr.Body) //nolint:errcheck // test helper
-	cr.Body.Close()
-	if cr.StatusCode != http.StatusOK {
-		t.Fatalf("fleet cache get: %s", cr.Status)
-	}
-	if _, ok := sim.DecodeCacheEntry(data.Bytes(), req.Key()); !ok {
-		t.Error("fleet cache entry fails verification against the job's key")
-	}
-
-	// Bad references 404 with a helpful shape.
-	for _, ref := range []string{"nope/job-1", "unscoped-id"} {
-		br, err := http.Get(f.front.URL + "/v1/jobs/" + ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		br.Body.Close()
-		if br.StatusCode != http.StatusNotFound {
-			t.Errorf("GET /v1/jobs/%s = %s, want 404", ref, br.Status)
-		}
 	}
 }

@@ -17,9 +17,8 @@ import (
 //     goroutine until the client timeout, invisible to cancellation;
 //   - context.Background() and context.TODO(): serving code runs on behalf
 //     of a request or a server lifetime, whose context the work should
-//     inherit. The few places that deliberately detach — a job runner
-//     outliving its submission request, a prober living as long as its
-//     router — say so with a reasoned //gpulint:allow ctxflow.
+//     inherit. A place that deliberately detaches — the prober, living as
+//     long as its router — says so with a reasoned //gpulint:allow ctxflow.
 var Ctxflow = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: "bans bare time.Sleep, context-free HTTP and fresh context.Background/TODO roots in the serving tier " +

@@ -35,7 +35,7 @@ var CycleLoopPackages = []string{
 
 // ConcurrencyPackages are the serving-tier packages whose goroutines hold
 // locks and block on the network: the fleet router/prober, the daemon's
-// job manager, and the singleflight service. guardedby and ctxflow police
+// handlers, and the singleflight service. guardedby and ctxflow police
 // these (the simulator packages are not allowed goroutines at all).
 var ConcurrencyPackages = []string{
 	"internal/fleet", "internal/server", "internal/sim",

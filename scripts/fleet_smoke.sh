@@ -2,8 +2,8 @@
 # fleet_smoke.sh: boot a 2-shard gpuschedd fleet behind a gpurouter, drive
 # it with loadgen, and assert the fleet deduplicated (nonzero dedup hit
 # rate, zero request errors). This is the end-to-end check that the
-# consistent-hash routing, the peer-cache protocol, and the shard batch
-# endpoint actually compose — `make fleet-smoke` and CI run it.
+# consistent-hash routing, the peer-cache protocol, and the shard
+# simulate endpoint actually compose — `make fleet-smoke` and CI run it.
 set -euo pipefail
 
 BIN=$(mktemp -d)
@@ -45,9 +45,5 @@ curl -sf "http://$ADDR_R/readyz" >/dev/null || { echo "router never became ready
 # request error is fatal inside loadgen itself.
 "$BIN/loadgen" -target "http://$ADDR_R" \
   -requests 120 -unique 16 -concurrency 8 -scale test -min-dedup 0.5
-
-# Same fleet, batch protocol.
-"$BIN/loadgen" -target "http://$ADDR_R" \
-  -requests 120 -unique 16 -concurrency 4 -mode batch -batch 24 -scale test -min-dedup 0.5
 
 echo "fleet smoke OK"
