@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test lint race ci bench benchmark bench-all paper paper-small examples serve fleet-smoke clean
+.PHONY: all build test lint race ci check-results benchmark bench-all paper paper-small examples serve fleet-smoke clean
 
 all: build test
 
@@ -32,45 +32,44 @@ race:
 
 # Mirror of .github/workflows/ci.yml: build, lint, race-enabled tests, the
 # repository benchmark's own tests (a module of its own, so ./... does not
-# reach it), and short fuzz smokes of the kernel-completion and request-wire
-# properties.
+# reach it), short fuzz smokes of the kernel-completion and request-wire
+# properties, and the results gate.
 ci: lint
 	go build ./...
 	go test -race ./...
 	go -C benchmark test ./...
 	go test -run='^$$' -fuzz=FuzzKernel -fuzztime=10s .
 	go test -run='^$$' -fuzz=FuzzRequestJSON -fuzztime=10s ./internal/sim
+	$(MAKE) check-results
 
-# Headline benchmarks (simulator throughput and three figure experiments),
-# recorded as JSON so CI can diff against the committed baseline. The figure
-# experiments run once (-benchtime=1x: one iteration is a whole
-# experiment); the throughput microbenches are pinned to a
-# fixed 20-iteration count because a single ~10ms run drifts ~20% between
-# otherwise identical invocations (the stencil number was recorded at ~300k
-# simcycles/s in one run and 249k in the committed BENCH_3.json for exactly
-# this reason). BENCH_OUT is overridable so a new baseline generation never
-# silently overwrites (or keeps re-targeting) an old one. Each go test
-# invocation also drops CPU and heap profiles into BENCH_PROF (uploaded as
-# CI artifacts), so a regression flagged by the JSON diff comes with the
-# profile that explains it.
-BENCH_OUT ?= results/BENCH_28.json
-BENCH_PROF ?= results/prof
-bench:
-	mkdir -p $(BENCH_PROF)
-	go test -run='^$$' -bench 'Fig5|Fig8|Fig14' -benchtime=1x -benchmem \
-		-cpuprofile $(BENCH_PROF)/figs.cpu.pprof -memprofile $(BENCH_PROF)/figs.mem.pprof \
-		-o $(BENCH_PROF)/bench.test . | tee $(BENCH_PROF)/bench.out
-	go test -run='^$$' -bench 'SimulatorThroughput' -benchtime=20x -benchmem \
-		-cpuprofile $(BENCH_PROF)/micro.cpu.pprof -memprofile $(BENCH_PROF)/micro.mem.pprof \
-		-o $(BENCH_PROF)/bench.test . | tee -a $(BENCH_PROF)/bench.out
-	go run ./cmd/benchjson -out $(BENCH_OUT) < $(BENCH_PROF)/bench.out
+# The results gate: regenerate every committed result and fail on any
+# difference. Both halves compare what the simulator computed, never how
+# long the host took, so the gate means the same on every machine.
+#  1. Every results/*.csv, rerun at full scale with the cache off, must be
+#     byte-identical (paperbench_full.txt holds wall times and is not
+#     compared).
+#  2. The repository benchmark must pass its own checks (exit status), and
+#     each workload's result_digest must equal the newest results/BENCH_*.json.
+# The fresh files stay in .bench_build/check-results: the CSVs, the tables
+# as text and bench.json, the benchmark record CI uploads.
+check-results:
+	rm -rf .bench_build/check-results
+	mkdir -p .bench_build/check-results
+	go run ./cmd/paperbench -cache off -out .bench_build/check-results > .bench_build/check-results/paperbench.txt
+	for f in $$(cd results && ls *.csv) $$(cd .bench_build/check-results && ls *.csv); do \
+		cmp results/$$f .bench_build/check-results/$$f || exit 1; \
+	done
+	bash benchmark/run.sh -workload all -seed 1 -seconds 2 -out .bench_build/check-results/bench.json
+	jq -r '.runs[] | .workload + " " + .result_digest' .bench_build/check-results/bench.json > .bench_build/check-results/digests
+	base=$$(ls results/BENCH_*.json | sort -V | tail -1) && echo "result digests against $$base" && \
+		jq -r '.runs[] | .workload + " " + .result_digest' "$$base" | diff - .bench_build/check-results/digests
 
 # The repository benchmark BENCHMARK.json declares (benchmark/README.md):
 # five workloads, each in a process of its own, end-to-end metrics by name.
 benchmark:
 	bash benchmark/run.sh -workload all -seed 1
 
-# One benchmark per reproduced table/figure plus microbenchmarks.
+# Per-package microbenchmarks (internal/gpu, internal/sm, internal/mem).
 bench-all:
 	go test -bench=. -benchmem ./...
 
@@ -100,4 +99,4 @@ examples:
 # Only what is generated and git-ignored: results/ also holds the committed
 # CSVs and BENCH_*.json records.
 clean:
-	rm -rf results/prof results/.simcache timeline_*.csv .bench_build benchmark/out
+	rm -rf results/.simcache timeline_*.csv .bench_build benchmark/out

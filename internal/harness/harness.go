@@ -1,11 +1,11 @@
 // Package harness regenerates the paper's tables and figures. Each
-// experiment is a function from Options to a Table; cmd/paperbench renders
-// them as aligned text and CSV, and bench_test.go wraps each as a Go
-// benchmark. All simulations flow through the internal/sim service layer,
-// which memoizes and deduplicates runs across experiments (the oracle
-// sweep feeds three figures but pays for its simulations once), executes
-// independent runs on all cores, and can persist results on disk so
-// repeated invocations skip completed work.
+// experiment is a function from Options to a Table; cmd/paperbench
+// renders them as aligned text and CSV. All simulations flow through
+// the internal/sim service layer, which memoizes and deduplicates runs
+// across experiments (the oracle sweep feeds three figures but pays for
+// its simulations once), executes independent runs on all cores, and
+// can persist results on disk so repeated invocations skip completed
+// work.
 package harness
 
 import (
