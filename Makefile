@@ -24,9 +24,10 @@ lint:
 	fi
 
 # Race-detector stress over the concurrency-bearing packages (mirrors the
-# CI race job): the dynamic counterpart to gpulint's static
-# guardedby/ctxflow contracts. The cycle loop itself is serial; internal/gpu
-# rides along for its cancellation poll.
+# CI race job). This is the lock contract: TestShardHealthConcurrent and
+# TestServiceCountersConcurrent fail here if any mutex section of
+# fleet.Shard or sim.Service is dropped. The cycle loop itself is serial;
+# internal/gpu rides along for its cancellation poll.
 race:
 	go test -race -count=3 ./internal/fleet ./internal/server ./internal/sim ./internal/gpu
 

@@ -1,4 +1,4 @@
-// Command gpulint runs the repo's determinism, cache-key, and concurrency
+// Command gpulint runs the repo's determinism, cache-key, and context
 // contract analyzers (internal/lint) over the module, multichecker style:
 //
 //	gpulint ./...            # what make lint and CI run
@@ -65,8 +65,6 @@ func run(dir string, patterns []string, asJSON, github bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// One whole-program pass: guardedby needs every package loaded together
-	// to see a field annotated in one package and accessed in another.
 	diags := lint.CheckAll(fset, pkgs)
 
 	out := make([]jsonDiag, len(diags))

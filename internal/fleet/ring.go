@@ -41,13 +41,11 @@ type Shard struct {
 	// routed counts requests this router forwarded to the shard.
 	routed atomic.Uint64
 
-	mu sync.Mutex
-	//gpulint:guardedby mu
+	// mu guards the health state: down, fails and lastErr.
+	mu   sync.Mutex
 	down bool
 	// fails counts consecutive probe/forward failures.
-	//gpulint:guardedby mu
-	fails int
-	//gpulint:guardedby mu
+	fails   int
 	lastErr string
 }
 
@@ -107,9 +105,8 @@ func (s *Shard) noteFailure(msg string, failAfter int) (wentDown bool) {
 // space), and a downed shard's keys redistribute across all survivors
 // instead of dogpiling its neighbor.
 //
-// The shard set is fixed at construction (membership changes are a
-// restart concern for now — ROADMAP open item 1 notes dynamic membership
-// as the next step); only health flips at runtime, so reads need no lock.
+// The shard set is fixed at construction (a membership change is a
+// restart); only health flips at runtime, so reads need no lock.
 type Ring struct {
 	shards []*Shard
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -146,4 +147,30 @@ func TestShardFailureStreak(t *testing.T) {
 	if s.LastError() != "five" {
 		t.Errorf("LastError = %q, want %q", s.LastError(), "five")
 	}
+}
+
+// TestShardHealthConcurrent is the lock contract for a Shard's health state
+// (down, fails, lastErr): each method that touches it runs in a goroutine
+// of its own, so under -race dropping any one of their mu sections fails.
+// One method per goroutine makes that independent of timing: a goroutine
+// whose method lost its lock never synchronizes with the others, so its
+// accesses are unordered with theirs however the four are scheduled.
+func TestShardHealthConcurrent(t *testing.T) {
+	s := &Shard{Name: "s0", URL: "http://s0.invalid"}
+	var wg sync.WaitGroup
+	for _, call := range []func(){
+		func() { s.noteFailure("probe failed", 2) },
+		func() { s.noteSuccess() },
+		func() { s.Healthy() },
+		func() { s.LastError() },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				call()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -29,8 +29,6 @@ func newActivitySet(n int) *activitySet {
 // later cycle (or neverWake) parks it until that cycle or an external wake.
 // The bound must be conservative: the item must provably have nothing to do
 // before it.
-//
-//gpulint:hotpath
 func (a *activitySet) tick(now uint64, visit func(i int) uint64) {
 	for i, at := range a.wakeAt {
 		if at != 0 {

@@ -516,8 +516,6 @@ func (g *GPU) dispatchedCTAs() int {
 // execution would have produced. A wake may lower the earliest SM wake, so
 // the target is recomputed after every window. Parked SMs stay lazy
 // throughout: their stall certificates charge the stretch on read.
-//
-//gpulint:hotpath
 func (g *GPU) advance(clampCtx bool) {
 	window := max(g.cfg.Mem.XbarLatency, 1)
 	for {

@@ -35,17 +35,11 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Directives are the //gpulint: comments of the package's files, in
-	// file/position order. Annotation-driven analyzers (cachekey, hotalloc)
-	// read their markers here; suppression directives are applied by the
-	// driver after the analyzer runs.
+	// file/position order. The annotation-driven cachekey analyzer reads
+	// its markers here; suppression directives are applied by the driver
+	// after the analyzer runs.
 	Directives []Directive
-	// Prog is the whole-program view (every function, and struct-field
-	// directives resolved across packages) when CheckAll loaded multiple
-	// packages together. Nil in single-package runs; program-level analyzers
-	// then build a one-package Program via ProgramFromPass, so fixtures
-	// exercise the same code path.
-	Prog   *Program
-	Report func(Diagnostic)
+	Report     func(Diagnostic)
 }
 
 // Reportf reports a diagnostic at pos.
@@ -68,16 +62,10 @@ const (
 	// KindAllow suppresses the named analyzers on the same or next line:
 	// //gpulint:allow analyzer[,analyzer] <reason>
 	KindAllow = "allow"
-	// KindHotpath marks the annotated function for the hotalloc analyzer:
-	// //gpulint:hotpath
-	KindHotpath = "hotpath"
 	// KindCachekey requires the annotated function to reference every
 	// exported field of the named package-local struct type:
 	// //gpulint:cachekey TypeName
 	KindCachekey = "cachekey"
-	// KindGuardedby marks the annotated struct field as protected by the
-	// named sibling mutex field: //gpulint:guardedby mu
-	KindGuardedby = "guardedby"
 )
 
 // Directive is one parsed //gpulint: comment.
@@ -114,7 +102,7 @@ func ParseDirectives(files []*ast.File) []Directive {
 				rest = strings.TrimSpace(rest)
 				d := Directive{Pos: c.Pos(), Kind: kind}
 				switch kind {
-				case KindAllow, KindCachekey, KindGuardedby:
+				case KindAllow, KindCachekey:
 					arg, reason, _ := strings.Cut(rest, " ")
 					if arg != "" {
 						d.Args = strings.Split(arg, ",")

@@ -7,34 +7,15 @@ import (
 	"gpusched/internal/lint/load"
 )
 
-// Check runs the suite over one package in isolation. Prefer CheckAll for
-// multi-package runs: guardedby only sees a field annotated in another
-// package when the packages are loaded together.
-func Check(fset *token.FileSet, pkg *load.Package) []analysis.Diagnostic {
-	return CheckAll(fset, []*load.Package{pkg})
-}
-
-// CheckAll runs every suite analyzer over the loaded packages, sharing one
-// whole-program view (functions + field directive attachment) across all of
-// them, applies each package's suppression directives, and returns the
-// surviving diagnostics sorted by position. This is the one entry point
-// cmd/gpulint and the self-test share, so "the repo is gpulint-clean"
-// means the same thing in CI and in `go test ./internal/lint`.
+// CheckAll runs every suite analyzer over the loaded packages, applies each
+// package's suppression directives, and returns the surviving diagnostics
+// sorted by position. This is the one entry point cmd/gpulint and the
+// self-test share, so "the repo is gpulint-clean" means the same thing in CI
+// and in `go test ./internal/lint`.
 func CheckAll(fset *token.FileSet, pkgs []*load.Package) []analysis.Diagnostic {
-	dirsOf := make(map[*load.Package][]analysis.Directive, len(pkgs))
-	progPkgs := make([]*analysis.ProgPkg, 0, len(pkgs))
-	for _, pkg := range pkgs {
-		dirs := analysis.ParseDirectives(pkg.Files)
-		dirsOf[pkg] = dirs
-		progPkgs = append(progPkgs, &analysis.ProgPkg{
-			Pkg: pkg.Types, Info: pkg.Info, Files: pkg.Files, Directives: dirs,
-		})
-	}
-	prog := analysis.NewProgram(fset, progPkgs)
-
 	var all []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		dirs := dirsOf[pkg]
+		dirs := analysis.ParseDirectives(pkg.Files)
 		active := make(map[string]bool)
 		var diags []analysis.Diagnostic
 		for _, c := range Suite() {
@@ -49,7 +30,6 @@ func CheckAll(fset *token.FileSet, pkgs []*load.Package) []analysis.Diagnostic {
 				Pkg:        pkg.Types,
 				TypesInfo:  pkg.Info,
 				Directives: dirs,
-				Prog:       prog,
 				Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
 			}
 			// Analyzer-internal failures surface as diagnostics too: a linter

@@ -67,6 +67,19 @@ func checkCtxCall(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 }
 
+// typeutilCallee resolves the static callee of a call, or nil.
+func typeutilCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
 func isClientRecv(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()

@@ -35,8 +35,9 @@ var CycleLoopPackages = []string{
 
 // ConcurrencyPackages are the serving-tier packages whose goroutines hold
 // locks and block on the network: the fleet router/prober, the daemon's
-// handlers, and the singleflight service. guardedby and ctxflow police
-// these (the simulator packages are not allowed goroutines at all).
+// handlers, and the singleflight service. ctxflow polices these (the
+// simulator packages are not allowed goroutines at all); their locks are
+// held to account by the -race tests, not by an analyzer.
 var ConcurrencyPackages = []string{
 	"internal/fleet", "internal/server", "internal/sim",
 }
@@ -68,19 +69,14 @@ func matchAll(string) bool { return true }
 // detmap guards every package (nondeterministic ordering anywhere leaks
 // into user-visible output), wallclock only the deterministic simulation
 // packages (servers may read clocks), nogoroutine only the cycle-loop
-// packages, and the annotation-driven cachekey/hotalloc run wherever their
-// markers appear.
+// packages, the annotation-driven cachekey wherever its markers appear, and
+// ctxflow, a serving-tier policy, only the concurrency packages.
 func Suite() []ScopedAnalyzer {
 	return []ScopedAnalyzer{
 		{Detmap, matchAll},
 		{Wallclock, matchSuffix(DetPackages)},
 		{Nogoroutine, matchSuffix(CycleLoopPackages)},
 		{Cachekey, matchAll},
-		{Hotalloc, matchAll},
-		// guardedby is annotation-driven and runs everywhere its markers can
-		// appear; ctxflow's bans are a serving-tier policy, so it is scoped
-		// to the concurrency packages.
-		{Guardedby, matchAll},
 		{Ctxflow, matchSuffix(ConcurrencyPackages)},
 	}
 }
@@ -109,8 +105,7 @@ func suppressionTargets(d analysis.Directive) []string {
 // knownDirectives is the full annotation grammar, in the order the
 // unknown-directive diagnostic lists it.
 var knownDirectives = []string{
-	analysis.KindOrderedIrrelevant, analysis.KindAllow,
-	analysis.KindHotpath, analysis.KindCachekey, analysis.KindGuardedby,
+	analysis.KindOrderedIrrelevant, analysis.KindAllow, analysis.KindCachekey,
 }
 
 // knownDirective reports whether the kind is part of the grammar.
@@ -201,20 +196,6 @@ func ApplySuppressions(fset *token.FileSet, diags []analysis.Diagnostic, dirs []
 
 	SortDiagnostics(fset, out)
 	return out
-}
-
-// reportMisattached flags structural directives of the given kinds (in the
-// current package) that resolved to no function or field — an annotation
-// floating next to nothing enforces nothing.
-func reportMisattached(pass *analysis.Pass, prog *analysis.Program, kinds map[string]string) {
-	attached := prog.AttachedPositions()
-	for _, d := range pass.Directives {
-		want, tracked := kinds[d.Kind]
-		if !tracked || attached[d.Pos] {
-			continue
-		}
-		pass.Reportf(d.Pos, "//gpulint:%s is not attached to %s", d.Kind, want)
-	}
 }
 
 func knownAnalyzer(name string) bool {

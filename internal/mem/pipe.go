@@ -62,8 +62,6 @@ func (p *pipe[T]) CanPop(now uint64) bool {
 }
 
 // Pop removes and returns the head entry. Call only after CanPop.
-//
-//gpulint:hotpath
 func (p *pipe[T]) Pop() T {
 	v := p.ring[p.head].val
 	p.head++

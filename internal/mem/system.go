@@ -147,8 +147,6 @@ func (s *System) Tick(now uint64) { s.TickWindow(now, now+1) }
 // sent or popped) inside the window. The loop is cycle-major, so the buffered response hooks
 // come out in (ready, partition) order — the order per-cycle ticks would have
 // fired them in — and fire once, at the window's end.
-//
-//gpulint:hotpath
 func (s *System) TickWindow(from, to uint64) {
 	for cy := from; cy < to; cy++ {
 		s.now = cy

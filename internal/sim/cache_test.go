@@ -4,6 +4,8 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -188,5 +190,81 @@ func TestPeerFetchHook(t *testing.T) {
 	}
 	if st := svcB2.Stats(); st.DiskHits != 1 || st.Simulated != 0 {
 		t.Errorf("migrated entry not on disk; stats = %+v", st)
+	}
+}
+
+// TestServiceCountersConcurrent is the lock contract for a Service's memo
+// and counters: eight requests run at once while other goroutines poll
+// Stats. Three are warm on disk, two come from the peer hook and the rest
+// simulate, and a 4-entry disk budget forces evictions, so every path that
+// updates the memo or a counter runs concurrently with the others. Under
+// -race, dropping any one of Service's mu sections fails.
+func TestServiceCountersConcurrent(t *testing.T) {
+	ctx := context.Background()
+	reqs := distinctTiny(8)
+	dir := t.TempDir()
+	if err := sim.NewService(sim.Options{CacheDir: dir}).RunAll(ctx, reqs[:3]); err != nil {
+		t.Fatal(err)
+	}
+	peer := make(map[string]sim.Outcome) // read-only once the service starts
+	origin := sim.NewService(sim.Options{})
+	for _, req := range reqs[3:5] {
+		out, err := origin.Run(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer[req.Key()] = out
+	}
+
+	// Both peer hits wait for each other inside the hook, so their counter
+	// updates are never ordered by an intervening mu section.
+	var peerHits sync.WaitGroup
+	peerHits.Add(len(peer))
+	svc := sim.NewService(sim.Options{
+		CacheDir:     dir,
+		CacheEntries: 4,
+		PeerFetch: func(_ context.Context, key string) (sim.Outcome, bool) {
+			out, ok := peer[key]
+			if ok {
+				peerHits.Done()
+				peerHits.Wait()
+			}
+			return out, ok
+		},
+	})
+	// A disk hit's unlocked update is caught only if a Stats read lands
+	// inside its short window. On two CPUs, one poller on the default
+	// GOMAXPROCS did that in about half the runs. Three pollers on more Ps
+	// than CPUs, so that the OS interleaves them with the requests, did it
+	// in every run.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for p := 0; p < 3; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					svc.Stats()
+				}
+			}
+		}()
+	}
+	err := svc.RunAll(ctx, reqs)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := svc.Stats()
+	if st.Simulated+st.DiskHits+st.PeerHits != len(reqs) {
+		t.Errorf("stats = %+v: simulated + disk hits + peer hits should be %d", st, len(reqs))
+	}
+	if st.PeerHits != 2 || st.DiskEvictions == 0 {
+		t.Errorf("stats = %+v: want 2 peer hits and at least one disk eviction", st)
 	}
 }

@@ -79,14 +79,12 @@ type Service struct {
 	sem   chan struct{}
 	cache *diskCache
 
-	mu sync.Mutex
-	//gpulint:guardedby mu
+	// mu guards flights, done and stats.
+	mu      sync.Mutex
 	flights map[string]*flight
 	// done holds completed flight keys in completion order; it is the
 	// eviction queue consulted when MaxFlights caps the memo.
-	//gpulint:guardedby mu
-	done []string
-	//gpulint:guardedby mu
+	done  []string
 	stats Stats
 
 	// progressMu serializes Options.Progress writes: simulations complete

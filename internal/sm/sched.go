@@ -58,8 +58,6 @@ type stallCert struct {
 
 // stalled folds warp w, which cannot issue for reason, into the certificate
 // c under construction.
-//
-//gpulint:hotpath
 func (s *scheduler) stalled(c *stallCert, w *Warp, reason skipReason) {
 	switch reason {
 	case skipScoreboard:
@@ -77,8 +75,6 @@ func (s *scheduler) stalled(c *stallCert, w *Warp, reason skipReason) {
 
 // certify ends a failed pick that evaluated every warp and mutated nothing:
 // its verdict becomes the scheduler's certificate.
-//
-//gpulint:hotpath
 func (s *scheduler) certify(c stallCert, reason skipReason) (*Warp, skipReason) {
 	c.reason = reason
 	s.cert = c
@@ -200,8 +196,6 @@ func ageLess(a1, a2, a3, b1, b2, b3 uint64) bool {
 // several times per warp per cycle. The returned reason explains the
 // preferred warp's stall when nothing was ready; a failed pick that mutated
 // nothing also leaves that verdict behind as the scheduler's stallCert.
-//
-//gpulint:hotpath
 func (s *scheduler) pick(now uint64, ready func(w *Warp) (bool, skipReason)) (*Warp, skipReason) {
 	if len(s.warps) == 0 {
 		return nil, skipNone
@@ -221,8 +215,6 @@ func (s *scheduler) pick(now uint64, ready func(w *Warp) (bool, skipReason)) (*W
 // longest-waiting pending warp promoted (and issued immediately if ready).
 // ALU-latency stalls do not trigger swaps — they resolve within a few
 // cycles, which is the point of keeping a small compute-dense active set.
-//
-//gpulint:hotpath
 func (s *scheduler) pickTwoLevel(ready func(w *Warp) (bool, skipReason)) (*Warp, skipReason) {
 	if len(s.active) == 0 {
 		return nil, skipNone
@@ -275,7 +267,6 @@ func (s *scheduler) pickTwoLevel(ready func(w *Warp) (bool, skipReason)) (*Warp,
 	return s.certify(c, firstReason)
 }
 
-//gpulint:hotpath
 func (s *scheduler) pickLRR(ready func(w *Warp) (bool, skipReason)) (*Warp, skipReason) {
 	start := 0
 	if s.last != nil {
@@ -320,8 +311,6 @@ func (s *scheduler) pickLRR(ready func(w *Warp) (bool, skipReason)) (*Warp, skip
 // becomes the new greedy warp. Warps at a barrier or still inside a cached
 // scoreboard stall are skipped without evaluation: their readiness check is
 // a guaranteed no-op failure.
-//
-//gpulint:hotpath
 func (s *scheduler) pickGreedyOldest(now uint64, ready func(w *Warp) (bool, skipReason)) (*Warp, skipReason) {
 	if l := s.last; l != nil && !l.atBarrier && l.stallUntil <= now {
 		if ok, _ := ready(l); ok {

@@ -142,8 +142,6 @@ func (s *SM) SyncTo(t uint64) {
 // A scheduler with warps whose certificate does not cover the window means a
 // parked window contained a cycle that could have issued, which the event
 // horizon must never allow; that is a bug, not a recoverable state.
-//
-//gpulint:hotpath
 func (s *SM) Counters(t uint64) stats.Core {
 	c := s.counters
 	if t <= s.syncedTo {
@@ -159,7 +157,6 @@ func (s *SM) Counters(t uint64) stats.Core {
 			continue
 		}
 		if !s.certified(sched, t-1) {
-			//gpulint:allow hotalloc unreachable-by-contract panic path; formatting cost is irrelevant when the simulator is already broken
 			panic(fmt.Sprintf("sm %d: counters read across an uncertified parked window [%d, %d)", s.id, s.syncedTo, t))
 		}
 		chargeStall(&c, sched.cert.reason, k)
@@ -521,8 +518,6 @@ func chargeStall(c *stats.Core, reason skipReason, k uint64) {
 // issuing warp, or nil plus the stall attribution. While the slot's stall
 // certificate holds — the common case: most scheduler-cycles are failed
 // picks repeating the cycle before — the verdict is read, not recomputed.
-//
-//gpulint:hotpath
 func (s *SM) pickOrReason(sched *scheduler, now uint64) (*Warp, skipReason) {
 	if s.certified(sched, now) {
 		s.issueServed++
@@ -537,8 +532,6 @@ func (s *SM) pickOrReason(sched *scheduler, now uint64) (*Warp, skipReason) {
 }
 
 // certified reports whether sched's stall certificate holds at cycle now.
-//
-//gpulint:hotpath
 func (s *SM) certified(sched *scheduler, now uint64) bool {
 	c := &sched.cert
 	return now < c.until && (!c.waitsOnLDST || c.ldstGen == s.ldst.freeGen)
