@@ -99,9 +99,13 @@ type EngineStats struct {
 	// IssueWalks counts scheduler-cycles (one warp scheduler with resident
 	// warps, one cycle) whose verdict took a walk over the warps, IssueServed
 	// those read from a stall certificate (sm.SM.IssueCounts, summed). Together
-	// they are Result.Core.InstrIssued + IssueStallCycles.
+	// they are Result.Core.InstrIssued + IssueStallCycles. IssueEvals counts
+	// the warps whose readiness those walks evaluated in full; the rest of
+	// the warps a walk passes over are ruled out by the scheduler's warp sets
+	// and stall cache without being looked at.
 	IssueWalks  uint64
 	IssueServed uint64
+	IssueEvals  uint64
 }
 
 // GPU is one simulated device with a fixed launch table.
@@ -159,6 +163,12 @@ func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 	}
 	if cfg.NumCores > 255 {
 		return nil, fmt.Errorf("gpu: NumCores %d exceeds response-routing width", cfg.NumCores)
+	}
+	if n := cfg.Core.NumSchedulers; n <= 0 {
+		return nil, fmt.Errorf("gpu: NumSchedulers = %d", n)
+	} else if per := (cfg.Core.Limits.MaxWarps + n - 1) / n; per > sm.MaxSchedulerWarps {
+		return nil, fmt.Errorf("gpu: %d warps per scheduler (MaxWarps %d over %d schedulers) exceeds the warp-set width %d",
+			per, cfg.Core.Limits.MaxWarps, n, sm.MaxSchedulerWarps)
 	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = DefaultMaxCycles
@@ -243,9 +253,10 @@ func (g *GPU) SetEpochHook(every uint64, fn func(now uint64)) {
 func (g *GPU) EngineStats() EngineStats {
 	e := g.engine
 	for _, c := range g.cores {
-		walks, served := c.IssueCounts(g.now)
+		walks, served, evals := c.IssueCounts(g.now)
 		e.IssueWalks += walks
 		e.IssueServed += served
+		e.IssueEvals += evals
 	}
 	return e
 }

@@ -258,6 +258,34 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestSchedulerWidthGuard: an SM spreads its warps evenly over its warp
+// schedulers, and one scheduler's warp sets are 64 bits wide, so New rejects
+// limits that could put more than 64 warps on one scheduler.
+func TestSchedulerWidthGuard(t *testing.T) {
+	w, _ := workloads.ByName("vadd")
+	spec := w.Build(workloads.ScaleTest)
+	for _, tc := range []struct {
+		schedulers, maxWarps int
+		ok                   bool
+	}{
+		{2, 48, true}, // the default: 24 per scheduler
+		{1, 48, true},
+		{1, 64, true},
+		{2, 128, true},
+		{1, 65, false},
+		{2, 129, false}, // 65 on one of them
+		{0, 48, false},
+	} {
+		cfg := testConfig()
+		cfg.Core.NumSchedulers = tc.schedulers
+		cfg.Core.Limits.MaxWarps = tc.maxWarps
+		_, err := New(cfg, core.NewRoundRobin(), spec)
+		if (err == nil) != tc.ok {
+			t.Errorf("%d schedulers, MaxWarps %d: err = %v, want accepted = %v", tc.schedulers, tc.maxWarps, err, tc.ok)
+		}
+	}
+}
+
 func TestStatsConsistency(t *testing.T) {
 	w, _ := workloads.ByName("hotspot")
 	spec := w.Build(workloads.ScaleTest)
@@ -540,6 +568,10 @@ func TestDispatcherQuiescence(t *testing.T) {
 				if got, want := es.IssueWalks+es.IssueServed, r.Core.InstrIssued+r.Core.IssueStallCycles; got != want {
 					t.Errorf("%s: %d walks + %d served = %d, want %d scheduler-cycles (issued %d + stalled %d)",
 						name, es.IssueWalks, es.IssueServed, got, want, r.Core.InstrIssued, r.Core.IssueStallCycles)
+				}
+				if es.IssueEvals < r.Core.InstrIssued {
+					t.Errorf("%s: %d readiness evaluations for %d issued instructions, each of which needed one",
+						name, es.IssueEvals, r.Core.InstrIssued)
 				}
 				if es.DispatcherTicks+es.DispatcherSkips != es.CyclesTicked {
 					t.Errorf("%s: %d dispatcher ticks + %d skips, want one per ticked cycle (%d)",

@@ -111,14 +111,14 @@ func TestGoldenFastForwardDeterminism(t *testing.T) {
 	}
 }
 
-// TestGoldenGranuleDeterminism is the gate on the parking rule on a second
-// machine shape. The name is kept from the parking-threshold sweep it
-// replaces: with one rule left (park on any stall bound beyond the next
-// cycle), what still moves which SMs park, for how long and how often they
-// all park at once is how many there are. Every simulation of every
-// experiment on a 4-SM machine — more CTA waves per SM, so more
-// retire-and-refill wakes crossing parked stretches than the 15-SM default
-// above — must commit the reference loop's Outcome.
+// TestGoldenGranuleDeterminism is the four-SM determinism gate: every
+// simulation of every experiment on a 4-SM machine must commit the reference
+// loop's Outcome. With one parking rule (park on any stall bound beyond the
+// next cycle), what still moves which SMs park, for how long and how often
+// they all park at once is how many SMs there are, and four gives more CTA
+// waves per SM — so more retire-and-refill wakes crossing parked stretches —
+// than the 15-SM default above. (The name is left from a deleted
+// parking-granule knob; renaming it renames every per-experiment subtest.)
 func TestGoldenGranuleDeterminism(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
@@ -129,13 +129,12 @@ func TestGoldenGranuleDeterminism(t *testing.T) {
 	}
 }
 
-// TestGoldenBatchWindowDeterminism is the gate on the advance step's
-// memory-system windows, which replaced quiet-window batching. On a single
-// SM every stall of that SM is an all-parked stretch, so the advance covers
-// the most cycles there and ticks the memory system alone in windows the
-// most often. Every simulation of fig5, the memory-bound throttling sweep,
-// on one SM must commit the reference loop's Outcome.
-func TestGoldenBatchWindowDeterminism(t *testing.T) {
+// TestGoldenOneSMDeterminism is the one-SM determinism gate: every
+// simulation of fig5, the memory-bound throttling sweep, on one SM must
+// commit the reference loop's Outcome. On a single SM every stall of that SM
+// is an all-parked stretch, so the advance step covers the most cycles there
+// and ticks the memory system alone in windows the most often.
+func TestGoldenOneSMDeterminism(t *testing.T) {
 	e, ok := ByID("fig5")
 	if !ok {
 		t.Fatal("fig5 experiment missing")

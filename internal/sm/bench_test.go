@@ -8,7 +8,9 @@ import (
 	"gpusched/internal/mem"
 )
 
-func benchSM(policy Policy, warps int) (*SM, *mem.System) {
+// benchSM fills one SM with up to six CTAs of the given warp count, each
+// warp running head once and then 10,000 dependent ALU ops.
+func benchSM(policy Policy, warps int, head func(b *isa.Builder)) (*SM, *mem.System) {
 	cfg := DefaultConfig()
 	cfg.WarpPolicy = policy
 	memCfg := mem.DefaultConfig()
@@ -23,6 +25,7 @@ func benchSM(policy Policy, warps int) (*SM, *mem.System) {
 			// Endless-ish dependent ALU work: the scheduler always has a
 			// scoreboard decision to make.
 			b := isa.NewBuilder()
+			head(b)
 			for i := 0; i < 10000; i++ {
 				b.FAlu(1, 1)
 			}
@@ -37,7 +40,7 @@ func benchSM(policy Policy, warps int) (*SM, *mem.System) {
 }
 
 func benchTick(b *testing.B, policy Policy) {
-	s, sys := benchSM(policy, 8)
+	s, sys := benchSM(policy, 8, func(*isa.Builder) {})
 	b.ResetTimer()
 	for now := uint64(0); now < uint64(b.N); now++ {
 		s.Tick(now)
@@ -50,27 +53,32 @@ func BenchmarkSMTickLRR(b *testing.B)  { benchTick(b, PolicyLRR) }
 func BenchmarkSMTickGTO(b *testing.B)  { benchTick(b, PolicyGTO) }
 func BenchmarkSMTickBAWS(b *testing.B) { benchTick(b, PolicyBAWS) }
 
-// BenchmarkSchedulerPickStalled is the dominant scheduler-cycle of memory-
-// bound phases: every warp waits on a pending load. "served" is the steady
-// state, the verdict read from the stall certificate; "walk" is the cycle
+// BenchmarkSchedulerPickStalled times the failed picks of memory-bound
+// phases. With every warp waiting on a pending load, "served" is the steady
+// state, the verdict read from the stall certificate, and "walk" is the cycle
 // after an invalidation, one pass over the warps that writes the next one.
+// "ldst-full" is a walk in which every warp's head is a ready load and the
+// LDST queue is full: the refused heads leave the walk as one set.
 func BenchmarkSchedulerPickStalled(b *testing.B) {
-	s, _ := benchSM(PolicyGTO, 8)
-	sched := &s.schedulers[0]
-	for _, w := range sched.warps {
-		w.fetch()
-		w.readyAt[1] = notReady
-	}
-	pick := func(b *testing.B, invalidate bool) {
+	pick := func(b *testing.B, s *SM, invalidate bool, want skipReason) {
+		sched := &s.schedulers[0]
 		for i := 0; i < b.N; i++ {
 			if invalidate {
 				sched.cert.until = 0
 			}
-			if w, reason := s.pickOrReason(sched, 1); w != nil || reason != skipScoreboard {
-				b.Fatalf("pick = (%v, %d), want a scoreboard stall", w, reason)
+			if w, reason := s.pickOrReason(sched, 1); w != nil || reason != want {
+				b.Fatalf("pick = (%v, %d), want a stall of kind %d", w, reason, want)
 			}
 		}
 	}
-	b.Run("served", func(b *testing.B) { pick(b, false) })
-	b.Run("walk", func(b *testing.B) { pick(b, true) })
+	waiting, _ := benchSM(PolicyGTO, 8, func(*isa.Builder) {})
+	for _, w := range waiting.schedulers[0].warps {
+		w.fetch()
+		w.readyAt[1] = notReady
+	}
+	b.Run("served", func(b *testing.B) { pick(b, waiting, false, skipScoreboard) })
+	b.Run("walk", func(b *testing.B) { pick(b, waiting, true, skipScoreboard) })
+	full, _ := benchSM(PolicyGTO, 8, func(b *isa.Builder) { b.LoadGlobal(2, 0) })
+	full.ldst.qLen = full.ldst.cap
+	b.Run("ldst-full", func(b *testing.B) { pick(b, full, true, skipStructural) })
 }

@@ -11,9 +11,9 @@ import (
 // checkCerts is the independent check of the stall certificates: for every
 // scheduler whose certificate claims to hold at r.now, drop it, run the plain
 // walk, and require the verdict the certificate would have served. The walk
-// caches (fetch, stallUntil) what the next real pick would compute anyway;
-// the certificate and the walk counter are restored, so a checked run is the
-// run.
+// caches (fetch, the stall cache, the operands-ready sets) what the next real
+// pick would compute anyway; the certificate and the walk counters are
+// restored, so a checked run is the run.
 func checkCerts(r *rig) {
 	r.t.Helper()
 	for i := range r.sm.schedulers {
@@ -21,14 +21,14 @@ func checkCerts(r *rig) {
 		if len(sched.warps) == 0 || !r.sm.certified(sched, r.now) {
 			continue
 		}
-		saved, walks := sched.cert, r.sm.issueWalks
+		saved, walks, evals := sched.cert, r.sm.issueWalks, sched.evals
 		sched.cert.until = 0
 		w, reason := r.sm.pickOrReason(sched, r.now)
 		if w != nil || reason != saved.reason {
 			r.t.Fatalf("cycle %d scheduler %d: certificate %+v, but the walk returns (issuable=%v, reason %d)",
 				r.now, i, saved, w != nil, reason)
 		}
-		sched.cert, r.sm.issueWalks = saved, walks
+		sched.cert, r.sm.issueWalks, sched.evals = saved, walks, evals
 	}
 }
 
@@ -226,7 +226,7 @@ func TestStallCertificateLockstep(t *testing.T) {
 				served := uint64(0)
 				got := certRun(t, sc, policy, func(r *rig) {
 					checkCerts(r)
-					_, served = r.sm.IssueCounts(r.now)
+					_, served, _ = r.sm.IssueCounts(r.now)
 				})
 				if served == 0 {
 					t.Error("no scheduler-cycle was served by a certificate")

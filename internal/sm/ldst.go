@@ -44,14 +44,23 @@ type hitEvent struct {
 // (shared). Divergent accesses therefore occupy the unit proportionally to
 // their transaction count — the memory-divergence cost.
 type ldstUnit struct {
-	sm    *SM
-	queue []ldstEntry
-	cap   int
+	sm *SM
+	// queue is a ring of cap entries: qLen of them from qHead on, wrapping
+	// around. canAccept keeps it from overflowing. Like hits it is allocated
+	// on first use, so an SM that never runs a memory instruction (most of
+	// a machine running one small kernel) allocates neither.
+	queue       []ldstEntry
+	cap         int
+	qHead, qLen int
 
 	table []pendingLoad
 	free  []uint32
 
-	hits []hitEvent
+	// hits is a ring of pending hit events, hLen of them from hHead on. One
+	// is pushed per tick at most, and none lives past the longer of the two
+	// hit latencies, so the ring is sized once to that bound.
+	hits        []hitEvent
+	hHead, hLen int
 
 	// linePool recycles the coalesced-line buffers of retired queue entries
 	// so a long run allocates O(queue cap) line slices total instead of one
@@ -81,7 +90,7 @@ func newLDSTUnit(s *SM) *ldstUnit {
 // canAccept reports whether a new memory instruction can enter the queue,
 // and — for register-writing ops — whether a pending-table slot exists.
 func (u *ldstUnit) canAccept(writesReg bool) bool {
-	if len(u.queue) >= u.cap {
+	if u.qLen >= u.cap {
 		return false
 	}
 	if writesReg && len(u.free) == 0 {
@@ -103,12 +112,25 @@ func (u *ldstUnit) takeLines() []uint64 {
 	return s[:0]
 }
 
+// ring returns index i of a ring of n slots whose head is at h (i < n).
+func ring(h, i, n int) int {
+	if h += i; h >= n {
+		h -= n
+	}
+	return h
+}
+
 // accept enqueues the issued memory instruction. Caller checked canAccept.
 // It is on the per-issue hot path: the coalesced-line buffer comes from the
-// unit's pool, and the queue/table appends below are bounded by
-// LDSTQueueCap/MaxPendingLoads, so steady state allocates nothing.
+// unit's pool and the entry is written in place into the queue ring, so
+// steady state allocates nothing.
 func (u *ldstUnit) accept(w *Warp, wi *isa.WarpInstr, now uint64) {
-	e := ldstEntry{warp: w, wi: *wi}
+	if u.queue == nil {
+		u.queue = make([]ldstEntry, u.cap)
+	}
+	e := &u.queue[ring(u.qHead, u.qLen, u.cap)]
+	u.qLen++
+	*e = ldstEntry{warp: w, wi: *wi}
 	w.cta.memRefs++ // queue entry holds the warp until popHead
 	if wi.Op.IsGlobal() {
 		e.lines = mem.Coalesce(u.takeLines(), wi, w.cta.AddrBase, u.sm.memCfg.LineBytes)
@@ -133,23 +155,33 @@ func (u *ldstUnit) accept(w *Warp, wi *isa.WarpInstr, now uint64) {
 			w.readyAt[wi.Dst] = notReady
 		}
 	}
-	// Bounded by LDSTQueueCap (canAccept gates entry): the backing array
-	// stops growing after the first few instructions.
-	u.queue = append(u.queue, e)
+}
+
+// pushHit schedules the release of one transaction of token at cycle at.
+func (u *ldstUnit) pushHit(at uint64, token uint32) {
+	if u.hLen == len(u.hits) {
+		if u.hits != nil {
+			panic("sm: hit-event ring overflow")
+		}
+		u.hits = make([]hitEvent, max(u.sm.memCfg.L1HitLatency, u.sm.cfg.SharedLatency)+1)
+	}
+	u.hits[ring(u.hHead, u.hLen, len(u.hits))] = hitEvent{at: at, token: token}
+	u.hLen++
 }
 
 // tick advances the unit one cycle: ripe hit events first, then the head
 // instruction.
 func (u *ldstUnit) tick(now uint64) {
-	for len(u.hits) > 0 && u.hits[0].at <= now {
-		u.completeOne(u.hits[0].token, now)
-		copy(u.hits, u.hits[1:])
-		u.hits = u.hits[:len(u.hits)-1]
+	for u.hLen > 0 && u.hits[u.hHead].at <= now {
+		tok := u.hits[u.hHead].token
+		u.hHead = ring(u.hHead, 1, len(u.hits))
+		u.hLen--
+		u.completeOne(tok, now)
 	}
-	if len(u.queue) == 0 {
+	if u.qLen == 0 {
 		return
 	}
-	e := &u.queue[0]
+	e := &u.queue[u.qHead]
 	switch {
 	case !e.wi.Op.IsGlobal():
 		u.tickShared(e, now)
@@ -173,7 +205,7 @@ func (u *ldstUnit) tickShared(e *ldstEntry, now uint64) {
 	}
 	if e.hasToken {
 		// Result arrives after the scratchpad latency.
-		u.hits = append(u.hits, hitEvent{at: now + u.sm.cfg.SharedLatency, token: e.token})
+		u.pushHit(now+u.sm.cfg.SharedLatency, e.token)
 	}
 	u.popHead()
 }
@@ -195,8 +227,7 @@ func (u *ldstUnit) tickGlobal(e *ldstEntry, now uint64) {
 	case isa.OpLoadGlobal:
 		res = u.sm.l1.Load(line, e.token, now)
 		if res == mem.AccessHit {
-			// Bounded by MaxPendingLoads (one event per outstanding token).
-			u.hits = append(u.hits, hitEvent{at: now + u.sm.memCfg.L1HitLatency, token: e.token})
+			u.pushHit(now+u.sm.memCfg.L1HitLatency, e.token)
 		}
 	case isa.OpStoreGlobal:
 		res = u.sm.l1.Store(line, now)
@@ -215,18 +246,20 @@ func (u *ldstUnit) tickGlobal(e *ldstEntry, now uint64) {
 
 func (u *ldstUnit) popHead() {
 	u.freeGen++
-	cta := u.queue[0].warp.cta
+	e := &u.queue[u.qHead]
+	cta := e.warp.cta
 	cta.memRefs--
 	if cta.recycleArmed && cta.memRefs == 0 {
 		cta.recycleArmed = false
 		u.sm.poolCTA(cta)
 	}
-	if ln := u.queue[0].lines; ln != nil {
+	if e.lines != nil {
 		// Bounded by the queue cap: at most LDSTQueueCap buffers are recycled.
-		u.linePool = append(u.linePool, ln)
+		u.linePool = append(u.linePool, e.lines)
 	}
-	copy(u.queue, u.queue[1:])
-	u.queue = u.queue[:len(u.queue)-1]
+	e.warp, e.lines = nil, nil
+	u.qHead = ring(u.qHead, 1, u.cap)
+	u.qLen--
 }
 
 // onResponse routes a memory-system response: the L1 handles fills/merges
@@ -255,7 +288,7 @@ func (u *ldstUnit) completeOne(t uint32, now uint64) {
 	}
 	if p.dst != 0 {
 		p.warp.readyAt[p.dst] = now
-		p.warp.clearStall()
+		p.warp.sched.clearStall(p.warp)
 	}
 	cta := p.warp.cta
 	cta.memRefs--
@@ -272,7 +305,7 @@ func (u *ldstUnit) completeOne(t uint32, now uint64) {
 
 // busy reports whether any instruction or transaction is still in flight.
 func (u *ldstUnit) busy() bool {
-	return len(u.queue) > 0 || len(u.hits) > 0 || len(u.free) < len(u.table)
+	return u.qLen > 0 || u.hLen > 0 || len(u.free) < len(u.table)
 }
 
 // nextEvent returns the earliest cycle >= now at which tick does work on
@@ -284,14 +317,15 @@ func (u *ldstUnit) busy() bool {
 // system's own bound covers.
 func (u *ldstUnit) nextEvent(now uint64) uint64 {
 	next := uint64(NeverEvent)
-	if len(u.hits) > 0 {
-		if u.hits[0].at <= now {
+	if u.hLen > 0 {
+		if at := u.hits[u.hHead].at; at > now {
+			next = at
+		} else {
 			return now
 		}
-		next = u.hits[0].at
 	}
-	if len(u.queue) > 0 {
-		e := &u.queue[0]
+	if u.qLen > 0 {
+		e := &u.queue[u.qHead]
 		if !e.wi.Op.IsGlobal() && e.finishAt > now {
 			if e.finishAt < next {
 				next = e.finishAt

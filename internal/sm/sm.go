@@ -70,8 +70,9 @@ type SM struct {
 	memLatencySum uint64
 	memLoadsDone  uint64
 	// issueWalks/issueServed count the scheduler-cycles pickOrReason resolved
-	// by walking the warps vs. by reading a stall certificate. Host-side
-	// accounting, kept out of counters so it can never reach a Result.
+	// by walking the warps vs. by reading a stall certificate (the schedulers
+	// count the readiness evaluations the walks made). Host-side accounting,
+	// kept out of counters so it can never reach a Result.
 	issueWalks, issueServed uint64
 }
 
@@ -88,12 +89,14 @@ func New(id int, cfg *Config, sys *mem.System, numKernels int, onCTADone func(in
 		KernelIssued:     make([]uint64, numKernels),
 		residentByKernel: make([]int, numKernels),
 	}
-	for i := range s.schedulers {
-		s.schedulers[i].policy = cfg.WarpPolicy
-		s.schedulers[i].activeSize = cfg.ActiveSetSize
-	}
 	s.l1 = mem.NewL1(s.memCfg, id, sys.Port(id))
 	s.ldst = newLDSTUnit(s)
+	for i := range s.schedulers {
+		sched := &s.schedulers[i]
+		sched.policy = cfg.WarpPolicy
+		sched.activeSize = cfg.ActiveSetSize
+		sched.ldst = s.ldst
+	}
 	return s
 }
 
@@ -170,9 +173,13 @@ func (s *SM) InstrIssued() uint64 { return s.counters.InstrIssued }
 
 // IssueCounts returns how many scheduler-cycles through cycle t (exclusive)
 // were resolved by a warp walk and how many were served from a stall
-// certificate (gpu.EngineStats). Every cycle of a parked window is served.
-func (s *SM) IssueCounts(t uint64) (walks, served uint64) {
-	return s.issueWalks, s.issueServed + s.Counters(t).IssueStallCycles - s.counters.IssueStallCycles
+// certificate, and how many warps the walks evaluated for readiness
+// (gpu.EngineStats). Every cycle of a parked window is served.
+func (s *SM) IssueCounts(t uint64) (walks, served, evals uint64) {
+	for i := range s.schedulers {
+		evals += s.schedulers[i].evals
+	}
+	return s.issueWalks, s.issueServed + s.Counters(t).IssueStallCycles - s.counters.IssueStallCycles, evals
 }
 
 // Draining returns the number of resident CTAs currently draining.
@@ -201,6 +208,9 @@ func (s *SM) SetWarpPolicy(p Policy) {
 	for i := range s.schedulers {
 		sched := &s.schedulers[i]
 		sched.policy = p
+		// Age keys are policy-dependent (GTO ages by arrival, BAWS by
+		// block): re-sort the slots first.
+		sched.rebuildAge()
 		sched.active = sched.active[:0]
 		sched.pending = sched.pending[:0]
 		if p == PolicyTwoLevel {
@@ -212,9 +222,6 @@ func (s *SM) SetWarpPolicy(p Policy) {
 				}
 			}
 		}
-		// Age keys are policy-dependent (GTO ages by arrival, BAWS by
-		// block); refresh the cached oldest warp.
-		sched.rebuildAge()
 		sched.cert.until = 0
 	}
 }
@@ -435,6 +442,11 @@ func (s *SM) DrainCTA(cta *CTA) bool {
 	}
 	cta.state = CTADraining
 	s.draining++
+	for _, w := range cta.warps {
+		if !w.finished {
+			w.sched.drain(w)
+		}
+	}
 	for i := range s.schedulers {
 		s.schedulers[i].cert.until = 0 // the CTA's warps stop issuing everywhere
 	}
@@ -524,9 +536,8 @@ func (s *SM) pickOrReason(sched *scheduler, now uint64) (*Warp, skipReason) {
 		return nil, sched.cert.reason
 	}
 	s.issueWalks++
-	ready := func(w *Warp) (bool, skipReason) { return s.canIssue(sched, w, now) }
 	sched.cert.until = 0 // a certificate only ever describes the latest pick
-	w, reason := sched.pick(now, ready)
+	w, reason := sched.pick(now)
 	sched.cert.ldstGen = s.ldst.freeGen
 	return w, reason
 }
@@ -537,38 +548,11 @@ func (s *SM) certified(sched *scheduler, now uint64) bool {
 	return now < c.until && (!c.waitsOnLDST || c.ldstGen == s.ldst.freeGen)
 }
 
-// canIssue evaluates every issue condition for w's current instruction.
-func (s *SM) canIssue(sched *scheduler, w *Warp, now uint64) (bool, skipReason) {
-	if w.finished {
-		return false, skipFinished
-	}
-	if w.cta.state == CTADraining {
-		// Drain protocol: no new instructions past the preemption point.
-		return false, skipDraining
-	}
-	if w.atBarrier {
-		return false, skipBarrier
-	}
-	if !w.fetch() {
-		return false, skipFinished
-	}
-	if !w.operandsReady(now) {
-		return false, skipScoreboard
-	}
-	wi := &w.cur
-	switch {
-	case wi.Op == isa.OpSfu && sched.sfuFreeAt > now:
-		return false, skipStructural
-	case wi.Op.IsMemory() && wi.Mask != 0 && !s.ldst.canAccept(wi.Op.WritesRegister()):
-		return false, skipStructural
-	}
-	return true, skipNone
-}
-
 // execute issues w's current instruction.
 func (s *SM) execute(sched *scheduler, w *Warp, now uint64) {
 	wi := &w.cur
 	w.curValid = false
+	sched.issued(w)
 
 	s.counters.InstrIssued++
 	s.counters.ThreadInstr += uint64(wi.ActiveLanes())
@@ -609,7 +593,7 @@ func (s *SM) execute(sched *scheduler, w *Warp, now uint64) {
 }
 
 func (s *SM) arriveBarrier(w *Warp) {
-	w.atBarrier = true
+	w.sched.barrier |= bit(w.slot)
 	cta := w.cta
 	cta.barCount++
 	if cta.barCount >= cta.liveWarps {
@@ -622,8 +606,8 @@ func (s *SM) arriveBarrier(w *Warp) {
 // schedulers).
 func releaseBarrier(cta *CTA) {
 	for _, x := range cta.warps {
-		if x.atBarrier {
-			x.atBarrier = false
+		if b := bit(x.slot); !x.finished && x.sched.barrier&b != 0 {
+			x.sched.barrier &^= b
 			x.sched.cert.until = 0
 		}
 	}

@@ -18,33 +18,20 @@ type Warp struct {
 	// warpInCTA is the warp's index within its CTA.
 	warpInCTA int
 
-	// sched is the owning issue slot, so state transitions (load return,
-	// barrier release) can clear its stall certificate.
+	// sched is the owning issue slot and slot the warp's index in its age
+	// order; the scheduler's sets and stall cache are indexed by it.
 	sched *scheduler
+	slot  int
 
 	prog     isa.Program
 	cur      isa.WarpInstr
 	curValid bool
 
-	finished  bool
-	atBarrier bool
+	finished bool
 
 	// readyAt[r] is the cycle register r's pending write completes;
 	// 0 means no write pending. Register 0 is hardwired ready.
 	readyAt [isa.MaxRegs]uint64
-	// stallUntil caches the cycle the current instruction's operands all
-	// become ready, so schedulers skip scoreboard-stalled warps with one
-	// compare. A pending load contributes notReady — the warp then cannot
-	// issue until a response arrives, never merely by time passing; the LDST
-	// unit clears the cache when the load returns.
-	stallUntil uint64
-}
-
-// clearStall invalidates the scoreboard fast-path (called on load return)
-// and, with it, the scheduler's stall certificate.
-func (w *Warp) clearStall() {
-	w.stallUntil = 0
-	w.sched.cert.until = 0
 }
 
 // fetch ensures cur holds the next unissued instruction. Returns false when
@@ -58,30 +45,6 @@ func (w *Warp) fetch() bool {
 		return true
 	}
 	return false
-}
-
-// operandsReady reports whether cur's sources and destination are free of
-// pending writes at cycle now. On failure it records when the operands will
-// all be ready in stallUntil.
-func (w *Warp) operandsReady(now uint64) bool {
-	if w.stallUntil > now {
-		return false
-	}
-	wi := &w.cur
-	blocked := uint64(0)
-	for _, r := range wi.Src {
-		if r != 0 && w.readyAt[r] > blocked {
-			blocked = w.readyAt[r]
-		}
-	}
-	if wi.Dst != 0 && w.readyAt[wi.Dst] > blocked {
-		blocked = w.readyAt[wi.Dst]
-	}
-	if blocked > now {
-		w.stallUntil = blocked
-		return false
-	}
-	return true
 }
 
 // CTAState is a resident CTA's position in the preemption lifecycle.

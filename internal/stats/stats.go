@@ -23,7 +23,12 @@ type Core struct {
 	IssueStallCycles uint64
 	// StallScoreboard counts warps skipped because of pending operands.
 	StallScoreboard uint64
-	// StallLDSTFull counts issue attempts rejected by a full LDST queue.
+	// StallLDSTFull sums two things. One is the stalled scheduler slots
+	// attributed to a structural hazard: the warp's instruction was refused
+	// by a full LDST queue or pending-load table, or waits on the SFU
+	// initiation interval. The other is the cycles in which the L1 refused
+	// the LDST unit's head transaction, which is retried the next cycle
+	// (the sm package's ldstUnit.tickGlobal).
 	StallLDSTFull uint64
 	// StallBarrier counts warps skipped while waiting at a barrier.
 	StallBarrier uint64
