@@ -30,7 +30,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warpStr  = fs.String("warp", "gto", "warp scheduler: lrr | gto | baws")
 		sizeStr  = fs.String("size", "small", "problem size: tiny | small | full")
 		cores    = fs.Int("cores", 15, "SM count")
-		engStats = fs.Bool("engine-stats", false, "also print how the cycle loop executed the run: cycles ticked, and cycles the all-parked advance step jumped (fast-forwarded) or covered with memory-only ticks (batched); dispatcher polls made and skipped; warp-scheduler walks vs certificate reads, and the warps the walks evaluated")
+		engStats = fs.Bool("engine-stats", false, "also print how the cycle loop executed the run: cycles ticked, and cycles the all-parked advance step jumped (fast-forwarded) or covered with memory-only ticks (batched); dispatcher polls made and skipped; warp-scheduler walks vs certificate reads, and the warps the walks evaluated; L2 partition ticks against partition-cycles")
 		list     = fs.Bool("list", false, "list workloads and exit")
 		traceOut = fs.String("trace", "", "write a per-epoch timeline CSV to this file")
 		epoch    = fs.Uint64("epoch", 1024, "trace sampling period in cycles")
@@ -129,6 +129,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "engine issue    %d scheduler-cycles walked the warps, %d served by a stall certificate\n",
 			eng.IssueWalks, eng.IssueServed)
 		fmt.Fprintf(stdout, "engine evals    %d warps evaluated for readiness by the walks\n", eng.IssueEvals)
+		fmt.Fprintf(stdout, "engine memory   %d L2 partition ticks of %d partition-cycles\n",
+			eng.PartitionTicks, res.Cycles*uint64(gpusched.DefaultMemConfig().Partitions))
 	}
 	return 0
 }

@@ -293,10 +293,11 @@ func RunContext(ctx context.Context, cfg Config, sched Scheduler, kernels ...Ker
 // simulated cycles were ticked, and how many the all-parked advance step
 // jumped over or covered with memory-only ticks; how often the dispatcher was
 // polled or provably skipped; and how many warp-scheduler verdicts took a walk
-// or a stall-certificate read. It describes the host-side execution, not the
-// simulated machine — the reference loop (gpu.GPU.RunReference) reports
-// different numbers for the same Result — so it is reported beside Result,
-// never inside it.
+// or a stall-certificate read; and how many L2 partition ticks the memory
+// system ran. It describes the host-side execution, not the simulated
+// machine — the reference loop (gpu.GPU.RunReference) reports different
+// numbers for the same Result — so it is reported beside Result, never
+// inside it.
 type EngineStats = gpu.EngineStats
 
 // RunEngineStats is RunContext plus the run's EngineStats.

@@ -106,6 +106,11 @@ type EngineStats struct {
 	IssueWalks  uint64
 	IssueServed uint64
 	IssueEvals  uint64
+	// PartitionTicks counts L2 partition Tick calls (mem.System.PartitionTicks),
+	// out of Result.Cycles × Mem.Partitions partition-cycles: the memory
+	// system ticks a partition only on cycles it can act, whichever loop
+	// drives it.
+	PartitionTicks uint64
 }
 
 // GPU is one simulated device with a fixed launch table.
@@ -252,6 +257,7 @@ func (g *GPU) SetEpochHook(every uint64, fn func(now uint64)) {
 // once Run returns).
 func (g *GPU) EngineStats() EngineStats {
 	e := g.engine
+	e.PartitionTicks = g.memsys.PartitionTicks()
 	for _, c := range g.cores {
 		walks, served, evals := c.IssueCounts(g.now)
 		e.IssueWalks += walks

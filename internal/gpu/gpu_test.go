@@ -545,8 +545,9 @@ func quiescenceCases() []quiescenceCase {
 // RunReference, which ticks the dispatcher every cycle.
 // The same runs pin the EngineStats identities: every simulated cycle is
 // covered by exactly one mechanism, every ticked cycle polled or skipped the
-// dispatcher, and every scheduler-cycle with resident warps got its verdict
-// from exactly one of a warp walk or a stall certificate.
+// dispatcher, every scheduler-cycle with resident warps got its verdict
+// from exactly one of a warp walk or a stall certificate, and both loops
+// ticked the same number of L2 partitions.
 func TestDispatcherQuiescence(t *testing.T) {
 	for _, tc := range quiescenceCases() {
 		tc := tc
@@ -577,6 +578,9 @@ func TestDispatcherQuiescence(t *testing.T) {
 					t.Errorf("%s: %d dispatcher ticks + %d skips, want one per ticked cycle (%d)",
 						name, es.DispatcherTicks, es.DispatcherSkips, es.CyclesTicked)
 				}
+				if most := r.Cycles * uint64(testConfig().Mem.Partitions); es.PartitionTicks == 0 || es.PartitionTicks > most {
+					t.Errorf("%s: %d partition ticks, want 1..%d (cycles × partitions)", name, es.PartitionTicks, most)
+				}
 				return r, es
 			}
 			ref, refStats := run("RunReference", (*GPU).RunReference)
@@ -590,6 +594,11 @@ func TestDispatcherQuiescence(t *testing.T) {
 			}
 			if es.DispatcherSkips == 0 {
 				t.Error("the dispatcher was never skipped")
+			}
+			// Partition skipping belongs to mem.System, so both loops tick the
+			// same partitions on the same cycles.
+			if es.PartitionTicks != refStats.PartitionTicks {
+				t.Errorf("RunContext ticked %d partitions, RunReference %d", es.PartitionTicks, refStats.PartitionTicks)
 			}
 		})
 	}

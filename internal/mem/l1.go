@@ -80,10 +80,7 @@ func (l *L1) Load(lineAddr uint64, token uint32, now uint64) AccessResult {
 		}
 		return AccessStall
 	}
-	if !l.mshr.Allocate(lineAddr, token) {
-		l.cache.Stats.MSHRStalls++
-		return AccessStall
-	}
+	l.mshr.Allocate(lineAddr, token)
 	l.port.Send(Request{Kind: ReqLoad, LineAddr: lineAddr, CoreID: l.core, Token: token, Born: now}, now)
 	return AccessPending
 }

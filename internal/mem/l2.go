@@ -209,9 +209,7 @@ func (p *L2Partition) handleLoad(req Request, now uint64, atomic bool) bool {
 		}
 		return false
 	}
-	if !p.mshr.Allocate(req.LineAddr, waiter) {
-		return false
-	}
+	p.mshr.Allocate(req.LineAddr, waiter)
 	if atomic {
 		p.mshr.MarkAtomic(req.LineAddr)
 	}

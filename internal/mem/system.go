@@ -14,15 +14,29 @@ import "gpusched/internal/stats"
 // its SMs in ascending core index (gpu.activitySet), and a parked SM — the
 // only kind that is skipped — sends nothing.
 //
-// Tick order within a cycle is fixed: partitions run in index order, each
-// delivering into the per-core response FIFOs, and the response-delivery
-// hooks fire after every partition has ticked.
+// Only due partitions run: a cycle ticks the partitions whose wake bound has
+// come (see the wake field) and skips the rest, whose ticks would be no-ops.
+// Tick order within a cycle is fixed: the due partitions run in index order,
+// each delivering into the per-core response FIFOs, and the
+// response-delivery hooks fire after every partition has ticked.
 type System struct {
 	cfg        *Config
 	lineShift  uint // cfg.LineShift(), computed once: partOf runs on every send
 	partitions []*L2Partition
 	// toPart[i] carries requests to partition i (request crossbar).
 	toPart []*pipe[Request]
+	// wake[i] is a lower bound on the first cycle at which partitions[i].Tick
+	// does work. A partition's state moves only inside its own Tick and
+	// through a Send into toPart[i], so the bound is recomputed after each of
+	// its ticks (L2Partition.NextEvent at the next cycle) and lowered by each
+	// send to the request's ready cycle. Cycles before it are skipped.
+	// Partitions whose head stalls structurally, whose write-backs wait for
+	// DRAM space or whose response a full core FIFO refused report the next
+	// cycle, so they keep ticking every cycle: those ticks mutate stats or
+	// wait on a pop the partition cannot see.
+	wake []uint64
+	// partTicks counts partition Tick calls (gpu.EngineStats.PartitionTicks).
+	partTicks uint64
 	// toCore[c] carries responses back to core c (response crossbar), fed by
 	// the partitions in (cycle, partition index) order.
 	toCore []*pipe[Response]
@@ -64,7 +78,9 @@ func NewSystem(cfg *Config, numCores int) *System {
 	s := &System{cfg: cfg, lineShift: cfg.LineShift()}
 	s.partitions = make([]*L2Partition, cfg.Partitions)
 	s.toPart = make([]*pipe[Request], cfg.Partitions)
+	s.wake = make([]uint64, cfg.Partitions)
 	for i := range s.partitions {
+		s.wake[i] = NeverEvent
 		s.partitions[i] = NewL2Partition(cfg, i)
 		s.partitions[i].bindInflight(&s.inflight)
 		s.toPart[i] = newPipe[Request](cfg.XbarQueueCap, cfg.XbarLatency)
@@ -98,22 +114,25 @@ func (s *System) Port(coreID int) Sender { return &port{sys: s} }
 
 type port struct{ sys *System }
 
-// partOf is cfg.PartitionOf on the cached line shift: the request pipe of
+// partOf is cfg.PartitionOf on the cached line shift: the index of
 // lineAddr's partition.
-func (s *System) partOf(lineAddr uint64) *pipe[Request] {
-	return s.toPart[(lineAddr>>s.lineShift)%uint64(len(s.toPart))]
+func (s *System) partOf(lineAddr uint64) int {
+	return int((lineAddr >> s.lineShift) % uint64(len(s.toPart)))
 }
 
 // CanSend reports whether the target partition's request queue has space
 // right now, counting every send already made this cycle.
-func (p *port) CanSend(lineAddr uint64) bool { return p.sys.partOf(lineAddr).CanPush() }
+func (p *port) CanSend(lineAddr uint64) bool { return p.sys.toPart[p.sys.partOf(lineAddr)].CanPush() }
 
-// Send pushes the request into the target partition's request queue.
+// Send pushes the request into the target partition's request queue and
+// lowers the partition's wake bound to the cycle the request can be popped.
 func (p *port) Send(req Request, now uint64) {
 	s := p.sys
-	if !s.partOf(req.LineAddr).Push(now, req) {
+	i := s.partOf(req.LineAddr)
+	if !s.toPart[i].Push(now, req) {
 		panic("mem: Send without CanSend")
 	}
+	s.wake[i] = min(s.wake[i], now+s.cfg.XbarLatency)
 	s.inflight++
 }
 
@@ -137,21 +156,31 @@ func (s *System) PopResponse(coreID int, now uint64) (Response, bool) {
 	return q.Pop(), true
 }
 
-// Tick advances the whole hierarchy one cycle: every partition in index
+// Tick advances the whole hierarchy one cycle: the due partitions in index
 // order, then the response hooks.
 func (s *System) Tick(now uint64) { s.TickWindow(now, now+1) }
 
 // TickWindow advances the hierarchy through every cycle in [from, to) in one
 // call — the GPU advance step's memory-only window; a window of one cycle is
-// exactly Tick. The caller must guarantee no core ticks (and so nothing is
-// sent or popped) inside the window. The loop is cycle-major, so the buffered response hooks
-// come out in (ready, partition) order — the order per-cycle ticks would have
-// fired them in — and fire once, at the window's end.
+// exactly Tick. Only due partitions run: a cycle ticks, in index order, each
+// partition whose wake bound has come, and the loop jumps from one due cycle
+// to the next. The caller must guarantee no core ticks (and so nothing is
+// sent or popped) inside the window. The loop is cycle-major, so the buffered
+// response hooks come out in (ready, partition) order — the order per-cycle
+// ticks of every partition would have fired them in — and fire once, at the
+// window's end.
 func (s *System) TickWindow(from, to uint64) {
-	for cy := from; cy < to; cy++ {
+	next := s.minWake()
+	for cy := max(from, next); cy < to; cy = max(cy+1, next) {
 		s.now = cy
+		next = NeverEvent
 		for i, p := range s.partitions {
-			p.Tick(cy, s.toPart[i], s.deliver)
+			if s.wake[i] <= cy {
+				p.Tick(cy, s.toPart[i], s.deliver)
+				s.partTicks++
+				s.wake[i] = p.NextEvent(cy+1, s.toPart[i])
+			}
+			next = min(next, s.wake[i])
 		}
 	}
 	for _, h := range s.hooks { // empty unless onResponse is set
@@ -189,19 +218,28 @@ func (s *System) drainedScan() bool {
 	return true
 }
 
+// minWake returns the earliest partition wake bound.
+func (s *System) minWake() uint64 {
+	next := uint64(NeverEvent)
+	for _, w := range s.wake {
+		next = min(next, w)
+	}
+	return next
+}
+
+// PartitionTicks counts the partition Tick calls made so far: at most
+// Partitions per simulated cycle, and far fewer when the hierarchy is idle.
+func (s *System) PartitionTicks() uint64 { return s.partTicks }
+
 // NextEvent returns the earliest cycle >= now at which the hierarchy can
 // make progress on its own: a partition acting (its request pipe included)
 // or a response reaching a core's pop point. NeverEvent means the hierarchy
-// is quiescent until a core sends a new request.
+// is quiescent until a core sends a new request. The partitions' share is
+// their wake bounds, so it may be early — never late.
 func (s *System) NextEvent(now uint64) uint64 {
-	next := uint64(NeverEvent)
-	for i, p := range s.partitions {
-		if ev := p.NextEvent(now, s.toPart[i]); ev < next {
-			next = ev
-		}
-		if next <= now {
-			return now
-		}
+	next := s.minWake()
+	if next <= now {
+		return now
 	}
 	for _, q := range s.toCore {
 		if ev := q.NextReady(); ev < next {
