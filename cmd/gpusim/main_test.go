@@ -89,7 +89,7 @@ func TestRunEngineStats(t *testing.T) {
 	if code := run([]string{"-workload", "vadd", "-size", "tiny", "-cores", "4", "-engine-stats"}, &out, &errb); code != 0 {
 		t.Fatalf("run = %d, stderr %q", code, errb.String())
 	}
-	for _, want := range []string{"engine cycles", "fast-forwarded", "dispatcher ticks", "skipped", "served by a stall certificate", "evaluated for readiness", "partition ticks of"} {
+	for _, want := range []string{"engine cycles", "fast-forwarded", "dispatcher ticks", "skipped", "served by a stall certificate", "evaluated for readiness", "partition ticks of", "SM ticks of"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q in:\n%s", want, out.String())
 		}

@@ -111,6 +111,10 @@ type EngineStats struct {
 	// system ticks a partition only on cycles it can act, whichever loop
 	// drives it.
 	PartitionTicks uint64
+	// SMTicks counts SM Tick calls, out of Result.Cycles × NumCores
+	// SM-cycles. RunReference ticks every one; RunContext skips the cycles
+	// an SM is parked.
+	SMTicks uint64
 }
 
 // GPU is one simulated device with a fixed launch table.
@@ -119,6 +123,9 @@ type GPU struct {
 	cores      []*sm.SM
 	memsys     *mem.System
 	dispatcher core.Dispatcher
+	// preemptObs is the dispatcher as a core.PreemptionObserver, nil when it
+	// is not one; resolved once in New, not per commit.
+	preemptObs core.PreemptionObserver
 	kernels    []*core.KernelState
 	now        uint64
 	doneCount  int
@@ -179,6 +186,7 @@ func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 		cfg.MaxCycles = DefaultMaxCycles
 	}
 	g := &GPU{cfg: cfg, dispatcher: d}
+	g.preemptObs, _ = d.(core.PreemptionObserver)
 	for i, spec := range specs {
 		if err := spec.Validate(); err != nil {
 			return nil, err
@@ -207,17 +215,18 @@ func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 		g.cores[i].SetDrainHandler(g.onCTADrained)
 		g.cores[i].SetWakeHandler(g.wakeCore)
 	}
-	g.memsys.SetResponseHook(g.wakeCore)
+	g.memsys.SetWakeHook(g.wakeCore)
 	return g, nil
 }
 
 // wakeCore is the single wake funnel: the SMs' pre-mutation notification
-// (AddCTA, and Preempt below) and the memory system's response-delivery hook
-// both land here, never from inside an SM's tick. It stores the target core's
-// lazily-accrued counters up to the current cycle boundary — callers invoke
-// it *before* mutating the core, while the parked window is still provably
-// quiet — then lowers the core's wake bound so the skipped SM is ticked
-// again in time. Waking an active core is a harmless no-op.
+// (AddCTA, and Preempt below) and the memory system's wake hook (a response
+// delivered, a request-queue slot freed) both land here, never from inside
+// an SM's tick. It stores the target core's lazily-accrued counters up to the
+// current cycle boundary — callers invoke it *before* mutating the core,
+// while the parked window is still provably quiet — then lowers the core's
+// wake bound so the skipped SM is ticked again in time. Waking an active core
+// is a harmless no-op.
 func (g *GPU) wakeCore(coreID int, at uint64) {
 	sync, wake := at, at
 	if g.postTick {
@@ -381,7 +390,6 @@ func (g *GPU) commitRetirements() {
 // is the only place evictions touch machine-wide state, so the requeue order
 // is a pure function of (eviction cycle, core index).
 func (g *GPU) commitPreemptions() {
-	po, _ := g.dispatcher.(core.PreemptionObserver)
 	for i := 0; i < len(g.evicted); i++ { // index loop: see commitRetirements
 		c, cta := g.evicted[i].core, g.evicted[i].cta
 		g.evicted[i].cta = nil
@@ -390,8 +398,8 @@ func (g *GPU) commitPreemptions() {
 		g.dispQuiet = false
 		ks := g.kernels[cta.KernelIdx]
 		ks.Requeue(cta.ID)
-		if po != nil {
-			po.OnCTAEvicted(g, c, cta)
+		if g.preemptObs != nil {
+			g.preemptObs.OnCTAEvicted(g, c, cta)
 		}
 		// Eviction guarantees memRefs == 0, so the context pools immediately;
 		// the re-dispatch builds a fresh CTA from the id.
@@ -454,6 +462,7 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		before := c.InstrIssued()
 		now := g.now
 		c.Tick(now)
+		g.engine.SMTicks++
 		if c.InstrIssued() != before {
 			// An SM that issued holds no stall certificate, so its bound would
 			// be now+1 anyway: skipping the probe saves it on every issuing
@@ -526,13 +535,15 @@ func (g *GPU) dispatchedCTAs() int {
 // Where the memory system is quiet too, advance jumps. Where it has work, it
 // ticks it alone in windows of at most XbarLatency cycles: a response
 // delivered at cycle c becomes poppable at c+XbarLatency, at or after the
-// window's end, so no SM could have popped it inside the window. The
-// window's response hooks fire at its end, so the clock is parked on its last
-// cycle with postTick set: wakeCore then settles each woken core through the
-// window and wakes it no earlier than the window's end — what per-cycle
-// execution would have produced. A wake may lower the earliest SM wake, so
-// the target is recomputed after every window. Parked SMs stay lazy
-// throughout: their stall certificates charge the stretch on read.
+// window's end, so no SM could have popped it inside the window. A pop that
+// frees the request-queue slot a parked SM waits on ends the window at the
+// next cycle, in which that SM can send. The window's wake hooks fire at its
+// end, so the clock is parked on its last cycle with postTick set: wakeCore
+// then settles each woken core through the window and wakes it no earlier
+// than the window's end — what per-cycle execution would have produced. A
+// wake may lower the earliest SM wake, so the target is recomputed after
+// every window. Parked SMs stay lazy throughout: their stall certificates,
+// and the refused heads of their LDST units, charge the stretch on read.
 func (g *GPU) advance(clampCtx bool) {
 	window := max(g.cfg.Mem.XbarLatency, 1)
 	for {
@@ -556,12 +567,12 @@ func (g *GPU) advance(clampCtx bool) {
 			g.now = target
 			return
 		}
-		end := min(target, ev+window)
+		end := g.memsys.TickWindow(ev, min(target, ev+window))
 		g.engine.CyclesFastForwarded += ev - from
 		g.engine.CyclesBatched += end - ev
 		g.now = end - 1
 		g.postTick = true
-		g.memsys.TickWindow(ev, end)
+		g.memsys.FireWakes()
 		g.now = end
 		g.postTick = false
 	}
@@ -590,7 +601,8 @@ func (g *GPU) collect() Result {
 	for i, c := range g.cores {
 		s := g.CoreCounters(i)
 		r.Core.Add(&s)
-		r.L1.Add(c.L1Stats())
+		l1 := c.L1Stats(g.now)
+		r.L1.Add(&l1)
 		sum, n := c.MemLatencyRaw()
 		latSum += sum
 		latN += n
@@ -598,7 +610,7 @@ func (g *GPU) collect() Result {
 	r.InstrIssued = r.Core.InstrIssued
 	r.ThreadInstr = r.Core.ThreadInstr
 	r.IPC = stats.IPC(r.InstrIssued, r.Cycles)
-	r.L2 = g.memsys.L2Stats()
+	r.L2 = g.memsys.L2Stats(g.now)
 	r.DRAM = g.memsys.DRAMStats()
 	if latN > 0 {
 		r.AvgMemLatency = float64(latSum) / float64(latN)

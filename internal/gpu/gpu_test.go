@@ -546,8 +546,9 @@ func quiescenceCases() []quiescenceCase {
 // The same runs pin the EngineStats identities: every simulated cycle is
 // covered by exactly one mechanism, every ticked cycle polled or skipped the
 // dispatcher, every scheduler-cycle with resident warps got its verdict
-// from exactly one of a warp walk or a stall certificate, and both loops
-// ticked the same number of L2 partitions.
+// from exactly one of a warp walk or a stall certificate, both loops
+// ticked the same number of L2 partitions, and the reference loop ticked
+// every SM on every cycle.
 func TestDispatcherQuiescence(t *testing.T) {
 	for _, tc := range quiescenceCases() {
 		tc := tc
@@ -581,12 +582,18 @@ func TestDispatcherQuiescence(t *testing.T) {
 				if most := r.Cycles * uint64(testConfig().Mem.Partitions); es.PartitionTicks == 0 || es.PartitionTicks > most {
 					t.Errorf("%s: %d partition ticks, want 1..%d (cycles × partitions)", name, es.PartitionTicks, most)
 				}
+				if most := r.Cycles * uint64(testConfig().NumCores); es.SMTicks == 0 || es.SMTicks > most {
+					t.Errorf("%s: %d SM ticks, want 1..%d (cycles × cores)", name, es.SMTicks, most)
+				}
 				return r, es
 			}
 			ref, refStats := run("RunReference", (*GPU).RunReference)
 			if refStats.DispatcherSkips != 0 || refStats.DispatcherTicks != ref.Cycles {
 				t.Errorf("reference loop must tick the dispatcher every cycle: %d ticks, %d skips, %d cycles",
 					refStats.DispatcherTicks, refStats.DispatcherSkips, ref.Cycles)
+			}
+			if want := ref.Cycles * uint64(testConfig().NumCores); refStats.SMTicks != want {
+				t.Errorf("reference loop must tick every SM every cycle: %d SM ticks, want %d", refStats.SMTicks, want)
 			}
 			r, es := run("RunContext", (*GPU).RunContext)
 			if !reflect.DeepEqual(r, ref) {

@@ -23,6 +23,7 @@ func (g *GPU) RunReference(ctx context.Context) (Result, error) {
 		for _, c := range g.cores {
 			c.Tick(g.now)
 		}
+		g.engine.SMTicks += uint64(len(g.cores))
 		g.postTick = true
 		g.commitRetirements()
 		g.commitPreemptions()

@@ -1,0 +1,136 @@
+package gpu
+
+import (
+	"math/rand/v2"
+	"reflect"
+	"testing"
+
+	"gpusched/internal/isa"
+	"gpusched/internal/kernel"
+	"gpusched/internal/sm"
+)
+
+// refusedHeadsMachine is a small machine whose LDST heads are refused most
+// of the time: 2–4 SMs sending to two memory partitions through request
+// queues of 1–2 entries, 1–4 L1 MSHR entries of 1–2 merges each, and GTO or
+// LRR warp scheduling, all picked from shape's bits.
+func refusedHeadsMachine(shape uint8) Config {
+	cfg := DefaultConfig()
+	cfg.NumCores = 2 + int(shape%3)
+	cfg.Mem.Partitions = 2
+	cfg.Mem.XbarQueueCap = 1 + int(shape/3%2)
+	cfg.Mem.L1MSHREntries = 1 + int(shape/6%4)
+	cfg.Mem.L1MSHRMerges = 1 + int(shape/24%2)
+	if shape/48%2 == 1 {
+		cfg.Core.WarpPolicy = sm.PolicyLRR
+	}
+	cfg.MaxCycles = 2_000_000
+	return cfg
+}
+
+// refusedHeadsSpec is a kernel of memory instructions issued back to back:
+// every warp of its CTAs runs a seeded mix of coalesced and scattered loads,
+// stores and atomics over a footprint small enough for L1 hits and MSHR
+// merges, with a few ALU ops consuming the loads. Its LDST queues stay full
+// and their heads wait on MSHR entries, merge slots and request-queue space.
+func refusedHeadsSpec(seed uint64) *kernel.Spec {
+	const footprint = 1 << 14 // bytes: 128 lines
+	return &kernel.Spec{
+		Name:          "refused",
+		Grid:          kernel.Dim3{X: 6},
+		Block:         kernel.Dim3{X: 4 * isa.WarpSize},
+		RegsPerThread: 8,
+		Program: func(ctaID, w int) isa.Program {
+			rng := rand.New(rand.NewPCG(seed, uint64(ctaID*64+w)))
+			scattered := func() (a [isa.WarpSize]uint32) {
+				for l := range a {
+					a[l] = rng.Uint32N(footprint/4) * 4
+				}
+				return a
+			}
+			b := isa.NewBuilder()
+			for range 16 {
+				base := rng.Uint32N(footprint/128) * 128
+				switch rng.IntN(6) {
+				case 0, 1:
+					b.LoadGlobal(isa.Reg(1+rng.IntN(3)), base)
+				case 2:
+					b.LoadGlobalAddrs(isa.Reg(1+rng.IntN(3)), scattered())
+				case 3:
+					b.StoreGlobal(4, base)
+				case 4:
+					b.Atomic(5, scattered(), isa.FullMask)
+				default:
+					b.IAlu(6, isa.Reg(1+rng.IntN(3)))
+				}
+			}
+			b.Exit()
+			return b.Build()
+		},
+	}
+}
+
+// runRefusedHeads runs refusedHeadsSpec on shape's machine under both loops
+// and fails unless RunContext commits RunReference's Result — L1 accesses,
+// misses and MSHR stalls and StallLDSTFull, which a parked SM's refused head
+// charges on read, among the rest — while ticking at most half as many SMs.
+// The heads of these kernels are refused far more often than not, so an SM
+// that could not park with a refused head would tick nearly every cycle. It
+// returns the RunContext Result.
+func runRefusedHeads(t *testing.T, seed uint64, shape uint8) Result {
+	t.Helper()
+	cfg := refusedHeadsMachine(shape)
+	var res [2]Result
+	var es [2]EngineStats
+	for i, loop := range []loop{(*GPU).RunContext, (*GPU).RunReference} {
+		g, err := New(cfg, roundRobin(), refusedHeadsSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res[i] = runToEnd(g, loop)
+		es[i] = g.EngineStats()
+	}
+	got, ref := res[0], res[1]
+	if got.TimedOut || ref.TimedOut {
+		t.Fatalf("seed %d shape %d: timed out (%d, reference %d cycles)", seed, shape, got.Cycles, ref.Cycles)
+	}
+	if got.L1 != ref.L1 {
+		t.Errorf("seed %d shape %d: L1 %+v, reference %+v", seed, shape, got.L1, ref.L1)
+	}
+	if got.Core.StallLDSTFull != ref.Core.StallLDSTFull {
+		t.Errorf("seed %d shape %d: StallLDSTFull %d, reference %d", seed, shape, got.Core.StallLDSTFull, ref.Core.StallLDSTFull)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("seed %d shape %d: diverged from RunReference:\n%+v\nvs\n%+v", seed, shape, got, ref)
+	}
+	if 2*es[0].SMTicks > es[1].SMTicks {
+		t.Errorf("seed %d shape %d: RunContext ticked %d SMs, more than half of RunReference's %d",
+			seed, shape, es[0].SMTicks, es[1].SMTicks)
+	}
+	return got
+}
+
+// TestRefusedHeadsMatchReference is the SM-side oracle for parking an SM
+// whose LDST head the L1 refused: every machine shape, at one of two seeds,
+// must match the reference loop, which ticks every SM every cycle and so
+// retries every refused head. Together the runs must refuse heads for want
+// of MSHR entries.
+func TestRefusedHeadsMatchReference(t *testing.T) {
+	var mshrStalls uint64
+	for shape := range uint8(96) {
+		mshrStalls += runRefusedHeads(t, uint64(shape%2), shape).L1.MSHRStalls
+	}
+	if mshrStalls == 0 {
+		t.Error("no L1 MSHR refusal")
+	}
+}
+
+// FuzzRefusedHeads runs the oracle on fuzzer-chosen seeds and shapes.
+func FuzzRefusedHeads(f *testing.F) {
+	f.Add(uint64(1), uint8(0))
+	f.Add(uint64(2), uint8(37))
+	f.Add(uint64(3), uint8(95))
+	f.Fuzz(func(t *testing.T, seed uint64, shape uint8) {
+		runRefusedHeads(t, seed, shape%96)
+	})
+}

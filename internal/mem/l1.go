@@ -10,6 +10,10 @@ type Sender interface {
 	CanSend(lineAddr uint64) bool
 	// Send injects the request. Call only after CanSend.
 	Send(req Request, now uint64)
+	// Await enrolls the caller as waiting for space in lineAddr's partition,
+	// which CanSend has just refused. The partition's next pop wakes the
+	// lowest-index core waiting on it (System.SetWakeHook) and ends its wait.
+	Await(lineAddr uint64)
 }
 
 // AccessResult is the outcome of an L1 access attempt.
@@ -21,8 +25,9 @@ const (
 	// AccessPending left the core (miss sent or merged, or store/atomic
 	// forwarded); loads and atomics will produce a Response later.
 	AccessPending
-	// AccessStall could not be processed (MSHR or interconnect full);
-	// the LDST unit must retry the same transaction next cycle.
+	// AccessStall could not be processed (MSHR or interconnect full). The
+	// LDST unit must try the same transaction again; until something it
+	// waits on frees (L1.Waiting), every attempt would be refused the same way.
 	AccessStall
 )
 
@@ -38,6 +43,11 @@ type L1 struct {
 	cfg   *Config
 	port  Sender
 	core  int
+
+	// refused is the last access's refusal, zero when it went through. Only
+	// the LDST head accesses the L1, so it describes that head until its next
+	// attempt.
+	refused refusal
 
 	// atomicToken is the reusable one-element buffer OnResponse returns for
 	// atomic completions, valid (like MSHR.Complete's result) only until the
@@ -60,24 +70,27 @@ func NewL1(cfg *Config, coreID int, p Sender) *L1 {
 // AccessHit the caller schedules its own writeback after L1HitLatency; on
 // AccessPending a Response carrying token will arrive later.
 func (l *L1) Load(lineAddr uint64, token uint32, now uint64) AccessResult {
+	l.refused = 0
 	l.cache.Stats.Accesses++
 	if l.cache.Lookup(lineAddr, false) {
 		l.cache.Stats.Hits++
 		return AccessHit
 	}
 	l.cache.Stats.Misses++
-	if l.mshr.Pending(lineAddr) {
-		if l.mshr.Merge(lineAddr, token) {
-			l.cache.Stats.MSHRMerges++
-			return AccessPending
-		}
+	pending := l.mshr.Pending(lineAddr)
+	if pending && l.mshr.Merge(lineAddr, token) {
+		l.cache.Stats.MSHRMerges++
+		return AccessPending
+	}
+	if pending || l.mshr.Full() {
+		// No merge slot or entry frees before some fill returns.
 		l.cache.Stats.MSHRStalls++
+		l.refused = refusalWaits | refusalMiss | refusalMSHRStall
 		return AccessStall
 	}
-	if l.mshr.Full() || !l.port.CanSend(lineAddr) {
-		if l.mshr.Full() {
-			l.cache.Stats.MSHRStalls++
-		}
+	if !l.port.CanSend(lineAddr) {
+		l.port.Await(lineAddr)
+		l.refused = refusalWaits | refusalMiss
 		return AccessStall
 	}
 	l.mshr.Allocate(lineAddr, token)
@@ -88,22 +101,39 @@ func (l *L1) Load(lineAddr uint64, token uint32, now uint64) AccessResult {
 // Store write-throughs lineAddr. Stores carry no token: the warp does not
 // wait for them. The line is not allocated on miss.
 func (l *L1) Store(lineAddr uint64, now uint64) AccessResult {
-	if !l.port.CanSend(lineAddr) {
-		return AccessStall
-	}
-	l.port.Send(Request{Kind: ReqStore, LineAddr: lineAddr, CoreID: l.core, Born: now}, now)
-	return AccessPending
+	return l.forward(ReqStore, lineAddr, 0, now)
 }
 
 // Atomic forwards a read-modify-write to the owning L2 partition, bypassing
 // the L1 tag array entirely.
 func (l *L1) Atomic(lineAddr uint64, token uint32, now uint64) AccessResult {
+	return l.forward(ReqAtomic, lineAddr, token, now)
+}
+
+// forward sends a store or an atomic straight to the port. A refused one
+// counts nothing, so waiting costs only the LDST unit's stall cycles.
+func (l *L1) forward(kind ReqKind, lineAddr uint64, token uint32, now uint64) AccessResult {
 	if !l.port.CanSend(lineAddr) {
+		l.port.Await(lineAddr)
+		l.refused = refusalWaits
 		return AccessStall
 	}
-	l.port.Send(Request{Kind: ReqAtomic, LineAddr: lineAddr, CoreID: l.core, Token: token, Born: now}, now)
+	l.refused = 0
+	l.port.Send(Request{Kind: kind, LineAddr: lineAddr, CoreID: l.core, Token: token, Born: now}, now)
 	return AccessPending
 }
+
+// Waiting reports whether the last access was refused. Until the refused
+// transaction is tried again, nothing but a response to this core (an MSHR
+// refusal waits on a fill) or a pop at its partition (a refused send, see
+// Sender.Await) can change the verdict, and each attempt before then would
+// add what ChargeRetries charges for one.
+func (l *L1) Waiting() bool { return l.refused != 0 }
+
+// ChargeRetries adds to c what k more attempts of the refused last access
+// would add: nothing for a store or atomic, an access and a miss for a load,
+// plus an MSHR stall when the MSHR refused it.
+func (l *L1) ChargeRetries(c *stats.Cache, k uint64) { l.refused.charge(c, k) }
 
 // OnResponse handles a returning memory-system response: load fills install
 // the line and release every merged token; atomic completions release only

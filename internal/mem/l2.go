@@ -28,6 +28,15 @@ type L2Partition struct {
 	wbBuf []Request
 	// lookupFreeAt models the tag-pipeline occupancy for atomics.
 	lookupFreeAt uint64
+	// refused is nonzero while the request at the head of the input pipe
+	// waits: its last attempt, at cycle refusedAt, was refused for want of
+	// DRAM queue space, an MSHR entry or a merge slot. Only the DRAM channel
+	// picking or completing a request can change that verdict, so NextEvent
+	// leaves the head out of its bound until the channel's next event, and
+	// the attempts skipped in between are charged in bulk: by the next Tick,
+	// and on read by statsAt.
+	refused   refusal
+	refusedAt uint64
 	// inflight, when bound, is the owning System's in-flight request count;
 	// the partition adjusts it where requests are absorbed (store hits) or
 	// spawned (dirty write-backs). Nil for standalone partitions (tests).
@@ -107,10 +116,17 @@ func (p *L2Partition) pushResponse(r routedResponse) {
 	p.out[i] = r
 }
 
-// Tick advances the partition one cycle. in is the interconnect queue
-// feeding it; deliver pushes a ready response into the return network and
-// reports acceptance.
-func (p *L2Partition) Tick(now uint64, in *pipe[Request], deliver func(core int, resp Response) bool) {
+// Tick advances the partition one cycle and reports whether it popped a
+// request from in. in is the interconnect queue feeding it; deliver pushes a
+// ready response into the return network and reports acceptance.
+func (p *L2Partition) Tick(now uint64, in *pipe[Request], deliver func(core int, resp Response) bool) bool {
+	if p.refused != 0 {
+		// Charge the attempts skipped since the head was last refused; the
+		// head is tried again below.
+		p.refused.charge(&p.Stats, now-p.refusedAt-1)
+		p.refused = 0
+	}
+
 	// 1. Drain ready responses into the return network.
 	for len(p.out) > 0 && p.out[0].ready <= now {
 		if !deliver(p.out[0].core, p.out[0].resp) {
@@ -132,17 +148,19 @@ func (p *L2Partition) Tick(now uint64, in *pipe[Request], deliver func(core int,
 
 	// 4. Accept at most one request from the interconnect.
 	if !in.CanPop(now) || p.lookupFreeAt > now {
-		return
+		return false
 	}
-	req := in.Peek()
-	if p.handle(req, now) {
-		in.Pop()
+	if p.refused = p.handle(in.Peek(), now); p.refused != 0 {
+		p.refusedAt = now
+		return false
 	}
+	in.Pop()
+	return true
 }
 
-// handle processes one request; it returns false when the request must stay
-// queued (a structural stall).
-func (p *L2Partition) handle(req Request, now uint64) bool {
+// handle processes one request. It returns zero when the request is done
+// with and its refusal when it must stay queued (a structural stall).
+func (p *L2Partition) handle(req Request, now uint64) refusal {
 	switch req.Kind {
 	case ReqLoad:
 		return p.handleLoad(req, now, false)
@@ -156,27 +174,28 @@ func (p *L2Partition) handle(req Request, now uint64) bool {
 			if p.inflight != nil {
 				*p.inflight--
 			}
-			return true
+			return 0
 		}
 		p.Stats.Misses++
 		// No-write-allocate: forward the write to DRAM.
 		if !p.dram.CanAccept() {
-			return false
+			return refusalWaits | refusalMiss
 		}
 		p.dram.Enqueue(req, now)
-		return true
+		return 0
 	default:
 		// Write-backs never arrive from the interconnect.
-		return true
+		return 0
 	}
 }
 
-func (p *L2Partition) handleLoad(req Request, now uint64, atomic bool) bool {
+func (p *L2Partition) handleLoad(req Request, now uint64, atomic bool) refusal {
 	waiter := packWaiter(req.CoreID, req.Token)
 	if p.mshr.Pending(req.LineAddr) {
 		if !p.mshr.Merge(req.LineAddr, waiter) {
+			// Full until the line's DRAM read completes.
 			p.Stats.MSHRStalls++
-			return false
+			return refusalWaits | refusalMSHRStall
 		}
 		p.Stats.Accesses++
 		p.Stats.Misses++
@@ -184,7 +203,7 @@ func (p *L2Partition) handleLoad(req Request, now uint64, atomic bool) bool {
 		if atomic {
 			p.mshr.MarkAtomic(req.LineAddr)
 		}
-		return true
+		return 0
 	}
 	p.Stats.Accesses++
 	if p.cache.Lookup(req.LineAddr, atomic) {
@@ -200,21 +219,35 @@ func (p *L2Partition) handleLoad(req Request, now uint64, atomic bool) bool {
 			core:  req.CoreID,
 			ready: now + lat,
 		})
-		return true
+		return 0
 	}
 	p.Stats.Misses++
-	if p.mshr.Full() || !p.dram.CanAccept() {
-		if p.mshr.Full() {
-			p.Stats.MSHRStalls++
-		}
-		return false
+	if p.mshr.Full() {
+		// No entry frees before a DRAM read completes.
+		p.Stats.MSHRStalls++
+		return refusalWaits | refusalMiss | refusalMSHRStall
+	}
+	if !p.dram.CanAccept() {
+		// No queue slot frees before the channel picks a request.
+		return refusalWaits | refusalMiss
 	}
 	p.mshr.Allocate(req.LineAddr, waiter)
 	if atomic {
 		p.mshr.MarkAtomic(req.LineAddr)
 	}
 	p.dram.Enqueue(Request{Kind: ReqLoad, LineAddr: req.LineAddr, Born: now}, now)
-	return true
+	return 0
+}
+
+// statsAt returns the partition's counters through cycle t (exclusive): the
+// stored ones plus the attempts a waiting head skipped in (refusedAt, t).
+// Every cycle in that span went unticked, since a tick retries the head.
+func (p *L2Partition) statsAt(t uint64) stats.Cache {
+	c := p.Stats
+	if p.refused != 0 && t > p.refusedAt+1 {
+		p.refused.charge(&c, t-p.refusedAt-1)
+	}
+	return c
 }
 
 // Drained reports whether the partition holds no in-flight work.
@@ -227,7 +260,10 @@ func (p *L2Partition) Drained() bool {
 // response buffer is sorted by ready time; buffered write-backs retry the
 // moment DRAM has queue space; the DRAM channel reports its own bound; and
 // a ripe interconnect request is handled (mutating counters even when it
-// structurally stalls) as soon as the tag pipeline is free.
+// structurally stalls) as soon as the tag pipeline is free. A head that
+// waits (refused) is the exception: whatever refused it — DRAM queue space, an
+// MSHR entry, a merge slot — frees only at a DRAM pick or completion, which
+// the channel's bound already covers, so it adds no bound of its own.
 func (p *L2Partition) NextEvent(now uint64, in *pipe[Request]) uint64 {
 	next := uint64(NeverEvent)
 	if len(p.out) > 0 {
@@ -245,7 +281,7 @@ func (p *L2Partition) NextEvent(now uint64, in *pipe[Request]) uint64 {
 	if next <= now {
 		return now
 	}
-	if in.Len() > 0 {
+	if in.Len() > 0 && p.refused == 0 {
 		at := max(in.NextReady(), p.lookupFreeAt)
 		if at <= now {
 			return now

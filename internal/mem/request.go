@@ -1,5 +1,7 @@
 package mem
 
+import "gpusched/internal/stats"
+
 // ReqKind distinguishes memory-transaction types below the core.
 type ReqKind uint8
 
@@ -54,4 +56,31 @@ type Response struct {
 	// Atomic marks responses to atomic requests (no L1 fill on these:
 	// atomics bypass L1, Fermi-style).
 	Atomic bool
+}
+
+// refusal describes a refused access: nonzero exactly while the access
+// waits, and its other bits say what one more identical attempt adds to the
+// cache's counters. Both cache levels keep the refusal of the request at the
+// head of their queue, so the cycles a waiting head is not tried again can be
+// charged in bulk instead of one attempt at a time.
+type refusal uint8
+
+const (
+	// refusalWaits is set on every refusal.
+	refusalWaits refusal = 1 << iota
+	// refusalMiss: each attempt counts an access and a miss.
+	refusalMiss
+	// refusalMSHRStall: each attempt counts an MSHR stall.
+	refusalMSHRStall
+)
+
+// charge adds k identical attempts of the refused access to c.
+func (r refusal) charge(c *stats.Cache, k uint64) {
+	if r&refusalMiss != 0 {
+		c.Accesses += k
+		c.Misses += k
+	}
+	if r&refusalMSHRStall != 0 {
+		c.MSHRStalls += k
+	}
 }

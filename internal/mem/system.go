@@ -1,6 +1,10 @@
 package mem
 
-import "gpusched/internal/stats"
+import (
+	"math/bits"
+
+	"gpusched/internal/stats"
+)
 
 // System is the shared memory hierarchy below the cores: a request crossbar
 // to the L2/DRAM partitions and a response crossbar back. Cores inject
@@ -12,7 +16,9 @@ import "gpusched/internal/stats"
 // sends of every core that ticked before it this cycle and a full queue
 // pushes back within the cycle. That is deterministic because the GPU ticks
 // its SMs in ascending core index (gpu.activitySet), and a parked SM — the
-// only kind that is skipped — sends nothing.
+// only kind that is skipped — sends nothing. A core refused by a full queue
+// may park all the same: it Awaits the partition, and the partition's next pop
+// wakes the lowest-index core waiting on it (see waiters).
 //
 // Only due partitions run: a cycle ticks the partitions whose wake bound has
 // come (see the wake field) and skips the rest, whose ticks would be no-ops.
@@ -29,12 +35,22 @@ type System struct {
 	// does work. A partition's state moves only inside its own Tick and
 	// through a Send into toPart[i], so the bound is recomputed after each of
 	// its ticks (L2Partition.NextEvent at the next cycle) and lowered by each
-	// send to the request's ready cycle. Cycles before it are skipped.
-	// Partitions whose head stalls structurally, whose write-backs wait for
-	// DRAM space or whose response a full core FIFO refused report the next
-	// cycle, so they keep ticking every cycle: those ticks mutate stats or
-	// wait on a pop the partition cannot see.
+	// send to the request's ready cycle — unless the partition's head waits
+	// on its DRAM channel, because a request queued behind that head cannot
+	// act before it. Cycles before the bound are skipped; a waiting head's
+	// skipped attempts are charged in bulk (L2Partition.refused). A partition
+	// whose ready response a full core FIFO refused reports the next cycle,
+	// so it keeps ticking every cycle: it waits on a pop it cannot see.
 	wake []uint64
+	// waiters holds, per partition, the cores whose LDST head a full toPart[i]
+	// refused (Sender.Await): one bit per core, in the waitWords words from
+	// waiters[i*waitWords] on. Only a pop frees space in the pipe, and the
+	// slot it frees admits one send, so a pop wakes only the lowest-index
+	// waiter, which leaves the set: the SMs tick in index order, so any other
+	// waiter would have been refused again. A waiter therefore sends only
+	// after its wake, and the set needs no other exit.
+	waiters   []uint64
+	waitWords int
 	// partTicks counts partition Tick calls (gpu.EngineStats.PartitionTicks).
 	partTicks uint64
 	// toCore[c] carries responses back to core c (response crossbar), fed by
@@ -51,23 +67,22 @@ type System struct {
 	// popped, a store absorbed by an L2 hit, a write burst scheduled at
 	// DRAM). It is what keeps Drained O(1).
 	inflight int
-	// onResponse, when set, observes every response pushed into a core's
-	// return FIFO, with the cycle it becomes poppable. The GPU's activity set
-	// uses it to lower a parked core's wake bound — a response headed for a
-	// sleeping SM must wake it no later than the cycle it can be popped. The
-	// events are buffered in hooks in delivery order and fired once every
-	// partition has ticked (the end of Tick or TickWindow), so the observer
-	// never runs against a half-ticked hierarchy. Partitions tick cycle-major
-	// in index order, so the buffer is already in (ready, partition) order.
-	onResponse func(core int, ready uint64)
-	hooks      []respHook
+	// onWake, when set, observes every event that can end a parked core's
+	// wait, with the first cycle the core can act on it: a response pushed
+	// into its return FIFO (poppable XbarLatency later), and a pop that frees
+	// the request-queue slot it waits on (usable the next cycle). The GPU's
+	// activity set uses it to lower a parked core's wake bound. The events are
+	// buffered in hooks in the order they happen and fired by FireWakes once
+	// every partition has ticked (Tick, or the caller of TickWindow), so the
+	// observer never runs against a half-ticked hierarchy.
+	onWake func(core int, at uint64)
+	hooks  []wakeHook
 }
 
-// respHook is one buffered response-delivery event: core's FIFO has a
-// response poppable at ready.
-type respHook struct {
-	core  int
-	ready uint64
+// wakeHook is one buffered wake event: core can act on it at cycle at.
+type wakeHook struct {
+	core int
+	at   uint64
 }
 
 // NeverEvent is the NextEvent bound meaning "no time-driven work pending".
@@ -79,6 +94,8 @@ func NewSystem(cfg *Config, numCores int) *System {
 	s.partitions = make([]*L2Partition, cfg.Partitions)
 	s.toPart = make([]*pipe[Request], cfg.Partitions)
 	s.wake = make([]uint64, cfg.Partitions)
+	s.waitWords = (numCores + 63) / 64
+	s.waiters = make([]uint64, cfg.Partitions*s.waitWords)
 	for i := range s.partitions {
 		s.wake[i] = NeverEvent
 		s.partitions[i] = NewL2Partition(cfg, i)
@@ -97,8 +114,8 @@ func NewSystem(cfg *Config, numCores int) *System {
 		if !s.toCore[core].Push(s.now, resp) {
 			return false
 		}
-		if s.onResponse != nil {
-			s.hooks = append(s.hooks, respHook{core: core, ready: s.now + s.cfg.XbarLatency})
+		if s.onWake != nil {
+			s.hooks = append(s.hooks, wakeHook{core: core, at: s.now + s.cfg.XbarLatency})
 		}
 		return true
 	}
@@ -110,9 +127,12 @@ func (s *System) Config() *Config { return s.cfg }
 
 // Port returns core coreID's injection port. Every port feeds the same
 // request crossbar; admission does not depend on which core is asking.
-func (s *System) Port(coreID int) Sender { return &port{sys: s} }
+func (s *System) Port(coreID int) Sender { return &port{sys: s, core: coreID} }
 
-type port struct{ sys *System }
+type port struct {
+	sys  *System
+	core int
+}
 
 // partOf is cfg.PartitionOf on the cached line shift: the index of
 // lineAddr's partition.
@@ -125,20 +145,29 @@ func (s *System) partOf(lineAddr uint64) int {
 func (p *port) CanSend(lineAddr uint64) bool { return p.sys.toPart[p.sys.partOf(lineAddr)].CanPush() }
 
 // Send pushes the request into the target partition's request queue and
-// lowers the partition's wake bound to the cycle the request can be popped.
+// lowers the partition's wake bound to the cycle the request can be popped —
+// unless its head waits on DRAM, which the new request cannot get past.
 func (p *port) Send(req Request, now uint64) {
 	s := p.sys
 	i := s.partOf(req.LineAddr)
 	if !s.toPart[i].Push(now, req) {
 		panic("mem: Send without CanSend")
 	}
-	s.wake[i] = min(s.wake[i], now+s.cfg.XbarLatency)
+	if s.partitions[i].refused == 0 {
+		s.wake[i] = min(s.wake[i], now+s.cfg.XbarLatency)
+	}
 	s.inflight++
 }
 
-// SetResponseHook registers the response-delivery observer (see the
-// onResponse field). Must be set before the first Tick.
-func (s *System) SetResponseHook(fn func(core int, ready uint64)) { s.onResponse = fn }
+// Await enrolls the core as a waiter on lineAddr's partition (see waiters).
+func (p *port) Await(lineAddr uint64) {
+	s := p.sys
+	s.waiters[s.partOf(lineAddr)*s.waitWords+p.core>>6] |= 1 << (p.core & 63)
+}
+
+// SetWakeHook registers the wake observer (see the onWake field). Must be
+// set before the first Tick.
+func (s *System) SetWakeHook(fn func(core int, at uint64)) { s.onWake = fn }
 
 // ResponseNextReady returns the cycle core's next buffered response becomes
 // poppable, NeverEvent when none is buffered. The FIFO has uniform latency,
@@ -157,34 +186,69 @@ func (s *System) PopResponse(coreID int, now uint64) (Response, bool) {
 }
 
 // Tick advances the whole hierarchy one cycle: the due partitions in index
-// order, then the response hooks.
-func (s *System) Tick(now uint64) { s.TickWindow(now, now+1) }
+// order, then the wake hooks.
+func (s *System) Tick(now uint64) {
+	s.TickWindow(now, now+1)
+	s.FireWakes()
+}
 
-// TickWindow advances the hierarchy through every cycle in [from, to) in one
-// call — the GPU advance step's memory-only window; a window of one cycle is
-// exactly Tick. Only due partitions run: a cycle ticks, in index order, each
+// TickWindow advances the hierarchy through the cycles of [from, to) — the GPU
+// advance step's memory-only window; a window of one cycle is Tick less the
+// wake hooks. Only due partitions run: a cycle ticks, in index order, each
 // partition whose wake bound has come, and the loop jumps from one due cycle
 // to the next. The caller must guarantee no core ticks (and so nothing is
-// sent or popped) inside the window. The loop is cycle-major, so the buffered
-// response hooks come out in (ready, partition) order — the order per-cycle
-// ticks of every partition would have fired them in — and fire once, at the
-// window's end.
-func (s *System) TickWindow(from, to uint64) {
+// sent or popped) inside the window. The window ends early, after the first
+// cycle in which a partition pops a request some core waits on: the woken
+// core can send in the next cycle, and the window must not run past it. It
+// returns the cycle it ended at, to or earlier. The wake events it buffers,
+// cycle-major in partition order, are fired by the caller's FireWakes once its
+// clock stands at the window's last cycle.
+func (s *System) TickWindow(from, to uint64) uint64 {
 	next := s.minWake()
 	for cy := max(from, next); cy < to; cy = max(cy+1, next) {
 		s.now = cy
 		next = NeverEvent
-		for i, p := range s.partitions {
+		woke := false
+		for i := range s.partitions {
 			if s.wake[i] <= cy {
-				p.Tick(cy, s.toPart[i], s.deliver)
-				s.partTicks++
-				s.wake[i] = p.NextEvent(cy+1, s.toPart[i])
+				woke = s.tickPartition(i, cy) || woke
+				s.wake[i] = s.partitions[i].NextEvent(cy+1, s.toPart[i])
 			}
 			next = min(next, s.wake[i])
 		}
+		if woke {
+			return cy + 1
+		}
 	}
-	for _, h := range s.hooks { // empty unless onResponse is set
-		s.onResponse(h.core, h.ready)
+	return to
+}
+
+// tickPartition ticks partition i at cycle cy and reports whether it popped a
+// request that some core waits on; the lowest-index waiter is then woken for
+// cycle cy+1 and leaves the set.
+func (s *System) tickPartition(i int, cy uint64) bool {
+	s.partTicks++
+	if !s.partitions[i].Tick(cy, s.toPart[i], s.deliver) {
+		return false
+	}
+	waiters := s.waiters[i*s.waitWords : (i+1)*s.waitWords]
+	for w, set := range waiters {
+		if set != 0 {
+			waiters[w] = set & (set - 1)
+			if s.onWake != nil {
+				s.hooks = append(s.hooks, wakeHook{core: w<<6 | bits.TrailingZeros64(set), at: cy + 1})
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// FireWakes hands the wake events buffered since the last call to the wake
+// hook, in the order they happened.
+func (s *System) FireWakes() {
+	for _, h := range s.hooks { // empty unless onWake is set
+		s.onWake(h.core, h.at)
 	}
 	s.hooks = s.hooks[:0]
 }
@@ -252,11 +316,14 @@ func (s *System) NextEvent(now uint64) uint64 {
 	return next
 }
 
-// L2Stats sums the per-partition L2 counters.
-func (s *System) L2Stats() stats.Cache {
+// L2Stats sums the per-partition L2 counters through cycle t (exclusive):
+// the hierarchy must have run the cycles before t, and not t. A waiting
+// head's skipped attempts are charged up to t (L2Partition.statsAt).
+func (s *System) L2Stats(t uint64) stats.Cache {
 	var sum stats.Cache
 	for _, p := range s.partitions {
-		sum.Add(&p.Stats)
+		c := p.statsAt(t)
+		sum.Add(&c)
 	}
 	return sum
 }

@@ -1,25 +1,55 @@
 package mem
 
 import (
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"testing"
 )
 
 // tickEveryPartition is the loop the wake bounds replaced: it ticks every
-// partition on every cycle of [from, to), due or not, then fires the
-// buffered response hooks as TickWindow does.
+// partition on every cycle of [from, to), due or not — a waiting head is
+// tried again every cycle — then fires the buffered wake hooks.
 func tickEveryPartition(s *System, from, to uint64) {
 	for cy := from; cy < to; cy++ {
 		s.now = cy
-		for i, p := range s.partitions {
-			p.Tick(cy, s.toPart[i], s.deliver)
+		for i := range s.partitions {
+			s.tickPartition(i, cy)
 		}
 	}
-	for _, h := range s.hooks {
-		s.onResponse(h.core, h.ready)
+	s.FireWakes()
+}
+
+// awaiting counts the cores enrolled as waiters, over all partitions.
+func awaiting(s *System) int {
+	n := 0
+	for _, w := range s.waiters {
+		n += bits.OnesCount64(w)
 	}
-	s.hooks = s.hooks[:0]
+	return n
+}
+
+// noteRefusals records in reached which kinds of waiting head sys's
+// partitions hold after a tick at cycle now, and a head held back by an
+// atomic's tag-pipeline occupancy.
+func noteRefusals(sys *System, now uint64, reached map[string]bool) {
+	for i, p := range sys.partitions {
+		in := sys.toPart[i]
+		switch {
+		case p.refused == 0:
+			if in.CanPop(now+1) && p.lookupFreeAt > now+1 {
+				reached["a head behind an atomic's tag lookup"] = true
+			}
+		case p.refused == refusalWaits|refusalMSHRStall:
+			reached["a full merge slot"] = true
+		case p.refused == refusalWaits|refusalMiss|refusalMSHRStall:
+			reached["a full L2 MSHR"] = true
+		case p.refused == refusalWaits|refusalMiss && in.Peek().Kind == ReqStore:
+			reached["a store refused by a full DRAM queue"] = true
+		case p.refused == refusalWaits|refusalMiss:
+			reached["a load refused by a full DRAM queue"] = true
+		}
+	}
 }
 
 // everyPartitionNextEvent is System.NextEvent computed from every
@@ -37,15 +67,19 @@ func everyPartitionNextEvent(s *System, now uint64) uint64 {
 }
 
 // runPartitionWake drives two Systems with the same seeded traffic: sys is
-// ticked through Tick and TickWindow, which run only due partitions, and its
-// twin through tickEveryPartition. Fake cores send loads, stores and
-// atomics through Ports and pop responses at random, in phases that flood,
-// trickle or idle and that withhold pops long enough to fill the response
-// FIFOs; the queues and caches are small enough for MSHR and DRAM-queue
-// stalls and dirty write-backs. Every cycle the two must agree on what each
-// core pops and when, the response hooks, the L2 and DRAM counters, Drained
-// and NextEvent; and every wake bound must be at most its partition's own
-// NextEvent. The hard cases the run reached are set in reached.
+// ticked through Tick and TickWindow, which run only due partitions and skip
+// a head that waits on DRAM, and its twin through tickEveryPartition. Fake
+// cores send loads, stores and atomics through Ports and pop responses at
+// random, in phases that flood, trickle or idle and that withhold pops long
+// enough to fill the response FIFOs. Like an LDST head, a core whose send a
+// full request queue refused Awaits the partition and sends that request
+// before any other. The queues and caches are small enough for every kind of
+// refused head — DRAM queue full, L2 MSHR full, merge slots full — and for
+// dirty write-backs. Every cycle the two must agree on what each core pops
+// and when, the wake hooks, the L2 counters (sys's skipped attempts charged
+// on read), the DRAM counters, Drained and NextEvent; and every wake bound
+// must be at most its partition's own NextEvent. The hard cases the run
+// reached are set in reached.
 func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reached map[string]bool) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -60,9 +94,9 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 	cores := 1 + int(shape/9)%4
 
 	sys, twin := NewSystem(&cfg, cores), NewSystem(&cfg, cores)
-	var sysHooks, twinHooks []respHook
-	sys.SetResponseHook(func(core int, ready uint64) { sysHooks = append(sysHooks, respHook{core, ready}) })
-	twin.SetResponseHook(func(core int, ready uint64) { twinHooks = append(twinHooks, respHook{core, ready}) })
+	var sysHooks, twinHooks []wakeHook
+	sys.SetWakeHook(func(core int, at uint64) { sysHooks = append(sysHooks, wakeHook{core, at}) })
+	twin.SetWakeHook(func(core int, at uint64) { twinHooks = append(twinHooks, wakeHook{core, at}) })
 	sysPorts, twinPorts := make([]Sender, cores), make([]Sender, cores)
 	for c := range sysPorts {
 		sysPorts[c], twinPorts[c] = sys.Port(c), twin.Port(c)
@@ -72,6 +106,8 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 	const lines = 24 // few enough for L2 hits and MSHR merges, many enough for evictions
 	var token uint32
 	var now uint64
+	// held[c] is core c's refused request, sent before any new one.
+	held := make([]*Request, cores)
 	var sendP, popP float64
 
 	checkWake := func(at uint64, when string) {
@@ -84,10 +120,10 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 	}
 	compare := func(at uint64) {
 		if !slices.Equal(sysHooks, twinHooks) {
-			t.Fatalf("seed %d shape %d cycle %d: response hooks\n%v\nvs every-partition loop\n%v", seed, shape, at, sysHooks, twinHooks)
+			t.Fatalf("seed %d shape %d cycle %d: wake hooks\n%v\nvs every-partition loop\n%v", seed, shape, at, sysHooks, twinHooks)
 		}
 		sysHooks, twinHooks = sysHooks[:0], twinHooks[:0]
-		if a, b := sys.L2Stats(), twin.L2Stats(); a != b {
+		if a, b := sys.L2Stats(at), twin.L2Stats(at); a != b {
 			t.Fatalf("seed %d shape %d cycle %d: L2 stats %+v, every-partition loop %+v", seed, shape, at, a, b)
 		}
 		if a, b := sys.DRAMStats(), twin.DRAMStats(); a != b {
@@ -139,9 +175,13 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 			if sys.NextEvent(now) < now+k {
 				reached["a window with work"] = true
 			}
-			sys.TickWindow(now, now+k)
-			tickEveryPartition(twin, now, now+k)
-			now += k
+			end := sys.TickWindow(now, now+k)
+			sys.FireWakes()
+			if end < now+k {
+				reached["a window ended by an awaited pop"] = true
+			}
+			tickEveryPartition(twin, now, end)
+			now = end
 			compare(now)
 			continue
 		}
@@ -150,24 +190,40 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 				if rng.Float64() >= sendP {
 					break
 				}
-				line := uint64(rng.IntN(lines)) * uint64(cfg.LineBytes)
-				ok := sysPorts[c].CanSend(line)
-				if ok != twinPorts[c].CanSend(line) {
+				req := held[c]
+				if req == nil {
+					req = &Request{Kind: []ReqKind{ReqLoad, ReqLoad, ReqStore, ReqAtomic}[rng.IntN(4)],
+						LineAddr: uint64(rng.IntN(lines)) * uint64(cfg.LineBytes), CoreID: c, Token: token & 0xFFFFFF, Born: now}
+					token++
+				}
+				ok := sysPorts[c].CanSend(req.LineAddr)
+				if ok != twinPorts[c].CanSend(req.LineAddr) {
 					t.Fatalf("seed %d shape %d cycle %d core %d: CanSend disagrees", seed, shape, now, c)
 				}
 				if !ok {
+					sysPorts[c].Await(req.LineAddr)
+					twinPorts[c].Await(req.LineAddr)
+					held[c] = req
 					break
 				}
-				req := Request{Kind: []ReqKind{ReqLoad, ReqLoad, ReqStore, ReqAtomic}[rng.IntN(4)],
-					LineAddr: line, CoreID: c, Token: token & 0xFFFFFF, Born: now}
-				token++
-				sysPorts[c].Send(req, now)
-				twinPorts[c].Send(req, now)
+				held[c] = nil
+				sysPorts[c].Send(*req, now)
+				twinPorts[c].Send(*req, now)
 			}
 		}
 		checkWake(now, "after sends")
+		for i, p := range sys.partitions {
+			if p.refused != 0 && sys.wake[i] > now {
+				reached["a skipped attempt of a waiting head"] = true
+			}
+		}
+		waiting := awaiting(sys)
 		sys.Tick(now)
 		tickEveryPartition(twin, now, now+1)
+		if awaiting(sys) < waiting {
+			reached["a pop that woke an awaiting core"] = true
+		}
+		noteRefusals(sys, now, reached)
 		for c := range cores {
 			for range 2 {
 				if rng.Float64() < popP {
@@ -191,7 +247,7 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 		compare(now + 1)
 	}
 	compare(now)
-	l2 := sys.L2Stats()
+	l2 := sys.L2Stats(now)
 	if l2.MSHRStalls > 0 {
 		reached["an L2 MSHR stall"] = true
 	}
@@ -204,10 +260,11 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 }
 
 // TestPartitionWakeMatchesEveryCycle is the oracle for mem.System's
-// partition skipping: the GPU's reference loop shares mem.System, so only a
-// System whose every partition ticks every cycle can witness it. It runs
-// every shape (1–3 partitions, crossbar latency 1, 3 or 12, 1–4 cores) at two
-// seeds, and together the runs must reach every hard case.
+// partition skipping, waiting heads included: the GPU's reference loop
+// shares mem.System, so only a System whose every partition ticks every
+// cycle can witness it. It runs every shape (1–3 partitions, crossbar latency
+// 1, 3 or 12, 1–4 cores) at two seeds, and together the runs must reach every
+// hard case.
 func TestPartitionWakeMatchesEveryCycle(t *testing.T) {
 	reached := map[string]bool{}
 	for seed := range uint64(2) {
@@ -216,7 +273,11 @@ func TestPartitionWakeMatchesEveryCycle(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"skipped partition-cycles", "a full response FIFO", "an L2 MSHR stall",
-		"a full DRAM queue", "an L2 write-back", "a window with work"} {
+		"a full DRAM queue", "an L2 write-back", "a window with work",
+		"a load refused by a full DRAM queue", "a full L2 MSHR", "a full merge slot",
+		"a store refused by a full DRAM queue", "a head behind an atomic's tag lookup",
+		"a skipped attempt of a waiting head", "a pop that woke an awaiting core",
+		"a window ended by an awaited pop"} {
 		if !reached[name] {
 			t.Errorf("no run reached %s", name)
 		}

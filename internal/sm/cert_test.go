@@ -210,7 +210,7 @@ func certRun(t *testing.T, sc certScenario, policy Policy, hook func(*rig)) stri
 	})
 	r.beforeStep = hook
 	sc.run(r)
-	return fmt.Sprintf("%d cycles, core %+v, L1 %+v, load latency sum %d", r.now, r.sm.counters, *r.sm.L1Stats(), r.sm.memLatencySum)
+	return fmt.Sprintf("%d cycles, core %+v, L1 %+v, load latency sum %d", r.now, r.sm.counters, r.sm.L1Stats(r.now), r.sm.memLatencySum)
 }
 
 // TestStallCertificateLockstep runs every scenario twice per greedy policy:

@@ -235,8 +235,11 @@ func (u *ldstUnit) tickGlobal(e *ldstEntry, now uint64) {
 		res = u.sm.l1.Atomic(line, e.token, now)
 	}
 	if res == mem.AccessStall {
+		// The head waits (l1.Waiting) and tries the same transaction again on
+		// the next tick. A parked SM is not ticked: Counters and L1Stats
+		// charge each parked cycle one such attempt.
 		u.sm.counters.StallLDSTFull++
-		return // retry same transaction next cycle
+		return
 	}
 	e.next++
 	if e.next >= len(e.lines) {
@@ -311,10 +314,14 @@ func (u *ldstUnit) busy() bool {
 // nextEvent returns the earliest cycle >= now at which tick does work on
 // its own: a ripe hit event (the hit list is pop-gated by its head, so the
 // head's time is the exact bound) or the queued head instruction. A global
-// head acts every cycle (it sends or retries a transaction, mutating stats
-// either way); a shared op mid-flight sleeps until finishAt. Transactions
-// parked in the pending table wake only on memory responses, which the
-// system's own bound covers.
+// head sends its next transaction at once, unless the L1 refused it: then
+// it waits on a response (the MSHR refused it) or on a pop at its partition
+// (the request queue was full), and both wake the SM through the memory
+// system's wake hook, so it adds no bound; each cycle it waits repeats the
+// refused attempt's counters, which Counters and L1Stats charge on read. A
+// shared op mid-flight sleeps until finishAt. Transactions parked in the
+// pending table wake only on memory responses, which the system's own
+// bound covers.
 func (u *ldstUnit) nextEvent(now uint64) uint64 {
 	next := uint64(NeverEvent)
 	if u.hLen > 0 {
@@ -326,11 +333,14 @@ func (u *ldstUnit) nextEvent(now uint64) uint64 {
 	}
 	if u.qLen > 0 {
 		e := &u.queue[u.qHead]
-		if !e.wi.Op.IsGlobal() && e.finishAt > now {
-			if e.finishAt < next {
-				next = e.finishAt
+		switch {
+		case e.wi.Op.IsGlobal():
+			if !u.sm.l1.Waiting() {
+				return now
 			}
-		} else {
+		case e.finishAt > now:
+			next = min(next, e.finishAt)
+		default:
 			return now
 		}
 	}

@@ -128,6 +128,7 @@ func (s *SM) SyncTo(t uint64) {
 		// Every windowed scheduler-cycle is a stall read off a certificate.
 		s.issueServed += c.IssueStallCycles - s.counters.IssueStallCycles
 		s.counters = c
+		s.l1.ChargeRetries(s.l1.CacheStats(), t-s.syncedTo)
 		s.syncedTo = t
 	}
 }
@@ -138,7 +139,9 @@ func (s *SM) SyncTo(t uint64) {
 // otherwise NextEvent would have kept it active — and nothing that could
 // change a verdict happens before the core is synced, so each window cycle
 // repeats the certified reason: the window is (t − syncedTo) × that reason
-// per scheduler, plus as many ActiveCycles if the core holds work. A draining
+// per scheduler, plus as many ActiveCycles if the core holds work. Likewise a
+// head the L1 refused (L1.Waiting) would have been refused again every window
+// cycle, each time a StallLDSTFull (L1Stats charges its L1 side). A draining
 // core is never parked (NextEvent pins its horizon), so StallDrain never
 // accrues here. A t at or before syncedTo reads the stored counters.
 //
@@ -153,6 +156,9 @@ func (s *SM) Counters(t uint64) stats.Core {
 	k := t - s.syncedTo
 	if len(s.ctas) > 0 || s.ldst.busy() {
 		c.ActiveCycles += k
+	}
+	if s.l1.Waiting() {
+		c.StallLDSTFull += k
 	}
 	for i := range s.schedulers {
 		sched := &s.schedulers[i]
@@ -185,8 +191,16 @@ func (s *SM) IssueCounts(t uint64) (walks, served, evals uint64) {
 // Draining returns the number of resident CTAs currently draining.
 func (s *SM) Draining() int { return s.draining }
 
-// L1Stats exposes the L1 hit/miss counters.
-func (s *SM) L1Stats() *stats.Cache { return s.l1.CacheStats() }
+// L1Stats returns the L1 counters through cycle t (exclusive), read the way
+// Counters reads the core's: the stored ones plus, over a parked window, one
+// attempt per cycle of a head the L1 refused.
+func (s *SM) L1Stats(t uint64) stats.Cache {
+	c := *s.l1.CacheStats()
+	if t > s.syncedTo {
+		s.l1.ChargeRetries(&c, t-s.syncedTo)
+	}
+	return c
+}
 
 // AvgMemLatency returns the mean cycles from load issue to last transaction
 // completion on this core.
@@ -391,10 +405,13 @@ func (s *SM) leastLoadedScheduler() *scheduler {
 // moment it runs again.
 //
 // The GPU ticks its cores in ascending core index and skips only parked
-// ones. A core with a pending send, a runnable warp or a draining CTA is
-// never parked (NextEvent returns now for it), so what Tick exports — sends
-// through the memory port, the retirement and eviction callbacks — reaches
-// the shared machine in index order whatever the park/wake history was.
+// ones. A core with a send to make, a runnable warp or a draining CTA is
+// never parked (NextEvent returns now for it). A core whose send the request
+// queue refused may park, but it would be refused again until its partition
+// pops, and the pop wakes the lowest-index core waiting there — the one core
+// the freed slot can admit. So what Tick exports — sends through the memory
+// port, the retirement and eviction callbacks — reaches the shared machine in
+// index order whatever the park/wake history was.
 func (s *SM) Tick(now uint64) {
 	if s.onWake != nil && now > s.syncedTo {
 		s.SyncTo(now) // not inlined: keep the common no-window case a compare

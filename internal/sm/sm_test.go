@@ -214,8 +214,8 @@ func TestLoadMissBlocksDependent(t *testing.T) {
 	if r.now < wantMin {
 		t.Fatalf("load+use finished at %d, faster than the memory system allows (%d)", r.now, wantMin)
 	}
-	if r.sm.L1Stats().Misses != 1 {
-		t.Fatalf("L1 misses = %d, want 1", r.sm.L1Stats().Misses)
+	if r.sm.L1Stats(r.now).Misses != 1 {
+		t.Fatalf("L1 misses = %d, want 1", r.sm.L1Stats(r.now).Misses)
 	}
 	if r.sm.AvgMemLatency() <= 0 {
 		t.Fatal("memory latency not recorded")
@@ -232,8 +232,8 @@ func TestLoadHitFast(t *testing.T) {
 		Exit()
 	r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 20000)
-	if r.sm.L1Stats().Hits != 1 {
-		t.Fatalf("L1 hits = %d, want 1", r.sm.L1Stats().Hits)
+	if r.sm.L1Stats(r.now).Hits != 1 {
+		t.Fatalf("L1 hits = %d, want 1", r.sm.L1Stats(r.now).Hits)
 	}
 }
 
@@ -248,7 +248,7 @@ func TestDivergentLoadOccupiesLDST(t *testing.T) {
 	b := isa.NewBuilder().LoadGlobalAddrs(1, addrs).FAlu(2, 1).Exit()
 	r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 50000)
-	l1 := r.sm.L1Stats()
+	l1 := r.sm.L1Stats(r.now)
 	if l1.Accesses != 32 {
 		t.Fatalf("L1 accesses = %d, want 32 transactions", l1.Accesses)
 	}
@@ -261,7 +261,7 @@ func TestPredicatedOffMemOp(t *testing.T) {
 	b.FAlu(2, 1).Exit()
 	r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 10000)
-	if r.sm.L1Stats().Accesses != 0 {
+	if r.sm.L1Stats(r.now).Accesses != 0 {
 		t.Fatal("mask-0 load reached the L1")
 	}
 }

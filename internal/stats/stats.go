@@ -27,8 +27,9 @@ type Core struct {
 	// attributed to a structural hazard: the warp's instruction was refused
 	// by a full LDST queue or pending-load table, or waits on the SFU
 	// initiation interval. The other is the cycles in which the L1 refused
-	// the LDST unit's head transaction, which is retried the next cycle
-	// (the sm package's ldstUnit.tickGlobal).
+	// the LDST unit's head transaction, one per cycle until it goes through,
+	// whether the SM ticked that cycle or was parked (the sm package's
+	// ldstUnit.tickGlobal and SM.Counters).
 	StallLDSTFull uint64
 	// StallBarrier counts warps skipped while waiting at a barrier.
 	StallBarrier uint64

@@ -55,7 +55,8 @@ func Attach(g *gpu.GPU, epoch uint64) *Timeline {
 		for i := 0; i < g.NumCores(); i++ {
 			c := g.Core(i)
 			instr += c.InstrIssued()
-			l1.Add(c.L1Stats())
+			cl1 := c.L1Stats(now)
+			l1.Add(&cl1)
 			if n := c.ResidentCTAs(); n > 0 {
 				resident += n
 				active++
