@@ -114,9 +114,7 @@ func (rt *Router) Close() { rt.prober.Stop() }
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the response is already committed
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the response is already committed
 }
 
 type apiError struct {
@@ -326,6 +324,7 @@ func (rt *Router) handleFleetStats(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		agg.Simulated += v.Sim.Simulated
+		agg.Reused += v.Sim.Reused
 		agg.MemoHits += v.Sim.MemoHits
 		agg.DiskHits += v.Sim.DiskHits
 		agg.PeerHits += v.Sim.PeerHits

@@ -7,6 +7,7 @@ package gpu
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"gpusched/internal/core"
 	"gpusched/internal/kernel"
@@ -167,6 +168,17 @@ type GPU struct {
 // New builds a GPU running specs (in launch order) under dispatcher d.
 // Every spec must validate and fit on an SM.
 func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
+	return Renew(nil, cfg, d, specs...)
+}
+
+// Renew is New built on prev, a machine whose run is over (prev nil: a new
+// one). The memory system and the SMs keep prev's arrays — tag stores, MSHR
+// files, queues, rings, CTA and warp contexts — cleared to what new ones
+// hold (mem.RenewSystem, sm.Renew); every other field is built as New
+// builds it, so the machine runs exactly as a new one would. On success prev
+// is the returned GPU and nothing else may use it; on error prev is
+// untouched.
+func Renew(prev *GPU, cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 	if cfg.NumCores <= 0 {
 		return nil, fmt.Errorf("gpu: NumCores = %d", cfg.NumCores)
 	}
@@ -185,8 +197,7 @@ func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = DefaultMaxCycles
 	}
-	g := &GPU{cfg: cfg, dispatcher: d}
-	g.preemptObs, _ = d.(core.PreemptionObserver)
+	kernels := make([]*core.KernelState, 0, len(specs))
 	for i, spec := range specs {
 		if err := spec.Validate(); err != nil {
 			return nil, err
@@ -200,18 +211,32 @@ func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 			return nil, fmt.Errorf("gpu: kernel %s arrives at %d, before its predecessor (%d); arrivals must be nondecreasing in launch order",
 				spec.Name, spec.Arrival, specs[i-1].Arrival)
 		}
-		g.kernels = append(g.kernels, &core.KernelState{
+		kernels = append(kernels, &core.KernelState{
 			Spec:     spec,
 			Idx:      i,
 			AddrBase: uint64(i+1) * addrSpaceStride,
 		})
 	}
-	g.memsys = mem.NewSystem(&cfg.Mem, cfg.NumCores)
-	g.cores = make([]*sm.SM, cfg.NumCores)
-	g.coreCfgs = make([]sm.Config, cfg.NumCores)
+	g := prev
+	if g == nil {
+		g = new(GPU)
+	}
+	old := *g
+	n := cfg.NumCores
+	*g = GPU{
+		cfg:        cfg,
+		dispatcher: d,
+		kernels:    kernels,
+		retired:    old.retired[:0],
+		evicted:    old.evicted[:0],
+		cores:      slices.Grow(old.cores[:0], n)[:n],
+		coreCfgs:   slices.Grow(old.coreCfgs[:0], n)[:n],
+	}
+	g.preemptObs, _ = d.(core.PreemptionObserver)
+	g.memsys = mem.RenewSystem(old.memsys, &g.cfg.Mem, n)
 	for i := range g.cores {
 		g.coreCfgs[i] = cfg.Core // per-SM copy: SetWarpPolicy is per core
-		g.cores[i] = sm.New(i, &g.coreCfgs[i], g.memsys, len(specs), g.onCTADone)
+		g.cores[i] = sm.Renew(g.cores[i], i, &g.coreCfgs[i], g.memsys, len(specs), g.onCTADone)
 		g.cores[i].SetDrainHandler(g.onCTADrained)
 		g.cores[i].SetWakeHandler(g.wakeCore)
 	}

@@ -38,6 +38,12 @@ type cacheLine struct {
 // associativity. sizeBytes must divide evenly into ways*lineBytes sets and
 // the set count must be a power of two.
 func NewCache(sizeBytes, lineBytes, ways int) *Cache {
+	return renewCache(nil, sizeBytes, lineBytes, ways)
+}
+
+// renewCache is NewCache built in c's tag store (c nil: a new one): every
+// line invalid, LRU clock and counters zero.
+func renewCache(c *Cache, sizeBytes, lineBytes, ways int) *Cache {
 	if sizeBytes <= 0 || lineBytes <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("mem: invalid cache geometry %d/%d/%d", sizeBytes, lineBytes, ways))
 	}
@@ -50,12 +56,16 @@ func NewCache(sizeBytes, lineBytes, ways int) *Cache {
 	for 1<<shift < lineBytes {
 		shift++
 	}
-	return &Cache{
-		lines:     make([]cacheLine, numSets*ways),
+	if c == nil {
+		c = new(Cache)
+	}
+	*c = Cache{
+		lines:     reuse(c.lines, numSets*ways),
 		ways:      ways,
 		setMask:   uint64(numSets - 1),
 		lineShift: shift,
 	}
+	return c
 }
 
 // NumSets returns the number of sets.

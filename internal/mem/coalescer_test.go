@@ -116,7 +116,7 @@ func TestCoalesceProperties(t *testing.T) {
 }
 
 func TestPipeLatencyAndCapacity(t *testing.T) {
-	p := newPipe[int](2, 10)
+	p := renewPipe[int](nil, 2, 10)
 	if !p.Push(0, 1) || !p.Push(0, 2) {
 		t.Fatal("pushes within capacity failed")
 	}
@@ -141,7 +141,7 @@ func TestPipeLatencyAndCapacity(t *testing.T) {
 }
 
 func TestPipeOrdering(t *testing.T) {
-	p := newPipe[int](8, 5)
+	p := renewPipe[int](nil, 8, 5)
 	for i := 0; i < 5; i++ {
 		p.Push(uint64(i), i)
 	}

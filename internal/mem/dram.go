@@ -64,16 +64,27 @@ type dramCompletion struct {
 // NewDRAMChannel builds a channel with the config's timing. onComplete is
 // invoked for each finished read in completion-time order.
 func NewDRAMChannel(cfg *Config, onComplete func(req Request, now uint64)) *DRAMChannel {
-	return &DRAMChannel{
+	return renewDRAMChannel(nil, cfg, onComplete)
+}
+
+// renewDRAMChannel is NewDRAMChannel built in d's arrays (d nil: new ones):
+// every bank closed and free, nothing queued or in flight.
+func renewDRAMChannel(d *DRAMChannel, cfg *Config, onComplete func(req Request, now uint64)) *DRAMChannel {
+	if d == nil {
+		d = new(DRAMChannel)
+	}
+	*d = DRAMChannel{
 		cfg:         cfg,
-		banks:       make([]dramBank, cfg.DRAMBanks),
-		queue:       make([]dramReq, 0, cfg.DRAMQueueCap),
-		keys:        make([]dramKey, 0, cfg.DRAMQueueCap),
+		banks:       reuse(d.banks, cfg.DRAMBanks),
+		queue:       reuse(d.queue, cfg.DRAMQueueCap)[:0],
+		keys:        reuse(d.keys, cfg.DRAMQueueCap)[:0],
+		completions: d.completions[:0],
 		onComplete:  onComplete,
 		nextSchedAt: NeverEvent,
 		lineShift:   cfg.LineShift(),
 		linesPerRow: uint64(cfg.DRAMRowBytes / cfg.LineBytes),
 	}
+	return d
 }
 
 // CanAccept reports whether the request queue has space.

@@ -56,14 +56,24 @@ type L1 struct {
 }
 
 // NewL1 builds the L1 for core coreID with injection port p.
-func NewL1(cfg *Config, coreID int, p Sender) *L1 {
-	return &L1{
-		cache: NewCache(cfg.L1Bytes, cfg.LineBytes, cfg.L1Ways),
-		mshr:  NewMSHR(cfg.L1MSHREntries, cfg.L1MSHRMerges),
+func NewL1(cfg *Config, coreID int, p Sender) *L1 { return RenewL1(nil, cfg, coreID, p) }
+
+// RenewL1 is NewL1 built in prev's tag store and MSHR file (prev nil: new
+// ones), as empty as a new L1's. prev must belong to a finished machine
+// (RenewSystem).
+func RenewL1(prev *L1, cfg *Config, coreID int, p Sender) *L1 {
+	l := prev
+	if l == nil {
+		l = new(L1)
+	}
+	*l = L1{
+		cache: renewCache(l.cache, cfg.L1Bytes, cfg.LineBytes, cfg.L1Ways),
+		mshr:  renewMSHR(l.mshr, cfg.L1MSHREntries, cfg.L1MSHRMerges),
 		cfg:   cfg,
 		port:  p,
 		core:  coreID,
 	}
+	return l
 }
 
 // Load attempts a load of lineAddr for the pending-access token. On

@@ -52,15 +52,24 @@ func (p *L2Partition) bindInflight(ctr *int) {
 	p.dram.inflight = ctr
 }
 
-// NewL2Partition builds partition id.
-func NewL2Partition(cfg *Config, id int) *L2Partition {
-	p := &L2Partition{
+// renewL2Partition builds partition id in p's tag store, MSHR file and DRAM
+// channel (p nil: new ones). The response and write-back buffers keep their
+// arrays but start empty: a finished run can leave responses and write-backs
+// in them.
+func renewL2Partition(p *L2Partition, cfg *Config, id int) *L2Partition {
+	if p == nil {
+		p = new(L2Partition)
+	}
+	*p = L2Partition{
 		cfg:   cfg,
 		id:    id,
-		cache: NewCache(cfg.L2BytesPerPartition, cfg.LineBytes, cfg.L2Ways),
-		mshr:  NewMSHR(cfg.L2MSHREntries, cfg.L2MSHRMerges),
+		cache: renewCache(p.cache, cfg.L2BytesPerPartition, cfg.LineBytes, cfg.L2Ways),
+		mshr:  renewMSHR(p.mshr, cfg.L2MSHREntries, cfg.L2MSHRMerges),
+		dram:  p.dram,
+		out:   p.out[:0],
+		wbBuf: p.wbBuf[:0],
 	}
-	p.dram = NewDRAMChannel(cfg, p.onDRAMComplete)
+	p.dram = renewDRAMChannel(p.dram, cfg, p.onDRAMComplete)
 	return p
 }
 

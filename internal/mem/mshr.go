@@ -38,7 +38,11 @@ type MSHR struct {
 
 // NewMSHR builds an MSHR file with maxEntries distinct pending lines and up
 // to maxMerges requesters per line (the primary miss counts as one).
-func NewMSHR(maxEntries, maxMerges int) *MSHR {
+func NewMSHR(maxEntries, maxMerges int) *MSHR { return renewMSHR(nil, maxEntries, maxMerges) }
+
+// renewMSHR is NewMSHR built in m's arrays (m nil: new ones): no line
+// pending, every slot on the free list.
+func renewMSHR(m *MSHR, maxEntries, maxMerges int) *MSHR {
 	if maxEntries <= 0 {
 		maxEntries = 1
 	}
@@ -46,15 +50,18 @@ func NewMSHR(maxEntries, maxMerges int) *MSHR {
 		maxMerges = 1
 	}
 	logBuckets := bits.Len(uint(2*maxEntries - 1)) // 2*maxEntries rounded up to a power of two
-	m := &MSHR{
-		lines:      make([]uint64, maxEntries),
-		head:       make([]int32, 1<<logBuckets),
-		next:       make([]int32, maxEntries),
+	if m == nil {
+		m = new(MSHR)
+	}
+	*m = MSHR{
+		lines:      reuse(m.lines, maxEntries),
+		head:       reuse(m.head, 1<<logBuckets),
+		next:       reuse(m.next, maxEntries),
 		shift:      uint(64 - logBuckets),
-		atomic:     make([]bool, maxEntries),
-		tokens:     make([]uint32, maxEntries*maxMerges),
-		count:      make([]int32, maxEntries),
-		free:       make([]int32, 0, maxEntries),
+		atomic:     reuse(m.atomic, maxEntries),
+		tokens:     reuse(m.tokens, maxEntries*maxMerges),
+		count:      reuse(m.count, maxEntries),
+		free:       reuse(m.free, maxEntries)[:0],
 		maxEntries: maxEntries,
 		maxMerges:  maxMerges,
 	}

@@ -2,7 +2,7 @@ package mem
 
 // pipe is a bounded FIFO whose entries become visible to the consumer only
 // after a fixed delay, modeling a pipelined link (wire latency) with finite
-// buffering (backpressure). The zero value is unusable; use newPipe.
+// buffering (backpressure). The zero value is unusable; use renewPipe.
 //
 // The buffer is a ring: Pop advances head instead of shifting the remaining
 // entries down. It grows by doubling up to the capacity, so a pipe that
@@ -19,11 +19,17 @@ type pipeEntry[T any] struct {
 	val   T
 }
 
-func newPipe[T any](capacity int, latency uint64) *pipe[T] {
+// renewPipe builds an empty pipe in p's ring (p nil: a new pipe): what a
+// finished run left in flight is dropped.
+func renewPipe[T any](p *pipe[T], capacity int, latency uint64) *pipe[T] {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &pipe[T]{cap: capacity, latency: latency}
+	if p == nil {
+		p = new(pipe[T])
+	}
+	*p = pipe[T]{ring: reuse(p.ring, min(len(p.ring), capacity)), cap: capacity, latency: latency}
+	return p
 }
 
 // CanPush reports whether the pipe has buffer space.

@@ -11,7 +11,7 @@ func TestPipeFIFOProperty(t *testing.T) {
 	f := func(ops []bool, capRaw, latRaw uint8) bool {
 		capacity := int(capRaw%20) + 1 // up to two ring doublings past the first 4 slots
 		latency := uint64(latRaw % 16)
-		p := newPipe[int](capacity, latency)
+		p := renewPipe[int](nil, capacity, latency)
 		next, expect := 0, 0
 		now := uint64(0)
 		for _, isPush := range ops {

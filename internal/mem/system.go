@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/bits"
+	"slices"
 
 	"gpusched/internal/stats"
 )
@@ -89,24 +90,41 @@ type wakeHook struct {
 const NeverEvent = ^uint64(0)
 
 // NewSystem builds the memory system for numCores cores.
-func NewSystem(cfg *Config, numCores int) *System {
-	s := &System{cfg: cfg, lineShift: cfg.LineShift()}
-	s.partitions = make([]*L2Partition, cfg.Partitions)
-	s.toPart = make([]*pipe[Request], cfg.Partitions)
-	s.wake = make([]uint64, cfg.Partitions)
-	s.waitWords = (numCores + 63) / 64
-	s.waiters = make([]uint64, cfg.Partitions*s.waitWords)
+func NewSystem(cfg *Config, numCores int) *System { return RenewSystem(nil, cfg, numCores) }
+
+// RenewSystem is NewSystem built in prev's arrays (prev nil: new ones): the
+// partitions' tag stores, MSHR files and DRAM channels, and the crossbar
+// rings, each cleared to what a new one holds. prev must belong to a machine
+// whose run is over, and nothing may use it afterwards. Whatever that run
+// left in flight — requests, responses, write-backs, waiters, wake events —
+// is dropped, and the wake hook must be set again (SetWakeHook).
+func RenewSystem(prev *System, cfg *Config, numCores int) *System {
+	s := prev
+	if s == nil {
+		s = new(System)
+	}
+	waitWords := (numCores + 63) / 64
+	*s = System{
+		cfg:        cfg,
+		lineShift:  cfg.LineShift(),
+		partitions: slices.Grow(s.partitions[:0], cfg.Partitions)[:cfg.Partitions],
+		toPart:     slices.Grow(s.toPart[:0], cfg.Partitions)[:cfg.Partitions],
+		wake:       reuse(s.wake, cfg.Partitions),
+		waitWords:  waitWords,
+		waiters:    reuse(s.waiters, cfg.Partitions*waitWords),
+		toCore:     slices.Grow(s.toCore[:0], numCores)[:numCores],
+		hooks:      s.hooks[:0],
+	}
 	for i := range s.partitions {
 		s.wake[i] = NeverEvent
-		s.partitions[i] = NewL2Partition(cfg, i)
+		s.partitions[i] = renewL2Partition(s.partitions[i], cfg, i)
 		s.partitions[i].bindInflight(&s.inflight)
-		s.toPart[i] = newPipe[Request](cfg.XbarQueueCap, cfg.XbarLatency)
+		s.toPart[i] = renewPipe(s.toPart[i], cfg.XbarQueueCap, cfg.XbarLatency)
 	}
-	s.toCore = make([]*pipe[Response], numCores)
 	for c := range s.toCore {
 		// The return path is sized generously relative to request queues:
 		// responses must always drain or the hierarchy deadlocks.
-		s.toCore[c] = newPipe[Response](cfg.XbarQueueCap*cfg.Partitions, cfg.XbarLatency)
+		s.toCore[c] = renewPipe(s.toCore[c], cfg.XbarQueueCap*cfg.Partitions, cfg.XbarLatency)
 	}
 	// Push into the core's FIFO and buffer the wake event, reading the tick
 	// cycle from s.now rather than capturing it per cycle.
@@ -339,3 +357,15 @@ func (s *System) DRAMStats() stats.DRAM {
 
 // Partition exposes partition i for white-box tests.
 func (s *System) Partition(i int) *L2Partition { return s.partitions[i] }
+
+// reuse returns s resized to n zero elements, in s's backing array when that
+// is large enough: how a renewed component takes over its predecessor's
+// arrays.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}

@@ -22,6 +22,7 @@ func writeMetrics(w io.Writer, ss sim.Stats, ready bool) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
 	counter("gpuschedd_sim_simulated_total", "Actual simulator executions.", uint64(ss.Simulated))
+	counter("gpuschedd_sim_reused_total", "Simulations built in the arrays of a finished machine.", uint64(ss.Reused))
 	counter("gpuschedd_sim_memo_hits_total", "Requests coalesced into or satisfied by an in-memory flight.", uint64(ss.MemoHits))
 	counter("gpuschedd_sim_disk_hits_total", "Requests satisfied by the on-disk result cache.", uint64(ss.DiskHits))
 	counter("gpuschedd_sim_peer_hits_total", "Requests satisfied by a fleet peer's cache (fetch-before-simulate).", uint64(ss.PeerHits))

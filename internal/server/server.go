@@ -91,9 +91,7 @@ type apiError struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the response is already committed
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the response is already committed
 }
 
 func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {

@@ -277,7 +277,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 
 	close(release)
-	if r := <-inflight; r.code != http.StatusOK || !strings.Contains(string(r.data), `"Cycles": 42`) {
+	if r := <-inflight; r.code != http.StatusOK || !strings.Contains(string(r.data), `"Cycles":42`) {
 		t.Fatalf("in-flight simulate after Shutdown = %d: %s", r.code, r.data)
 	}
 }
@@ -321,6 +321,7 @@ func TestConcurrentSubmissionsDeduplicate(t *testing.T) {
 	for _, want := range []string{
 		"gpuschedd_sim_simulated_total 1",
 		fmt.Sprintf("gpuschedd_sim_memo_hits_total %d", n-1),
+		fmt.Sprintf("gpuschedd_sim_reused_total %d", s.svc.Stats().Reused),
 		"gpuschedd_ready 1",
 	} {
 		if !strings.Contains(string(data), want) {

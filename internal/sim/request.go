@@ -111,8 +111,9 @@ func (r Request) config() gpu.Config {
 }
 
 // build validates the request and assembles its machine under a fresh
-// dispatcher: the step Service.simulate and Reference share.
-func (r Request) build() (*gpu.GPU, core.Dispatcher, error) {
+// dispatcher, on prev's arrays when prev is not nil (gpu.Renew): the step
+// Service.simulate and Reference share.
+func (r Request) build(prev *gpu.GPU) (*gpu.GPU, core.Dispatcher, error) {
 	if err := r.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -125,7 +126,7 @@ func (r Request) build() (*gpu.GPU, core.Dispatcher, error) {
 		}
 	}
 	d := r.Sched.NewDispatcher()
-	g, err := gpu.New(r.config(), d, specs...)
+	g, err := gpu.Renew(prev, r.config(), d, specs...)
 	return g, d, err
 }
 

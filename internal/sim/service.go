@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"gpusched/internal/gpu"
 )
 
 // Options configures a Service.
@@ -48,6 +50,9 @@ type Options struct {
 type Stats struct {
 	// Simulated counts actual simulator executions.
 	Simulated int
+	// Reused counts the simulations among them built in the arrays of a
+	// finished machine (see machines) rather than in new memory.
+	Reused int
 	// MemoHits counts requests satisfied by (or coalesced into) an
 	// earlier request with the same key.
 	MemoHits int
@@ -69,6 +74,13 @@ type Stats struct {
 	WallSeconds float64
 	SimCycles   uint64
 }
+
+// machines holds finished machines for the next simulation to be built in
+// (gpu.Renew): tag stores, MSHR files, queues and CTA and warp contexts make
+// up most of what a short simulation allocates. It is shared by every
+// Service in the process, and the garbage collector empties it when the
+// process stops simulating.
+var machines sync.Pool
 
 // Service runs simulation requests. Identical requests are deduplicated via
 // singleflight — N concurrent submissions of one key simulate once and
@@ -246,13 +258,21 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 		return Outcome{}, ctx.Err()
 	}
 
-	g, d, err := req.build()
+	prev, _ := machines.Get().(*gpu.GPU)
+	g, d, err := req.build(prev)
 	if err != nil {
+		if prev != nil {
+			machines.Put(prev) // gpu.Renew leaves prev untouched on error
+		}
 		return Outcome{}, fmt.Errorf("sim: %s: %w", key, err)
 	}
 	start := time.Now()
 	raw, err := g.RunContext(ctx)
 	elapsed := time.Since(start)
+	// Neither the Result nor the dispatcher's limits refer into the machine,
+	// so the next simulation may be built in it however this run ended. A
+	// run that panicked does not get here and leaves the pool alone.
+	machines.Put(g)
 	s.mu.Lock()
 	s.stats.WallSeconds += elapsed.Seconds()
 	s.stats.SimCycles += raw.Cycles
@@ -262,6 +282,9 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 	}
 	s.mu.Lock()
 	s.stats.Simulated++
+	if prev != nil {
+		s.stats.Reused++
+	}
 	s.mu.Unlock()
 	out, err := req.outcome(key, d, raw)
 	if err != nil {
@@ -279,11 +302,12 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 }
 
 // Reference is the request-level oracle: req simulated on the reference
-// cycle loop (gpu.GPU.RunReference), with no cache, memo or worker pool in
-// the way. It shares the build and outcome steps with Service, so the two
-// differ only in which loop they call.
+// cycle loop (gpu.GPU.RunReference), with no cache, memo, worker pool or
+// machine reuse in the way. It shares the build and outcome steps with
+// Service, so the two differ only in which loop they call and in Service's
+// machine being a renewed one.
 func Reference(ctx context.Context, req Request) (Outcome, error) {
-	g, d, err := req.build()
+	g, d, err := req.build(nil)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -56,9 +56,8 @@ type ldstUnit struct {
 	table []pendingLoad
 	free  []uint32
 
-	// hits is a ring of pending hit events, hLen of them from hHead on. One
-	// is pushed per tick at most, and none lives past the longer of the two
-	// hit latencies, so the ring is sized once to that bound.
+	// hits is a ring of pending hit events, hLen of them from hHead on, sized
+	// once to hitRingSize.
 	hits        []hitEvent
 	hHead, hLen int
 
@@ -74,18 +73,39 @@ type ldstUnit struct {
 	freeGen uint64
 }
 
-func newLDSTUnit(s *SM) *ldstUnit {
-	u := &ldstUnit{
-		sm:    s,
-		cap:   s.cfg.LDSTQueueCap,
-		table: make([]pendingLoad, s.cfg.MaxPendingLoads),
-		free:  make([]uint32, 0, s.cfg.MaxPendingLoads),
+// renewLDSTUnit builds s's LDST unit in u's rings, pending-load table and
+// line buffers (u nil: a new unit), empty: the instructions and loads a
+// finished run left in flight are dropped.
+func renewLDSTUnit(u *ldstUnit, s *SM) *ldstUnit {
+	if u == nil {
+		u = new(ldstUnit)
+	}
+	queue, hits := u.queue, u.hits
+	if len(queue) < s.cfg.LDSTQueueCap {
+		queue = nil // allocated on first use
+	}
+	if len(hits) != hitRingSize(s) {
+		hits = nil
+	}
+	clear(queue)
+	*u = ldstUnit{
+		sm:       s,
+		cap:      s.cfg.LDSTQueueCap,
+		queue:    queue,
+		hits:     hits,
+		table:    reuse(u.table, s.cfg.MaxPendingLoads),
+		free:     reuse(u.free, s.cfg.MaxPendingLoads)[:0],
+		linePool: u.linePool,
 	}
 	for i := s.cfg.MaxPendingLoads - 1; i >= 0; i-- {
 		u.free = append(u.free, uint32(i))
 	}
 	return u
 }
+
+// hitRingSize bounds the pending hit events: one is pushed per tick at most,
+// and none lives past the longer of the two hit latencies.
+func hitRingSize(s *SM) int { return int(max(s.memCfg.L1HitLatency, s.cfg.SharedLatency)) + 1 }
 
 // canAccept reports whether a new memory instruction can enter the queue,
 // and — for register-writing ops — whether a pending-table slot exists.
@@ -163,7 +183,7 @@ func (u *ldstUnit) pushHit(at uint64, token uint32) {
 		if u.hits != nil {
 			panic("sm: hit-event ring overflow")
 		}
-		u.hits = make([]hitEvent, max(u.sm.memCfg.L1HitLatency, u.sm.cfg.SharedLatency)+1)
+		u.hits = make([]hitEvent, hitRingSize(u.sm))
 	}
 	u.hits[ring(u.hHead, u.hLen, len(u.hits))] = hitEvent{at: at, token: token}
 	u.hLen++

@@ -159,6 +159,23 @@ func (s *scheduler) add(w *Warp) {
 	s.cert.until = 0
 }
 
+// renew empties the scheduler for a renewed core (SM.Renew), keeping its
+// slot arrays.
+func (s *scheduler) renew(cfg *Config, ldst *ldstUnit) {
+	clear(s.warps[:cap(s.warps)])
+	clear(s.active[:cap(s.active)])
+	clear(s.pending[:cap(s.pending)])
+	*s = scheduler{
+		policy:     cfg.WarpPolicy,
+		activeSize: cfg.ActiveSetSize,
+		ldst:       ldst,
+		warps:      s.warps[:0],
+		stall:      s.stall[:0],
+		active:     s.active[:0],
+		pending:    s.pending[:0],
+	}
+}
+
 // renumber refreshes the slot index of every warp from slot i up.
 func (s *scheduler) renumber(i int) {
 	for ; i < len(s.warps); i++ {

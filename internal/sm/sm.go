@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"slices"
 
 	"gpusched/internal/isa"
 	"gpusched/internal/kernel"
@@ -79,25 +80,74 @@ type SM struct {
 // New builds SM id attached to the shared memory system. numKernels sizes
 // the per-kernel issue buckets.
 func New(id int, cfg *Config, sys *mem.System, numKernels int, onCTADone func(int, *CTA)) *SM {
-	s := &SM{
+	return Renew(nil, id, cfg, sys, numKernels, onCTADone)
+}
+
+// Renew is New built in prev's arrays (prev nil: new ones): its L1, its LDST
+// unit's rings and pending-load table, its schedulers' slot arrays, and its
+// CTA and warp contexts, which all go to the new core's pool. prev must
+// belong to a machine whose run is over (mem.RenewSystem), and nothing may
+// use it afterwards. The handlers must be set again.
+func Renew(prev *SM, id int, cfg *Config, sys *mem.System, numKernels int, onCTADone func(int, *CTA)) *SM {
+	s := prev
+	if s == nil {
+		s = new(SM)
+	}
+	var pool []*CTA
+	if prev != nil {
+		pool = s.reclaimCTAs()
+	}
+	memCfg := sys.Config()
+	*s = SM{
 		id:               id,
 		cfg:              cfg,
-		memCfg:           sys.Config(),
+		memCfg:           memCfg,
 		sys:              sys,
-		schedulers:       make([]scheduler, cfg.NumSchedulers),
+		l1:               mem.RenewL1(s.l1, memCfg, id, sys.Port(id)),
+		ldst:             s.ldst,
+		schedulers:       slices.Grow(s.schedulers[:0], cfg.NumSchedulers)[:cfg.NumSchedulers],
+		ctaPool:          pool,
 		onCTADone:        onCTADone,
-		KernelIssued:     make([]uint64, numKernels),
-		residentByKernel: make([]int, numKernels),
+		KernelIssued:     reuse(s.KernelIssued, numKernels),
+		residentByKernel: reuse(s.residentByKernel, numKernels),
 	}
-	s.l1 = mem.NewL1(s.memCfg, id, sys.Port(id))
-	s.ldst = newLDSTUnit(s)
+	s.ldst = renewLDSTUnit(s.ldst, s)
 	for i := range s.schedulers {
-		sched := &s.schedulers[i]
-		sched.policy = cfg.WarpPolicy
-		sched.activeSize = cfg.ActiveSetSize
-		sched.ldst = s.ldst
+		s.schedulers[i].renew(cfg, s.ldst)
 	}
 	return s
+}
+
+// reclaimCTAs returns every CTA context the finished run still holds, for
+// the renewed core's pool: the pooled ones, the ones resident when the run
+// stopped (cut by MaxCycles or cancellation), and the retired ones armed for
+// a pooling their trailing memory work would have triggered. No warp keeps
+// its program, so a pooled machine holds nothing of its last run's kernels.
+func (s *SM) reclaimCTAs() []*CTA {
+	for _, cta := range s.ctas {
+		s.poolCTA(cta)
+	}
+	armed := func(w *Warp) {
+		if cta := w.cta; cta.recycleArmed {
+			cta.recycleArmed = false
+			s.poolCTA(cta)
+		}
+	}
+	u := s.ldst
+	for i := 0; i < u.qLen; i++ {
+		armed(u.queue[ring(u.qHead, i, u.cap)].warp)
+	}
+	for i := range u.table {
+		if u.table[i].inUse {
+			armed(u.table[i].warp)
+		}
+	}
+	for _, cta := range s.ctaPool {
+		for _, w := range cta.warps {
+			w.prog = nil
+		}
+	}
+	return s.ctaPool
 }
 
 // ID returns the core index.
@@ -712,4 +762,15 @@ func (s *SM) NextEvent(now uint64) uint64 {
 		next = min(next, sched.cert.until)
 	}
 	return next
+}
+
+// reuse returns s resized to n zero elements, in s's backing array when that
+// is large enough (mem.RenewSystem's helper of the same name).
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
