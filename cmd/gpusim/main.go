@@ -30,7 +30,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warpStr  = fs.String("warp", "gto", "warp scheduler: lrr | gto | baws")
 		sizeStr  = fs.String("size", "small", "problem size: tiny | small | full")
 		cores    = fs.Int("cores", 15, "SM count")
-		engStats = fs.Bool("engine-stats", false, "also print how the cycle loop executed the run: cycles ticked, and cycles the all-parked advance step jumped (fast-forwarded) or covered with memory-only ticks (batched); dispatcher polls made and skipped; warp-scheduler walks vs certificate reads, and the warps the walks evaluated; L2 partition ticks against partition-cycles; SM ticks against SM-cycles")
+		engStats = fs.Bool("engine-stats", false, "also print how the cycle loop executed the run: cycles that ticked the dispatcher or an SM (ticked), only L2 partitions (batched) or nothing (fast-forwarded); dispatcher polls made and skipped; warp-scheduler walks vs certificate reads, and the warps the walks evaluated; L2 partition ticks against partition-cycles; SM ticks against SM-cycles")
 		list     = fs.Bool("list", false, "list workloads and exit")
 		traceOut = fs.String("trace", "", "write a per-epoch timeline CSV to this file")
 		epoch    = fs.Uint64("epoch", 1024, "trace sampling period in cycles")

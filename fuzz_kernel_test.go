@@ -12,7 +12,7 @@ import (
 // whatever shape the fuzzer picks, the generated kernel must finish under
 // the selected scheduler/warp-policy pair with the exact instruction count
 // the generator produced, and with the same Result as the reference loop
-// (the oracle for parking and the advance step). Run with
+// (the oracle for the calendar). Run with
 // go test -fuzz=FuzzKernel.
 func FuzzKernel(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(10), uint8(1), int64(1), uint8(0), uint8(1))

@@ -290,11 +290,11 @@ func RunContext(ctx context.Context, cfg Config, sched Scheduler, kernels ...Ker
 }
 
 // EngineStats re-exports the cycle loop's execution accounting: how many
-// simulated cycles were ticked, and how many the all-parked advance step
-// jumped over or covered with memory-only ticks; how often the dispatcher was
+// simulated cycles ticked the dispatcher or an SM, how many ticked only L2
+// partitions, and how many ticked nothing; how often the dispatcher was
 // polled or provably skipped; and how many warp-scheduler verdicts took a walk
-// or a stall-certificate read; and how many L2 partition ticks the memory
-// system ran. It describes the host-side execution, not the simulated
+// or a stall-certificate read; and how many L2 partition and SM ticks the
+// loop ran. It describes the host-side execution, not the simulated
 // machine — the reference loop (gpu.GPU.RunReference) reports different
 // numbers for the same Result — so it is reported beside Result, never
 // inside it.

@@ -81,8 +81,8 @@ func (l *evictLogger) OnCTAEvicted(m core.Machine, coreID int, cta *sm.CTA) {
 
 // TestPreemptiveDeterminism proves the preemption path holds the simulator's
 // core invariant: results and the full eviction log are identical on
-// RunContext and RunReference (parking and the advance step change which SMs
-// the loop visits and which cycles it ticks), and the log is ordered by
+// RunContext and RunReference (the calendar changes which SMs and partitions
+// the loop visits and which cycles it steps on), and the log is ordered by
 // (eviction cycle, core index) — the requeue FIFO key.
 func TestPreemptiveDeterminism(t *testing.T) {
 	batch := uniformKernel("batch", 64, 4, 300, 32)

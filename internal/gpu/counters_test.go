@@ -35,13 +35,17 @@ type counterSamples struct {
 	parkedDispatch, parkedCommit int
 }
 
-// parked counts g's parked cores: none on RunReference, which has no
-// activity set.
+// parked counts g's cores read across a parked window: those whose counters
+// through the current stage boundary differ from the ones they have stored.
+// None on RunReference, which ticks every core every cycle.
 func parked(g *GPU) int {
-	if g.activity == nil {
-		return 0
+	n := 0
+	for i, c := range g.cores {
+		if g.CoreCounters(i) != c.Counters(0) { // t = 0 reads the stored counters
+			n++
+		}
 	}
-	return g.activity.sleeping()
+	return n
 }
 
 func sampleCores(g *GPU) []stats.Core {

@@ -83,18 +83,17 @@ type Result struct {
 // numbers for the same Result, so it is never part of Result and never
 // enters a cache key.
 type EngineStats struct {
-	// CyclesTicked counts cycles that ran the full loop body (the SM ticks,
-	// the commits, the memory tick). The other two split the cycles the
-	// advance step covered while every SM was parked: CyclesFastForwarded
-	// those it jumped over outright, CyclesBatched those in which it ticked
-	// the memory system alone. The three sum to Result.Cycles.
+	// CyclesTicked counts cycles in which the dispatcher or an SM ticked,
+	// CyclesBatched those in which only L2 partitions ticked, and
+	// CyclesFastForwarded those in which nothing ticked: the cycles the
+	// calendar jumped over, and the epoch-hook and context-poll cycles it
+	// stopped at with nothing due. The three sum to Result.Cycles.
 	CyclesTicked        uint64
 	CyclesFastForwarded uint64
 	CyclesBatched       uint64
 	// DispatcherTicks counts dispatcher.Tick calls; DispatcherSkips counts
 	// ticked cycles where the quiescence certificate proved Tick a no-op and
-	// it was not called. Exactly one of the two advances per ticked cycle; the
-	// advance step polls the dispatcher on none of the cycles it covers.
+	// it was not called. Exactly one of the two advances per ticked cycle.
 	DispatcherTicks uint64
 	DispatcherSkips uint64
 	// IssueWalks counts scheduler-cycles (one warp scheduler with resident
@@ -107,10 +106,10 @@ type EngineStats struct {
 	IssueWalks  uint64
 	IssueServed uint64
 	IssueEvals  uint64
-	// PartitionTicks counts L2 partition Tick calls (mem.System.PartitionTicks),
-	// out of Result.Cycles × Mem.Partitions partition-cycles: the memory
-	// system ticks a partition only on cycles it can act, whichever loop
-	// drives it.
+	// PartitionTicks counts L2 partition Tick calls, out of Result.Cycles ×
+	// Mem.Partitions partition-cycles. RunReference ticks every one;
+	// RunContext ticks a partition only on cycles its wake bound says it
+	// can act.
 	PartitionTicks uint64
 	// SMTicks counts SM Tick calls, out of Result.Cycles × NumCores
 	// SM-cycles. RunReference ticks every one; RunContext skips the cycles
@@ -136,11 +135,13 @@ type GPU struct {
 	// epochFn, when set, runs every epochEvery cycles (tracing hooks).
 	epochFn    func(now uint64)
 	epochEvery uint64
-	// dispQuiet is the machine half of the dispatcher-quiescence certificate:
-	// the last dispatcher.Tick placed nothing and admitted no kernel, and no
-	// CTA has retired or been evicted since. The dispatcher tick sets it and
-	// both commits clear it.
-	dispQuiet bool
+	// dispAt is the dispatcher's wake bound, the first cycle RunContext must
+	// tick it at. After a tick that placed nothing and admitted no kernel it
+	// is the dispatcher's NextDispatchEvent — its half of the quiescence
+	// certificate, valid until the dispatcher's state moves — and otherwise
+	// the next cycle. Both commits reset it to 0: a retirement or an eviction
+	// changes dispatch state, so the dispatcher is due on the next cycle.
+	dispAt uint64
 	// arrived is how many launch-table kernels have reached their Arrival
 	// cycle; Kernels() exposes exactly that prefix to dispatchers.
 	arrived int
@@ -151,13 +152,13 @@ type GPU struct {
 	// dispatcher, observer and kernel bookkeeping never see a half-ticked
 	// machine, and wakeCore is never called from inside an SM's tick.
 	retired, evicted []coreCTA
-	// activity tracks which SMs have ready work this cycle (built by
-	// RunContext; nil on RunReference). Sleeping SMs are not ticked at all;
-	// wakeCore is the only way back in.
-	activity *activitySet
+	// cal holds the SMs' and the partitions' wake bounds. RunContext visits
+	// only due ones; RunReference ignores it. The memory system reports its
+	// wake events to it directly (mem.Waker), and wakeCore reports the rest.
+	cal calendar
 	// postTick is true between the SM ticks and the end of the cycle (commits
-	// and the memory tick). wakeCore and CoreCounters use it to pick the
-	// counter boundary: once the SMs have ticked, a sleeping core provably
+	// and the partition ticks). wakeCore and CoreCounters use it to pick the
+	// counter boundary: once the SMs have ticked, a parked core provably
 	// accounts for the current cycle too, and cannot tick again before the
 	// next one.
 	postTick bool
@@ -229,6 +230,7 @@ func Renew(prev *GPU, cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GP
 		kernels:    kernels,
 		retired:    old.retired[:0],
 		evicted:    old.evicted[:0],
+		cal:        old.cal,
 		cores:      slices.Grow(old.cores[:0], n)[:n],
 		coreCfgs:   slices.Grow(old.coreCfgs[:0], n)[:n],
 	}
@@ -240,34 +242,28 @@ func Renew(prev *GPU, cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GP
 		g.cores[i].SetDrainHandler(g.onCTADrained)
 		g.cores[i].SetWakeHandler(g.wakeCore)
 	}
-	g.memsys.SetWakeHook(g.wakeCore)
+	g.cal.reset(n, cfg.Mem.Partitions)
+	g.memsys.SetWaker(&g.cal)
 	return g, nil
 }
 
-// wakeCore is the single wake funnel: the SMs' pre-mutation notification
-// (AddCTA, and Preempt below) and the memory system's wake hook (a response
-// delivered, a request-queue slot freed) both land here, never from inside
-// an SM's tick. It stores the target core's lazily-accrued counters up to the
-// current cycle boundary — callers invoke it *before* mutating the core,
-// while the parked window is still provably quiet — then lowers the core's
-// wake bound so the skipped SM is ticked again in time. Waking an active core
-// is a harmless no-op.
+// wakeCore is the SMs' pre-mutation notification (AddCTA, and Preempt
+// below), never called from inside an SM's tick. It stores the target core's
+// lazily-accrued counters up to the current cycle boundary — callers invoke
+// it *before* mutating the core, while the parked window is still provably
+// quiet — then lowers the core's wake bound so the skipped SM is ticked again
+// in time. Once the SM ticks of cycle g.now have run, the core either ticked
+// this cycle or was parked through it, so the boundary is g.now+1, and the
+// bound g.now makes it due at the next step. Waking an active core is a
+// harmless no-op. (A memory wake mutates no core, so it lowers the bound
+// alone: mem.Waker.)
 func (g *GPU) wakeCore(coreID int, at uint64) {
-	sync, wake := at, at
+	sync := at
 	if g.postTick {
-		// The SM ticks of cycle g.now already ran: the core either ticked this
-		// cycle or slept through it (its wake bound is beyond g.now), so
-		// cycle g.now is provably accounted for — settle through it while
-		// that proof still holds, and wake no earlier than the next cycle.
 		sync = g.now + 1
-		if wake <= g.now {
-			wake = g.now + 1
-		}
 	}
 	g.cores[coreID].SyncTo(sync)
-	if g.activity != nil {
-		g.activity.wake(coreID, wake)
-	}
+	g.cal.WakeCore(coreID, at)
 }
 
 // SetObserver registers an experiment probe called on every CTA retirement
@@ -291,7 +287,6 @@ func (g *GPU) SetEpochHook(every uint64, fn func(now uint64)) {
 // once Run returns).
 func (g *GPU) EngineStats() EngineStats {
 	e := g.engine
-	e.PartitionTicks = g.memsys.PartitionTicks()
 	for _, c := range g.cores {
 		walks, served, evals := c.IssueCounts(g.now)
 		e.IssueWalks += walks
@@ -334,9 +329,9 @@ func (g *GPU) Kernels() []*core.KernelState { return g.kernels[:g.arrived] }
 
 // admitArrivals moves newly arrived kernels into the dispatchers' view of
 // the launch table and reports whether any arrived. An admission changes
-// dispatch state, so RunContext polls the dispatcher on that cycle and ends
-// it not quiet (advance additionally clamps its target to the next pending
-// arrival, so no admission cycle is ever skipped).
+// dispatch state, so RunContext polls the dispatcher on that cycle and the
+// next (the next pending arrival is one of its bounds, so no admission cycle
+// is ever skipped).
 func (g *GPU) admitArrivals() bool {
 	from := g.arrived
 	for g.arrived < len(g.kernels) && g.kernels[g.arrived].Spec.Arrival <= g.now {
@@ -389,7 +384,7 @@ func (g *GPU) commitRetirements() {
 	for i := 0; i < len(g.retired); i++ {
 		c, cta := g.retired[i].core, g.retired[i].cta
 		g.retired[i].cta = nil
-		g.dispQuiet = false
+		g.dispAt = 0
 		ks := g.kernels[cta.KernelIdx]
 		ks.Completed++
 		if ks.Done() {
@@ -418,9 +413,8 @@ func (g *GPU) commitPreemptions() {
 	for i := 0; i < len(g.evicted); i++ { // index loop: see commitRetirements
 		c, cta := g.evicted[i].core, g.evicted[i].cta
 		g.evicted[i].cta = nil
-		// An eviction changes dispatch state (capacity freed, requeue grown),
-		// so the cycle is never idle for advance purposes.
-		g.dispQuiet = false
+		// An eviction changes dispatch state (capacity freed, requeue grown).
+		g.dispAt = 0
 		ks := g.kernels[cta.KernelIdx]
 		ks.Requeue(cta.ID)
 		if g.preemptObs != nil {
@@ -460,78 +454,122 @@ func canceled(ctx context.Context) bool {
 // alongside the partial result.
 //
 // The loop is serial (sim.Service runs simulations concurrently instead) and
-// commits exactly what RunReference commits — the dispatcher, every SM in
-// index order, both commits and the memory system, every cycle — while
-// skipping the work it proves empty (DESIGN.md, "Idle skipping"):
-//   - An SM whose NextEvent bound (and its response FIFO's) lies beyond the
-//     next cycle parks in the activity set and is not visited until then or
-//     until wakeCore lowers its bound. A parked SM exports nothing, so the
-//     SMs that run keep their index order, and its counters are charged from
-//     its stall certificates on read (CoreCounters).
-//   - The dispatcher is not ticked while dispQuiet holds and its
-//     NextDispatchEvent lies ahead (a full machine re-polls every SM's
-//     CanAccept each cycle otherwise).
-//   - When a cycle leaves every SM parked and the dispatcher quiet, advance
-//     covers the stretch up to the first cycle anything but the memory system
-//     can act, ticking only the memory system.
+// commits exactly what RunReference commits, skipping the work it proves
+// empty (DESIGN.md, "Idle skipping"). Each step jumps to the earliest of the
+// calendar's bounds and the loop's own — the dispatcher's, the next arrival,
+// the epoch hook, the context poll and MaxCycles — and runs that cycle in
+// RunReference's order, visiting only what is due:
+//   - the dispatcher, when an arrival lands or dispAt has come;
+//   - the due SMs, in index order. An SM's next bound is the earlier of its
+//     own NextEvent and its response FIFO's next ready cycle; a parked SM
+//     exports nothing, and its counters are charged from its stall
+//     certificates on read (CoreCounters);
+//   - commitRetirements, then commitPreemptions;
+//   - the due L2 partitions, in index order.
 //
 // Every bound is conservative, so results are bit-identical to RunReference;
 // the golden determinism tests diff the two.
 func (g *GPU) RunContext(ctx context.Context) (Result, error) {
-	as := newActivitySet(len(g.cores))
-	g.activity = as
-	// visit ticks one SM for the current cycle and returns its next wake
-	// bound: <= now+1 keeps it active, anything later parks it.
-	visit := func(i int) uint64 {
+	tickCore := func(i int) uint64 {
 		c := g.cores[i]
 		before := c.InstrIssued()
-		now := g.now
-		c.Tick(now)
+		c.Tick(g.now)
 		g.engine.SMTicks++
 		if c.InstrIssued() != before {
 			// An SM that issued holds no stall certificate, so its bound would
-			// be now+1 anyway: skipping the probe saves it on every issuing
-			// cycle (1 % of sim-issue host time).
-			return 0
+			// be the next cycle anyway: skipping the probe saves it on every
+			// issuing cycle (1 % of sim-issue host time).
+			return g.now + 1
 		}
 		// The SM's own bound — the schedulers' stall certificates and the LDST
 		// unit, a few words to read — covers pipeline and L1/LDST state; the
 		// response pipe bound covers replies already in flight toward it
-		// (later deliveries wake it through the response hook).
-		return min(c.NextEvent(now+1), g.memsys.ResponseNextReady(i))
+		// (later deliveries wake it through the calendar).
+		return min(c.NextEvent(g.now+1), g.memsys.ResponseNextReady(i))
+	}
+	tickPartition := func(i int) uint64 {
+		g.engine.PartitionTicks++
+		return g.memsys.TickPartition(i, g.now)
 	}
 	live := ctx.Done() != nil
-	for g.doneCount < len(g.kernels) && g.now < g.cfg.MaxCycles {
-		if live && g.now%ctxCheckInterval == 0 && canceled(ctx) {
+	for g.doneCount < len(g.kernels) {
+		cy := g.nextStep(live)
+		g.engine.CyclesFastForwarded += cy - g.now
+		g.now = cy
+		if cy >= g.cfg.MaxCycles {
+			break
+		}
+		if live && cy%ctxCheckInterval == 0 && canceled(ctx) {
 			return g.collect(), ctx.Err()
 		}
-		if g.epochFn != nil && g.now%g.epochEvery == 0 {
-			g.epochFn(g.now)
+		if g.epochFn != nil && cy%g.epochEvery == 0 {
+			g.epochFn(cy)
 		}
-		arrived := g.admitArrivals()
-		if arrived || !g.dispQuiet || g.dispatcher.NextDispatchEvent(g.now) <= g.now {
+		polled := false
+		if arrived := g.admitArrivals(); arrived || g.dispAt <= cy {
 			placed := g.dispatchedCTAs()
 			g.dispatcher.Tick(g)
-			g.dispQuiet = !arrived && g.dispatchedCTAs() == placed
 			g.engine.DispatcherTicks++
-		} else {
-			g.engine.DispatcherSkips++
+			polled = true
+			// Only the dispatcher's Tick and the commit callbacks place CTAs,
+			// and a commit resets dispAt, so an unchanged count here is
+			// "nothing placed".
+			if arrived || g.dispatchedCTAs() != placed {
+				g.dispAt = cy + 1
+			} else {
+				g.dispAt = g.dispatcher.NextDispatchEvent(cy + 1)
+			}
 		}
-		as.tick(g.now, visit)
+		smTicked := visitDue(g.cal.core, &g.cal.coreMin, cy, tickCore)
 		g.postTick = true
 		g.commitRetirements()
 		g.commitPreemptions()
-		g.memsys.Tick(g.now)
-		g.now++
-		g.engine.CyclesTicked++
+		partTicked := visitDue(g.cal.part, &g.cal.partMin, cy, tickPartition)
 		g.postTick = false
-		// Only the dispatcher's Tick and the commit callbacks place CTAs, and a
-		// commit clears dispQuiet, so dispQuiet here is "nothing placed".
-		if g.dispQuiet && as.sleeping() == len(g.cores) {
-			g.advance(live)
+		g.now = cy + 1
+		switch {
+		case polled || smTicked:
+			g.engine.CyclesTicked++
+			if !polled {
+				g.engine.DispatcherSkips++
+			}
+		case partTicked:
+			g.engine.CyclesBatched++
+		default:
+			g.engine.CyclesFastForwarded++
 		}
 	}
 	return g.collect(), nil
+}
+
+// nextStep returns the cycle of RunContext's next step: the earliest of the
+// calendar's bounds, dispAt, the next kernel arrival and MaxCycles, but never
+// before g.now and never past an epoch-hook cycle or, when cancellation is
+// armed (poll), a context-poll cycle — those run at the top of a step, so
+// they must be stepped on. No SM tick, commit, dispatcher poll or partition
+// tick can do anything on a cycle before it.
+//
+// A bound at or before the previous step's cycle — a wake raised after the
+// SMs ticked, such as a placement from a commit callback, or a delivery at
+// an XbarLatency of 0 — is served at g.now, the cycle after that step, the
+// one a delivery at an XbarLatency of 1 names: an SM never ticks twice in
+// one cycle, and never misses the next one.
+func (g *GPU) nextStep(poll bool) uint64 {
+	from := g.now
+	next := min(g.cal.coreMin, g.cal.partMin, g.dispAt, g.cfg.MaxCycles)
+	if next <= from {
+		return from
+	}
+	if g.arrived < len(g.kernels) {
+		next = min(next, g.kernels[g.arrived].Spec.Arrival) // admitted up to from-1
+	}
+	if g.epochFn != nil {
+		next = clampToBoundary(next, from, g.epochEvery)
+	}
+	if poll {
+		next = clampToBoundary(next, from, ctxCheckInterval)
+	}
+	return next
 }
 
 // dispatchedCTAs sums placement counts over the launch table; a delta
@@ -544,63 +582,6 @@ func (g *GPU) dispatchedCTAs() int {
 		n += ks.Placed
 	}
 	return n
-}
-
-// advance covers an all-parked stretch starting at g.now: the cycle before
-// it left every SM parked beyond it, placed nothing, and retired, evicted and
-// admitted nothing. Until a target — the first of the dispatcher's next
-// event, the next kernel arrival, the earliest SM wake and MaxCycles — no SM
-// tick, commit or dispatcher poll can do anything, so only the memory system
-// has to run. The target is clamped so that no epoch-hook cycle (and, when
-// cancellation is armed, no context-poll cycle) falls in [g.now, target):
-// those run at the top of the loop. The target itself is executed, never
-// skipped — except the MaxCycles cap, which is never executed, matching
-// RunReference's exit arithmetic.
-//
-// Where the memory system is quiet too, advance jumps. Where it has work, it
-// ticks it alone in windows of at most XbarLatency cycles: a response
-// delivered at cycle c becomes poppable at c+XbarLatency, at or after the
-// window's end, so no SM could have popped it inside the window. A pop that
-// frees the request-queue slot a parked SM waits on ends the window at the
-// next cycle, in which that SM can send. The window's wake hooks fire at its
-// end, so the clock is parked on its last cycle with postTick set: wakeCore
-// then settles each woken core through the window and wakes it no earlier
-// than the window's end — what per-cycle execution would have produced. A
-// wake may lower the earliest SM wake, so the target is recomputed after
-// every window. Parked SMs stay lazy throughout: their stall certificates,
-// and the refused heads of their LDST units, charge the stretch on read.
-func (g *GPU) advance(clampCtx bool) {
-	window := max(g.cfg.Mem.XbarLatency, 1)
-	for {
-		from := g.now
-		target := min(g.dispatcher.NextDispatchEvent(from), g.activity.horizon(), g.cfg.MaxCycles)
-		if g.arrived < len(g.kernels) {
-			target = min(target, g.kernels[g.arrived].Spec.Arrival)
-		}
-		if g.epochFn != nil {
-			target = clampToBoundary(target, from, g.epochEvery)
-		}
-		if clampCtx {
-			target = clampToBoundary(target, from, ctxCheckInterval)
-		}
-		if target <= from {
-			return
-		}
-		ev := g.memsys.NextEvent(from)
-		if ev >= target {
-			g.engine.CyclesFastForwarded += target - from
-			g.now = target
-			return
-		}
-		end := g.memsys.TickWindow(ev, min(target, ev+window))
-		g.engine.CyclesFastForwarded += ev - from
-		g.engine.CyclesBatched += end - ev
-		g.now = end - 1
-		g.postTick = true
-		g.memsys.FireWakes()
-		g.now = end
-		g.postTick = false
-	}
 }
 
 // clampToBoundary caps horizon so that no multiple of every lies in

@@ -355,9 +355,9 @@ func runFFAndReference(t *testing.T, cfg Config, build func() core.Dispatcher, s
 
 func roundRobin() core.Dispatcher { return core.NewRoundRobin() }
 
-// TestRunContextLiveContext pins advance's context-poll clamp. A live context
-// arms the poll every ctxCheckInterval cycles, so the advance must stop at
-// each poll cycle: a run that is never canceled must equal Run (no poll at
+// TestRunContextLiveContext pins the calendar's context-poll bound. A live
+// context arms the poll every ctxCheckInterval cycles, so the loop must step
+// on each poll cycle: a run that is never canceled must equal Run (no poll at
 // all) and the reference. That alone cannot see a skipped poll — it changes
 // nothing when no cancel is pending — so a second run cancels at the first
 // CTA retirement, a short chase finishing while a long one still waits on
@@ -397,13 +397,13 @@ func TestRunContextLiveContext(t *testing.T) {
 	}
 }
 
-// TestAdvanceStopsInsideParkedWait pins advance's other clamps, each on a
-// pointer chase whose event lands while the resident warps wait on DRAM and
-// every SM is parked. The event's cycle must execute rather than be jumped
-// over: a second kernel's arrival (admission, then placement on an idle SM),
-// the MaxCycles cap (the run stops exactly there), and a dispatcher's
-// time-driven event (DynCTA's epoch controller, at an epoch that lands
-// between DRAM responses).
+// TestAdvanceStopsInsideParkedWait pins the calendar's other bounds, each on
+// a pointer chase whose event lands while the resident warps wait on DRAM
+// and every SM is parked. The event's cycle must be stepped on rather than
+// jumped over: a second kernel's arrival (admission, then placement on an
+// idle SM), the MaxCycles cap (the run stops exactly there), and a
+// dispatcher's time-driven event (DynCTA's epoch controller, at an epoch
+// that lands between DRAM responses).
 func TestAdvanceStopsInsideParkedWait(t *testing.T) {
 	const arrival = 1237
 	t.Run("arrival", func(t *testing.T) {
@@ -441,7 +441,7 @@ func TestAdvanceStopsInsideParkedWait(t *testing.T) {
 // contract. The name is kept from the parking-threshold sweep it replaces:
 // with one rule left (park on any stall bound beyond the next cycle), what
 // still moves which SMs park, and how often every SM is parked at once and
-// the advance step runs, is how many SMs there are. Each case on 1, 4 and 15
+// the calendar jumps, is how many SMs there are. Each case on 1, 4 and 15
 // SMs must commit the same Result as the reference loop, which never parks.
 // DynCTA is used deliberately: its epoch adjustment reads per-core stall
 // counters, so a missing sleeper sync would diverge here before anywhere
@@ -471,14 +471,14 @@ func TestGranuleInvariance(t *testing.T) {
 	}
 }
 
-// TestBatchWindowInvariance pins the advance step's memory-system windows,
-// which replaced quiet-window batching: the window that a knob used to cap
-// is now the crossbar latency from the config. Stencil under LCS
-// — the memory-bound workload whose long all-parked stretches the windows
-// were built for, so a hook fired at the wrong cycle diverges here first —
-// must commit the reference loop's Result at every latency: 1 (one-cycle
-// windows), 2, the default and 64. Each default-loop run must also have
-// ticked the memory system alone on some cycle, or the window went untested.
+// TestBatchWindowInvariance pins the memory wakes across crossbar latencies.
+// The name is kept from the memory-only windows the calendar replaced, whose
+// length was the crossbar latency. Stencil under LCS — the memory-bound
+// workload with long all-parked stretches, so a delivery that wakes its SM
+// at the wrong cycle diverges here first — must commit the reference loop's
+// Result at every latency: 1 (a delivery poppable on the next cycle), 2, the
+// default and 64. Each default-loop run must also have stepped on a cycle
+// that ticked L2 partitions alone, or those steps went untested.
 func TestBatchWindowInvariance(t *testing.T) {
 	w, _ := workloads.ByName("stencil")
 	for _, latency := range []uint64{1, 2, DefaultConfig().Mem.XbarLatency, 64} {
@@ -493,7 +493,7 @@ func TestBatchWindowInvariance(t *testing.T) {
 				return r
 			})
 		if batched == 0 {
-			t.Errorf("XbarLatency=%d: the advance step ticked no memory-system window", latency)
+			t.Errorf("XbarLatency=%d: no step ticked the L2 partitions alone", latency)
 		}
 	}
 }
@@ -546,9 +546,8 @@ func quiescenceCases() []quiescenceCase {
 // The same runs pin the EngineStats identities: every simulated cycle is
 // covered by exactly one mechanism, every ticked cycle polled or skipped the
 // dispatcher, every scheduler-cycle with resident warps got its verdict
-// from exactly one of a warp walk or a stall certificate, both loops
-// ticked the same number of L2 partitions, and the reference loop ticked
-// every SM on every cycle.
+// from exactly one of a warp walk or a stall certificate, and the reference
+// loop ticked every SM and every L2 partition on every cycle.
 func TestDispatcherQuiescence(t *testing.T) {
 	for _, tc := range quiescenceCases() {
 		tc := tc
@@ -602,10 +601,8 @@ func TestDispatcherQuiescence(t *testing.T) {
 			if es.DispatcherSkips == 0 {
 				t.Error("the dispatcher was never skipped")
 			}
-			// Partition skipping belongs to mem.System, so both loops tick the
-			// same partitions on the same cycles.
-			if es.PartitionTicks != refStats.PartitionTicks {
-				t.Errorf("RunContext ticked %d partitions, RunReference %d", es.PartitionTicks, refStats.PartitionTicks)
+			if want := ref.Cycles * uint64(testConfig().Mem.Partitions); refStats.PartitionTicks != want {
+				t.Errorf("reference loop must tick every partition every cycle: %d partition ticks, want %d", refStats.PartitionTicks, want)
 			}
 		})
 	}

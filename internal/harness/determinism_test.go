@@ -93,14 +93,14 @@ func (c *refChecker) RunAll(ctx context.Context, reqs []sim.Request) error {
 	return errors.Join(errs...)
 }
 
-// TestGoldenFastForwardDeterminism is the gate on SM parking and the advance
-// step: every simulation of every experiment must commit the same Outcome as
-// the reference loop (every SM and the dispatcher, every cycle, in index
-// order). The skip logic is only allowed to elide visits and cycles it can
-// prove change nothing — an SM parked while it still had something to send,
-// issue or retire shows up here as a diff in Cycles, InstrIssued, stall
-// attribution, per-kernel stats or a scheduler's limits, whether or not the
-// rendered table would show it.
+// TestGoldenFastForwardDeterminism is the gate on the calendar: every
+// simulation of every experiment must commit the same Outcome as the
+// reference loop (the dispatcher, every SM and every L2 partition, every
+// cycle, in index order). The skip logic is only allowed to elide visits and
+// cycles it can prove change nothing — an SM parked while it still had
+// something to send, issue or retire shows up here as a diff in Cycles,
+// InstrIssued, stall attribution, per-kernel stats or a scheduler's limits,
+// whether or not the rendered table would show it.
 func TestGoldenFastForwardDeterminism(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
@@ -132,8 +132,8 @@ func TestGoldenGranuleDeterminism(t *testing.T) {
 // TestGoldenOneSMDeterminism is the one-SM determinism gate: every
 // simulation of fig5, the memory-bound throttling sweep, on one SM must
 // commit the reference loop's Outcome. On a single SM every stall of that SM
-// is an all-parked stretch, so the advance step covers the most cycles there
-// and ticks the memory system alone in windows the most often.
+// is an all-parked stretch, so the calendar jumps the most cycles there and
+// ticks the L2 partitions alone the most often.
 func TestGoldenOneSMDeterminism(t *testing.T) {
 	e, ok := ByID("fig5")
 	if !ok {

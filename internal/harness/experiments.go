@@ -106,7 +106,7 @@ func (h *Harness) Fig3CTASweep() (*Table, error) {
 	var reqs []sim.Request
 	for _, name := range fig3Set {
 		for lim := 1; lim <= h.maxResident(name); lim++ {
-			reqs = append(reqs, h.single(name, sim.Static(lim), sm.PolicyGTO))
+			reqs = append(reqs, h.limited(name, lim))
 		}
 	}
 	r.warm(reqs)
@@ -116,7 +116,7 @@ func (h *Harness) Fig3CTASweep() (*Table, error) {
 	}
 	for _, name := range fig3Set {
 		maxRes := h.maxResident(name)
-		baseCycles := r.get(h.single(name, sim.Static(maxRes), sm.PolicyGTO)).Result.Cycles
+		baseCycles := r.get(h.limited(name, maxRes)).Result.Cycles
 		row := []string{name}
 		best, bestLim := 0.0, 0
 		for lim := 1; lim <= 8; lim++ {
@@ -124,7 +124,7 @@ func (h *Harness) Fig3CTASweep() (*Table, error) {
 				row = append(row, "-")
 				continue
 			}
-			res := r.get(h.single(name, sim.Static(lim), sm.PolicyGTO)).Result
+			res := r.get(h.limited(name, lim)).Result
 			if r.err != nil {
 				return nil, r.err
 			}
@@ -241,7 +241,7 @@ func (h *Harness) Fig5LCS() (*Table, error) {
 			h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO),
 		)
 		for lim := 1; lim <= h.maxResident(n); lim++ {
-			reqs = append(reqs, h.single(n, sim.Static(lim), sm.PolicyGTO))
+			reqs = append(reqs, h.limited(n, lim))
 		}
 	}
 	r.warm(reqs)
@@ -294,7 +294,7 @@ func (h *Harness) oracle(r *resolver, name string) (float64, int) {
 	base := r.get(h.single(name, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
 	best, bestLim := 0.0, 0
 	for lim := 1; lim <= h.maxResident(name); lim++ {
-		res := r.get(h.single(name, sim.Static(lim), sm.PolicyGTO)).Result
+		res := r.get(h.limited(name, lim)).Result
 		if r.err != nil {
 			return 0, 0
 		}
@@ -350,7 +350,7 @@ func (h *Harness) Fig7LCSChoice() (*Table, error) {
 			h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO),
 		)
 		for lim := 1; lim <= h.maxResident(n); lim++ {
-			reqs = append(reqs, h.single(n, sim.Static(lim), sm.PolicyGTO))
+			reqs = append(reqs, h.limited(n, lim))
 		}
 	}
 	r.warm(reqs)

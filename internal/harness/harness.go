@@ -130,6 +130,19 @@ func (h *Harness) single(name string, sched sim.SchedSpec, policy sm.Policy) sim
 	return h.multi([]string{name}, sched, policy)
 }
 
+// limited is the request for workload name under GTO with at most lim of
+// its CTAs per SM. At lim >= maxResident the cap cannot bind — CanAccept
+// refuses every placement past the occupancy maximum first — so Limited
+// places exactly as RoundRobin does, and neither reports limits: that point
+// is the baseline request, whose outcome the sweep then shares with every
+// experiment that runs the baseline.
+func (h *Harness) limited(name string, lim int) sim.Request {
+	if lim >= h.maxResident(name) {
+		return h.single(name, sim.Baseline(), sm.PolicyGTO)
+	}
+	return h.single(name, sim.Static(lim), sm.PolicyGTO)
+}
+
 // multi builds a multi-kernel request at the harness's scale/core count.
 func (h *Harness) multi(names []string, sched sim.SchedSpec, policy sm.Policy) sim.Request {
 	return sim.Request{

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -184,5 +185,34 @@ func TestRequestBuildersCarryOptions(t *testing.T) {
 	multi := h.multi([]string{"spmv", "sgemm"}, sim.Mixed(2), sm.PolicyGTO)
 	if len(multi.Workloads) != 2 || multi.Sched.Name() != "mixed" {
 		t.Fatalf("multi request = %+v", multi)
+	}
+}
+
+// TestStaticAtMaxIsBaseline is what lets limited hand the top point of every
+// static-limit sweep to the baseline request: for every suite kernel, a
+// static limit at the occupancy maximum must produce the baseline's Outcome
+// exactly — Result and (absent) limits alike.
+func TestStaticAtMaxIsBaseline(t *testing.T) {
+	h := New(Options{Scale: workloads.ScaleTest})
+	var reqs []sim.Request
+	for _, name := range workloads.Names() {
+		reqs = append(reqs,
+			h.single(name, sim.Static(h.maxResident(name)), sm.PolicyGTO),
+			h.single(name, sim.Baseline(), sm.PolicyGTO))
+	}
+	r := h.resolve()
+	r.warm(reqs)
+	for i := 0; i < len(reqs); i += 2 {
+		static, base := r.get(reqs[i]), r.get(reqs[i+1])
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if !reflect.DeepEqual(static, base) {
+			t.Errorf("%s: Static(%d) outcome\n%+v\ndiffers from the baseline's\n%+v",
+				reqs[i].Workloads[0], h.maxResident(reqs[i].Workloads[0]), static, base)
+		}
+	}
+	if got, want := h.limited("spmv", h.maxResident("spmv")).Key(), h.single("spmv", sim.Baseline(), sm.PolicyGTO).Key(); got != want {
+		t.Errorf("limited at the maximum = %s, want the baseline request %s", got, want)
 	}
 }

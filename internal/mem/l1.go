@@ -12,7 +12,7 @@ type Sender interface {
 	Send(req Request, now uint64)
 	// Await enrolls the caller as waiting for space in lineAddr's partition,
 	// which CanSend has just refused. The partition's next pop wakes the
-	// lowest-index core waiting on it (System.SetWakeHook) and ends its wait.
+	// lowest-index core waiting on it (Waker.WakeCore) and ends its wait.
 	Await(lineAddr uint64)
 }
 

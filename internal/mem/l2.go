@@ -126,9 +126,9 @@ func (p *L2Partition) pushResponse(r routedResponse) {
 }
 
 // Tick advances the partition one cycle and reports whether it popped a
-// request from in. in is the interconnect queue feeding it; deliver pushes a
-// ready response into the return network and reports acceptance.
-func (p *L2Partition) Tick(now uint64, in *pipe[Request], deliver func(core int, resp Response) bool) bool {
+// request from in. in is the interconnect queue feeding it; ready responses
+// go into sys's return network (System.deliver).
+func (p *L2Partition) Tick(now uint64, in *pipe[Request], sys *System) bool {
 	if p.refused != 0 {
 		// Charge the attempts skipped since the head was last refused; the
 		// head is tried again below.
@@ -138,7 +138,7 @@ func (p *L2Partition) Tick(now uint64, in *pipe[Request], deliver func(core int,
 
 	// 1. Drain ready responses into the return network.
 	for len(p.out) > 0 && p.out[0].ready <= now {
-		if !deliver(p.out[0].core, p.out[0].resp) {
+		if !sys.deliver(p.out[0].core, p.out[0].resp, now) {
 			break
 		}
 		copy(p.out, p.out[1:])

@@ -71,7 +71,7 @@ func TestRenewSystemDropsInFlight(t *testing.T) {
 	if renewed.sys != old.sys {
 		t.Error("RenewSystem built a new System instead of renewing its predecessor")
 	}
-	if !renewed.sys.drainedScan() || !renewed.sys.Drained() || renewed.sys.NextEvent(0) != NeverEvent {
+	if !renewed.sys.drainedScan() || !renewed.sys.Drained() || nextEvent(renewed.sys, 0) != NeverEvent {
 		t.Fatal("the renewed system still holds the cut run's traffic")
 	}
 	fresh := build()

@@ -374,15 +374,17 @@ func TestDrainedCounterMatchesScan(t *testing.T) {
 
 // TestSystemNextEventBounds checks the event bound's two edges: a quiescent
 // hierarchy reports NeverEvent, and in-flight work always reports a finite
-// wake-up no earlier than now.
+// wake-up no earlier than now. The bound is the partitions' own NextEvent
+// and the response FIFOs' next ready cycle (nextEvent), the parts a caller's
+// wake bounds are built from.
 func TestSystemNextEventBounds(t *testing.T) {
 	h := newHarness(t, nil)
-	if ev := h.sys.NextEvent(h.now); ev != NeverEvent {
+	if ev := nextEvent(h.sys, h.now); ev != NeverEvent {
 		t.Fatalf("quiescent NextEvent = %d, want NeverEvent", ev)
 	}
 	h.l1.Load(0, 7, h.now)
 	for !h.sys.Drained() {
-		ev := h.sys.NextEvent(h.now)
+		ev := nextEvent(h.sys, h.now)
 		if ev == NeverEvent {
 			t.Fatalf("cycle %d: in-flight work but NextEvent = NeverEvent", h.now)
 		}
@@ -396,7 +398,7 @@ func TestSystemNextEventBounds(t *testing.T) {
 			t.Fatal("load never completed")
 		}
 	}
-	if ev := h.sys.NextEvent(h.now); ev != NeverEvent {
+	if ev := nextEvent(h.sys, h.now); ev != NeverEvent {
 		t.Fatalf("drained NextEvent = %d, want NeverEvent", ev)
 	}
 }

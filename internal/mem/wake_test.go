@@ -7,17 +7,49 @@ import (
 	"testing"
 )
 
-// tickEveryPartition is the loop the wake bounds replaced: it ticks every
-// partition on every cycle of [from, to), due or not — a waiting head is
-// tried again every cycle — then fires the buffered wake hooks.
-func tickEveryPartition(s *System, from, to uint64) {
-	for cy := from; cy < to; cy++ {
-		s.now = cy
-		for i := range s.partitions {
-			s.tickPartition(i, cy)
+// wakeEvent is one wake a Waker heard of: core (or partition) can act at at.
+type wakeEvent struct {
+	id int
+	at uint64
+}
+
+// recorder is a Waker that logs the core wakes and keeps the partitions'
+// wake bounds the way the GPU's calendar does: lowered by WakePartition, and
+// replaced by TickPartition's answer after each tick (tickDue).
+type recorder struct {
+	cores []wakeEvent
+	part  []uint64
+	ticks uint64 // partition ticks tickDue made
+}
+
+func newRecorder(partitions int) *recorder {
+	r := &recorder{part: make([]uint64, partitions)}
+	for i := range r.part {
+		r.part[i] = NeverEvent
+	}
+	return r
+}
+
+func (r *recorder) WakeCore(core int, at uint64)   { r.cores = append(r.cores, wakeEvent{core, at}) }
+func (r *recorder) WakePartition(i int, at uint64) { r.part[i] = min(r.part[i], at) }
+
+// next returns the earliest partition bound.
+func (r *recorder) next() uint64 {
+	next := uint64(NeverEvent)
+	for _, at := range r.part {
+		next = min(next, at)
+	}
+	return next
+}
+
+// tickDue ticks, in index order, the partitions of s due at cycle now.
+func (r *recorder) tickDue(s *System, now uint64) {
+	for i, at := range r.part {
+		if at <= now {
+			r.part[i] = s.TickPartition(i, now)
+			r.ticks++
 		}
 	}
-	s.FireWakes()
 }
 
 // awaiting counts the cores enrolled as waiters, over all partitions.
@@ -52,34 +84,43 @@ func noteRefusals(sys *System, now uint64, reached map[string]bool) {
 	}
 }
 
-// everyPartitionNextEvent is System.NextEvent computed from every
-// partition's own bound instead of the wake bounds: the exact bound the wake
-// bounds may undercut but never exceed.
-func everyPartitionNextEvent(s *System, now uint64) uint64 {
+// partitionsNext is the earliest cycle at or after now at which some
+// partition's Tick does work, read from every partition's own bound:
+// NeverEvent when none has any.
+func partitionsNext(s *System, now uint64) uint64 {
 	next := uint64(NeverEvent)
 	for i, p := range s.partitions {
 		next = min(next, p.NextEvent(now, s.toPart[i]))
 	}
+	return next
+}
+
+// nextEvent is the hierarchy's exact next event at or after now: a partition
+// acting or a response reaching a core's pop point. NeverEvent means it is
+// quiescent until a core sends.
+func nextEvent(s *System, now uint64) uint64 {
+	next := partitionsNext(s, now)
 	for _, q := range s.toCore {
 		next = min(next, q.NextReady())
 	}
 	return max(next, now)
 }
 
-// runPartitionWake drives two Systems with the same seeded traffic: sys is
-// ticked through Tick and TickWindow, which run only due partitions and skip
-// a head that waits on DRAM, and its twin through tickEveryPartition. Fake
-// cores send loads, stores and atomics through Ports and pop responses at
-// random, in phases that flood, trickle or idle and that withhold pops long
-// enough to fill the response FIFOs. Like an LDST head, a core whose send a
-// full request queue refused Awaits the partition and sends that request
-// before any other. The queues and caches are small enough for every kind of
-// refused head — DRAM queue full, L2 MSHR full, merge slots full — and for
-// dirty write-backs. Every cycle the two must agree on what each core pops
-// and when, the wake hooks, the L2 counters (sys's skipped attempts charged
-// on read), the DRAM counters, Drained and NextEvent; and every wake bound
-// must be at most its partition's own NextEvent. The hard cases the run
-// reached are set in reached.
+// runPartitionWake drives two Systems with the same seeded traffic: sys
+// ticks only its due partitions (recorder.tickDue, the GPU calendar's rule),
+// which skips a head that waits on DRAM, and its twin ticks every partition
+// every cycle (System.Tick, the reference path). Fake cores send loads,
+// stores and atomics through Ports and pop responses at random, in phases
+// that flood, trickle or idle and that withhold pops long enough to fill the
+// response FIFOs. Like an LDST head, a core whose send a full request queue
+// refused Awaits the partition and sends that request before any other. The
+// queues and caches are small enough for every kind of refused head — DRAM
+// queue full, L2 MSHR full, merge slots full — and for dirty write-backs.
+// Every cycle the two must agree on what each core pops and when, the core
+// wakes, the L2 counters (sys's skipped attempts charged on read), the DRAM
+// counters, Drained and the exact next event; and every wake bound must be
+// at most its partition's own NextEvent. The hard cases the run reached are
+// set in reached.
 func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reached map[string]bool) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -94,9 +135,9 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 	cores := 1 + int(shape/9)%4
 
 	sys, twin := NewSystem(&cfg, cores), NewSystem(&cfg, cores)
-	var sysHooks, twinHooks []wakeHook
-	sys.SetWakeHook(func(core int, at uint64) { sysHooks = append(sysHooks, wakeHook{core, at}) })
-	twin.SetWakeHook(func(core int, at uint64) { twinHooks = append(twinHooks, wakeHook{core, at}) })
+	cal, twinCal := newRecorder(cfg.Partitions), newRecorder(cfg.Partitions)
+	sys.SetWaker(cal)
+	twin.SetWaker(twinCal)
 	sysPorts, twinPorts := make([]Sender, cores), make([]Sender, cores)
 	for c := range sysPorts {
 		sysPorts[c], twinPorts[c] = sys.Port(c), twin.Port(c)
@@ -112,17 +153,17 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 
 	checkWake := func(at uint64, when string) {
 		for i, p := range sys.partitions {
-			if bound := p.NextEvent(at, sys.toPart[i]); sys.wake[i] > bound {
-				t.Fatalf("seed %d shape %d cycle %d %s: wake[%d] = %d, later than the partition's NextEvent %d",
-					seed, shape, at, when, i, sys.wake[i], bound)
+			if bound := p.NextEvent(at, sys.toPart[i]); cal.part[i] > bound {
+				t.Fatalf("seed %d shape %d cycle %d %s: wake bound of partition %d = %d, later than its NextEvent %d",
+					seed, shape, at, when, i, cal.part[i], bound)
 			}
 		}
 	}
 	compare := func(at uint64) {
-		if !slices.Equal(sysHooks, twinHooks) {
-			t.Fatalf("seed %d shape %d cycle %d: wake hooks\n%v\nvs every-partition loop\n%v", seed, shape, at, sysHooks, twinHooks)
+		if !slices.Equal(cal.cores, twinCal.cores) {
+			t.Fatalf("seed %d shape %d cycle %d: core wakes\n%v\nvs every-partition loop\n%v", seed, shape, at, cal.cores, twinCal.cores)
 		}
-		sysHooks, twinHooks = sysHooks[:0], twinHooks[:0]
+		cal.cores, twinCal.cores = cal.cores[:0], twinCal.cores[:0]
 		if a, b := sys.L2Stats(at), twin.L2Stats(at); a != b {
 			t.Fatalf("seed %d shape %d cycle %d: L2 stats %+v, every-partition loop %+v", seed, shape, at, a, b)
 		}
@@ -133,14 +174,15 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 			t.Fatalf("seed %d shape %d cycle %d: Drained %t, every-partition loop %t", seed, shape, at, a, b)
 		}
 		// The twin's state, read partition by partition, must equal sys's;
-		// sys's own answer may be earlier (a send lowers a wake bound to the
+		// sys's wake bounds may be earlier (a send lowers one to the
 		// request's arrival) but never later, and never finite for nothing.
-		exact := everyPartitionNextEvent(twin, at)
-		if own := everyPartitionNextEvent(sys, at); own != exact {
+		exact := nextEvent(twin, at)
+		if own := nextEvent(sys, at); own != exact {
 			t.Fatalf("seed %d shape %d cycle %d: partition bounds %d, every-partition loop %d", seed, shape, at, own, exact)
 		}
-		if got := sys.NextEvent(at); got < at || got > exact || (got == NeverEvent) != (exact == NeverEvent) {
-			t.Fatalf("seed %d shape %d cycle %d: NextEvent %d, every-partition loop's bound %d", seed, shape, at, got, exact)
+		parts := partitionsNext(twin, at)
+		if got := cal.next(); max(got, at) > parts || (got == NeverEvent) != (parts == NeverEvent) {
+			t.Fatalf("seed %d shape %d cycle %d: earliest wake bound %d, every-partition loop's partitions %d", seed, shape, at, got, parts)
 		}
 		checkWake(at, "after tick")
 		for _, q := range sys.toCore {
@@ -169,19 +211,18 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 			popP = []float64{0, 0.1, 1}[rng.IntN(3)]
 		}
 		if sendP == 0 && rng.IntN(8) == 0 {
-			// A quiet stretch the GPU's advance step would cover: no core
-			// sends or pops, and the memory system runs as one window.
-			k := 1 + rng.Uint64N(2*cfg.XbarLatency+2)
-			if sys.NextEvent(now) < now+k {
-				reached["a window with work"] = true
+			// A quiet stretch the GPU's calendar would cover: no core sends
+			// or pops, and sys steps from one due cycle to the next.
+			end := now + 1 + rng.Uint64N(2*cfg.XbarLatency+2)
+			if cal.next() < end {
+				reached["a quiet stretch with work"] = true
 			}
-			end := sys.TickWindow(now, now+k)
-			sys.FireWakes()
-			if end < now+k {
-				reached["a window ended by an awaited pop"] = true
+			for cy := max(now, cal.next()); cy < end; cy = max(cy+1, cal.next()) {
+				cal.tickDue(sys, cy)
 			}
-			tickEveryPartition(twin, now, end)
-			now = end
+			for ; now < end; now++ {
+				twin.Tick(now)
+			}
 			compare(now)
 			continue
 		}
@@ -213,13 +254,13 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 		}
 		checkWake(now, "after sends")
 		for i, p := range sys.partitions {
-			if p.refused != 0 && sys.wake[i] > now {
+			if p.refused != 0 && cal.part[i] > now {
 				reached["a skipped attempt of a waiting head"] = true
 			}
 		}
 		waiting := awaiting(sys)
-		sys.Tick(now)
-		tickEveryPartition(twin, now, now+1)
+		cal.tickDue(sys, now)
+		twin.Tick(now)
 		if awaiting(sys) < waiting {
 			reached["a pop that woke an awaiting core"] = true
 		}
@@ -239,8 +280,8 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 		if now == deadline {
 			t.Fatalf("seed %d shape %d: not drained by cycle %d", seed, shape, now)
 		}
-		sys.Tick(now)
-		tickEveryPartition(twin, now, now+1)
+		cal.tickDue(sys, now)
+		twin.Tick(now)
 		for c := range cores {
 			pop(c)
 		}
@@ -254,15 +295,15 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 	if l2.WriteBacks > 0 {
 		reached["an L2 write-back"] = true
 	}
-	if sys.partTicks < now*uint64(cfg.Partitions) {
+	if cal.ticks < now*uint64(cfg.Partitions) {
 		reached["skipped partition-cycles"] = true
 	}
 }
 
-// TestPartitionWakeMatchesEveryCycle is the oracle for mem.System's
-// partition skipping, waiting heads included: the GPU's reference loop
-// shares mem.System, so only a System whose every partition ticks every
-// cycle can witness it. It runs every shape (1–3 partitions, crossbar latency
+// TestPartitionWakeMatchesEveryCycle is the oracle for the partitions' wake
+// bounds, waiting heads included, with fake cores: a System ticked only where
+// the bounds say must match one whose every partition ticks every cycle, the
+// path the GPU's reference loop takes. It runs every shape (1–3 partitions, crossbar latency
 // 1, 3 or 12, 1–4 cores) at two seeds, and together the runs must reach every
 // hard case.
 func TestPartitionWakeMatchesEveryCycle(t *testing.T) {
@@ -273,11 +314,10 @@ func TestPartitionWakeMatchesEveryCycle(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"skipped partition-cycles", "a full response FIFO", "an L2 MSHR stall",
-		"a full DRAM queue", "an L2 write-back", "a window with work",
+		"a full DRAM queue", "an L2 write-back", "a quiet stretch with work",
 		"a load refused by a full DRAM queue", "a full L2 MSHR", "a full merge slot",
 		"a store refused by a full DRAM queue", "a head behind an atomic's tag lookup",
-		"a skipped attempt of a waiting head", "a pop that woke an awaiting core",
-		"a window ended by an awaited pop"} {
+		"a skipped attempt of a waiting head", "a pop that woke an awaiting core"} {
 		if !reached[name] {
 			t.Errorf("no run reached %s", name)
 		}

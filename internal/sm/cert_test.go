@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"gpusched/internal/isa"
@@ -10,9 +11,10 @@ import (
 
 // checkCerts is the independent check of the stall certificates: for every
 // scheduler whose certificate claims to hold at r.now, drop it, run the plain
-// walk, and require the verdict the certificate would have served. The walk
-// caches (fetch, the stall cache, the operands-ready sets) what the next real
-// pick would compute anyway; the certificate and the walk counters are
+// pick, and require the verdict the certificate would have served: nothing
+// issued, the same reason, and under two-level the fetch groups unswapped. The
+// pick caches (fetch, the stall cache, the operands-ready sets) what the next
+// real pick would compute anyway; the certificate and the walk counters are
 // restored, so a checked run is the run.
 func checkCerts(r *rig) {
 	r.t.Helper()
@@ -22,11 +24,15 @@ func checkCerts(r *rig) {
 			continue
 		}
 		saved, walks, evals := sched.cert, r.sm.issueWalks, sched.evals
+		active := slices.Clone(sched.active)
 		sched.cert.until = 0
 		w, reason := r.sm.pickOrReason(sched, r.now)
 		if w != nil || reason != saved.reason {
 			r.t.Fatalf("cycle %d scheduler %d: certificate %+v, but the walk returns (issuable=%v, reason %d)",
 				r.now, i, saved, w != nil, reason)
+		}
+		if !slices.Equal(active, sched.active) {
+			r.t.Fatalf("cycle %d scheduler %d: certificate %+v, but the pick swapped the fetch groups", r.now, i, saved)
 		}
 		sched.cert, r.sm.issueWalks, sched.evals = saved, walks, evals
 	}
@@ -109,6 +115,23 @@ func certScenarios() []certScenario {
 			r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 			r.sm.AddCTA(spec, 0, 1, 0, 0, 0, r.now)
 			r.runUntilDone(2, 200000)
+		}},
+		{"ldst-holds-active-set", func(c *Config) {
+			c.NumSchedulers, c.LDSTQueueCap, c.ActiveSetSize = 1, 1, 2
+		}, func(r *rig) {
+			// Eight warps store without ever waiting on a load: under
+			// two-level the active pair stalls on the LDST unit while six
+			// warps are pending, and with no warp to swap out the failed
+			// pick certifies.
+			spec := specWith(8, progOf(func(b *isa.Builder, ctaID, w int) {
+				for i := 0; i < 3; i++ {
+					wi := isa.WarpInstr{Op: isa.OpStoreGlobal, Src: [3]isa.Reg{1}, Mask: isa.FullMask}
+					isa.FillLinear(&wi, uint32(w<<20+i<<16), 256)
+					b.Append(wi)
+				}
+			}))
+			r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
+			r.runUntilDone(1, 100000)
 		}},
 		{"pending-table", func(c *Config) { c.MaxPendingLoads = 1 }, func(r *rig) {
 			spec := specWith(4, progOf(func(b *isa.Builder, ctaID, w int) {
@@ -213,23 +236,30 @@ func certRun(t *testing.T, sc certScenario, policy Policy, hook func(*rig)) stri
 	return fmt.Sprintf("%d cycles, core %+v, L1 %+v, load latency sum %d", r.now, r.sm.counters, r.sm.L1Stats(r.now), r.sm.memLatencySum)
 }
 
-// TestStallCertificateLockstep runs every scenario twice per greedy policy:
-// once with checkCerts auditing each certificate against the plain walk at
+// TestStallCertificateLockstep runs every scenario twice per warp policy:
+// once with checkCerts auditing each certificate against the plain pick at
 // every cycle it claims, and once with no certificate ever surviving a cycle
 // (every pick walks) — the two must agree on the cycle count and on every
 // counter.
 func TestStallCertificateLockstep(t *testing.T) {
 	for _, sc := range certScenarios() {
-		for _, policy := range []Policy{PolicyGTO, PolicyBAWS} {
+		for _, policy := range []Policy{PolicyGTO, PolicyBAWS, PolicyLRR, PolicyTwoLevel} {
 			sc, policy := sc, policy
 			t.Run(sc.name+"/"+policy.String(), func(t *testing.T) {
-				served := uint64(0)
+				served, heldPending := uint64(0), false
 				got := certRun(t, sc, policy, func(r *rig) {
 					checkCerts(r)
 					_, served, _ = r.sm.IssueCounts(r.now)
+					for i := range r.sm.schedulers {
+						sched := &r.sm.schedulers[i]
+						heldPending = heldPending || len(sched.pending) > 0 && r.sm.certified(sched, r.now)
+					}
 				})
 				if served == 0 {
 					t.Error("no scheduler-cycle was served by a certificate")
+				}
+				if sc.name == "ldst-holds-active-set" && policy == PolicyTwoLevel && !heldPending {
+					t.Error("no certificate stood while two-level warps were pending")
 				}
 				if ref := certRun(t, sc, policy, dropCerts); got != ref {
 					t.Errorf("certificates changed the run:\n%s\nvs walking every cycle:\n%s", got, ref)

@@ -337,7 +337,7 @@ func (u *ldstUnit) busy() bool {
 // head sends its next transaction at once, unless the L1 refused it: then
 // it waits on a response (the MSHR refused it) or on a pop at its partition
 // (the request queue was full), and both wake the SM through the memory
-// system's wake hook, so it adds no bound; each cycle it waits repeats the
+// system's Waker, so it adds no bound; each cycle it waits repeats the
 // refused attempt's counters, which Counters and L1Stats charge on read. A
 // shared op mid-flight sleeps until finishAt. Transactions parked in the
 // pending table wake only on memory responses, which the system's own

@@ -574,24 +574,24 @@ func (s *scheduler) pickTwoLevel(now uint64) (*Warp, skipReason) {
 	// Nothing issuable: swap out one active warp blocked on a long-wait
 	// condition — a pending memory result, or a barrier (its release may
 	// depend on warps waiting in the pending set, so keeping it active
-	// would deadlock the CTA).
-	if len(s.pending) > 0 {
-		for i, w := range s.active {
-			if (s.loadWait|s.barrier)&bit(w.slot) == 0 {
-				continue
-			}
-			promoted := s.pending[0]
-			copy(s.pending, s.pending[1:])
-			s.pending[len(s.pending)-1] = w
-			s.active[i] = promoted
-			if ok, _ := s.canIssue(promoted, now); ok {
-				s.last = promoted
-				return promoted, skipNone
-			}
-			break // one swap per cycle
+	// would deadlock the CTA). One swap per cycle.
+	for i, w := range s.active {
+		if len(s.pending) == 0 || (s.loadWait|s.barrier)&bit(w.slot) == 0 {
+			continue
+		}
+		promoted := s.pending[0]
+		copy(s.pending, s.pending[1:])
+		s.pending[len(s.pending)-1] = w
+		s.active[i] = promoted
+		if ok, _ := s.canIssue(promoted, now); ok {
+			s.last = promoted
+			return promoted, skipNone
 		}
 		return nil, firstReason // the fetch groups changed: nothing to certify
 	}
-	// Nothing pending: every warp is active and was just evaluated.
+	// No swap: the fetch groups are unchanged and every active warp was just
+	// evaluated. No active warp waits on a load or a barrier, and only an
+	// issue, or a load return or barrier release that clears the
+	// certificate, can make one wait, so no swap can happen while it stands.
 	return s.certify(c, firstReason)
 }

@@ -160,7 +160,7 @@ func (s *SM) ID() int { return s.id }
 // any core (the GPU commits both once every SM has ticked).
 func (s *SM) SetDrainHandler(fn func(coreID int, cta *CTA)) { s.onCTADrained = fn }
 
-// SetWakeHandler registers the activity-set notifier and arms lazy counter
+// SetWakeHandler registers the GPU's wake notifier and arms lazy counter
 // accrual (see the syncedTo field). Must be set before the first Tick and
 // only by a driver that ticks the core contiguously or syncs it first — the
 // GPU cycle loop. Unit tests that tick a bare SM leave it unset and keep the
@@ -754,8 +754,9 @@ func (s *SM) NextEvent(now uint64) uint64 {
 			continue
 		}
 		// A slot that failed its last pick holds a certificate, whose bound is
-		// the answer; one that issued, or whose certificate lapsed (two-level
-		// demoting fetch groups never writes one), might act right now.
+		// the answer; one that issued, whose certificate lapsed, or whose
+		// failed two-level pick swapped its fetch groups (which writes none)
+		// might act right now.
 		if !s.certified(sched, now) {
 			return now
 		}

@@ -83,11 +83,11 @@ func TestTimelineShowsThrottleDrop(t *testing.T) {
 	}
 }
 
-// TestTracedRunMatchesReference pins the advance step's epoch clamp: the
-// sampling hook runs at the top of the loop, so every epoch cycle must be
-// executed rather than jumped over. An epoch of 100 is deliberately not a
-// multiple of the crossbar latency, so memory-only windows end between epoch
-// cycles too. Stencil and a DRAM-bound pointer chase, traced on RunContext
+// TestTracedRunMatchesReference pins the calendar's epoch bound: the
+// sampling hook runs at the top of a step, so every epoch cycle must be
+// stepped on rather than jumped over. An epoch of 100 is deliberately not a
+// multiple of the crossbar latency, so epoch cycles fall between the memory
+// events the calendar steps to. Stencil and a DRAM-bound pointer chase, traced on RunContext
 // and on RunReference, must give equal timelines and results.
 func TestTracedRunMatchesReference(t *testing.T) {
 	for _, tc := range []struct {

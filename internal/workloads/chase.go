@@ -10,8 +10,8 @@ import (
 // loaded value, so the warp parks on the scoreboard for the full memory
 // round trip between issues. Every warp touches distinct lines (no reuse,
 // all misses). With many CTAs it keeps L1, crossbar, L2 and DRAM busy every
-// cycle; with one warp nearly every cycle is one the GPU loop's all-parked
-// advance step skips. It is not part of the paper's workload registry — it
+// cycle; with one warp nearly every cycle is one the GPU loop's calendar
+// jumps over. It is not part of the paper's workload registry — it
 // exists to benchmark the simulator itself, not a scheduling policy.
 func ChaseSpec(ctas, warpsPerCTA, iters int) *kernel.Spec {
 	return &kernel.Spec{
