@@ -15,6 +15,7 @@ test:
 # contracts; see DESIGN.md "Determinism contract"), and staticcheck when it
 # is installed locally (CI pins and runs it unconditionally).
 lint:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	go vet ./...
 	go run ./cmd/gpulint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -10,48 +10,38 @@ import "gpusched/internal/sm"
 // stays near the occupancy maximum even though fewer CTAs would thrash less.
 //
 // AdaptiveLCS keeps measuring the only counter LCS uses — instructions
-// issued. After the initial ratio decision, each subsequent CTA completion
-// on a core closes a measurement window; while the core's issue rate
-// (instructions per cycle over the window) does not regress by more than
-// Tolerance, the limit steps down one CTA at a time, still lazily (resident
-// CTAs are never killed). The first regressing step is undone and the limit
-// locks. Cores decide independently, exactly like LCS.
+// issued. After the initial ratio decision (lcsLimit), each subsequent CTA
+// completion on a core closes a measurement window of at least
+// adaptiveWindowCycles; while the core's issue rate (instructions per cycle
+// over the window) does not regress by more than adaptiveTolerance, the
+// limit steps down one CTA at a time, still lazily (resident CTAs are never
+// killed). The first regressing step is undone and the limit locks. Cores
+// decide independently, exactly like LCS, and like LCS it throttles kernel 0.
 type AdaptiveLCS struct {
-	rr RoundRobin
-
-	limit   []int
-	decided []bool
-	locked  []bool
-
-	lastCycle   []uint64
-	lastInstr   []uint64
-	completions []int
-	bestRate    []float64
-	bestLimit   []int
-	maxAllowed  []int
-
-	// Tolerance is the relative issue-rate regression that stops the
-	// descent (default 0.03).
-	Tolerance float64
-	// MinLimit floors the descent (default 1).
-	MinLimit int
-	// KernelIdx selects the throttled kernel (default 0).
-	KernelIdx int
-	// MinWindowCycles and MinWindowCompletions gate how much evidence a
-	// measurement window needs before the descent takes another step.
-	MinWindowCycles      uint64
-	MinWindowCompletions int
+	rr    RoundRobin
+	limit []int // 0 = still sampling
+	probe []adaptiveProbe
 }
 
-// NewAdaptiveLCS returns the adaptive variant with default tuning.
-func NewAdaptiveLCS() *AdaptiveLCS {
-	return &AdaptiveLCS{
-		Tolerance:            0.03,
-		MinLimit:             1,
-		MinWindowCycles:      1500,
-		MinWindowCompletions: 1,
-	}
+// adaptiveProbe is one core's descent state after its initial decision.
+type adaptiveProbe struct {
+	locked    bool
+	lastCycle uint64 // the open window's start
+	lastInstr uint64 // the core's issue count at lastCycle
+	bestRate  float64
+	bestLimit int
 }
+
+const (
+	// adaptiveTolerance is the relative issue-rate regression that stops
+	// the descent.
+	adaptiveTolerance = 0.03
+	// adaptiveWindowCycles is the shortest measurement window.
+	adaptiveWindowCycles = 1500
+)
+
+// NewAdaptiveLCS returns the adaptive variant.
+func NewAdaptiveLCS() *AdaptiveLCS { return &AdaptiveLCS{} }
 
 // Name implements Dispatcher.
 func (a *AdaptiveLCS) Name() string { return "lcs-adaptive" }
@@ -60,43 +50,16 @@ func (a *AdaptiveLCS) Name() string { return "lcs-adaptive" }
 func (a *AdaptiveLCS) Limits() []int { return a.limit }
 
 func (a *AdaptiveLCS) ensure(n int) {
-	if len(a.limit) >= n {
-		return
+	if len(a.limit) < n {
+		a.limit = make([]int, n)
+		a.probe = make([]adaptiveProbe, n)
 	}
-	a.limit = make([]int, n)
-	a.decided = make([]bool, n)
-	a.locked = make([]bool, n)
-	a.lastCycle = make([]uint64, n)
-	a.lastInstr = make([]uint64, n)
-	a.completions = make([]int, n)
-	a.bestRate = make([]float64, n)
-	a.bestLimit = make([]int, n)
-	a.maxAllowed = make([]int, n)
 }
 
-// Tick implements Dispatcher (identical placement rule to LCS).
+// Tick implements Dispatcher (the same placement rule as LCS).
 func (a *AdaptiveLCS) Tick(m Machine) {
 	a.ensure(m.NumCores())
-	for _, ks := range m.Kernels() {
-		if ks.Exhausted() {
-			continue
-		}
-		n := m.NumCores()
-		for i := 0; i < n; i++ {
-			c := m.Core((a.rr.next + i) % n)
-			if !c.CanAccept(ks.Spec) {
-				continue
-			}
-			if ks.Idx == a.KernelIdx && a.decided[c.ID()] &&
-				c.ResidentOf(ks.Idx) >= a.limit[c.ID()] {
-				continue
-			}
-			place(m, ks, c, m.Now(), 0)
-			a.rr.next = (c.ID() + 1) % n
-			return
-		}
-		return
-	}
+	a.rr.fill(m, a.limit)
 }
 
 // NextDispatchEvent implements Dispatcher: like LCS, every internal
@@ -106,80 +69,48 @@ func (a *AdaptiveLCS) NextDispatchEvent(uint64) uint64 { return NeverEvent }
 // OnCTAComplete implements Dispatcher.
 func (a *AdaptiveLCS) OnCTAComplete(m Machine, coreID int, cta *sm.CTA) {
 	a.ensure(m.NumCores())
-	if cta.KernelIdx != a.KernelIdx {
+	if cta.KernelIdx != 0 {
 		return
 	}
-	c := m.Core(coreID)
-	now := m.Now()
-	if !a.decided[coreID] {
+	c, now := m.Core(coreID), m.Now()
+	limit, p := &a.limit[coreID], &a.probe[coreID]
+	switch {
+	case *limit == 0:
 		// Initial decision: the LCS ratio.
-		l := LCS{MinLimit: a.minLimit(), KernelIdx: a.KernelIdx}
-		l.ensure(m.NumCores())
-		a.limit[coreID] = l.computeLimit(m, coreID, cta)
-		a.maxAllowed[coreID] = c.ResidentOf(a.KernelIdx) + 1
-		a.decided[coreID] = true
-		a.lastCycle[coreID] = now
-		a.lastInstr[coreID] = c.InstrIssued()
-		a.bestRate[coreID] = 0
-		a.bestLimit[coreID] = a.limit[coreID]
+		*limit = lcsLimit(c, cta)
+		*p = adaptiveProbe{lastCycle: now, lastInstr: c.InstrIssued(), bestLimit: *limit}
 		return
-	}
-	if a.locked[coreID] {
+	case p.locked:
 		return
-	}
-	if m.Kernels()[a.KernelIdx].Exhausted() {
+	case m.Kernels()[0].Exhausted():
 		// Grid tail: resident counts drop naturally; rates stop meaning
 		// anything. Freeze at the best limit seen.
-		a.limit[coreID] = a.bestLimit[coreID]
-		a.locked[coreID] = true
+		*limit, p.locked = p.bestLimit, true
 		return
-	}
-	if c.ResidentOf(a.KernelIdx) > a.limit[coreID] {
+	case c.ResidentOf(0) > *limit:
 		// Still draining toward the new limit: rates measured now mix two
 		// occupancy levels. Restart the window at steady state.
-		a.lastCycle[coreID] = now
-		a.lastInstr[coreID] = c.InstrIssued()
-		a.completions[coreID] = 0
+		p.lastCycle, p.lastInstr = now, c.InstrIssued()
 		return
 	}
-	a.completions[coreID]++
-	dc := now - a.lastCycle[coreID]
-	if a.completions[coreID] < a.minCompletions() || dc < a.MinWindowCycles {
+	dc := now - p.lastCycle
+	if dc < adaptiveWindowCycles {
 		return // not enough evidence yet
 	}
-	rate := float64(c.InstrIssued()-a.lastInstr[coreID]) / float64(dc)
-	a.lastCycle[coreID] = now
-	a.lastInstr[coreID] = c.InstrIssued()
-	a.completions[coreID] = 0
+	rate := float64(c.InstrIssued()-p.lastInstr) / float64(dc)
+	p.lastCycle, p.lastInstr = now, c.InstrIssued()
 
-	if a.bestRate[coreID] > 0 && rate < a.bestRate[coreID]*(1-a.Tolerance) {
+	if p.bestRate > 0 && rate < p.bestRate*(1-adaptiveTolerance) {
 		// This limit regressed: restore the best and stop probing.
-		a.limit[coreID] = a.bestLimit[coreID]
-		a.locked[coreID] = true
+		*limit, p.locked = p.bestLimit, true
 		return
 	}
-	if rate > a.bestRate[coreID] {
-		a.bestRate[coreID] = rate
-		a.bestLimit[coreID] = a.limit[coreID]
+	if rate > p.bestRate {
+		p.bestRate, p.bestLimit = rate, *limit
 	}
-	if a.limit[coreID] > a.minLimit() {
-		a.limit[coreID]--
+	if *limit > 1 {
+		*limit--
 	} else {
-		a.limit[coreID] = a.bestLimit[coreID]
-		a.locked[coreID] = true
+		*limit, p.locked = p.bestLimit, true
 	}
-}
-
-func (a *AdaptiveLCS) minCompletions() int {
-	if a.MinWindowCompletions < 1 {
-		return 1
-	}
-	return a.MinWindowCompletions
-}
-
-func (a *AdaptiveLCS) minLimit() int {
-	if a.MinLimit < 1 {
-		return 1
-	}
-	return a.MinLimit
 }

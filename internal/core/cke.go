@@ -21,19 +21,10 @@ func (s *Sequential) Tick(m Machine) {
 		if ks.Done() {
 			continue
 		}
-		if ks.Exhausted() {
-			return // dispatched but still draining: nothing follows yet
+		if !ks.Exhausted() {
+			s.rr.fillKernel(m, ks, nil)
 		}
-		n := m.NumCores()
-		for i := 0; i < n; i++ {
-			c := m.Core((s.rr.next + i) % n)
-			if c.CanAccept(ks.Spec) {
-				place(m, ks, c, m.Now(), 0)
-				s.rr.next = (c.ID() + 1) % n
-				return
-			}
-		}
-		return
+		return // a kernel still draining holds back the ones after it
 	}
 }
 

@@ -7,13 +7,18 @@
 //   - LCS — lazy CTA scheduling: start occupancy-maximal under a greedy
 //     (GTO) warp scheduler, sample per-CTA issue counts until the first CTA
 //     on a core completes, derive the useful CTA count from the issue
-//     histogram, and lazily stop refilling beyond it.
+//     histogram (lcsLimit, which AdaptiveLCS's first decision shares), and
+//     lazily stop refilling beyond it.
 //   - BCS — block CTA scheduling: dispatch gangs of consecutive CTAs to the
 //     same SM so inter-CTA locality lands in one L1 (paired with the BAWS
 //     warp scheduler in internal/sm).
 //   - Spatial / Mixed concurrent kernel execution — two kernels share the
 //     GPU by partitioning cores (spatial) or by co-residing on every core
 //     with LCS-derived per-kernel limits (mixed, the paper's proposal).
+//
+// RoundRobin, Limited, LCS, AdaptiveLCS and DynCTA place through one rule,
+// RoundRobin.fill; the throttling ones differ only in the per-core limits
+// on kernel 0 they hand it.
 package core
 
 import (

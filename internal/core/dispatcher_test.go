@@ -42,21 +42,72 @@ func testGPU(t *testing.T, d core.Dispatcher, policy sm.Policy, specs ...*kernel
 	return g
 }
 
-func TestLimitedNeverExceedsCap(t *testing.T) {
-	spec := uniformKernel("k", 64, 2, 50, 16)
-	g := testGPU(t, core.NewLimited(3), sm.PolicyGTO, spec)
-	maxSeen := 0
-	g.SetObserver(func(coreID int, cta *sm.CTA, now uint64) {
-		// +1: the completed CTA was resident a cycle ago.
-		if n := g.Core(coreID).ResidentOf(0) + 1; n > maxSeen {
-			maxSeen = n
-		}
-	})
-	if r := g.Run(); r.TimedOut {
-		t.Fatal("timed out")
+// capChecker wraps a throttling dispatcher and fails the test when a Tick
+// places a kernel-0 CTA on a core that already held its limit. The limit is
+// read when the Tick returns: every dispatcher finishes changing its limits
+// (DynCTA's controller step) before it places, and the others change them
+// only on completions.
+type capChecker struct {
+	core.Dispatcher
+	t      *testing.T
+	limit  func(coreID int) int // 0 = uncapped
+	before []int
+	capped int // Ticks that found a core at its limit with kernel 0 not yet exhausted
+}
+
+func (c *capChecker) Tick(m core.Machine) {
+	c.before = c.before[:0]
+	for i := 0; i < m.NumCores(); i++ {
+		c.before = append(c.before, m.Core(i).ResidentOf(0))
 	}
-	if maxSeen > 3 {
-		t.Fatalf("Limited(3) allowed %d resident CTAs", maxSeen)
+	exhausted := m.Kernels()[0].Exhausted()
+	c.Dispatcher.Tick(m)
+	for i, n := range c.before {
+		if lim := c.limit(i); lim > 0 && n >= lim {
+			if !exhausted {
+				c.capped++
+			}
+			if got := m.Core(i).ResidentOf(0); got > n {
+				c.t.Fatalf("cycle %d: core %d went from %d to %d kernel-0 CTAs past its limit %d", m.Now(), i, n, got, lim)
+			}
+		}
+	}
+}
+
+// TestLimitedNeverExceedsCap holds the one placement rule for every
+// throttling dispatcher that places through it.
+func TestLimitedNeverExceedsCap(t *testing.T) {
+	limitsOf := func(limits func() []int) func(int) int {
+		return func(i int) int {
+			if l := limits(); i < len(l) {
+				return l[i]
+			}
+			return 0
+		}
+	}
+	lcs, adaptive, dyn := core.NewLCS(), core.NewAdaptiveLCS(), core.NewDynCTA()
+	dyn.EpochCycles = 256 // several controller steps in a short run
+	cases := []struct {
+		name  string
+		d     core.Dispatcher
+		limit func(int) int
+		spec  *kernel.Spec
+	}{
+		{"static:3", core.NewLimited(3), func(int) int { return 3 }, uniformKernel("k", 64, 2, 50, 16)},
+		{"lcs", lcs, limitsOf(lcs.Limits), uniformKernel("k", 96, 8, 200, 8)},
+		{"lcs-adaptive", adaptive, limitsOf(adaptive.Limits), uniformKernel("k", 96, 8, 200, 8)},
+		{"dyncta", dyn, limitsOf(dyn.Limits), memBoundKernel(96)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &capChecker{Dispatcher: tc.d, t: t, limit: tc.limit}
+			if r := testGPU(t, c, sm.PolicyGTO, tc.spec).Run(); r.TimedOut {
+				t.Fatal("timed out")
+			}
+			if c.capped == 0 {
+				t.Fatal("no core ever reached its limit: the cap was never exercised")
+			}
+		})
 	}
 }
 
@@ -72,35 +123,6 @@ func TestLimitedZeroMeansUnlimited(t *testing.T) {
 	g.Run()
 	if maxSeen < 8 {
 		t.Fatalf("Limited(0) reached only %d resident CTAs, want occupancy max 8", maxSeen)
-	}
-}
-
-func TestLCSMinLimitRespected(t *testing.T) {
-	spec := uniformKernel("k", 96, 2, 120, 16)
-	d := core.NewLCS()
-	d.MinLimit = 3
-	g := testGPU(t, d, sm.PolicyGTO, spec)
-	if r := g.Run(); r.TimedOut {
-		t.Fatal("timed out")
-	}
-	for coreID, lim := range d.Limits() {
-		if lim != 0 && lim < 3 {
-			t.Errorf("core %d limit %d below MinLimit", coreID, lim)
-		}
-	}
-}
-
-func TestLCSDecidedLimitConsensus(t *testing.T) {
-	d := core.NewLCS()
-	if got := d.DecidedLimit(7); got != 7 {
-		t.Fatalf("undecided DecidedLimit = %d, want fallback 7", got)
-	}
-	spec := uniformKernel("k", 96, 2, 120, 16)
-	g := testGPU(t, d, sm.PolicyGTO, spec)
-	g.Run()
-	lim := d.DecidedLimit(7)
-	if lim < 1 || lim > 8 {
-		t.Fatalf("DecidedLimit = %d out of range", lim)
 	}
 }
 

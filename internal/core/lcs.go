@@ -10,7 +10,7 @@ import (
 // occupancy-maximal CTA count under a greedy (GTO) warp scheduler. GTO
 // concentrates issue slots on the oldest CTA, so the per-CTA issued
 // instruction counts the SM already tracks form a measurement: when the
-// first CTA on a core completes, the ratio
+// first CTA on a core completes, lcsLimit's ratio
 //
 //	nOpt = round(totalIssuedOnCore / issuedByFirstFinishedCTA)
 //
@@ -19,27 +19,21 @@ import (
 // bound, or memory bound on bandwidth), younger CTAs issue little and the
 // ratio is small; the extra CTAs only widen the cache footprint and deepen
 // memory queues. The limit is applied lazily: resident CTAs run to
-// completion, but slots beyond nOpt are not refilled.
+// completion, but slots beyond nOpt are not refilled. LCS throttles kernel
+// 0; any other kernel is placed by the baseline rule.
 //
 // The abstract commits to exactly this measurement hook ("determine the
 // optimal number of thread blocks by only measuring the number of
-// instructions issued" under a greedy warp scheduler); the clamp bounds and
+// instructions issued" under a greedy warp scheduler); the clamp bound and
 // per-core decision are this implementation's reconstruction.
 type LCS struct {
 	rr RoundRobin
 	// limit[coreID] is the per-core CTA cap; 0 = undecided (use max).
 	limit []int
-	// decided[coreID] marks cores whose sampling epoch ended.
-	decided []bool
-	// MinLimit floors the decision (default 1).
-	MinLimit int
-	// KernelIdx selects which kernel LCS throttles (others, if any, are
-	// dispatched by the baseline rule). Default 0.
-	KernelIdx int
 }
 
 // NewLCS returns a lazy CTA scheduling dispatcher.
-func NewLCS() *LCS { return &LCS{MinLimit: 1} }
+func NewLCS() *LCS { return &LCS{} }
 
 // Name implements Dispatcher.
 func (l *LCS) Name() string { return "lcs" }
@@ -48,29 +42,9 @@ func (l *LCS) Name() string { return "lcs" }
 // live; callers must not mutate it.
 func (l *LCS) Limits() []int { return l.limit }
 
-// DecidedLimit returns the most common decided limit (the value the
-// mixed-CKE allocator consumes), or fallback when no core has decided.
-func (l *LCS) DecidedLimit(fallback int) int {
-	counts := map[int]int{}
-	for i, d := range l.decided {
-		if d && l.limit[i] > 0 {
-			counts[l.limit[i]]++
-		}
-	}
-	best, bestN := fallback, 0
-	//gpulint:ordered-irrelevant argmax with a total tie-break (higher count, then smaller value) selects the same winner in any iteration order
-	for v, n := range counts {
-		if n > bestN || (n == bestN && v < best) {
-			best, bestN = v, n
-		}
-	}
-	return best
-}
-
 func (l *LCS) ensure(n int) {
 	if len(l.limit) < n {
 		l.limit = make([]int, n)
-		l.decided = make([]bool, n)
 	}
 }
 
@@ -78,26 +52,7 @@ func (l *LCS) ensure(n int) {
 // decided core is not refilled beyond its limit.
 func (l *LCS) Tick(m Machine) {
 	l.ensure(m.NumCores())
-	for _, ks := range m.Kernels() {
-		if ks.Exhausted() {
-			continue
-		}
-		n := m.NumCores()
-		for i := 0; i < n; i++ {
-			c := m.Core((l.rr.next + i) % n)
-			if !c.CanAccept(ks.Spec) {
-				continue
-			}
-			if ks.Idx == l.KernelIdx && l.decided[c.ID()] &&
-				c.ResidentOf(ks.Idx) >= l.limit[c.ID()] {
-				continue // lazily throttled
-			}
-			place(m, ks, c, m.Now(), 0)
-			l.rr.next = (c.ID() + 1) % n
-			return
-		}
-		return
-	}
+	l.rr.fill(m, l.limit)
 }
 
 // NextDispatchEvent implements Dispatcher: limits change only in
@@ -108,35 +63,26 @@ func (l *LCS) NextDispatchEvent(uint64) uint64 { return NeverEvent }
 // its sampling epoch and fixes the limit.
 func (l *LCS) OnCTAComplete(m Machine, coreID int, cta *sm.CTA) {
 	l.ensure(m.NumCores())
-	if cta.KernelIdx != l.KernelIdx || l.decided[coreID] {
-		return
+	if cta.KernelIdx == 0 && l.limit[coreID] == 0 {
+		l.limit[coreID] = lcsLimit(m.Core(coreID), cta)
 	}
-	l.decided[coreID] = true
-	l.limit[coreID] = l.computeLimit(m, coreID, cta)
 }
 
-// computeLimit derives nOpt from the issue histogram at epoch end.
-func (l *LCS) computeLimit(m Machine, coreID int, finished *sm.CTA) int {
-	c := m.Core(coreID)
-	total := finished.Issued
-	resident := 0
+// lcsLimit is the LCS decision for core c when finished, the first kernel-0
+// CTA to complete there, has just left it: the issue of the CTAs that ran
+// together (finished and kernel 0's residents) over finished's own, rounded,
+// and at most the occupancy c was running at. It is at least 1, because the
+// total includes finished's issue.
+func lcsLimit(c *sm.SM, finished *sm.CTA) int {
+	total, running := finished.Issued, 1
 	for _, r := range c.CTAs() {
-		if r.KernelIdx != l.KernelIdx {
-			continue
+		if r.KernelIdx == 0 {
+			total += r.Issued
+			running++
 		}
-		total += r.Issued
-		resident++
 	}
-	maxCTAs := resident + 1 // the occupancy the core was running at
 	if finished.Issued == 0 {
-		return maxCTAs
+		return running
 	}
-	n := int(math.Round(float64(total) / float64(finished.Issued)))
-	if n < l.MinLimit {
-		n = l.MinLimit
-	}
-	if n > maxCTAs {
-		n = maxCTAs
-	}
-	return n
+	return min(running, int(math.Round(float64(total)/float64(finished.Issued))))
 }

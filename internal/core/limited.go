@@ -9,8 +9,10 @@ import "gpusched/internal/sm"
 // best point of that sweep is the "oracle static" LCS is judged against.
 type Limited struct {
 	rr RoundRobin
-	// Limit caps kernel 0's resident CTAs per core.
+	// Limit caps kernel 0's resident CTAs per core (0 = uncapped). It is
+	// read at the first Tick.
 	Limit int
+	limit []int // Limit on every core
 }
 
 // NewLimited returns a dispatcher capping kernel 0 at limit CTAs per core.
@@ -21,25 +23,13 @@ func (l *Limited) Name() string { return "limited" }
 
 // Tick implements Dispatcher.
 func (l *Limited) Tick(m Machine) {
-	for _, ks := range m.Kernels() {
-		if ks.Exhausted() {
-			continue
+	if len(l.limit) != m.NumCores() {
+		l.limit = make([]int, m.NumCores())
+		for i := range l.limit {
+			l.limit[i] = l.Limit
 		}
-		n := m.NumCores()
-		for i := 0; i < n; i++ {
-			c := m.Core((l.rr.next + i) % n)
-			if !c.CanAccept(ks.Spec) {
-				continue
-			}
-			if ks.Idx == 0 && l.Limit > 0 && c.ResidentOf(0) >= l.Limit {
-				continue
-			}
-			place(m, ks, c, m.Now(), 0)
-			l.rr.next = (c.ID() + 1) % n
-			return
-		}
-		return
 	}
+	l.rr.fill(m, l.limit)
 }
 
 // OnCTAComplete implements Dispatcher.

@@ -131,7 +131,6 @@ type GPU struct {
 	doneCount  int
 	// observer, when set, sees every CTA retirement (experiment probes).
 	observer func(coreID int, cta *sm.CTA, now uint64)
-	coreCfgs []sm.Config
 	// epochFn, when set, runs every epochEvery cycles (tracing hooks).
 	epochFn    func(now uint64)
 	epochEvery uint64
@@ -232,13 +231,11 @@ func Renew(prev *GPU, cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GP
 		evicted:    old.evicted[:0],
 		cal:        old.cal,
 		cores:      slices.Grow(old.cores[:0], n)[:n],
-		coreCfgs:   slices.Grow(old.coreCfgs[:0], n)[:n],
 	}
 	g.preemptObs, _ = d.(core.PreemptionObserver)
 	g.memsys = mem.RenewSystem(old.memsys, &g.cfg.Mem, n)
 	for i := range g.cores {
-		g.coreCfgs[i] = cfg.Core // per-SM copy: SetWarpPolicy is per core
-		g.cores[i] = sm.Renew(g.cores[i], i, &g.coreCfgs[i], g.memsys, len(specs), g.onCTADone)
+		g.cores[i] = sm.Renew(g.cores[i], i, &g.cfg.Core, g.memsys, len(specs), g.onCTADone)
 		g.cores[i].SetDrainHandler(g.onCTADrained)
 		g.cores[i].SetWakeHandler(g.wakeCore)
 	}

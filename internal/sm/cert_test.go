@@ -45,14 +45,6 @@ func dropCerts(r *rig) {
 	}
 }
 
-// otherGreedy is the greedy policy that is not p.
-func otherGreedy(p Policy) Policy {
-	if p == PolicyGTO {
-		return PolicyBAWS
-	}
-	return PolicyGTO
-}
-
 // progOf adapts a builder function to kernel.Spec.Program.
 func progOf(f func(b *isa.Builder, ctaID, w int)) func(int, int) isa.Program {
 	return func(ctaID, w int) isa.Program {
@@ -201,7 +193,7 @@ func certScenarios() []certScenario {
 			r.sm.AddCTA(spec, 0, 0, 0, r.now, 0, r.now) // the re-dispatch
 			r.runUntilDone(2, 100000)
 		}},
-		{"policy-switch", nil, func(r *rig) {
+		{"late-older-block", nil, func(r *rig) { // BAWS slots the second CTA's warps first
 			spec := specWith(4, progOf(func(b *isa.Builder, ctaID, w int) {
 				loadThenUse(b, ctaID, w)
 				b.Barrier()
@@ -210,10 +202,6 @@ func certScenarios() []certScenario {
 			r.sm.AddCTA(spec, 0, 0, 0, 7, 0, r.now)
 			r.step()
 			r.sm.AddCTA(spec, 0, 1, 0, 3, 1, r.now)
-			for i := 0; i < 25; i++ {
-				r.step()
-			}
-			r.sm.SetWarpPolicy(otherGreedy(r.sm.cfg.WarpPolicy))
 			r.runUntilDone(2, 100000)
 		}},
 		{"sgemm", nil, func(r *rig) { runSuite(r, "sgemm") }},
@@ -352,24 +340,6 @@ func TestStallCertificateInvalidationSites(t *testing.T) {
 			r.step()
 			return met
 		})
-	})
-	t.Run("policy", func(t *testing.T) { // SM.SetWarpPolicy
-		for _, from := range []Policy{PolicyGTO, PolicyBAWS} {
-			sweep(t, func(c *Config) { c.NumSchedulers, c.WarpPolicy = 1, from }, func(r *rig, at int) bool {
-				// GTO's oldest warp waits on memory, BAWS's at a barrier.
-				r.sm.AddCTA(specWith(1, progOf(loadThenUse)), 0, 0, 0, 9, 0, r.now)
-				r.step()
-				r.sm.AddCTA(specWith(2, progOf(func(b *isa.Builder, ctaID, w int) {
-					chain(b, 50*w)
-					b.Barrier()
-				})), 0, 1, 0, 4, 0, r.now)
-				stepTo(r, at)
-				met := standing(r, 0)
-				r.sm.SetWarpPolicy(otherGreedy(from))
-				r.runUntilDone(2, 10000)
-				return met
-			})
-		}
 	})
 	t.Run("ldst-queue-slot", func(t *testing.T) { // ldstUnit.popHead
 		r := newRig(t, func(c *Config) { c.LDSTQueueCap = 1 })

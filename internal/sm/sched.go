@@ -41,22 +41,14 @@ func (m warpSet) removeAt(i int) warpSet {
 	return low | m>>uint(i+1)<<uint(i)
 }
 
-// swap exchanges bits i and j.
-func (m warpSet) swap(i, j int) warpSet {
-	if (m>>uint(i)^m>>uint(j))&1 != 0 {
-		m ^= bit(i) | bit(j)
-	}
-	return m
-}
-
 // scheduler is one warp-issue slot of an SM. It owns a disjoint subset of
 // the SM's warps and picks at most one per cycle according to the policy.
 //
 // The warps sit in dense slots sorted by the policy's age key, oldest first
 // (ties by warp sequence number, so add order). Age keys are immutable after
-// add, so the order only changes on add, remove and policy switch. What a
-// failed pick needs to know about a warp without loading it lives beside the
-// slots: its cached scoreboard wake in stall, and its state in the warpSets.
+// add, so the order only changes on add and remove. What a failed pick needs
+// to know about a warp without loading it lives beside the slots: its cached
+// scoreboard wake in stall, and its state in the warpSets.
 // The greedy pick is a find-first-set over the slots that could issue, in
 // age order; LRR rotates the same mask.
 type scheduler struct {
@@ -111,9 +103,9 @@ type scheduler struct {
 // until — the earliest time-driven wake among them (a scoreboard stall
 // expiring, the SFU pipe freeing; NeverEvent if none) — unless a transition
 // that can change it clears the certificate first: a load return, a barrier
-// release, add/remove, DrainCTA, SetWarpPolicy. When the walk saw a warp
-// stalled on the LDST unit, the certificate also lapses once the unit frees
-// a queue slot or a pending-load token (ldstGen != ldstUnit.freeGen).
+// release, add/remove, DrainCTA. When the walk saw a warp stalled on the
+// LDST unit, the certificate also lapses once the unit frees a queue slot or
+// a pending-load token (ldstGen != ldstUnit.freeGen).
 type stallCert struct {
 	until       uint64 // 0: no certificate
 	reason      skipReason
@@ -225,22 +217,6 @@ func (s *scheduler) remove(w *Warp) {
 	if s.last == w {
 		s.last = nil
 	}
-}
-
-// rebuildAge re-sorts the slots under the current policy's age key (policy
-// switch — never on the per-cycle path), carrying each warp's stall and set
-// bits with it.
-func (s *scheduler) rebuildAge() {
-	for i := 1; i < len(s.warps); i++ {
-		for j := i; j > 0 && s.older(s.warps[j], s.warps[j-1]); j-- {
-			s.warps[j-1], s.warps[j] = s.warps[j], s.warps[j-1]
-			s.stall[j-1], s.stall[j] = s.stall[j], s.stall[j-1]
-			for _, m := range s.sets() {
-				*m = m.swap(j-1, j)
-			}
-		}
-	}
-	s.renumber(0)
 }
 
 func (s *scheduler) activeCap() int {

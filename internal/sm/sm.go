@@ -265,31 +265,6 @@ func (s *SM) AvgMemLatency() float64 {
 // correctly weighted cross-core means.
 func (s *SM) MemLatencyRaw() (sum, n uint64) { return s.memLatencySum, s.memLoadsDone }
 
-// SetWarpPolicy switches the warp scheduler (takes effect immediately; used
-// by experiments that compare policies, never mid-run).
-func (s *SM) SetWarpPolicy(p Policy) {
-	s.cfg.WarpPolicy = p
-	for i := range s.schedulers {
-		sched := &s.schedulers[i]
-		sched.policy = p
-		// Age keys are policy-dependent (GTO ages by arrival, BAWS by
-		// block): re-sort the slots first.
-		sched.rebuildAge()
-		sched.active = sched.active[:0]
-		sched.pending = sched.pending[:0]
-		if p == PolicyTwoLevel {
-			for _, w := range sched.warps {
-				if len(sched.active) < sched.activeCap() {
-					sched.active = append(sched.active, w)
-				} else {
-					sched.pending = append(sched.pending, w)
-				}
-			}
-		}
-		sched.cert.until = 0
-	}
-}
-
 // Usage returns the current resource footprint of resident CTAs.
 func (s *SM) Usage() kernel.Usage { return s.usage }
 
