@@ -28,9 +28,10 @@ lint:
 # CI race job). This is the lock contract: TestShardHealthConcurrent and
 # TestServiceCountersConcurrent fail here if any mutex section of
 # fleet.Shard or sim.Service is dropped. The cycle loop itself is serial;
-# internal/gpu rides along for its cancellation poll.
+# internal/gpu rides along for its cancellation poll, and internal/workloads
+# for TestSharedTemplates: concurrent warps share one program template.
 race:
-	go test -race -count=3 ./internal/fleet ./internal/server ./internal/sim ./internal/gpu
+	go test -race -count=3 ./internal/fleet ./internal/server ./internal/sim ./internal/gpu ./internal/workloads
 
 # Mirror of .github/workflows/ci.yml: build, lint, race-enabled tests, the
 # repository benchmark's own tests (a module of its own, so ./... does not
@@ -48,8 +49,9 @@ ci: lint
 # difference. Both halves compare what the simulator computed, never how
 # long the host took, so the gate means the same on every machine.
 #  1. Every results/*.csv, rerun at full scale with the cache off, must be
-#     byte-identical (paperbench_full.txt holds wall times and is not
-#     compared).
+#     byte-identical, and so must the rendered tables and notes in
+#     results/paperbench_full.txt (paperbench's stdout; wall times go to
+#     stderr).
 #  2. The repository benchmark must pass its own checks (exit status), and
 #     each workload's result_digest must equal the newest results/BENCH_*.json.
 # The fresh files stay in .bench_build/check-results: the CSVs, the tables
@@ -61,6 +63,7 @@ check-results:
 	for f in $$(cd results && ls *.csv) $$(cd .bench_build/check-results && ls *.csv); do \
 		cmp results/$$f .bench_build/check-results/$$f || exit 1; \
 	done
+	cmp results/paperbench_full.txt .bench_build/check-results/paperbench.txt
 	bash benchmark/run.sh -workload all -seed 1 -seconds 2 -out .bench_build/check-results/bench.json
 	jq -r '.runs[] | .workload + " " + .result_digest' .bench_build/check-results/bench.json > .bench_build/check-results/digests
 	base=$$(ls results/BENCH_*.json | sort -V | tail -1) && echo "result digests against $$base" && \

@@ -1,5 +1,7 @@
 // Command paperbench regenerates every table and figure of the paper
-// reproduction and writes them as text (stdout) and CSV (results/).
+// reproduction and writes them as text (stdout) and CSV (results/). Each
+// experiment's wall time goes to stderr, so stdout depends only on what
+// was simulated.
 //
 //	paperbench                  # all experiments, full scale (minutes)
 //	paperbench -scale small     # quicker, smaller grids
@@ -108,7 +110,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		table.Render(stdout)
-		fmt.Fprintf(stdout, "  (%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stderr, "(%s in %.1fs)\n", e.ID, time.Since(start).Seconds())
 		if *outDir != "" {
 			if err := writeCSV(*outDir, e.ID, table); err != nil {
 				fmt.Fprintln(stderr, err)

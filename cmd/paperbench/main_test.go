@@ -49,7 +49,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 // TestRunOneExperimentWritesCSV runs the cheapest experiment end to end and
-// checks both outputs: the rendered table on stdout and the CSV file.
+// checks its outputs: the rendered table on stdout, its wall time on stderr
+// only (stdout is what make check-results compares), and the CSV file.
 func TestRunOneExperimentWritesCSV(t *testing.T) {
 	dir := t.TempDir()
 	var out, errb strings.Builder
@@ -59,6 +60,9 @@ func TestRunOneExperimentWritesCSV(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "table1") {
 		t.Errorf("stdout missing rendered table:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "(table1 in ") || !strings.Contains(errb.String(), "(table1 in ") {
+		t.Errorf("wall time not on stderr alone:\nstdout %q\nstderr %q", out.String(), errb.String())
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "table1.csv"))
 	if err != nil {

@@ -22,8 +22,8 @@ func expectedInstructions(t *testing.T, name string) uint64 {
 	var buf isa.WarpInstr
 	for cta := 0; cta < spec.NumCTAs(); cta++ {
 		for warp := 0; warp < spec.WarpsPerCTA(); warp++ {
-			p := spec.Program(cta, warp)
-			for p.Next(&buf) {
+			c := isa.Cursor{CTA: cta, Warp: warp}
+			for p := spec.Program(cta, warp); p.Next(&c, &buf); {
 				total++
 			}
 		}

@@ -5,37 +5,43 @@ import (
 	"testing"
 
 	"gpusched/internal/core"
+	"gpusched/internal/kernel"
 	"gpusched/internal/workloads"
 )
 
 // TestAllocationBudget pins the allocation count and the allocated bytes of
-// one whole simulation — build the launch, New, Run — after a warm run has
-// filled the process-wide program-template cache. The count budgets are
-// about 1.5× the measured counts and catch per-issue formatting or boxing.
-// The byte budgets are about 1.15× the measured bytes (stable to 0.5 %
-// under -race and GOMAXPROCS=1) and catch what the count misses: a slice
-// that grows on the per-cycle path allocates rarely but keeps doubling.
-// Placement must stay on the memoized template path (workloads'
-// memoProgram): bypassing it multiplies the count by 3.4–6×. At this size
-// CTA context pooling (SM.Recycle) moves the count by less than the margin,
-// so this test does not guard it.
+// one whole simulation — build the launch, New, Run — after a warm run. The
+// count budgets are about 1.5× the measured counts and catch per-issue
+// formatting or boxing. The byte budgets are about 1.15× the measured bytes
+// (stable to 0.5 % under -race and GOMAXPROCS=1) and catch what the count
+// misses: a slice that grows on the per-cycle path allocates rarely but
+// keeps doubling. A warp placement allocates nothing: every warp runs its
+// kernel's one shared program, and the chase case, 480 one-warp CTAs on a
+// spec built afresh each run, fails if a placement builds a program again.
+// At this size CTA context pooling (SM.Recycle) moves the count by less
+// than the margin, so this test does not guard it.
 func TestAllocationBudget(t *testing.T) {
 	const runs = 3
+	registry := func(name string) func() *kernel.Spec {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			t.Fatalf("%s workload missing", name)
+		}
+		return func() *kernel.Spec { return w.Build(workloads.ScaleTest) }
+	}
 	for _, tc := range []struct {
 		name          string
+		spec          func() *kernel.Spec
 		allocs, bytes float64
 	}{
-		{"stencil", 830, 470_000},
-		{"sgemm", 780, 407_000},
-		{"spmv", 1030, 422_000},
+		{"stencil", registry("stencil"), 800, 462_000},
+		{"sgemm", registry("sgemm"), 720, 396_000},
+		{"spmv", registry("spmv"), 975, 413_000},
+		{"chase", func() *kernel.Spec { return workloads.ChaseSpec(480, 1, 4) }, 670, 301_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w, ok := workloads.ByName(tc.name)
-			if !ok {
-				t.Fatalf("%s workload missing", tc.name)
-			}
 			run := func() {
-				mustRun(t, testConfig(), core.NewRoundRobin(), w.Build(workloads.ScaleTest))
+				mustRun(t, testConfig(), core.NewRoundRobin(), tc.spec())
 			}
 			run()
 			// As testing.AllocsPerRun does: one P, so no other goroutine of

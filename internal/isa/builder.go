@@ -1,8 +1,8 @@
 package isa
 
 // Builder accumulates WarpInstr records for a SliceProgram. It exists for
-// tests and short fixed kernels; the real workloads use stateful iterators
-// to avoid materializing long streams.
+// tests and short fixed kernels; the real workloads generate each
+// instruction on demand to avoid materializing long streams.
 type Builder struct {
 	instrs []WarpInstr
 }

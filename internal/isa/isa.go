@@ -135,10 +135,9 @@ const WarpSize = 32
 // FullMask is the active mask with all 32 lanes enabled.
 const FullMask uint32 = 0xFFFFFFFF
 
-// WarpInstr is one dynamic instruction for one warp. Workload program
-// iterators fill these in place (the core reuses a buffer per warp), so the
-// struct deliberately embeds its per-lane address array instead of pointing
-// to a heap slice.
+// WarpInstr is one dynamic instruction for one warp. Programs fill these in
+// place (the core reuses a buffer per warp), so the struct deliberately
+// embeds its per-lane address array instead of pointing to a heap slice.
 type WarpInstr struct {
 	// Op is the opcode class; it selects the pipeline and latency.
 	Op Op
@@ -171,41 +170,49 @@ func (wi *WarpInstr) Reset() {
 	*wi = WarpInstr{}
 }
 
-// Program is a lazily-evaluated per-warp instruction stream. Next fills buf
-// with the next dynamic instruction and reports whether one was produced;
-// after it returns false the warp has terminated (generators emit OpExit as
-// their final instruction, but the core also treats stream end as exit).
-//
-// Implementations are stateful per warp and must be deterministic: the
-// simulator replays nothing, but experiments compare scheduler policies on
-// identical instruction streams, so two iterators constructed with the same
-// parameters must produce identical sequences.
-type Program interface {
-	Next(buf *WarpInstr) bool
+// Cursor is one warp's position in a Program. Programs are immutable and
+// shared by every warp that runs them, so a warp's state is its cursor: its
+// identity, which the program's address arithmetic reads, and how far it has
+// got. The core keeps one by value per warp; a cursor with only CTA and Warp
+// set is at the start of the stream.
+type Cursor struct {
+	// CTA is the linear CTA index within the grid; Warp is the warp's
+	// index within its CTA.
+	CTA, Warp int
+	// Phase, Iter and Pos locate the next instruction: a section of the
+	// program, a loop iteration and an index. What they mean is up to
+	// the program.
+	Phase     uint8
+	Iter, Pos int
 }
 
-// ProgramFunc adapts a closure to the Program interface.
-type ProgramFunc func(buf *WarpInstr) bool
+// Program is a lazily-evaluated warp instruction stream. Next fills buf
+// with the instruction at c, advances c past it, and reports whether one was
+// produced; after it returns false the warp has terminated (generators emit
+// OpExit as their final instruction, but the core also treats stream end as
+// exit).
+//
+// Implementations never change themselves, so one program may serve any
+// number of warps and simulations at once, and must be deterministic:
+// experiments compare scheduler policies on identical instruction streams,
+// so equal cursors must yield equal instructions.
+type Program interface {
+	Next(c *Cursor, buf *WarpInstr) bool
+}
 
-// Next implements Program.
-func (f ProgramFunc) Next(buf *WarpInstr) bool { return f(buf) }
-
-// SliceProgram is a Program backed by a pre-built instruction slice. It is
-// the convenient form for tests and for short fixed kernels.
+// SliceProgram is a Program backed by a pre-built instruction slice; the
+// cursor's Pos indexes it. It is the convenient form for tests and for
+// short fixed kernels.
 type SliceProgram struct {
 	Instrs []WarpInstr
-	pos    int
 }
 
 // Next implements Program.
-func (p *SliceProgram) Next(buf *WarpInstr) bool {
-	if p.pos >= len(p.Instrs) {
+func (p *SliceProgram) Next(c *Cursor, buf *WarpInstr) bool {
+	if c.Pos >= len(p.Instrs) {
 		return false
 	}
-	*buf = p.Instrs[p.pos]
-	p.pos++
+	*buf = p.Instrs[c.Pos]
+	c.Pos++
 	return true
 }
-
-// Remaining returns how many instructions have not yet been consumed.
-func (p *SliceProgram) Remaining() int { return len(p.Instrs) - p.pos }

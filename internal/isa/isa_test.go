@@ -113,25 +113,24 @@ func TestWarpInstrReset(t *testing.T) {
 
 func TestSliceProgram(t *testing.T) {
 	p := NewBuilder().IAlu(1).FAlu(2, 1).Exit().Build()
-	var buf WarpInstr
-	var ops []Op
-	for p.Next(&buf) {
-		ops = append(ops, buf.Op)
-	}
 	want := []Op{OpIAlu, OpFAlu, OpExit}
-	if len(ops) != len(want) {
-		t.Fatalf("got %d instrs, want %d", len(ops), len(want))
-	}
-	for i := range want {
-		if ops[i] != want[i] {
-			t.Errorf("instr %d = %v, want %v", i, ops[i], want[i])
+	// Two warps interleave on the one program: each cursor is its own.
+	var c1, c2 Cursor
+	var buf WarpInstr
+	for i, op := range want {
+		for _, c := range []*Cursor{&c1, &c2} {
+			if !p.Next(c, &buf) || buf.Op != op {
+				t.Fatalf("instr %d = %v, want %v", i, buf.Op, op)
+			}
 		}
 	}
-	if p.Next(&buf) {
-		t.Error("Next returned true after exhaustion")
-	}
-	if p.Remaining() != 0 {
-		t.Errorf("Remaining = %d, want 0", p.Remaining())
+	for _, c := range []*Cursor{&c1, &c2} {
+		if p.Next(c, &buf) {
+			t.Error("Next returned true after exhaustion")
+		}
+		if c.Pos != len(want) {
+			t.Errorf("cursor at %d after exhaustion, want %d", c.Pos, len(want))
+		}
 	}
 }
 
@@ -179,27 +178,5 @@ func TestBuilderSourceRegisters(t *testing.T) {
 	p = NewBuilder().FAlu(5, 1, 2, 3, 4).Build()
 	if p.Instrs[0].Src != [3]Reg{1, 2, 3} {
 		t.Errorf("overflow Src = %v, want [1 2 3]", p.Instrs[0].Src)
-	}
-}
-
-func TestProgramFunc(t *testing.T) {
-	n := 0
-	p := ProgramFunc(func(buf *WarpInstr) bool {
-		if n >= 2 {
-			return false
-		}
-		buf.Reset()
-		buf.Op = OpIAlu
-		buf.Mask = FullMask
-		n++
-		return true
-	})
-	var buf WarpInstr
-	count := 0
-	for p.Next(&buf) {
-		count++
-	}
-	if count != 2 {
-		t.Errorf("ProgramFunc yielded %d instrs, want 2", count)
 	}
 }

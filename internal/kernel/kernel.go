@@ -50,9 +50,11 @@ func max1(v int) int {
 	return v
 }
 
-// ProgramFactory constructs the instruction stream for one warp of one CTA.
+// ProgramFactory returns the instruction stream for one warp of one CTA.
 // ctaID is the linear CTA index within the grid; warpInCTA the warp's index
 // within its CTA. Factories must be deterministic in their arguments.
+// Programs are immutable and the warp's cursor carries its identity, so a
+// factory may return one program for every warp (the workloads do).
 type ProgramFactory func(ctaID, warpInCTA int) isa.Program
 
 // Spec describes one kernel launch: its shape, per-CTA resource appetite,
@@ -77,14 +79,8 @@ type Spec struct {
 	// latency-sensitive kernel arriving while a batch kernel already owns
 	// every SM.
 	Arrival uint64
-	// Program builds per-warp instruction streams.
+	// Program gives each warp its instruction stream.
 	Program ProgramFactory
-	// RecycleProgram, when non-nil, takes back a program handed out by
-	// Program after its warp's CTA has left the machine for good, so the
-	// factory can pool the iterator object. The core calls it at most once
-	// per handed-out program and never touches the program again. Optional:
-	// factories whose programs are not poolable leave it nil.
-	RecycleProgram func(p isa.Program)
 }
 
 // Validate checks the spec for internal consistency.

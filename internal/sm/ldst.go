@@ -270,12 +270,7 @@ func (u *ldstUnit) tickGlobal(e *ldstEntry, now uint64) {
 func (u *ldstUnit) popHead() {
 	u.freeGen++
 	e := &u.queue[u.qHead]
-	cta := e.warp.cta
-	cta.memRefs--
-	if cta.recycleArmed && cta.memRefs == 0 {
-		cta.recycleArmed = false
-		u.sm.poolCTA(cta)
-	}
+	u.unref(e.warp.cta)
 	if e.lines != nil {
 		// Bounded by the queue cap: at most LDSTQueueCap buffers are recycled.
 		u.linePool = append(u.linePool, e.lines)
@@ -283,6 +278,16 @@ func (u *ldstUnit) popHead() {
 	e.warp, e.lines = nil, nil
 	u.qHead = ring(u.qHead, 1, u.cap)
 	u.qLen--
+}
+
+// unref drops one of cta's memory references; the last one hands a
+// recycle-armed CTA to the core's pool (see SM.Recycle).
+func (u *ldstUnit) unref(cta *CTA) {
+	cta.memRefs--
+	if cta.recycleArmed && cta.memRefs == 0 {
+		cta.recycleArmed = false
+		u.sm.ctaPool = append(u.sm.ctaPool, cta)
+	}
 }
 
 // onResponse routes a memory-system response: the L1 handles fills/merges
@@ -313,12 +318,7 @@ func (u *ldstUnit) completeOne(t uint32, now uint64) {
 		p.warp.readyAt[p.dst] = now
 		p.warp.sched.clearStall(p.warp)
 	}
-	cta := p.warp.cta
-	cta.memRefs--
-	if cta.recycleArmed && cta.memRefs == 0 {
-		cta.recycleArmed = false
-		u.sm.poolCTA(cta)
-	}
+	u.unref(p.warp.cta)
 	u.sm.memLatencySum += now - p.issued
 	u.sm.memLoadsDone++
 	p.inUse = false

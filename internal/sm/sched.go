@@ -240,7 +240,7 @@ func (s *scheduler) ageKey(w *Warp) (uint64, uint64, uint64) {
 		if w.cta.IndexInBlock > 0 {
 			idx = uint64(w.cta.IndexInBlock)
 		}
-		return w.cta.BlockKey, uint64(w.warpInCTA), idx
+		return w.cta.BlockKey, uint64(w.at.Warp), idx
 	default:
 		return w.cta.Arrival, 0, w.seq
 	}

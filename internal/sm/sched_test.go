@@ -12,7 +12,7 @@ import (
 // loopProg issues the same instruction forever.
 type loopProg struct{ wi isa.WarpInstr }
 
-func (p loopProg) Next(buf *isa.WarpInstr) bool {
+func (p loopProg) Next(_ *isa.Cursor, buf *isa.WarpInstr) bool {
 	*buf = p.wi
 	return true
 }
@@ -129,15 +129,15 @@ func TestGTOStallAttributionUsesOldest(t *testing.T) {
 
 func TestBAWSInterleavesGangWarps(t *testing.T) {
 	// Two CTAs of one gang (same BlockKey), two warps each. BAWS order:
-	// (warpInCTA, indexInBlock): A0, B0, A1, B1.
+	// (warp index, indexInBlock): A0, B0, A1, B1.
 	s := testSched(PolicyBAWS)
 	a := &CTA{BlockKey: 5, IndexInBlock: 0}
 	bb := &CTA{BlockKey: 5, IndexInBlock: 1}
 	warps := []*Warp{
-		{seq: 0, cta: a, warpInCTA: 0, prog: aluLoop},
-		{seq: 1, cta: a, warpInCTA: 1, prog: aluLoop},
-		{seq: 2, cta: bb, warpInCTA: 0, prog: aluLoop},
-		{seq: 3, cta: bb, warpInCTA: 1, prog: aluLoop},
+		{seq: 0, cta: a, at: isa.Cursor{Warp: 0}, prog: aluLoop},
+		{seq: 1, cta: a, at: isa.Cursor{Warp: 1}, prog: aluLoop},
+		{seq: 2, cta: bb, at: isa.Cursor{Warp: 0}, prog: aluLoop},
+		{seq: 3, cta: bb, at: isa.Cursor{Warp: 1}, prog: aluLoop},
 	}
 	for _, w := range warps {
 		s.add(w)
@@ -158,8 +158,8 @@ func TestBAWSInterleavesGangWarps(t *testing.T) {
 
 func TestBAWSOlderBlockFirst(t *testing.T) {
 	s := testSched(PolicyBAWS)
-	old := &Warp{seq: 9, cta: &CTA{BlockKey: 1, IndexInBlock: 1}, warpInCTA: 3, prog: aluLoop}
-	young := &Warp{seq: 1, cta: &CTA{BlockKey: 2, IndexInBlock: 0}, warpInCTA: 0, prog: aluLoop}
+	old := &Warp{seq: 9, cta: &CTA{BlockKey: 1, IndexInBlock: 1}, at: isa.Cursor{Warp: 3}, prog: aluLoop}
+	young := &Warp{seq: 1, cta: &CTA{BlockKey: 2, IndexInBlock: 0}, at: isa.Cursor{Warp: 0}, prog: aluLoop}
 	s.add(young)
 	s.add(old)
 	w, _ := s.pick(0)

@@ -121,16 +121,13 @@ func Renew(prev *SM, id int, cfg *Config, sys *mem.System, numKernels int, onCTA
 // reclaimCTAs returns every CTA context the finished run still holds, for
 // the renewed core's pool: the pooled ones, the ones resident when the run
 // stopped (cut by MaxCycles or cancellation), and the retired ones armed for
-// a pooling their trailing memory work would have triggered. No warp keeps
-// its program, so a pooled machine holds nothing of its last run's kernels.
+// a pooling their trailing memory work would have triggered.
 func (s *SM) reclaimCTAs() []*CTA {
-	for _, cta := range s.ctas {
-		s.poolCTA(cta)
-	}
+	s.ctaPool = append(s.ctaPool, s.ctas...)
 	armed := func(w *Warp) {
 		if cta := w.cta; cta.recycleArmed {
 			cta.recycleArmed = false
-			s.poolCTA(cta)
+			s.ctaPool = append(s.ctaPool, cta)
 		}
 	}
 	u := s.ldst
@@ -140,11 +137,6 @@ func (s *SM) reclaimCTAs() []*CTA {
 	for i := range u.table {
 		if u.table[i].inUse {
 			armed(u.table[i].warp)
-		}
-	}
-	for _, cta := range s.ctaPool {
-		for _, w := range cta.warps {
-			w.prog = nil
 		}
 	}
 	return s.ctaPool
@@ -352,10 +344,10 @@ func (s *SM) AddCTA(spec *kernel.Spec, kernelIdx, ctaID int, addrBase uint64, bl
 		// Whole-struct reset: a recycled warp must not leak scoreboard or
 		// stall state (readyAt in particular) into its next life.
 		*w = Warp{
-			seq:       s.warpSeq,
-			cta:       cta,
-			warpInCTA: i,
-			prog:      spec.Program(ctaID, i),
+			seq:  s.warpSeq,
+			cta:  cta,
+			prog: spec.Program(ctaID, i),
+			at:   isa.Cursor{CTA: ctaID, Warp: i},
 		}
 		s.warpSeq++
 		s.leastLoadedScheduler().add(w)
@@ -388,27 +380,11 @@ func (s *SM) takeCTA() (*CTA, []*Warp) {
 // (memRefs > 0: a store queued or filling past the last warp's exit) is
 // armed for deferred pooling instead; the LDST unit hands it over when the
 // last reference drains, which is always a later cycle than the commit, so
-// no commit-callback reader can observe the reuse. Warp programs are returned
-// to their factory's pool here, where the warps provably can never fetch
-// again.
+// no commit-callback reader can observe the reuse.
 func (s *SM) Recycle(cta *CTA) {
 	if cta.memRefs > 0 {
 		cta.recycleArmed = true
 		return
-	}
-	s.poolCTA(cta)
-}
-
-// poolCTA releases the warps' programs and pushes the context. Split from
-// Recycle so the LDST unit's deferred handoff shares the release path.
-func (s *SM) poolCTA(cta *CTA) {
-	if rec := cta.Spec.RecycleProgram; rec != nil {
-		for _, w := range cta.warps {
-			if w.prog != nil {
-				rec(w.prog)
-				w.prog = nil
-			}
-		}
 	}
 	s.ctaPool = append(s.ctaPool, cta)
 }

@@ -15,15 +15,16 @@ type Warp struct {
 	seq uint64
 	// cta is the owning resident CTA.
 	cta *CTA
-	// warpInCTA is the warp's index within its CTA.
-	warpInCTA int
 
 	// sched is the owning issue slot and slot the warp's index in its age
 	// order; the scheduler's sets and stall cache are indexed by it.
 	sched *scheduler
 	slot  int
 
+	// prog is the warp's program, which other warps may share; at is this
+	// warp's position in it and carries the warp's CTA and index.
 	prog     isa.Program
+	at       isa.Cursor
 	cur      isa.WarpInstr
 	curValid bool
 
@@ -40,7 +41,7 @@ func (w *Warp) fetch() bool {
 	if w.curValid {
 		return true
 	}
-	if w.prog.Next(&w.cur) {
+	if w.prog.Next(&w.at, &w.cur) {
 		w.curValid = true
 		return true
 	}

@@ -14,20 +14,17 @@ import (
 // jumps over. It is not part of the paper's workload registry — it
 // exists to benchmark the simulator itself, not a scheduling policy.
 func ChaseSpec(ctas, warpsPerCTA, iters int) *kernel.Spec {
+	line := func(c *isa.Cursor) uint32 {
+		return uint32((gwarp(c, warpsPerCTA)*iters + c.Iter) * 128)
+	}
 	return &kernel.Spec{
 		Name:          "chase",
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread: 8,
-		Program: func(ctaID, w int) isa.Program {
-			first := (ctaID*warpsPerCTA + w) * iters
-			return &loopProgram{
-				iters: iters,
-				body: []Emit{
-					ldg(2, func(i int) uint32 { return uint32((first + i) * 128) }),
-					alu(isa.OpIAlu, 3, 2),
-				},
-			}
-		},
+		Program: shared(&loopProgram{
+			iters: iters,
+			body:  []Emit{ldg(2, line), alu(isa.OpIAlu, 3, 2)},
+		}),
 	}
 }

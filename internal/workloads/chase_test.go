@@ -54,10 +54,11 @@ func TestChaseStreamMatchesSlice(t *testing.T) {
 		}
 		for _, p := range pairs {
 			got, want := spec.Program(p.cta, p.warp), sliceChase(p.cta, p.warp, tc.warps, tc.iters)
+			gc, wc := isa.Cursor{CTA: p.cta, Warp: p.warp}, isa.Cursor{}
 			var g, w isa.WarpInstr
 			for n := 0; ; n++ {
 				g = junk
-				gok, wok := got.Next(&g), want.Next(&w)
+				gok, wok := got.Next(&gc, &g), want.Next(&wc, &w)
 				if gok != wok {
 					t.Fatalf("chase(%d,%d,%d) cta %d warp %d: stream ends differ at instr %d (lazy %v, slice %v)",
 						tc.ctas, tc.warps, tc.iters, p.cta, p.warp, n, gok, wok)

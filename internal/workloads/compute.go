@@ -39,43 +39,39 @@ func buildSGEMM(s Scale) *kernel.Spec {
 	const tileBytes = 16 * 16 * 4 // 1KB 16x16 float tile
 	const tilesPerRow = 8         // output tiles per tile row
 
+	aTile := func(c *isa.Cursor) uint32 {
+		return regionA + uint32(c.CTA/tilesPerRow*ktiles+c.Iter)*tileBytes + warpOff(c)
+	}
+	bTile := func(c *isa.Cursor) uint32 {
+		return regionB + uint32(c.Iter*tilesPerRow+c.CTA%tilesPerRow)*tileBytes + warpOff(c)
+	}
+	body := []Emit{
+		ldg(1, aTile),
+		ldg(2, bTile),
+		bar(),
+	}
+	for i := 0; i < 8; i++ {
+		body = append(body,
+			lds(3, 1),
+			alu(isa.OpFAlu, isa.Reg(4+i%4), 3, isa.Reg(4+i%4)),
+		)
+	}
+	body = append(body, bar())
+	out := func(c *isa.Cursor) uint32 {
+		return regionC + uint32(c.CTA)*tileBytes + warpOff(c)
+	}
+
 	return &kernel.Spec{
 		Name:            "sgemm",
 		Grid:            kernel.Dim3{X: ctas},
 		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread:   28,
 		SharedMemPerCTA: 2 * tileBytes,
-		Program: func(ctaID, w int) isa.Program {
-			tileRow := ctaID / tilesPerRow
-			tileCol := ctaID % tilesPerRow
-			warpOff := uint32(w * isa.WarpSize * 4)
-			aTile := func(k int) uint32 {
-				return regionA + uint32(tileRow*ktiles+k)*tileBytes + warpOff
-			}
-			bTile := func(k int) uint32 {
-				return regionB + uint32(k*tilesPerRow+tileCol)*tileBytes + warpOff
-			}
-			body := []Emit{
-				ldg(1, aTile),
-				ldg(2, bTile),
-				bar(),
-			}
-			for i := 0; i < 8; i++ {
-				body = append(body,
-					lds(3, 1),
-					alu(isa.OpFAlu, isa.Reg(4+i%4), 3, isa.Reg(4+i%4)),
-				)
-			}
-			body = append(body, bar())
-			out := func(int) uint32 {
-				return regionC + uint32(ctaID)*tileBytes + warpOff
-			}
-			return &loopProgram{
-				iters:    ktiles,
-				body:     body,
-				epilogue: []Emit{stg(4, out)},
-			}
-		},
+		Program: shared(&loopProgram{
+			iters:    ktiles,
+			body:     body,
+			epilogue: []Emit{stg(4, out)},
+		}),
 	}
 }
 
@@ -87,39 +83,38 @@ func buildBlackScholes(s Scale) *kernel.Spec {
 	const warpsPerCTA = 8
 	totalWarps := ctas * warpsPerCTA
 	stride := uint32(totalWarps * isa.WarpSize * 4)
+	at := func(region uint32) func(*isa.Cursor) uint32 {
+		return func(c *isa.Cursor) uint32 {
+			return region + warpBase(c, warpsPerCTA, 4) + uint32(c.Iter)*stride
+		}
+	}
+	body := []Emit{
+		ldg(1, at(regionA)),
+		ldg(2, at(regionB)),
+	}
+	// d1/d2/CND evaluation: dependent FALUs punctuated by SFUs.
+	for i := 0; i < 3; i++ {
+		body = append(body,
+			alu(isa.OpFAlu, 3, 1, 2),
+			alu(isa.OpFAlu, 4, 3, 1),
+			alu(isa.OpSfu, 5, 4),
+			alu(isa.OpFAlu, 6, 5, 3),
+			alu(isa.OpSfu, 7, 6),
+			alu(isa.OpFAlu, 8, 7, 5),
+		)
+	}
+	body = append(body,
+		stg(8, at(regionC)),
+		stg(6, at(regionD)),
+		branch(),
+	)
 
 	return &kernel.Spec{
 		Name:          "blackscholes",
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread: 20,
-		Program: func(ctaID, w int) isa.Program {
-			base := uint32((ctaID*warpsPerCTA + w) * isa.WarpSize * 4)
-			at := func(region uint32) func(int) uint32 {
-				return func(iter int) uint32 { return region + base + uint32(iter)*stride }
-			}
-			body := []Emit{
-				ldg(1, at(regionA)),
-				ldg(2, at(regionB)),
-			}
-			// d1/d2/CND evaluation: dependent FALUs punctuated by SFUs.
-			for i := 0; i < 3; i++ {
-				body = append(body,
-					alu(isa.OpFAlu, 3, 1, 2),
-					alu(isa.OpFAlu, 4, 3, 1),
-					alu(isa.OpSfu, 5, 4),
-					alu(isa.OpFAlu, 6, 5, 3),
-					alu(isa.OpSfu, 7, 6),
-					alu(isa.OpFAlu, 8, 7, 5),
-				)
-			}
-			body = append(body,
-				stg(8, at(regionC)),
-				stg(6, at(regionD)),
-				branch(),
-			)
-			return &loopProgram{iters: iters, body: body}
-		},
+		Program:       shared(&loopProgram{iters: iters, body: body}),
 	}
 }
 
@@ -134,33 +129,32 @@ func buildKMeans(s Scale) *kernel.Spec {
 	const centroids = 8
 	totalWarps := ctas * warpsPerCTA
 	stride := uint32(totalWarps * isa.WarpSize * 4)
+	feat := func(region uint32) func(*isa.Cursor) uint32 {
+		return func(c *isa.Cursor) uint32 {
+			return region + warpBase(c, warpsPerCTA, 4) + uint32(c.Iter)*stride
+		}
+	}
+	body := []Emit{
+		ldg(1, feat(regionA)),
+		ldg(2, feat(regionA+64<<20)),
+	}
+	for k := 0; k < centroids; k++ {
+		line := uint32(regionB + k*128)
+		body = append(body,
+			// Broadcast load: every lane reads the centroid line.
+			ldgLanes(3, func(_ *isa.Cursor, lane int) uint32 { return line + uint32(lane%32)*4 }),
+			alu(isa.OpFAlu, 4, 1, 3),
+			alu(isa.OpFAlu, 5, 4, 2),
+			alu(isa.OpFAlu, 6, 5, 6),
+		)
+	}
+	body = append(body, stg(6, feat(regionC)), branch())
 
 	return &kernel.Spec{
 		Name:          "kmeans",
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread: 18,
-		Program: func(ctaID, w int) isa.Program {
-			base := uint32((ctaID*warpsPerCTA + w) * isa.WarpSize * 4)
-			feat := func(region uint32) func(int) uint32 {
-				return func(iter int) uint32 { return region + base + uint32(iter)*stride }
-			}
-			body := []Emit{
-				ldg(1, feat(regionA)),
-				ldg(2, feat(regionA+64<<20)),
-			}
-			for k := 0; k < centroids; k++ {
-				line := uint32(regionB + k*128)
-				body = append(body,
-					// Broadcast load: every lane reads the centroid line.
-					ldgLanes(3, func(_, lane int) uint32 { return line + uint32(lane%32)*4 }),
-					alu(isa.OpFAlu, 4, 1, 3),
-					alu(isa.OpFAlu, 5, 4, 2),
-					alu(isa.OpFAlu, 6, 5, 6),
-				)
-			}
-			body = append(body, stg(6, feat(regionC)), branch())
-			return &loopProgram{iters: iters, body: body}
-		},
+		Program:       shared(&loopProgram{iters: iters, body: body}),
 	}
 }

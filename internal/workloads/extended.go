@@ -49,6 +49,14 @@ func buildLUD(s Scale) *kernel.Spec {
 	const warpsPerCTA = 8
 	totalWarps := ctas * warpsPerCTA
 	stride := uint32(totalWarps * isa.WarpSize * 4)
+	shrink := func(c *isa.Cursor) uint32 {
+		// Active lanes halve every four steps: 32,32,32,32,16,...
+		lanes := 32 >> uint(c.Iter/4)
+		if lanes < 4 {
+			lanes = 4
+		}
+		return uint32(1)<<uint(lanes) - 1
+	}
 
 	return &kernel.Spec{
 		Name:            "lud",
@@ -56,36 +64,25 @@ func buildLUD(s Scale) *kernel.Spec {
 		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread:   18,
 		SharedMemPerCTA: 2 * 1024,
-		Program: func(ctaID, w int) isa.Program {
-			base := uint32((ctaID*warpsPerCTA + w) * isa.WarpSize * 4)
-			shrink := func(iter int) uint32 {
-				// Active lanes halve every four steps: 32,32,32,32,16,...
-				lanes := 32 >> uint(iter/4)
-				if lanes < 4 {
-					lanes = 4
-				}
-				return uint32(1)<<uint(lanes) - 1
-			}
-			return &loopProgram{
-				iters: steps,
-				body: []Emit{
-					// Pivot row broadcast: all active lanes read one line.
-					ldgMasked(1, shrink, func(iter, lane int) uint32 {
-						return regionA + uint32(iter)*128 + uint32(lane%32)*4
-					}),
-					// Own row elements.
-					ldgMasked(2, shrink, func(iter, lane int) uint32 {
-						return regionB + base + uint32(iter)*stride + uint32(lane)*4
-					}),
-					aluMasked(isa.OpFAlu, 3, shrink, 1, 2),
-					aluMasked(isa.OpFAlu, 4, shrink, 3, 4),
-					stsMasked(4, shrink),
-					bar(),
-					lds(5, 1),
-					bar(),
-				},
-			}
-		},
+		Program: shared(&loopProgram{
+			iters: steps,
+			body: []Emit{
+				// Pivot row broadcast: all active lanes read one line.
+				ldgMasked(1, shrink, func(c *isa.Cursor, lane int) uint32 {
+					return regionA + uint32(c.Iter)*128 + uint32(lane%32)*4
+				}),
+				// Own row elements.
+				ldgMasked(2, shrink, func(c *isa.Cursor, lane int) uint32 {
+					return regionB + warpBase(c, warpsPerCTA, 4) + uint32(c.Iter)*stride + uint32(lane)*4
+				}),
+				aluMasked(isa.OpFAlu, 3, shrink, 1, 2),
+				aluMasked(isa.OpFAlu, 4, shrink, 3, 4),
+				stsMasked(4, shrink),
+				bar(),
+				lds(5, 1),
+				bar(),
+			},
+		}),
 	}
 }
 
@@ -103,26 +100,24 @@ func buildSRAD(s Scale) *kernel.Spec {
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread: 24,
-		Program: func(ctaID, w int) isa.Program {
-			g := newRowGeom(iters, w)
-			stats := uint32(regionD) + uint32(ctaID)*128
-			return &loopProgram{
-				iters: iters,
-				body: []Emit{
-					ldg(1, func(iter int) uint32 { return g.at(regionA, ctaID, iter) }),
-					ldg(2, func(iter int) uint32 { return g.at(regionA, ctaID+1, iter) }),
-					ldg(3, func(iter int) uint32 { return g.at(regionA, ctaID+2, iter) }),
-					ldgLanes(4, func(_, lane int) uint32 { return stats + uint32(lane%32)*4 }),
-					alu(isa.OpFAlu, 5, 1, 2),
-					alu(isa.OpFAlu, 6, 3, 4),
-					alu(isa.OpSfu, 7, 5),
-					alu(isa.OpFAlu, 8, 7, 6),
-					stg(8, func(iter int) uint32 { return g.at(regionB, ctaID, iter) }),
-					stg(5, func(iter int) uint32 { return g.at(regionC, ctaID, iter) }),
-					branch(),
-				},
-			}
-		},
+		Program: shared(&loopProgram{
+			iters: iters,
+			body: []Emit{
+				ldg(1, rowLine(iters, regionA, 0)),
+				ldg(2, rowLine(iters, regionA, 1)),
+				ldg(3, rowLine(iters, regionA, 2)),
+				ldgLanes(4, func(c *isa.Cursor, lane int) uint32 {
+					return uint32(regionD) + uint32(c.CTA)*128 + uint32(lane%32)*4
+				}),
+				alu(isa.OpFAlu, 5, 1, 2),
+				alu(isa.OpFAlu, 6, 3, 4),
+				alu(isa.OpSfu, 7, 5),
+				alu(isa.OpFAlu, 8, 7, 6),
+				stg(8, rowLine(iters, regionB, 0)),
+				stg(5, rowLine(iters, regionC, 0)),
+				branch(),
+			},
+		}),
 	}
 }
 
@@ -135,6 +130,34 @@ func buildBackprop(s Scale) *kernel.Spec {
 	const warpsPerCTA = 8
 	totalWarps := ctas * warpsPerCTA
 	stride := uint32(totalWarps * isa.WarpSize * 4)
+	var body []Emit
+	for i := 0; i < inputs; i++ {
+		off := uint32(i) * stride
+		body = append(body,
+			ldg(1, func(c *isa.Cursor) uint32 { return regionA + warpBase(c, warpsPerCTA, 4) + off }),
+			ldg(2, func(c *isa.Cursor) uint32 { return regionB + warpBase(c, warpsPerCTA, 4) + off }),
+			alu(isa.OpFAlu, 3, 1, 2),
+			alu(isa.OpFAlu, 4, 3, 4),
+		)
+	}
+	halving := func(level int) func(*isa.Cursor) uint32 {
+		lanes := isa.WarpSize >> uint(level+1)
+		m := uint32(1)<<uint(lanes) - 1
+		return func(*isa.Cursor) uint32 { return m }
+	}
+	epilogue := []Emit{sts(4, 1), bar()}
+	for level := 0; level < 4; level++ {
+		epilogue = append(epilogue,
+			lds(5, 1),
+			aluMasked(isa.OpFAlu, 4, halving(level), 4, 5),
+			stsMasked(4, halving(level)),
+			bar(),
+		)
+	}
+	epilogue = append(epilogue,
+		alu(isa.OpSfu, 6, 4), // activation function
+		stg(6, func(c *isa.Cursor) uint32 { return regionC + warpBase(c, warpsPerCTA, 4) }),
+	)
 
 	return &kernel.Spec{
 		Name:            "backprop",
@@ -142,38 +165,7 @@ func buildBackprop(s Scale) *kernel.Spec {
 		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread:   16,
 		SharedMemPerCTA: 1024,
-		Program: func(ctaID, w int) isa.Program {
-			base := uint32((ctaID*warpsPerCTA + w) * isa.WarpSize * 4)
-			var body []Emit
-			for i := 0; i < inputs; i++ {
-				ii := i
-				body = append(body,
-					ldg(1, func(int) uint32 { return regionA + base + uint32(ii)*stride }),
-					ldg(2, func(int) uint32 { return regionB + base + uint32(ii)*stride }),
-					alu(isa.OpFAlu, 3, 1, 2),
-					alu(isa.OpFAlu, 4, 3, 4),
-				)
-			}
-			halving := func(level int) func(int) uint32 {
-				lanes := isa.WarpSize >> uint(level+1)
-				m := uint32(1)<<uint(lanes) - 1
-				return func(int) uint32 { return m }
-			}
-			epilogue := []Emit{sts(4, 1), bar()}
-			for level := 0; level < 4; level++ {
-				epilogue = append(epilogue,
-					lds(5, 1),
-					aluMasked(isa.OpFAlu, 4, halving(level), 4, 5),
-					stsMasked(4, halving(level)),
-					bar(),
-				)
-			}
-			epilogue = append(epilogue,
-				alu(isa.OpSfu, 6, 4), // activation function
-				stg(6, func(int) uint32 { return regionC + base }),
-			)
-			return &loopProgram{iters: 1, body: body, epilogue: epilogue}
-		},
+		Program:         shared(&loopProgram{iters: 1, body: body, epilogue: epilogue}),
 	}
 }
 
@@ -189,34 +181,41 @@ func buildStreamcluster(s Scale) *kernel.Spec {
 	const windowBytes = 4 * 1024
 	totalWarps := ctas * warpsPerCTA
 	stride := uint32(totalWarps * isa.WarpSize * 4)
+	point := func(region uint32) func(*isa.Cursor) uint32 {
+		return func(c *isa.Cursor) uint32 {
+			return region + warpBase(c, warpsPerCTA, 4) + uint32(c.Iter)*stride
+		}
+	}
+	// Four coalesced re-reads of the CTA's center window, rotating through
+	// it so the whole 4KB stays live.
+	center := func(k int) func(*isa.Cursor) uint32 {
+		return func(c *isa.Cursor) uint32 {
+			window := uint32(regionB) + uint32(c.CTA)*windowBytes
+			return window + uint32((c.Iter*4+k)%(windowBytes/128))*128
+		}
+	}
 
 	return &kernel.Spec{
 		Name:          "streamcluster",
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread: 20,
-		Program: func(ctaID, w int) isa.Program {
-			base := uint32((ctaID*warpsPerCTA + w) * isa.WarpSize * 4)
-			window := uint32(regionB) + uint32(ctaID)*windowBytes
-			return &loopProgram{
-				iters: points,
-				body: []Emit{
-					ldg(1, func(iter int) uint32 { return regionA + base + uint32(iter)*stride }),
-					// Four coalesced re-reads of the CTA's center window,
-					// rotating through it so the whole 4KB stays live.
-					ldg(2, func(iter int) uint32 { return window + uint32((iter*4+0)%(windowBytes/128))*128 }),
-					alu(isa.OpFAlu, 6, 1, 2),
-					ldg(3, func(iter int) uint32 { return window + uint32((iter*4+1)%(windowBytes/128))*128 }),
-					alu(isa.OpFAlu, 6, 6, 3),
-					ldg(4, func(iter int) uint32 { return window + uint32((iter*4+2)%(windowBytes/128))*128 }),
-					alu(isa.OpFAlu, 6, 6, 4),
-					ldg(5, func(iter int) uint32 { return window + uint32((iter*4+3)%(windowBytes/128))*128 }),
-					alu(isa.OpFAlu, 6, 6, 5),
-					stg(6, func(iter int) uint32 { return regionC + base + uint32(iter)*stride }),
-					branch(),
-				},
-			}
-		},
+		Program: shared(&loopProgram{
+			iters: points,
+			body: []Emit{
+				ldg(1, point(regionA)),
+				ldg(2, center(0)),
+				alu(isa.OpFAlu, 6, 1, 2),
+				ldg(3, center(1)),
+				alu(isa.OpFAlu, 6, 6, 3),
+				ldg(4, center(2)),
+				alu(isa.OpFAlu, 6, 6, 4),
+				ldg(5, center(3)),
+				alu(isa.OpFAlu, 6, 6, 5),
+				stg(6, point(regionC)),
+				branch(),
+			},
+		}),
 	}
 }
 
@@ -228,6 +227,33 @@ func buildDCT8x8(s Scale) *kernel.Spec {
 	tiles := pick(s, 3, 8, 10)
 	const warpsPerCTA = 8
 	const tileBytes = 4 * 1024
+	at := func(region uint32) func(*isa.Cursor) uint32 {
+		return func(c *isa.Cursor) uint32 {
+			return region + uint32(c.CTA*tiles+c.Iter)*tileBytes + warpOff(c)
+		}
+	}
+	body := []Emit{
+		ldg(1, at(regionA)),
+		sts(1, 1),
+		bar(),
+	}
+	// Row pass: conflict-free; butterflies.
+	for i := 0; i < 4; i++ {
+		body = append(body, lds(2, 1),
+			alu(isa.OpFAlu, 3, 2, 3),
+			alu(isa.OpFAlu, 4, 3, 2))
+	}
+	body = append(body, sts(4, 1), bar())
+	// Column pass: stride access, 4-way bank conflicts.
+	for i := 0; i < 4; i++ {
+		body = append(body, lds(5, 4),
+			alu(isa.OpFAlu, 6, 5, 6),
+			alu(isa.OpFAlu, 7, 6, 5))
+	}
+	body = append(body,
+		stg(7, at(regionC)),
+		bar(),
+	)
 
 	return &kernel.Spec{
 		Name:            "dct8x8",
@@ -235,36 +261,6 @@ func buildDCT8x8(s Scale) *kernel.Spec {
 		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread:   22,
 		SharedMemPerCTA: 4 * 1024,
-		Program: func(ctaID, w int) isa.Program {
-			warpOff := uint32(w * isa.WarpSize * 4)
-			at := func(region uint32) func(int) uint32 {
-				return func(iter int) uint32 {
-					return region + uint32(ctaID*tiles+iter)*tileBytes + warpOff
-				}
-			}
-			body := []Emit{
-				ldg(1, at(regionA)),
-				sts(1, 1),
-				bar(),
-			}
-			// Row pass: conflict-free; butterflies.
-			for i := 0; i < 4; i++ {
-				body = append(body, lds(2, 1),
-					alu(isa.OpFAlu, 3, 2, 3),
-					alu(isa.OpFAlu, 4, 3, 2))
-			}
-			body = append(body, sts(4, 1), bar())
-			// Column pass: stride access, 4-way bank conflicts.
-			for i := 0; i < 4; i++ {
-				body = append(body, lds(5, 4),
-					alu(isa.OpFAlu, 6, 5, 6),
-					alu(isa.OpFAlu, 7, 6, 5))
-			}
-			body = append(body,
-				stg(7, at(regionC)),
-				bar(),
-			)
-			return &loopProgram{iters: tiles, body: body}
-		},
+		Program:         shared(&loopProgram{iters: tiles, body: body}),
 	}
 }

@@ -9,7 +9,7 @@ import (
 func TestLUDDivergenceShrinks(t *testing.T) {
 	w, _ := ByName("lud")
 	spec := w.Build(ScaleFull) // needs enough steps for the mask to halve
-	instrs := drain(spec.Program(0, 0), 1_000_000)
+	instrs := drain(spec, 0, 0, 1_000_000)
 	first, last := -1, -1
 	for _, wi := range instrs {
 		if wi.Op == isa.OpFAlu && wi.Mask != 0 {
@@ -34,7 +34,7 @@ func TestStreamclusterWindowsPrivateAndReused(t *testing.T) {
 	windowLines := func(cta int) (map[uint32]int, int) {
 		counts := map[uint32]int{}
 		total := 0
-		for _, wi := range drain(spec.Program(cta, 0), 1_000_000) {
+		for _, wi := range drain(spec, cta, 0, 1_000_000) {
 			if wi.Op == isa.OpLoadGlobal && wi.Addrs[0] >= regionB && wi.Addrs[0] < regionC {
 				counts[wi.Addrs[0]/128]++
 				total++
@@ -57,7 +57,7 @@ func TestStreamclusterWindowsPrivateAndReused(t *testing.T) {
 	specFull := w.Build(ScaleFull)
 	counts := map[uint32]int{}
 	total := 0
-	for _, wi := range drain(specFull.Program(0, 0), 1_000_000) {
+	for _, wi := range drain(specFull, 0, 0, 1_000_000) {
 		if wi.Op == isa.OpLoadGlobal && wi.Addrs[0] >= regionB && wi.Addrs[0] < regionC {
 			counts[wi.Addrs[0]/128]++
 			total++
@@ -73,7 +73,7 @@ func TestSRADSharesRowsWithNeighbor(t *testing.T) {
 	spec := w.Build(ScaleTest)
 	lines := func(cta int) map[uint32]bool {
 		set := map[uint32]bool{}
-		for _, wi := range drain(spec.Program(cta, 0), 1_000_000) {
+		for _, wi := range drain(spec, cta, 0, 1_000_000) {
 			if wi.Op == isa.OpLoadGlobal && wi.Addrs[0] < regionB {
 				for l := 0; l < isa.WarpSize; l++ {
 					set[wi.Addrs[l]/128] = true
@@ -98,7 +98,7 @@ func TestBackpropReductionMasksHalve(t *testing.T) {
 	w, _ := ByName("backprop")
 	spec := w.Build(ScaleTest)
 	var masks []int
-	for _, wi := range drain(spec.Program(0, 0), 1_000_000) {
+	for _, wi := range drain(spec, 0, 0, 1_000_000) {
 		if wi.Op == isa.OpStoreShared && wi.Mask != isa.FullMask {
 			masks = append(masks, wi.ActiveLanes())
 		}
@@ -117,7 +117,7 @@ func TestDCT8x8UsesBothSharedPasses(t *testing.T) {
 	w, _ := ByName("dct8x8")
 	spec := w.Build(ScaleTest)
 	conflictFree, conflicted := 0, 0
-	for _, wi := range drain(spec.Program(0, 0), 1_000_000) {
+	for _, wi := range drain(spec, 0, 0, 1_000_000) {
 		if wi.Op == isa.OpLoadShared {
 			if wi.BankConflict <= 1 {
 				conflictFree++

@@ -1,67 +1,76 @@
 package workloads
 
 import (
-	"sync"
-
 	"gpusched/internal/isa"
+	"gpusched/internal/kernel"
 )
 
-// Emit fills buf with one instruction of a loop body at iteration iter.
-// Implementations must overwrite every field they rely on (buf is reused).
-type Emit func(buf *isa.WarpInstr, iter int)
+// Emit fills buf with one instruction for the warp at c. It reads the
+// warp's identity (c.CTA, c.Warp) and loop iteration (c.Iter), nothing else
+// of the cursor, and must overwrite every field of buf it relies on (buf is
+// reused).
+type Emit func(buf *isa.WarpInstr, c *isa.Cursor)
 
-// loopProgram is the iterator shape every workload kernel uses: a prologue
-// executed once, a body repeated iters times, an epilogue, then EXIT. It
-// materializes nothing: each instruction is produced on demand from the
-// Emit closures, which capture the warp's identity and address arithmetic.
+// loopProgram is the program shape every workload kernel uses: a prologue
+// executed once, a body repeated iters times, an epilogue, then EXIT. It is
+// a template, built once per workload and scale and shared by every warp:
+// it materializes nothing and never changes, and each instruction is
+// produced on demand by an Emit closure from the warp's cursor.
 type loopProgram struct {
 	prologue []Emit
 	body     []Emit
 	epilogue []Emit
 	iters    int
-
-	phase int // 0 prologue, 1 body, 2 epilogue, 3 exit, 4 done
-	i, j  int
 }
 
+// The cursor phases of a loopProgram. Pos indexes the phase's Emit slice;
+// Iter counts body passes, 0 in the prologue and iters in the epilogue.
+const (
+	inPrologue = iota
+	inBody
+	inEpilogue
+	atExit
+	exited
+)
+
 // Next implements isa.Program.
-func (p *loopProgram) Next(buf *isa.WarpInstr) bool {
+func (p *loopProgram) Next(c *isa.Cursor, buf *isa.WarpInstr) bool {
 	for {
-		switch p.phase {
-		case 0:
-			if p.j < len(p.prologue) {
+		switch c.Phase {
+		case inPrologue:
+			if c.Pos < len(p.prologue) {
 				buf.Reset()
-				p.prologue[p.j](buf, 0)
-				p.j++
+				p.prologue[c.Pos](buf, c)
+				c.Pos++
 				return true
 			}
-			p.phase, p.j = 1, 0
-		case 1:
-			if p.i >= p.iters || len(p.body) == 0 {
-				p.phase, p.j = 2, 0
+			c.Phase, c.Pos = inBody, 0
+		case inBody:
+			if c.Iter >= p.iters || len(p.body) == 0 {
+				c.Phase, c.Pos = inEpilogue, 0
 				continue
 			}
 			buf.Reset()
-			p.body[p.j](buf, p.i)
-			p.j++
-			if p.j == len(p.body) {
-				p.j = 0
-				p.i++
+			p.body[c.Pos](buf, c)
+			c.Pos++
+			if c.Pos == len(p.body) {
+				c.Pos = 0
+				c.Iter++
 			}
 			return true
-		case 2:
-			if p.j < len(p.epilogue) {
+		case inEpilogue:
+			if c.Pos < len(p.epilogue) {
 				buf.Reset()
-				p.epilogue[p.j](buf, p.i)
-				p.j++
+				p.epilogue[c.Pos](buf, c)
+				c.Pos++
 				return true
 			}
-			p.phase = 3
-		case 3:
+			c.Phase = atExit
+		case atExit:
 			buf.Reset()
 			buf.Op = isa.OpExit
 			buf.Mask = isa.FullMask
-			p.phase = 4
+			c.Phase = exited
 			return true
 		default:
 			return false
@@ -74,175 +83,152 @@ func (p *loopProgram) instrPerWarp() int {
 	return len(p.prologue) + p.iters*len(p.body) + len(p.epilogue) + 1
 }
 
+// shared is the program factory that gives every warp the one template p.
+func shared(p isa.Program) kernel.ProgramFactory {
+	return func(int, int) isa.Program { return p }
+}
+
+// gwarp is the grid-wide index of the warp at c, for a kernel of
+// warpsPerCTA warps per CTA.
+func gwarp(c *isa.Cursor, warpsPerCTA int) int {
+	return c.CTA*warpsPerCTA + c.Warp
+}
+
+// warpBase is the byte offset of the warp at c in a grid-wide array with
+// one laneBytes-byte element per thread, in thread order: the layout the
+// streaming kernels read.
+func warpBase(c *isa.Cursor, warpsPerCTA, laneBytes int) uint32 {
+	return uint32(gwarp(c, warpsPerCTA) * isa.WarpSize * laneBytes)
+}
+
+// warpOff is the byte offset of the warp at c within a tile its CTA owns,
+// one 4-byte word per lane.
+func warpOff(c *isa.Cursor) uint32 {
+	return uint32(c.Warp * isa.WarpSize * 4)
+}
+
 // ---- Emit constructors ----
-
-// fixedEmitKey identifies an Emit closure that captures only plain values —
-// no per-warp address functions — so structurally identical calls can share
-// one closure. Template builds call the fixed-shape constructors (alu, lds,
-// sts) thousands of times per simulation across the per-(cta,warp) template
-// cache misses, but the distinct key population is tiny: memoizing turns the
-// dominant share of template-build allocations into map hits.
-type fixedEmitKey struct {
-	op       isa.Op
-	dst, src isa.Reg
-	s        [3]isa.Reg
-	conflict uint8
-}
-
-var (
-	fixedEmitMu   sync.Mutex
-	fixedEmitMemo = map[fixedEmitKey]Emit{}
-)
-
-// memoFixedEmit returns the canonical closure for key, building it once.
-func memoFixedEmit(key fixedEmitKey, build func() Emit) Emit {
-	fixedEmitMu.Lock()
-	e, ok := fixedEmitMemo[key]
-	if !ok {
-		e = build()
-		fixedEmitMemo[key] = e
-	}
-	fixedEmitMu.Unlock()
-	return e
-}
 
 // alu emits an arithmetic op dst <- f(srcs), all lanes active.
 func alu(op isa.Op, dst isa.Reg, srcs ...isa.Reg) Emit {
 	var s [3]isa.Reg
 	copy(s[:], srcs)
-	return memoFixedEmit(fixedEmitKey{op: op, dst: dst, s: s}, func() Emit {
-		return func(buf *isa.WarpInstr, _ int) {
-			buf.Op = op
-			buf.Dst = dst
-			buf.Src = s
-			buf.Mask = isa.FullMask
-		}
-	})
-}
-
-// aluMasked emits an arithmetic op whose active mask depends on iter
-// (divergence modeling).
-func aluMasked(op isa.Op, dst isa.Reg, mask func(iter int) uint32, srcs ...isa.Reg) Emit {
-	var s [3]isa.Reg
-	copy(s[:], srcs)
-	return func(buf *isa.WarpInstr, iter int) {
+	return func(buf *isa.WarpInstr, _ *isa.Cursor) {
 		buf.Op = op
 		buf.Dst = dst
 		buf.Src = s
-		buf.Mask = mask(iter)
+		buf.Mask = isa.FullMask
 	}
 }
 
-// ldg emits a perfectly-coalesced global load: lane l reads base(iter)+4l.
-func ldg(dst isa.Reg, base func(iter int) uint32) Emit {
-	return func(buf *isa.WarpInstr, iter int) {
+// aluMasked emits an arithmetic op whose active mask depends on the warp
+// and iteration (divergence modeling).
+func aluMasked(op isa.Op, dst isa.Reg, mask func(c *isa.Cursor) uint32, srcs ...isa.Reg) Emit {
+	var s [3]isa.Reg
+	copy(s[:], srcs)
+	return func(buf *isa.WarpInstr, c *isa.Cursor) {
+		buf.Op = op
+		buf.Dst = dst
+		buf.Src = s
+		buf.Mask = mask(c)
+	}
+}
+
+// ldg emits a perfectly-coalesced global load: lane l reads base(c)+4l.
+func ldg(dst isa.Reg, base func(c *isa.Cursor) uint32) Emit {
+	return func(buf *isa.WarpInstr, c *isa.Cursor) {
 		buf.Op = isa.OpLoadGlobal
 		buf.Dst = dst
 		buf.Mask = isa.FullMask
-		isa.FillLinear(buf, base(iter), 4)
+		isa.FillLinear(buf, base(c), 4)
 	}
 }
 
 // ldgLanes emits a global load with arbitrary per-lane addressing.
-func ldgLanes(dst isa.Reg, addr func(iter, lane int) uint32) Emit {
-	return func(buf *isa.WarpInstr, iter int) {
-		buf.Op = isa.OpLoadGlobal
-		buf.Dst = dst
-		buf.Mask = isa.FullMask
-		for l := 0; l < isa.WarpSize; l++ {
-			buf.Addrs[l] = addr(iter, l)
-		}
-	}
+func ldgLanes(dst isa.Reg, addr func(c *isa.Cursor, lane int) uint32) Emit {
+	return ldgMasked(dst, func(*isa.Cursor) uint32 { return isa.FullMask }, addr)
 }
 
-// ldgMasked is ldgLanes with a per-iteration active mask.
-func ldgMasked(dst isa.Reg, mask func(iter int) uint32, addr func(iter, lane int) uint32) Emit {
-	return func(buf *isa.WarpInstr, iter int) {
+// ldgMasked is ldgLanes with a per-warp, per-iteration active mask.
+func ldgMasked(dst isa.Reg, mask func(c *isa.Cursor) uint32, addr func(c *isa.Cursor, lane int) uint32) Emit {
+	return func(buf *isa.WarpInstr, c *isa.Cursor) {
 		buf.Op = isa.OpLoadGlobal
 		buf.Dst = dst
-		buf.Mask = mask(iter)
+		buf.Mask = mask(c)
 		for l := 0; l < isa.WarpSize; l++ {
-			buf.Addrs[l] = addr(iter, l)
+			buf.Addrs[l] = addr(c, l)
 		}
 	}
 }
 
 // stg emits a perfectly-coalesced global store of src.
-func stg(src isa.Reg, base func(iter int) uint32) Emit {
-	return func(buf *isa.WarpInstr, iter int) {
+func stg(src isa.Reg, base func(c *isa.Cursor) uint32) Emit {
+	return func(buf *isa.WarpInstr, c *isa.Cursor) {
 		buf.Op = isa.OpStoreGlobal
 		buf.Src = [3]isa.Reg{src}
 		buf.Mask = isa.FullMask
-		isa.FillLinear(buf, base(iter), 4)
+		isa.FillLinear(buf, base(c), 4)
 	}
 }
 
 // lds emits a scratchpad load with the given bank-conflict degree.
 func lds(dst isa.Reg, conflict uint8) Emit {
-	return memoFixedEmit(fixedEmitKey{op: isa.OpLoadShared, dst: dst, conflict: conflict}, func() Emit {
-		return func(buf *isa.WarpInstr, _ int) {
-			buf.Op = isa.OpLoadShared
-			buf.Dst = dst
-			buf.Mask = isa.FullMask
-			buf.BankConflict = conflict
-		}
-	})
+	return func(buf *isa.WarpInstr, _ *isa.Cursor) {
+		buf.Op = isa.OpLoadShared
+		buf.Dst = dst
+		buf.Mask = isa.FullMask
+		buf.BankConflict = conflict
+	}
 }
 
 // sts emits a scratchpad store with the given bank-conflict degree.
 func sts(src isa.Reg, conflict uint8) Emit {
-	return memoFixedEmit(fixedEmitKey{op: isa.OpStoreShared, src: src, conflict: conflict}, func() Emit {
-		return func(buf *isa.WarpInstr, _ int) {
-			buf.Op = isa.OpStoreShared
-			buf.Src = [3]isa.Reg{src}
-			buf.Mask = isa.FullMask
-			buf.BankConflict = conflict
-		}
-	})
+	return func(buf *isa.WarpInstr, _ *isa.Cursor) {
+		buf.Op = isa.OpStoreShared
+		buf.Src = [3]isa.Reg{src}
+		buf.Mask = isa.FullMask
+		buf.BankConflict = conflict
+	}
 }
 
 // stsMasked emits a masked scratchpad store (reduction trees).
-func stsMasked(src isa.Reg, mask func(iter int) uint32) Emit {
-	return func(buf *isa.WarpInstr, iter int) {
+func stsMasked(src isa.Reg, mask func(c *isa.Cursor) uint32) Emit {
+	return func(buf *isa.WarpInstr, c *isa.Cursor) {
 		buf.Op = isa.OpStoreShared
 		buf.Src = [3]isa.Reg{src}
-		buf.Mask = mask(iter)
+		buf.Mask = mask(c)
 		buf.BankConflict = 1
 	}
 }
 
 // atom emits a global atomic RMW with arbitrary per-lane addressing.
-func atom(dst isa.Reg, addr func(iter, lane int) uint32) Emit {
-	return func(buf *isa.WarpInstr, iter int) {
+func atom(dst isa.Reg, addr func(c *isa.Cursor, lane int) uint32) Emit {
+	return func(buf *isa.WarpInstr, c *isa.Cursor) {
 		buf.Op = isa.OpAtomicGlobal
 		buf.Dst = dst
 		buf.Mask = isa.FullMask
 		for l := 0; l < isa.WarpSize; l++ {
-			buf.Addrs[l] = addr(iter, l)
+			buf.Addrs[l] = addr(c, l)
 		}
 	}
 }
 
-// barEmit and branchEmit are the shared zero-state closures behind bar()
-// and branch(): neither captures anything, so one instance serves every
-// template.
-var (
-	barEmit Emit = func(buf *isa.WarpInstr, _ int) {
+// bar emits a CTA barrier.
+func bar() Emit {
+	return func(buf *isa.WarpInstr, _ *isa.Cursor) {
 		buf.Op = isa.OpBarrier
 		buf.Mask = isa.FullMask
 	}
-	branchEmit Emit = func(buf *isa.WarpInstr, _ int) {
-		buf.Op = isa.OpBranch
-		buf.Mask = isa.FullMask
-	}
-)
-
-// bar emits a CTA barrier.
-func bar() Emit { return barEmit }
+}
 
 // branch emits a control instruction (issue-slot cost of the pre-lowered
 // loop back-edge).
-func branch() Emit { return branchEmit }
+func branch() Emit {
+	return func(buf *isa.WarpInstr, _ *isa.Cursor) {
+		buf.Op = isa.OpBranch
+		buf.Mask = isa.FullMask
+	}
+}
 
 // ---- deterministic pseudo-randomness ----
 
@@ -265,98 +251,4 @@ func hash2(a, b int) uint32 {
 // hash3 mixes three identifiers into a nonzero seed.
 func hash3(a, b, c int) uint32 {
 	return xs32(hash2(a, b) ^ (uint32(c)*0xC2B2AE35 + 1))
-}
-
-// ---- program-template memoization ----
-
-// progKey identifies one warp's generated program. A registry workload's
-// builder is a pure function of its Scale — every constant its Emit closures
-// capture derives from the scale tables — and all per-warp variation enters
-// through (ctaID, warp), so the tuple fully determines the template.
-type progKey struct {
-	name  string
-	scale Scale
-	cta   int
-	warp  int
-}
-
-var (
-	progMu   sync.Mutex
-	progMemo = map[progKey]*loopProgram{}
-	// progFree recycles the per-placement iterator copies memoProgram hands
-	// out. The cores return a copy (via kernel.Spec.RecycleProgram) once its
-	// warp's CTA has left the machine; the next placement overwrites it
-	// wholesale from the template, so no state crosses lives and the pop
-	// order cannot influence results — only which address gets reused.
-	progFree []*loopProgram
-)
-
-// takeProgCopy pops a recycled iterator (or allocates one) and resets it
-// from tpl.
-func takeProgCopy(tpl *loopProgram) *loopProgram {
-	progMu.Lock()
-	var cp *loopProgram
-	if n := len(progFree); n > 0 {
-		cp = progFree[n-1]
-		progFree[n-1] = nil
-		progFree = progFree[:n-1]
-	}
-	progMu.Unlock()
-	if cp == nil {
-		cp = new(loopProgram)
-	}
-	*cp = *tpl
-	return cp
-}
-
-// recycleProgram is the kernel.Spec.RecycleProgram hook for registry
-// workloads: template-cached programs go back on the free list; anything
-// else (a factory that bypassed the cache) is left to the garbage collector.
-func recycleProgram(p isa.Program) {
-	lp, ok := p.(*loopProgram)
-	if !ok {
-		return
-	}
-	progMu.Lock()
-	progFree = append(progFree, lp)
-	progMu.Unlock()
-}
-
-// memoProgram wraps a registry workload's per-warp program factory with a
-// process-wide template cache. Building a warp's program allocates a few
-// dozen Emit closures, and CTA placement does it for every warp of every
-// CTA — the dominant allocation cost of a simulation. The experiment sweeps
-// re-simulate the same (workload, scale) under many schedulers and
-// configurations, so the factory runs once per (cta, warp) process-wide and
-// every later placement gets a one-allocation copy sharing the immutable
-// closure slices. Emit closures are pure (stateless functions of their
-// captured constants and the iteration index), so copies may execute
-// concurrently across simulations. A factory returning anything other than
-// a *loopProgram bypasses the cache: only the iterator shape defined here
-// is known to separate immutable template from per-run state.
-func memoProgram(name string, scale Scale, f func(ctaID, w int) isa.Program) func(ctaID, w int) isa.Program {
-	return func(ctaID, w int) isa.Program {
-		k := progKey{name: name, scale: scale, cta: ctaID, warp: w}
-		progMu.Lock()
-		tpl, ok := progMemo[k]
-		progMu.Unlock()
-		if !ok {
-			built := f(ctaID, w)
-			lp, isLoop := built.(*loopProgram)
-			if !isLoop {
-				return built
-			}
-			progMu.Lock()
-			if prev, raced := progMemo[k]; raced {
-				lp = prev // a concurrent simulation built it first; share
-			} else {
-				progMemo[k] = lp // never run: copies below carry the state
-			}
-			progMu.Unlock()
-			tpl = lp
-		}
-		// Fresh iterator state; template slices shared. The copy itself is
-		// pooled: CTA retirement returns it through recycleProgram.
-		return takeProgCopy(tpl)
-	}
 }

@@ -39,35 +39,36 @@ func buildSPMV(s Scale) *kernel.Spec {
 	const windowBytes = 4 * 1024
 	totalWarps := ctas * warpsPerCTA
 	idxStride := uint32(totalWarps * isa.WarpSize * 4)
+	row := func(region uint32) func(*isa.Cursor) uint32 {
+		return func(c *isa.Cursor) uint32 {
+			return region + warpBase(c, warpsPerCTA, 4) + uint32(c.Iter)*idxStride
+		}
+	}
+	gather := func(slot int) func(*isa.Cursor, int) uint32 {
+		return func(c *isa.Cursor, lane int) uint32 {
+			r := hash3(gwarp(c, warpsPerCTA), c.Iter*4+slot, lane/4)
+			window := uint32(regionB) + uint32(c.CTA)*windowBytes
+			return window + (r%(windowBytes/4))*4
+		}
+	}
 
 	return &kernel.Spec{
 		Name:          "spmv",
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread: 24,
-		Program: func(ctaID, w int) isa.Program {
-			idxBase := uint32((ctaID*warpsPerCTA + w) * isa.WarpSize * 4)
-			window := uint32(regionB) + uint32(ctaID)*windowBytes
-			gather := func(slot int) func(int, int) uint32 {
-				return func(iter, lane int) uint32 {
-					r := hash3(ctaID*warpsPerCTA+w, iter*4+slot, lane/4)
-					return window + (r%(windowBytes/4))*4
-				}
-			}
-			out := func(iter int) uint32 { return regionC + idxBase + uint32(iter)*idxStride }
-			return &loopProgram{
-				iters: rows,
-				body: []Emit{
-					ldg(1, func(iter int) uint32 { return regionA + idxBase + uint32(iter)*idxStride }),
-					ldgLanes(2, gather(0)),
-					ldgLanes(3, gather(1)),
-					alu(isa.OpFAlu, 4, 2, 1),
-					alu(isa.OpFAlu, 5, 3, 4),
-					alu(isa.OpFAlu, 6, 5, 6),
-					stg(6, out),
-				},
-			}
-		},
+		Program: shared(&loopProgram{
+			iters: rows,
+			body: []Emit{
+				ldg(1, row(regionA)),
+				ldgLanes(2, gather(0)),
+				ldgLanes(3, gather(1)),
+				alu(isa.OpFAlu, 4, 2, 1),
+				alu(isa.OpFAlu, 5, 3, 4),
+				alu(isa.OpFAlu, 6, 5, 6),
+				stg(6, row(regionC)),
+			},
+		}),
 	}
 }
 
@@ -83,39 +84,40 @@ func buildBFS(s Scale) *kernel.Spec {
 	const graphBytes = 16 << 20
 	totalWarps := ctas * warpsPerCTA
 	stride := uint32(totalWarps * isa.WarpSize * 4)
+	frontier := func(region uint32) func(*isa.Cursor) uint32 {
+		return func(c *isa.Cursor) uint32 {
+			return region + warpBase(c, warpsPerCTA, 4) + uint32(c.Iter)*stride
+		}
+	}
+	mask := func(c *isa.Cursor) uint32 {
+		// 50-100% of lanes active, varying per iteration.
+		m := hash2(gwarp(c, warpsPerCTA), c.Iter)
+		return m | 0x0000FFFF | (m >> 7)
+	}
+	neighbor := func(slot int) func(*isa.Cursor, int) uint32 {
+		return func(c *isa.Cursor, lane int) uint32 {
+			r := hash3(gwarp(c, warpsPerCTA), c.Iter*2+slot, lane/4)
+			return regionB + (r%(graphBytes/4))*4
+		}
+	}
 
 	return &kernel.Spec{
 		Name:          "bfs",
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread: 18,
-		Program: func(ctaID, w int) isa.Program {
-			gw := ctaID*warpsPerCTA + w
-			base := uint32(gw * isa.WarpSize * 4)
-			mask := func(iter int) uint32 {
-				// 50-100% of lanes active, varying per iteration.
-				m := hash2(gw, iter)
-				return m | 0x0000FFFF | (m >> 7)
-			}
-			neighbor := func(slot int) func(int, int) uint32 {
-				return func(iter, lane int) uint32 {
-					r := hash3(gw, iter*2+slot, lane/4)
-					return regionB + (r%(graphBytes/4))*4
-				}
-			}
-			return &loopProgram{
-				iters: iters,
-				body: []Emit{
-					ldg(1, func(iter int) uint32 { return regionA + base + uint32(iter)*stride }),
-					ldgMasked(2, mask, neighbor(0)),
-					ldgMasked(3, mask, neighbor(1)),
-					aluMasked(isa.OpIAlu, 4, mask, 2, 3),
-					aluMasked(isa.OpIAlu, 5, mask, 4, 1),
-					stg(5, func(iter int) uint32 { return regionC + base + uint32(iter)*stride }),
-					branch(),
-				},
-			}
-		},
+		Program: shared(&loopProgram{
+			iters: iters,
+			body: []Emit{
+				ldg(1, frontier(regionA)),
+				ldgMasked(2, mask, neighbor(0)),
+				ldgMasked(3, mask, neighbor(1)),
+				aluMasked(isa.OpIAlu, 4, mask, 2, 3),
+				aluMasked(isa.OpIAlu, 5, mask, 4, 1),
+				stg(5, frontier(regionC)),
+				branch(),
+			},
+		}),
 	}
 }
 
@@ -129,28 +131,27 @@ func buildHisto(s Scale) *kernel.Spec {
 	const bins = 1024
 	totalWarps := ctas * warpsPerCTA
 	stride := uint32(totalWarps * isa.WarpSize * 4)
+	in := func(c *isa.Cursor) uint32 {
+		return regionA + warpBase(c, warpsPerCTA, 4) + uint32(c.Iter)*stride
+	}
+	binAt := func(c *isa.Cursor, lane int) uint32 {
+		r := hash3(gwarp(c, warpsPerCTA), c.Iter, lane/8)
+		return regionB + (r%bins)*4
+	}
 
 	return &kernel.Spec{
 		Name:          "histo",
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread: 14,
-		Program: func(ctaID, w int) isa.Program {
-			gw := ctaID*warpsPerCTA + w
-			base := uint32(gw * isa.WarpSize * 4)
-			binAt := func(iter, lane int) uint32 {
-				r := hash3(gw, iter, lane/8)
-				return regionB + (r%bins)*4
-			}
-			return &loopProgram{
-				iters: iters,
-				body: []Emit{
-					ldg(1, func(iter int) uint32 { return regionA + base + uint32(iter)*stride }),
-					alu(isa.OpIAlu, 2, 1),
-					atom(3, binAt),
-					branch(),
-				},
-			}
-		},
+		Program: shared(&loopProgram{
+			iters: iters,
+			body: []Emit{
+				ldg(1, in),
+				alu(isa.OpIAlu, 2, 1),
+				atom(3, binAt),
+				branch(),
+			},
+		}),
 	}
 }

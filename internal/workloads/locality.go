@@ -40,28 +40,19 @@ func init() {
 // space.
 const guard = 4096
 
-// rowGeom is the row-per-CTA decomposition the stencil family uses: CTA i
+// rowLine is the row-per-CTA decomposition the stencil family uses: CTA i
 // produces output row i of the image and reads input rows i..i+span-1.
 // Consecutive CTAs therefore share span-1 of their span input rows — the
 // inter-CTA data sharing that BCS gang dispatch turns into same-core L1/MSHR
 // hits (and that BAWS keeps temporally aligned). Warp w owns a contiguous
-// column chunk; each iteration advances one cache line through the chunk.
-type rowGeom struct {
-	rowBytes uint32
-	warpOff  uint32
-}
-
-func newRowGeom(iters, w int) rowGeom {
-	lineBytes := uint32(128)
-	return rowGeom{
-		rowBytes: 8 * uint32(iters) * lineBytes, // 8 warps per CTA
-		warpOff:  uint32(w) * uint32(iters) * lineBytes,
+// column chunk; each of the kernel's iters iterations advances one cache
+// line through the chunk. rowLine returns the address of the line the warp
+// at c reads of row CTA+off in region.
+func rowLine(iters int, region uint32, off int) func(*isa.Cursor) uint32 {
+	chunk := uint32(iters) * 128 // one warp's column chunk
+	return func(c *isa.Cursor) uint32 {
+		return region + guard + uint32(c.CTA+off)*8*chunk + uint32(c.Warp)*chunk + uint32(c.Iter)*128
 	}
-}
-
-// at returns the address of input row r's line for iteration iter.
-func (g rowGeom) at(region uint32, r, iter int) uint32 {
-	return region + guard + uint32(r)*g.rowBytes + g.warpOff + uint32(iter)*128
 }
 
 // buildStencil: CTA i computes row i from input rows i, i+1, i+2. Two of
@@ -77,26 +68,20 @@ func buildStencil(s Scale) *kernel.Spec {
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread: 16,
-		Program: func(ctaID, w int) isa.Program {
-			g := newRowGeom(iters, w)
-			row := func(off int) func(int) uint32 {
-				return func(iter int) uint32 { return g.at(regionA, ctaID+off, iter) }
-			}
-			return &loopProgram{
-				iters: iters,
-				body: []Emit{
-					ldg(1, row(0)),
-					ldg(2, row(1)),
-					ldg(3, row(2)),
-					alu(isa.OpFAlu, 4, 1, 2),
-					alu(isa.OpFAlu, 5, 3, 4),
-					alu(isa.OpFAlu, 6, 5, 2),
-					alu(isa.OpFAlu, 6, 6, 6),
-					stg(6, func(iter int) uint32 { return g.at(regionC, ctaID, iter) }),
-					branch(),
-				},
-			}
-		},
+		Program: shared(&loopProgram{
+			iters: iters,
+			body: []Emit{
+				ldg(1, rowLine(iters, regionA, 0)),
+				ldg(2, rowLine(iters, regionA, 1)),
+				ldg(3, rowLine(iters, regionA, 2)),
+				alu(isa.OpFAlu, 4, 1, 2),
+				alu(isa.OpFAlu, 5, 3, 4),
+				alu(isa.OpFAlu, 6, 5, 2),
+				alu(isa.OpFAlu, 6, 6, 6),
+				stg(6, rowLine(iters, regionC, 0)),
+				branch(),
+			},
+		}),
 	}
 }
 
@@ -107,32 +92,26 @@ func buildHotspot(s Scale) *kernel.Spec {
 	ctas := pick(s, 24, 270, 540)
 	iters := pick(s, 4, 12, 16)
 	const warpsPerCTA = 8
+	body := []Emit{
+		ldg(1, rowLine(iters, regionA, 0)),
+		ldg(2, rowLine(iters, regionA, 1)),
+		ldg(3, rowLine(iters, regionA, 2)),
+		ldg(4, rowLine(iters, regionB, 0)),
+	}
+	for i := 0; i < 6; i++ {
+		body = append(body, alu(isa.OpFAlu, isa.Reg(5+i%2), isa.Reg(1+i%4), isa.Reg(5+(i+1)%2)))
+	}
+	body = append(body,
+		stg(5, rowLine(iters, regionC, 0)),
+		branch(),
+	)
 
 	return &kernel.Spec{
 		Name:          "hotspot",
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread: 20,
-		Program: func(ctaID, w int) isa.Program {
-			g := newRowGeom(iters, w)
-			temp := func(off int) func(int) uint32 {
-				return func(iter int) uint32 { return g.at(regionA, ctaID+off, iter) }
-			}
-			body := []Emit{
-				ldg(1, temp(0)),
-				ldg(2, temp(1)),
-				ldg(3, temp(2)),
-				ldg(4, func(iter int) uint32 { return g.at(regionB, ctaID, iter) }),
-			}
-			for i := 0; i < 6; i++ {
-				body = append(body, alu(isa.OpFAlu, isa.Reg(5+i%2), isa.Reg(1+i%4), isa.Reg(5+(i+1)%2)))
-			}
-			body = append(body,
-				stg(5, func(iter int) uint32 { return g.at(regionC, ctaID, iter) }),
-				branch(),
-			)
-			return &loopProgram{iters: iters, body: body}
-		},
+		Program:       shared(&loopProgram{iters: iters, body: body}),
 	}
 }
 
@@ -143,6 +122,19 @@ func buildConv2D(s Scale) *kernel.Spec {
 	ctas := pick(s, 20, 225, 450)
 	iters := pick(s, 3, 10, 12)
 	const warpsPerCTA = 8
+	body := make([]Emit, 0, 22)
+	for k := 0; k < 5; k++ {
+		body = append(body,
+			ldg(isa.Reg(1+k), rowLine(iters, regionA, k)),
+			lds(7, 1),
+			alu(isa.OpFAlu, 8, isa.Reg(1+k), 7),
+			alu(isa.OpFAlu, 9, 8, 9),
+		)
+	}
+	body = append(body,
+		stg(9, rowLine(iters, regionC, 0)),
+		branch(),
+	)
 
 	return &kernel.Spec{
 		Name:            "conv2d",
@@ -150,32 +142,15 @@ func buildConv2D(s Scale) *kernel.Spec {
 		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread:   24,
 		SharedMemPerCTA: 4 * 1024,
-		Program: func(ctaID, w int) isa.Program {
-			g := newRowGeom(iters, w)
-			body := make([]Emit, 0, 24)
-			for k := 0; k < 5; k++ {
-				kk := k
-				body = append(body,
-					ldg(isa.Reg(1+kk), func(iter int) uint32 { return g.at(regionA, ctaID+kk, iter) }),
-					lds(7, 1),
-					alu(isa.OpFAlu, 8, isa.Reg(1+kk), 7),
-					alu(isa.OpFAlu, 9, 8, 9),
-				)
-			}
-			body = append(body,
-				stg(9, func(iter int) uint32 { return g.at(regionC, ctaID, iter) }),
-				branch(),
-			)
-			return &loopProgram{
-				iters: iters,
-				prologue: []Emit{
-					ldg(7, func(int) uint32 { return regionB + uint32(w)*128 }),
-					sts(7, 1),
-					bar(),
-				},
-				body: body,
-			}
-		},
+		Program: shared(&loopProgram{
+			iters: iters,
+			prologue: []Emit{
+				ldg(7, func(c *isa.Cursor) uint32 { return regionB + uint32(c.Warp)*128 }),
+				sts(7, 1),
+				bar(),
+			},
+			body: body,
+		}),
 	}
 }
 
@@ -193,24 +168,21 @@ func buildPathfinder(s Scale) *kernel.Spec {
 		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread:   16,
 		SharedMemPerCTA: 2 * 1024,
-		Program: func(ctaID, w int) isa.Program {
-			g := newRowGeom(iters, w)
-			return &loopProgram{
-				iters: iters,
-				body: []Emit{
-					// Both this CTA's row and the next CTA's row feed the
-					// wavefront step (one row shared per adjacent pair).
-					ldg(1, func(iter int) uint32 { return g.at(regionA, ctaID, iter) }),
-					ldg(2, func(iter int) uint32 { return g.at(regionA, ctaID+1, iter) }),
-					alu(isa.OpIAlu, 3, 1, 2),
-					sts(3, 1),
-					bar(),
-					lds(4, 1),
-					alu(isa.OpFAlu, 5, 4, 3),
-					bar(),
-					stg(5, func(iter int) uint32 { return g.at(regionC, ctaID, iter) }),
-				},
-			}
-		},
+		Program: shared(&loopProgram{
+			iters: iters,
+			body: []Emit{
+				// Both this CTA's row and the next CTA's row feed the
+				// wavefront step (one row shared per adjacent pair).
+				ldg(1, rowLine(iters, regionA, 0)),
+				ldg(2, rowLine(iters, regionA, 1)),
+				alu(isa.OpIAlu, 3, 1, 2),
+				sts(3, 1),
+				bar(),
+				lds(4, 1),
+				alu(isa.OpFAlu, 5, 4, 3),
+				bar(),
+				stg(5, rowLine(iters, regionC, 0)),
+			},
+		}),
 	}
 }

@@ -28,28 +28,27 @@ func buildVAdd(s Scale) *kernel.Spec {
 	const warpsPerCTA = 8
 	totalWarps := ctas * warpsPerCTA
 	stride := uint32(totalWarps * isa.WarpSize * 4) // bytes per grid-stride step
+	at := func(region uint32) func(*isa.Cursor) uint32 {
+		return func(c *isa.Cursor) uint32 {
+			return region + warpBase(c, warpsPerCTA, 4) + uint32(c.Iter)*stride
+		}
+	}
 
 	return &kernel.Spec{
 		Name:          "vadd",
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread: 12,
-		Program: func(ctaID, w int) isa.Program {
-			base := uint32((ctaID*warpsPerCTA + w) * isa.WarpSize * 4)
-			at := func(region uint32) func(int) uint32 {
-				return func(iter int) uint32 { return region + base + uint32(iter)*stride }
-			}
-			return &loopProgram{
-				iters: iters,
-				body: []Emit{
-					ldg(1, at(regionA)),
-					ldg(2, at(regionB)),
-					alu(isa.OpFAlu, 3, 1, 2),
-					stg(3, at(regionC)),
-					branch(),
-				},
-			}
-		},
+		Program: shared(&loopProgram{
+			iters: iters,
+			body: []Emit{
+				ldg(1, at(regionA)),
+				ldg(2, at(regionB)),
+				alu(isa.OpFAlu, 3, 1, 2),
+				stg(3, at(regionC)),
+				branch(),
+			},
+		}),
 	}
 }
 
@@ -62,37 +61,34 @@ func buildNN(s Scale) *kernel.Spec {
 	const warpsPerCTA = 4
 	totalWarps := ctas * warpsPerCTA
 	recStride := uint32(totalWarps * isa.WarpSize * 16) // bytes per step, 16B records
+	field := func(f uint32) func(*isa.Cursor, int) uint32 {
+		return func(c *isa.Cursor, lane int) uint32 {
+			return regionA + warpBase(c, warpsPerCTA, 16) + uint32(c.Iter)*recStride + uint32(lane)*16 + f*4
+		}
+	}
+	out := func(c *isa.Cursor) uint32 {
+		return regionC + (warpBase(c, warpsPerCTA, 16)/4 + uint32(c.Iter)*(recStride/4))
+	}
 
 	return &kernel.Spec{
 		Name:          "nn",
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread: 16,
-		Program: func(ctaID, w int) isa.Program {
-			warpBase := uint32((ctaID*warpsPerCTA + w) * isa.WarpSize * 16)
-			field := func(f uint32) func(int, int) uint32 {
-				return func(iter, lane int) uint32 {
-					return regionA + warpBase + uint32(iter)*recStride + uint32(lane)*16 + f*4
-				}
-			}
-			out := func(iter int) uint32 {
-				return regionC + (warpBase/4 + uint32(iter)*(recStride/4))
-			}
-			return &loopProgram{
-				iters: iters,
-				body: []Emit{
-					ldgLanes(1, field(0)),
-					ldgLanes(2, field(1)),
-					ldgLanes(3, field(2)),
-					ldgLanes(4, field(3)),
-					alu(isa.OpFAlu, 5, 1, 2),
-					alu(isa.OpFAlu, 6, 3, 4),
-					alu(isa.OpFAlu, 7, 5, 6),
-					alu(isa.OpFAlu, 7, 7, 7),
-					stg(7, out),
-					branch(),
-				},
-			}
-		},
+		Program: shared(&loopProgram{
+			iters: iters,
+			body: []Emit{
+				ldgLanes(1, field(0)),
+				ldgLanes(2, field(1)),
+				ldgLanes(3, field(2)),
+				ldgLanes(4, field(3)),
+				alu(isa.OpFAlu, 5, 1, 2),
+				alu(isa.OpFAlu, 6, 3, 4),
+				alu(isa.OpFAlu, 7, 5, 6),
+				alu(isa.OpFAlu, 7, 7, 7),
+				stg(7, out),
+				branch(),
+			},
+		}),
 	}
 }

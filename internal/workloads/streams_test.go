@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"sync"
 	"testing"
 
 	"gpusched/internal/isa"
@@ -56,8 +57,9 @@ func hashInstr(h hash.Hash64, wi *isa.WarpInstr) {
 // warpDigest hashes one warp's whole stream, ending with its length.
 func warpDigest(h hash.Hash64, spec *kernel.Spec, cta, warp int) {
 	var buf isa.WarpInstr
+	c := isa.Cursor{CTA: cta, Warp: warp}
 	n := uint32(0)
-	for p := spec.Program(cta, warp); p.Next(&buf); n++ {
+	for p := spec.Program(cta, warp); p.Next(&c, &buf); n++ {
 		hashInstr(h, &buf)
 	}
 	var b [4]byte
@@ -92,5 +94,45 @@ func TestProgramStreams(t *testing.T) {
 	}
 	if len(pinnedStreams) != len(All()) {
 		t.Errorf("%d pinned digests for %d workloads", len(pinnedStreams), len(All()))
+	}
+}
+
+// TestSharedTemplates: at every scale, a registered workload hands every
+// (CTA, warp) the one program, and goroutines walking that program at once,
+// as the SMs of concurrent simulations do, each reproduce the pinned
+// streams. Under -race this fails if a walk writes to the program.
+func TestSharedTemplates(t *testing.T) {
+	for _, w := range All() {
+		for s := ScaleTest; s <= ScaleFull; s++ {
+			spec := w.Build(s)
+			tpl := spec.Program(0, 0)
+			for c := 0; c < spec.NumCTAs(); c++ {
+				for wi := 0; wi < spec.WarpsPerCTA(); wi++ {
+					if spec.Program(c, wi) != tpl {
+						t.Fatalf("%s scale %d: CTA %d warp %d has a program of its own", w.Name, s, c, wi)
+					}
+				}
+			}
+			if w.Build(s).Program(0, 0) != tpl {
+				t.Fatalf("%s scale %d: a second Build has a program of its own", w.Name, s)
+			}
+		}
+		const walkers = 4
+		spec := w.Build(ScaleTest)
+		got := make([]string, walkers)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = streamDigest(spec)
+			}()
+		}
+		wg.Wait()
+		for i, d := range got {
+			if d != pinnedStreams[w.Name] {
+				t.Errorf("%s: walker %d digest %s, pinned %s", w.Name, i, d, pinnedStreams[w.Name])
+			}
+		}
 	}
 }

@@ -30,45 +30,43 @@ func buildReduce(s Scale) *kernel.Spec {
 	totalWarps := ctas * warpsPerCTA
 	stride := uint32(totalWarps * isa.WarpSize * 4)
 
+	var body []Emit
+	for i := 0; i < loads; i++ {
+		off := uint32(i) * stride
+		body = append(body,
+			ldg(1, func(c *isa.Cursor) uint32 { return regionA + warpBase(c, warpsPerCTA, 4) + off }),
+			alu(isa.OpFAlu, 2, 1, 2),
+		)
+	}
+	// Tree phase: mask halves per level.
+	levelMask := func(level int) func(*isa.Cursor) uint32 {
+		lanes := isa.WarpSize >> uint(level+1)
+		m := uint32(1)<<uint(lanes) - 1
+		if lanes >= 32 {
+			m = isa.FullMask
+		}
+		return func(*isa.Cursor) uint32 { return m }
+	}
+	epilogue := []Emit{sts(2, 1), bar()}
+	for level := 0; level < 5; level++ {
+		epilogue = append(epilogue,
+			lds(3, 1),
+			aluMasked(isa.OpFAlu, 2, levelMask(level), 2, 3),
+			stsMasked(2, levelMask(level)),
+			bar(),
+		)
+	}
+	epilogue = append(epilogue, stg(2, func(c *isa.Cursor) uint32 {
+		return regionC + uint32(gwarp(c, warpsPerCTA))*4
+	}))
+
 	return &kernel.Spec{
 		Name:            "reduce",
 		Grid:            kernel.Dim3{X: ctas},
 		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread:   14,
 		SharedMemPerCTA: 1024,
-		Program: func(ctaID, w int) isa.Program {
-			base := uint32((ctaID*warpsPerCTA + w) * isa.WarpSize * 4)
-			var body []Emit
-			for i := 0; i < loads; i++ {
-				ii := i
-				body = append(body,
-					ldg(1, func(int) uint32 { return regionA + base + uint32(ii)*stride }),
-					alu(isa.OpFAlu, 2, 1, 2),
-				)
-			}
-			// Tree phase: mask halves per level.
-			levelMask := func(level int) func(int) uint32 {
-				lanes := isa.WarpSize >> uint(level+1)
-				m := uint32(1)<<uint(lanes) - 1
-				if lanes >= 32 {
-					m = isa.FullMask
-				}
-				return func(int) uint32 { return m }
-			}
-			epilogue := []Emit{sts(2, 1), bar()}
-			for level := 0; level < 5; level++ {
-				epilogue = append(epilogue,
-					lds(3, 1),
-					aluMasked(isa.OpFAlu, 2, levelMask(level), 2, 3),
-					stsMasked(2, levelMask(level)),
-					bar(),
-				)
-			}
-			epilogue = append(epilogue, stg(2, func(int) uint32 {
-				return regionC + uint32(ctaID*warpsPerCTA+w)*4
-			}))
-			return &loopProgram{iters: 1, body: body, epilogue: epilogue}
-		},
+		Program:         shared(&loopProgram{iters: 1, body: body, epilogue: epilogue}),
 	}
 }
 
@@ -80,6 +78,15 @@ func buildTranspose(s Scale) *kernel.Spec {
 	iters := pick(s, 4, 10, 12)
 	const warpsPerCTA = 8
 	const tileBytes = 4 * 1024
+	in := func(c *isa.Cursor) uint32 {
+		return regionA + uint32(c.CTA*iters+c.Iter)*tileBytes + warpOff(c)
+	}
+	// Transposed output: tiles scatter with a large prime-ish stride so
+	// consecutive tiles land in different DRAM rows.
+	out := func(c *isa.Cursor) uint32 {
+		t := uint32(c.CTA*iters + c.Iter)
+		return regionC + (t*37%4096)*tileBytes + warpOff(c)
+	}
 
 	return &kernel.Spec{
 		Name:            "transpose",
@@ -87,28 +94,16 @@ func buildTranspose(s Scale) *kernel.Spec {
 		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
 		RegsPerThread:   16,
 		SharedMemPerCTA: 4 * 1024,
-		Program: func(ctaID, w int) isa.Program {
-			warpOff := uint32(w * isa.WarpSize * 4)
-			in := func(iter int) uint32 {
-				return regionA + uint32(ctaID*iters+iter)*tileBytes + warpOff
-			}
-			// Transposed output: tiles scatter with a large prime-ish
-			// stride so consecutive tiles land in different DRAM rows.
-			out := func(iter int) uint32 {
-				t := uint32(ctaID*iters + iter)
-				return regionC + (t*37%4096)*tileBytes + warpOff
-			}
-			return &loopProgram{
-				iters: iters,
-				body: []Emit{
-					ldg(1, in),
-					sts(1, 2), // minor conflict writing columns
-					bar(),
-					lds(2, 1),
-					stg(2, out),
-					bar(),
-				},
-			}
-		},
+		Program: shared(&loopProgram{
+			iters: iters,
+			body: []Emit{
+				ldg(1, in),
+				sts(1, 2), // minor conflict writing columns
+				bar(),
+				lds(2, 1),
+				stg(2, out),
+				bar(),
+			},
+		}),
 	}
 }

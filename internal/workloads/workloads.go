@@ -74,17 +74,16 @@ type Workload struct {
 var catalog []Workload
 
 func register(w Workload) {
-	// Every registry build goes through the program-template cache: the
-	// builder's Emit closures are pure functions of (Name, Scale, ctaID,
-	// warp), so each warp's template is constructed once process-wide and
-	// re-placements (later simulations in a sweep, preemption re-dispatch)
-	// cost one allocation instead of rebuilding the closure set.
-	build := w.Build
+	// A builder is a pure function of the scale, and its program is one
+	// template shared by every warp, so each scale is built once, here.
+	// Build hands out copies: the simulator sets Arrival on its spec.
+	var specs [ScaleFull + 1]*kernel.Spec
+	for s := range specs {
+		specs[s] = w.Build(Scale(s))
+	}
 	w.Build = func(s Scale) *kernel.Spec {
-		spec := build(s)
-		spec.Program = memoProgram(w.Name, s, spec.Program)
-		spec.RecycleProgram = recycleProgram
-		return spec
+		spec := *specs[pick(s, int(ScaleTest), int(ScaleSmall), int(ScaleFull))]
+		return &spec
 	}
 	catalog = append(catalog, w)
 }

@@ -8,10 +8,13 @@ import (
 	"gpusched/internal/sm"
 )
 
-func drain(p isa.Program, cap int) []isa.WarpInstr {
+// drain walks warp (cta, warp) of spec's program, up to cap instructions
+// past which it stops.
+func drain(spec *kernel.Spec, cta, warp, cap int) []isa.WarpInstr {
 	var out []isa.WarpInstr
 	var buf isa.WarpInstr
-	for p.Next(&buf) {
+	c := isa.Cursor{CTA: cta, Warp: warp}
+	for p := spec.Program(cta, warp); p.Next(&c, &buf); {
 		out = append(out, buf)
 		if len(out) > cap {
 			break
@@ -87,8 +90,7 @@ func TestProgramsTerminateWithExit(t *testing.T) {
 	for _, w := range All() {
 		spec := w.Build(ScaleTest)
 		for _, warp := range []int{0, spec.WarpsPerCTA() - 1} {
-			p := spec.Program(0, warp)
-			instrs := drain(p, 1_000_000)
+			instrs := drain(spec, 0, warp, 1_000_000)
 			if len(instrs) == 0 {
 				t.Fatalf("%s warp %d: empty program", w.Name, warp)
 			}
@@ -103,8 +105,8 @@ func TestProgramsTerminateWithExit(t *testing.T) {
 func TestProgramsDeterministic(t *testing.T) {
 	for _, w := range All() {
 		spec := w.Build(ScaleTest)
-		a := drain(spec.Program(1, 1), 1_000_000)
-		b := drain(spec.Program(1, 1), 1_000_000)
+		a := drain(spec, 1, 1, 1_000_000)
+		b := drain(spec, 1, 1, 1_000_000)
 		if len(a) != len(b) {
 			t.Fatalf("%s: lengths differ %d vs %d", w.Name, len(a), len(b))
 		}
@@ -124,8 +126,8 @@ func TestProgramsDifferAcrossWarps(t *testing.T) {
 			continue // centroid broadcast loads are intentionally shared
 		}
 		spec := w.Build(ScaleTest)
-		a := drain(spec.Program(0, 0), 1_000_000)
-		b := drain(spec.Program(1, 0), 1_000_000)
+		a := drain(spec, 0, 0, 1_000_000)
+		b := drain(spec, 1, 0, 1_000_000)
 		differ := false
 		for i := range a {
 			if i >= len(b) {
@@ -150,7 +152,7 @@ func TestBarrierCountsMatchAcrossWarps(t *testing.T) {
 		want := -1
 		for warp := 0; warp < spec.WarpsPerCTA(); warp++ {
 			n := 0
-			for _, wi := range drain(spec.Program(0, warp), 1_000_000) {
+			for _, wi := range drain(spec, 0, warp, 1_000_000) {
 				if wi.Op == isa.OpBarrier {
 					n++
 				}
@@ -171,7 +173,7 @@ func TestInstructionMixMatchesClass(t *testing.T) {
 			t.Fatalf("missing %s", name)
 		}
 		spec := w.Build(ScaleSmall)
-		instrs := drain(spec.Program(0, 0), 1_000_000)
+		instrs := drain(spec, 0, 0, 1_000_000)
 		memOps := 0
 		for _, wi := range instrs {
 			if wi.Op.IsGlobal() {
@@ -193,7 +195,7 @@ func TestSPMVWindowsArePrivate(t *testing.T) {
 	spec := w.Build(ScaleTest)
 	gatherAddrs := func(cta int) map[uint32]bool {
 		set := map[uint32]bool{}
-		for _, wi := range drain(spec.Program(cta, 0), 1_000_000) {
+		for _, wi := range drain(spec, cta, 0, 1_000_000) {
 			if wi.Op == isa.OpLoadGlobal && wi.Addrs[0] >= regionB && wi.Addrs[0] < regionC {
 				for _, a := range wi.Addrs {
 					set[a/4096] = true // 4KB window granularity
@@ -225,7 +227,7 @@ func TestLocalityWorkloadsShareLinesAcrossCTAs(t *testing.T) {
 		spec := w.Build(ScaleTest)
 		loadLines := func(cta, warp int) map[uint32]bool {
 			set := map[uint32]bool{}
-			for _, wi := range drain(spec.Program(cta, warp), 1_000_000) {
+			for _, wi := range drain(spec, cta, warp, 1_000_000) {
 				if wi.Op == isa.OpLoadGlobal {
 					for l := 0; l < isa.WarpSize; l++ {
 						if wi.Mask&(1<<l) != 0 {
@@ -274,7 +276,7 @@ func TestXs32NonZero(t *testing.T) {
 func TestLoopProgramPhases(t *testing.T) {
 	calls := []string{}
 	mk := func(tag string) Emit {
-		return func(buf *isa.WarpInstr, iter int) {
+		return func(buf *isa.WarpInstr, _ *isa.Cursor) {
 			buf.Op = isa.OpIAlu
 			buf.Mask = isa.FullMask
 			calls = append(calls, tag)
@@ -287,8 +289,9 @@ func TestLoopProgramPhases(t *testing.T) {
 		iters:    2,
 	}
 	var buf isa.WarpInstr
+	var c isa.Cursor
 	n := 0
-	for p.Next(&buf) {
+	for p.Next(&c, &buf) {
 		n++
 	}
 	want := []string{"p", "b1", "b2", "b1", "b2", "e"}
@@ -315,7 +318,7 @@ func TestWorkloadFootprintsStayInAddressSpace(t *testing.T) {
 	_ = spec
 	for _, w := range All() {
 		s := w.Build(ScaleFull)
-		for _, wi := range drain(s.Program(s.NumCTAs()-1, s.WarpsPerCTA()-1), 2_000_000) {
+		for _, wi := range drain(s, s.NumCTAs()-1, s.WarpsPerCTA()-1, 2_000_000) {
 			if wi.Op.IsGlobal() {
 				for l := 0; l < isa.WarpSize; l++ {
 					if wi.Mask&(1<<l) != 0 && wi.Addrs[l] >= regionD+(1<<28) {
