@@ -9,27 +9,27 @@ import (
 	"strings"
 )
 
-// Claim is one of the paper's shape claims as a predicate over experiment
-// tables. It reads only what a table's CSV holds, so it judges the
-// committed results/*.csv as well as a fresh run.
+// Claim is one of the paper's shape claims as a predicate over one
+// experiment's table. It reads only what the table's CSV holds, so it
+// judges the committed results/*.csv as well as a fresh run.
 type Claim struct {
 	// Name identifies the claim; its prefix is the figure it is about.
 	Name string
 	// Text states the claim, with the full-scale numbers it rests on.
 	Text string
-	// Tables lists the experiment IDs the claim reads.
-	Tables []string
+	// Table is the ID of the experiment whose table the claim reads.
+	Table string
 
 	check func(r *reader) error
 }
 
-// Tables holds experiment tables by ID.
-type Tables map[string]*Table
-
-// Check evaluates the claim on ts: nil when it holds, otherwise what breaks
-// it, a missing table, row or number included.
-func (c Claim) Check(ts Tables) error {
-	r := &reader{ts: ts}
+// Check evaluates the claim on t: nil when it holds, otherwise what breaks
+// it, a missing row or number included.
+func (c Claim) Check(t *Table) error {
+	if t.ID != c.Table {
+		return fmt.Errorf("%s: reads %s, given %s", c.Name, c.Table, t.ID)
+	}
+	r := &reader{t: t}
 	err := c.check(r)
 	if r.err != nil {
 		err = r.err
@@ -44,21 +44,21 @@ func (c Claim) Check(ts Tables) error {
 func Claims() []Claim {
 	return []Claim{
 		{
-			Name:   "fig3-optimum-below-max",
-			Text:   "max CTAs/SM does not maximize performance: spmv, conv2d and stencil peak at 2 of 8, 3 of 5 and 1 of 6 CTAs/SM",
-			Tables: []string{"fig3"},
+			Name:  "fig3-optimum-below-max",
+			Text:  "max CTAs/SM does not maximize performance: spmv, conv2d and stencil peak at 2 of 8, 3 of 5 and 1 of 6 CTAs/SM",
+			Table: "fig3",
 			check: func(r *reader) error {
 				for _, w := range []string{"spmv", "conv2d", "stencil"} {
 					// best@ reads "2 (1.36x)"; a limit past the occupancy
 					// maximum reads "-".
-					lim, _, _ := strings.Cut(r.cell("fig3", w, "best@"), " ")
+					lim, _, _ := strings.Cut(r.cell(w, "best@"), " ")
 					best, err := strconv.Atoi(lim)
 					if err != nil {
 						return fmt.Errorf("%s best@: %v", w, err)
 					}
 					top := 0
 					for l := 1; l <= 8; l++ {
-						if r.cell("fig3", w, strconv.Itoa(l)) != "-" {
+						if r.cell(w, strconv.Itoa(l)) != "-" {
 							top = l
 						}
 					}
@@ -70,12 +70,12 @@ func Claims() []Claim {
 			},
 		},
 		{
-			Name:   "fig5-lcs-floor",
-			Text:   "LCS costs at most 3% on any kernel (worst: sgemm 0.988)",
-			Tables: []string{"fig5"},
+			Name:  "fig5-lcs-floor",
+			Text:  "LCS costs at most 3% on any kernel (worst: sgemm 0.988)",
+			Table: "fig5",
 			check: func(r *reader) error {
-				for _, w := range r.kernels("fig5") {
-					if v := r.num("fig5", w, "LCS"); v < 0.97 {
+				for _, w := range r.kernels() {
+					if v := r.num(w, "LCS"); v < 0.97 {
 						return fmt.Errorf("LCS %.3f on %s", v, w)
 					}
 				}
@@ -83,47 +83,47 @@ func Claims() []Claim {
 			},
 		},
 		{
-			Name:   "fig5-lcs-gain",
-			Text:   "LCS speeds the suite up (geomean 1.034)",
-			Tables: []string{"fig5"},
+			Name:  "fig5-lcs-gain",
+			Text:  "LCS speeds the suite up (geomean 1.034)",
+			Table: "fig5",
 			check: func(r *reader) error {
-				return above("LCS geomean", r.num("fig5", "geomean", "LCS"), 1)
+				return above("LCS geomean", r.num("geomean", "LCS"), 1)
 			},
 		},
 		{
-			Name:   "fig5-lcs-memory",
-			Text:   "LCS gains more on the memory-intensive kernels (geomean 1.064) than on all (1.034)",
-			Tables: []string{"fig5"},
+			Name:  "fig5-lcs-memory",
+			Text:  "LCS gains more on the memory-intensive kernels (geomean 1.064) than on all (1.034)",
+			Table: "fig5",
 			check: func(r *reader) error {
 				return above("LCS memory-intensive geomean",
-					r.num("fig5", "geomean (mem-intensive)", "LCS"), r.num("fig5", "geomean", "LCS"))
+					r.num("geomean (mem-intensive)", "LCS"), r.num("geomean", "LCS"))
 			},
 		},
 		{
-			Name:   "fig8-bcs-gain",
-			Text:   "BCS+BAWS speeds the locality kernels up by at least 5% (geomean 1.077)",
-			Tables: []string{"fig8"},
+			Name:  "fig8-bcs-gain",
+			Text:  "BCS+BAWS speeds the locality kernels up by at least 5% (geomean 1.077)",
+			Table: "fig8",
 			check: func(r *reader) error {
-				if v := r.num("fig8", "geomean", "speedup"); v < 1.05 {
+				if v := r.num("geomean", "speedup"); v < 1.05 {
 					return fmt.Errorf("BCS geomean %.3f, want >= 1.05", v)
 				}
 				return nil
 			},
 		},
 		{
-			Name:   "fig9-baws-over-gto",
-			Text:   "under BCS, the block-aware warp scheduler beats GTO (geomean 1.077 vs 1.047)",
-			Tables: []string{"fig9"},
+			Name:  "fig9-baws-over-gto",
+			Text:  "under BCS, the block-aware warp scheduler beats GTO (geomean 1.077 vs 1.047)",
+			Table: "fig9",
 			check: func(r *reader) error {
-				return above("BCS+BAWS geomean", r.num("fig9", "geomean", "BCS+BAWS"), r.num("fig9", "geomean", "BCS+GTO"))
+				return above("BCS+BAWS geomean", r.num("geomean", "BCS+BAWS"), r.num("geomean", "BCS+GTO"))
 			},
 		},
 		{
-			Name:   "fig10-mixed-order",
-			Text:   "concurrent kernels: mixed (1.033) >= spatial (1.005) >= sequential (geomeans)",
-			Tables: []string{"fig10"},
+			Name:  "fig10-mixed-order",
+			Text:  "concurrent kernels: mixed (1.033) >= spatial (1.005) >= sequential (geomeans)",
+			Table: "fig10",
 			check: func(r *reader) error {
-				mixed, spatial, seq := r.num("fig10", "geomean", "mixed"), r.num("fig10", "geomean", "spatial"), r.num("fig10", "geomean", "sequential")
+				mixed, spatial, seq := r.num("geomean", "mixed"), r.num("geomean", "spatial"), r.num("geomean", "sequential")
 				if mixed < spatial || spatial < seq {
 					return fmt.Errorf("geomeans mixed %.3f, spatial %.3f, sequential %.3f", mixed, spatial, seq)
 				}
@@ -131,14 +131,14 @@ func Claims() []Claim {
 			},
 		},
 		{
-			Name:   "fig13-lcs-robust",
-			Text:   "LCS's worst kernel (0.988) is above DYNCTA's (0.813)",
-			Tables: []string{"fig13"},
+			Name:  "fig13-lcs-robust",
+			Text:  "LCS's worst kernel (0.988) is above DYNCTA's (0.813)",
+			Table: "fig13",
 			check: func(r *reader) error {
 				worst := func(col string) float64 {
 					m := 0.0
-					for i, w := range r.kernels("fig13") {
-						if v := r.num("fig13", w, col); i == 0 || v < m {
+					for i, w := range r.kernels() {
+						if v := r.num(w, col); i == 0 || v < m {
 							m = v
 						}
 					}
@@ -175,54 +175,38 @@ func ReadCSV(id string, r io.Reader) (*Table, error) {
 // reader looks cells up by row key (first column) and header. It keeps the
 // first failed lookup in err; later lookups return zero values.
 type reader struct {
-	ts  Tables
+	t   *Table
 	err error
 }
 
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-// cell returns table id's cell in the row keyed row, under header col.
-func (r *reader) cell(id, row, col string) string {
-	t := r.ts[id]
-	if t == nil {
-		r.fail("no %s table", id)
-		return ""
-	}
-	ci := slices.Index(t.Headers, col)
-	for _, cells := range t.Rows {
+// cell returns the cell in the row keyed row, under header col.
+func (r *reader) cell(row, col string) string {
+	ci := slices.Index(r.t.Headers, col)
+	for _, cells := range r.t.Rows {
 		if ci > 0 && ci < len(cells) && cells[0] == row {
 			return cells[ci]
 		}
 	}
-	r.fail("%s has no cell %s/%s", id, row, col)
+	if r.err == nil {
+		r.err = fmt.Errorf("%s has no cell %s/%s", r.t.ID, row, col)
+	}
 	return ""
 }
 
 // num is cell parsed as a number.
-func (r *reader) num(id, row, col string) float64 {
-	s := r.cell(id, row, col)
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		r.fail("%s %s/%s: %v", id, row, col, err)
+func (r *reader) num(row, col string) float64 {
+	v, err := strconv.ParseFloat(r.cell(row, col), 64)
+	if err != nil && r.err == nil {
+		r.err = fmt.Errorf("%s %s/%s: %v", r.t.ID, row, col, err)
 	}
 	return v
 }
 
-// kernels returns table id's per-workload row keys: every row but the
-// geomeans.
-func (r *reader) kernels(id string) []string {
-	t := r.ts[id]
-	if t == nil {
-		r.fail("no %s table", id)
-		return nil
-	}
+// kernels returns the per-workload row keys: every row but the geomeans.
+func (r *reader) kernels() []string {
 	var out []string
-	for _, cells := range t.Rows {
-		if len(cells) > 0 && !strings.HasPrefix(cells[0], "geomean") {
+	for _, cells := range r.t.Rows {
+		if !strings.HasPrefix(cells[0], "geomean") {
 			out = append(out, cells[0])
 		}
 	}

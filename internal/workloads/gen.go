@@ -23,8 +23,8 @@ type loopProgram struct {
 	iters    int
 }
 
-// The cursor phases of a loopProgram. Pos indexes the phase's Emit slice;
-// Iter counts body passes, 0 in the prologue and iters in the epilogue.
+// The cursor phases of a loopProgram. Pos indexes the phase's Emit slice,
+// and Iter counts the body passes done.
 const (
 	inPrologue = iota
 	inBody

@@ -67,7 +67,9 @@ type Workload struct {
 	Class Class
 	// InterCTALocality marks BCS candidates (consecutive CTAs share data).
 	InterCTALocality bool
-	// Build constructs the kernel at the given scale.
+	// Build returns the kernel at the given scale: a copy of the spec
+	// built for that scale once, at registration, which the caller may
+	// change (the simulator sets Arrival).
 	Build func(Scale) *kernel.Spec
 }
 

@@ -8,8 +8,8 @@ import (
 	"gpusched/internal/sm"
 )
 
-// drain walks warp (cta, warp) of spec's program, up to cap instructions
-// past which it stops.
+// drain returns the instruction stream of warp (cta, warp) of spec, cut
+// short once it passes cap instructions.
 func drain(spec *kernel.Spec, cta, warp, cap int) []isa.WarpInstr {
 	var out []isa.WarpInstr
 	var buf isa.WarpInstr
