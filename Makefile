@@ -35,14 +35,16 @@ race:
 
 # Mirror of .github/workflows/ci.yml: build, lint, race-enabled tests, the
 # repository benchmark's own tests (a module of its own, so ./... does not
-# reach it), short fuzz smokes of the kernel-completion and request-wire
-# properties, and the results gate.
+# reach it), short fuzz smokes of the kernel-completion, request-wire,
+# partition-wake and refused-head properties, and the results gate.
 ci: lint
 	go build ./...
 	go test -race ./...
 	go -C benchmark test ./...
 	go test -run='^$$' -fuzz=FuzzKernel -fuzztime=10s .
 	go test -run='^$$' -fuzz=FuzzRequestJSON -fuzztime=10s ./internal/sim
+	go test -run='^$$' -fuzz=FuzzPartitionWake -fuzztime=10s ./internal/mem
+	go test -run='^$$' -fuzz=FuzzRefusedHeads -fuzztime=10s ./internal/gpu
 	$(MAKE) check-results
 
 # The results gate: regenerate every committed result and fail on any

@@ -27,41 +27,55 @@ func (d *dueSampler) Tick(m core.Machine) {
 	d.DynCTA.Tick(m)
 }
 
-// counterSamples is one run's mid-run reads: every core's counters through
-// the Machine accessor at each due dispatcher cycle and at each retirement,
-// and how many of those reads found a core parked.
+// counterSample is one mid-run read of the machine at a stage boundary:
+// every core's counters through the Machine accessor and its L1 counters
+// through the same boundary, and the L2 counters through g.now (the
+// partitions tick after the commits, so at both boundaries they have not
+// ticked g.now).
+type counterSample struct {
+	cores []stats.Core
+	l1    []stats.Cache
+	l2    stats.Cache
+}
+
+// counterSamples is one run's mid-run reads, at each due dispatcher cycle and
+// at each retirement, and how many of those reads found a core parked.
 type counterSamples struct {
-	dispatch, commit             [][]stats.Core
+	dispatch, commit             []counterSample
 	parkedDispatch, parkedCommit int
 }
 
-// parked counts g's cores read across a parked window: those whose counters
-// through the current stage boundary differ from the ones they have stored.
-// None on RunReference, which ticks every core every cycle.
-func parked(g *GPU) int {
-	n := 0
+// sampleMachine reads g at its current stage boundary, and counts the cores
+// read across a parked window: those whose counters through the boundary
+// differ from the ones they had stored before the read settled them. None on
+// RunReference, which ticks every core every cycle.
+func sampleMachine(g *GPU) (s counterSample, parked int) {
+	t := g.now
+	if g.postTick {
+		t++
+	}
 	for i, c := range g.cores {
-		if g.CoreCounters(i) != c.Counters(0) { // t = 0 reads the stored counters
-			n++
+		stored := c.Counters(0) // t = 0 reads the stored counters
+		read := g.CoreCounters(i)
+		if read != stored {
+			parked++
 		}
+		s.cores = append(s.cores, read)
+		s.l1 = append(s.l1, c.L1Stats(t))
 	}
-	return n
+	s.l2 = g.MemSystem().L2Stats(g.now)
+	return s, parked
 }
 
-func sampleCores(g *GPU) []stats.Core {
-	out := make([]stats.Core, g.NumCores())
-	for i := range out {
-		out[i] = g.CoreCounters(i)
-	}
-	return out
-}
-
-// TestCountersReadMidRunMatchReference reads every core's counters in the
-// middle of a run, at both stage boundaries a reader can sit at, and requires
-// the fast loop's reads to equal the reference loop's. Results compared at the
-// end cannot see a read at the wrong boundary that a later sync repairs; these
-// samples do. Each fast run must also have read a parked core at both
-// boundaries, or the window went untested.
+// TestCountersReadMidRunMatchReference reads every core's counters, every
+// L1's and the L2's in the middle of a run, at both stage boundaries a reader
+// can sit at, and requires the fast loop's reads to equal the reference
+// loop's. A read settles the window it reads, so it must charge exactly the
+// cycles a parked core or a waiting head skipped before the boundary: one
+// too many or too few stays in the counters, and these samples catch it at
+// the read, where results compared at the end may not. Each fast run must
+// also have read a parked core at both boundaries, or the window went
+// untested.
 func TestCountersReadMidRunMatchReference(t *testing.T) {
 	stencil, _ := workloads.ByName("stencil")
 	for _, tc := range []struct {
@@ -82,12 +96,14 @@ func TestCountersReadMidRunMatchReference(t *testing.T) {
 				}
 				s := &runs[i]
 				d.onDue = func() {
-					s.dispatch = append(s.dispatch, sampleCores(g))
-					s.parkedDispatch += parked(g)
+					sample, parked := sampleMachine(g)
+					s.dispatch = append(s.dispatch, sample)
+					s.parkedDispatch += parked
 				}
 				g.SetObserver(func(int, *sm.CTA, uint64) {
-					s.commit = append(s.commit, sampleCores(g))
-					s.parkedCommit += parked(g)
+					sample, parked := sampleMachine(g)
+					s.commit = append(s.commit, sample)
+					s.parkedCommit += parked
 				})
 				if r := runToEnd(g, loop); r.TimedOut {
 					t.Fatalf("timed out at %d cycles", r.Cycles)
@@ -99,7 +115,7 @@ func TestCountersReadMidRunMatchReference(t *testing.T) {
 			}
 			for _, stage := range []struct {
 				name      string
-				fast, ref [][]stats.Core
+				fast, ref []counterSample
 			}{{"dispatcher", fast.dispatch, ref.dispatch}, {"commit", fast.commit, ref.commit}} {
 				if len(stage.ref) == 0 {
 					t.Errorf("%s: no samples", stage.name)

@@ -459,8 +459,8 @@ func canceled(ctx context.Context) bool {
 //   - the dispatcher, when an arrival lands or dispAt has come;
 //   - the due SMs, in index order. An SM's next bound is the earlier of its
 //     own NextEvent and its response FIFO's next ready cycle; a parked SM
-//     exports nothing, and its counters are charged from its stall
-//     certificates on read (CoreCounters);
+//     exports nothing, and a read of its counters settles them from its
+//     stall certificates (CoreCounters);
 //   - commitRetirements, then commitPreemptions;
 //   - the due L2 partitions, in index order.
 //

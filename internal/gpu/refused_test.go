@@ -81,8 +81,8 @@ func refusedHeadsSpec(seed uint64) *kernel.Spec {
 // runRefusedHeads runs refusedHeadsSpec on shape's machine under both loops
 // and fails unless RunContext commits RunReference's Result — L1 accesses,
 // misses and MSHR stalls and StallLDSTFull, which a parked SM's refused head
-// charges on read, and the L2 counters, which a partition's waiting head
-// charges on read, among the rest — while ticking at most half as many SMs.
+// settles on read, and the L2 counters, which a partition's waiting head
+// settles on read, among the rest — while ticking at most half as many SMs.
 // The heads of these kernels are refused far more often than not, so an SM
 // that could not park with a refused head would tick nearly every cycle. It
 // returns the RunContext Result.

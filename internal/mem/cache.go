@@ -68,12 +68,6 @@ func renewCache(c *Cache, sizeBytes, lineBytes, ways int) *Cache {
 	return c
 }
 
-// NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.lines) / c.ways }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 func (c *Cache) index(lineAddr uint64) (set []cacheLine, tag uint64) {
 	idx := (lineAddr >> c.lineShift) & c.setMask
 	base := int(idx) * c.ways
@@ -150,31 +144,4 @@ func (c *Cache) Fill(lineAddr uint64, dirty bool) Eviction {
 	}
 	*v = cacheLine{tag: tag, valid: true, dirty: dirty, lastUse: c.useClock}
 	return ev
-}
-
-// Invalidate drops lineAddr if present, returning whether it was dirty.
-func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
-	set, tag := c.index(lineAddr)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == tag {
-			d := ln.dirty
-			*ln = cacheLine{}
-			return true, d
-		}
-	}
-	return false, false
-}
-
-// Flush invalidates everything and returns the dirty line addresses.
-func (c *Cache) Flush() []uint64 {
-	var dirty []uint64
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if ln.valid && ln.dirty {
-			dirty = append(dirty, ln.tag<<c.lineShift)
-		}
-		*ln = cacheLine{}
-	}
-	return dirty
 }

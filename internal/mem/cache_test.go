@@ -7,8 +7,8 @@ import (
 
 func TestCacheGeometry(t *testing.T) {
 	c := NewCache(16*1024, 128, 4)
-	if c.NumSets() != 32 || c.Ways() != 4 {
-		t.Fatalf("geometry = %d sets x %d ways, want 32x4", c.NumSets(), c.Ways())
+	if sets := len(c.lines) / c.ways; sets != 32 || c.ways != 4 {
+		t.Fatalf("geometry = %d sets x %d ways, want 32x4", sets, c.ways)
 	}
 }
 
@@ -91,36 +91,6 @@ func TestCacheRefillRefreshesNotEvicts(t *testing.T) {
 	ev = c.Fill(384, false)
 	if ev.LineAddr != 0 || !ev.Dirty {
 		t.Fatalf("eviction = %+v, want dirty line 0", ev)
-	}
-}
-
-func TestCacheInvalidate(t *testing.T) {
-	c := NewCache(256, 128, 1)
-	c.Fill(0, true)
-	present, dirty := c.Invalidate(0)
-	if !present || !dirty {
-		t.Fatalf("Invalidate = (%v,%v), want (true,true)", present, dirty)
-	}
-	if c.Contains(0) {
-		t.Fatal("line survived invalidate")
-	}
-	present, _ = c.Invalidate(0)
-	if present {
-		t.Fatal("double invalidate reported present")
-	}
-}
-
-func TestCacheFlush(t *testing.T) {
-	c := NewCache(1024, 128, 2)
-	c.Fill(0, true)
-	c.Fill(128, false)
-	c.Fill(256, true)
-	dirty := c.Flush()
-	if len(dirty) != 2 {
-		t.Fatalf("Flush returned %d dirty lines, want 2", len(dirty))
-	}
-	if c.Contains(0) || c.Contains(128) {
-		t.Fatal("lines survived flush")
 	}
 }
 

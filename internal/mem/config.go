@@ -23,9 +23,6 @@ type Config struct {
 	L1HitLatency  uint64 // LDST access to result writeback
 	L1MSHREntries int
 	L1MSHRMerges  int
-	// L1MissQueueCap bounds L1 miss requests waiting to enter the
-	// interconnect; when full the LDST unit stalls.
-	L1MissQueueCap int
 
 	// Partitions is the number of L2 slices; each owns one DRAM channel.
 	Partitions int
@@ -52,13 +49,12 @@ type Config struct {
 	DRAMSchedFCFS bool
 
 	// DRAM channel timing (core cycles).
-	DRAMQueueCap   int
-	DRAMBanks      int
-	DRAMRowBytes   int
-	DRAMtCAS       uint64 // column access (row already open)
-	DRAMtRowExtra  uint64 // extra precharge+activate on a row miss
-	DRAMtBurst     uint64 // data-bus occupancy per line transfer
-	DRAMWriteQueue int    // pending write-back buffer per channel
+	DRAMQueueCap  int
+	DRAMBanks     int
+	DRAMRowBytes  int
+	DRAMtCAS      uint64 // column access (row already open)
+	DRAMtRowExtra uint64 // extra precharge+activate on a row miss
+	DRAMtBurst    uint64 // data-bus occupancy per line transfer
 }
 
 // DefaultConfig returns a Fermi-class (GTX480-like) memory system matched to
@@ -67,12 +63,11 @@ func DefaultConfig() Config {
 	return Config{
 		LineBytes: 128,
 
-		L1Bytes:        16 * 1024,
-		L1Ways:         4,
-		L1HitLatency:   30,
-		L1MSHREntries:  32,
-		L1MSHRMerges:   8,
-		L1MissQueueCap: 8,
+		L1Bytes:       16 * 1024,
+		L1Ways:        4,
+		L1HitLatency:  30,
+		L1MSHREntries: 32,
+		L1MSHRMerges:  8,
 
 		Partitions: 6,
 
@@ -86,13 +81,12 @@ func DefaultConfig() Config {
 		L2MSHRMerges:        8,
 		L2AtomicLatency:     16,
 
-		DRAMQueueCap:   32,
-		DRAMBanks:      8,
-		DRAMRowBytes:   2 * 1024,
-		DRAMtCAS:       20,
-		DRAMtRowExtra:  30,
-		DRAMtBurst:     8,
-		DRAMWriteQueue: 16,
+		DRAMQueueCap:  32,
+		DRAMBanks:     8,
+		DRAMRowBytes:  2 * 1024,
+		DRAMtCAS:      20,
+		DRAMtRowExtra: 30,
+		DRAMtBurst:    8,
 	}
 }
 

@@ -44,10 +44,10 @@ type L1 struct {
 	port  Sender
 	core  int
 
-	// refused is the last access's refusal, zero when it went through. Only
-	// the LDST head accesses the L1, so it describes that head until its next
-	// attempt.
-	refused refusal
+	// head is the last access's refusal (zero when it went through) and its
+	// cycle. Only the LDST head accesses the L1, so it describes that head
+	// until its next attempt.
+	head refusedHead
 
 	// atomicToken is the reusable one-element buffer OnResponse returns for
 	// atomic completions, valid (like MSHR.Complete's result) only until the
@@ -80,7 +80,7 @@ func RenewL1(prev *L1, cfg *Config, coreID int, p Sender) *L1 {
 // AccessHit the caller schedules its own writeback after L1HitLatency; on
 // AccessPending a Response carrying token will arrive later.
 func (l *L1) Load(lineAddr uint64, token uint32, now uint64) AccessResult {
-	l.refused = 0
+	l.head.retry(&l.cache.Stats, now)
 	l.cache.Stats.Accesses++
 	if l.cache.Lookup(lineAddr, false) {
 		l.cache.Stats.Hits++
@@ -95,12 +95,12 @@ func (l *L1) Load(lineAddr uint64, token uint32, now uint64) AccessResult {
 	if pending || l.mshr.Full() {
 		// No merge slot or entry frees before some fill returns.
 		l.cache.Stats.MSHRStalls++
-		l.refused = refusalWaits | refusalMiss | refusalMSHRStall
+		l.head = refusedHead{refusalWaits | refusalMiss | refusalMSHRStall, now}
 		return AccessStall
 	}
 	if !l.port.CanSend(lineAddr) {
 		l.port.Await(lineAddr)
-		l.refused = refusalWaits | refusalMiss
+		l.head = refusedHead{refusalWaits | refusalMiss, now}
 		return AccessStall
 	}
 	l.mshr.Allocate(lineAddr, token)
@@ -123,12 +123,12 @@ func (l *L1) Atomic(lineAddr uint64, token uint32, now uint64) AccessResult {
 // forward sends a store or an atomic straight to the port. A refused one
 // counts nothing, so waiting costs only the LDST unit's stall cycles.
 func (l *L1) forward(kind ReqKind, lineAddr uint64, token uint32, now uint64) AccessResult {
+	l.head.retry(&l.cache.Stats, now)
 	if !l.port.CanSend(lineAddr) {
 		l.port.Await(lineAddr)
-		l.refused = refusalWaits
+		l.head = refusedHead{refusalWaits, now}
 		return AccessStall
 	}
-	l.refused = 0
 	l.port.Send(Request{Kind: kind, LineAddr: lineAddr, CoreID: l.core, Token: token, Born: now}, now)
 	return AccessPending
 }
@@ -137,13 +137,10 @@ func (l *L1) forward(kind ReqKind, lineAddr uint64, token uint32, now uint64) Ac
 // transaction is tried again, nothing but a response to this core (an MSHR
 // refusal waits on a fill) or a pop at its partition (a refused send, see
 // Sender.Await) can change the verdict, and each attempt before then would
-// add what ChargeRetries charges for one.
-func (l *L1) Waiting() bool { return l.refused != 0 }
-
-// ChargeRetries adds to c what k more attempts of the refused last access
-// would add: nothing for a store or atomic, an access and a miss for a load,
-// plus an MSHR stall when the MSHR refused it.
-func (l *L1) ChargeRetries(c *stats.Cache, k uint64) { l.refused.charge(c, k) }
+// add the same counters: nothing for a store or atomic, an access and a miss
+// for a load, plus an MSHR stall when the MSHR refused it. A read settles
+// the attempts skipped so far (Stats), and the next attempt the rest.
+func (l *L1) Waiting() bool { return l.head.refusal != 0 }
 
 // OnResponse handles a returning memory-system response: load fills install
 // the line and release every merged token; atomic completions release only
@@ -161,11 +158,13 @@ func (l *L1) OnResponse(resp Response, wasAtomic bool) []uint32 {
 	return l.mshr.Complete(resp.LineAddr)
 }
 
-// MSHRUsed returns the number of outstanding miss entries (for drain checks).
-func (l *L1) MSHRUsed() int { return l.mshr.Used() }
-
 // Contains probes the tag array without side effects (tests/invariants).
 func (l *L1) Contains(lineAddr uint64) bool { return l.cache.Contains(lineAddr) }
 
-// CacheStats returns a pointer to the underlying hit/miss counters.
-func (l *L1) CacheStats() *stats.Cache { return &l.cache.Stats }
+// Stats returns the L1's counters through cycle t (exclusive): the L1 must
+// have run the cycles before t, and not t. It settles a waiting head's
+// skipped attempts up to t first.
+func (l *L1) Stats(t uint64) stats.Cache {
+	l.head.settle(&l.cache.Stats, t)
+	return l.cache.Stats
+}

@@ -28,15 +28,14 @@ type L2Partition struct {
 	wbBuf []Request
 	// lookupFreeAt models the tag-pipeline occupancy for atomics.
 	lookupFreeAt uint64
-	// refused is nonzero while the request at the head of the input pipe
-	// waits: its last attempt, at cycle refusedAt, was refused for want of
+	// head is nonzero while the request at the head of the input pipe
+	// waits: its last attempt, at cycle head.at, was refused for want of
 	// DRAM queue space, an MSHR entry or a merge slot. Only the DRAM channel
 	// picking or completing a request can change that verdict, so NextEvent
 	// leaves the head out of its bound until the channel's next event, and
-	// the attempts skipped in between are charged in bulk: by the next Tick,
-	// and on read by statsAt.
-	refused   refusal
-	refusedAt uint64
+	// the attempts skipped in between are settled in bulk: by the next Tick,
+	// and by a read (System.L2Stats).
+	head refusedHead
 	// inflight, when bound, is the owning System's in-flight request count;
 	// the partition adjusts it where requests are absorbed (store hits) or
 	// spawned (dirty write-backs). Nil for standalone partitions (tests).
@@ -129,12 +128,9 @@ func (p *L2Partition) pushResponse(r routedResponse) {
 // request from in. in is the interconnect queue feeding it; ready responses
 // go into sys's return network (System.deliver).
 func (p *L2Partition) Tick(now uint64, in *pipe[Request], sys *System) bool {
-	if p.refused != 0 {
-		// Charge the attempts skipped since the head was last refused; the
-		// head is tried again below.
-		p.refused.charge(&p.Stats, now-p.refusedAt-1)
-		p.refused = 0
-	}
+	// Settle the attempts skipped since the head was last refused; the head
+	// is tried again below.
+	p.head.retry(&p.Stats, now)
 
 	// 1. Drain ready responses into the return network.
 	for len(p.out) > 0 && p.out[0].ready <= now {
@@ -159,8 +155,8 @@ func (p *L2Partition) Tick(now uint64, in *pipe[Request], sys *System) bool {
 	if !in.CanPop(now) || p.lookupFreeAt > now {
 		return false
 	}
-	if p.refused = p.handle(in.Peek(), now); p.refused != 0 {
-		p.refusedAt = now
+	if r := p.handle(in.Peek(), now); r != 0 {
+		p.head = refusedHead{r, now}
 		return false
 	}
 	in.Pop()
@@ -248,17 +244,6 @@ func (p *L2Partition) handleLoad(req Request, now uint64, atomic bool) refusal {
 	return 0
 }
 
-// statsAt returns the partition's counters through cycle t (exclusive): the
-// stored ones plus the attempts a waiting head skipped in (refusedAt, t).
-// Every cycle in that span went unticked, since a tick retries the head.
-func (p *L2Partition) statsAt(t uint64) stats.Cache {
-	c := p.Stats
-	if p.refused != 0 && t > p.refusedAt+1 {
-		p.refused.charge(&c, t-p.refusedAt-1)
-	}
-	return c
-}
-
 // Drained reports whether the partition holds no in-flight work.
 func (p *L2Partition) Drained() bool {
 	return len(p.out) == 0 && len(p.wbBuf) == 0 && p.mshr.Used() == 0 && p.dram.Drained()
@@ -290,7 +275,7 @@ func (p *L2Partition) NextEvent(now uint64, in *pipe[Request]) uint64 {
 	if next <= now {
 		return now
 	}
-	if in.Len() > 0 && p.refused == 0 {
+	if in.Len() > 0 && p.head.refusal == 0 {
 		at := max(in.NextReady(), p.lookupFreeAt)
 		if at <= now {
 			return now

@@ -90,7 +90,7 @@ func TestRenewSystemDropsInFlight(t *testing.T) {
 		t.Errorf("DRAM counters: renewed %+v, new %+v", g, w)
 	}
 	for c := range renewed.l1s {
-		if g, w := *renewed.l1s[c].CacheStats(), *fresh.l1s[c].CacheStats(); g != w {
+		if g, w := renewed.l1s[c].Stats(3000), fresh.l1s[c].Stats(3000); g != w {
 			t.Errorf("core %d L1 counters: renewed %+v, new %+v", c, g, w)
 		}
 	}

@@ -60,9 +60,7 @@ type Response struct {
 
 // refusal describes a refused access: nonzero exactly while the access
 // waits, and its other bits say what one more identical attempt adds to the
-// cache's counters. Both cache levels keep the refusal of the request at the
-// head of their queue, so the cycles a waiting head is not tried again can be
-// charged in bulk instead of one attempt at a time.
+// cache's counters.
 type refusal uint8
 
 const (
@@ -74,13 +72,36 @@ const (
 	refusalMSHRStall
 )
 
-// charge adds k identical attempts of the refused access to c.
-func (r refusal) charge(c *stats.Cache, k uint64) {
-	if r&refusalMiss != 0 {
+// refusedHead is the refusal of the request at the head of a cache's queue
+// and the cycle of its last attempt. Both cache levels keep one, so the
+// cycles a waiting head is not tried again are charged in bulk, by settle,
+// instead of one attempt at a time.
+type refusedHead struct {
+	refusal
+	at uint64
+}
+
+// settle charges c the attempts a waiting head skipped in (at, t) — every
+// cycle in that span went untried, since a tick tries the head again — and
+// moves at to t-1. The head's next attempt calls it, and so does every read
+// of c, which must come after the cache ran cycle t-1 and before it runs t.
+func (h *refusedHead) settle(c *stats.Cache, t uint64) {
+	if h.refusal == 0 || t <= h.at+1 {
+		return
+	}
+	k := t - h.at - 1
+	h.at = t - 1
+	if h.refusal&refusalMiss != 0 {
 		c.Accesses += k
 		c.Misses += k
 	}
-	if r&refusalMSHRStall != 0 {
+	if h.refusal&refusalMSHRStall != 0 {
 		c.MSHRStalls += k
 	}
+}
+
+// retry settles c up to the head's attempt at cycle now, which may go through.
+func (h *refusedHead) retry(c *stats.Cache, now uint64) {
+	h.settle(c, now)
+	h.refusal = 0
 }

@@ -149,7 +149,7 @@ func (p *port) Send(req Request, now uint64) {
 	if !s.toPart[i].Push(now, req) {
 		panic("mem: Send without CanSend")
 	}
-	if s.waker != nil && s.partitions[i].refused == 0 {
+	if s.waker != nil && s.partitions[i].head.refusal == 0 {
 		s.waker.WakePartition(i, now+s.cfg.XbarLatency)
 	}
 	s.inflight++
@@ -251,13 +251,13 @@ func (s *System) drainedScan() bool {
 }
 
 // L2Stats sums the per-partition L2 counters through cycle t (exclusive):
-// the hierarchy must have run the cycles before t, and not t. A waiting
-// head's skipped attempts are charged up to t (L2Partition.statsAt).
+// the hierarchy must have run the cycles before t, and not t. Each
+// partition's waiting head settles its skipped attempts up to t first.
 func (s *System) L2Stats(t uint64) stats.Cache {
 	var sum stats.Cache
 	for _, p := range s.partitions {
-		c := p.statsAt(t)
-		sum.Add(&c)
+		p.head.settle(&p.Stats, t)
+		sum.Add(&p.Stats)
 	}
 	return sum
 }

@@ -217,7 +217,6 @@ func TestBackpressureStallsNotDrops(t *testing.T) {
 		c.DRAMQueueCap = 2
 		c.L2MSHREntries = 2
 		c.L1MSHREntries = 4
-		c.L1MissQueueCap = 2
 	})
 	const n = 32
 	issued, completed := 0, 0
@@ -263,7 +262,7 @@ func TestL1MSHRStallWhenFull(t *testing.T) {
 	if res := h.l1.Load(uint64(2*h.cfg.LineBytes), 3, h.now); res != AccessStall {
 		t.Fatalf("third distinct miss = %v, want stall (MSHR full)", res)
 	}
-	if h.l1.CacheStats().MSHRStalls == 0 {
+	if h.l1.Stats(h.now).MSHRStalls == 0 {
 		t.Fatal("MSHR stall not counted")
 	}
 }

@@ -68,17 +68,17 @@ func noteRefusals(sys *System, now uint64, reached map[string]bool) {
 	for i, p := range sys.partitions {
 		in := sys.toPart[i]
 		switch {
-		case p.refused == 0:
+		case p.head.refusal == 0:
 			if in.CanPop(now+1) && p.lookupFreeAt > now+1 {
 				reached["a head behind an atomic's tag lookup"] = true
 			}
-		case p.refused == refusalWaits|refusalMSHRStall:
+		case p.head.refusal == refusalWaits|refusalMSHRStall:
 			reached["a full merge slot"] = true
-		case p.refused == refusalWaits|refusalMiss|refusalMSHRStall:
+		case p.head.refusal == refusalWaits|refusalMiss|refusalMSHRStall:
 			reached["a full L2 MSHR"] = true
-		case p.refused == refusalWaits|refusalMiss && in.Peek().Kind == ReqStore:
+		case p.head.refusal == refusalWaits|refusalMiss && in.Peek().Kind == ReqStore:
 			reached["a store refused by a full DRAM queue"] = true
-		case p.refused == refusalWaits|refusalMiss:
+		case p.head.refusal == refusalWaits|refusalMiss:
 			reached["a load refused by a full DRAM queue"] = true
 		}
 	}
@@ -117,7 +117,7 @@ func nextEvent(s *System, now uint64) uint64 {
 // queues and caches are small enough for every kind of refused head — DRAM
 // queue full, L2 MSHR full, merge slots full — and for dirty write-backs.
 // Every cycle the two must agree on what each core pops and when, the core
-// wakes, the L2 counters (sys's skipped attempts charged on read), the DRAM
+// wakes, the L2 counters (sys's skipped attempts settled on read), the DRAM
 // counters, Drained and the exact next event; and every wake bound must be
 // at most its partition's own NextEvent. The hard cases the run reached are
 // set in reached.
@@ -254,7 +254,7 @@ func runPartitionWake(t *testing.T, seed uint64, shape uint8, cycles int, reache
 		}
 		checkWake(now, "after sends")
 		for i, p := range sys.partitions {
-			if p.refused != 0 && cal.part[i] > now {
+			if p.head.refusal != 0 && cal.part[i] > now {
 				reached["a skipped attempt of a waiting head"] = true
 			}
 		}

@@ -256,8 +256,9 @@ func (u *ldstUnit) tickGlobal(e *ldstEntry, now uint64) {
 	}
 	if res == mem.AccessStall {
 		// The head waits (l1.Waiting) and tries the same transaction again on
-		// the next tick. A parked SM is not ticked: Counters and L1Stats
-		// charge each parked cycle one such attempt.
+		// the next tick. A parked SM is not ticked: a read settles each parked
+		// cycle as one such attempt, SyncTo the StallLDSTFull and the L1 its
+		// own counters.
 		u.sm.counters.StallLDSTFull++
 		return
 	}
@@ -338,10 +339,10 @@ func (u *ldstUnit) busy() bool {
 // it waits on a response (the MSHR refused it) or on a pop at its partition
 // (the request queue was full), and both wake the SM through the memory
 // system's Waker, so it adds no bound; each cycle it waits repeats the
-// refused attempt's counters, which Counters and L1Stats charge on read. A
-// shared op mid-flight sleeps until finishAt. Transactions parked in the
-// pending table wake only on memory responses, which the system's own
-// bound covers.
+// refused attempt's counters, which a read settles (SM.SyncTo the core's,
+// mem.L1 its own), and so does the head's next attempt. A shared op
+// mid-flight sleeps until finishAt. Transactions parked in the pending table
+// wake only on memory responses, which the system's own bound covers.
 func (u *ldstUnit) nextEvent(now uint64) uint64 {
 	next := uint64(NeverEvent)
 	if u.hLen > 0 {

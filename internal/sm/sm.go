@@ -41,13 +41,13 @@ type SM struct {
 	// onWake, when set, is notified whenever an external event (a CTA
 	// placement) makes a possibly-parked core runnable at a cycle. Setting it
 	// also arms lazy counter accrual: the core may then be left unticked
-	// across provably-quiet windows, whose counters Counters computes on read
-	// and Tick/SyncTo store when the core next runs or is mutated.
+	// across provably-quiet windows, whose counters SyncTo stores when the
+	// core is read, runs again or is mutated.
 	onWake func(coreID int, at uint64)
 	// syncedTo is the next cycle whose counters have not been stored —
 	// counters holds exactly the cycles in [0, syncedTo). Active cores keep
-	// it at now+1 after every Tick; parked cores fall behind, and the window
-	// [syncedTo, t) is charged on read (see Counters).
+	// it at now+1 after every Tick; parked cores fall behind, and a read at t
+	// settles the window [syncedTo, t) (SyncTo).
 	syncedTo uint64
 	// onCTADrained is invoked when a draining CTA is evicted — the
 	// preemption counterpart of onCTADone, reported distinctly because the
@@ -63,7 +63,7 @@ type SM struct {
 	// construction). ActiveCycles and the stall counters advance once per
 	// cycle and lag behind while the core is parked, so counters is
 	// unexported: a reader outside the core must pass the time it reads at
-	// (Counters), which charges the parked window. The issue/retirement
+	// (Counters), which settles the parked window. The issue/retirement
 	// counters (InstrIssued, ThreadInstr, CTAsCompleted, ...) are exact at all
 	// times: a parked core provably cannot issue or retire.
 	counters      stats.Core
@@ -160,47 +160,29 @@ func (s *SM) SetDrainHandler(fn func(coreID int, cta *CTA)) { s.onCTADrained = f
 func (s *SM) SetWakeHandler(fn func(coreID int, at uint64)) { s.onWake = fn }
 
 // SyncTo stores the counters of the parked window [syncedTo, t) and advances
-// the watermark to t. The GPU calls it before mutating a parked core (a
-// placement, a drain request, a memory response), while the window is still
-// provably quiet; Tick calls it when the core runs again. Safe to call
-// redundantly: a window the core has already processed is empty.
-func (s *SM) SyncTo(t uint64) {
-	if t > s.syncedTo {
-		c := s.Counters(t)
-		// Every windowed scheduler-cycle is a stall read off a certificate.
-		s.issueServed += c.IssueStallCycles - s.counters.IssueStallCycles
-		s.counters = c
-		s.l1.ChargeRetries(s.l1.CacheStats(), t-s.syncedTo)
-		s.syncedTo = t
-	}
-}
-
-// Counters returns the core's counters through cycle t (exclusive) without
-// mutating anything: the stored ones plus the parked window [syncedTo, t).
-// A parked core holds a stall certificate on every scheduler with warps —
-// otherwise NextEvent would have kept it active — and nothing that could
-// change a verdict happens before the core is synced, so each window cycle
-// repeats the certified reason: the window is (t − syncedTo) × that reason
-// per scheduler, plus as many ActiveCycles if the core holds work. Likewise a
-// head the L1 refused (L1.Waiting) would have been refused again every window
-// cycle, each time a StallLDSTFull (L1Stats charges its L1 side). A draining
-// core is never parked (NextEvent pins its horizon), so StallDrain never
-// accrues here. A t at or before syncedTo reads the stored counters.
+// the watermark to t (a t at or before syncedTo is a no-op). It is the only
+// code that charges a window, and every read settles through it. The GPU
+// calls it before mutating a parked core, while the window is still provably
+// quiet, and Tick when the core runs again.
 //
-// A scheduler with warps whose certificate does not cover the window means a
-// parked window contained a cycle that could have issued, which the event
-// horizon must never allow; that is a bug, not a recoverable state.
-func (s *SM) Counters(t uint64) stats.Core {
-	c := s.counters
+// A parked core holds a stall certificate on every scheduler with warps —
+// otherwise NextEvent would have kept it active — so each window cycle
+// repeats the certified reason, a scheduler-cycle served off the certificate,
+// plus an ActiveCycle if the core holds work and a StallLDSTFull if the L1
+// refused its head (L1.Waiting; the L1 settles its own side). A draining core
+// is never parked, so StallDrain never accrues here. A scheduler with warps
+// whose certificate does not cover the window is a bug the event horizon must
+// never allow, not a recoverable state.
+func (s *SM) SyncTo(t uint64) {
 	if t <= s.syncedTo {
-		return c
+		return
 	}
 	k := t - s.syncedTo
 	if len(s.ctas) > 0 || s.ldst.busy() {
-		c.ActiveCycles += k
+		s.counters.ActiveCycles += k
 	}
 	if s.l1.Waiting() {
-		c.StallLDSTFull += k
+		s.counters.StallLDSTFull += k
 	}
 	for i := range s.schedulers {
 		sched := &s.schedulers[i]
@@ -210,9 +192,18 @@ func (s *SM) Counters(t uint64) stats.Core {
 		if !s.certified(sched, t-1) {
 			panic(fmt.Sprintf("sm %d: counters read across an uncertified parked window [%d, %d)", s.id, s.syncedTo, t))
 		}
-		chargeStall(&c, sched.cert.reason, k)
+		chargeStall(&s.counters, sched.cert.reason, k)
+		s.issueServed += k
 	}
-	return c
+	s.syncedTo = t
+}
+
+// Counters returns the core's counters through cycle t (exclusive), settling
+// the parked window up to t first (SyncTo). The core must have run the
+// cycles before t, and not t.
+func (s *SM) Counters(t uint64) stats.Core {
+	s.SyncTo(t)
+	return s.counters
 }
 
 // InstrIssued returns the warp instructions issued so far — exact at all
@@ -222,27 +213,23 @@ func (s *SM) InstrIssued() uint64 { return s.counters.InstrIssued }
 // IssueCounts returns how many scheduler-cycles through cycle t (exclusive)
 // were resolved by a warp walk and how many were served from a stall
 // certificate, and how many warps the walks evaluated for readiness
-// (gpu.EngineStats). Every cycle of a parked window is served.
+// (gpu.EngineStats). It settles the parked window first, whose every cycle
+// is served.
 func (s *SM) IssueCounts(t uint64) (walks, served, evals uint64) {
+	s.SyncTo(t)
 	for i := range s.schedulers {
 		evals += s.schedulers[i].evals
 	}
-	return s.issueWalks, s.issueServed + s.Counters(t).IssueStallCycles - s.counters.IssueStallCycles, evals
+	return s.issueWalks, s.issueServed, evals
 }
 
 // Draining returns the number of resident CTAs currently draining.
 func (s *SM) Draining() int { return s.draining }
 
-// L1Stats returns the L1 counters through cycle t (exclusive), read the way
-// Counters reads the core's: the stored ones plus, over a parked window, one
-// attempt per cycle of a head the L1 refused.
-func (s *SM) L1Stats(t uint64) stats.Cache {
-	c := *s.l1.CacheStats()
-	if t > s.syncedTo {
-		s.l1.ChargeRetries(&c, t-s.syncedTo)
-	}
-	return c
-}
+// L1Stats returns the L1 counters through cycle t (exclusive), settled like
+// Counters: a head the L1 refused is charged one attempt per cycle it
+// skipped (mem.L1.Stats).
+func (s *SM) L1Stats(t uint64) stats.Cache { return s.l1.Stats(t) }
 
 // AvgMemLatency returns the mean cycles from load issue to last transaction
 // completion on this core.
@@ -528,7 +515,7 @@ func (s *SM) issueOne(sched *scheduler, now uint64) {
 }
 
 // chargeStall charges k scheduler-cycles stalled for reason to c: one from
-// issueOne, a parked window's worth from Counters, so skipped cycles accrue
+// issueOne, a parked window's worth from SyncTo, so skipped cycles accrue
 // exactly the counters executed cycles would.
 func chargeStall(c *stats.Core, reason skipReason, k uint64) {
 	c.IssueStallCycles += k

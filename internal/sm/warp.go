@@ -106,8 +106,5 @@ type CTA struct {
 // State returns the CTA's preemption lifecycle state.
 func (c *CTA) State() CTAState { return c.state }
 
-// Live returns the number of warps that have not exited.
-func (c *CTA) Live() int { return c.liveWarps }
-
 // Warps exposes the CTA's warp contexts (tests and probes).
 func (c *CTA) Warps() []*Warp { return c.warps }
