@@ -36,7 +36,8 @@ race:
 # Mirror of .github/workflows/ci.yml: build, lint, race-enabled tests, the
 # repository benchmark's own tests (a module of its own, so ./... does not
 # reach it), short fuzz smokes of the kernel-completion, request-wire,
-# partition-wake and refused-head properties, and the results gate.
+# partition-wake and refused-head properties, the results gate, and the
+# daemon and fleet smokes.
 ci: lint
 	go build ./...
 	go test -race ./...
@@ -46,6 +47,8 @@ ci: lint
 	go test -run='^$$' -fuzz=FuzzPartitionWake -fuzztime=10s ./internal/mem
 	go test -run='^$$' -fuzz=FuzzRefusedHeads -fuzztime=10s ./internal/gpu
 	$(MAKE) check-results
+	bash scripts/daemon_smoke.sh
+	$(MAKE) fleet-smoke
 
 # The results gate: regenerate every committed result and fail on any
 # difference. Both halves compare what the simulator computed, never how

@@ -111,6 +111,27 @@ func Claims() []Claim {
 			},
 		},
 		{
+			Name:  "fig8-dram-saved",
+			Text:  "BCS saves at least 5% of DRAM reads on every stencil-family kernel (stencil 19.8%, hotspot 9.7%, conv2d 12.6%, pathfinder 12.2%, srad 9.6%)",
+			Table: "fig8",
+			check: func(r *reader) error {
+				for _, w := range []string{"stencil", "hotspot", "conv2d", "pathfinder", "srad"} {
+					if v := r.num(w, "DRAM reads saved"); v < 5 {
+						return fmt.Errorf("%s saves %.1f%% of DRAM reads, want >= 5%%", w, v)
+					}
+				}
+				return nil
+			},
+		},
+		{
+			Name:  "fig9-bcs-gto-gain",
+			Text:  "BCS speeds the locality kernels up under plain GTO too (BCS+GTO geomean 1.047)",
+			Table: "fig9",
+			check: func(r *reader) error {
+				return above("BCS+GTO geomean", r.num("geomean", "BCS+GTO"), 1)
+			},
+		},
+		{
 			Name:  "fig9-baws-over-gto",
 			Text:  "under BCS, the block-aware warp scheduler beats GTO (geomean 1.077 vs 1.047)",
 			Table: "fig9",
@@ -193,9 +214,9 @@ func (r *reader) cell(row, col string) string {
 	return ""
 }
 
-// num is cell parsed as a number.
+// num is cell parsed as a number; a percentage ("19.8%") reads as 19.8.
 func (r *reader) num(row, col string) float64 {
-	v, err := strconv.ParseFloat(r.cell(row, col), 64)
+	v, err := strconv.ParseFloat(strings.TrimSuffix(r.cell(row, col), "%"), 64)
 	if err != nil && r.err == nil {
 		r.err = fmt.Errorf("%s %s/%s: %v", r.t.ID, row, col, err)
 	}

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"gpusched/internal/workloads"
 )
 
 // committedTable reads experiment id's table from results/<id>.csv.
@@ -41,6 +43,8 @@ func TestClaimsCatchViolations(t *testing.T) {
 		"fig5-lcs-gain":          {"geomean", "LCS", "0.999"},
 		"fig5-lcs-memory":        {"geomean (mem-intensive)", "LCS", "1.030"},
 		"fig8-bcs-gain":          {"geomean", "speedup", "1.040"},
+		"fig8-dram-saved":        {"srad", "DRAM reads saved", "4.9%"},
+		"fig9-bcs-gto-gain":      {"geomean", "BCS+GTO", "1.000"},
 		"fig9-baws-over-gto":     {"geomean", "BCS+BAWS", "1.040"},
 		"fig10-mixed-order":      {"geomean", "mixed", "1.001"},
 		"fig13-lcs-robust":       {"vadd", "LCS", "0.800"},
@@ -60,6 +64,34 @@ func TestClaimsCatchViolations(t *testing.T) {
 		tab.Rows[row][ci] = b.val
 		if c.Check(tab) == nil {
 			t.Errorf("%s holds with %s/%s = %s", c.Name, b.row, b.col, b.val)
+		}
+	}
+}
+
+// TestBCSLocalityShape checks the paper's second result at a scale CI
+// affords: fig8 and fig9 rendered at ScaleSmall must satisfy every claim on
+// those tables. The gain exists only while the request crossbar pushes back
+// within a cycle — the baseline has to suffer the contention that gang
+// dispatch relieves.
+func TestBCSLocalityShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 18 small-scale simulations")
+	}
+	h := New(Options{Scale: workloads.ScaleSmall})
+	tables := map[string]*Table{}
+	for _, id := range []string{"fig8", "fig9"} {
+		e, _ := ByID(id)
+		tab, err := e.Run(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[id] = tab
+	}
+	for _, c := range Claims() {
+		if tab, ok := tables[c.Table]; ok {
+			if err := c.Check(tab); err != nil {
+				t.Error(err)
+			}
 		}
 	}
 }

@@ -35,6 +35,9 @@ func render(t *testing.T, e Experiment, h *Harness) []byte {
 // passes every lookup to the service and diffs the Outcome (Result and
 // Limits) of each distinct request against sim.Reference, the same request
 // on the reference cycle loop. References run at most GOMAXPROCS at a time.
+// It also holds the experiments to their batching: a table lookup (Run) of a
+// request that no earlier RunAll ran would simulate alone, and a request
+// RunAll ran that no lookup reads was simulated for nothing.
 type refChecker struct {
 	t   *testing.T
 	svc *sim.Service
@@ -42,6 +45,7 @@ type refChecker struct {
 
 	mu      sync.Mutex
 	checked map[string]bool
+	batched map[string]bool // key -> read by a lookup since RunAll ran it
 }
 
 // checkReference runs e on a fresh harness with opt, diffing every
@@ -49,18 +53,57 @@ type refChecker struct {
 func checkReference(t *testing.T, e Experiment, opt Options) {
 	t.Helper()
 	h := New(opt)
-	c := &refChecker{t: t, svc: h.svc, sem: make(chan struct{}, runtime.GOMAXPROCS(0)), checked: map[string]bool{}}
+	c := &refChecker{t: t, svc: h.svc, sem: make(chan struct{}, runtime.GOMAXPROCS(0)),
+		checked: map[string]bool{}, batched: map[string]bool{}}
 	h.run = c
 	render(t, e, h)
+	for key, read := range c.batched {
+		if !read {
+			t.Errorf("%s: batched but never read", key)
+		}
+	}
 	t.Logf("%s: %d distinct requests match the reference loop", e.ID, len(c.checked))
 }
 
 func (c *refChecker) Run(ctx context.Context, req sim.Request) (sim.Outcome, error) {
+	key := req.Key()
+	c.mu.Lock()
+	_, ran := c.batched[key]
+	c.batched[key] = true
+	c.mu.Unlock()
+	if !ran {
+		c.t.Errorf("%s: read without an earlier batch running it", key)
+	}
+	return c.check(ctx, req, key)
+}
+
+func (c *refChecker) RunAll(ctx context.Context, reqs []sim.Request) error {
+	var wg sync.WaitGroup
+	errs := make([]error, len(reqs))
+	for i, req := range reqs {
+		key := req.Key()
+		c.mu.Lock()
+		if _, ok := c.batched[key]; !ok {
+			c.batched[key] = false
+		}
+		c.mu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = c.check(ctx, req, key)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// check runs req on the service and, the first time key is seen, diffs the
+// outcome against the reference loop.
+func (c *refChecker) check(ctx context.Context, req sim.Request, key string) (sim.Outcome, error) {
 	out, err := c.svc.Run(ctx, req)
 	if err != nil {
 		return out, err
 	}
-	key := req.Key()
 	c.mu.Lock()
 	seen := c.checked[key]
 	c.checked[key] = true
@@ -77,20 +120,6 @@ func (c *refChecker) Run(ctx context.Context, req sim.Request) (sim.Outcome, err
 		c.t.Errorf("%s: diverged from the reference loop:\n%+v\nvs\n%+v", key, out, ref)
 	}
 	return out, nil
-}
-
-func (c *refChecker) RunAll(ctx context.Context, reqs []sim.Request) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(reqs))
-	for i, req := range reqs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = c.Run(ctx, req)
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // TestGoldenFastForwardDeterminism is the gate on the calendar: every

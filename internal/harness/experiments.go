@@ -66,35 +66,28 @@ func (h *Harness) Table1Config() (*Table, error) {
 // Table2Characteristics reports the benchmark suite: shape, occupancy, and
 // measured memory character under the baseline.
 func (h *Harness) Table2Characteristics() (*Table, error) {
-	r := h.resolve()
-	var reqs []sim.Request
-	for _, w := range workloads.All() {
-		reqs = append(reqs, h.single(w.Name, sim.Baseline(), sm.PolicyGTO))
-	}
-	r.warm(reqs)
-	t := &Table{
-		ID: "table2", Title: "Benchmark characteristics",
-		Headers: []string{"workload", "modeled on", "class", "CTAs", "thr/CTA", "max CTA/SM", "bound-by", "IPC", "L1 hit", "inter-CTA"},
-	}
-	for _, w := range workloads.All() {
-		spec := w.Build(h.opt.Scale)
-		maxRes, binding := sm.DefaultConfig().Limits.MaxResident(spec)
-		res := r.get(h.single(w.Name, sim.Baseline(), sm.PolicyGTO)).Result
-		if r.err != nil {
-			return nil, r.err
+	return h.experiment(func(r *resolver) *Table {
+		t := &Table{
+			ID: "table2", Title: "Benchmark characteristics",
+			Headers: []string{"workload", "modeled on", "class", "CTAs", "thr/CTA", "max CTA/SM", "bound-by", "IPC", "L1 hit", "inter-CTA"},
 		}
-		loc := ""
-		if w.InterCTALocality {
-			loc = "yes"
+		for _, w := range workloads.All() {
+			spec := w.Build(h.opt.Scale)
+			maxRes, binding := sm.DefaultConfig().Limits.MaxResident(spec)
+			res := r.get(h.single(w.Name, sim.Baseline(), sm.PolicyGTO)).Result
+			loc := ""
+			if w.InterCTALocality {
+				loc = "yes"
+			}
+			t.Rows = append(t.Rows, []string{
+				w.Name, w.ModeledOn, string(w.Class),
+				fmt.Sprint(spec.NumCTAs()), fmt.Sprint(spec.ThreadsPerCTA()),
+				fmt.Sprint(maxRes), binding,
+				fmt.Sprintf("%.2f", res.IPC), pct(res.L1.HitRate()), loc,
+			})
 		}
-		t.Rows = append(t.Rows, []string{
-			w.Name, w.ModeledOn, string(w.Class),
-			fmt.Sprint(spec.NumCTAs()), fmt.Sprint(spec.ThreadsPerCTA()),
-			fmt.Sprint(maxRes), binding,
-			fmt.Sprintf("%.2f", res.IPC), pct(res.L1.HitRate()), loc,
-		})
-	}
-	return t, r.err
+		return t
+	})
 }
 
 // Fig3CTASweep is the motivation figure: normalized IPC as the per-SM CTA
@@ -102,45 +95,35 @@ func (h *Harness) Table2Characteristics() (*Table, error) {
 // the maximum CTA count does not maximize performance — appears as curves
 // peaking below the right edge.
 func (h *Harness) Fig3CTASweep() (*Table, error) {
-	r := h.resolve()
-	var reqs []sim.Request
-	for _, name := range fig3Set {
-		for lim := 1; lim <= h.maxResident(name); lim++ {
-			reqs = append(reqs, h.limited(name, lim))
+	return h.experiment(func(r *resolver) *Table {
+		t := &Table{
+			ID: "fig3", Title: "Normalized IPC vs. CTAs-per-SM limit (GTO)",
+			Headers: []string{"workload", "1", "2", "3", "4", "5", "6", "7", "8", "best@"},
 		}
-	}
-	r.warm(reqs)
-	t := &Table{
-		ID: "fig3", Title: "Normalized IPC vs. CTAs-per-SM limit (GTO)",
-		Headers: []string{"workload", "1", "2", "3", "4", "5", "6", "7", "8", "best@"},
-	}
-	for _, name := range fig3Set {
-		maxRes := h.maxResident(name)
-		baseCycles := r.get(h.limited(name, maxRes)).Result.Cycles
-		row := []string{name}
-		best, bestLim := 0.0, 0
-		for lim := 1; lim <= 8; lim++ {
-			if lim > maxRes {
-				row = append(row, "-")
-				continue
+		for _, name := range fig3Set {
+			maxRes := h.maxResident(name)
+			baseCycles := r.get(h.limited(name, maxRes)).Result.Cycles
+			row := []string{name}
+			best, bestLim := 0.0, 0
+			for lim := 1; lim <= 8; lim++ {
+				if lim > maxRes {
+					row = append(row, "-")
+					continue
+				}
+				norm := speedup(baseCycles, r.get(h.limited(name, lim)).Result.Cycles)
+				if norm > best {
+					best, bestLim = norm, lim
+				}
+				row = append(row, fmt.Sprintf("%.2f", norm))
 			}
-			res := r.get(h.limited(name, lim)).Result
-			if r.err != nil {
-				return nil, r.err
+			row = append(row, fmt.Sprintf("%d (%.2fx)", bestLim, best))
+			t.Rows = append(t.Rows, row)
+			if bestLim < maxRes {
+				t.Notes = append(t.Notes, fmt.Sprintf("%s peaks at %d of %d CTAs/SM (%.0f%% over max occupancy)", name, bestLim, maxRes, (best-1)*100))
 			}
-			norm := speedup(baseCycles, res.Cycles)
-			if norm > best {
-				best, bestLim = norm, lim
-			}
-			row = append(row, fmt.Sprintf("%.2f", norm))
 		}
-		row = append(row, fmt.Sprintf("%d (%.2fx)", bestLim, best))
-		t.Rows = append(t.Rows, row)
-		if bestLim < maxRes {
-			t.Notes = append(t.Notes, fmt.Sprintf("%s peaks at %d of %d CTAs/SM (%.0f%% over max occupancy)", name, bestLim, maxRes, (best-1)*100))
-		}
-	}
-	return t, r.err
+		return t
+	})
 }
 
 // Fig4IssueShare shows the per-CTA issued-instruction share on core 0 when
@@ -231,62 +214,47 @@ func (h *Harness) issueHistogram(name string) ([]float64, float64, error) {
 // Fig5LCS is the headline LCS figure: speedup over the max-occupancy GTO
 // baseline for LCS, the adaptive extension, and the oracle static limit.
 func (h *Harness) Fig5LCS() (*Table, error) {
-	r := h.resolve()
-	names := workloads.Names()
-	var reqs []sim.Request
-	for _, n := range names {
-		reqs = append(reqs,
-			h.single(n, sim.Baseline(), sm.PolicyGTO),
-			h.single(n, sim.LCS(), sm.PolicyGTO),
-			h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO),
-		)
-		for lim := 1; lim <= h.maxResident(n); lim++ {
-			reqs = append(reqs, h.limited(n, lim))
+	return h.experiment(func(r *resolver) *Table {
+		t := &Table{
+			ID: "fig5", Title: "LCS speedup over max-occupancy GTO baseline",
+			Headers: []string{"workload", "LCS", "LCS-adaptive", "oracle static", "oracle limit"},
 		}
-	}
-	r.warm(reqs)
-	t := &Table{
-		ID: "fig5", Title: "LCS speedup over max-occupancy GTO baseline",
-		Headers: []string{"workload", "LCS", "LCS-adaptive", "oracle static", "oracle limit"},
-	}
-	var lcsAll, adAll, orAll []float64
-	var lcsMem, adMem, orMem []float64
-	inMemSet := map[string]bool{}
-	for _, n := range memSet {
-		inMemSet[n] = true
-	}
-	for _, n := range names {
-		base := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
-		lcs := speedup(base, r.get(h.single(n, sim.LCS(), sm.PolicyGTO)).Result.Cycles)
-		ad := speedup(base, r.get(h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO)).Result.Cycles)
-		orBest, orLim := h.oracle(r, n)
-		if r.err != nil {
-			return nil, r.err
+		var lcsAll, adAll, orAll []float64
+		var lcsMem, adMem, orMem []float64
+		inMemSet := map[string]bool{}
+		for _, n := range memSet {
+			inMemSet[n] = true
 		}
-		lcsAll, adAll, orAll = append(lcsAll, lcs), append(adAll, ad), append(orAll, orBest)
-		if inMemSet[n] {
-			lcsMem, adMem, orMem = append(lcsMem, lcs), append(adMem, ad), append(orMem, orBest)
+		for _, n := range workloads.Names() {
+			base := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
+			lcs := speedup(base, r.get(h.single(n, sim.LCS(), sm.PolicyGTO)).Result.Cycles)
+			ad := speedup(base, r.get(h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO)).Result.Cycles)
+			orBest, orLim := h.oracle(r, n)
+			lcsAll, adAll, orAll = append(lcsAll, lcs), append(adAll, ad), append(orAll, orBest)
+			if inMemSet[n] {
+				lcsMem, adMem, orMem = append(lcsMem, lcs), append(adMem, ad), append(orMem, orBest)
+			}
+			t.Rows = append(t.Rows, []string{
+				n, fmt.Sprintf("%.3f", lcs), fmt.Sprintf("%.3f", ad),
+				fmt.Sprintf("%.3f", orBest), fmt.Sprint(orLim),
+			})
 		}
 		t.Rows = append(t.Rows, []string{
-			n, fmt.Sprintf("%.3f", lcs), fmt.Sprintf("%.3f", ad),
-			fmt.Sprintf("%.3f", orBest), fmt.Sprint(orLim),
+			"geomean (mem-intensive)",
+			fmt.Sprintf("%.3f", stats.GeoMean(lcsMem)),
+			fmt.Sprintf("%.3f", stats.GeoMean(adMem)),
+			fmt.Sprintf("%.3f", stats.GeoMean(orMem)),
+			"",
 		})
-	}
-	t.Rows = append(t.Rows, []string{
-		"geomean (mem-intensive)",
-		fmt.Sprintf("%.3f", stats.GeoMean(lcsMem)),
-		fmt.Sprintf("%.3f", stats.GeoMean(adMem)),
-		fmt.Sprintf("%.3f", stats.GeoMean(orMem)),
-		"",
+		t.Rows = append(t.Rows, []string{
+			"geomean",
+			fmt.Sprintf("%.3f", stats.GeoMean(lcsAll)),
+			fmt.Sprintf("%.3f", stats.GeoMean(adAll)),
+			fmt.Sprintf("%.3f", stats.GeoMean(orAll)),
+			"",
+		})
+		return t
 	})
-	t.Rows = append(t.Rows, []string{
-		"geomean",
-		fmt.Sprintf("%.3f", stats.GeoMean(lcsAll)),
-		fmt.Sprintf("%.3f", stats.GeoMean(adAll)),
-		fmt.Sprintf("%.3f", stats.GeoMean(orAll)),
-		"",
-	})
-	return t, r.err
 }
 
 // oracle returns the best static-limit speedup for a workload and its limit.
@@ -294,11 +262,7 @@ func (h *Harness) oracle(r *resolver, name string) (float64, int) {
 	base := r.get(h.single(name, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
 	best, bestLim := 0.0, 0
 	for lim := 1; lim <= h.maxResident(name); lim++ {
-		res := r.get(h.limited(name, lim)).Result
-		if r.err != nil {
-			return 0, 0
-		}
-		if s := speedup(base, res.Cycles); s > best {
+		if s := speedup(base, r.get(h.limited(name, lim)).Result.Cycles); s > best {
 			best, bestLim = s, lim
 		}
 	}
@@ -309,68 +273,44 @@ func (h *Harness) oracle(r *resolver, name string) (float64, int) {
 // load latency under baseline vs. the adaptive throttle on the
 // memory-intensive subset.
 func (h *Harness) Fig6LCSMemory() (*Table, error) {
-	r := h.resolve()
-	var reqs []sim.Request
-	for _, n := range memSet {
-		reqs = append(reqs,
-			h.single(n, sim.Baseline(), sm.PolicyGTO),
-			h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO),
-		)
-	}
-	r.warm(reqs)
-	t := &Table{
-		ID: "fig6", Title: "Why throttling helps: memory system under baseline vs LCS-adaptive",
-		Headers: []string{"workload", "L1 miss base", "L1 miss lcs", "DRAM queue base", "DRAM queue lcs", "load lat base", "load lat lcs"},
-	}
-	for _, n := range memSet {
-		b := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result
-		l := r.get(h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO)).Result
-		if r.err != nil {
-			return nil, r.err
+	return h.experiment(func(r *resolver) *Table {
+		t := &Table{
+			ID: "fig6", Title: "Why throttling helps: memory system under baseline vs LCS-adaptive",
+			Headers: []string{"workload", "L1 miss base", "L1 miss lcs", "DRAM queue base", "DRAM queue lcs", "load lat base", "load lat lcs"},
 		}
-		t.Rows = append(t.Rows, []string{
-			n,
-			pct(b.L1.MissRate()), pct(l.L1.MissRate()),
-			fmt.Sprintf("%.0f", b.DRAM.AvgQueueLatency()), fmt.Sprintf("%.0f", l.DRAM.AvgQueueLatency()),
-			fmt.Sprintf("%.0f", b.AvgMemLatency), fmt.Sprintf("%.0f", l.AvgMemLatency),
-		})
-	}
-	return t, r.err
+		for _, n := range memSet {
+			b := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result
+			l := r.get(h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO)).Result
+			t.Rows = append(t.Rows, []string{
+				n,
+				pct(b.L1.MissRate()), pct(l.L1.MissRate()),
+				fmt.Sprintf("%.0f", b.DRAM.AvgQueueLatency()), fmt.Sprintf("%.0f", l.DRAM.AvgQueueLatency()),
+				fmt.Sprintf("%.0f", b.AvgMemLatency), fmt.Sprintf("%.0f", l.AvgMemLatency),
+			})
+		}
+		return t
+	})
 }
 
 // Fig7LCSChoice compares the CTA count LCS (and the adaptive extension)
 // settles on against the oracle static limit.
 func (h *Harness) Fig7LCSChoice() (*Table, error) {
-	r := h.resolve()
-	names := workloads.Names()
-	var reqs []sim.Request
-	for _, n := range names {
-		reqs = append(reqs,
-			h.single(n, sim.LCS(), sm.PolicyGTO),
-			h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO),
-		)
-		for lim := 1; lim <= h.maxResident(n); lim++ {
-			reqs = append(reqs, h.limited(n, lim))
+	return h.experiment(func(r *resolver) *Table {
+		t := &Table{
+			ID: "fig7", Title: "Chosen CTAs/SM: LCS vs adaptive vs oracle",
+			Headers: []string{"workload", "max", "LCS (median)", "adaptive (median)", "oracle"},
 		}
-	}
-	r.warm(reqs)
-	t := &Table{
-		ID: "fig7", Title: "Chosen CTAs/SM: LCS vs adaptive vs oracle",
-		Headers: []string{"workload", "max", "LCS (median)", "adaptive (median)", "oracle"},
-	}
-	for _, n := range names {
-		lcs := r.get(h.single(n, sim.LCS(), sm.PolicyGTO))
-		ad := r.get(h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO))
-		_, orLim := h.oracle(r, n)
-		if r.err != nil {
-			return nil, r.err
+		for _, n := range workloads.Names() {
+			lcs := r.get(h.single(n, sim.LCS(), sm.PolicyGTO))
+			ad := r.get(h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO))
+			_, orLim := h.oracle(r, n)
+			t.Rows = append(t.Rows, []string{
+				n, fmt.Sprint(h.maxResident(n)),
+				fmt.Sprint(median(lcs.Limits)), fmt.Sprint(median(ad.Limits)), fmt.Sprint(orLim),
+			})
 		}
-		t.Rows = append(t.Rows, []string{
-			n, fmt.Sprint(h.maxResident(n)),
-			fmt.Sprint(median(lcs.Limits)), fmt.Sprint(median(ad.Limits)), fmt.Sprint(orLim),
-		})
-	}
-	return t, r.err
+		return t
+	})
 }
 
 func median(limits []int) int {
@@ -391,287 +331,195 @@ func median(limits []int) int {
 // BAWS warp scheduler over the baseline, on the inter-CTA-locality subset,
 // with the L1 sharing it creates (hits plus MSHR merges).
 func (h *Harness) Fig8BCS() (*Table, error) {
-	r := h.resolve()
-	var reqs []sim.Request
-	for _, n := range localitySet {
-		reqs = append(reqs,
-			h.single(n, sim.Baseline(), sm.PolicyGTO),
-			h.single(n, sim.BCS(2), sm.PolicyBAWS),
-		)
-	}
-	r.warm(reqs)
-	t := &Table{
-		ID: "fig8", Title: "BCS(+BAWS) speedup over baseline on locality workloads",
-		Headers: []string{"workload", "speedup", "L1 hit+merge base", "L1 hit+merge bcs", "DRAM reads saved"},
-	}
-	var all []float64
-	for _, n := range localitySet {
-		b := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result
-		x := r.get(h.single(n, sim.BCS(2), sm.PolicyBAWS)).Result
-		if r.err != nil {
-			return nil, r.err
+	return h.experiment(func(r *resolver) *Table {
+		t := &Table{
+			ID: "fig8", Title: "BCS(+BAWS) speedup over baseline on locality workloads",
+			Headers: []string{"workload", "speedup", "L1 hit+merge base", "L1 hit+merge bcs", "DRAM reads saved"},
 		}
-		s := speedup(b.Cycles, x.Cycles)
-		all = append(all, s)
-		share := func(res gpu.Result) float64 {
-			if res.L1.Accesses == 0 {
-				return 0
+		var all []float64
+		for _, n := range localitySet {
+			b := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result
+			x := r.get(h.single(n, sim.BCS(2), sm.PolicyBAWS)).Result
+			s := speedup(b.Cycles, x.Cycles)
+			all = append(all, s)
+			share := func(res gpu.Result) float64 {
+				if res.L1.Accesses == 0 {
+					return 0
+				}
+				return float64(res.L1.Hits+res.L1.MSHRMerges) / float64(res.L1.Accesses)
 			}
-			return float64(res.L1.Hits+res.L1.MSHRMerges) / float64(res.L1.Accesses)
+			saved := 0.0
+			if b.DRAM.Reads > 0 {
+				saved = 1 - float64(x.DRAM.Reads)/float64(b.DRAM.Reads)
+			}
+			t.Rows = append(t.Rows, []string{
+				n, fmt.Sprintf("%.3f", s), pct(share(b)), pct(share(x)), pct(saved),
+			})
 		}
-		saved := 0.0
-		if b.DRAM.Reads > 0 {
-			saved = 1 - float64(x.DRAM.Reads)/float64(b.DRAM.Reads)
-		}
-		t.Rows = append(t.Rows, []string{
-			n, fmt.Sprintf("%.3f", s), pct(share(b)), pct(share(x)), pct(saved),
-		})
-	}
-	t.Rows = append(t.Rows, []string{"geomean", fmt.Sprintf("%.3f", stats.GeoMean(all)), "", "", ""})
-	return t, r.err
+		t.Rows = append(t.Rows, []string{"geomean", fmt.Sprintf("%.3f", stats.GeoMean(all)), "", "", ""})
+		return t
+	})
 }
 
 // Fig9BAWS is the warp-scheduler ablation: BCS dispatch under plain GTO
 // (gangs co-located but serialized) vs under BAWS (gangs in lockstep).
 func (h *Harness) Fig9BAWS() (*Table, error) {
-	r := h.resolve()
-	var reqs []sim.Request
-	for _, n := range localitySet {
-		reqs = append(reqs,
-			h.single(n, sim.Baseline(), sm.PolicyGTO),
-			h.single(n, sim.BCS(2), sm.PolicyGTO),
-			h.single(n, sim.BCS(2), sm.PolicyBAWS),
-		)
-	}
-	r.warm(reqs)
-	t := &Table{
-		ID: "fig9", Title: "BAWS ablation: BCS+GTO vs BCS+BAWS (speedup over baseline)",
-		Headers: []string{"workload", "BCS+GTO", "BCS+BAWS", "BAWS contribution"},
-	}
-	var g, bw []float64
-	for _, n := range localitySet {
-		b := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
-		sg := speedup(b, r.get(h.single(n, sim.BCS(2), sm.PolicyGTO)).Result.Cycles)
-		sb := speedup(b, r.get(h.single(n, sim.BCS(2), sm.PolicyBAWS)).Result.Cycles)
-		if r.err != nil {
-			return nil, r.err
+	return h.experiment(func(r *resolver) *Table {
+		t := &Table{
+			ID: "fig9", Title: "BAWS ablation: BCS+GTO vs BCS+BAWS (speedup over baseline)",
+			Headers: []string{"workload", "BCS+GTO", "BCS+BAWS", "BAWS contribution"},
 		}
-		g, bw = append(g, sg), append(bw, sb)
+		var g, bw []float64
+		for _, n := range localitySet {
+			b := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
+			sg := speedup(b, r.get(h.single(n, sim.BCS(2), sm.PolicyGTO)).Result.Cycles)
+			sb := speedup(b, r.get(h.single(n, sim.BCS(2), sm.PolicyBAWS)).Result.Cycles)
+			g, bw = append(g, sg), append(bw, sb)
+			t.Rows = append(t.Rows, []string{
+				n, fmt.Sprintf("%.3f", sg), fmt.Sprintf("%.3f", sb), fmt.Sprintf("%+.1f%%", (sb/sg-1)*100),
+			})
+		}
 		t.Rows = append(t.Rows, []string{
-			n, fmt.Sprintf("%.3f", sg), fmt.Sprintf("%.3f", sb), fmt.Sprintf("%+.1f%%", (sb/sg-1)*100),
+			"geomean", fmt.Sprintf("%.3f", stats.GeoMean(g)), fmt.Sprintf("%.3f", stats.GeoMean(bw)), "",
 		})
-	}
-	t.Rows = append(t.Rows, []string{
-		"geomean", fmt.Sprintf("%.3f", stats.GeoMean(g)), fmt.Sprintf("%.3f", stats.GeoMean(bw)), "",
+		return t
 	})
-	return t, r.err
 }
 
 // Fig10MCKE is the concurrent-kernel figure: total throughput of kernel
 // pairs under sequential execution, spatial core partitioning, and the
 // paper's mixed intra-SM co-scheduling with an LCS-derived limit.
 func (h *Harness) Fig10MCKE() (*Table, error) {
-	r := h.resolve()
-	// Profile phase: adaptive LCS decides each leading kernel's limit.
-	var profile []sim.Request
-	for _, p := range ckePairs {
-		profile = append(profile, h.single(p[0], sim.AdaptiveLCS(), sm.PolicyGTO))
-	}
-	r.warm(profile)
-	var reqs []sim.Request
-	limits := map[string]int{}
-	for _, p := range ckePairs {
-		lim := lowQuartile(r.get(h.single(p[0], sim.AdaptiveLCS(), sm.PolicyGTO)).Limits)
-		if r.err != nil {
-			return nil, r.err
+	return h.experiment(func(r *resolver) *Table {
+		// Profile phase: adaptive LCS decides each leading kernel's limit.
+		limits := make([]int, len(ckePairs))
+		for i, p := range ckePairs {
+			limits[i] = max(1, lowQuartile(r.get(h.single(p[0], sim.AdaptiveLCS(), sm.PolicyGTO)).Limits))
 		}
-		if lim < 1 {
-			lim = 1
+		if !r.ready() {
+			return nil
 		}
-		limits[p[0]] = lim
-		pair := []string{p[0], p[1]}
-		reqs = append(reqs,
-			h.multi(pair, sim.Sequential(), sm.PolicyGTO),
-			h.multi(pair, sim.Spatial(0), sm.PolicyGTO),
-			h.multi(pair, sim.Mixed(lim), sm.PolicyGTO),
-		)
-	}
-	r.warm(reqs)
-	t := &Table{
-		ID: "fig10", Title: "Concurrent kernel execution: normalized throughput (higher is better)",
-		Headers: []string{"pair", "nOpt(A)", "sequential", "spatial", "mixed"},
-	}
-	var sp, mx []float64
-	for _, p := range ckePairs {
-		pair := []string{p[0], p[1]}
-		lim := limits[p[0]]
-		seq := r.get(h.multi(pair, sim.Sequential(), sm.PolicyGTO)).Result.Cycles
-		spa := speedup(seq, r.get(h.multi(pair, sim.Spatial(0), sm.PolicyGTO)).Result.Cycles)
-		mix := speedup(seq, r.get(h.multi(pair, sim.Mixed(lim), sm.PolicyGTO)).Result.Cycles)
-		if r.err != nil {
-			return nil, r.err
+		t := &Table{
+			ID: "fig10", Title: "Concurrent kernel execution: normalized throughput (higher is better)",
+			Headers: []string{"pair", "nOpt(A)", "sequential", "spatial", "mixed"},
 		}
-		sp, mx = append(sp, spa), append(mx, mix)
+		var sp, mx []float64
+		for i, p := range ckePairs {
+			pair := []string{p[0], p[1]}
+			seq := r.get(h.multi(pair, sim.Sequential(), sm.PolicyGTO)).Result.Cycles
+			spa := speedup(seq, r.get(h.multi(pair, sim.Spatial(0), sm.PolicyGTO)).Result.Cycles)
+			mix := speedup(seq, r.get(h.multi(pair, sim.Mixed(limits[i]), sm.PolicyGTO)).Result.Cycles)
+			sp, mx = append(sp, spa), append(mx, mix)
+			t.Rows = append(t.Rows, []string{
+				p[0] + "+" + p[1], fmt.Sprint(limits[i]), "1.000",
+				fmt.Sprintf("%.3f", spa), fmt.Sprintf("%.3f", mix),
+			})
+		}
 		t.Rows = append(t.Rows, []string{
-			p[0] + "+" + p[1], fmt.Sprint(lim), "1.000",
-			fmt.Sprintf("%.3f", spa), fmt.Sprintf("%.3f", mix),
+			"geomean", "", "1.000",
+			fmt.Sprintf("%.3f", stats.GeoMean(sp)), fmt.Sprintf("%.3f", stats.GeoMean(mx)),
 		})
-	}
-	t.Rows = append(t.Rows, []string{
-		"geomean", "", "1.000",
-		fmt.Sprintf("%.3f", stats.GeoMean(sp)), fmt.Sprintf("%.3f", stats.GeoMean(mx)),
+		return t
 	})
-	return t, r.err
 }
 
 // Fig11Sensitivity sweeps the mechanisms' tuning: BCS gang width and the
 // L1 capacity dependence of throttling.
 func (h *Harness) Fig11Sensitivity() (*Table, error) {
-	r := h.resolve()
-	sub := []string{"stencil", "conv2d", "hotspot"}
+	// At the default L1 capacity the request is the default machine's, the
+	// one fig5 runs, as limited hands the top of a sweep to the baseline.
 	l1Req := func(name string, sched sim.SchedSpec, l1 int) sim.Request {
 		req := h.single(name, sched, sm.PolicyGTO)
-		req.L1Bytes = l1
+		if l1 != mem.DefaultConfig().L1Bytes {
+			req.L1Bytes = l1
+		}
 		return req
 	}
-	fcfsReq := func(name string) sim.Request {
-		req := h.single(name, sim.Baseline(), sm.PolicyGTO)
-		req.DRAMSchedFCFS = true
-		return req
-	}
-	var reqs []sim.Request
-	for _, n := range sub {
-		reqs = append(reqs,
-			h.single(n, sim.Baseline(), sm.PolicyGTO),
-			h.single(n, sim.BCS(2), sm.PolicyBAWS),
-			h.single(n, sim.BCS(4), sm.PolicyBAWS),
-		)
-	}
-	for _, n := range []string{"spmv", "conv2d"} {
-		for _, l1 := range []int{16 * 1024, 32 * 1024} {
-			reqs = append(reqs,
-				l1Req(n, sim.Baseline(), l1),
-				l1Req(n, sim.AdaptiveLCS(), l1),
-			)
+	return h.experiment(func(r *resolver) *Table {
+		t := &Table{
+			ID: "fig11", Title: "Sensitivity: BCS gang width and L1 capacity",
+			Headers: []string{"study", "workload", "config", "speedup"},
 		}
-	}
-	r.warm(reqs)
-	t := &Table{
-		ID: "fig11", Title: "Sensitivity: BCS gang width and L1 capacity",
-		Headers: []string{"study", "workload", "config", "speedup"},
-	}
-	for _, n := range sub {
-		b := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
-		for _, bs := range []int{2, 4} {
-			s := speedup(b, r.get(h.single(n, sim.BCS(bs), sm.PolicyBAWS)).Result.Cycles)
-			if r.err != nil {
-				return nil, r.err
+		for _, n := range []string{"stencil", "conv2d", "hotspot"} {
+			b := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
+			for _, bs := range []int{2, 4} {
+				s := speedup(b, r.get(h.single(n, sim.BCS(bs), sm.PolicyBAWS)).Result.Cycles)
+				t.Rows = append(t.Rows, []string{"bcs-width", n, fmt.Sprintf("gang=%d", bs), fmt.Sprintf("%.3f", s)})
 			}
-			t.Rows = append(t.Rows, []string{"bcs-width", n, fmt.Sprintf("gang=%d", bs), fmt.Sprintf("%.3f", s)})
 		}
-	}
-	for _, n := range []string{"spmv", "conv2d"} {
-		for _, l1 := range []int{16 * 1024, 32 * 1024} {
-			b := r.get(l1Req(n, sim.Baseline(), l1)).Result.Cycles
-			s := speedup(b, r.get(l1Req(n, sim.AdaptiveLCS(), l1)).Result.Cycles)
-			if r.err != nil {
-				return nil, r.err
+		for _, n := range []string{"spmv", "conv2d"} {
+			for _, l1 := range []int{16 * 1024, 32 * 1024} {
+				b := r.get(l1Req(n, sim.Baseline(), l1)).Result.Cycles
+				s := speedup(b, r.get(l1Req(n, sim.AdaptiveLCS(), l1)).Result.Cycles)
+				t.Rows = append(t.Rows, []string{"l1-capacity", n, fmt.Sprintf("L1=%dKB", l1/1024), fmt.Sprintf("%.3f", s)})
 			}
-			t.Rows = append(t.Rows, []string{"l1-capacity", n, fmt.Sprintf("L1=%dKB", l1/1024), fmt.Sprintf("%.3f", s)})
 		}
-	}
-	// DRAM scheduling: how much baseline performance rides on FR-FCFS row
-	// reuse (FCFS speedup < 1 = slowdown from losing it).
-	for _, n := range []string{"stencil", "vadd"} {
-		base := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result
-		fcfs := r.get(fcfsReq(n)).Result
-		if r.err != nil {
-			return nil, r.err
+		// DRAM scheduling: how much baseline performance rides on FR-FCFS row
+		// reuse (FCFS speedup < 1 = slowdown from losing it).
+		for _, n := range []string{"stencil", "vadd"} {
+			req := h.single(n, sim.Baseline(), sm.PolicyGTO)
+			base := r.get(req).Result
+			req.DRAMSchedFCFS = true
+			fcfs := r.get(req).Result
+			t.Rows = append(t.Rows, []string{"dram-sched", n,
+				fmt.Sprintf("FCFS (rowhit %s vs %s)", pct(fcfs.DRAM.RowHitRate()), pct(base.DRAM.RowHitRate())),
+				fmt.Sprintf("%.3f", speedup(base.Cycles, fcfs.Cycles))})
 		}
-		t.Rows = append(t.Rows, []string{"dram-sched", n,
-			fmt.Sprintf("FCFS (rowhit %s vs %s)", pct(fcfs.DRAM.RowHitRate()), pct(base.DRAM.RowHitRate())),
-			fmt.Sprintf("%.3f", speedup(base.Cycles, fcfs.Cycles))})
-	}
-	return t, r.err
+		return t
+	})
 }
 
 // Fig12WarpSched crosses warp schedulers with CTA scheduling: LRR,
 // two-level, and GTO baselines, and LCS on top of GTO (LCS depends on
 // greedy concentration).
 func (h *Harness) Fig12WarpSched() (*Table, error) {
-	r := h.resolve()
-	names := workloads.Names()
-	var reqs []sim.Request
-	for _, n := range names {
-		reqs = append(reqs,
-			h.single(n, sim.Baseline(), sm.PolicyLRR),
-			h.single(n, sim.Baseline(), sm.PolicyTwoLevel),
-			h.single(n, sim.Baseline(), sm.PolicyGTO),
-			h.single(n, sim.LCS(), sm.PolicyGTO),
-		)
-	}
-	r.warm(reqs)
-	t := &Table{
-		ID: "fig12", Title: "Warp-scheduler interaction (speedup over LRR baseline)",
-		Headers: []string{"workload", "two-level", "GTO", "GTO+LCS"},
-	}
-	var tl, g, gl []float64
-	for _, n := range names {
-		lrr := r.get(h.single(n, sim.Baseline(), sm.PolicyLRR)).Result.Cycles
-		st := speedup(lrr, r.get(h.single(n, sim.Baseline(), sm.PolicyTwoLevel)).Result.Cycles)
-		sg := speedup(lrr, r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles)
-		sl := speedup(lrr, r.get(h.single(n, sim.LCS(), sm.PolicyGTO)).Result.Cycles)
-		if r.err != nil {
-			return nil, r.err
+	return h.experiment(func(r *resolver) *Table {
+		t := &Table{
+			ID: "fig12", Title: "Warp-scheduler interaction (speedup over LRR baseline)",
+			Headers: []string{"workload", "two-level", "GTO", "GTO+LCS"},
 		}
-		tl, g, gl = append(tl, st), append(g, sg), append(gl, sl)
-		t.Rows = append(t.Rows, []string{n,
-			fmt.Sprintf("%.3f", st), fmt.Sprintf("%.3f", sg), fmt.Sprintf("%.3f", sl)})
-	}
-	t.Rows = append(t.Rows, []string{"geomean",
-		fmt.Sprintf("%.3f", stats.GeoMean(tl)),
-		fmt.Sprintf("%.3f", stats.GeoMean(g)),
-		fmt.Sprintf("%.3f", stats.GeoMean(gl))})
-	return t, r.err
+		var tl, g, gl []float64
+		for _, n := range workloads.Names() {
+			lrr := r.get(h.single(n, sim.Baseline(), sm.PolicyLRR)).Result.Cycles
+			st := speedup(lrr, r.get(h.single(n, sim.Baseline(), sm.PolicyTwoLevel)).Result.Cycles)
+			sg := speedup(lrr, r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles)
+			sl := speedup(lrr, r.get(h.single(n, sim.LCS(), sm.PolicyGTO)).Result.Cycles)
+			tl, g, gl = append(tl, st), append(g, sg), append(gl, sl)
+			t.Rows = append(t.Rows, []string{n,
+				fmt.Sprintf("%.3f", st), fmt.Sprintf("%.3f", sg), fmt.Sprintf("%.3f", sl)})
+		}
+		t.Rows = append(t.Rows, []string{"geomean",
+			fmt.Sprintf("%.3f", stats.GeoMean(tl)),
+			fmt.Sprintf("%.3f", stats.GeoMean(g)),
+			fmt.Sprintf("%.3f", stats.GeoMean(gl))})
+		return t
+	})
 }
 
 // Fig13PriorWork contrasts LCS with the DYNCTA-style feedback throttler —
 // the closest prior-work CTA scheduler the paper is positioned against.
 func (h *Harness) Fig13PriorWork() (*Table, error) {
-	r := h.resolve()
-	names := workloads.Names()
-	var reqs []sim.Request
-	for _, n := range names {
-		reqs = append(reqs,
-			h.single(n, sim.Baseline(), sm.PolicyGTO),
-			h.single(n, sim.DynCTA(), sm.PolicyGTO),
-			h.single(n, sim.LCS(), sm.PolicyGTO),
-			h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO),
-		)
-	}
-	r.warm(reqs)
-	t := &Table{
-		ID: "fig13", Title: "CTA throttling vs prior work (speedup over baseline)",
-		Headers: []string{"workload", "DYNCTA", "LCS", "LCS-adaptive"},
-	}
-	var dy, lc, ad []float64
-	for _, n := range names {
-		base := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
-		sd := speedup(base, r.get(h.single(n, sim.DynCTA(), sm.PolicyGTO)).Result.Cycles)
-		sl := speedup(base, r.get(h.single(n, sim.LCS(), sm.PolicyGTO)).Result.Cycles)
-		sa := speedup(base, r.get(h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO)).Result.Cycles)
-		if r.err != nil {
-			return nil, r.err
+	return h.experiment(func(r *resolver) *Table {
+		t := &Table{
+			ID: "fig13", Title: "CTA throttling vs prior work (speedup over baseline)",
+			Headers: []string{"workload", "DYNCTA", "LCS", "LCS-adaptive"},
 		}
-		dy, lc, ad = append(dy, sd), append(lc, sl), append(ad, sa)
-		t.Rows = append(t.Rows, []string{n,
-			fmt.Sprintf("%.3f", sd), fmt.Sprintf("%.3f", sl), fmt.Sprintf("%.3f", sa)})
-	}
-	t.Rows = append(t.Rows, []string{"geomean",
-		fmt.Sprintf("%.3f", stats.GeoMean(dy)),
-		fmt.Sprintf("%.3f", stats.GeoMean(lc)),
-		fmt.Sprintf("%.3f", stats.GeoMean(ad))})
-	return t, r.err
+		var dy, lc, ad []float64
+		for _, n := range workloads.Names() {
+			base := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
+			sd := speedup(base, r.get(h.single(n, sim.DynCTA(), sm.PolicyGTO)).Result.Cycles)
+			sl := speedup(base, r.get(h.single(n, sim.LCS(), sm.PolicyGTO)).Result.Cycles)
+			sa := speedup(base, r.get(h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO)).Result.Cycles)
+			dy, lc, ad = append(dy, sd), append(lc, sl), append(ad, sa)
+			t.Rows = append(t.Rows, []string{n,
+				fmt.Sprintf("%.3f", sd), fmt.Sprintf("%.3f", sl), fmt.Sprintf("%.3f", sa)})
+		}
+		t.Rows = append(t.Rows, []string{"geomean",
+			fmt.Sprintf("%.3f", stats.GeoMean(dy)),
+			fmt.Sprintf("%.3f", stats.GeoMean(lc)),
+			fmt.Sprintf("%.3f", stats.GeoMean(ad))})
+		return t
+	})
 }
 
 // fig14Mixes pair a batch kernel (launched first, kernel 0) with a
@@ -700,112 +548,69 @@ const fig14ArrivalFrac = 4 // arrival = batch solo cycles / 4
 // and STP sums their reciprocals (higher is better). The preemptive rows
 // also report how many batch CTAs were evicted — each is redone work.
 func (h *Harness) Fig14Preemption() (*Table, error) {
-	r := h.resolve()
-	// Solo runs anchor everything: T_alone for both kernels, the batch
-	// makespan that fixes the arrival cycle, and the adaptive-LCS profile
-	// that sizes the MCKE limit (the Fig10 recipe).
-	var solo []sim.Request
-	for _, mix := range fig14Mixes {
-		solo = append(solo,
-			h.single(mix[0], sim.Baseline(), sm.PolicyGTO),
-			h.single(mix[1], sim.Baseline(), sm.PolicyGTO),
-			h.single(mix[0], sim.AdaptiveLCS(), sm.PolicyGTO))
-	}
-	r.warm(solo)
-	type plan struct {
-		pair     []string
-		arrivals []uint64
-		arrival  uint64
-		aloneB   uint64 // batch solo makespan
-		aloneP   uint64 // priority solo makespan
-		lim      int    // MCKE cap for the batch kernel
-		deadline int    // absolute completion deadline for the priority kernel
-		scheds   []sim.SchedSpec
-	}
-	var plans []plan
-	var shared []sim.Request
-	for _, mix := range fig14Mixes {
-		aloneB := r.get(h.single(mix[0], sim.Baseline(), sm.PolicyGTO)).Result.Cycles
-		aloneP := r.get(h.single(mix[1], sim.Baseline(), sm.PolicyGTO)).Result.Cycles
-		lim := lowQuartile(r.get(h.single(mix[0], sim.AdaptiveLCS(), sm.PolicyGTO)).Limits)
-		if r.err != nil {
-			return nil, r.err
+	return h.experiment(func(r *resolver) *Table {
+		// Solo runs anchor everything: T_alone for both kernels, the batch
+		// makespan that fixes the arrival cycle, and the adaptive-LCS profile
+		// that sizes the MCKE limit (the Fig10 recipe).
+		type plan struct {
+			pair           []string
+			aloneB, aloneP uint64 // batch and priority solo makespans
+			lim            int    // MCKE cap for the batch kernel
 		}
-		if lim < 1 {
-			lim = 1
+		plans := make([]plan, len(fig14Mixes))
+		for i, mix := range fig14Mixes {
+			plans[i] = plan{
+				pair:   []string{mix[0], mix[1]},
+				aloneB: r.get(h.single(mix[0], sim.Baseline(), sm.PolicyGTO)).Result.Cycles,
+				aloneP: r.get(h.single(mix[1], sim.Baseline(), sm.PolicyGTO)).Result.Cycles,
+				lim:    max(1, lowQuartile(r.get(h.single(mix[0], sim.AdaptiveLCS(), sm.PolicyGTO)).Limits)),
+			}
 		}
-		arrival := aloneB / fig14ArrivalFrac
-		p := plan{
-			pair:     []string{mix[0], mix[1]},
-			arrivals: []uint64{0, arrival},
-			arrival:  arrival,
-			aloneB:   aloneB,
-			aloneP:   aloneP,
-			lim:      lim,
+		if !r.ready() {
+			return nil
+		}
+		t := &Table{
+			ID: "fig14", Title: "Drain preemption on priority mixes: normalized turnaround (lower is better), STP (higher is better)",
+			Headers: []string{"mix", "sched", "NT(batch)", "NT(prio)", "ANTT", "STP", "evicted"},
+		}
+		labels := []string{"rr", "mcke", "preempt", "preempt:dl"}
+		sums := make([][3]float64, len(labels)) // per label: ANTT, STP, NT(prio)
+		for _, p := range plans {
+			arrival := p.aloneB / fig14ArrivalFrac
 			// The deadline grants the priority kernel twice its solo
 			// makespan after arrival; the predictor only preempts while it
 			// forecasts a miss.
-			deadline: int(arrival + 2*aloneP),
-		}
-		p.scheds = []sim.SchedSpec{
-			sim.Baseline(),
-			sim.Mixed(p.lim),
-			sim.Preemptive(1, 0),
-			sim.Preemptive(1, p.deadline),
-		}
-		for _, s := range p.scheds {
-			req := h.multi(p.pair, s, sm.PolicyGTO)
-			req.Arrivals = p.arrivals
-			shared = append(shared, req)
-		}
-		plans = append(plans, p)
-	}
-	r.warm(shared)
-	t := &Table{
-		ID: "fig14", Title: "Drain preemption on priority mixes: normalized turnaround (lower is better), STP (higher is better)",
-		Headers: []string{"mix", "sched", "NT(batch)", "NT(prio)", "ANTT", "STP", "evicted"},
-	}
-	labels := []string{"rr", "mcke", "preempt", "preempt:dl"}
-	sums := make(map[string][]float64) // label -> ANTT then STP samples interleaved via two slices
-	ntPrio := make(map[string][]float64)
-	for _, p := range plans {
-		for i, s := range p.scheds {
-			req := h.multi(p.pair, s, sm.PolicyGTO)
-			req.Arrivals = p.arrivals
-			res := r.get(req).Result
-			if r.err != nil {
-				return nil, r.err
+			deadline := int(arrival + 2*p.aloneP)
+			scheds := []sim.SchedSpec{sim.Baseline(), sim.Mixed(p.lim), sim.Preemptive(1, 0), sim.Preemptive(1, deadline)}
+			for i, s := range scheds {
+				req := h.multi(p.pair, s, sm.PolicyGTO)
+				req.Arrivals = []uint64{0, arrival}
+				res := r.get(req).Result
+				if !r.ready() {
+					continue // recorded: no outcome until the next pass
+				}
+				// Turnaround runs from the kernel's arrival to its last CTA.
+				ntB := stats.NormalizedTurnaround(p.aloneB, res.Kernels[0].DoneCycle)
+				ntP := stats.NormalizedTurnaround(p.aloneP, res.Kernels[1].DoneCycle-arrival)
+				nts := []float64{ntB, ntP}
+				t.Rows = append(t.Rows, []string{
+					p.pair[0] + "+" + p.pair[1], labels[i],
+					fmt.Sprintf("%.3f", ntB), fmt.Sprintf("%.3f", ntP),
+					fmt.Sprintf("%.3f", stats.ANTT(nts)),
+					fmt.Sprintf("%.3f", stats.STP(nts)),
+					fmt.Sprint(res.Kernels[0].Evicted),
+				})
+				sums[i][0] += stats.ANTT(nts)
+				sums[i][1] += stats.STP(nts)
+				sums[i][2] += ntP
 			}
-			// Turnaround runs from the kernel's arrival to its last CTA.
-			ntB := stats.NormalizedTurnaround(p.aloneB, res.Kernels[0].DoneCycle)
-			ntP := stats.NormalizedTurnaround(p.aloneP, res.Kernels[1].DoneCycle-p.arrival)
-			nts := []float64{ntB, ntP}
-			t.Rows = append(t.Rows, []string{
-				p.pair[0] + "+" + p.pair[1], labels[i],
-				fmt.Sprintf("%.3f", ntB), fmt.Sprintf("%.3f", ntP),
-				fmt.Sprintf("%.3f", stats.ANTT(nts)),
-				fmt.Sprintf("%.3f", stats.STP(nts)),
-				fmt.Sprint(res.Kernels[0].Evicted),
-			})
-			sums[labels[i]] = append(sums[labels[i]], stats.ANTT(nts), stats.STP(nts))
-			ntPrio[labels[i]] = append(ntPrio[labels[i]], ntP)
 		}
-	}
-	for _, l := range labels {
-		vs := sums[l]
-		var antt, stp float64
-		for i := 0; i < len(vs); i += 2 {
-			antt += vs[i]
-			stp += vs[i+1]
+		n := float64(len(plans))
+		for i, l := range labels {
+			t.Notes = append(t.Notes, fmt.Sprintf(
+				"%s: mean ANTT %.3f, mean STP %.3f, mean NT(prio) %.3f",
+				l, sums[i][0]/n, sums[i][1]/n, sums[i][2]/n))
 		}
-		n := float64(len(vs) / 2)
-		var pm float64
-		for _, v := range ntPrio[l] {
-			pm += v
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"%s: mean ANTT %.3f, mean STP %.3f, mean NT(prio) %.3f",
-			l, antt/n, stp/n, pm/float64(len(ntPrio[l]))))
-	}
-	return t, r.err
+		return t
+	})
 }

@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"gpusched/internal/workloads"
 )
 
 // TestAllExperimentsTinyScale runs the entire registry end to end at the
@@ -95,67 +93,22 @@ func TestOracleNeverBelowOne(t *testing.T) {
 	h := tinyHarness()
 	// The oracle includes the occupancy maximum itself, so its speedup is
 	// >= 1 by construction.
-	r := h.resolve()
-	for _, n := range []string{"vadd", "spmv"} {
-		best, lim := h.oracle(r, n)
-		if r.err != nil {
-			t.Fatal(r.err)
+	names := []string{"vadd", "spmv"}
+	best, lim := make([]float64, len(names)), make([]int, len(names))
+	if _, err := h.experiment(func(r *resolver) *Table {
+		for i, n := range names {
+			best[i], lim[i] = h.oracle(r, n)
 		}
-		if best < 0.999 {
-			t.Errorf("%s oracle %.3f < 1", n, best)
-		}
-		if lim < 1 || lim > 8 {
-			t.Errorf("%s oracle limit %d", n, lim)
-		}
-	}
-}
-
-// TestBCSLocalityShape pins the paper's second result at a scale CI affords
-// (ROADMAP item 2(a)): BCS+BAWS speeds the locality set up by at least 5% in
-// geomean and saves at least 5% of DRAM reads on every stencil-family kernel;
-// BCS under plain GTO still wins, and BAWS adds to it. The gain exists only
-// while the request crossbar pushes back within a cycle — the baseline has to
-// suffer the contention that gang dispatch relieves.
-func TestBCSLocalityShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 18 small-scale simulations")
-	}
-	h := New(Options{Scale: workloads.ScaleSmall})
-	cell := func(tab *Table, row string, col int) float64 {
-		t.Helper()
-		for _, r := range tab.Rows {
-			if r[0] == row {
-				v, err := strconv.ParseFloat(strings.TrimSuffix(r[col], "%"), 64)
-				if err != nil {
-					t.Fatalf("%s[%s][%d] = %q: %v", tab.ID, row, col, r[col], err)
-				}
-				return v
-			}
-		}
-		t.Fatalf("%s has no row %q", tab.ID, row)
-		return 0
-	}
-	fig8, err := h.Fig8BCS()
-	if err != nil {
+		return &Table{}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if g := cell(fig8, "geomean", 1); g < 1.05 {
-		t.Errorf("fig8 geomean speedup %.3f, want >= 1.05", g)
-	}
-	for _, n := range []string{"stencil", "hotspot", "conv2d", "pathfinder", "srad"} {
-		if saved := cell(fig8, n, 4); saved < 5 {
-			t.Errorf("fig8 %s: DRAM reads saved %.1f%%, want >= 5%%", n, saved)
+	for i, n := range names {
+		if best[i] < 0.999 {
+			t.Errorf("%s oracle %.3f < 1", n, best[i])
 		}
-	}
-	fig9, err := h.Fig9BAWS()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gto, baws := cell(fig9, "geomean", 1), cell(fig9, "geomean", 2)
-	if gto <= 1 {
-		t.Errorf("fig9 BCS+GTO geomean %.3f, want > 1", gto)
-	}
-	if baws < gto {
-		t.Errorf("fig9 BCS+BAWS geomean %.3f below BCS+GTO %.3f", baws, gto)
+		if lim[i] < 1 || lim[i] > 8 {
+			t.Errorf("%s oracle limit %d", n, lim[i])
+		}
 	}
 }

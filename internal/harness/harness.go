@@ -1,11 +1,13 @@
 // Package harness regenerates the paper's tables and figures. Each
 // experiment is a function from Options to a Table; cmd/paperbench
-// renders them as aligned text and CSV. All simulations flow through
-// the internal/sim service layer, which memoizes and deduplicates runs
-// across experiments (the oracle sweep feeds three figures but pays for
-// its simulations once), executes independent runs on all cores, and
-// can persist results on disk so repeated invocations skip completed
-// work.
+// renders them as aligned text and CSV. A figure names each run it reads
+// once, where it reads it: the harness runs the figure in passes, the
+// first recording its lookups, which then execute together on every core,
+// and a later pass reading their outcomes (see Harness.experiment). All
+// simulations flow through the internal/sim service layer, which memoizes
+// and deduplicates runs across experiments (the oracle sweep feeds three
+// figures but pays for its simulations once) and can persist results on
+// disk so repeated invocations skip completed work.
 package harness
 
 import (
@@ -110,7 +112,8 @@ type Harness struct {
 }
 
 // runner is the lookup seam between the experiments and the service;
-// *sim.Service satisfies it.
+// *sim.Service satisfies it. An experiment's passes hand each batch of
+// recorded lookups to RunAll and read every outcome back through Run.
 type runner interface {
 	Run(ctx context.Context, req sim.Request) (sim.Outcome, error)
 	RunAll(ctx context.Context, reqs []sim.Request) error
@@ -154,20 +157,51 @@ func (h *Harness) multi(names []string, sched sim.SchedSpec, policy sm.Policy) s
 	}
 }
 
-// resolver threads one experiment's simulation lookups through the
-// service, capturing the first error so the table-building code stays
-// linear. After any failure, get returns zero outcomes and the experiment
-// surfaces r.err to its caller.
+// resolver is one experiment's view of the service, counting its lookups
+// by position: a pass repeats the earlier passes' lookups in order, so the
+// first ran lookups of a pass read outcomes that an earlier batch made and
+// every later one is recorded for the next batch and reads as a zero
+// Outcome. Each read still goes to the service with its own request, so a
+// figure whose lookups move between passes costs a serial simulation, never
+// a wrong outcome.
 type resolver struct {
-	h   *Harness
-	err error
+	h       *Harness
+	n, ran  int           // lookups so far this pass; lookups with outcomes
+	pending []sim.Request // lookups this pass recorded
+	err     error
 }
 
-func (h *Harness) resolve() *resolver { return &resolver{h: h} }
+// experiment runs fig in passes until one records nothing, running each
+// pass's recorded lookups together, and returns that pass's table. A figure
+// that builds requests from outcomes reads those first and returns nil
+// unless r.ready().
+func (h *Harness) experiment(fig func(r *resolver) *Table) (*Table, error) {
+	r := &resolver{h: h}
+	for {
+		r.n = 0
+		t := fig(r)
+		if r.err != nil {
+			return nil, r.err
+		}
+		if len(r.pending) == 0 {
+			return t, nil
+		}
+		if err := h.run.RunAll(context.Background(), r.pending); err != nil {
+			return nil, err
+		}
+		r.ran, r.pending = r.n, r.pending[:0]
+	}
+}
 
-// get executes (or recalls) one simulation.
+// get returns req's outcome, or records req and returns a zero Outcome when
+// no earlier pass made it.
 func (r *resolver) get(req sim.Request) sim.Outcome {
+	r.n++
 	if r.err != nil {
+		return sim.Outcome{}
+	}
+	if r.n > r.ran {
+		r.pending = append(r.pending, req)
 		return sim.Outcome{}
 	}
 	out, err := r.h.run.Run(context.Background(), req)
@@ -178,16 +212,8 @@ func (r *resolver) get(req sim.Request) sim.Outcome {
 	return out
 }
 
-// warm executes all missing requests concurrently before the sequential
-// table-assembly reads, so independent simulations use every core.
-func (r *resolver) warm(reqs []sim.Request) {
-	if r.err != nil {
-		return
-	}
-	if err := r.h.run.RunAll(context.Background(), reqs); err != nil {
-		r.err = err
-	}
-}
+// ready reports whether every lookup so far read a real outcome.
+func (r *resolver) ready() bool { return r.err == nil && len(r.pending) == 0 }
 
 // maxResident returns the occupancy-maximal CTAs/SM for a workload.
 func (h *Harness) maxResident(name string) int {

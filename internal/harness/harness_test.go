@@ -80,36 +80,40 @@ func TestTable1IsStatic(t *testing.T) {
 
 func TestMemoizationReturnsSameResult(t *testing.T) {
 	h := tinyHarness()
-	r := h.resolve()
 	req := h.single("vadd", sim.Baseline(), sm.PolicyGTO)
-	a := r.get(req)
-	b := r.get(req)
-	if r.err != nil {
-		t.Fatal(r.err)
+	var a, b sim.Outcome
+	if _, err := h.experiment(func(r *resolver) *Table {
+		a, b = r.get(req), r.get(req)
+		return &Table{}
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if a.Result.Cycles != b.Result.Cycles {
-		t.Fatal("memoized run differed")
+	if a.Result.Cycles == 0 || a.Result.Cycles != b.Result.Cycles {
+		t.Fatalf("memoized run differed: %d vs %d cycles", a.Result.Cycles, b.Result.Cycles)
 	}
 	if st := h.Service().Stats(); st.Simulated != 1 {
 		t.Fatalf("service simulated %d runs, want 1", st.Simulated)
 	}
 }
 
-func TestResolverStopsAfterFirstError(t *testing.T) {
+// TestExperimentStopsAtFirstError: a batch that fails ends the experiment
+// with its error after the pass that recorded it, simulating nothing.
+func TestExperimentStopsAtFirstError(t *testing.T) {
 	h := tinyHarness()
-	r := h.resolve()
 	bad := h.single("no-such-workload", sim.Baseline(), sm.PolicyGTO)
-	if out := r.get(bad); out.Result.Cycles != 0 {
-		t.Fatal("failed request returned a non-zero outcome")
+	passes := 0
+	tab, err := h.experiment(func(r *resolver) *Table {
+		passes++
+		if out := r.get(bad); out.Result.Cycles != 0 {
+			t.Error("failed request returned a non-zero outcome")
+		}
+		return &Table{}
+	})
+	if err == nil || tab != nil {
+		t.Fatalf("experiment = %v, %v; want the batch's error", tab, err)
 	}
-	if r.err == nil {
-		t.Fatal("resolver swallowed the error")
-	}
-	// Later lookups are no-ops that keep the first error.
-	first := r.err
-	r.get(h.single("vadd", sim.Baseline(), sm.PolicyGTO))
-	if r.err != first {
-		t.Fatalf("resolver error changed: %v", r.err)
+	if passes != 1 {
+		t.Errorf("experiment ran %d passes after a failed batch, want 1", passes)
 	}
 	if st := h.Service().Stats(); st.Simulated != 0 {
 		t.Fatalf("service simulated %d runs after failure, want 0", st.Simulated)
@@ -194,22 +198,25 @@ func TestRequestBuildersCarryOptions(t *testing.T) {
 // exactly — Result and (absent) limits alike.
 func TestStaticAtMaxIsBaseline(t *testing.T) {
 	h := New(Options{Scale: workloads.ScaleTest})
-	var reqs []sim.Request
-	for _, name := range workloads.Names() {
-		reqs = append(reqs,
-			h.single(name, sim.Static(h.maxResident(name)), sm.PolicyGTO),
-			h.single(name, sim.Baseline(), sm.PolicyGTO))
+	type pair struct {
+		name         string
+		static, base sim.Outcome
 	}
-	r := h.resolve()
-	r.warm(reqs)
-	for i := 0; i < len(reqs); i += 2 {
-		static, base := r.get(reqs[i]), r.get(reqs[i+1])
-		if r.err != nil {
-			t.Fatal(r.err)
+	var pairs []pair
+	if _, err := h.experiment(func(r *resolver) *Table {
+		pairs = pairs[:0]
+		for _, name := range workloads.Names() {
+			static := r.get(h.single(name, sim.Static(h.maxResident(name)), sm.PolicyGTO))
+			pairs = append(pairs, pair{name, static, r.get(h.single(name, sim.Baseline(), sm.PolicyGTO))})
 		}
-		if !reflect.DeepEqual(static, base) {
+		return &Table{}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pairs {
+		if !reflect.DeepEqual(p.static, p.base) {
 			t.Errorf("%s: Static(%d) outcome\n%+v\ndiffers from the baseline's\n%+v",
-				reqs[i].Workloads[0], h.maxResident(reqs[i].Workloads[0]), static, base)
+				p.name, h.maxResident(p.name), p.static, p.base)
 		}
 	}
 	if got, want := h.limited("spmv", h.maxResident("spmv")).Key(), h.single("spmv", sim.Baseline(), sm.PolicyGTO).Key(); got != want {
