@@ -37,24 +37,27 @@ func main() {
 }
 
 // simCounters is the subset of sim.Stats the dedup measurement needs,
-// decoded from /v1/fleet/stats (router) or /v1/stats (bare shard).
+// decoded from /v1/fleet/stats (router) or /v1/stats (bare shard), plus
+// the requests the router answered from its own cache (0 on a bare shard).
 type simCounters struct {
-	Simulated int `json:"Simulated"`
-	MemoHits  int `json:"MemoHits"`
-	DiskHits  int `json:"DiskHits"`
-	PeerHits  int `json:"PeerHits"`
+	Simulated  int `json:"Simulated"`
+	MemoHits   int `json:"MemoHits"`
+	DiskHits   int `json:"DiskHits"`
+	PeerHits   int `json:"PeerHits"`
+	RouterHits int `json:"-"`
 }
 
 func (c simCounters) sub(o simCounters) simCounters {
 	return simCounters{
-		Simulated: c.Simulated - o.Simulated,
-		MemoHits:  c.MemoHits - o.MemoHits,
-		DiskHits:  c.DiskHits - o.DiskHits,
-		PeerHits:  c.PeerHits - o.PeerHits,
+		Simulated:  c.Simulated - o.Simulated,
+		MemoHits:   c.MemoHits - o.MemoHits,
+		DiskHits:   c.DiskHits - o.DiskHits,
+		PeerHits:   c.PeerHits - o.PeerHits,
+		RouterHits: c.RouterHits - o.RouterHits,
 	}
 }
 
-func (c simCounters) hits() int { return c.MemoHits + c.DiskHits + c.PeerHits }
+func (c simCounters) hits() int { return c.RouterHits + c.MemoHits + c.DiskHits + c.PeerHits }
 
 // dedupRate is hits / (hits + simulations): the fraction of requests the
 // fleet answered without paying for a simulation.
@@ -74,13 +77,18 @@ func fetchCounters(client *http.Client, target string) (simCounters, error) {
 		defer resp.Body.Close()
 		var payload struct {
 			Fleet struct {
-				Sim simCounters `json:"sim"`
+				Sim         simCounters `json:"sim"`
+				RouterCache struct {
+					Hits int `json:"hits"`
+				} `json:"router_cache"`
 			} `json:"fleet"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 			return simCounters{}, err
 		}
-		return payload.Fleet.Sim, nil
+		c := payload.Fleet.Sim
+		c.RouterHits = payload.Fleet.RouterCache.Hits
+		return c, nil
 	}
 	if err == nil {
 		resp.Body.Close()
@@ -232,6 +240,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		},
 		"fleet_delta": map[string]any{
 			"simulated":      delta.Simulated,
+			"router_hits":    delta.RouterHits,
 			"memo_hits":      delta.MemoHits,
 			"disk_hits":      delta.DiskHits,
 			"peer_hits":      delta.PeerHits,
@@ -253,8 +262,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*requests, *unique, *target, wall.Seconds(), float64(*requests)/wall.Seconds(), errors)
 		fmt.Fprintf(stdout, "  admission latency: p50 %.1fms  p90 %.1fms  p99 %.1fms\n",
 			percentile(lats, 50).Seconds()*1000, percentile(lats, 90).Seconds()*1000, percentile(lats, 99).Seconds()*1000)
-		fmt.Fprintf(stdout, "  fleet dedup: %d simulated, %d memo + %d disk + %d peer hits -> hit rate %.3f\n",
-			delta.Simulated, delta.MemoHits, delta.DiskHits, delta.PeerHits, delta.dedupRate())
+		fmt.Fprintf(stdout, "  fleet dedup: %d simulated, %d router + %d memo + %d disk + %d peer hits -> hit rate %.3f\n",
+			delta.Simulated, delta.RouterHits, delta.MemoHits, delta.DiskHits, delta.PeerHits, delta.dedupRate())
 		for _, name := range shardNames {
 			fmt.Fprintf(stdout, "  shard %-8s %5d requests (%.1f%%)\n", name, byShard[name],
 				100*float64(byShard[name])/float64(len(lats)))

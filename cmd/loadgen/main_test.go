@@ -49,6 +49,17 @@ func TestSimCountersDedupRate(t *testing.T) {
 	}
 }
 
+func TestSimCountersRouterHits(t *testing.T) {
+	c := simCounters{Simulated: 2, RouterHits: 5, MemoHits: 1}
+	if got := c.dedupRate(); got != 0.75 {
+		t.Errorf("dedupRate = %v, want 0.75 with router hits counted", got)
+	}
+	d := c.sub(simCounters{RouterHits: 3})
+	if d.RouterHits != 2 || d.hits() != 3 {
+		t.Errorf("sub = %+v, want 2 router hits of 3", d)
+	}
+}
+
 // newLoadgenFleet boots a real 2-shard fleet behind a router, all over
 // httptest, and returns the router's base URL.
 func newLoadgenFleet(t *testing.T) string {
@@ -89,6 +100,7 @@ func TestLoadgenAgainstFleet(t *testing.T) {
 			Errors     int `json:"errors"`
 			FleetDelta struct {
 				Simulated    int     `json:"simulated"`
+				RouterHits   int     `json:"router_hits"`
 				DedupHitRate float64 `json:"dedup_hit_rate"`
 			} `json:"fleet_delta"`
 			Latency map[string]float64 `json:"latency_ms"`
@@ -104,6 +116,9 @@ func TestLoadgenAgainstFleet(t *testing.T) {
 		// cache hit somewhere in the fleet.
 		if report.FleetDelta.Simulated != 4 {
 			t.Errorf("fleet simulated %d, want 4 (one per unique key)", report.FleetDelta.Simulated)
+		}
+		if report.FleetDelta.RouterHits == 0 {
+			t.Error("no request was answered from the router cache")
 		}
 		if rate := report.FleetDelta.DedupHitRate; rate < 0.5 {
 			t.Errorf("dedup_hit_rate = %v, want >= 0.5", rate)

@@ -54,7 +54,7 @@ func (p *PeerCache) Fetch(ctx context.Context, key string) (sim.Outcome, bool) {
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
+			drainClose(resp.Body)
 			continue
 		}
 		data, err := io.ReadAll(io.LimitReader(resp.Body, maxCacheEntryBytes))
@@ -67,4 +67,12 @@ func (p *PeerCache) Fetch(ctx context.Context, key string) (sim.Outcome, bool) {
 		}
 	}
 	return sim.Outcome{}, false
+}
+
+// drainClose reads what is left of a small error body before closing it,
+// so the transport can reuse the connection: a body closed unread makes it
+// hang up, and every miss would then dial a new one.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, 4<<10)) //nolint:errcheck // best effort
+	body.Close()
 }

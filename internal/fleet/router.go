@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gpusched/internal/server"
 	"gpusched/internal/sim"
 )
 
@@ -41,11 +42,13 @@ const maxRouterBody = 1 << 20
 // Router is the fleet front door: it owns the ring and the prober, and
 // forwards requests to the owning shard by canonical cache key — so
 // duplicate requests from any number of client connections land on one
-// shard and coalesce in its singleflight/memo/disk layers.
+// shard and coalesce in its singleflight/memo/disk layers. It keeps the
+// shards' attested replies by key and answers repeats itself.
 //
 // The API:
 //
-//	POST /v1/simulate     route by key with retry + failover
+//	POST /v1/simulate     answer from the router cache, else route by key
+//	                      with retry + failover
 //	GET  /v1/fleet/stats  aggregated shard + routing stats (JSON)
 //	GET  /readyz          503 unless ≥1 shard is healthy
 //	GET  /metrics         router + per-shard Prometheus metrics
@@ -58,10 +61,16 @@ type Router struct {
 	client *http.Client
 	prober *Prober
 	mux    *http.ServeMux
+	cache  *respCache
 
 	failovers atomic.Uint64
 	fwdErrors atomic.Uint64
 }
+
+// shardIdleConns is the router's idle-connection pool per shard. It is
+// sized for the concurrency one router forwards at, so a shard is not
+// redialed for every request past the transport's default of two.
+const shardIdleConns = 64
 
 // NewRouter builds a router over the shard set. Call Start to begin
 // health probing and Close to stop it.
@@ -78,13 +87,16 @@ func NewRouter(shards []*Shard, cfg Config) *Router {
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 2
 	}
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = shardIdleConns
 	rt := &Router{
 		ring: NewRing(shards),
 		cfg:  cfg,
 		// No client-level timeout: a forwarded simulation takes as long as
 		// it takes (the shard's -sync-timeout bounds it), and the incoming
 		// request's context cancels the forward when the client goes away.
-		client: &http.Client{},
+		client: &http.Client{Transport: transport},
+		cache:  newRespCache(),
 	}
 	rt.prober = NewProber(rt.ring, cfg.ProbeInterval, cfg.ProbeTimeout, cfg.FailAfter, cfg.OnHealthChange)
 
@@ -172,7 +184,7 @@ func (rt *Router) forward(ctx context.Context, key string, body []byte) (*http.R
 			continue
 		}
 		if retryableStatus(resp.StatusCode) {
-			resp.Body.Close()
+			drainClose(resp.Body)
 			shard.noteFailure("forward: "+resp.Status, rt.cfg.FailAfter)
 			lastErr = fmt.Errorf("fleet: shard %s: %s", shard.Name, resp.Status)
 			continue
@@ -203,15 +215,25 @@ func decodeBody(w http.ResponseWriter, r *http.Request) (req sim.Request, body [
 	return req, body, true
 }
 
-// handleSimulate routes one request to its key's owner and relays the
-// shard's response verbatim, stamping the routing headers so clients and
-// load harnesses can see placement.
+// handleSimulate answers a repeated key from the router cache. Otherwise
+// it routes the request to its key's owner, relays the shard's response
+// verbatim and stores a 200 reply the shard attests for this key and build
+// (server.Attests). Either way it stamps the routing headers so clients
+// and load harnesses can see placement.
 func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	req, body, ok := decodeBody(w, r)
 	if !ok {
 		return
 	}
 	key := req.Key()
+	if hit, ok := rt.cache.get(key); ok {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Fleet-Shard", hit.shard)
+		w.Header().Set("X-Fleet-Key", key)
+		w.Header().Set("X-Fleet-Cache", "hit")
+		w.Write(hit.body) //nolint:errcheck // the response is already committed
+		return
+	}
 	resp, shard, err := rt.forward(r.Context(), key, body)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "no_shard", "no shard could serve the request: %v", err)
@@ -223,8 +245,19 @@ func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Fleet-Shard", shard.Name)
 	w.Header().Set("X-Fleet-Key", key)
+	w.Header().Set("X-Fleet-Cache", "miss")
+	var reply []byte
+	store := resp.StatusCode == http.StatusOK && server.Attests(resp.Header, key)
+	if store {
+		reply, err = io.ReadAll(io.LimitReader(resp.Body, maxCacheEntryBytes+1))
+		store = err == nil && len(reply) <= maxCacheEntryBytes
+	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body) //nolint:errcheck // the response is already committed
+	w.Write(reply)        //nolint:errcheck // the response is already committed
+	io.Copy(w, resp.Body) //nolint:errcheck // the rest of an oversized reply
+	if store {
+		rt.cache.put(key, shard.Name, reply)
+	}
 }
 
 func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
@@ -257,6 +290,13 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	counter("gpurouter_failovers_total", "Forward attempts that fell over to a lower-preference shard.", rt.failovers.Load())
 	counter("gpurouter_forward_errors_total", "Forwards that exhausted every candidate.", rt.fwdErrors.Load())
+	cs := rt.cache.stats()
+	counter("gpurouter_cache_hits_total", "Requests answered from the router cache.", cs.Hits)
+	counter("gpurouter_cache_misses_total", "Requests the router cache did not hold.", cs.Misses)
+	counter("gpurouter_cache_evictions_total", "Router cache entries evicted, oldest first, by the byte budget.", cs.Evictions)
+	fmt.Fprintf(w, "# HELP gpurouter_cache_bytes Bytes of keys and replies the router cache holds.\n")
+	fmt.Fprintf(w, "# TYPE gpurouter_cache_bytes gauge\n")
+	fmt.Fprintf(w, "gpurouter_cache_bytes %d\n", cs.Bytes)
 	fmt.Fprintf(w, "# HELP gpurouter_shards_healthy Healthy shards in the ring.\n")
 	fmt.Fprintf(w, "# TYPE gpurouter_shards_healthy gauge\n")
 	fmt.Fprintf(w, "gpurouter_shards_healthy %d\n", rt.ring.HealthyCount())
@@ -271,7 +311,7 @@ type shardStatsPayload struct {
 
 // handleFleetStats aggregates per-shard /v1/stats into the fleet view the
 // load harness reports: fleet-wide dedup hit rate, per-shard balance, and
-// routing counters.
+// routing and router-cache counters.
 func (rt *Router) handleFleetStats(w http.ResponseWriter, r *http.Request) {
 	shards := rt.ring.Shards()
 	type shardView struct {
@@ -333,8 +373,9 @@ func (rt *Router) handleFleetStats(w http.ResponseWriter, r *http.Request) {
 		agg.WallSeconds += v.Sim.WallSeconds
 		agg.SimCycles += v.Sim.SimCycles
 	}
-	hits := agg.MemoHits + agg.DiskHits + agg.PeerHits
-	total := hits + agg.Simulated
+	cs := rt.cache.stats()
+	hits := cs.Hits + uint64(agg.MemoHits+agg.DiskHits+agg.PeerHits)
+	total := hits + uint64(agg.Simulated)
 	rate := 0.0
 	if total > 0 {
 		rate = float64(hits) / float64(total)
@@ -346,6 +387,7 @@ func (rt *Router) handleFleetStats(w http.ResponseWriter, r *http.Request) {
 			"requests_routed": routedTotal,
 			"failovers":       rt.failovers.Load(),
 			"forward_errors":  rt.fwdErrors.Load(),
+			"router_cache":    cs,
 			"dedup_hit_rate":  rate,
 			"sim":             agg,
 		},

@@ -90,7 +90,7 @@ func (f *testFleet) keyOwnedBy(t *testing.T, name string) sim.Request {
 	return sim.Request{}
 }
 
-func (f *testFleet) fleetStats(t *testing.T) (dedupRate float64, agg sim.Stats) {
+func (f *testFleet) fleetStats(t *testing.T) (dedupRate float64, agg sim.Stats, cache respCacheStats) {
 	t.Helper()
 	resp, err := http.Get(f.front.URL + "/v1/fleet/stats")
 	if err != nil {
@@ -99,19 +99,21 @@ func (f *testFleet) fleetStats(t *testing.T) (dedupRate float64, agg sim.Stats) 
 	defer resp.Body.Close()
 	var payload struct {
 		Fleet struct {
-			DedupHitRate float64   `json:"dedup_hit_rate"`
-			Sim          sim.Stats `json:"sim"`
+			DedupHitRate float64        `json:"dedup_hit_rate"`
+			Sim          sim.Stats      `json:"sim"`
+			RouterCache  respCacheStats `json:"router_cache"`
 		} `json:"fleet"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		t.Fatalf("decoding fleet stats: %v", err)
 	}
-	return payload.Fleet.DedupHitRate, payload.Fleet.Sim
+	return payload.Fleet.DedupHitRate, payload.Fleet.Sim, payload.Fleet.RouterCache
 }
 
 // TestFleetWideDedup: duplicate requests arriving at the router on
-// separate client connections land on the same shard (key affinity) and
-// coalesce there — the fleet simulates each unique request exactly once.
+// separate client connections land on the same shard (key affinity) or
+// are answered by the router cache in that shard's name — the fleet
+// simulates each unique request exactly once.
 func TestFleetWideDedup(t *testing.T) {
 	f := newTestFleet(t, 2, Config{}, nil)
 	const unique = 4
@@ -126,6 +128,9 @@ func TestFleetWideDedup(t *testing.T) {
 			key := resp.Header.Get("X-Fleet-Key")
 			if key != req.Key() {
 				t.Errorf("X-Fleet-Key = %q, want the canonical key %q", key, req.Key())
+			}
+			if got, want := resp.Header.Get("X-Fleet-Cache"), []string{"miss", "hit"}[pass]; got != want {
+				t.Errorf("pass %d seq %d: X-Fleet-Cache = %q, want %q", pass, seq, got, want)
 			}
 			shard := resp.Header.Get("X-Fleet-Shard")
 			if prev, ok := shardFor[key]; ok && prev != shard {
@@ -144,12 +149,12 @@ func TestFleetWideDedup(t *testing.T) {
 			}
 		}
 	}
-	rate, agg := f.fleetStats(t)
+	rate, agg, cache := f.fleetStats(t)
 	if agg.Simulated != unique {
 		t.Errorf("fleet simulated %d times, want %d (dedup across connections)", agg.Simulated, unique)
 	}
-	if hits := agg.MemoHits + agg.DiskHits + agg.PeerHits; hits != unique {
-		t.Errorf("fleet cache hits = %d, want %d", hits, unique)
+	if hits := int(cache.Hits) + agg.MemoHits + agg.DiskHits + agg.PeerHits; hits != unique {
+		t.Errorf("fleet cache hits = %d (router %d), want %d", hits, cache.Hits, unique)
 	}
 	if rate < 0.49 || rate > 0.51 {
 		t.Errorf("dedup_hit_rate = %.3f, want 0.5", rate)
@@ -269,6 +274,14 @@ func TestShardDownFailover(t *testing.T) {
 	rr2.Body.Close()
 	if rr2.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("readyz = %s with zero healthy shards, want 503", rr2.Status)
+	}
+	// The router cache still answers the key the survivor produced.
+	resp3, body3 := f.simulate(t, req)
+	if resp3.StatusCode != http.StatusOK || resp3.Header.Get("X-Fleet-Cache") != "hit" {
+		t.Fatalf("cached key with every shard down: %s, X-Fleet-Cache %q: %s", resp3.Status, resp3.Header.Get("X-Fleet-Cache"), body3)
+	}
+	if !bytes.Equal(body3, body) || resp3.Header.Get("X-Fleet-Shard") != "s1" {
+		t.Errorf("cached reply from %q differs from the survivor's", resp3.Header.Get("X-Fleet-Shard"))
 	}
 }
 

@@ -13,9 +13,12 @@
 //
 // Request bodies are the flat sim.Request wire form (see internal/sim's
 // JSON round-trip) plus the envelope field "timeout_ms" for a per-request
-// deadline. Errors are structured JSON: {"error":{"code","message"}},
-// with validation failures as 400, an expired deadline as 504 and
-// simulation failures as 500.
+// deadline. A 200 from POST /v1/simulate attests what it answers:
+// X-Sim-Cache-Addr is sim.CacheAddr of the canonical key and
+// X-Sim-Cache-Version the result-cache version, so a router stores only
+// replies its own build would have produced. Errors are structured JSON:
+// {"error":{"code","message"}}, with validation failures as 400, an
+// expired deadline as 504 and simulation failures as 500.
 package server
 
 import (
@@ -25,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -131,6 +135,19 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (req sim.Request, tim
 	return req, time.Duration(env.TimeoutMS) * time.Millisecond, true
 }
 
+// Attest stamps a reply to POST /v1/simulate with what it answers: the
+// content address of the canonical key and the result-cache version.
+func Attest(h http.Header, key string) {
+	h.Set("X-Sim-Cache-Addr", sim.CacheAddr(key))
+	h.Set("X-Sim-Cache-Version", strconv.Itoa(sim.CacheVersion))
+}
+
+// Attests reports whether a reply's headers attest key under this build's
+// result-cache version. A router stores only such replies.
+func Attests(h http.Header, key string) bool {
+	return h.Get("X-Sim-Cache-Version") == strconv.Itoa(sim.CacheVersion) && h.Get("X-Sim-Cache-Addr") == sim.CacheAddr(key)
+}
+
 // handleSimulate runs one request under the sync timeout (or the
 // request's shorter timeout_ms) and returns the outcome in one round
 // trip. The simulation runs on the request's context, so a client that
@@ -148,7 +165,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	out, err := s.runSim(ctx, req)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, map[string]any{"key": req.Key(), "outcome": out})
+		key := req.Key()
+		Attest(w.Header(), key)
+		writeJSON(w, http.StatusOK, map[string]any{"key": key, "outcome": out})
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, "deadline", "simulation exceeded %v", timeout)
 	case errors.Is(err, context.Canceled):

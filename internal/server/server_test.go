@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -129,6 +130,17 @@ func TestSyncSimulate(t *testing.T) {
 	resp := simulate(t, ts.URL, tinyBody)
 	if resp.Outcome.Result.Cycles == 0 || !strings.Contains(resp.Key, "vadd") {
 		t.Fatalf("sync outcome %+v", resp)
+	}
+	// The reply attests the key's content address and the cache version;
+	// an error attests nothing.
+	_, _, h := doJSON(t, http.MethodPost, ts.URL+"/v1/simulate", tinyBody)
+	if h.Get("X-Sim-Cache-Addr") != sim.CacheAddr(resp.Key) || h.Get("X-Sim-Cache-Version") != strconv.Itoa(sim.CacheVersion) {
+		t.Errorf("attestation headers addr=%q version=%q, want %q and %d",
+			h.Get("X-Sim-Cache-Addr"), h.Get("X-Sim-Cache-Version"), sim.CacheAddr(resp.Key), sim.CacheVersion)
+	}
+	_, _, h = doJSON(t, http.MethodPost, ts.URL+"/v1/simulate", `{"workloads":["nope"]}`)
+	if h.Get("X-Sim-Cache-Addr") != "" || h.Get("X-Sim-Cache-Version") != "" {
+		t.Errorf("an error reply carries attestation headers: %v", h)
 	}
 }
 

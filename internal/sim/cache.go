@@ -9,13 +9,13 @@ import (
 	"sort"
 )
 
-// cacheVersion is the on-disk format/semantics version. Bump it whenever
+// CacheVersion is the on-disk format/semantics version. Bump it whenever
 // simulator behaviour changes in a result-visible way (timing model edits,
 // new counters, workload generator changes): every stale entry then misses
 // and is resimulated. Entries also self-invalidate when any request input
 // changes, because the full Key() is part of the filename hash and is
 // verified on load.
-const cacheVersion = 1
+const CacheVersion = 1
 
 // CacheEntry is the JSON envelope of one cached simulation. It is both
 // the on-disk format and the wire form of the peer-cache protocol
@@ -45,7 +45,7 @@ func CacheAddr(key string) string {
 //gpulint:cachekey CacheEntry
 func DecodeCacheEntry(data []byte, key string) (Outcome, bool) {
 	var e CacheEntry
-	if json.Unmarshal(data, &e) != nil || e.Version != cacheVersion || e.Key != key {
+	if json.Unmarshal(data, &e) != nil || e.Version != CacheVersion || e.Key != key {
 		return Outcome{}, false
 	}
 	return e.Outcome, true
@@ -56,7 +56,7 @@ func DecodeCacheEntry(data []byte, key string) (Outcome, bool) {
 //
 //gpulint:cachekey CacheEntry
 func EncodeCacheEntry(key string, out Outcome) ([]byte, error) {
-	return json.Marshal(CacheEntry{Version: cacheVersion, Key: key, Outcome: out})
+	return json.Marshal(CacheEntry{Version: CacheVersion, Key: key, Outcome: out})
 }
 
 // diskCache persists outcomes under dir as <sha256(key)>.json. All
