@@ -25,9 +25,10 @@ lint:
 	fi
 
 # Race-detector stress over the concurrency-bearing packages (mirrors the
-# CI race job). This is the lock contract: TestShardHealthConcurrent and
-# TestServiceCountersConcurrent fail here if any mutex section of
-# fleet.Shard or sim.Service is dropped. The cycle loop itself is serial;
+# CI race job). This is the lock contract: TestShardHealthConcurrent,
+# TestRouterCacheConcurrent and TestServiceCountersConcurrent fail here if
+# any mutex section of fleet.Shard, the router cache (fleet.respCache) or
+# sim.Service is dropped. The cycle loop itself is serial;
 # internal/gpu rides along for its cancellation poll, and internal/workloads
 # for TestSharedTemplates: concurrent warps share one program template.
 race:

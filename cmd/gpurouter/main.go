@@ -11,8 +11,8 @@
 // /metrics. Shards are probed on /readyz; a shard that fails -fail-after
 // probes in a row is marked down and its keys rehash onto the survivors.
 // Forwards retry with linear backoff onto fallback shards on transport
-// errors and 502/503/504. The router keeps the shards' attested replies,
-// up to 16 MiB, and answers a repeated key itself.
+// errors and 502/503/504. The router keeps the shards' attested replies to
+// keys it forwarded twice, up to 16 MiB, and answers later repeats itself.
 package main
 
 import (

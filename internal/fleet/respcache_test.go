@@ -79,22 +79,32 @@ func get(rt *Router, path string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// TestRouterCacheHit: a repeated key is answered by the router with the
-// bytes the shard produced, in that shard's name, and never reaches the
-// shard.
+// TestRouterCacheHit: a key's first reply streams through unstored, its
+// second is stored, and from then on the router answers it with the bytes
+// the shard produced, in that shard's name, without reaching the shard.
 func TestRouterCacheHit(t *testing.T) {
 	f := newTestFleet(t, 2, Config{}, nil)
 	req := tinyRequest(0)
-	first, body1 := f.simulate(t, req)
-	second, body2 := f.simulate(t, req)
-	if first.StatusCode != http.StatusOK || second.StatusCode != http.StatusOK {
-		t.Fatalf("simulate: %s then %s", first.Status, second.Status)
-	}
-	if got := []string{first.Header.Get("X-Fleet-Cache"), second.Header.Get("X-Fleet-Cache")}; got[0] != "miss" || got[1] != "hit" {
-		t.Errorf("X-Fleet-Cache = %q, want miss then hit", got)
+	var resps []*http.Response
+	var bodies [][]byte
+	for i := 0; i < 3; i++ {
+		resp, body := f.simulate(t, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("simulate %d: %s", i, resp.Status)
+		}
+		if i == 0 {
+			if cs := f.router.cache.stats(); cs.Entries != 0 {
+				t.Errorf("a key forwarded once was stored: %+v", cs)
+			}
+		}
+		resps, bodies = append(resps, resp), append(bodies, body)
 	}
 	owner := f.router.Ring().Owner(req.Key()).Name
-	for _, h := range []http.Header{first.Header, second.Header} {
+	for i, resp := range resps {
+		h := resp.Header
+		if got, want := h.Get("X-Fleet-Cache"), []string{"miss", "miss", "hit"}[i]; got != want {
+			t.Errorf("request %d: X-Fleet-Cache = %q, want %q", i, got, want)
+		}
 		if h.Get("X-Fleet-Shard") != owner || h.Get("X-Fleet-Key") != req.Key() {
 			t.Errorf("routing headers shard=%q key=%q, want %q and %q", h.Get("X-Fleet-Shard"), h.Get("X-Fleet-Key"), owner, req.Key())
 		}
@@ -108,15 +118,17 @@ func TestRouterCacheHit(t *testing.T) {
 	shardBody := new(bytes.Buffer)
 	shardBody.ReadFrom(direct.Body) //nolint:errcheck // test helper
 	direct.Body.Close()
-	if !bytes.Equal(body1, shardBody.Bytes()) || !bytes.Equal(body2, shardBody.Bytes()) {
-		t.Errorf("bodies differ:\nrelayed %s\ncached  %s\nshard   %s", body1, body2, shardBody)
+	for i, body := range bodies {
+		if !bytes.Equal(body, shardBody.Bytes()) {
+			t.Errorf("reply %d differs:\nrouter %s\nshard  %s", i, body, shardBody)
+		}
 	}
-	// Before the direct request the shard saw only the miss.
-	if st := f.service[i].Stats(); st.Simulated != 1 || st.MemoHits != 1 {
-		t.Errorf("owner stats = %+v, want 1 simulation and only the direct request's memo hit", st)
+	// The shard saw the two misses and the direct request, not the hit.
+	if st := f.service[i].Stats(); st.Simulated != 1 || st.MemoHits != 2 {
+		t.Errorf("owner stats = %+v, want 1 simulation and 2 memo hits", st)
 	}
-	if cs := f.router.cache.stats(); cs.Hits != 1 || cs.Misses != 1 || cs.Entries != 1 {
-		t.Errorf("router cache stats = %+v, want 1 hit, 1 miss, 1 entry", cs)
+	if cs := f.router.cache.stats(); cs.Hits != 1 || cs.Misses != 2 || cs.Entries != 1 {
+		t.Errorf("router cache stats = %+v, want 1 hit, 2 misses, 1 entry", cs)
 	}
 }
 
@@ -131,7 +143,7 @@ func mustJSON(t *testing.T, v any) []byte {
 
 // TestRouterCacheStoresOnlyAttested: errors, 504s, oversized bodies and
 // replies attested for another key or cache version are relayed but never
-// stored, so the second request reaches the shard again.
+// stored, so the third request reaches the shard again.
 func TestRouterCacheStoresOnlyAttested(t *testing.T) {
 	big := bytes.Repeat([]byte("x"), maxCacheEntryBytes+1)
 	cases := []struct {
@@ -176,7 +188,7 @@ func TestRouterCacheStoresOnlyAttested(t *testing.T) {
 			tc.reply(sent, tinyRequest(0).Key())
 			st := newStubShard(t, tc.reply)
 			rt := stubRouter(st)
-			for i := 0; i < 2; i++ {
+			for i := 0; i < 3; i++ {
 				rec := post(rt, tinyRequest(0))
 				if rec.Code != tc.wantStatus {
 					t.Fatalf("request %d: status %d, want %d", i, rec.Code, tc.wantStatus)
@@ -185,9 +197,9 @@ func TestRouterCacheStoresOnlyAttested(t *testing.T) {
 					t.Errorf("request %d: relayed %d bytes, shard sent %d", i, rec.Body.Len(), sent.Body.Len())
 				}
 			}
-			wantCalls := int64(2)
+			wantCalls := int64(3)
 			if tc.wantStored {
-				wantCalls = 1
+				wantCalls = 2
 			}
 			if got := st.calls.Load(); got != wantCalls {
 				t.Errorf("shard saw %d calls, want %d", got, wantCalls)
@@ -206,6 +218,7 @@ func TestRouterCacheEvictsOldestFirst(t *testing.T) {
 	rt.cache.budget = 3 * entry
 	for seq := 0; seq < 4; seq++ {
 		post(rt, tinyRequest(seq))
+		post(rt, tinyRequest(seq)) // the second forward is stored
 	}
 	for seq := 1; seq < 4; seq++ {
 		if got := post(rt, tinyRequest(seq)).Header().Get("X-Fleet-Cache"); got != "hit" {
@@ -215,7 +228,8 @@ func TestRouterCacheEvictsOldestFirst(t *testing.T) {
 	if got := post(rt, tinyRequest(0)).Header().Get("X-Fleet-Cache"); got != "miss" {
 		t.Errorf("oldest key: X-Fleet-Cache %q, want a miss", got)
 	}
-	// Storing key 0 again evicted key 1, the oldest left.
+	// Storing key 0 again, on its first forward since the doorkeeper still
+	// knows it, evicted key 1, the oldest left.
 	if got := post(rt, tinyRequest(1)).Header().Get("X-Fleet-Cache"); got != "miss" {
 		t.Errorf("key 1: X-Fleet-Cache %q, want a miss", got)
 	}
@@ -224,7 +238,7 @@ func TestRouterCacheEvictsOldestFirst(t *testing.T) {
 		t.Errorf("stats = %+v, want 3 evictions and 3 entries of %d bytes", cs, entry)
 	}
 	metrics := get(rt, "/metrics").Body.String()
-	for _, want := range []string{"gpurouter_cache_hits_total 3", "gpurouter_cache_misses_total 6",
+	for _, want := range []string{"gpurouter_cache_hits_total 3", "gpurouter_cache_misses_total 10",
 		"gpurouter_cache_evictions_total 3", "gpurouter_cache_bytes " + strconv.Itoa(3*entry)} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("router /metrics missing %q:\n%s", want, metrics)
@@ -254,15 +268,15 @@ func TestRouterCacheConcurrent(t *testing.T) {
 		}()
 	}
 	run(func(i int) { post(rt, tinyRequest(i%2)); post(rt, tinyRequest(i%2)) })
-	run(func(i int) { post(rt, tinyRequest(1000+i)) })
-	run(func(i int) { post(rt, tinyRequest(2000+i)) })
+	run(func(i int) { post(rt, tinyRequest(1000+i)); post(rt, tinyRequest(1000+i)) })
+	run(func(i int) { post(rt, tinyRequest(2000+i)); post(rt, tinyRequest(2000+i)) })
 	run(func(int) { get(rt, "/metrics") })
 	run(func(int) { get(rt, "/v1/fleet/stats") })
 	wg.Wait()
 
 	cs := rt.cache.stats()
-	if cs.Hits+cs.Misses != 4*rounds || int64(cs.Misses) != st.calls.Load() {
-		t.Errorf("stats = %+v with %d shard calls, want %d requests and one call per miss", cs, st.calls.Load(), 4*rounds)
+	if cs.Hits+cs.Misses != 6*rounds || int64(cs.Misses) != st.calls.Load() {
+		t.Errorf("stats = %+v with %d shard calls, want %d requests and one call per miss", cs, st.calls.Load(), 6*rounds)
 	}
 	if cs.Hits == 0 || cs.Evictions == 0 || cs.Bytes > rt.cache.budget || cs.Entries != 8 {
 		t.Errorf("stats = %+v, want hits, evictions and 8 entries within %d bytes", cs, rt.cache.budget)

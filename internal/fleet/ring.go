@@ -14,9 +14,9 @@
 //     (GET /v1/cache/{addr}), wired into sim.Options.PeerFetch on each
 //     shard so results that change owners migrate instead of resimulating.
 //   - Router: the HTTP front door that forwards POST /v1/simulate by key
-//     with bounded retry + failover, answers repeated keys from its cache
-//     of the shards' attested replies, and aggregates fleet stats and
-//     metrics.
+//     with bounded retry + failover, answers a key's later repeats from
+//     its cache of the shards' attested replies, and aggregates fleet
+//     stats and metrics.
 package fleet
 
 import (

@@ -43,7 +43,8 @@ const maxRouterBody = 1 << 20
 // forwards requests to the owning shard by canonical cache key — so
 // duplicate requests from any number of client connections land on one
 // shard and coalesce in its singleflight/memo/disk layers. It keeps the
-// shards' attested replies by key and answers repeats itself.
+// shards' attested replies to keys forwarded more than once and answers
+// later repeats itself.
 //
 // The API:
 //
@@ -215,18 +216,20 @@ func decodeBody(w http.ResponseWriter, r *http.Request) (req sim.Request, body [
 	return req, body, true
 }
 
-// handleSimulate answers a repeated key from the router cache. Otherwise
-// it routes the request to its key's owner, relays the shard's response
-// verbatim and stores a 200 reply the shard attests for this key and build
-// (server.Attests). Either way it stamps the routing headers so clients
-// and load harnesses can see placement.
+// handleSimulate answers a stored key from the router cache. Otherwise
+// it routes the request to its key's owner and streams the shard's
+// response through verbatim; from a key's second forward on, it keeps a
+// copy of a 200 reply the shard attests for this key and build
+// (server.Attests) and stores it. Either way it stamps the routing
+// headers so clients and load harnesses can see placement.
 func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	req, body, ok := decodeBody(w, r)
 	if !ok {
 		return
 	}
 	key := req.Key()
-	if hit, ok := rt.cache.get(key); ok {
+	hit, ok, admit := rt.cache.get(key)
+	if ok {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Fleet-Shard", hit.shard)
 		w.Header().Set("X-Fleet-Key", key)
@@ -246,17 +249,14 @@ func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Fleet-Shard", shard.Name)
 	w.Header().Set("X-Fleet-Key", key)
 	w.Header().Set("X-Fleet-Cache", "miss")
-	var reply []byte
-	store := resp.StatusCode == http.StatusOK && server.Attests(resp.Header, key)
-	if store {
-		reply, err = io.ReadAll(io.LimitReader(resp.Body, maxCacheEntryBytes+1))
-		store = err == nil && len(reply) <= maxCacheEntryBytes
-	}
 	w.WriteHeader(resp.StatusCode)
-	w.Write(reply)        //nolint:errcheck // the response is already committed
-	io.Copy(w, resp.Body) //nolint:errcheck // the rest of an oversized reply
-	if store {
-		rt.cache.put(key, shard.Name, reply)
+	if !admit || resp.StatusCode != http.StatusOK || !server.Attests(resp.Header, key) {
+		io.Copy(w, resp.Body) //nolint:errcheck // the response is already committed
+		return
+	}
+	var kept keptReply
+	if _, err := io.Copy(w, io.TeeReader(resp.Body, &kept)); err == nil && !kept.over {
+		rt.cache.put(key, shard.Name, kept.body)
 	}
 }
 

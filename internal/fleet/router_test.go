@@ -111,9 +111,9 @@ func (f *testFleet) fleetStats(t *testing.T) (dedupRate float64, agg sim.Stats, 
 }
 
 // TestFleetWideDedup: duplicate requests arriving at the router on
-// separate client connections land on the same shard (key affinity) or
-// are answered by the router cache in that shard's name — the fleet
-// simulates each unique request exactly once.
+// separate client connections land on the same shard (key affinity) and
+// coalesce there — the fleet simulates each unique request exactly once.
+// The router stores each key's second reply, for a third request to hit.
 func TestFleetWideDedup(t *testing.T) {
 	f := newTestFleet(t, 2, Config{}, nil)
 	const unique = 4
@@ -129,8 +129,8 @@ func TestFleetWideDedup(t *testing.T) {
 			if key != req.Key() {
 				t.Errorf("X-Fleet-Key = %q, want the canonical key %q", key, req.Key())
 			}
-			if got, want := resp.Header.Get("X-Fleet-Cache"), []string{"miss", "hit"}[pass]; got != want {
-				t.Errorf("pass %d seq %d: X-Fleet-Cache = %q, want %q", pass, seq, got, want)
+			if got := resp.Header.Get("X-Fleet-Cache"); got != "miss" {
+				t.Errorf("pass %d seq %d: X-Fleet-Cache = %q, want a miss", pass, seq, got)
 			}
 			shard := resp.Header.Get("X-Fleet-Shard")
 			if prev, ok := shardFor[key]; ok && prev != shard {
@@ -158,6 +158,9 @@ func TestFleetWideDedup(t *testing.T) {
 	}
 	if rate < 0.49 || rate > 0.51 {
 		t.Errorf("dedup_hit_rate = %.3f, want 0.5", rate)
+	}
+	if cache.Entries != unique {
+		t.Errorf("router cache holds %d entries, want the %d second replies", cache.Entries, unique)
 	}
 	// Both shards saw traffic: 4 unique keys over 2 shards collide rarely.
 	routed := 0
@@ -263,6 +266,10 @@ func TestShardDownFailover(t *testing.T) {
 	rr.Body.Close()
 	if rr.StatusCode != http.StatusOK {
 		t.Errorf("readyz = %s with a healthy survivor, want 200", rr.Status)
+	}
+	// The second request stores the survivor's reply in the router cache.
+	if resp2, body2 := f.simulate(t, req); resp2.StatusCode != http.StatusOK || !bytes.Equal(body2, body) {
+		t.Fatalf("second request: %s: %s", resp2.Status, body2)
 	}
 	// ...and flips unready when the survivor dies too.
 	f.shards[1].Close()
