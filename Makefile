@@ -37,8 +37,9 @@ race:
 # Mirror of .github/workflows/ci.yml: build, lint, race-enabled tests, the
 # repository benchmark's own tests (a module of its own, so ./... does not
 # reach it), short fuzz smokes of the kernel-completion, request-wire,
-# partition-wake and refused-head properties, the results gate, and the
-# daemon and fleet smokes.
+# partition-wake and refused-head properties, the results gate, every
+# example run end to end (the timeline CSVs they write are removed), and
+# the daemon and fleet smokes.
 ci: lint
 	go build ./...
 	go test -race ./...
@@ -48,6 +49,8 @@ ci: lint
 	go test -run='^$$' -fuzz=FuzzPartitionWake -fuzztime=10s ./internal/mem
 	go test -run='^$$' -fuzz=FuzzRefusedHeads -fuzztime=10s ./internal/gpu
 	$(MAKE) check-results
+	$(MAKE) examples
+	rm -f timeline_*.csv
 	bash scripts/daemon_smoke.sh
 	$(MAKE) fleet-smoke
 

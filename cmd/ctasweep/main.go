@@ -7,13 +7,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"gpusched"
+	"gpusched/internal/sim"
+	"gpusched/internal/workloads"
 )
 
 func main() {
@@ -24,10 +26,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ctasweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		sizeStr  = fs.String("size", "small", "problem size: tiny | small | full")
-		warpStr  = fs.String("warp", "gto", "warp scheduler: lrr | gto | baws")
+		sizeStr  = fs.String("size", "small", "problem size: "+sim.ScaleFlagHelp)
+		warpStr  = fs.String("warp", "gto", "warp scheduler: "+sim.WarpFlagHelp)
 		cores    = fs.Int("cores", 15, "SM count")
-		schedStr = fs.String("sched", "", "also run each workload under this scheduler and report it against the sweep ("+gpusched.SchedulerFlagHelp+")")
+		schedStr = fs.String("sched", "", "also run each workload under this scheduler and report it against the sweep ("+sim.SchedFlagHelp+")")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -38,22 +40,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := gpusched.DefaultConfig()
-	cfg.Cores = *cores
+	base := sim.Request{Cores: *cores}
 	var err error
-	cfg.WarpPolicy, err = gpusched.ParseWarpPolicy(*warpStr)
-	if err != nil {
+	if base.Warp, err = sim.ParseWarpPolicy(*warpStr); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	size, err := gpusched.ParseSize(*sizeStr)
-	if err != nil {
+	if base.Scale, err = sim.ParseScale(*sizeStr); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	var overlay *gpusched.Scheduler
+	var overlay *sim.SchedSpec
 	if *schedStr != "" {
-		s, err := gpusched.ParseScheduler(*schedStr)
+		s, err := sim.ParseSched(*schedStr)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
@@ -61,8 +60,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		overlay = &s
 	}
 
+	svc := sim.NewService(sim.Options{})
+	simulate := func(name string, sched sim.SchedSpec) (sim.Outcome, error) {
+		req := base
+		req.Workloads, req.Sched = []string{name}, sched
+		return svc.Run(context.Background(), req)
+	}
 	for _, name := range names {
-		w, ok := gpusched.WorkloadByName(name)
+		w, ok := workloads.ByName(name)
 		if !ok {
 			fmt.Fprintf(stderr, "unknown workload %q\n", name)
 			return 2
@@ -77,11 +82,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var pts []point
 		best := point{}
 		for lim := 1; lim <= 8; lim++ {
-			res, err := gpusched.Run(cfg, gpusched.StaticLimit(lim), w.Kernel(size))
+			out, err := simulate(name, sim.Static(lim))
 			if err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
+			res := out.Result
 			p := point{lim, res.Cycles, res.IPC}
 			pts = append(pts, p)
 			if best.cycles == 0 || p.cycles < best.cycles {
@@ -90,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			bar := strings.Repeat("#", int(res.IPC*4+0.5))
 			fmt.Fprintf(stdout, "  %-6d %-10d %-8.2f %-8s %-9.0f %s\n",
 				lim, res.Cycles, res.IPC,
-				fmt.Sprintf("%.1f%%", res.L1HitRate*100), res.AvgDRAMQueue, bar)
+				fmt.Sprintf("%.1f%%", res.L1.HitRate()*100), res.DRAM.AvgQueueLatency(), bar)
 			if lim > 1 && pts[len(pts)-1].cycles == pts[len(pts)-2].cycles {
 				fmt.Fprintf(stdout, "  (occupancy limit reached at %d CTAs/SM)\n", lim-1)
 				break
@@ -100,13 +106,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  best: %d CTAs/SM at IPC %.2f (%.1f%% over max occupancy)\n",
 			best.lim, best.ipc, (best.ipc/lastIPC-1)*100)
 		if overlay != nil {
-			res, err := gpusched.Run(cfg, *overlay, w.Kernel(size))
+			out, err := simulate(name, *overlay)
 			if err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
 			fmt.Fprintf(stdout, "  %s: IPC %.2f in %d cycles (%.1f%% of sweep best)\n",
-				overlay.Name(), res.IPC, res.Cycles, res.IPC/best.ipc*100)
+				overlay.Name(), out.Result.IPC, out.Result.Cycles, out.Result.IPC/best.ipc*100)
 		}
 		fmt.Fprintln(stdout)
 	}

@@ -8,13 +8,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"gpusched"
+	"gpusched/internal/mem"
+	"gpusched/internal/sim"
+	"gpusched/internal/trace"
+	"gpusched/internal/workloads"
 )
 
 func main() {
@@ -26,9 +28,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		workload = fs.String("workload", "vadd", "workload name (see -list)")
-		schedStr = fs.String("sched", "baseline", "CTA scheduler: "+gpusched.SchedulerFlagHelp)
-		warpStr  = fs.String("warp", "gto", "warp scheduler: lrr | gto | baws")
-		sizeStr  = fs.String("size", "small", "problem size: tiny | small | full")
+		schedStr = fs.String("sched", "baseline", "CTA scheduler: "+sim.SchedFlagHelp)
+		warpStr  = fs.String("warp", "gto", "warp scheduler: "+sim.WarpFlagHelp)
+		sizeStr  = fs.String("size", "small", "problem size: "+sim.ScaleFlagHelp)
 		cores    = fs.Int("cores", 15, "SM count")
 		engStats = fs.Bool("engine-stats", false, "also print how the cycle loop executed the run: cycles that ticked the dispatcher or an SM (ticked), only L2 partitions (batched) or nothing (fast-forwarded); dispatcher polls made and skipped; warp-scheduler walks vs certificate reads, and the warps the walks evaluated; L2 partition ticks against partition-cycles; SM ticks against SM-cycles")
 		list     = fs.Bool("list", false, "list workloads and exit")
@@ -41,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *list {
 		fmt.Fprintf(stdout, "%-14s %-8s %-10s %s\n", "name", "class", "inter-CTA", "modeled on")
-		for _, w := range gpusched.Workloads() {
+		for _, w := range workloads.All() {
 			loc := ""
 			if w.InterCTALocality {
 				loc = "yes"
@@ -51,25 +53,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	w, ok := gpusched.WorkloadByName(*workload)
+	w, ok := workloads.ByName(*workload)
 	if !ok {
 		fmt.Fprintf(stderr, "unknown workload %q (use -list)\n", *workload)
 		return 2
 	}
-	size, err := gpusched.ParseSize(*sizeStr)
-	if err != nil {
+	req := sim.Request{Workloads: []string{w.Name}, Cores: *cores}
+	var err error
+	if req.Scale, err = sim.ParseScale(*sizeStr); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	cfg := gpusched.DefaultConfig()
-	cfg.Cores = *cores
-	cfg.WarpPolicy, err = gpusched.ParseWarpPolicy(*warpStr)
-	if err != nil {
+	if req.Warp, err = sim.ParseWarpPolicy(*warpStr); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	sched, err := gpusched.ParseScheduler(*schedStr)
-	if err != nil {
+	if req.Sched, err = sim.ParseSched(*schedStr); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
@@ -79,18 +78,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var res gpusched.Result
-	var eng gpusched.EngineStats
+	m, err := req.Build(nil)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	var tl *trace.Timeline
 	if *traceOut != "" {
-		var tl *gpusched.Timeline
-		res, tl, err = gpusched.RunTraced(cfg, sched, *epoch, w.Kernel(size))
+		tl = trace.Attach(m.GPU, *epoch)
+	}
+	out := m.Outcome(m.Run())
+	res := out.Result
+	if tl != nil {
+		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		f, ferr := os.Create(*traceOut)
-		if ferr != nil {
-			fmt.Fprintln(stderr, ferr)
 			return 1
 		}
 		if err := tl.WriteCSV(f); err != nil {
@@ -100,28 +102,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		f.Close()
 		fmt.Fprintf(stdout, "timeline        %d samples -> %s (peak IPC %.2f, mean resident CTAs %.1f)\n",
 			len(tl.Samples), *traceOut, tl.PeakIPC(), tl.MeanResident())
-	} else {
-		res, eng, err = gpusched.RunEngineStats(context.Background(), cfg, sched, w.Kernel(size))
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
 	}
 
-	k := w.Kernel(size)
-	fmt.Fprintf(stdout, "workload        %s (%s), %d CTAs x %d threads\n", w.Name, w.ModeledOn, k.CTAs(), k.ThreadsPerCTA())
-	fmt.Fprintf(stdout, "scheduler       %s CTA dispatch, %s warps, %d SMs\n", sched.Name(), *warpStr, *cores)
+	k := w.Build(req.Scale)
+	fmt.Fprintf(stdout, "workload        %s (%s), %d CTAs x %d threads\n", w.Name, w.ModeledOn, k.NumCTAs(), k.ThreadsPerCTA())
+	fmt.Fprintf(stdout, "scheduler       %s CTA dispatch, %s warps, %d SMs\n", req.Sched.Name(), *warpStr, m.NumCores())
 	fmt.Fprintf(stdout, "cycles          %d (timed out: %v)\n", res.Cycles, res.TimedOut)
 	fmt.Fprintf(stdout, "instructions    %d warp (%d thread), IPC %.3f\n", res.InstrIssued, res.ThreadInstr, res.IPC)
-	fmt.Fprintf(stdout, "L1              %.1f%% hit, %.1f%% merged into in-flight fills\n", res.L1HitRate*100, res.L1MergeRate*100)
-	fmt.Fprintf(stdout, "L2              %.1f%% hit\n", res.L2HitRate*100)
+	fmt.Fprintf(stdout, "L1              %.1f%% hit, %.1f%% merged into in-flight fills\n", res.L1.HitRate()*100, res.L1.MergeRate()*100)
+	fmt.Fprintf(stdout, "L2              %.1f%% hit\n", res.L2.HitRate()*100)
 	fmt.Fprintf(stdout, "DRAM            %d reads, %d writes, %.1f%% row hits, %.0f-cycle avg queue\n",
-		res.DRAMReads, res.DRAMWrites, res.DRAMRowHitRate*100, res.AvgDRAMQueue)
+		res.DRAM.Reads, res.DRAM.Writes, res.DRAM.RowHitRate()*100, res.DRAM.AvgQueueLatency())
 	fmt.Fprintf(stdout, "load latency    %.0f cycles avg\n", res.AvgMemLatency)
-	if res.CTALimits != nil {
-		fmt.Fprintf(stdout, "LCS limits      %v\n", res.CTALimits)
+	if out.Limits != nil {
+		fmt.Fprintf(stdout, "LCS limits      %v\n", out.Limits)
 	}
 	if *engStats {
+		eng := m.EngineStats()
 		fmt.Fprintf(stdout, "engine cycles   %d ticked, %d fast-forwarded, %d batched\n",
 			eng.CyclesTicked, eng.CyclesFastForwarded, eng.CyclesBatched)
 		fmt.Fprintf(stdout, "engine polls    %d dispatcher ticks, %d skipped\n",
@@ -130,9 +127,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			eng.IssueWalks, eng.IssueServed)
 		fmt.Fprintf(stdout, "engine evals    %d warps evaluated for readiness by the walks\n", eng.IssueEvals)
 		fmt.Fprintf(stdout, "engine memory   %d L2 partition ticks of %d partition-cycles\n",
-			eng.PartitionTicks, res.Cycles*uint64(gpusched.DefaultMemConfig().Partitions))
+			eng.PartitionTicks, res.Cycles*uint64(mem.DefaultConfig().Partitions))
 		fmt.Fprintf(stdout, "engine sm       %d SM ticks of %d SM-cycles\n",
-			eng.SMTicks, res.Cycles*uint64(*cores))
+			eng.SMTicks, res.Cycles*uint64(m.NumCores()))
 	}
 	return 0
 }

@@ -6,12 +6,12 @@ import (
 	"strings"
 	"testing"
 
-	"gpusched"
+	"gpusched/internal/sim"
 )
 
 // TestParseSched pins the scheduler spellings the CLI accepts — the parser
-// now lives in the public API (backed by internal/sim's registry), so this
-// is a contract test that the flag surface did not drift.
+// is internal/sim's registry, so this is a contract test that the flag
+// surface did not drift.
 func TestParseSched(t *testing.T) {
 	ok := []struct {
 		in   string
@@ -26,18 +26,18 @@ func TestParseSched(t *testing.T) {
 		{"sequential", "sequential"},
 	}
 	for _, c := range ok {
-		s, err := gpusched.ParseScheduler(c.in)
+		s, err := sim.ParseSched(c.in)
 		if err != nil {
-			t.Errorf("ParseScheduler(%q): %v", c.in, err)
+			t.Errorf("ParseSched(%q): %v", c.in, err)
 			continue
 		}
 		if s.Name() != c.name {
-			t.Errorf("ParseScheduler(%q).Name() = %q, want %q", c.in, s.Name(), c.name)
+			t.Errorf("ParseSched(%q).Name() = %q, want %q", c.in, s.Name(), c.name)
 		}
 	}
 	for _, bad := range []string{"", "nope", "static", "static:x", "bcs:y"} {
-		if _, err := gpusched.ParseScheduler(bad); err == nil {
-			t.Errorf("ParseScheduler(%q) accepted", bad)
+		if _, err := sim.ParseSched(bad); err == nil {
+			t.Errorf("ParseSched(%q) accepted", bad)
 		}
 	}
 }
@@ -163,5 +163,17 @@ func TestGoldenOutput(t *testing.T) {
 	}
 	if string(csv) != goldenTraceCSV {
 		t.Errorf("trace CSV:\n%s\nwant:\n%s", csv, goldenTraceCSV)
+	}
+}
+
+// TestZeroCoresReportsDefaultMachine: -cores 0 simulates the default
+// 15-SM machine, and the header names the machine that ran, not the flag.
+func TestZeroCoresReportsDefaultMachine(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-workload", "vadd", "-size", "tiny", "-cores", "0"}, &out, &errb); code != 0 {
+		t.Fatalf("run = %d, stderr %q", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "gto warps, 15 SMs\n") {
+		t.Errorf("header does not name the 15-SM default machine:\n%s", out.String())
 	}
 }

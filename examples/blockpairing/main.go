@@ -29,7 +29,7 @@ func main() {
 
 	gto := gpusched.DefaultConfig() // GTO warp scheduler
 	baws := gto
-	baws.WarpPolicy = gpusched.WarpBAWS
+	baws.Core.WarpPolicy = gpusched.WarpBAWS
 
 	base := run(gto, gpusched.Baseline(), k)
 	gang := run(gto, gpusched.BCS(2), k)  // pairs co-located, GTO serializes them

@@ -7,7 +7,7 @@ import "context"
 // Test-only, so the fuzz oracle reaches the reference without a public entry
 // point.
 func RunReference(cfg Config, sched Scheduler, kernels ...Kernel) (Result, error) {
-	g, d, err := newGPU(cfg.build(), sched, kernels)
+	g, d, err := newGPU(cfg, sched, kernels)
 	if err != nil {
 		return Result{}, err
 	}

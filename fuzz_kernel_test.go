@@ -77,19 +77,19 @@ func FuzzKernel(f *testing.F) {
 			t.Skip()
 		}
 		cfg := tinyConfig()
-		cfg.WarpPolicy = policies[int(polRaw)%len(policies)]
+		cfg.Core.WarpPolicy = policies[int(polRaw)%len(policies)]
 		res, err := gpusched.Run(cfg, sched, k)
 		if err != nil {
-			t.Fatalf("%s/%s: %v", sched.Name(), cfg.WarpPolicy, err)
+			t.Fatalf("%s/%s: %v", sched.Name(), cfg.Core.WarpPolicy, err)
 		}
 		if res.TimedOut {
 			t.Fatalf("%s/%s: timed out (ctas=%d warps=%d instr=%d barriers=%d)",
-				sched.Name(), cfg.WarpPolicy, ctas, warps, nInstr, barriers)
+				sched.Name(), cfg.Core.WarpPolicy, ctas, warps, nInstr, barriers)
 		}
 		want := uint64(ctas*warps) * uint64(nInstr+1) // +1 for EXIT
 		if res.InstrIssued != want {
 			t.Fatalf("%s/%s: issued %d, want %d (ctas=%d warps=%d instr=%d)",
-				sched.Name(), cfg.WarpPolicy, res.InstrIssued, want, ctas, warps, nInstr)
+				sched.Name(), cfg.Core.WarpPolicy, res.InstrIssued, want, ctas, warps, nInstr)
 		}
 		matchReference(t, cfg, sched, k, res)
 	})
@@ -101,10 +101,10 @@ func matchReference(t *testing.T, cfg gpusched.Config, sched gpusched.Scheduler,
 	t.Helper()
 	ref, err := gpusched.RunReference(cfg, sched, k)
 	if err != nil {
-		t.Fatalf("%s/%s reference: %v", sched.Name(), cfg.WarpPolicy, err)
+		t.Fatalf("%s/%s reference: %v", sched.Name(), cfg.Core.WarpPolicy, err)
 	}
 	if !reflect.DeepEqual(res, ref) {
-		t.Fatalf("%s/%s: diverged from the reference loop:\n%+v\nvs\n%+v", sched.Name(), cfg.WarpPolicy, res, ref)
+		t.Fatalf("%s/%s: diverged from the reference loop:\n%+v\nvs\n%+v", sched.Name(), cfg.Core.WarpPolicy, res, ref)
 	}
 }
 
@@ -180,18 +180,18 @@ func TestRandomKernelsCompleteExactly(t *testing.T) {
 
 		sched := schedulers[trial%len(schedulers)]
 		cfg := tinyConfig()
-		cfg.WarpPolicy = policies[trial%len(policies)]
+		cfg.Core.WarpPolicy = policies[trial%len(policies)]
 		res, err := gpusched.Run(cfg, sched, k)
 		if err != nil {
-			t.Fatalf("trial %d (%s/%s): %v", trial, sched.Name(), cfg.WarpPolicy, err)
+			t.Fatalf("trial %d (%s/%s): %v", trial, sched.Name(), cfg.Core.WarpPolicy, err)
 		}
 		if res.TimedOut {
 			t.Fatalf("trial %d (%s/%s): timed out (ctas=%d warps=%d instr=%d barriers=%d)",
-				trial, sched.Name(), cfg.WarpPolicy, ctas, warps, nInstr, barriers)
+				trial, sched.Name(), cfg.Core.WarpPolicy, ctas, warps, nInstr, barriers)
 		}
 		if res.InstrIssued != want {
 			t.Fatalf("trial %d (%s/%s): issued %d, want %d",
-				trial, sched.Name(), cfg.WarpPolicy, res.InstrIssued, want)
+				trial, sched.Name(), cfg.Core.WarpPolicy, res.InstrIssued, want)
 		}
 		matchReference(t, cfg, sched, k, res)
 	}

@@ -9,7 +9,7 @@ import (
 
 func tinyConfig() gpusched.Config {
 	cfg := gpusched.DefaultConfig()
-	cfg.Cores = 4
+	cfg.NumCores = 4
 	return cfg
 }
 
@@ -165,24 +165,20 @@ func TestKernelBuilderValidation(t *testing.T) {
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	w, _ := gpusched.WorkloadByName("vadd")
-	cfg := tinyConfig()
-	cfg.Cores = -1
-	if _, err := gpusched.Run(cfg, gpusched.Baseline(), w.Kernel(gpusched.SizeTiny)); err == nil {
-		// Cores<=0 falls back to default; ensure at least no crash and a
-		// sane run. (Negative cores are treated as "use default".)
-		t.Log("negative cores fell back to default")
+	for _, cores := range []int{0, -1} {
+		cfg := tinyConfig()
+		cfg.NumCores = cores
+		if _, err := gpusched.Run(cfg, gpusched.Baseline(), w.Kernel(gpusched.SizeTiny)); err == nil {
+			t.Errorf("Run accepted NumCores = %d", cores)
+		}
 	}
 }
 
 func TestCustomHardwareConfig(t *testing.T) {
 	w, _ := gpusched.WorkloadByName("spmv")
 	run := func(l1Bytes int) gpusched.Result {
-		smCfg := gpusched.DefaultSMConfig()
-		memCfg := gpusched.DefaultMemConfig()
-		memCfg.L1Bytes = l1Bytes
 		cfg := tinyConfig()
-		cfg.SM = &smCfg
-		cfg.Mem = &memCfg
+		cfg.Mem.L1Bytes = l1Bytes
 		res, err := gpusched.Run(cfg, gpusched.Baseline(), w.Kernel(gpusched.SizeTiny))
 		if err != nil {
 			t.Fatal(err)

@@ -43,9 +43,6 @@ const (
 // NewAdaptiveLCS returns the adaptive variant.
 func NewAdaptiveLCS() *AdaptiveLCS { return &AdaptiveLCS{} }
 
-// Name implements Dispatcher.
-func (a *AdaptiveLCS) Name() string { return "lcs-adaptive" }
-
 // Limits returns the current per-core limits (0 = still sampling).
 func (a *AdaptiveLCS) Limits() []int { return a.limit }
 

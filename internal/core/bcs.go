@@ -30,9 +30,6 @@ const fillerIndex = -1
 // NewBCS returns a block CTA scheduling dispatcher with gang width 2.
 func NewBCS() *BCS { return &BCS{BlockSize: 2} }
 
-// Name implements Dispatcher.
-func (b *BCS) Name() string { return "bcs" }
-
 func (b *BCS) gangWidth() int {
 	if b.BlockSize < 1 {
 		return 1

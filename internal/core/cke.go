@@ -12,9 +12,6 @@ type Sequential struct {
 // NewSequential returns the one-kernel-at-a-time dispatcher.
 func NewSequential() *Sequential { return &Sequential{} }
 
-// Name implements Dispatcher.
-func (s *Sequential) Name() string { return "sequential" }
-
 // Tick implements Dispatcher.
 func (s *Sequential) Tick(m Machine) {
 	for _, ks := range m.Kernels() {
@@ -47,9 +44,6 @@ type Spatial struct {
 
 // NewSpatial returns an even-split spatial CKE dispatcher.
 func NewSpatial() *Spatial { return &Spatial{} }
-
-// Name implements Dispatcher.
-func (s *Spatial) Name() string { return "spatial" }
 
 // Tick implements Dispatcher: one placement per kernel region per cycle.
 func (s *Spatial) Tick(m Machine) {
@@ -97,9 +91,6 @@ type Mixed struct {
 
 // NewMixed returns a mixed-CKE dispatcher capping kernel 0 at limitA per SM.
 func NewMixed(limitA int) *Mixed { return &Mixed{LimitA: limitA} }
-
-// Name implements Dispatcher.
-func (x *Mixed) Name() string { return "mixed" }
 
 // Tick implements Dispatcher.
 func (x *Mixed) Tick(m Machine) {

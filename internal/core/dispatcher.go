@@ -108,8 +108,6 @@ type Machine interface {
 
 // Dispatcher is a CTA scheduling policy.
 type Dispatcher interface {
-	// Name identifies the policy in reports.
-	Name() string
 	// Tick runs once per cycle before the cores tick and may place CTAs.
 	Tick(m Machine)
 	// OnCTAComplete is called when a CTA retires, after the owning

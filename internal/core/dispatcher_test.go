@@ -372,25 +372,6 @@ func TestDynCTALeavesComputeBoundAlone(t *testing.T) {
 	}
 }
 
-func TestDispatcherNames(t *testing.T) {
-	cases := map[string]interface{ Name() string }{
-		"rr":           core.NewRoundRobin(),
-		"lcs":          core.NewLCS(),
-		"lcs-adaptive": core.NewAdaptiveLCS(),
-		"dyncta":       core.NewDynCTA(),
-		"bcs":          core.NewBCS(),
-		"limited":      core.NewLimited(2),
-		"sequential":   core.NewSequential(),
-		"spatial":      core.NewSpatial(),
-		"mixed":        core.NewMixed(2),
-	}
-	for want, d := range cases {
-		if d.Name() != want {
-			t.Errorf("Name = %q, want %q", d.Name(), want)
-		}
-	}
-}
-
 func TestKernelStateAccounting(t *testing.T) {
 	ks := &core.KernelState{Spec: uniformKernel("k", 10, 1, 5, 16)}
 	if ks.Exhausted() || ks.Done() {

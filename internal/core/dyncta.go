@@ -47,9 +47,6 @@ const (
 // NewDynCTA returns the prior-work throttling dispatcher with defaults.
 func NewDynCTA() *DynCTA { return &DynCTA{EpochCycles: 2048} }
 
-// Name implements Dispatcher.
-func (d *DynCTA) Name() string { return "dyncta" }
-
 // Limits returns the current per-core allowances (0 = not initialized).
 func (d *DynCTA) Limits() []int { return d.limit }
 

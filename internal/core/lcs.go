@@ -35,9 +35,6 @@ type LCS struct {
 // NewLCS returns a lazy CTA scheduling dispatcher.
 func NewLCS() *LCS { return &LCS{} }
 
-// Name implements Dispatcher.
-func (l *LCS) Name() string { return "lcs" }
-
 // Limits returns the per-core decisions (0 = still sampling). The slice is
 // live; callers must not mutate it.
 func (l *LCS) Limits() []int { return l.limit }

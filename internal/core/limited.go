@@ -18,9 +18,6 @@ type Limited struct {
 // NewLimited returns a dispatcher capping kernel 0 at limit CTAs per core.
 func NewLimited(limit int) *Limited { return &Limited{Limit: limit} }
 
-// Name implements Dispatcher.
-func (l *Limited) Name() string { return "limited" }
-
 // Tick implements Dispatcher.
 func (l *Limited) Tick(m Machine) {
 	if len(l.limit) != m.NumCores() {

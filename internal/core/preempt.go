@@ -70,9 +70,6 @@ func NewPreemptive(priority int, deadline uint64) *Preemptive {
 	}
 }
 
-// Name implements Dispatcher.
-func (p *Preemptive) Name() string { return "preemptive" }
-
 func (p *Preemptive) epoch() uint64 {
 	if p.EpochCycles == 0 {
 		return 512

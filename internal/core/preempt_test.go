@@ -21,11 +21,11 @@ func TestPreemptiveImprovesPriorityTurnaround(t *testing.T) {
 		g := testGPU(t, d, sm.PolicyGTO, batch, prio)
 		r := g.Run()
 		if r.TimedOut {
-			t.Fatalf("%s timed out", d.Name())
+			t.Fatalf("%T timed out", d)
 		}
 		for i, k := range r.Kernels {
 			if k.DoneCycle == 0 {
-				t.Fatalf("%s: kernel %d never finished", d.Name(), i)
+				t.Fatalf("%T: kernel %d never finished", d, i)
 			}
 		}
 		return r

@@ -211,7 +211,7 @@ func TestDispatcherQuiescenceContract(t *testing.T) {
 			if cert.skips == 0 {
 				t.Fatal("the certificate never held: the run exercised nothing")
 			}
-			t.Logf("%s: %d cycles, %d dispatcher ticks elided of %d", dCert.Name(), cert.now, cert.skips, cert.skips+cert.ticks)
+			t.Logf("%T: %d cycles, %d dispatcher ticks elided of %d", dCert, cert.now, cert.skips, cert.skips+cert.ticks)
 		})
 	}
 }

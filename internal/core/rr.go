@@ -18,9 +18,6 @@ type RoundRobin struct {
 // NewRoundRobin returns the baseline dispatcher.
 func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 
-// Name implements Dispatcher.
-func (r *RoundRobin) Name() string { return "rr" }
-
 // Tick implements Dispatcher.
 func (r *RoundRobin) Tick(m Machine) { r.fill(m, nil) }
 

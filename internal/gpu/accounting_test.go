@@ -56,11 +56,11 @@ func TestInstructionAccounting(t *testing.T) {
 				}
 				r := g.Run()
 				if r.TimedOut {
-					t.Fatalf("%s timed out", tc.sched.Name())
+					t.Fatalf("%T timed out", tc.sched)
 				}
 				if r.InstrIssued != want {
-					t.Errorf("%s: issued %d instructions, generators produced %d",
-						tc.sched.Name(), r.InstrIssued, want)
+					t.Errorf("%T: issued %d instructions, generators produced %d",
+						tc.sched, r.InstrIssued, want)
 				}
 			}
 		})

@@ -63,8 +63,8 @@ func TestInstructionCountInvariantAcrossDispatchers(t *testing.T) {
 	for _, d := range []core.Dispatcher{core.NewLCS(), core.NewBCS(), core.NewSequential()} {
 		r := mustRun(t, testConfig(), d, spec())
 		if r.InstrIssued != base.InstrIssued {
-			t.Errorf("%s issued %d instructions, baseline %d",
-				d.Name(), r.InstrIssued, base.InstrIssued)
+			t.Errorf("%T issued %d instructions, baseline %d",
+				d, r.InstrIssued, base.InstrIssued)
 		}
 	}
 }
@@ -446,22 +446,22 @@ func TestAdvanceStopsInsideParkedWait(t *testing.T) {
 // while the crossbar they send into is contended.
 func TestGranuleInvariance(t *testing.T) {
 	for _, tc := range []struct {
-		workload string
-		build    func() core.Dispatcher
+		workload, sched string
+		build           func() core.Dispatcher
 	}{
-		{"spmv", func() core.Dispatcher { return core.NewDynCTA() }},
-		{"spmv", func() core.Dispatcher { return core.NewRoundRobin() }},
-		{"spmv", func() core.Dispatcher { return core.NewLCS() }},
-		{"stencil", func() core.Dispatcher { return core.NewRoundRobin() }},
-		{"stencil", func() core.Dispatcher { return core.NewLCS() }},
-		{"stencil", func() core.Dispatcher { return core.NewBCS() }},
+		{"spmv", "dyncta", func() core.Dispatcher { return core.NewDynCTA() }},
+		{"spmv", "rr", func() core.Dispatcher { return core.NewRoundRobin() }},
+		{"spmv", "lcs", func() core.Dispatcher { return core.NewLCS() }},
+		{"stencil", "rr", func() core.Dispatcher { return core.NewRoundRobin() }},
+		{"stencil", "lcs", func() core.Dispatcher { return core.NewLCS() }},
+		{"stencil", "bcs", func() core.Dispatcher { return core.NewBCS() }},
 	} {
 		w, _ := workloads.ByName(tc.workload)
 		specs := func() []*kernel.Spec { return []*kernel.Spec{w.Build(workloads.ScaleTest)} }
 		for _, cores := range []int{1, 4, 15} {
 			cfg := testConfig()
 			cfg.NumCores = cores
-			t.Run(fmt.Sprintf("%s/%s/%d-sm", tc.workload, tc.build().Name(), cores), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s/%d-sm", tc.workload, tc.sched, cores), func(t *testing.T) {
 				runFFAndReference(t, cfg, tc.build, specs, runToEnd)
 			})
 		}

@@ -83,7 +83,7 @@ func (h *Harness) Table2Characteristics() (*Table, error) {
 				w.Name, w.ModeledOn, string(w.Class),
 				fmt.Sprint(spec.NumCTAs()), fmt.Sprint(spec.ThreadsPerCTA()),
 				fmt.Sprint(maxRes), binding,
-				fmt.Sprintf("%.2f", res.IPC), pct(res.L1.HitRate()), loc,
+				fmt.Sprintf("%.2f", res.IPC), stats.Pct(res.L1.HitRate()), loc,
 			})
 		}
 		return t
@@ -110,7 +110,7 @@ func (h *Harness) Fig3CTASweep() (*Table, error) {
 					row = append(row, "-")
 					continue
 				}
-				norm := speedup(baseCycles, r.get(h.limited(name, lim)).Result.Cycles)
+				norm := stats.Speedup(baseCycles, r.get(h.limited(name, lim)).Result.Cycles)
 				if norm > best {
 					best, bestLim = norm, lim
 				}
@@ -167,32 +167,22 @@ func (h *Harness) Fig4IssueShare() (*Table, error) {
 
 // issueHistogram runs a workload under the baseline and captures core 0's
 // per-CTA issue counts at its first CTA completion. It needs an observer on
-// the live GPU, so it bypasses the service memo and builds the simulation
-// directly from the request's pieces.
+// the live GPU, so it bypasses the service memo and runs the request's
+// machine itself.
 func (h *Harness) issueHistogram(name string) ([]float64, float64, error) {
-	req := h.single(name, sim.Baseline(), sm.PolicyGTO)
-	w, ok := workloads.ByName(name)
-	if !ok {
-		return nil, 0, fmt.Errorf("harness: unknown workload %q", name)
-	}
-	cfg := gpu.DefaultConfig()
-	if h.opt.Cores > 0 {
-		cfg.NumCores = h.opt.Cores
-	}
-	cfg.Core.WarpPolicy = sm.PolicyGTO
-	g, err := gpu.New(cfg, req.Sched.NewDispatcher(), w.Build(h.opt.Scale))
+	m, err := h.single(name, sim.Baseline(), sm.PolicyGTO).Build(nil)
 	if err != nil {
 		return nil, 0, fmt.Errorf("harness: %s: %w", name, err)
 	}
 	var hist []float64
 	done := false
-	g.SetObserver(func(coreID int, cta *sm.CTA, now uint64) {
+	m.SetObserver(func(coreID int, cta *sm.CTA, now uint64) {
 		if done || coreID != 0 {
 			return
 		}
 		done = true
 		hist = append(hist, float64(cta.Issued))
-		c := g.Core(coreID)
+		c := m.Core(coreID)
 		var rest []float64
 		for _, r := range c.CTAs() {
 			rest = append(rest, float64(r.Issued))
@@ -200,7 +190,7 @@ func (h *Harness) issueHistogram(name string) ([]float64, float64, error) {
 		sort.Sort(sort.Reverse(sort.Float64Slice(rest)))
 		hist = append(hist, rest...)
 	})
-	g.Run()
+	m.Run()
 	if len(hist) == 0 {
 		return nil, 0, nil
 	}
@@ -227,8 +217,8 @@ func (h *Harness) Fig5LCS() (*Table, error) {
 		}
 		for _, n := range workloads.Names() {
 			base := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
-			lcs := speedup(base, r.get(h.single(n, sim.LCS(), sm.PolicyGTO)).Result.Cycles)
-			ad := speedup(base, r.get(h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO)).Result.Cycles)
+			lcs := stats.Speedup(base, r.get(h.single(n, sim.LCS(), sm.PolicyGTO)).Result.Cycles)
+			ad := stats.Speedup(base, r.get(h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO)).Result.Cycles)
 			orBest, orLim := h.oracle(r, n)
 			lcsAll, adAll, orAll = append(lcsAll, lcs), append(adAll, ad), append(orAll, orBest)
 			if inMemSet[n] {
@@ -262,7 +252,7 @@ func (h *Harness) oracle(r *resolver, name string) (float64, int) {
 	base := r.get(h.single(name, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
 	best, bestLim := 0.0, 0
 	for lim := 1; lim <= h.maxResident(name); lim++ {
-		if s := speedup(base, r.get(h.limited(name, lim)).Result.Cycles); s > best {
+		if s := stats.Speedup(base, r.get(h.limited(name, lim)).Result.Cycles); s > best {
 			best, bestLim = s, lim
 		}
 	}
@@ -283,7 +273,7 @@ func (h *Harness) Fig6LCSMemory() (*Table, error) {
 			l := r.get(h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO)).Result
 			t.Rows = append(t.Rows, []string{
 				n,
-				pct(b.L1.MissRate()), pct(l.L1.MissRate()),
+				stats.Pct(b.L1.MissRate()), stats.Pct(l.L1.MissRate()),
 				fmt.Sprintf("%.0f", b.DRAM.AvgQueueLatency()), fmt.Sprintf("%.0f", l.DRAM.AvgQueueLatency()),
 				fmt.Sprintf("%.0f", b.AvgMemLatency), fmt.Sprintf("%.0f", l.AvgMemLatency),
 			})
@@ -340,7 +330,7 @@ func (h *Harness) Fig8BCS() (*Table, error) {
 		for _, n := range localitySet {
 			b := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result
 			x := r.get(h.single(n, sim.BCS(2), sm.PolicyBAWS)).Result
-			s := speedup(b.Cycles, x.Cycles)
+			s := stats.Speedup(b.Cycles, x.Cycles)
 			all = append(all, s)
 			share := func(res gpu.Result) float64 {
 				if res.L1.Accesses == 0 {
@@ -353,7 +343,7 @@ func (h *Harness) Fig8BCS() (*Table, error) {
 				saved = 1 - float64(x.DRAM.Reads)/float64(b.DRAM.Reads)
 			}
 			t.Rows = append(t.Rows, []string{
-				n, fmt.Sprintf("%.3f", s), pct(share(b)), pct(share(x)), pct(saved),
+				n, fmt.Sprintf("%.3f", s), stats.Pct(share(b)), stats.Pct(share(x)), stats.Pct(saved),
 			})
 		}
 		t.Rows = append(t.Rows, []string{"geomean", fmt.Sprintf("%.3f", stats.GeoMean(all)), "", "", ""})
@@ -372,8 +362,8 @@ func (h *Harness) Fig9BAWS() (*Table, error) {
 		var g, bw []float64
 		for _, n := range localitySet {
 			b := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
-			sg := speedup(b, r.get(h.single(n, sim.BCS(2), sm.PolicyGTO)).Result.Cycles)
-			sb := speedup(b, r.get(h.single(n, sim.BCS(2), sm.PolicyBAWS)).Result.Cycles)
+			sg := stats.Speedup(b, r.get(h.single(n, sim.BCS(2), sm.PolicyGTO)).Result.Cycles)
+			sb := stats.Speedup(b, r.get(h.single(n, sim.BCS(2), sm.PolicyBAWS)).Result.Cycles)
 			g, bw = append(g, sg), append(bw, sb)
 			t.Rows = append(t.Rows, []string{
 				n, fmt.Sprintf("%.3f", sg), fmt.Sprintf("%.3f", sb), fmt.Sprintf("%+.1f%%", (sb/sg-1)*100),
@@ -407,8 +397,8 @@ func (h *Harness) Fig10MCKE() (*Table, error) {
 		for i, p := range ckePairs {
 			pair := []string{p[0], p[1]}
 			seq := r.get(h.multi(pair, sim.Sequential(), sm.PolicyGTO)).Result.Cycles
-			spa := speedup(seq, r.get(h.multi(pair, sim.Spatial(0), sm.PolicyGTO)).Result.Cycles)
-			mix := speedup(seq, r.get(h.multi(pair, sim.Mixed(limits[i]), sm.PolicyGTO)).Result.Cycles)
+			spa := stats.Speedup(seq, r.get(h.multi(pair, sim.Spatial(0), sm.PolicyGTO)).Result.Cycles)
+			mix := stats.Speedup(seq, r.get(h.multi(pair, sim.Mixed(limits[i]), sm.PolicyGTO)).Result.Cycles)
 			sp, mx = append(sp, spa), append(mx, mix)
 			t.Rows = append(t.Rows, []string{
 				p[0] + "+" + p[1], fmt.Sprint(limits[i]), "1.000",
@@ -443,14 +433,14 @@ func (h *Harness) Fig11Sensitivity() (*Table, error) {
 		for _, n := range []string{"stencil", "conv2d", "hotspot"} {
 			b := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
 			for _, bs := range []int{2, 4} {
-				s := speedup(b, r.get(h.single(n, sim.BCS(bs), sm.PolicyBAWS)).Result.Cycles)
+				s := stats.Speedup(b, r.get(h.single(n, sim.BCS(bs), sm.PolicyBAWS)).Result.Cycles)
 				t.Rows = append(t.Rows, []string{"bcs-width", n, fmt.Sprintf("gang=%d", bs), fmt.Sprintf("%.3f", s)})
 			}
 		}
 		for _, n := range []string{"spmv", "conv2d"} {
 			for _, l1 := range []int{16 * 1024, 32 * 1024} {
 				b := r.get(l1Req(n, sim.Baseline(), l1)).Result.Cycles
-				s := speedup(b, r.get(l1Req(n, sim.AdaptiveLCS(), l1)).Result.Cycles)
+				s := stats.Speedup(b, r.get(l1Req(n, sim.AdaptiveLCS(), l1)).Result.Cycles)
 				t.Rows = append(t.Rows, []string{"l1-capacity", n, fmt.Sprintf("L1=%dKB", l1/1024), fmt.Sprintf("%.3f", s)})
 			}
 		}
@@ -462,8 +452,8 @@ func (h *Harness) Fig11Sensitivity() (*Table, error) {
 			req.DRAMSchedFCFS = true
 			fcfs := r.get(req).Result
 			t.Rows = append(t.Rows, []string{"dram-sched", n,
-				fmt.Sprintf("FCFS (rowhit %s vs %s)", pct(fcfs.DRAM.RowHitRate()), pct(base.DRAM.RowHitRate())),
-				fmt.Sprintf("%.3f", speedup(base.Cycles, fcfs.Cycles))})
+				fmt.Sprintf("FCFS (rowhit %s vs %s)", stats.Pct(fcfs.DRAM.RowHitRate()), stats.Pct(base.DRAM.RowHitRate())),
+				fmt.Sprintf("%.3f", stats.Speedup(base.Cycles, fcfs.Cycles))})
 		}
 		return t
 	})
@@ -481,9 +471,9 @@ func (h *Harness) Fig12WarpSched() (*Table, error) {
 		var tl, g, gl []float64
 		for _, n := range workloads.Names() {
 			lrr := r.get(h.single(n, sim.Baseline(), sm.PolicyLRR)).Result.Cycles
-			st := speedup(lrr, r.get(h.single(n, sim.Baseline(), sm.PolicyTwoLevel)).Result.Cycles)
-			sg := speedup(lrr, r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles)
-			sl := speedup(lrr, r.get(h.single(n, sim.LCS(), sm.PolicyGTO)).Result.Cycles)
+			st := stats.Speedup(lrr, r.get(h.single(n, sim.Baseline(), sm.PolicyTwoLevel)).Result.Cycles)
+			sg := stats.Speedup(lrr, r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles)
+			sl := stats.Speedup(lrr, r.get(h.single(n, sim.LCS(), sm.PolicyGTO)).Result.Cycles)
 			tl, g, gl = append(tl, st), append(g, sg), append(gl, sl)
 			t.Rows = append(t.Rows, []string{n,
 				fmt.Sprintf("%.3f", st), fmt.Sprintf("%.3f", sg), fmt.Sprintf("%.3f", sl)})
@@ -507,9 +497,9 @@ func (h *Harness) Fig13PriorWork() (*Table, error) {
 		var dy, lc, ad []float64
 		for _, n := range workloads.Names() {
 			base := r.get(h.single(n, sim.Baseline(), sm.PolicyGTO)).Result.Cycles
-			sd := speedup(base, r.get(h.single(n, sim.DynCTA(), sm.PolicyGTO)).Result.Cycles)
-			sl := speedup(base, r.get(h.single(n, sim.LCS(), sm.PolicyGTO)).Result.Cycles)
-			sa := speedup(base, r.get(h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO)).Result.Cycles)
+			sd := stats.Speedup(base, r.get(h.single(n, sim.DynCTA(), sm.PolicyGTO)).Result.Cycles)
+			sl := stats.Speedup(base, r.get(h.single(n, sim.LCS(), sm.PolicyGTO)).Result.Cycles)
+			sa := stats.Speedup(base, r.get(h.single(n, sim.AdaptiveLCS(), sm.PolicyGTO)).Result.Cycles)
 			dy, lc, ad = append(dy, sd), append(lc, sl), append(ad, sa)
 			t.Rows = append(t.Rows, []string{n,
 				fmt.Sprintf("%.3f", sd), fmt.Sprintf("%.3f", sl), fmt.Sprintf("%.3f", sa)})

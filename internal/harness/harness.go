@@ -240,13 +240,3 @@ func lowQuartile(limits []int) int {
 	sort.Ints(vs)
 	return vs[len(vs)/4]
 }
-
-func pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
-
-// speedup returns base/cur as a ratio (0 when cur is degenerate).
-func speedup(base, cur uint64) float64 {
-	if cur == 0 {
-		return 0
-	}
-	return float64(base) / float64(cur)
-}

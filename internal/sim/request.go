@@ -110,12 +110,22 @@ func (r Request) config() gpu.Config {
 	return cfg
 }
 
-// build validates the request and assembles its machine under a fresh
-// dispatcher, on prev's arrays when prev is not nil (gpu.Renew): the step
-// Service.simulate and Reference share.
-func (r Request) build(prev *gpu.GPU) (*gpu.GPU, core.Dispatcher, error) {
+// Machine is a request's simulation, built and not yet run: the GPU and the
+// fresh dispatcher whose limit decisions Outcome reads once it has run.
+type Machine struct {
+	*gpu.GPU
+	sched SchedSpec
+	d     core.Dispatcher
+}
+
+// Build validates the request and assembles its machine under a fresh
+// dispatcher, on prev's arrays when prev is not nil (gpu.Renew). It is the
+// one place a Request becomes a machine: Service, Reference and the tools
+// that drive a run themselves (an observer, a trace, engine counters) all
+// build here.
+func (r Request) Build(prev *gpu.GPU) (Machine, error) {
 	if err := r.Validate(); err != nil {
-		return nil, nil, err
+		return Machine{}, err
 	}
 	specs := make([]*kernel.Spec, len(r.Workloads))
 	for i, n := range r.Workloads {
@@ -127,7 +137,10 @@ func (r Request) build(prev *gpu.GPU) (*gpu.GPU, core.Dispatcher, error) {
 	}
 	d := r.Sched.NewDispatcher()
 	g, err := gpu.Renew(prev, r.config(), d, specs...)
-	return g, d, err
+	if err != nil {
+		return Machine{}, err
+	}
+	return Machine{GPU: g, sched: r.Sched, d: d}, nil
 }
 
 // Outcome couples a simulation result with the scheduler-internal limit
@@ -137,15 +150,21 @@ type Outcome struct {
 	Limits []int `json:",omitempty"`
 }
 
-// outcome couples raw, a finished run of the machine build returned with d,
-// with d's limit decisions; a timed-out run is an error.
-func (r Request) outcome(key string, d core.Dispatcher, raw gpu.Result) (Outcome, error) {
+// Outcome couples raw, a finished run of m, with the dispatcher's limit
+// decisions.
+func (m Machine) Outcome(raw gpu.Result) Outcome {
+	out := Outcome{Result: raw}
+	if limits, ok := m.sched.Limits(m.d); ok {
+		out.Limits = append([]int(nil), limits...)
+	}
+	return out
+}
+
+// finish is the outcome Service and Reference answer key with: a timed-out
+// run is an error.
+func (m Machine) finish(key string, raw gpu.Result) (Outcome, error) {
 	if raw.TimedOut {
 		return Outcome{}, fmt.Errorf("sim: %s timed out after %d cycles", key, raw.Cycles)
 	}
-	out := Outcome{Result: raw}
-	if limits, ok := r.Sched.Limits(d); ok {
-		out.Limits = append([]int(nil), limits...)
-	}
-	return out, nil
+	return m.Outcome(raw), nil
 }

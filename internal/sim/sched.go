@@ -1,10 +1,10 @@
 // Package sim is the typed simulation-service layer every entry point
 // builds on. It owns the one scheduler registry/parser (replacing the
 // string-DSL copies that used to live in internal/harness and the cmd
-// tools), a canonical cache key per simulation request, and a Service that
-// runs requests through a bounded worker pool with singleflight
-// deduplication, context cancellation, and an optional on-disk result
-// cache.
+// tools), a canonical cache key per simulation request, Request.Build (the
+// one place a request's machine is assembled), and a Service that runs
+// requests through a bounded worker pool with singleflight deduplication,
+// context cancellation, and an optional on-disk result cache.
 package sim
 
 import (

@@ -259,7 +259,7 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 	}
 
 	prev, _ := machines.Get().(*gpu.GPU)
-	g, d, err := req.build(prev)
+	m, err := req.Build(prev)
 	if err != nil {
 		if prev != nil {
 			machines.Put(prev) // gpu.Renew leaves prev untouched on error
@@ -267,12 +267,12 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 		return Outcome{}, fmt.Errorf("sim: %s: %w", key, err)
 	}
 	start := time.Now()
-	raw, err := g.RunContext(ctx)
+	raw, err := m.RunContext(ctx)
 	elapsed := time.Since(start)
 	// Neither the Result nor the dispatcher's limits refer into the machine,
 	// so the next simulation may be built in it however this run ended. A
 	// run that panicked does not get here and leaves the pool alone.
-	machines.Put(g)
+	machines.Put(m.GPU)
 	s.mu.Lock()
 	s.stats.WallSeconds += elapsed.Seconds()
 	s.stats.SimCycles += raw.Cycles
@@ -286,7 +286,7 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 		s.stats.Reused++
 	}
 	s.mu.Unlock()
-	out, err := req.outcome(key, d, raw)
+	out, err := m.finish(key, raw)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -303,19 +303,19 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 
 // Reference is the request-level oracle: req simulated on the reference
 // cycle loop (gpu.GPU.RunReference), with no cache, memo, worker pool or
-// machine reuse in the way. It shares the build and outcome steps with
+// machine reuse in the way. It shares Build and the outcome step with
 // Service, so the two differ only in which loop they call and in Service's
 // machine being a renewed one.
 func Reference(ctx context.Context, req Request) (Outcome, error) {
-	g, d, err := req.build(nil)
+	m, err := req.Build(nil)
 	if err != nil {
 		return Outcome{}, err
 	}
-	raw, err := g.RunReference(ctx)
+	raw, err := m.RunReference(ctx)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return req.outcome(req.Key(), d, raw)
+	return m.finish(req.Key(), raw)
 }
 
 // recordEvictions folds a store's eviction count into the stats.

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"gpusched/internal/core"
 	"gpusched/internal/sim"
 	"gpusched/internal/sm"
 	"gpusched/internal/workloads"
@@ -28,28 +30,28 @@ func tinyRequest(name string, sched sim.SchedSpec) sim.Request {
 func TestParseSched(t *testing.T) {
 	ok := []struct {
 		in         string
-		name       string // display name
-		dispatcher string // internal dispatcher Name()
+		name       string          // display name
+		dispatcher core.Dispatcher // the type NewDispatcher builds
 	}{
-		{"baseline", "baseline", "rr"},
-		{"base", "baseline", "rr"},
-		{"rr", "baseline", "rr"},
-		{"lcs", "lcs", "lcs"},
-		{"adaptive", "lcs-adaptive", "lcs-adaptive"},
-		{"lcs-adaptive", "lcs-adaptive", "lcs-adaptive"},
-		{"dyncta", "dyncta", "dyncta"},
-		{"bcs", "bcs", "bcs"},
-		{"bcs:4", "bcs", "bcs"},
-		{"static:3", "static-3", "limited"},
-		{"sequential", "sequential", "sequential"},
-		{"seq", "sequential", "sequential"},
-		{"spatial", "spatial", "spatial"},
-		{"spatial:8", "spatial", "spatial"},
-		{"mixed:2", "mixed", "mixed"},
-		{"preemptive", "preemptive", "preemptive"},
-		{"preempt", "preemptive", "preemptive"},
-		{"preemptive:2", "preemptive", "preemptive"},
-		{"preemptive:1:60000", "preemptive", "preemptive"},
+		{"baseline", "baseline", &core.RoundRobin{}},
+		{"base", "baseline", &core.RoundRobin{}},
+		{"rr", "baseline", &core.RoundRobin{}},
+		{"lcs", "lcs", &core.LCS{}},
+		{"adaptive", "lcs-adaptive", &core.AdaptiveLCS{}},
+		{"lcs-adaptive", "lcs-adaptive", &core.AdaptiveLCS{}},
+		{"dyncta", "dyncta", &core.DynCTA{}},
+		{"bcs", "bcs", &core.BCS{}},
+		{"bcs:4", "bcs", &core.BCS{}},
+		{"static:3", "static-3", &core.Limited{}},
+		{"sequential", "sequential", &core.Sequential{}},
+		{"seq", "sequential", &core.Sequential{}},
+		{"spatial", "spatial", &core.Spatial{}},
+		{"spatial:8", "spatial", &core.Spatial{}},
+		{"mixed:2", "mixed", &core.Mixed{}},
+		{"preemptive", "preemptive", &core.Preemptive{}},
+		{"preempt", "preemptive", &core.Preemptive{}},
+		{"preemptive:2", "preemptive", &core.Preemptive{}},
+		{"preemptive:1:60000", "preemptive", &core.Preemptive{}},
 	}
 	for _, c := range ok {
 		s, err := sim.ParseSched(c.in)
@@ -60,8 +62,8 @@ func TestParseSched(t *testing.T) {
 		if got := s.Name(); got != c.name {
 			t.Errorf("ParseSched(%q).Name() = %q, want %q", c.in, got, c.name)
 		}
-		if got := s.NewDispatcher().Name(); got != c.dispatcher {
-			t.Errorf("ParseSched(%q) dispatcher = %q, want %q", c.in, got, c.dispatcher)
+		if got, want := fmt.Sprintf("%T", s.NewDispatcher()), fmt.Sprintf("%T", c.dispatcher); got != want {
+			t.Errorf("ParseSched(%q) dispatcher = %s, want %s", c.in, got, want)
 		}
 	}
 	for _, bad := range []string{
@@ -70,6 +72,21 @@ func TestParseSched(t *testing.T) {
 	} {
 		if _, err := sim.ParseSched(bad); err == nil {
 			t.Errorf("ParseSched(%q) accepted", bad)
+		}
+	}
+}
+
+// TestFlagHelpNamesParse holds the warp and scale help strings to their
+// parsers: every name a -warp or -size help lists must parse.
+func TestFlagHelpNamesParse(t *testing.T) {
+	for _, name := range strings.Split(sim.WarpFlagHelp, " | ") {
+		if _, err := sim.ParseWarpPolicy(name); err != nil {
+			t.Errorf("WarpFlagHelp lists %q: %v", name, err)
+		}
+	}
+	for _, name := range strings.Split(sim.ScaleFlagHelp, " | ") {
+		if _, err := sim.ParseScale(name); err != nil {
+			t.Errorf("ScaleFlagHelp lists %q: %v", name, err)
 		}
 	}
 }

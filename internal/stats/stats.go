@@ -93,6 +93,15 @@ func (c *Cache) MissRate() float64 {
 	return float64(c.Misses) / float64(c.Accesses)
 }
 
+// MergeRate returns the share of accesses folded into an in-flight fill
+// (MSHRMerges/accesses), or 0 for an untouched cache.
+func (c *Cache) MergeRate() float64 {
+	if c.Accesses == 0 {
+		return 0
+	}
+	return float64(c.MSHRMerges) / float64(c.Accesses)
+}
+
 // Add accumulates other into c (for summing per-core caches).
 func (c *Cache) Add(other *Cache) {
 	c.Accesses += other.Accesses
@@ -203,24 +212,6 @@ func GeoMean(vs []float64) float64 {
 		return 0
 	}
 	return math.Exp(sum / float64(n))
-}
-
-// HarmonicMean returns the harmonic mean of vs (used for multi-kernel
-// fairness-weighted throughput), ignoring non-positive entries.
-func HarmonicMean(vs []float64) float64 {
-	sum := 0.0
-	n := 0
-	for _, v := range vs {
-		if v <= 0 {
-			continue
-		}
-		sum += 1 / v
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(n) / sum
 }
 
 // NormalizedTurnaround returns T_shared/T_alone for one kernel of a

@@ -26,15 +26,18 @@ func TestCoreAddCoversEveryField(t *testing.T) {
 }
 
 func TestCacheRates(t *testing.T) {
-	c := Cache{Accesses: 100, Hits: 75, Misses: 25}
+	c := Cache{Accesses: 100, Hits: 75, Misses: 25, MSHRMerges: 10}
 	if got := c.HitRate(); got != 0.75 {
 		t.Errorf("HitRate = %v, want 0.75", got)
 	}
 	if got := c.MissRate(); got != 0.25 {
 		t.Errorf("MissRate = %v, want 0.25", got)
 	}
+	if got := c.MergeRate(); got != 0.1 {
+		t.Errorf("MergeRate = %v, want 0.1", got)
+	}
 	var empty Cache
-	if empty.HitRate() != 0 || empty.MissRate() != 0 {
+	if empty.HitRate() != 0 || empty.MissRate() != 0 || empty.MergeRate() != 0 {
 		t.Error("empty cache rates should be 0")
 	}
 }
@@ -135,25 +138,6 @@ func TestGeoMeanBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHarmonicMean(t *testing.T) {
-	got := HarmonicMean([]float64{1, 1})
-	if math.Abs(got-1) > 1e-12 {
-		t.Errorf("HarmonicMean([1,1]) = %v, want 1", got)
-	}
-	got = HarmonicMean([]float64{2, 2, 0})
-	if math.Abs(got-2) > 1e-12 {
-		t.Errorf("HarmonicMean ignoring zero = %v, want 2", got)
-	}
-	if HarmonicMean(nil) != 0 {
-		t.Error("HarmonicMean(nil) should be 0")
-	}
-	// Harmonic <= geometric for positive inputs.
-	vs := []float64{1, 2, 3, 4, 5}
-	if HarmonicMean(vs) > GeoMean(vs)+1e-12 {
-		t.Error("harmonic mean exceeded geometric mean")
 	}
 }
 

@@ -39,9 +39,12 @@ type Timeline struct {
 	Samples []Sample
 }
 
-// Attach registers a sampler on g with the given epoch (cycles). Call
-// before g.Run; the returned Timeline fills as the simulation advances.
+// Attach registers a sampler on g with the given epoch (cycles; 0 = 1024).
+// Call before g.Run; the returned Timeline fills as the simulation advances.
 func Attach(g *gpu.GPU, epoch uint64) *Timeline {
+	if epoch == 0 {
+		epoch = 1024
+	}
 	tl := &Timeline{Epoch: epoch}
 	var prevInstr uint64
 	var prevL1 stats.Cache

@@ -124,28 +124,6 @@ func ByName(name string) (Workload, bool) {
 	return Workload{}, false
 }
 
-// ByClass returns suite members of one class, report order.
-func ByClass(c Class) []Workload {
-	var out []Workload
-	for _, w := range sorted() {
-		if w.Class == c {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// LocalitySet returns the BCS-candidate workloads.
-func LocalitySet() []Workload {
-	var out []Workload
-	for _, w := range sorted() {
-		if w.InterCTALocality {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // Region bases within a kernel's private 4 GiB address space. 256 MiB
 // spacing keeps regions disjoint at every problem size used here.
 const (

@@ -62,9 +62,9 @@ func TestDynCTAPublic(t *testing.T) {
 func TestTwoLevelPolicyPublic(t *testing.T) {
 	w, _ := gpusched.WorkloadByName("vadd")
 	cfg := tinyConfig()
-	cfg.WarpPolicy = gpusched.WarpTwoLevel
-	if cfg.WarpPolicy.String() != "two-level" {
-		t.Fatalf("policy string %q", cfg.WarpPolicy.String())
+	cfg.Core.WarpPolicy = gpusched.WarpTwoLevel
+	if cfg.Core.WarpPolicy.String() != "two-level" {
+		t.Fatalf("policy string %q", cfg.Core.WarpPolicy.String())
 	}
 	res, err := gpusched.Run(cfg, gpusched.Baseline(), w.Kernel(gpusched.SizeTiny))
 	if err != nil {
@@ -74,7 +74,7 @@ func TestTwoLevelPolicyPublic(t *testing.T) {
 		t.Fatalf("two-level run degenerate: %+v", res)
 	}
 	// Same work as GTO.
-	cfg.WarpPolicy = gpusched.WarpGTO
+	cfg.Core.WarpPolicy = gpusched.WarpGTO
 	gto, err := gpusched.Run(cfg, gpusched.Baseline(), w.Kernel(gpusched.SizeTiny))
 	if err != nil {
 		t.Fatal(err)
