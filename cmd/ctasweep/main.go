@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"gpusched/internal/sim"
+	"gpusched/internal/sm"
 	"gpusched/internal/workloads"
 )
 
@@ -79,32 +80,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cycles uint64
 			ipc    float64
 		}
-		var pts []point
-		best := point{}
-		for lim := 1; lim <= 8; lim++ {
+		var best, last point
+		// The sweep stops at the kernel's occupancy limit: a static limit at
+		// or above it cannot bind, so it would repeat that point's run.
+		maxRes, binding := sm.DefaultConfig().Limits.MaxResident(w.Build(base.Scale))
+		for lim := 1; lim <= maxRes; lim++ {
 			out, err := simulate(name, sim.Static(lim))
 			if err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
 			res := out.Result
-			p := point{lim, res.Cycles, res.IPC}
-			pts = append(pts, p)
-			if best.cycles == 0 || p.cycles < best.cycles {
-				best = p
+			last = point{lim, res.Cycles, res.IPC}
+			if best.cycles == 0 || last.cycles < best.cycles {
+				best = last
 			}
 			bar := strings.Repeat("#", int(res.IPC*4+0.5))
 			fmt.Fprintf(stdout, "  %-6d %-10d %-8.2f %-8s %-9.0f %s\n",
 				lim, res.Cycles, res.IPC,
 				fmt.Sprintf("%.1f%%", res.L1.HitRate()*100), res.DRAM.AvgQueueLatency(), bar)
-			if lim > 1 && pts[len(pts)-1].cycles == pts[len(pts)-2].cycles {
-				fmt.Fprintf(stdout, "  (occupancy limit reached at %d CTAs/SM)\n", lim-1)
-				break
-			}
 		}
-		lastIPC := pts[len(pts)-1].ipc
+		fmt.Fprintf(stdout, "  (occupancy limit %d CTAs/SM, bound by %s)\n", maxRes, binding)
 		fmt.Fprintf(stdout, "  best: %d CTAs/SM at IPC %.2f (%.1f%% over max occupancy)\n",
-			best.lim, best.ipc, (best.ipc/lastIPC-1)*100)
+			best.lim, best.ipc, (best.ipc/last.ipc-1)*100)
 		if overlay != nil {
 			out, err := simulate(name, *overlay)
 			if err != nil {

@@ -54,8 +54,7 @@ const goldenOverlay = `vadd (CUDA SDK vectorAdd)
   4      2617       1.17     0.0%     155       #####
   5      2854       1.08     0.0%     156       ####
   6      3485       0.88     0.0%     172       ####
-  7      3485       0.88     0.0%     172       ####
-  (occupancy limit reached at 6 CTAs/SM)
+  (occupancy limit 6 CTAs/SM, bound by threads)
   best: 4 CTAs/SM at IPC 1.17 (33.2% over max occupancy)
   lcs: IPC 0.88 in 3485 cycles (75.1% of sweep best)
 
@@ -69,14 +68,14 @@ spmv (Parboil spmv (CSR, banded sparsity))
   6      5456       1.01     41.2%    118       ####
   7      5940       0.93     30.7%    120       ####
   8      6161       0.89     26.6%    118       ####
+  (occupancy limit 8 CTAs/SM, bound by cta-slots)
   best: 6 CTAs/SM at IPC 1.01 (12.9% over max occupancy)
   lcs: IPC 0.89 in 6161 cycles (88.6% of sweep best)
 
 `
 
 // TestGoldenOverlay pins ctasweep's full stdout, byte for byte, for two
-// workloads (one that hits its occupancy limit, one that does not) with a
-// -sched overlay.
+// workloads (one bound by threads, one by CTA slots) with a -sched overlay.
 func TestGoldenOverlay(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-size", "tiny", "-cores", "4", "-sched", "lcs", "vadd", "spmv"}, &out, &errb); code != 0 {

@@ -12,9 +12,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"gpusched/internal/mem"
 	"gpusched/internal/sim"
+	"gpusched/internal/sm"
 	"gpusched/internal/trace"
 	"gpusched/internal/workloads"
 )
@@ -87,6 +89,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceOut != "" {
 		tl = trace.Attach(m.GPU, *epoch)
 	}
+	// firstDone[i] is the cycle SM i completed its first CTA; the observer
+	// only reads, so the run is the same with it.
+	const none = ^uint64(0)
+	firstDone := make([]uint64, m.NumCores())
+	for i := range firstDone {
+		firstDone[i] = none
+	}
+	m.SetObserver(func(coreID int, _ *sm.CTA, now uint64) {
+		if firstDone[coreID] == none {
+			firstDone[coreID] = now
+		}
+	})
 	out := m.Outcome(m.Run())
 	res := out.Result
 	if tl != nil {
@@ -114,6 +128,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "DRAM            %d reads, %d writes, %.1f%% row hits, %.0f-cycle avg queue\n",
 		res.DRAM.Reads, res.DRAM.Writes, res.DRAM.RowHitRate()*100, res.DRAM.AvgQueueLatency())
 	fmt.Fprintf(stdout, "load latency    %.0f cycles avg\n", res.AvgMemLatency)
+	done := make([]uint64, m.NumCores())
+	for i := range done {
+		done[i] = m.CoreCounters(i).CTAsCompleted
+	}
+	slices.Sort(done)
+	firstDone = slices.DeleteFunc(firstDone, func(c uint64) bool { return c == none })
+	fmt.Fprintf(stdout, "balance         %d / %d / %d CTAs per SM (min / median / max)",
+		done[0], done[(len(done)-1)/2], done[len(done)-1])
+	if len(firstDone) > 0 {
+		fmt.Fprintf(stdout, ", first completion at cycle %d / %d (min / max)",
+			slices.Min(firstDone), slices.Max(firstDone))
+	}
+	fmt.Fprintln(stdout)
 	if out.Limits != nil {
 		fmt.Fprintf(stdout, "LCS limits      %v\n", out.Limits)
 	}

@@ -109,6 +109,7 @@ L1              0.0% hit, 0.0% merged into in-flight fills
 L2              0.0% hit
 DRAM            1152 reads, 573 writes, 83.1% row hits, 172-cycle avg queue
 load latency    329 cycles avg
+balance         6 / 6 / 6 CTAs per SM (min / median / max), first completion at cycle 1556 / 2091 (min / max)
 LCS limits      [4 3 3 3]
 engine cycles   2701 ticked, 256 fast-forwarded, 528 batched
 engine polls    48 dispatcher ticks, 2653 skipped
@@ -129,6 +130,7 @@ L1              0.0% hit, 0.0% merged into in-flight fills
 L2              0.0% hit
 DRAM            1152 reads, 573 writes, 83.1% row hits, 172-cycle avg queue
 load latency    329 cycles avg
+balance         6 / 6 / 6 CTAs per SM (min / median / max), first completion at cycle 1556 / 2091 (min / max)
 `
 
 const goldenTraceCSV = `cycle,ipc,resident_ctas,active_cores,l1_miss_rate,dram_reads,dram_row_hit_rate

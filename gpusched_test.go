@@ -83,6 +83,48 @@ func TestSchedulerNames(t *testing.T) {
 	}
 }
 
+// TestParseRoundTrips: every scheduler the public constructors build, every
+// warp policy and every size parses back from its name through the public
+// Parse functions, and SchedulerFlagHelp lists each scheduler, and nothing
+// else: a registry entry without a constructor fails the count.
+func TestParseRoundTrips(t *testing.T) {
+	listed := map[string]bool{}
+	for _, alt := range strings.Split(gpusched.SchedulerFlagHelp, " | ") {
+		name, _, _ := strings.Cut(alt, "[")
+		name, _, _ = strings.Cut(name, ":")
+		listed[name] = true
+	}
+	scheds := []gpusched.Scheduler{
+		gpusched.Baseline(), gpusched.LCS(), gpusched.AdaptiveLCS(), gpusched.DynCTA(),
+		gpusched.BCS(4), gpusched.StaticLimit(3), gpusched.Sequential(),
+		gpusched.SpatialCKE(5), gpusched.MixedCKE(2), gpusched.Preemptive(1, 5000),
+	}
+	if len(listed) != len(scheds) {
+		t.Errorf("SchedulerFlagHelp lists %d schedulers, the constructors build %d", len(listed), len(scheds))
+	}
+	for _, s := range scheds {
+		got, err := gpusched.ParseScheduler(s.String())
+		if err != nil || got.String() != s.String() {
+			t.Errorf("ParseScheduler(%q) = %v, %v", s, got, err)
+		}
+		if name, _, _ := strings.Cut(s.String(), ":"); !listed[name] {
+			t.Errorf("SchedulerFlagHelp %q does not list %q", gpusched.SchedulerFlagHelp, name)
+		}
+	}
+	for _, p := range []gpusched.WarpPolicy{gpusched.WarpLRR, gpusched.WarpGTO, gpusched.WarpBAWS, gpusched.WarpTwoLevel} {
+		if got, err := gpusched.ParseWarpPolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParseWarpPolicy(%q) = %v, %v", p, got, err)
+		}
+	}
+	for name, want := range map[string]gpusched.Size{
+		"tiny": gpusched.SizeTiny, "small": gpusched.SizeSmall, "full": gpusched.SizeFull,
+	} {
+		if got, err := gpusched.ParseSize(name); err != nil || got != want {
+			t.Errorf("ParseSize(%q) = %v, %v, want %v", name, got, err, want)
+		}
+	}
+}
+
 func TestWarpPolicyString(t *testing.T) {
 	for p, want := range map[gpusched.WarpPolicy]string{
 		gpusched.WarpLRR:  "lrr",

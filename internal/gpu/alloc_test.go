@@ -34,10 +34,10 @@ func TestAllocationBudget(t *testing.T) {
 		spec          func() *kernel.Spec
 		allocs, bytes float64
 	}{
-		{"stencil", registry("stencil"), 800, 462_000},
-		{"sgemm", registry("sgemm"), 720, 396_000},
-		{"spmv", registry("spmv"), 975, 413_000},
-		{"chase", func() *kernel.Spec { return workloads.ChaseSpec(480, 1, 4) }, 670, 301_000},
+		{"stencil", registry("stencil"), 800, 318_000},
+		{"sgemm", registry("sgemm"), 720, 292_000},
+		{"spmv", registry("spmv"), 975, 304_000},
+		{"chase", func() *kernel.Spec { return workloads.ChaseSpec(480, 1, 4) }, 670, 220_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() {

@@ -16,8 +16,12 @@ type Cache struct {
 	// lines[i*ways : (i+1)*ways]. One flat backing array instead of a slice
 	// per set — a simulation builds one cache per core plus the L2 slices,
 	// and the per-set headers were a measurable share of its setup
-	// allocations.
-	lines     []cacheLine
+	// allocations. Each line is one packed word, tag<<2 | dirty | valid, and
+	// lastUse[i] is line i's LRU stamp: 16 bytes a line. Line addresses stay
+	// far below 2^62 (kernel address spaces are 2^33 bytes apart), so the
+	// shifted tag is exact.
+	lines     []uint64
+	lastUse   []uint64
 	ways      int
 	setMask   uint64
 	lineShift uint
@@ -27,12 +31,11 @@ type Cache struct {
 	Stats stats.Cache
 }
 
-type cacheLine struct {
-	tag     uint64
-	valid   bool
-	dirty   bool
-	lastUse uint64
-}
+// The flag bits of a packed line word.
+const (
+	lineValid uint64 = 1 << iota
+	lineDirty
+)
 
 // NewCache builds a cache of sizeBytes capacity with the given line size and
 // associativity. sizeBytes must divide evenly into ways*lineBytes sets and
@@ -61,6 +64,7 @@ func renewCache(c *Cache, sizeBytes, lineBytes, ways int) *Cache {
 	}
 	*c = Cache{
 		lines:     reuse(c.lines, numSets*ways),
+		lastUse:   reuse(c.lastUse, numSets*ways),
 		ways:      ways,
 		setMask:   uint64(numSets - 1),
 		lineShift: shift,
@@ -68,23 +72,24 @@ func renewCache(c *Cache, sizeBytes, lineBytes, ways int) *Cache {
 	return c
 }
 
-func (c *Cache) index(lineAddr uint64) (set []cacheLine, tag uint64) {
-	idx := (lineAddr >> c.lineShift) & c.setMask
-	base := int(idx) * c.ways
-	return c.lines[base : base+c.ways], lineAddr >> c.lineShift
+// index returns the first line of lineAddr's set and the packed word of a
+// valid, clean line holding it.
+func (c *Cache) index(lineAddr uint64) (base int, want uint64) {
+	tag := lineAddr >> c.lineShift
+	return int(tag&c.setMask) * c.ways, tag<<2 | lineValid
 }
 
 // Lookup probes for lineAddr. On a hit it refreshes LRU state and, when
 // markDirty is set, marks the line dirty. It does not touch Stats.
 func (c *Cache) Lookup(lineAddr uint64, markDirty bool) bool {
-	set, tag := c.index(lineAddr)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == tag {
+	base, want := c.index(lineAddr)
+	set := c.lines[base : base+c.ways]
+	for i, ln := range set {
+		if ln&^lineDirty == want {
 			c.useClock++
-			ln.lastUse = c.useClock
+			c.lastUse[base+i] = c.useClock
 			if markDirty {
-				ln.dirty = true
+				set[i] |= lineDirty
 			}
 			return true
 		}
@@ -94,10 +99,9 @@ func (c *Cache) Lookup(lineAddr uint64, markDirty bool) bool {
 
 // Contains probes for lineAddr without perturbing LRU or dirty state.
 func (c *Cache) Contains(lineAddr uint64) bool {
-	set, tag := c.index(lineAddr)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == tag {
+	base, want := c.index(lineAddr)
+	for _, ln := range c.lines[base : base+c.ways] {
+		if ln&^lineDirty == want {
 			return true
 		}
 	}
@@ -115,33 +119,36 @@ type Eviction struct {
 // returns what was displaced. If the line is already present the call only
 // refreshes LRU/dirty state. It does not touch Stats.
 func (c *Cache) Fill(lineAddr uint64, dirty bool) Eviction {
-	set, tag := c.index(lineAddr)
+	base, want := c.index(lineAddr)
+	set := c.lines[base : base+c.ways]
+	use := c.lastUse[base : base+c.ways]
 	c.useClock++
+	var dirtyBit uint64
+	if dirty {
+		dirtyBit = lineDirty
+	}
 	victim := -1
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == tag {
-			ln.lastUse = c.useClock
-			if dirty {
-				ln.dirty = true
-			}
+	for i, ln := range set {
+		if ln&^lineDirty == want {
+			use[i] = c.useClock
+			set[i] |= dirtyBit
 			return Eviction{}
 		}
-		if !ln.valid {
-			if victim == -1 || set[victim].valid {
+		if ln&lineValid == 0 {
+			if victim == -1 || set[victim]&lineValid != 0 {
 				victim = i
 			}
 			continue
 		}
-		if victim == -1 || (set[victim].valid && ln.lastUse < set[victim].lastUse) {
+		if victim == -1 || (set[victim]&lineValid != 0 && use[i] < use[victim]) {
 			victim = i
 		}
 	}
 	ev := Eviction{}
-	v := &set[victim]
-	if v.valid {
-		ev = Eviction{LineAddr: v.tag << c.lineShift, Dirty: v.dirty, Valid: true}
+	if v := set[victim]; v&lineValid != 0 {
+		ev = Eviction{LineAddr: v >> 2 << c.lineShift, Dirty: v&lineDirty != 0, Valid: true}
 	}
-	*v = cacheLine{tag: tag, valid: true, dirty: dirty, lastUse: c.useClock}
+	set[victim] = want | dirtyBit
+	use[victim] = c.useClock
 	return ev
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -178,4 +179,117 @@ func TestMSHRMergeUnknownPanics(t *testing.T) {
 		}
 	}()
 	m.Merge(0, 1)
+}
+
+// refCache is the tag store as a plain timestamp LRU, one struct a line:
+// the reference the packed store is checked against.
+type refCache struct {
+	lines     []refLine
+	ways      int
+	setMask   uint64
+	lineShift uint
+	useClock  uint64
+}
+
+type refLine struct {
+	tag          uint64
+	valid, dirty bool
+	lastUse      uint64
+}
+
+func (c *refCache) set(lineAddr uint64) ([]refLine, uint64) {
+	tag := lineAddr >> c.lineShift
+	base := int(tag&c.setMask) * c.ways
+	return c.lines[base : base+c.ways], tag
+}
+
+func (c *refCache) lookup(lineAddr uint64, markDirty bool) bool {
+	set, tag := c.set(lineAddr)
+	for i := range set {
+		if ln := &set[i]; ln.valid && ln.tag == tag {
+			c.useClock++
+			ln.lastUse = c.useClock
+			ln.dirty = ln.dirty || markDirty
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) contains(lineAddr uint64) bool {
+	set, tag := c.set(lineAddr)
+	for _, ln := range set {
+		if ln.valid && ln.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) fill(lineAddr uint64, dirty bool) Eviction {
+	set, tag := c.set(lineAddr)
+	c.useClock++
+	victim := -1
+	for i := range set {
+		ln := &set[i]
+		if ln.valid && ln.tag == tag {
+			ln.lastUse = c.useClock
+			ln.dirty = ln.dirty || dirty
+			return Eviction{}
+		}
+		if !ln.valid {
+			if victim == -1 || set[victim].valid {
+				victim = i
+			}
+			continue
+		}
+		if victim == -1 || (set[victim].valid && ln.lastUse < set[victim].lastUse) {
+			victim = i
+		}
+	}
+	ev := Eviction{}
+	if v := set[victim]; v.valid {
+		ev = Eviction{LineAddr: v.tag << c.lineShift, Dirty: v.dirty, Valid: true}
+	}
+	set[victim] = refLine{tag: tag, valid: true, dirty: dirty, lastUse: c.useClock}
+	return ev
+}
+
+// FuzzCacheTags drives the packed tag store and refCache through the same
+// fuzzer-chosen sequence of lookups (clean or dirtying), probes and fills
+// (clean or dirty) on a fuzzer-chosen geometry, and requires every answer and
+// every eviction to agree. Addresses come from a few lines more than the
+// cache holds, in up to four kernel address spaces, so sets conflict and
+// high tag bits are set.
+func FuzzCacheTags(f *testing.F) {
+	f.Add(uint64(1), uint8(0))
+	f.Add(uint64(2), uint8(29))
+	f.Add(uint64(3), uint8(255))
+	f.Fuzz(func(t *testing.T, seed uint64, shape uint8) {
+		ways := 1 + int(shape%4)
+		sets := 1 << (shape / 4 % 4)
+		lineBytes := 1 << (shape / 16 % 8)
+		c := NewCache(sets*ways*lineBytes, lineBytes, ways)
+		ref := &refCache{lines: make([]refLine, sets*ways), ways: ways,
+			setMask: uint64(sets - 1), lineShift: c.lineShift}
+		rng := rand.New(rand.NewPCG(seed, uint64(shape)))
+		lines := 2 * sets * ways
+		for op := 0; op < 2000; op++ {
+			addr := uint64(rng.IntN(4))<<33 + uint64(rng.IntN(lines)*lineBytes)
+			switch k := rng.IntN(5); k {
+			case 0, 1:
+				if got, want := c.Lookup(addr, k == 1), ref.lookup(addr, k == 1); got != want {
+					t.Fatalf("op %d: Lookup(%#x, %v) = %v, reference %v", op, addr, k == 1, got, want)
+				}
+			case 2:
+				if got, want := c.Contains(addr), ref.contains(addr); got != want {
+					t.Fatalf("op %d: Contains(%#x) = %v, reference %v", op, addr, got, want)
+				}
+			default:
+				if got, want := c.Fill(addr, k == 4), ref.fill(addr, k == 4); got != want {
+					t.Fatalf("op %d: Fill(%#x, %v) = %+v, reference %+v", op, addr, k == 4, got, want)
+				}
+			}
+		}
+	})
 }

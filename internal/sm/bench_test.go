@@ -74,7 +74,7 @@ func BenchmarkSchedulerPickStalled(b *testing.B) {
 	waiting, _ := benchSM(PolicyGTO, 8, func(*isa.Builder) {})
 	for _, w := range waiting.schedulers[0].warps {
 		w.fetch()
-		w.readyAt[1] = notReady
+		w.setReady(1, notReady)
 	}
 	b.Run("served", func(b *testing.B) { pick(b, waiting, false, skipScoreboard) })
 	b.Run("walk", func(b *testing.B) { pick(b, waiting, true, skipScoreboard) })

@@ -10,10 +10,10 @@ import (
 // last returns. Tokens traveling through the memory system index this table.
 type pendingLoad struct {
 	warp      *Warp
-	dst       isa.Reg
-	remaining int
-	atomic    bool
 	issued    uint64
+	remaining int32
+	dst       isa.Reg
+	atomic    bool
 	inUse     bool
 }
 
@@ -163,7 +163,7 @@ func (u *ldstUnit) accept(w *Warp, wi *isa.WarpInstr, now uint64) {
 			n = 1 // shared load: one logical completion
 		}
 		u.table[tok] = pendingLoad{
-			warp: w, dst: wi.Dst, remaining: n, issued: now,
+			warp: w, dst: wi.Dst, remaining: int32(n), issued: now,
 			atomic: wi.Op == isa.OpAtomicGlobal, inUse: true,
 		}
 		e.token = tok
@@ -172,7 +172,7 @@ func (u *ldstUnit) accept(w *Warp, wi *isa.WarpInstr, now uint64) {
 		// The scoreboard holds the destination until the last
 		// transaction returns.
 		if wi.Dst != 0 {
-			w.readyAt[wi.Dst] = notReady
+			w.setReady(wi.Dst, notReady)
 		}
 	}
 }
@@ -316,7 +316,7 @@ func (u *ldstUnit) completeOne(t uint32, now uint64) {
 		return
 	}
 	if p.dst != 0 {
-		p.warp.readyAt[p.dst] = now
+		p.warp.setReady(p.dst, now)
 		p.warp.sched.clearStall(p.warp)
 	}
 	u.unref(p.warp.cta)

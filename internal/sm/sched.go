@@ -277,12 +277,12 @@ func (s *scheduler) operandsReady(w *Warp, now uint64) bool {
 	wi := &w.cur
 	blocked := uint64(0)
 	for _, r := range wi.Src {
-		if r != 0 && w.readyAt[r] > blocked {
-			blocked = w.readyAt[r]
+		if at := w.ready(r); at > blocked {
+			blocked = at
 		}
 	}
-	if wi.Dst != 0 && w.readyAt[wi.Dst] > blocked {
-		blocked = w.readyAt[wi.Dst]
+	if at := w.ready(wi.Dst); at > blocked {
+		blocked = at
 	}
 	if blocked > now {
 		s.stall[w.slot] = blocked

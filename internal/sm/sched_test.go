@@ -41,7 +41,7 @@ func mkWarps(n int) []*Warp {
 }
 
 // block keeps w's aluLoop from issuing before cycle until.
-func block(w *Warp, until uint64) { w.readyAt[2] = until }
+func block(w *Warp, until uint64) { w.setReady(2, until) }
 
 // pickIssue picks at now and, as SM.execute would, retires the winner's
 // instruction so the next pick fetches and evaluates a fresh one.

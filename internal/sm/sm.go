@@ -288,7 +288,7 @@ func (s *SM) AddCTA(spec *kernel.Spec, kernelIdx, ctaID int, addrBase uint64, bl
 		s.onWake(s.id, now)
 	}
 	s.usage = s.usage.Add(spec, 1)
-	cta, warps := s.takeCTA()
+	cta, warps, regs := s.takeCTA()
 	*cta = CTA{
 		Spec:         spec,
 		KernelIdx:    kernelIdx,
@@ -326,15 +326,29 @@ func (s *SM) AddCTA(spec *kernel.Spec, kernelIdx, ctaID int, addrBase uint64, bl
 			}
 		}
 	}
+	// Each warp's scoreboard is its kernel's register allocation, cut from
+	// the context's slab. Clearing the slab is the scoreboard reset.
+	perWarp := spec.RegsPerThread
+	if perWarp == 0 {
+		perWarp = isa.MaxRegs
+	}
+	if n := nw * perWarp; cap(regs) >= n {
+		regs = regs[:n]
+		clear(regs)
+	} else {
+		regs = make([]uint64, n)
+	}
+	cta.regs = regs
 	for i := 0; i < nw; i++ {
 		w := warps[i]
-		// Whole-struct reset: a recycled warp must not leak scoreboard or
-		// stall state (readyAt in particular) into its next life.
+		// Whole-struct reset: a recycled warp must not leak stall state, or
+		// a scoreboard widened in its last life, into its next one.
 		*w = Warp{
-			seq:  s.warpSeq,
-			cta:  cta,
-			prog: spec.Program(ctaID, i),
-			at:   isa.Cursor{CTA: ctaID, Warp: i},
+			seq:     s.warpSeq,
+			cta:     cta,
+			prog:    spec.Program(ctaID, i),
+			at:      isa.Cursor{CTA: ctaID, Warp: i},
+			readyAt: regs[i*perWarp : (i+1)*perWarp : (i+1)*perWarp],
 		}
 		s.warpSeq++
 		s.leastLoadedScheduler().add(w)
@@ -347,17 +361,18 @@ func (s *SM) AddCTA(spec *kernel.Spec, kernelIdx, ctaID int, addrBase uint64, bl
 }
 
 // takeCTA pops a pooled CTA context (or allocates a fresh one), returning
-// the object and its reusable warp-pointer slice. AddCTA overwrites every
-// field, so the pooled object carries no state forward.
-func (s *SM) takeCTA() (*CTA, []*Warp) {
+// the object, its reusable warp-pointer slice and its scoreboard slab.
+// AddCTA overwrites every field, so the pooled object carries no state
+// forward.
+func (s *SM) takeCTA() (*CTA, []*Warp, []uint64) {
 	n := len(s.ctaPool)
 	if n == 0 {
-		return new(CTA), nil
+		return new(CTA), nil, nil
 	}
 	cta := s.ctaPool[n-1]
 	s.ctaPool[n-1] = nil
 	s.ctaPool = s.ctaPool[:n-1]
-	return cta, cta.warps
+	return cta, cta.warps, cta.regs
 }
 
 // Recycle returns a retired or evicted CTA's context to the core's pool for
@@ -571,11 +586,11 @@ func (s *SM) execute(sched *scheduler, w *Warp, now uint64) {
 		// Issue-slot cost only.
 	case isa.OpIAlu, isa.OpFAlu:
 		if wi.Dst != 0 {
-			w.readyAt[wi.Dst] = now + s.cfg.ALULatency
+			w.setReady(wi.Dst, now+s.cfg.ALULatency)
 		}
 	case isa.OpSfu:
 		if wi.Dst != 0 {
-			w.readyAt[wi.Dst] = now + s.cfg.SFULatency
+			w.setReady(wi.Dst, now+s.cfg.SFULatency)
 		}
 		sched.sfuFreeAt = now + s.cfg.SFUInterval
 	case isa.OpBarrier:
@@ -589,7 +604,7 @@ func (s *SM) execute(sched *scheduler, w *Warp, now uint64) {
 		if wi.ActiveLanes() == 0 {
 			// Fully predicated off: completes like a nop.
 			if wi.Dst != 0 && wi.Op.WritesRegister() {
-				w.readyAt[wi.Dst] = now + 1
+				w.setReady(wi.Dst, now+1)
 			}
 			return
 		}

@@ -474,3 +474,64 @@ func TestMixedKernelsResidentCounts(t *testing.T) {
 			r.sm.ResidentOf(0), r.sm.ResidentOf(1))
 	}
 }
+
+// TestScoreboardWidensBeyondAllocation: a warp's scoreboard holds its
+// kernel's RegsPerThread entries, and a program that names registers beyond
+// them (warp 0 here: an ALU chain on r40 and a load into r50) runs exactly as
+// it does with the full isa.MaxRegs scoreboard (RegsPerThread 0). Only the
+// writing warp widens, and the next placement in the pooled context is cut
+// from the cleared slab again.
+func TestScoreboardWidensBeyondAllocation(t *testing.T) {
+	prog := func(ctaID, warp int) isa.Program {
+		b := isa.NewBuilder()
+		if warp == 0 {
+			b.LoadGlobal(50, 0)
+			for i := 0; i < 4; i++ {
+				b.FAlu(40, 40, 50)
+			}
+		}
+		b.FAlu(1, 2).FAlu(3, 1).Exit()
+		return b.Build()
+	}
+	run := func(regs int) (cycles uint64, c *rig, cta *CTA) {
+		c = newRig(t, nil)
+		spec := specWith(2, prog)
+		spec.RegsPerThread = regs
+		cta = c.sm.AddCTA(spec, 0, 0, 0, 0, 0, c.now)
+		want := regs
+		if want == 0 {
+			want = isa.MaxRegs
+		}
+		for _, w := range cta.Warps() {
+			if len(w.readyAt) != want {
+				t.Fatalf("placed warp holds %d scoreboard entries, want %d", len(w.readyAt), want)
+			}
+		}
+		c.runUntilDone(1, 100000)
+		return c.now, c, cta
+	}
+	full, fullRig, _ := run(0)
+	narrow, c, cta := run(4)
+	if narrow != full || c.sm.counters != fullRig.sm.counters {
+		t.Fatalf("4-register scoreboard: %d cycles %+v; full: %d cycles %+v",
+			narrow, c.sm.counters, full, fullRig.sm.counters)
+	}
+	if n0, n1 := len(cta.Warps()[0].readyAt), len(cta.Warps()[1].readyAt); n0 != isa.MaxRegs || n1 != 4 {
+		t.Fatalf("scoreboard entries after the run: warp 0 %d, warp 1 %d; want %d and 4", n0, n1, isa.MaxRegs)
+	}
+	c.sm.Recycle(cta)
+	again := c.sm.AddCTA(cta.Spec, 0, 1, 0, 0, 0, c.now)
+	if again != cta {
+		t.Fatal("placement did not reuse the pooled context")
+	}
+	for i, w := range again.Warps() {
+		if len(w.readyAt) != 4 || &w.readyAt[0] != &again.regs[4*i] {
+			t.Fatalf("re-placed warp %d: %d entries, cut from the slab %v", i, len(w.readyAt), &w.readyAt[0] == &again.regs[4*i])
+		}
+		for r, at := range w.readyAt {
+			if at != 0 {
+				t.Fatalf("re-placed warp %d: r%d ready at %d, want a cleared scoreboard", i, r, at)
+			}
+		}
+	}
+}

@@ -330,3 +330,29 @@ func TestWorkloadFootprintsStayInAddressSpace(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistersWithinAllocation: every warp of every workload, at every
+// scale, names only registers below its kernel's RegsPerThread. The SM
+// sizes each warp's scoreboard to that allocation; a register beyond it
+// still simulates exactly, but widens that warp's scoreboard to
+// isa.MaxRegs.
+func TestRegistersWithinAllocation(t *testing.T) {
+	for _, w := range All() {
+		for _, s := range []Scale{ScaleTest, ScaleSmall, ScaleFull} {
+			spec := w.Build(s)
+			top := isa.Reg(0)
+			var buf isa.WarpInstr
+			for cta := 0; cta < spec.NumCTAs(); cta++ {
+				for warp := 0; warp < spec.WarpsPerCTA(); warp++ {
+					c := isa.Cursor{CTA: cta, Warp: warp}
+					for p := spec.Program(cta, warp); p.Next(&c, &buf); {
+						top = max(top, buf.Dst, buf.Src[0], buf.Src[1], buf.Src[2])
+					}
+				}
+			}
+			if int(top) >= spec.RegsPerThread {
+				t.Errorf("%s scale %d: names r%d, allocates %d registers per thread", w.Name, s, top, spec.RegsPerThread)
+			}
+		}
+	}
+}
