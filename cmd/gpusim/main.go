@@ -89,16 +89,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceOut != "" {
 		tl = trace.Attach(m.GPU, *epoch)
 	}
-	// firstDone[i] is the cycle SM i completed its first CTA; the observer
-	// only reads, so the run is the same with it.
-	const none = ^uint64(0)
-	firstDone := make([]uint64, m.NumCores())
-	for i := range firstDone {
-		firstDone[i] = none
-	}
+	// firstDone holds the cycle of each SM's first CTA completion, in the
+	// order they happen; the observer only reads, so the run is the same.
+	var firstDone []uint64
+	seen := make([]bool, m.NumCores())
 	m.SetObserver(func(coreID int, _ *sm.CTA, now uint64) {
-		if firstDone[coreID] == none {
-			firstDone[coreID] = now
+		if !seen[coreID] {
+			seen[coreID] = true
+			firstDone = append(firstDone, now)
 		}
 	})
 	out := m.Outcome(m.Run())
@@ -132,13 +130,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i := range done {
 		done[i] = m.CoreCounters(i).CTAsCompleted
 	}
-	slices.Sort(done)
-	firstDone = slices.DeleteFunc(firstDone, func(c uint64) bool { return c == none })
+	slices.Sort(done) // the median of an even SM count is the lower middle
 	fmt.Fprintf(stdout, "balance         %d / %d / %d CTAs per SM (min / median / max)",
 		done[0], done[(len(done)-1)/2], done[len(done)-1])
 	if len(firstDone) > 0 {
 		fmt.Fprintf(stdout, ", first completion at cycle %d / %d (min / max)",
-			slices.Min(firstDone), slices.Max(firstDone))
+			firstDone[0], firstDone[len(firstDone)-1])
 	}
 	fmt.Fprintln(stdout)
 	if out.Limits != nil {
