@@ -36,14 +36,16 @@ race:
 
 # Mirror of .github/workflows/ci.yml: build, lint, race-enabled tests, the
 # repository benchmark's own tests (a module of its own, so ./... does not
-# reach it), short fuzz smokes of the kernel-completion, request-wire,
-# partition-wake, packed-tag-store and refused-head properties, the
-# results gate, every example run end to end (the timeline CSVs they write
-# are removed), and the daemon and fleet smokes.
+# reach it), one iteration of every internal microbenchmark, short fuzz
+# smokes of the kernel-completion, request-wire, partition-wake,
+# packed-tag-store and refused-head properties, the results gate, every
+# example run end to end (the timeline CSVs they write are removed), and
+# the daemon and fleet smokes.
 ci: lint
 	go build ./...
 	go test -race ./...
 	go -C benchmark test ./...
+	go test -run='^$$' -bench=. -benchtime=1x ./internal/...
 	go test -run='^$$' -fuzz=FuzzKernel -fuzztime=10s .
 	go test -run='^$$' -fuzz=FuzzRequestJSON -fuzztime=10s ./internal/sim
 	go test -run='^$$' -fuzz=FuzzPartitionWake -fuzztime=10s ./internal/mem

@@ -205,6 +205,33 @@ func TestKernelBuilderValidation(t *testing.T) {
 	gpusched.NewKernelBuilder("bad", 4, 33).MustBuild()
 }
 
+// A register the core cannot track fails Build, naming where it is, instead
+// of panicking inside Run.
+func TestKernelBuilderRejectsRegisterRange(t *testing.T) {
+	_, err := gpusched.NewKernelBuilder("wide", 2, 64).
+		Program(func(ctaID, warp int, p *gpusched.ProgramBuilder) {
+			p.IAdd(1, 0)
+			if ctaID == 1 && warp == 1 {
+				p.IAdd(70, 1)
+			}
+		}).
+		Build()
+	if err == nil {
+		t.Fatal("Build accepted register 70")
+	}
+	for _, part := range []string{"kernel wide", "CTA 1", "warp 1", "register 70"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q does not name %q", err, part)
+		}
+	}
+	k := gpusched.NewKernelBuilder("top", 2, 64).
+		Program(func(_, _ int, p *gpusched.ProgramBuilder) { p.IAdd(63, 0).FAdd(1, 63) }).
+		MustBuild()
+	if _, err := gpusched.Run(tinyConfig(), gpusched.Baseline(), k); err != nil {
+		t.Fatalf("register 63: %v", err)
+	}
+}
+
 func TestRunRejectsBadConfig(t *testing.T) {
 	w, _ := gpusched.WorkloadByName("vadd")
 	for _, cores := range []int{0, -1} {

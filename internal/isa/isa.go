@@ -136,8 +136,11 @@ const WarpSize = 32
 const FullMask uint32 = 0xFFFFFFFF
 
 // WarpInstr is one dynamic instruction for one warp. Programs fill these in
-// place (the core reuses a buffer per warp), so the struct deliberately
-// embeds its per-lane address array instead of pointing to a heap slice.
+// place: the core reuses one fetch buffer for every warp of an SM, so Next
+// must write every field (buf holds another warp's last instruction), and
+// the struct deliberately embeds its per-lane address array instead of
+// pointing to a heap slice. The core keeps only what it decodes: the
+// lanes are coalesced into line transactions at fetch and not read again.
 type WarpInstr struct {
 	// Op is the opcode class; it selects the pipeline and latency.
 	Op Op

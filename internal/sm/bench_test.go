@@ -8,30 +8,39 @@ import (
 	"gpusched/internal/mem"
 )
 
-// benchSM fills one SM with up to six CTAs of the given warp count, each
-// warp running head once and then 10,000 dependent ALU ops.
+// benchProg runs head once, then dependent ALU ops forever, so the
+// scheduler always has a scoreboard decision to make. One instance serves
+// every warp, as a workload's program template does: the instruction
+// records a tick reads stay in the host's cache.
+type benchProg struct{ head []isa.WarpInstr }
+
+func (p *benchProg) Next(c *isa.Cursor, buf *isa.WarpInstr) bool {
+	if c.Pos < len(p.head) {
+		*buf = p.head[c.Pos]
+		c.Pos++
+		return true
+	}
+	*buf = isa.WarpInstr{Op: isa.OpFAlu, Dst: 1, Src: [3]isa.Reg{1}, Mask: isa.FullMask}
+	return true
+}
+
+// benchSM fills one SM with up to six CTAs of the given warp count, every
+// warp running one shared benchProg.
 func benchSM(policy Policy, warps int, head func(b *isa.Builder)) (*SM, *mem.System) {
 	cfg := DefaultConfig()
 	cfg.WarpPolicy = policy
 	memCfg := mem.DefaultConfig()
 	sys := mem.NewSystem(&memCfg, 1)
 	s := New(0, &cfg, sys, 1, nil)
+	b := isa.NewBuilder()
+	head(b)
+	prog := &benchProg{head: b.Build().Instrs}
 	spec := &kernel.Spec{
 		Name:          "bench",
 		Grid:          kernel.Dim3{X: 1024},
 		Block:         kernel.Dim3{X: warps * isa.WarpSize},
 		RegsPerThread: 8,
-		Program: func(ctaID, w int) isa.Program {
-			// Endless-ish dependent ALU work: the scheduler always has a
-			// scoreboard decision to make.
-			b := isa.NewBuilder()
-			head(b)
-			for i := 0; i < 10000; i++ {
-				b.FAlu(1, 1)
-			}
-			b.Exit()
-			return b.Build()
-		},
+		Program:       func(int, int) isa.Program { return prog },
 	}
 	for i := 0; i < 6 && s.CanAccept(spec); i++ {
 		s.AddCTA(spec, 0, i, 0, 0, 0, 0)
@@ -39,6 +48,8 @@ func benchSM(policy Policy, warps int, head func(b *isa.Builder)) (*SM, *mem.Sys
 	return s, sys
 }
 
+// benchTick ticks the SM b.N cycles and reports the host time per issued
+// instruction, the cost of the fetch, pick and issue path.
 func benchTick(b *testing.B, policy Policy) {
 	s, sys := benchSM(policy, 8, func(*isa.Builder) {})
 	b.ResetTimer()
@@ -46,7 +57,10 @@ func benchTick(b *testing.B, policy Policy) {
 		s.Tick(now)
 		sys.Tick(now)
 	}
-	b.ReportMetric(float64(s.counters.InstrIssued)/float64(b.N), "instr/cycle")
+	b.StopTimer()
+	issued := float64(s.counters.InstrIssued)
+	b.ReportMetric(issued/float64(b.N), "instr/cycle")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/issued, "ns/instr")
 }
 
 func BenchmarkSMTickLRR(b *testing.B)  { benchTick(b, PolicyLRR) }
@@ -73,7 +87,7 @@ func BenchmarkSchedulerPickStalled(b *testing.B) {
 	}
 	waiting, _ := benchSM(PolicyGTO, 8, func(*isa.Builder) {})
 	for _, w := range waiting.schedulers[0].warps {
-		w.fetch()
+		w.fetch(waiting)
 		w.setReady(1, notReady)
 	}
 	b.Run("served", func(b *testing.B) { pick(b, waiting, false, skipScoreboard) })

@@ -20,15 +20,16 @@ type pendingLoad struct {
 // ldstEntry is one memory instruction queued at the LDST unit.
 type ldstEntry struct {
 	warp *Warp
-	wi   isa.WarpInstr
-	// lines are the coalesced global transactions (nil for shared ops).
+	// lines are the coalesced global transactions (nil for shared ops), in
+	// a buffer of the unit's linePool.
 	lines []uint64
 	next  int
-	// token indexes the pendingLoad table (loads/atomics only).
-	token    uint32
-	hasToken bool
 	// finishAt is the shared-op completion cycle (0 = not started).
 	finishAt uint64
+	// token indexes the pendingLoad table (loads/atomics only).
+	token    uint32
+	wi       instr
+	hasToken bool
 }
 
 // hitEvent releases one transaction of a pending load after the L1 hit
@@ -64,7 +65,8 @@ type ldstUnit struct {
 	// linePool recycles the coalesced-line buffers of retired queue entries
 	// so a long run allocates O(queue cap) line slices total instead of one
 	// per global memory instruction. Entries own their buffer from accept
-	// to popHead.
+	// to popHead. Only buffers the unit allocated enter it, never a warp's:
+	// accept copies the warp's lines out.
 	linePool [][]uint64
 
 	// freeGen advances whenever a queue slot or a pending-load token frees —
@@ -140,11 +142,12 @@ func ring(h, i, n int) int {
 	return h
 }
 
-// accept enqueues the issued memory instruction. Caller checked canAccept.
-// It is on the per-issue hot path: the coalesced-line buffer comes from the
-// unit's pool and the entry is written in place into the queue ring, so
-// steady state allocates nothing.
-func (u *ldstUnit) accept(w *Warp, wi *isa.WarpInstr, now uint64) {
+// accept enqueues the issued memory instruction wi, w's current one.
+// Caller checked canAccept. It is on the per-issue hot path: the warp's
+// coalesced lines are copied into a buffer from the unit's pool and the
+// entry is written in place into the queue ring, so steady state allocates
+// nothing.
+func (u *ldstUnit) accept(w *Warp, wi *instr, now uint64) {
 	if u.queue == nil {
 		u.queue = make([]ldstEntry, u.cap)
 	}
@@ -153,7 +156,7 @@ func (u *ldstUnit) accept(w *Warp, wi *isa.WarpInstr, now uint64) {
 	*e = ldstEntry{warp: w, wi: *wi}
 	w.cta.memRefs++ // queue entry holds the warp until popHead
 	if wi.Op.IsGlobal() {
-		e.lines = mem.Coalesce(u.takeLines(), wi, w.cta.AddrBase, u.sm.memCfg.LineBytes)
+		e.lines = append(u.takeLines(), w.lines...)
 	}
 	if wi.Op.WritesRegister() {
 		tok := u.free[len(u.free)-1]

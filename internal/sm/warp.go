@@ -1,13 +1,36 @@
 package sm
 
 import (
+	"math/bits"
+
 	"gpusched/internal/isa"
 	"gpusched/internal/kernel"
+	"gpusched/internal/mem"
 )
 
 // notReady is the scoreboard sentinel for a register whose producing load
 // has not yet returned.
 const notReady = ^uint64(0)
+
+// slabLines is how many coalesced lines each warp's buffer holds in the CTA
+// context's slab: every global access of the suite but spmv's gathers
+// touches one line. A warp whose instruction needs more gets a private
+// overflow buffer, which it keeps.
+const slabLines = 1
+
+// instr is the part of a fetched isa.WarpInstr the core keeps: everything
+// canIssue, execute and the LDST unit read. The lane addresses are read
+// once, at fetch, and only the lines they coalesce to are kept (Warp.lines).
+type instr struct {
+	Op           isa.Op
+	Dst          isa.Reg
+	Src          [3]isa.Reg
+	BankConflict uint8
+	Mask         uint32
+}
+
+// ActiveLanes returns the number of enabled lanes.
+func (in *instr) ActiveLanes() int { return bits.OnesCount32(in.Mask) }
 
 // Warp is one resident warp context.
 type Warp struct {
@@ -23,18 +46,24 @@ type Warp struct {
 
 	// prog is the warp's program, which other warps may share; at is this
 	// warp's position in it and carries the warp's CTA and index.
-	prog     isa.Program
-	at       isa.Cursor
-	cur      isa.WarpInstr
+	prog isa.Program
+	at   isa.Cursor
+	// cur is the fetched, unissued instruction while curValid holds.
+	cur      instr
 	curValid bool
 
 	finished bool
 
 	// readyAt[r] is the cycle register r's pending write completes;
 	// 0 means no write pending. Register 0 is hardwired ready. It holds the
-	// kernel's RegsPerThread entries, cut from the CTA's scoreboard slab; a
+	// kernel's RegsPerThread entries, cut from the CTA's slab; a
 	// register beyond them has never been written, so it reads as ready.
 	readyAt []uint64
+	// lines are cur's coalesced global transactions, in first-lane order
+	// (empty unless cur is a global op with active lanes). The buffer is cut
+	// from the CTA's slab, slabLines long, or is the warp's private overflow
+	// once an instruction needed more; the LDST unit copies it at accept.
+	lines []uint64
 }
 
 // ready returns the cycle register r's pending write completes (0: none).
@@ -58,17 +87,29 @@ func (w *Warp) setReady(r isa.Reg, at uint64) {
 	w.readyAt[r] = at
 }
 
-// fetch ensures cur holds the next unissued instruction. Returns false when
-// the program is exhausted (treated as an implicit exit).
-func (w *Warp) fetch() bool {
+// fetch ensures cur holds the next unissued instruction. The program fills
+// the SM's one fetch buffer; the warp keeps the decoded record and, for a
+// global op with active lanes, the lines mem.Coalesce reduces its lanes to.
+// Returns false when the program is exhausted (treated as an implicit exit).
+func (w *Warp) fetch(s *SM) bool {
 	if w.curValid {
 		return true
 	}
-	if w.prog.Next(&w.at, &w.cur) {
-		w.curValid = true
-		return true
+	buf := &s.fetchBuf
+	if !w.prog.Next(&w.at, buf) {
+		return false
 	}
-	return false
+	w.cur = instr{Op: buf.Op, Dst: buf.Dst, Src: buf.Src, BankConflict: buf.BankConflict, Mask: buf.Mask}
+	w.curValid = true
+	if buf.Op.IsGlobal() && buf.Mask != 0 {
+		var scratch [isa.WarpSize]uint64
+		lines := mem.Coalesce(scratch[:0], buf, w.cta.AddrBase, s.memCfg.LineBytes)
+		if len(lines) > cap(w.lines) {
+			w.lines = make([]uint64, 0, len(lines))
+		}
+		w.lines = append(w.lines[:0], lines...)
+	}
+	return true
 }
 
 // CTAState is a resident CTA's position in the preemption lifecycle.
@@ -110,10 +151,10 @@ type CTA struct {
 	Issued uint64
 
 	warps []*Warp
-	// regs is the scoreboard slab the warps' readyAt slices are cut from:
-	// RegsPerThread entries per warp, kept with the pooled context and
-	// cleared on placement.
-	regs      []uint64
+	// slab is what the warps' scoreboards and line buffers are cut from,
+	// kept with the pooled context: RegsPerThread readyAt entries per warp,
+	// cleared on placement, then slabLines lines per warp.
+	slab      []uint64
 	liveWarps int
 	barCount  int
 	// state is the preemption lifecycle position (see CTAState).

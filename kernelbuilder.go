@@ -51,8 +51,9 @@ func (b *KernelBuilder) SharedMem(bytes int) *KernelBuilder {
 	return b
 }
 
-// Program sets the per-warp program generator. The callback runs once per
-// warp and must be deterministic in (ctaID, warp).
+// Program sets the per-warp program generator. The callback must be
+// deterministic in (ctaID, warp): Build runs it once per warp to check the
+// registers it names, and a run calls it again for every warp it places.
 func (b *KernelBuilder) Program(fn func(ctaID, warp int, p *ProgramBuilder)) *KernelBuilder {
 	b.program = fn
 	return b
@@ -77,7 +78,31 @@ func (b *KernelBuilder) Build() (Kernel, error) {
 	if err := spec.Validate(); err != nil {
 		return Kernel{}, err
 	}
+	if err := checkRegisters(&spec); err != nil {
+		return Kernel{}, err
+	}
 	return Kernel{spec: &spec}, nil
+}
+
+// checkRegisters walks the program of every warp of the grid and rejects a
+// register the core cannot track (isa.MaxRegs and up). The callback is
+// deterministic, so this dry run sees exactly what a run will execute.
+func checkRegisters(spec *kernel.Spec) error {
+	var wi isa.WarpInstr
+	for cta := 0; cta < spec.NumCTAs(); cta++ {
+		for w := 0; w < spec.WarpsPerCTA(); w++ {
+			c := isa.Cursor{CTA: cta, Warp: w}
+			for p := spec.Program(cta, w); p.Next(&c, &wi); {
+				for _, r := range [4]isa.Reg{wi.Dst, wi.Src[0], wi.Src[1], wi.Src[2]} {
+					if r >= isa.MaxRegs {
+						return fmt.Errorf("gpusched: kernel %s: CTA %d warp %d names register %d, above the %d registers a thread has (0..%d)",
+							spec.Name, cta, w, r, isa.MaxRegs, isa.MaxRegs-1)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // MustBuild is Build, panicking on invalid specs.
