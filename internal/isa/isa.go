@@ -139,8 +139,10 @@ const FullMask uint32 = 0xFFFFFFFF
 // place: the core reuses one fetch buffer for every warp of an SM, so Next
 // must write every field (buf holds another warp's last instruction), and
 // the struct deliberately embeds its per-lane address array instead of
-// pointing to a heap slice. The core keeps only what it decodes: the
-// lanes are coalesced into line transactions at fetch and not read again.
+// pointing to a heap slice. The core keeps only what it decodes, never the
+// lanes: it reads a global op's lanes when the op issues, from the buffer if
+// no other fetch has refilled it, else by calling Next again at the cursor
+// it fetched the op from.
 type WarpInstr struct {
 	// Op is the opcode class; it selects the pipeline and latency.
 	Op Op

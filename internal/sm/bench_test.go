@@ -87,7 +87,7 @@ func BenchmarkSchedulerPickStalled(b *testing.B) {
 	}
 	waiting, _ := benchSM(PolicyGTO, 8, func(*isa.Builder) {})
 	for _, w := range waiting.schedulers[0].warps {
-		w.fetch(waiting)
+		w.fetch(waiting.ldst)
 		w.setReady(1, notReady)
 	}
 	b.Run("served", func(b *testing.B) { pick(b, waiting, false, skipScoreboard) })

@@ -9,14 +9,14 @@ import (
 )
 
 // TestContextSizes pins the per-warp and per-queue-entry footprint: a warp
-// keeps its decoded instruction and its coalesced lines, never the 32 lane
-// addresses of an isa.WarpInstr.
+// and a queued memory instruction keep the decoded instruction, never the
+// 32 lane addresses of an isa.WarpInstr.
 func TestContextSizes(t *testing.T) {
-	if n := unsafe.Sizeof(Warp{}); n > 160 {
-		t.Errorf("Warp is %d bytes, want at most 160", n)
+	if n := unsafe.Sizeof(Warp{}); n > 128 {
+		t.Errorf("Warp is %d bytes, want at most 128", n)
 	}
-	if n := unsafe.Sizeof(ldstEntry{}); n > 80 {
-		t.Errorf("ldstEntry is %d bytes, want at most 80", n)
+	if n := unsafe.Sizeof(ldstEntry{}); n > 72 {
+		t.Errorf("ldstEntry is %d bytes, want at most 72", n)
 	}
 }
 
@@ -68,15 +68,16 @@ func overlaps(a, b []uint64) bool {
 	return pa < pb+uintptr(cap(b))*8 && pb < pa+uintptr(cap(a))*8
 }
 
-// TestLDSTSendsFetchCoalescedLines runs globalMix on every warp of a stream
-// of two-warp CTAs, three resident at a time, each retired context recycled
+// TestLDSTSendsCoalescedLanes runs globalMix on every warp of a stream of
+// two-warp CTAs, three resident at a time, each retired context recycled
 // into the next placement. Each warp's sends, in order, must be exactly the
-// lines mem.Coalesce gives for its full instructions: the lanes are read
-// once, from the SM's shared fetch buffer, so this also checks that no warp
-// sees another's instruction. Every cycle, no line buffer the LDST queue
-// holds may share memory with any CTA context's slab or any warp's line
-// buffer, whether the context is resident, pooled or re-placed.
-func TestLDSTSendsFetchCoalescedLines(t *testing.T) {
+// lines mem.Coalesce gives for its full instructions: a global op's lanes
+// are read when it issues, from the SM's shared fetch buffer or by fetching
+// the op again, so this also checks that no warp sees another's lanes and
+// that each op is stepped past exactly once. Every cycle, no line buffer the LDST queue
+// holds may share memory with another entry's or with any CTA context's
+// scoreboard slab, whether the context is resident, pooled or re-placed.
+func TestLDSTSendsCoalescedLanes(t *testing.T) {
 	const (
 		warps    = 2
 		ctas     = 8
@@ -129,14 +130,14 @@ func TestLDSTSendsFetchCoalescedLines(t *testing.T) {
 		u := r.sm.ldst
 		for i := 0; i < u.qLen; i++ {
 			held := u.queue[ring(u.qHead, i, u.cap)].lines
-			for cta := range contexts {
-				if overlaps(held, cta.slab) {
-					t.Fatalf("cycle %d: a queued line buffer lies in CTA %d's slab", r.now, cta.ID)
+			for j := i + 1; j < u.qLen; j++ {
+				if overlaps(held, u.queue[ring(u.qHead, j, u.cap)].lines) {
+					t.Fatalf("cycle %d: queue entries %d and %d share a line buffer", r.now, i, j)
 				}
-				for j, w := range cta.warps {
-					if overlaps(held, w.lines) {
-						t.Fatalf("cycle %d: a queued line buffer is CTA %d warp %d's", r.now, cta.ID, j)
-					}
+			}
+			for cta := range contexts {
+				if overlaps(held, cta.regs) {
+					t.Fatalf("cycle %d: a queued line buffer lies in CTA %d's scoreboard slab", r.now, cta.ID)
 				}
 			}
 		}

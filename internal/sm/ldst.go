@@ -65,9 +65,21 @@ type ldstUnit struct {
 	// linePool recycles the coalesced-line buffers of retired queue entries
 	// so a long run allocates O(queue cap) line slices total instead of one
 	// per global memory instruction. Entries own their buffer from accept
-	// to popHead. Only buffers the unit allocated enter it, never a warp's:
-	// accept copies the warp's lines out.
+	// to popHead.
 	linePool [][]uint64
+
+	// fetchBuf is the one buffer every warp of the SM fills from its
+	// program, at fetch and when the unit reads a global op's lanes. The
+	// schedulers tick in turn, and neither keeps the buffer past its own
+	// use, so they share it. It lives here rather than in SM, where its 192
+	// bytes took SM to a 640-byte heap slot; the unit is its only reader of
+	// lanes.
+	// peeked is the warp whose global op the buffer still holds, if any,
+	// and peekedNext the cursor past that op: the unit reads those lanes
+	// without fetching them again (Warp.lanes).
+	fetchBuf   isa.WarpInstr
+	peeked     *Warp
+	peekedNext isa.Cursor
 
 	// freeGen advances whenever a queue slot or a pending-load token frees —
 	// the only ways canAccept turns true — so a stall certificate that rests
@@ -143,10 +155,9 @@ func ring(h, i, n int) int {
 }
 
 // accept enqueues the issued memory instruction wi, w's current one.
-// Caller checked canAccept. It is on the per-issue hot path: the warp's
-// coalesced lines are copied into a buffer from the unit's pool and the
-// entry is written in place into the queue ring, so steady state allocates
-// nothing.
+// Caller checked canAccept. It is on the per-issue hot path: a global op's
+// lanes are coalesced into a buffer from the unit's pool and the entry is
+// written in place into the queue ring, so steady state allocates nothing.
 func (u *ldstUnit) accept(w *Warp, wi *instr, now uint64) {
 	if u.queue == nil {
 		u.queue = make([]ldstEntry, u.cap)
@@ -156,7 +167,7 @@ func (u *ldstUnit) accept(w *Warp, wi *instr, now uint64) {
 	*e = ldstEntry{warp: w, wi: *wi}
 	w.cta.memRefs++ // queue entry holds the warp until popHead
 	if wi.Op.IsGlobal() {
-		e.lines = append(u.takeLines(), w.lines...)
+		e.lines = mem.Coalesce(u.takeLines(), w.lanes(u), w.cta.AddrBase, u.sm.memCfg.LineBytes)
 	}
 	if wi.Op.WritesRegister() {
 		tok := u.free[len(u.free)-1]

@@ -7,7 +7,6 @@ import (
 
 	"gpusched/internal/isa"
 	"gpusched/internal/kernel"
-	"gpusched/internal/mem"
 )
 
 // loopProg issues the same instruction forever.
@@ -23,11 +22,8 @@ func (p loopProg) Next(_ *isa.Cursor, buf *isa.WarpInstr) bool {
 var aluLoop = loopProg{isa.WarpInstr{Op: isa.OpFAlu, Dst: 1, Src: [3]isa.Reg{2}, Mask: isa.FullMask}}
 
 // testSched is a scheduler over an idle LDST unit, for the direct tests.
-// The unit's core is a bare SM: the warps fetch through its buffer.
 func testSched(p Policy) *scheduler {
-	memCfg := mem.DefaultConfig()
-	core := &SM{memCfg: &memCfg}
-	return &scheduler{policy: p, ldst: &ldstUnit{sm: core, cap: 8, free: []uint32{0}}}
+	return &scheduler{policy: p, ldst: &ldstUnit{cap: 8, free: []uint32{0}}}
 }
 
 // mkWarps builds n warps with distinct seq/CTA identities for direct
@@ -333,7 +329,7 @@ func refPick(s *scheduler, now uint64) (*Warp, skipReason, stallCert) {
 			return false, skipDraining
 		case atBarrier(w):
 			return false, skipBarrier
-		case !w.fetch(s.ldst.sm):
+		case !w.fetch(s.ldst):
 			return false, skipFinished
 		case !s.operandsReady(w, now):
 			return false, skipScoreboard

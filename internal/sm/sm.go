@@ -23,13 +23,9 @@ type SM struct {
 	sys  *mem.System
 
 	schedulers []scheduler
-	// fetchBuf is the one buffer every warp's program fills at fetch. The
-	// schedulers tick in turn, and a fetch keeps only what it decodes from
-	// it (Warp.fetch), so they share it.
-	fetchBuf isa.WarpInstr
-	ctas     []*CTA
-	usage    kernel.Usage
-	warpSeq  uint64
+	ctas       []*CTA
+	usage      kernel.Usage
+	warpSeq    uint64
 	// ctaPool recycles retired CTA contexts (the CTA, its warps slice, and
 	// the Warp objects) so steady-state placement allocates nothing. Entries
 	// are pushed by Recycle — or by the LDST unit once a recycle-armed CTA's
@@ -292,7 +288,7 @@ func (s *SM) AddCTA(spec *kernel.Spec, kernelIdx, ctaID int, addrBase uint64, bl
 		s.onWake(s.id, now)
 	}
 	s.usage = s.usage.Add(spec, 1)
-	cta, warps, slab := s.takeCTA()
+	cta, warps, regs := s.takeCTA()
 	*cta = CTA{
 		Spec:         spec,
 		KernelIdx:    kernelIdx,
@@ -330,31 +326,21 @@ func (s *SM) AddCTA(spec *kernel.Spec, kernelIdx, ctaID int, addrBase uint64, bl
 			}
 		}
 	}
-	// Each warp's scoreboard is its kernel's register allocation, and its
-	// line buffer slabLines lines, both cut from the context's slab.
-	// Clearing the scoreboards is their reset; a line buffer is written
-	// before it is read.
+	// Each warp's scoreboard is its kernel's register allocation, cut from
+	// the context's slab. Clearing the slab is the scoreboard reset.
 	perWarp := spec.RegsPerThread
 	if perWarp == 0 {
 		perWarp = isa.MaxRegs
 	}
-	nRegs := nw * perWarp
-	if n := nRegs + nw*slabLines; cap(slab) >= n {
-		slab = slab[:n]
-		clear(slab[:nRegs])
+	if n := nw * perWarp; cap(regs) >= n {
+		regs = regs[:n]
+		clear(regs)
 	} else {
-		slab = make([]uint64, n)
+		regs = make([]uint64, n)
 	}
-	cta.slab = slab
-	regs, lines := slab[:nRegs], slab[nRegs:]
+	cta.regs = regs
 	for i := 0; i < nw; i++ {
 		w := warps[i]
-		// A private overflow buffer stays with the warp; otherwise the
-		// buffer is cut afresh from the slab.
-		buf := w.lines[:0]
-		if cap(buf) <= slabLines {
-			buf = lines[i*slabLines : i*slabLines : (i+1)*slabLines]
-		}
 		// Whole-struct reset: a recycled warp must not leak stall state, or
 		// a scoreboard widened in its last life, into its next one.
 		*w = Warp{
@@ -363,7 +349,6 @@ func (s *SM) AddCTA(spec *kernel.Spec, kernelIdx, ctaID int, addrBase uint64, bl
 			prog:    spec.Program(ctaID, i),
 			at:      isa.Cursor{CTA: ctaID, Warp: i},
 			readyAt: regs[i*perWarp : (i+1)*perWarp : (i+1)*perWarp],
-			lines:   buf,
 		}
 		s.warpSeq++
 		s.leastLoadedScheduler().add(w)
@@ -376,7 +361,7 @@ func (s *SM) AddCTA(spec *kernel.Spec, kernelIdx, ctaID int, addrBase uint64, bl
 }
 
 // takeCTA pops a pooled CTA context (or allocates a fresh one), returning
-// the object, its reusable warp-pointer slice and its slab.
+// the object, its reusable warp-pointer slice and its scoreboard slab.
 // AddCTA overwrites every field, so the pooled object carries no state
 // forward.
 func (s *SM) takeCTA() (*CTA, []*Warp, []uint64) {
@@ -387,7 +372,7 @@ func (s *SM) takeCTA() (*CTA, []*Warp, []uint64) {
 	cta := s.ctaPool[n-1]
 	s.ctaPool[n-1] = nil
 	s.ctaPool = s.ctaPool[:n-1]
-	return cta, cta.warps, cta.slab
+	return cta, cta.warps, cta.regs
 }
 
 // Recycle returns a retired or evicted CTA's context to the core's pool for

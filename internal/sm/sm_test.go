@@ -525,8 +525,8 @@ func TestScoreboardWidensBeyondAllocation(t *testing.T) {
 		t.Fatal("placement did not reuse the pooled context")
 	}
 	for i, w := range again.Warps() {
-		if len(w.readyAt) != 4 || &w.readyAt[0] != &again.slab[4*i] {
-			t.Fatalf("re-placed warp %d: %d entries, cut from the slab %v", i, len(w.readyAt), &w.readyAt[0] == &again.slab[4*i])
+		if len(w.readyAt) != 4 || &w.readyAt[0] != &again.regs[4*i] {
+			t.Fatalf("re-placed warp %d: %d entries, cut from the slab %v", i, len(w.readyAt), &w.readyAt[0] == &again.regs[4*i])
 		}
 		for r, at := range w.readyAt {
 			if at != 0 {

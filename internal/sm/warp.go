@@ -5,22 +5,15 @@ import (
 
 	"gpusched/internal/isa"
 	"gpusched/internal/kernel"
-	"gpusched/internal/mem"
 )
 
 // notReady is the scoreboard sentinel for a register whose producing load
 // has not yet returned.
 const notReady = ^uint64(0)
 
-// slabLines is how many coalesced lines each warp's buffer holds in the CTA
-// context's slab: every global access of the suite but spmv's gathers
-// touches one line. A warp whose instruction needs more gets a private
-// overflow buffer, which it keeps.
-const slabLines = 1
-
 // instr is the part of a fetched isa.WarpInstr the core keeps: everything
-// canIssue, execute and the LDST unit read. The lane addresses are read
-// once, at fetch, and only the lines they coalesce to are kept (Warp.lines).
+// canIssue, execute and the LDST unit read but a global op's lane
+// addresses, which the LDST unit reads at accept (Warp.lanes).
 type instr struct {
 	Op           isa.Op
 	Dst          isa.Reg
@@ -45,7 +38,8 @@ type Warp struct {
 	slot  int
 
 	// prog is the warp's program, which other warps may share; at is this
-	// warp's position in it and carries the warp's CTA and index.
+	// warp's position in it and carries the warp's CTA and index. While cur
+	// is a global op with active lanes, at still points at it (see fetch).
 	prog isa.Program
 	at   isa.Cursor
 	// cur is the fetched, unissued instruction while curValid holds.
@@ -56,14 +50,9 @@ type Warp struct {
 
 	// readyAt[r] is the cycle register r's pending write completes;
 	// 0 means no write pending. Register 0 is hardwired ready. It holds the
-	// kernel's RegsPerThread entries, cut from the CTA's slab; a
+	// kernel's RegsPerThread entries, cut from the CTA's scoreboard slab; a
 	// register beyond them has never been written, so it reads as ready.
 	readyAt []uint64
-	// lines are cur's coalesced global transactions, in first-lane order
-	// (empty unless cur is a global op with active lanes). The buffer is cut
-	// from the CTA's slab, slabLines long, or is the warp's private overflow
-	// once an instruction needed more; the LDST unit copies it at accept.
-	lines []uint64
 }
 
 // ready returns the cycle register r's pending write completes (0: none).
@@ -87,29 +76,41 @@ func (w *Warp) setReady(r isa.Reg, at uint64) {
 	w.readyAt[r] = at
 }
 
-// fetch ensures cur holds the next unissued instruction. The program fills
-// the SM's one fetch buffer; the warp keeps the decoded record and, for a
-// global op with active lanes, the lines mem.Coalesce reduces its lanes to.
-// Returns false when the program is exhausted (treated as an implicit exit).
-func (w *Warp) fetch(s *SM) bool {
+// fetch ensures cur holds the next unissued instruction, decoded from the
+// SM's one fetch buffer (u.fetchBuf). A global op with active lanes is only
+// peeked at: at stays on it until the LDST unit reads its lanes (lanes), so
+// the warp never keeps them. Returns false when the program is exhausted
+// (treated as an implicit exit).
+func (w *Warp) fetch(u *ldstUnit) bool {
 	if w.curValid {
 		return true
 	}
-	buf := &s.fetchBuf
+	buf, from := &u.fetchBuf, w.at
+	u.peeked = nil
 	if !w.prog.Next(&w.at, buf) {
 		return false
 	}
 	w.cur = instr{Op: buf.Op, Dst: buf.Dst, Src: buf.Src, BankConflict: buf.BankConflict, Mask: buf.Mask}
 	w.curValid = true
 	if buf.Op.IsGlobal() && buf.Mask != 0 {
-		var scratch [isa.WarpSize]uint64
-		lines := mem.Coalesce(scratch[:0], buf, w.cta.AddrBase, s.memCfg.LineBytes)
-		if len(lines) > cap(w.lines) {
-			w.lines = make([]uint64, 0, len(lines))
-		}
-		w.lines = append(w.lines[:0], lines...)
+		u.peeked, u.peekedNext = w, w.at
+		w.at = from
 	}
 	return true
+}
+
+// lanes returns cur, an issued global op with active lanes, whole in the
+// fetch buffer and steps at past it. If another fetch has refilled the
+// buffer since w's, it fetches cur again: programs are deterministic, so
+// that gives the instruction fetch decoded cur from.
+func (w *Warp) lanes(u *ldstUnit) *isa.WarpInstr {
+	if u.peeked == w {
+		w.at = u.peekedNext
+	} else {
+		w.prog.Next(&w.at, &u.fetchBuf)
+	}
+	u.peeked = nil
+	return &u.fetchBuf
 }
 
 // CTAState is a resident CTA's position in the preemption lifecycle.
@@ -151,10 +152,10 @@ type CTA struct {
 	Issued uint64
 
 	warps []*Warp
-	// slab is what the warps' scoreboards and line buffers are cut from,
-	// kept with the pooled context: RegsPerThread readyAt entries per warp,
-	// cleared on placement, then slabLines lines per warp.
-	slab      []uint64
+	// regs is the scoreboard slab the warps' readyAt slices are cut from:
+	// RegsPerThread entries per warp, kept with the pooled context and
+	// cleared on placement.
+	regs      []uint64
 	liveWarps int
 	barCount  int
 	// state is the preemption lifecycle position (see CTAState).
