@@ -3,20 +3,17 @@
 //
 //	gpulint ./...            # what make lint and CI run
 //	gpulint -list            # describe the analyzers
-//	gpulint -json ./...      # machine-readable diagnostics on stdout
 //	gpulint -github ./...    # GitHub Actions ::error annotations
 //	gpulint ./internal/sim   # one package
 //
 // Diagnostics print as file:line:col: message (analyzer), sorted, and any
-// finding exits 1. -json emits one JSON array of {file,line,col,analyzer,
-// message} objects instead; -github adds workflow commands so CI annotates
-// the offending lines in pull requests. Suppressions and annotations are
+// finding exits 1. -github adds workflow commands so CI annotates the
+// offending lines in pull requests. Suppressions and annotations are
 // //gpulint: comments; see DESIGN.md "Determinism contract" and
 // "Concurrency contracts".
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,8 +25,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
-	dir := flag.String("C", "", "change to this directory before loading packages")
-	asJSON := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	github := flag.Bool("github", false, "emit GitHub Actions ::error workflow commands alongside the plain output")
 	flag.Parse()
 
@@ -40,7 +35,7 @@ func main() {
 		return
 	}
 
-	n, err := run(*dir, flag.Args(), *asJSON, *github)
+	n, err := run(flag.Args(), *github)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpulint:", err)
 		os.Exit(2)
@@ -51,46 +46,23 @@ func main() {
 	}
 }
 
-// jsonDiag is the machine-readable diagnostic shape -json emits.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func run(dir string, patterns []string, asJSON, github bool) (int, error) {
-	pkgs, fset, err := load.Load(dir, patterns...)
+func run(patterns []string, github bool) (int, error) {
+	pkgs, fset, err := load.Load("", patterns...)
 	if err != nil {
 		return 0, err
 	}
 	diags := lint.CheckAll(fset, pkgs)
-
-	out := make([]jsonDiag, len(diags))
-	for i, d := range diags {
+	for _, d := range diags {
 		p := fset.Position(d.Pos)
-		out[i] = jsonDiag{File: p.Filename, Line: p.Line, Col: p.Column, Analyzer: d.Analyzer, Message: d.Message}
-	}
-
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return 0, err
-		}
-		return len(out), nil
-	}
-	for _, d := range out {
-		fmt.Printf("%s:%d:%d: %s (%s)\n", d.File, d.Line, d.Col, d.Message, d.Analyzer)
+		fmt.Printf("%s:%d:%d: %s (%s)\n", p.Filename, p.Line, p.Column, d.Message, d.Analyzer)
 		if github {
 			// Workflow command grammar: property values escape %, CR, LF,
 			// ',' and ':'; the free-text message escapes %, CR, LF.
 			fmt.Printf("::error file=%s,line=%d,col=%d,title=gpulint %s::%s\n",
-				escapeProp(d.File), d.Line, d.Col, escapeProp(d.Analyzer), escapeData(d.Message))
+				escapeProp(p.Filename), p.Line, p.Column, escapeProp(d.Analyzer), escapeData(d.Message))
 		}
 	}
-	return len(out), nil
+	return len(diags), nil
 }
 
 func escapeData(s string) string {

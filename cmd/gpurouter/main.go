@@ -8,11 +8,12 @@
 //	gpurouter -shards s-east=http://a:8080,s-west=http://b:8080 -probe-interval 500ms
 //
 // The router serves POST /v1/simulate, GET /v1/fleet/stats, /readyz and
-// /metrics. Shards are probed on /readyz; a shard that fails -fail-after
-// probes in a row is marked down and its keys rehash onto the survivors.
-// Forwards retry with linear backoff onto fallback shards on transport
-// errors and 502/503/504. The router keeps the shards' attested replies to
-// keys it forwarded twice, up to 16 MiB, and answers later repeats itself.
+// /metrics. Shards are probed on /readyz every -probe-interval; a shard
+// that fails two probes or forwards in a row is marked down and its keys
+// rehash onto the survivors. On transport errors and 502/503/504 a
+// forward fails over to up to two more shards, after 50 ms and then
+// 100 ms. The router keeps the shards' attested replies to keys it
+// forwarded twice, up to 16 MiB, and answers later repeats itself.
 package main
 
 import (
@@ -80,11 +81,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var (
 		addr          = fs.String("addr", ":8070", "listen address")
 		shardsSpec    = fs.String("shards", "", "comma-separated shard base URLs, each 'url' or 'name=url' (required)")
-		probeInterval = fs.Duration("probe-interval", time.Second, "shard health probe period")
-		probeTimeout  = fs.Duration("probe-timeout", 0, "per-probe deadline (0 = half the interval)")
-		failAfter     = fs.Int("fail-after", 2, "consecutive probe/forward failures before a shard is marked down")
-		retries       = fs.Int("retries", 2, "fallback shards tried after the owner fails")
-		backoff       = fs.Duration("backoff", 50*time.Millisecond, "base retry backoff (attempt k waits k*backoff)")
+		probeInterval = fs.Duration("probe-interval", time.Second, "shard health probe period (each probe may take half)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -96,11 +93,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	router := fleet.NewRouter(shards, fleet.Config{
-		Retries:       *retries,
-		Backoff:       *backoff,
 		ProbeInterval: *probeInterval,
-		ProbeTimeout:  *probeTimeout,
-		FailAfter:     *failAfter,
 		OnHealthChange: func(s *fleet.Shard, up bool) {
 			if up {
 				fmt.Fprintf(stdout, "gpurouter: shard %s (%s) recovered\n", s.Name, s.URL)

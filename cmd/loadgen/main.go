@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"gpusched/internal/server"
 	"gpusched/internal/sim"
 )
 
@@ -36,78 +37,59 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// simCounters is the subset of sim.Stats the dedup measurement needs,
-// decoded from /v1/fleet/stats (router) or /v1/stats (bare shard), plus
-// the requests the router answered from its own cache (0 on a bare shard).
-type simCounters struct {
-	Simulated  int `json:"Simulated"`
-	MemoHits   int `json:"MemoHits"`
-	DiskHits   int `json:"DiskHits"`
-	PeerHits   int `json:"PeerHits"`
-	RouterHits int `json:"-"`
+// counters is what the dedup measurement reads from /v1/fleet/stats
+// (router) or /v1/stats (bare shard): the fleet's sim counters, and the
+// requests the router answered from its own cache (0 on a bare shard).
+type counters struct {
+	sim        sim.Stats
+	routerHits int
 }
 
-func (c simCounters) sub(o simCounters) simCounters {
-	return simCounters{
-		Simulated:  c.Simulated - o.Simulated,
-		MemoHits:   c.MemoHits - o.MemoHits,
-		DiskHits:   c.DiskHits - o.DiskHits,
-		PeerHits:   c.PeerHits - o.PeerHits,
-		RouterHits: c.RouterHits - o.RouterHits,
-	}
+func (c counters) sub(o counters) counters {
+	c.sim.Sub(o.sim)
+	c.routerHits -= o.routerHits
+	return c
 }
 
-func (c simCounters) hits() int { return c.RouterHits + c.MemoHits + c.DiskHits + c.PeerHits }
-
-// dedupRate is hits / (hits + simulations): the fraction of requests the
-// fleet answered without paying for a simulation.
-func (c simCounters) dedupRate() float64 {
-	total := c.hits() + c.Simulated
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits()) / float64(total)
+func (c counters) dedupRate() float64 {
+	return sim.DedupRate(c.routerHits+c.sim.Hits(), c.sim.Simulated)
 }
 
 // fetchCounters reads the target's aggregated sim counters; it tries the
 // router's fleet endpoint first and falls back to a shard's /v1/stats.
-func fetchCounters(client *http.Client, target string) (simCounters, error) {
+func fetchCounters(client *http.Client, target string) (counters, error) {
 	resp, err := client.Get(target + "/v1/fleet/stats")
 	if err == nil && resp.StatusCode == http.StatusOK {
 		defer resp.Body.Close()
 		var payload struct {
 			Fleet struct {
-				Sim         simCounters `json:"sim"`
+				Sim         sim.Stats `json:"sim"`
 				RouterCache struct {
 					Hits int `json:"hits"`
 				} `json:"router_cache"`
 			} `json:"fleet"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-			return simCounters{}, err
+			return counters{}, err
 		}
-		c := payload.Fleet.Sim
-		c.RouterHits = payload.Fleet.RouterCache.Hits
-		return c, nil
+		return counters{sim: payload.Fleet.Sim, routerHits: payload.Fleet.RouterCache.Hits}, nil
 	}
 	if err == nil {
 		resp.Body.Close()
 	}
 	resp, err = client.Get(target + "/v1/stats")
 	if err != nil {
-		return simCounters{}, err
+		return counters{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return simCounters{}, fmt.Errorf("stats endpoint: %s", resp.Status)
+		return counters{}, fmt.Errorf("stats endpoint: %s", resp.Status)
 	}
-	var payload struct {
-		Sim simCounters `json:"sim"`
+	var view server.StatsView
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		return counters{}, err
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		return simCounters{}, err
-	}
-	return payload.Sim, nil
+	return counters{sim: view.Sim}, nil
 }
 
 // result is one completed request as the client saw it.
@@ -239,11 +221,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"p99": percentile(lats, 99).Seconds() * 1000,
 		},
 		"fleet_delta": map[string]any{
-			"simulated":      delta.Simulated,
-			"router_hits":    delta.RouterHits,
-			"memo_hits":      delta.MemoHits,
-			"disk_hits":      delta.DiskHits,
-			"peer_hits":      delta.PeerHits,
+			"simulated":      delta.sim.Simulated,
+			"router_hits":    delta.routerHits,
+			"memo_hits":      delta.sim.MemoHits,
+			"disk_hits":      delta.sim.DiskHits,
+			"peer_hits":      delta.sim.PeerHits,
 			"dedup_hit_rate": delta.dedupRate(),
 		},
 	}
@@ -263,7 +245,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  admission latency: p50 %.1fms  p90 %.1fms  p99 %.1fms\n",
 			percentile(lats, 50).Seconds()*1000, percentile(lats, 90).Seconds()*1000, percentile(lats, 99).Seconds()*1000)
 		fmt.Fprintf(stdout, "  fleet dedup: %d simulated, %d router + %d memo + %d disk + %d peer hits -> hit rate %.3f\n",
-			delta.Simulated, delta.RouterHits, delta.MemoHits, delta.DiskHits, delta.PeerHits, delta.dedupRate())
+			delta.sim.Simulated, delta.routerHits, delta.sim.MemoHits, delta.sim.DiskHits, delta.sim.PeerHits, delta.dedupRate())
 		for _, name := range shardNames {
 			fmt.Fprintf(stdout, "  shard %-8s %5d requests (%.1f%%)\n", name, byShard[name],
 				100*float64(byShard[name])/float64(len(lats)))

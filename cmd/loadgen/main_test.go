@@ -36,26 +36,26 @@ func TestPercentile(t *testing.T) {
 }
 
 func TestSimCountersDedupRate(t *testing.T) {
-	c := simCounters{Simulated: 2, MemoHits: 4, DiskHits: 1, PeerHits: 1}
+	c := counters{sim: sim.Stats{Simulated: 2, MemoHits: 4, DiskHits: 1, PeerHits: 1}}
 	if got := c.dedupRate(); got != 0.75 {
 		t.Errorf("dedupRate = %v, want 0.75", got)
 	}
-	if got := (simCounters{}).dedupRate(); got != 0 {
+	if got := (counters{}).dedupRate(); got != 0 {
 		t.Errorf("empty dedupRate = %v, want 0", got)
 	}
-	d := c.sub(simCounters{Simulated: 1, MemoHits: 2})
-	if d.Simulated != 1 || d.MemoHits != 2 || d.hits() != 4 {
+	d := c.sub(counters{sim: sim.Stats{Simulated: 1, MemoHits: 2}})
+	if d.sim.Simulated != 1 || d.sim.MemoHits != 2 || d.sim.Hits() != 4 {
 		t.Errorf("sub = %+v", d)
 	}
 }
 
 func TestSimCountersRouterHits(t *testing.T) {
-	c := simCounters{Simulated: 2, RouterHits: 5, MemoHits: 1}
+	c := counters{sim: sim.Stats{Simulated: 2, MemoHits: 1}, routerHits: 5}
 	if got := c.dedupRate(); got != 0.75 {
 		t.Errorf("dedupRate = %v, want 0.75 with router hits counted", got)
 	}
-	d := c.sub(simCounters{RouterHits: 3})
-	if d.RouterHits != 2 || d.hits() != 3 {
+	d := c.sub(counters{routerHits: 3})
+	if d.routerHits != 2 || d.routerHits+d.sim.Hits() != 3 {
 		t.Errorf("sub = %+v, want 2 router hits of 3", d)
 	}
 }

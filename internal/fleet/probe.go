@@ -7,17 +7,16 @@ import (
 	"time"
 )
 
-// Prober drives the ring's health state: every Interval it probes each
+// Prober drives the ring's health state: every interval it probes each
 // shard's /readyz in parallel and feeds the verdicts into the shard's
-// failure streak. A shard is marked down after FailAfter consecutive
+// failure streak. A shard is marked down after failAfter consecutive
 // failures (readiness 503s count — a draining or saturated shard should
 // stop receiving new work) and marked up again on the first success.
 type Prober struct {
-	ring      *Ring
-	interval  time.Duration
-	failAfter int
-	client    *http.Client
-	onChange  func(s *Shard, up bool) // optional health-transition hook
+	ring     *Ring
+	interval time.Duration
+	client   *http.Client
+	onChange func(s *Shard, up bool) // optional health-transition hook
 
 	// ctx is the prober's lifecycle context: every probe request carries
 	// it, so Stop cancels in-flight probes instead of waiting out the
@@ -30,33 +29,29 @@ type Prober struct {
 	once sync.Once
 }
 
-// NewProber builds a prober over ring. interval is the probe period,
-// timeout the per-probe HTTP budget, failAfter the consecutive-failure
-// mark-down threshold. onChange (optional) observes health transitions.
-func NewProber(ring *Ring, interval, timeout time.Duration, failAfter int, onChange func(*Shard, bool)) *Prober {
+// NewProber builds a prober over ring. interval is the probe period
+// (0 = 1s); each probe may take half of it. onChange (optional) observes
+// health transitions.
+func NewProber(ring *Ring, interval time.Duration, onChange func(*Shard, bool)) *Prober {
 	if interval <= 0 {
 		interval = time.Second
-	}
-	if timeout <= 0 {
-		timeout = interval / 2
 	}
 	//gpulint:allow ctxflow the prober lives as long as its router, not any request; Stop cancels it
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Prober{
-		ring:      ring,
-		interval:  interval,
-		failAfter: failAfter,
-		client:    &http.Client{Timeout: timeout},
-		onChange:  onChange,
-		ctx:       ctx,
-		cancel:    cancel,
-		stop:      make(chan struct{}),
+		ring:     ring,
+		interval: interval,
+		client:   &http.Client{Timeout: interval / 2},
+		onChange: onChange,
+		ctx:      ctx,
+		cancel:   cancel,
+		stop:     make(chan struct{}),
 	}
 }
 
 // Start launches the probe loop. An immediate first round runs before the
 // ticker settles in, so a router fronting a dead shard marks it down
-// within FailAfter×Interval of boot, not one interval later.
+// within failAfter×interval of boot, not one interval later.
 func (p *Prober) Start() {
 	p.wg.Add(1)
 	go func() {
@@ -105,7 +100,7 @@ func (p *Prober) probe(s *Shard) {
 	if err != nil {
 		// A malformed shard URL never round-trips; count it as a failure so
 		// the shard is marked down instead of silently skipped.
-		if s.noteFailure("probe: "+err.Error(), p.failAfter) && p.onChange != nil {
+		if s.noteFailure("probe: "+err.Error()) && p.onChange != nil {
 			p.onChange(s, false)
 		}
 		return
@@ -116,12 +111,12 @@ func (p *Prober) probe(s *Shard) {
 		if p.ctx.Err() != nil {
 			return // shutting down: not a health signal
 		}
-		if s.noteFailure("probe: "+err.Error(), p.failAfter) && p.onChange != nil {
+		if s.noteFailure("probe: "+err.Error()) && p.onChange != nil {
 			p.onChange(s, false)
 		}
 	case resp.StatusCode != http.StatusOK:
 		resp.Body.Close()
-		if s.noteFailure("probe: readyz "+resp.Status, p.failAfter) && p.onChange != nil {
+		if s.noteFailure("probe: readyz "+resp.Status) && p.onChange != nil {
 			p.onChange(s, false)
 		}
 	default:

@@ -44,9 +44,9 @@ func TestProberStopCancelsInflightProbes(t *testing.T) {
 	}()
 
 	shard := &Shard{Name: "s0", URL: "http://" + ln.Addr().String()}
-	// A one-hour interval isolates the immediate boot-time round; the
-	// 30-second probe timeout is what Stop must NOT wait out.
-	prober := NewProber(NewRing([]*Shard{shard}), time.Hour, 30*time.Second, 1, nil)
+	// A one-hour interval isolates the immediate boot-time round; its
+	// 30-minute probe timeout is what Stop must NOT wait out.
+	prober := NewProber(NewRing([]*Shard{shard}), time.Hour, nil)
 	prober.Start()
 	select {
 	case <-accepted: // the first probe is in flight against the black hole

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"gpusched/internal/server"
 	"gpusched/internal/sim"
@@ -62,7 +61,7 @@ func attestedReply(w http.ResponseWriter, key string) {
 }
 
 func stubRouter(st *stubShard) *Router {
-	return NewRouter([]*Shard{{Name: "s0", URL: st.URL}}, Config{Backoff: time.Millisecond})
+	return NewRouter([]*Shard{{Name: "s0", URL: st.URL}}, Config{})
 }
 
 // post sends one simulate request through the router's handler.
@@ -83,7 +82,7 @@ func get(rt *Router, path string) *httptest.ResponseRecorder {
 // second is stored, and from then on the router answers it with the bytes
 // the shard produced, in that shard's name, without reaching the shard.
 func TestRouterCacheHit(t *testing.T) {
-	f := newTestFleet(t, 2, Config{}, nil)
+	f := newTestFleet(t, 2, nil)
 	req := tinyRequest(0)
 	var resps []*http.Response
 	var bodies [][]byte

@@ -81,13 +81,14 @@ func (s *Shard) noteSuccess() (recovered bool) {
 	return recovered
 }
 
+// failAfter is the consecutive probe or forward failures that mark a
+// shard down.
+const failAfter = 2
+
 // noteFailure records one failed probe or forward; after failAfter
 // consecutive failures the shard is marked down (rehashing its keys onto
 // the surviving shards). It reports whether this call did the mark-down.
-func (s *Shard) noteFailure(msg string, failAfter int) (wentDown bool) {
-	if failAfter <= 0 {
-		failAfter = 1
-	}
+func (s *Shard) noteFailure(msg string) (wentDown bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.fails++

@@ -77,9 +77,7 @@ func TestRingFailoverAndRecovery(t *testing.T) {
 		orig[k] = ring.Owner(k).Name
 	}
 	victim := ring.Owner(keys[0])
-	if !victim.noteFailure("probe: connection refused", 1) {
-		t.Fatal("first failure with failAfter=1 should mark the shard down")
-	}
+	markDown(t, victim)
 	if victim.Healthy() {
 		t.Fatal("shard still healthy after mark-down")
 	}
@@ -114,7 +112,7 @@ func TestCandidatesOrder(t *testing.T) {
 	if cands[0] != ring.Owner(key) {
 		t.Error("first candidate is not the owner")
 	}
-	cands[0].noteFailure("down", 1)
+	markDown(t, cands[0])
 	demoted := ring.Candidates(key)
 	if demoted[len(demoted)-1] != cands[0] {
 		t.Error("downed shard should sort last")
@@ -127,25 +125,37 @@ func TestCandidatesOrder(t *testing.T) {
 	}
 }
 
+// markDown fails s until its streak marks it down, checking that exactly
+// the failAfter-th consecutive failure does.
+func markDown(t *testing.T, s *Shard) {
+	t.Helper()
+	for i := 1; i < failAfter; i++ {
+		if s.noteFailure("early") {
+			t.Fatalf("went down after %d of %d failures", i, failAfter)
+		}
+	}
+	if !s.noteFailure("down") {
+		t.Fatalf("still up after %d consecutive failures", failAfter)
+	}
+}
+
 // TestShardFailureStreak: mark-down requires failAfter consecutive
 // failures, and a single success resets the streak.
 func TestShardFailureStreak(t *testing.T) {
 	s := &Shard{Name: "s0", URL: "http://s0.invalid"}
-	if s.noteFailure("one", 3) {
-		t.Error("went down after 1/3 failures")
+	if s.noteFailure("one") {
+		t.Error("went down after one failure")
 	}
 	s.noteSuccess()
-	if s.noteFailure("two", 3) || s.noteFailure("three", 3) {
-		t.Error("streak not reset by success")
+	markDown(t, s)
+	if s.Healthy() {
+		t.Error("shard healthy after mark-down")
 	}
-	if !s.noteFailure("four", 3) {
-		t.Error("should go down on the 3rd consecutive failure")
-	}
-	if s.noteFailure("five", 3) {
+	if s.noteFailure("again") {
 		t.Error("already-down shard reported a second mark-down transition")
 	}
-	if s.LastError() != "five" {
-		t.Errorf("LastError = %q, want %q", s.LastError(), "five")
+	if s.LastError() != "again" {
+		t.Errorf("LastError = %q, want %q", s.LastError(), "again")
 	}
 }
 
@@ -159,7 +169,7 @@ func TestShardHealthConcurrent(t *testing.T) {
 	s := &Shard{Name: "s0", URL: "http://s0.invalid"}
 	var wg sync.WaitGroup
 	for _, call := range []func(){
-		func() { s.noteFailure("probe failed", 2) },
+		func() { s.noteFailure("probe failed") },
 		func() { s.noteSuccess() },
 		func() { s.Healthy() },
 		func() { s.LastError() },

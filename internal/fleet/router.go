@@ -18,26 +18,22 @@ import (
 
 // Config tunes the Router. Zero values select fleet-sane defaults.
 type Config struct {
-	// Retries is how many additional candidates a failed forward tries
-	// (0 = default 2, so three shards see the request before it fails).
-	Retries int
-	// Backoff is the base delay before each retry; attempt k waits k×Backoff
-	// (0 = 50ms). Deliberately short: the fallback shard is healthy by the
-	// ring's estimate, the pause only spaces out a thundering herd.
-	Backoff time.Duration
 	// ProbeInterval is the health-probe period (0 = 1s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each probe (0 = ProbeInterval/2).
-	ProbeTimeout time.Duration
-	// FailAfter is the consecutive-failure mark-down threshold (0 = 2).
-	FailAfter int
 	// OnHealthChange, when non-nil, observes shard mark-down/up
 	// transitions (logging).
 	OnHealthChange func(s *Shard, up bool)
 }
 
-// maxRouterBody bounds router request bodies (matches the shard limit).
-const maxRouterBody = 1 << 20
+const (
+	// retries is how many additional candidates a failed forward tries, so
+	// three shards see the request before it fails.
+	retries = 2
+	// backoff is the base delay before each retry; attempt k waits
+	// k×backoff. Deliberately short: the fallback shard is healthy by the
+	// ring's estimate, the pause only spaces out a thundering herd.
+	backoff = 50 * time.Millisecond
+)
 
 // Router is the fleet front door: it owns the ring and the prober, and
 // forwards requests to the owning shard by canonical cache key — so
@@ -58,7 +54,6 @@ const maxRouterBody = 1 << 20
 // through the router.
 type Router struct {
 	ring   *Ring
-	cfg    Config
 	client *http.Client
 	prober *Prober
 	mux    *http.ServeMux
@@ -76,30 +71,17 @@ const shardIdleConns = 64
 // NewRouter builds a router over the shard set. Call Start to begin
 // health probing and Close to stop it.
 func NewRouter(shards []*Shard, cfg Config) *Router {
-	if cfg.Retries <= 0 {
-		cfg.Retries = 2
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 50 * time.Millisecond
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = time.Second
-	}
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 2
-	}
 	transport := http.DefaultTransport.(*http.Transport).Clone()
 	transport.MaxIdleConnsPerHost = shardIdleConns
 	rt := &Router{
 		ring: NewRing(shards),
-		cfg:  cfg,
 		// No client-level timeout: a forwarded simulation takes as long as
 		// it takes (the shard's -sync-timeout bounds it), and the incoming
 		// request's context cancels the forward when the client goes away.
 		client: &http.Client{Transport: transport},
 		cache:  newRespCache(),
 	}
-	rt.prober = NewProber(rt.ring, cfg.ProbeInterval, cfg.ProbeTimeout, cfg.FailAfter, cfg.OnHealthChange)
+	rt.prober = NewProber(rt.ring, cfg.ProbeInterval, cfg.OnHealthChange)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/simulate", rt.handleSimulate)
@@ -122,23 +104,6 @@ func (rt *Router) Start() { rt.prober.Start() }
 // Close stops health probing.
 func (rt *Router) Close() { rt.prober.Stop() }
 
-// writeJSON/writeError mirror the shard-side envelope so clients see one
-// error shape fleet-wide.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // the response is already committed
-}
-
-type apiError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, map[string]apiError{"error": {Code: code, Message: fmt.Sprintf(format, args...)}})
-}
-
 var errNoShards = errors.New("fleet: no shards configured")
 
 // retryableStatus reports whether a shard response should fail over to
@@ -158,7 +123,7 @@ func (rt *Router) forward(ctx context.Context, key string, body []byte) (*http.R
 	if len(cands) == 0 {
 		return nil, nil, errNoShards
 	}
-	attempts := rt.cfg.Retries + 1
+	attempts := retries + 1
 	if attempts > len(cands) {
 		attempts = len(cands)
 	}
@@ -167,7 +132,7 @@ func (rt *Router) forward(ctx context.Context, key string, body []byte) (*http.R
 		if i > 0 {
 			rt.failovers.Add(1)
 			select {
-			case <-time.After(time.Duration(i) * rt.cfg.Backoff):
+			case <-time.After(time.Duration(i) * backoff):
 			case <-ctx.Done():
 				return nil, nil, ctx.Err()
 			}
@@ -180,13 +145,13 @@ func (rt *Router) forward(ctx context.Context, key string, body []byte) (*http.R
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := rt.client.Do(req)
 		if err != nil {
-			shard.noteFailure("forward: "+err.Error(), rt.cfg.FailAfter)
+			shard.noteFailure("forward: " + err.Error())
 			lastErr = err
 			continue
 		}
 		if retryableStatus(resp.StatusCode) {
 			drainClose(resp.Body)
-			shard.noteFailure("forward: "+resp.Status, rt.cfg.FailAfter)
+			shard.noteFailure("forward: " + resp.Status)
 			lastErr = fmt.Errorf("fleet: shard %s: %s", shard.Name, resp.Status)
 			continue
 		}
@@ -197,25 +162,6 @@ func (rt *Router) forward(ctx context.Context, key string, body []byte) (*http.R
 	return nil, nil, lastErr
 }
 
-// decodeBody reads and validates one simulation request, mirroring the
-// shard's validation so obviously-bad requests bounce at the router.
-func decodeBody(w http.ResponseWriter, r *http.Request) (req sim.Request, body []byte, ok bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRouterBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "validation", "reading body: %v", err)
-		return req, nil, false
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "validation", "%v", err)
-		return req, nil, false
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "validation", "%v", err)
-		return req, nil, false
-	}
-	return req, body, true
-}
-
 // handleSimulate answers a stored key from the router cache. Otherwise
 // it routes the request to its key's owner and streams the shard's
 // response through verbatim; from a key's second forward on, it keeps a
@@ -223,7 +169,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request) (req sim.Request, body [
 // (server.Attests) and stores it. Either way it stamps the routing
 // headers so clients and load harnesses can see placement.
 func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, body, ok := decodeBody(w, r)
+	req, body, ok := server.ReadRequest(w, r)
 	if !ok {
 		return
 	}
@@ -239,7 +185,7 @@ func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, shard, err := rt.forward(r.Context(), key, body)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "no_shard", "no shard could serve the request: %v", err)
+		server.WriteError(w, http.StatusBadGateway, "no_shard", "no shard could serve the request: %v", err)
 		return
 	}
 	defer resp.Body.Close()
@@ -263,10 +209,10 @@ func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	healthy := rt.ring.HealthyCount()
 	if healthy == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "no_healthy_shards", "shards_healthy": 0})
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "no_healthy_shards", "shards_healthy": 0})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards_healthy": healthy})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards_healthy": healthy})
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -285,28 +231,18 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, s := range rt.ring.Shards() {
 		fmt.Fprintf(w, "gpurouter_requests_routed_total{shard=%q} %d\n", s.Name, s.Routed())
 	}
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("gpurouter_failovers_total", "Forward attempts that fell over to a lower-preference shard.", rt.failovers.Load())
-	counter("gpurouter_forward_errors_total", "Forwards that exhausted every candidate.", rt.fwdErrors.Load())
+	server.WriteCounter(w, "gpurouter_failovers_total", "Forward attempts that fell over to a lower-preference shard.", rt.failovers.Load())
+	server.WriteCounter(w, "gpurouter_forward_errors_total", "Forwards that exhausted every candidate.", rt.fwdErrors.Load())
 	cs := rt.cache.stats()
-	counter("gpurouter_cache_hits_total", "Requests answered from the router cache.", cs.Hits)
-	counter("gpurouter_cache_misses_total", "Requests the router cache did not hold.", cs.Misses)
-	counter("gpurouter_cache_evictions_total", "Router cache entries evicted, oldest first, by the byte budget.", cs.Evictions)
+	server.WriteCounter(w, "gpurouter_cache_hits_total", "Requests answered from the router cache.", cs.Hits)
+	server.WriteCounter(w, "gpurouter_cache_misses_total", "Requests the router cache did not hold.", cs.Misses)
+	server.WriteCounter(w, "gpurouter_cache_evictions_total", "Router cache entries evicted, oldest first, by the byte budget.", cs.Evictions)
 	fmt.Fprintf(w, "# HELP gpurouter_cache_bytes Bytes of keys and replies the router cache holds.\n")
 	fmt.Fprintf(w, "# TYPE gpurouter_cache_bytes gauge\n")
 	fmt.Fprintf(w, "gpurouter_cache_bytes %d\n", cs.Bytes)
 	fmt.Fprintf(w, "# HELP gpurouter_shards_healthy Healthy shards in the ring.\n")
 	fmt.Fprintf(w, "# TYPE gpurouter_shards_healthy gauge\n")
 	fmt.Fprintf(w, "gpurouter_shards_healthy %d\n", rt.ring.HealthyCount())
-}
-
-// shardStatsPayload mirrors the shard's GET /v1/stats JSON (the fields
-// the router aggregates).
-type shardStatsPayload struct {
-	Ready bool      `json:"ready"`
-	Sim   sim.Stats `json:"sim"`
 }
 
 // handleFleetStats aggregates per-shard /v1/stats into the fleet view the
@@ -338,7 +274,7 @@ func (rt *Router) handleFleetStats(w http.ResponseWriter, r *http.Request) {
 				var resp *http.Response
 				resp, err = rt.client.Do(req)
 				if err == nil {
-					var payload shardStatsPayload
+					var payload server.StatsView
 					err = json.NewDecoder(resp.Body).Decode(&payload)
 					resp.Body.Close()
 					if err == nil {
@@ -363,24 +299,10 @@ func (rt *Router) handleFleetStats(w http.ResponseWriter, r *http.Request) {
 		if v.Sim == nil {
 			continue
 		}
-		agg.Simulated += v.Sim.Simulated
-		agg.Reused += v.Sim.Reused
-		agg.MemoHits += v.Sim.MemoHits
-		agg.DiskHits += v.Sim.DiskHits
-		agg.PeerHits += v.Sim.PeerHits
-		agg.DiskEvictions += v.Sim.DiskEvictions
-		agg.Evicted += v.Sim.Evicted
-		agg.WallSeconds += v.Sim.WallSeconds
-		agg.SimCycles += v.Sim.SimCycles
+		agg.Add(*v.Sim)
 	}
 	cs := rt.cache.stats()
-	hits := cs.Hits + uint64(agg.MemoHits+agg.DiskHits+agg.PeerHits)
-	total := hits + uint64(agg.Simulated)
-	rate := 0.0
-	if total > 0 {
-		rate = float64(hits) / float64(total)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"fleet": map[string]any{
 			"shards_total":    len(shards),
 			"shards_healthy":  rt.ring.HealthyCount(),
@@ -388,7 +310,7 @@ func (rt *Router) handleFleetStats(w http.ResponseWriter, r *http.Request) {
 			"failovers":       rt.failovers.Load(),
 			"forward_errors":  rt.fwdErrors.Load(),
 			"router_cache":    cs,
-			"dedup_hit_rate":  rate,
+			"dedup_hit_rate":  sim.DedupRate(int(cs.Hits)+agg.Hits(), agg.Simulated),
 			"sim":             agg,
 		},
 		"shards": views,

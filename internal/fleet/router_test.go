@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,9 +39,11 @@ type testFleet struct {
 	front   *httptest.Server
 	shards  []*httptest.Server
 	service []*sim.Service
+	// received counts the POST /v1/simulate requests the shards saw.
+	received atomic.Int64
 }
 
-func newTestFleet(t *testing.T, n int, cfg Config, optFor func(i int) sim.Options) *testFleet {
+func newTestFleet(t *testing.T, n int, optFor func(i int) sim.Options) *testFleet {
 	t.Helper()
 	f := &testFleet{}
 	members := make([]*Shard, n)
@@ -49,16 +53,19 @@ func newTestFleet(t *testing.T, n int, cfg Config, optFor func(i int) sim.Option
 			opt = optFor(i)
 		}
 		svc := sim.NewService(opt)
-		ts := httptest.NewServer(server.New(svc, server.Config{}).Handler())
+		h := server.New(svc, server.Config{}).Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/simulate" {
+				f.received.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
 		t.Cleanup(ts.Close)
 		f.service = append(f.service, svc)
 		f.shards = append(f.shards, ts)
 		members[i] = &Shard{Name: fmt.Sprintf("s%d", i), URL: ts.URL}
 	}
-	if cfg.Backoff == 0 {
-		cfg.Backoff = time.Millisecond
-	}
-	f.router = NewRouter(members, cfg)
+	f.router = NewRouter(members, Config{})
 	f.front = httptest.NewServer(f.router.Handler())
 	t.Cleanup(f.front.Close)
 	return f
@@ -115,7 +122,7 @@ func (f *testFleet) fleetStats(t *testing.T) (dedupRate float64, agg sim.Stats, 
 // coalesce there — the fleet simulates each unique request exactly once.
 // The router stores each key's second reply, for a third request to hit.
 func TestFleetWideDedup(t *testing.T) {
-	f := newTestFleet(t, 2, Config{}, nil)
+	f := newTestFleet(t, 2, nil)
 	const unique = 4
 	shardFor := map[string]string{}
 	for pass := 0; pass < 2; pass++ {
@@ -226,24 +233,35 @@ func TestPeerCacheFetch(t *testing.T) {
 
 // TestShardDownFailover: killing a shard mid-fleet reroutes its keys to
 // the survivor — the client sees a success, the router records the
-// failover, and the dead shard is marked down by traffic alone.
+// failover, and the dead shard is marked down by traffic alone, once
+// failAfter forwards to it have failed.
 func TestShardDownFailover(t *testing.T) {
-	f := newTestFleet(t, 2, Config{FailAfter: 1, Retries: 2}, nil)
+	f := newTestFleet(t, 2, nil)
 	req := f.keyOwnedBy(t, "s0")
 	f.shards[0].Close()
 
-	resp, body := f.simulate(t, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("simulate after shard death: %s: %s", resp.Status, body)
+	// Each request fails on s0 and falls over to s1; from the key's second
+	// forward on, the router also stores s1's reply in its cache.
+	s0 := f.router.Ring().Shards()[0]
+	var body []byte
+	for i := 1; i <= failAfter; i++ {
+		resp, b := f.simulate(t, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("simulate %d after shard death: %s: %s", i, resp.Status, b)
+		}
+		if shard := resp.Header.Get("X-Fleet-Shard"); shard != "s1" {
+			t.Errorf("request %d served by %q, want the survivor s1", i, shard)
+		}
+		if body != nil && !bytes.Equal(b, body) {
+			t.Errorf("request %d: the survivor's replies differ", i)
+		}
+		body = b
+		if got, want := s0.Healthy(), i < failAfter; got != want {
+			t.Errorf("after %d failed forwards the dead shard is healthy=%v, want %v", i, got, want)
+		}
 	}
-	if shard := resp.Header.Get("X-Fleet-Shard"); shard != "s1" {
-		t.Errorf("served by %q, want the survivor s1", shard)
-	}
-	if got := f.router.failovers.Load(); got == 0 {
-		t.Error("failover counter still 0 after a rerouted request")
-	}
-	if s0 := f.router.Ring().Shards()[0]; s0.Healthy() {
-		t.Error("dead shard still marked healthy after a forward failure with FailAfter=1")
+	if got := f.router.failovers.Load(); got != failAfter {
+		t.Errorf("failover counter = %d, want one per failed forward (%d)", got, failAfter)
 	}
 	// The router's /metrics shows the same.
 	mr, err := http.Get(f.front.URL + "/metrics")
@@ -253,7 +271,7 @@ func TestShardDownFailover(t *testing.T) {
 	metrics := new(bytes.Buffer)
 	metrics.ReadFrom(mr.Body) //nolint:errcheck // test helper
 	mr.Body.Close()
-	for _, want := range []string{`gpurouter_shard_healthy{shard="s0"} 0`, "gpurouter_failovers_total 1", "gpurouter_shards_healthy 1"} {
+	for _, want := range []string{`gpurouter_shard_healthy{shard="s0"} 0`, fmt.Sprintf("gpurouter_failovers_total %d", failAfter), "gpurouter_shards_healthy 1"} {
 		if !bytes.Contains(metrics.Bytes(), []byte(want)) {
 			t.Errorf("router /metrics missing %q:\n%s", want, metrics)
 		}
@@ -267,13 +285,9 @@ func TestShardDownFailover(t *testing.T) {
 	if rr.StatusCode != http.StatusOK {
 		t.Errorf("readyz = %s with a healthy survivor, want 200", rr.Status)
 	}
-	// The second request stores the survivor's reply in the router cache.
-	if resp2, body2 := f.simulate(t, req); resp2.StatusCode != http.StatusOK || !bytes.Equal(body2, body) {
-		t.Fatalf("second request: %s: %s", resp2.Status, body2)
-	}
 	// ...and flips unready when the survivor dies too.
 	f.shards[1].Close()
-	f.router.Ring().Shards()[1].noteFailure("closed", 1)
+	markDown(t, f.router.Ring().Shards()[1])
 	rr2, err := http.Get(f.front.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +327,7 @@ func TestProberMarksDownAndRecovers(t *testing.T) {
 	down := make(chan bool, 16)
 	shard := &Shard{Name: "s0", URL: backend.URL}
 	ring := NewRing([]*Shard{shard})
-	prober := NewProber(ring, 5*time.Millisecond, 0, 1, func(s *Shard, up bool) { down <- up })
+	prober := NewProber(ring, 20*time.Millisecond, func(s *Shard, up bool) { down <- up })
 	prober.Start()
 	defer prober.Stop()
 
@@ -337,5 +351,57 @@ func TestProberMarksDownAndRecovers(t *testing.T) {
 	}
 	if !shard.Healthy() {
 		t.Error("shard unhealthy after recovery")
+	}
+}
+
+// postBody sends a raw simulate body and returns the status and reply.
+func postBody(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/simulate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("simulate: %v", err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading reply: %v", err)
+	}
+	return resp.StatusCode, data
+}
+
+// TestRouterRejectsMalformedBodies replays server.TestErrorShapes's
+// malformed bodies through the router: it answers with the shard's own
+// 400, byte for byte, and forwards nothing. timeout_ms is an envelope
+// field only a shard reads, so that body still goes to one shard, whose
+// 400 is relayed as is.
+func TestRouterRejectsMalformedBodies(t *testing.T) {
+	f := newTestFleet(t, 2, nil)
+	for _, c := range []struct {
+		body      string
+		forwarded int64
+	}{
+		{`{"workloads":["no-such"]}`, 0},
+		{`{"workloads":[]}`, 0},
+		{`not json`, 0},
+		{`{"workloads":["vadd"],"sched":"nope"}`, 0},
+		{`{"workloads":["vadd"],"timeout_ms":-1}`, 1},
+	} {
+		shardCode, want := postBody(t, f.shards[0].URL, c.body)
+		var env struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(want, &env); err != nil || shardCode != http.StatusBadRequest || env.Error.Code != "validation" {
+			t.Fatalf("shard answers %s with %d %s, want a 400 validation envelope", c.body, shardCode, want)
+		}
+		before := f.received.Load()
+		code, got := postBody(t, f.front.URL, c.body)
+		if code != shardCode || !bytes.Equal(got, want) {
+			t.Errorf("router answers %s with %d %s, want the shard's %d %s", c.body, code, got, shardCode, want)
+		}
+		if n := f.received.Load() - before; n != c.forwarded {
+			t.Errorf("%s reached the shards %d times, want %d", c.body, n, c.forwarded)
+		}
 	}
 }

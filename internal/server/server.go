@@ -92,47 +92,40 @@ type apiError struct {
 	Message string `json:"message"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON reply with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // the response is already committed
 }
 
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, map[string]apiError{"error": {Code: code, Message: fmt.Sprintf(format, args...)}})
+// WriteError writes the structured error envelope, the one error shape
+// of the shards and the router.
+func WriteError(w http.ResponseWriter, status int, code, format string, args ...any) {
+	WriteJSON(w, status, map[string]apiError{"error": {Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
 // maxBodyBytes bounds request bodies; simulation requests are tiny.
 const maxBodyBytes = 1 << 20
 
-// decodeRequest reads a flat simulation-request body plus the envelope
-// fields, writing a structured 400 itself when the payload is bad.
-func decodeRequest(w http.ResponseWriter, r *http.Request) (req sim.Request, timeout time.Duration, ok bool) {
+// ReadRequest reads, decodes and validates a flat simulation-request
+// body, writing a structured 400 itself when the payload is bad. It
+// returns the body too, for a router to forward as is.
+func ReadRequest(w http.ResponseWriter, r *http.Request) (req sim.Request, body []byte, ok bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "validation", "reading body: %v", err)
-		return req, 0, false
+		WriteError(w, http.StatusBadRequest, "validation", "reading body: %v", err)
+		return req, nil, false
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "validation", "%v", err)
-		return req, 0, false
+		WriteError(w, http.StatusBadRequest, "validation", "%v", err)
+		return req, nil, false
 	}
 	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "validation", "%v", err)
-		return req, 0, false
+		WriteError(w, http.StatusBadRequest, "validation", "%v", err)
+		return req, nil, false
 	}
-	var env struct {
-		TimeoutMS int64 `json:"timeout_ms"`
-	}
-	if err := json.Unmarshal(body, &env); err != nil {
-		writeError(w, http.StatusBadRequest, "validation", "envelope: %v", err)
-		return req, 0, false
-	}
-	if env.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, "validation", "timeout_ms must be >= 0 (got %d)", env.TimeoutMS)
-		return req, 0, false
-	}
-	return req, time.Duration(env.TimeoutMS) * time.Millisecond, true
+	return req, body, true
 }
 
 // Attest stamps a reply to POST /v1/simulate with what it answers: the
@@ -149,14 +142,26 @@ func Attests(h http.Header, key string) bool {
 }
 
 // handleSimulate runs one request under the sync timeout (or the
-// request's shorter timeout_ms) and returns the outcome in one round
-// trip. The simulation runs on the request's context, so a client that
-// disconnects cancels it.
+// request's shorter timeout_ms, the one envelope field) and returns the
+// outcome in one round trip. The simulation runs on the request's
+// context, so a client that disconnects cancels it.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, timeout, ok := decodeRequest(w, r)
+	req, body, ok := ReadRequest(w, r)
 	if !ok {
 		return
 	}
+	var env struct {
+		TimeoutMS int64 `json:"timeout_ms"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		WriteError(w, http.StatusBadRequest, "validation", "envelope: %v", err)
+		return
+	}
+	if env.TimeoutMS < 0 {
+		WriteError(w, http.StatusBadRequest, "validation", "timeout_ms must be >= 0 (got %d)", env.TimeoutMS)
+		return
+	}
+	timeout := time.Duration(env.TimeoutMS) * time.Millisecond
 	if timeout <= 0 || timeout > s.cfg.SyncTimeout {
 		timeout = s.cfg.SyncTimeout
 	}
@@ -167,23 +172,23 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 		key := req.Key()
 		Attest(w.Header(), key)
-		writeJSON(w, http.StatusOK, map[string]any{"key": key, "outcome": out})
+		WriteJSON(w, http.StatusOK, map[string]any{"key": key, "outcome": out})
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, "deadline", "simulation exceeded %v", timeout)
+		WriteError(w, http.StatusGatewayTimeout, "deadline", "simulation exceeded %v", timeout)
 	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusInternalServerError, "canceled", "%v", err)
+		WriteError(w, http.StatusInternalServerError, "canceled", "%v", err)
 	default:
-		writeError(w, http.StatusInternalServerError, "simulation", "%v", err)
+		WriteError(w, http.StatusInternalServerError, "simulation", "%v", err)
 	}
 }
 
 // handleReady is readiness: the signal health probes and routers act on.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if !s.Ready() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleCacheGet serves one content-addressed result-cache entry — the
@@ -194,23 +199,23 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	addr := r.PathValue("addr")
 	data, ok := s.svc.CacheEntryBytes(addr)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "no cache entry %q", addr)
+		WriteError(w, http.StatusNotFound, "not_found", "no cache entry %q", addr)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data) //nolint:errcheck // best-effort cache protocol
 }
 
-// statsView is the JSON shape of GET /v1/stats: everything a router or a
+// StatsView is the JSON shape of GET /v1/stats: everything a router or a
 // load harness needs to aggregate fleet behaviour without parsing the
 // Prometheus text form.
-type statsView struct {
+type StatsView struct {
 	Ready bool      `json:"ready"`
 	Sim   sim.Stats `json:"sim"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, statsView{Ready: s.Ready(), Sim: s.svc.Stats()})
+	WriteJSON(w, http.StatusOK, StatsView{Ready: s.Ready(), Sim: s.svc.Stats()})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -380,7 +380,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("stats: %d", code)
 	}
-	var view statsView
+	var view StatsView
 	if err := json.Unmarshal(data, &view); err != nil {
 		t.Fatalf("decoding stats: %v (%s)", err, data)
 	}

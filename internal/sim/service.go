@@ -75,6 +75,45 @@ type Stats struct {
 	SimCycles   uint64
 }
 
+// Add sums o into s, field by field: a fleet's stats are its shards' sum.
+func (s *Stats) Add(o Stats) {
+	s.Simulated += o.Simulated
+	s.Reused += o.Reused
+	s.MemoHits += o.MemoHits
+	s.DiskHits += o.DiskHits
+	s.PeerHits += o.PeerHits
+	s.DiskEvictions += o.DiskEvictions
+	s.Evicted += o.Evicted
+	s.WallSeconds += o.WallSeconds
+	s.SimCycles += o.SimCycles
+}
+
+// Sub takes o from s, field by field: the counts between two snapshots.
+func (s *Stats) Sub(o Stats) {
+	s.Simulated -= o.Simulated
+	s.Reused -= o.Reused
+	s.MemoHits -= o.MemoHits
+	s.DiskHits -= o.DiskHits
+	s.PeerHits -= o.PeerHits
+	s.DiskEvictions -= o.DiskEvictions
+	s.Evicted -= o.Evicted
+	s.WallSeconds -= o.WallSeconds
+	s.SimCycles -= o.SimCycles
+}
+
+// Hits counts the requests answered without a simulation: memo, disk and
+// peer hits.
+func (s Stats) Hits() int { return s.MemoHits + s.DiskHits + s.PeerHits }
+
+// DedupRate is hits / (hits + simulated), the share of requests answered
+// without paying for a simulation (0 when there were none).
+func DedupRate(hits, simulated int) float64 {
+	if hits+simulated == 0 {
+		return 0
+	}
+	return float64(hits) / float64(hits+simulated)
+}
+
 // machines holds finished machines for the next simulation to be built in
 // (gpu.Renew): tag stores, MSHR files, queues and CTA and warp contexts make
 // up most of what a short simulation allocates. It is shared by every

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -184,6 +185,47 @@ func TestRequestKeyDistinguishesInputs(t *testing.T) {
 	}
 	if base.Key() != tinyRequest("vadd", sim.Baseline()).Key() {
 		t.Error("identical requests produced different keys")
+	}
+}
+
+// TestStatsAddSumsEveryField: Add sums and Sub subtracts every exported
+// field of Stats, so a new counter cannot silently drop out of the fleet's
+// aggregate (GET /v1/fleet/stats) or a load harness's delta.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b sim.Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	set := func(f reflect.Value, n int) {
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(n))
+		case reflect.Uint64:
+			f.SetUint(uint64(n))
+		case reflect.Float64:
+			f.SetFloat(float64(n))
+		default:
+			t.Fatalf("Stats field of kind %s: extend Add, Sub and this test", f.Kind())
+		}
+	}
+	for i := 0; i < va.NumField(); i++ {
+		set(va.Field(i), i+1)
+		set(vb.Field(i), 100*(i+1))
+	}
+	var want sim.Stats
+	vw := reflect.ValueOf(&want).Elem()
+	for i := 0; i < vw.NumField(); i++ {
+		set(vw.Field(i), 101*(i+1))
+	}
+	sum := a
+	sum.Add(b)
+	if sum != want {
+		t.Errorf("Add = %+v, want every field summed: %+v", sum, want)
+	}
+	sum.Sub(b)
+	if sum != a {
+		t.Errorf("Sub = %+v, want %+v back", sum, a)
+	}
+	if hits := a.MemoHits + a.DiskHits + a.PeerHits; a.Hits() != hits || sim.DedupRate(hits, 1) != float64(hits)/float64(hits+1) {
+		t.Errorf("Hits() = %d, DedupRate(%d, 1) = %v: want memo + disk + peer hits and their share", a.Hits(), hits, sim.DedupRate(hits, 1))
 	}
 }
 
