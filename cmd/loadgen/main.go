@@ -56,7 +56,8 @@ func (c counters) dedupRate() float64 {
 }
 
 // fetchCounters reads the target's aggregated sim counters; it tries the
-// router's fleet endpoint first and falls back to a shard's /v1/stats.
+// router's fleet endpoint first and falls back to a shard's /v1/stats. It
+// fails, naming them, when some shards' counters are missing from the sum.
 func fetchCounters(client *http.Client, target string) (counters, error) {
 	resp, err := client.Get(target + "/v1/fleet/stats")
 	if err == nil && resp.StatusCode == http.StatusOK {
@@ -68,9 +69,25 @@ func fetchCounters(client *http.Client, target string) (counters, error) {
 					Hits int `json:"hits"`
 				} `json:"router_cache"`
 			} `json:"fleet"`
+			Shards []struct {
+				Name     string     `json:"name"`
+				Sim      *sim.Stats `json:"sim"`
+				StatsErr string     `json:"stats_error"`
+			} `json:"shards"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 			return counters{}, err
+		}
+		// A sum that leaves out a shard is no baseline: a delta across it
+		// would subtract counters that were never added.
+		var missing []string
+		for _, sh := range payload.Shards {
+			if sh.Sim == nil {
+				missing = append(missing, fmt.Sprintf("%s (%s)", sh.Name, sh.StatsErr))
+			}
+		}
+		if len(missing) > 0 {
+			return counters{}, fmt.Errorf("fleet stats leave out shards %s", strings.Join(missing, ", "))
 		}
 		return counters{sim: payload.Fleet.Sim, routerHits: payload.Fleet.RouterCache.Hits}, nil
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -61,20 +62,38 @@ func TestSimCountersRouterHits(t *testing.T) {
 }
 
 // newLoadgenFleet boots a real 2-shard fleet behind a router, all over
-// httptest, and returns the router's base URL.
-func newLoadgenFleet(t *testing.T) string {
+// httptest, and returns the router's base URL and the shards' servers.
+func newLoadgenFleet(t *testing.T) (string, []*httptest.Server) {
 	t.Helper()
 	var members []*fleet.Shard
+	var shards []*httptest.Server
 	for _, name := range []string{"s0", "s1"} {
 		svc := sim.NewService(sim.Options{CacheDir: t.TempDir()})
 		ts := httptest.NewServer(server.New(svc, server.Config{}).Handler())
 		t.Cleanup(ts.Close)
 		members = append(members, &fleet.Shard{Name: name, URL: ts.URL})
+		shards = append(shards, ts)
 	}
 	router := fleet.NewRouter(members, fleet.Config{})
 	front := httptest.NewServer(router.Handler())
 	t.Cleanup(front.Close)
-	return front.URL
+	return front.URL, shards
+}
+
+// TestFetchCountersShardDown: with a shard stopped, the router's sum is
+// partial, and fetchCounters refuses it with an error naming that shard
+// instead of returning a baseline a later delta would underflow against.
+func TestFetchCountersShardDown(t *testing.T) {
+	target, shards := newLoadgenFleet(t)
+	client := &http.Client{Timeout: 10 * time.Second}
+	if _, err := fetchCounters(client, target); err != nil {
+		t.Fatalf("fetchCounters with every shard up: %v", err)
+	}
+	shards[1].Close()
+	_, err := fetchCounters(client, target)
+	if err == nil || !strings.Contains(err.Error(), "s1 (") || strings.Contains(err.Error(), "s0") {
+		t.Errorf("fetchCounters with s1 down: err = %v, want one naming s1 alone", err)
+	}
 }
 
 // TestLoadgenAgainstFleet: the full harness path — loadgen drives a
@@ -82,7 +101,7 @@ func newLoadgenFleet(t *testing.T) string {
 // schedule guarantees (24 requests over 4 keys).
 func TestLoadgenAgainstFleet(t *testing.T) {
 	t.Run("simulate", func(t *testing.T) {
-		target := newLoadgenFleet(t)
+		target, _ := newLoadgenFleet(t)
 		var stdout, stderr bytes.Buffer
 		code := run([]string{
 			"-target", target,

@@ -247,7 +247,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleFleetStats aggregates per-shard /v1/stats into the fleet view the
 // load harness reports: fleet-wide dedup hit rate, per-shard balance, and
-// routing and router-cache counters.
+// routing and router-cache counters. `sim` sums the shards that answered
+// (`shards_reporting` of them); `dedup_hit_rate` is null unless all did.
 func (rt *Router) handleFleetStats(w http.ResponseWriter, r *http.Request) {
 	shards := rt.ring.Shards()
 	type shardView struct {
@@ -294,24 +295,32 @@ func (rt *Router) handleFleetStats(w http.ResponseWriter, r *http.Request) {
 
 	var agg sim.Stats
 	var routedTotal uint64
+	reporting := 0
 	for _, v := range views {
 		routedTotal += v.Routed
 		if v.Sim == nil {
 			continue
 		}
+		reporting++
 		agg.Add(*v.Sim)
 	}
 	cs := rt.cache.stats()
+	// A rate over some shards' counters is not the fleet's.
+	var dedupRate any
+	if reporting == len(shards) {
+		dedupRate = sim.DedupRate(int(cs.Hits)+agg.Hits(), agg.Simulated)
+	}
 	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"fleet": map[string]any{
-			"shards_total":    len(shards),
-			"shards_healthy":  rt.ring.HealthyCount(),
-			"requests_routed": routedTotal,
-			"failovers":       rt.failovers.Load(),
-			"forward_errors":  rt.fwdErrors.Load(),
-			"router_cache":    cs,
-			"dedup_hit_rate":  sim.DedupRate(int(cs.Hits)+agg.Hits(), agg.Simulated),
-			"sim":             agg,
+			"shards_total":     len(shards),
+			"shards_healthy":   rt.ring.HealthyCount(),
+			"shards_reporting": reporting,
+			"requests_routed":  routedTotal,
+			"failovers":        rt.failovers.Load(),
+			"forward_errors":   rt.fwdErrors.Load(),
+			"router_cache":     cs,
+			"dedup_hit_rate":   dedupRate,
+			"sim":              agg,
 		},
 		"shards": views,
 	})

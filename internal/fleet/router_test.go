@@ -181,6 +181,48 @@ func TestFleetWideDedup(t *testing.T) {
 	}
 }
 
+// TestFleetStatsShardDown: with one of two shards stopped, the fleet view
+// counts the live shard alone, says so in shards_reporting, and gives no
+// dedup rate instead of one over half the fleet.
+func TestFleetStatsShardDown(t *testing.T) {
+	f := newTestFleet(t, 2, nil)
+	for _, name := range []string{"s0", "s1"} {
+		req := f.keyOwnedBy(t, name)
+		for i := 0; i < 2; i++ { // one simulation and one memo hit per shard
+			if resp, body := f.simulate(t, req); resp.StatusCode != http.StatusOK {
+				t.Fatalf("simulate on %s: %s: %s", name, resp.Status, body)
+			}
+		}
+	}
+	f.shards[1].Close()
+	resp, err := http.Get(f.front.URL + "/v1/fleet/stats")
+	if err != nil {
+		t.Fatalf("fleet stats: %v", err)
+	}
+	defer resp.Body.Close()
+	var payload struct {
+		Fleet struct {
+			ShardsTotal     int             `json:"shards_total"`
+			ShardsReporting int             `json:"shards_reporting"`
+			DedupHitRate    json.RawMessage `json:"dedup_hit_rate"`
+			Sim             sim.Stats       `json:"sim"`
+		} `json:"fleet"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
+		t.Fatalf("decoding fleet stats: %v", err)
+	}
+	fv := payload.Fleet
+	if fv.ShardsTotal != 2 || fv.ShardsReporting != 1 {
+		t.Errorf("shards_total %d, shards_reporting %d; want 2 and 1", fv.ShardsTotal, fv.ShardsReporting)
+	}
+	if string(fv.DedupHitRate) != "null" {
+		t.Errorf("dedup_hit_rate = %s with a shard down, want null", fv.DedupHitRate)
+	}
+	if want := f.service[0].Stats(); fv.Sim != want || want.Simulated != 1 || want.MemoHits != 1 {
+		t.Errorf("fleet sim = %+v, want the live shard's %+v (1 simulated, 1 memo hit)", fv.Sim, want)
+	}
+}
+
 // TestPeerCacheFetch: a shard wired with PeerCache satisfies a local miss
 // from a peer's /v1/cache endpoint instead of resimulating.
 func TestPeerCacheFetch(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"gpusched/internal/isa"
 )
 
+// BenchmarkCacheLookupHit cycles through four lines of each set of a 4-way
+// cache, so every lookup hits the least recently used way: the longest shift.
 func BenchmarkCacheLookupHit(b *testing.B) {
 	c := NewCache(16*1024, 128, 4)
 	for i := 0; i < 128; i++ {
@@ -14,6 +16,19 @@ func BenchmarkCacheLookupHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Lookup(uint64((i%128)*128), false)
+	}
+}
+
+// BenchmarkCacheLookupMRU looks up one line per set, so every lookup hits
+// the most recently used way and shifts nothing.
+func BenchmarkCacheLookupMRU(b *testing.B) {
+	c := NewCache(16*1024, 128, 4)
+	for i := 0; i < 128; i++ {
+		c.Fill(uint64(i*128), false)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Lookup(uint64((i%32)*128), false)
 	}
 }
 

@@ -16,16 +16,15 @@ type Cache struct {
 	// lines[i*ways : (i+1)*ways]. One flat backing array instead of a slice
 	// per set — a simulation builds one cache per core plus the L2 slices,
 	// and the per-set headers were a measurable share of its setup
-	// allocations. Each line is one packed word, tag<<2 | dirty | valid, and
-	// lastUse[i] is line i's LRU stamp: 16 bytes a line. Line addresses stay
-	// far below 2^62 (kernel address spaces are 2^33 bytes apart), so the
-	// shifted tag is exact.
+	// allocations. Each line is one packed word, tag<<2 | dirty | valid: 8
+	// bytes a line (line addresses stay far below 2^62, so the shifted tag
+	// is exact). A set keeps its lines most recently used first, so LRU
+	// needs no stamp. Its valid lines are a prefix of it: renewCache zeroes
+	// the store, a fill takes the first invalid way, nothing invalidates.
 	lines     []uint64
-	lastUse   []uint64
 	ways      int
 	setMask   uint64
 	lineShift uint
-	useClock  uint64
 	// Stats accumulates hit/miss counters. Accesses through helper methods
 	// on L1/L2 front-ends update it; direct Lookup/Fill calls do not.
 	Stats stats.Cache
@@ -45,7 +44,7 @@ func NewCache(sizeBytes, lineBytes, ways int) *Cache {
 }
 
 // renewCache is NewCache built in c's tag store (c nil: a new one): every
-// line invalid, LRU clock and counters zero.
+// line invalid and counters zero.
 func renewCache(c *Cache, sizeBytes, lineBytes, ways int) *Cache {
 	if sizeBytes <= 0 || lineBytes <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("mem: invalid cache geometry %d/%d/%d", sizeBytes, lineBytes, ways))
@@ -64,7 +63,6 @@ func renewCache(c *Cache, sizeBytes, lineBytes, ways int) *Cache {
 	}
 	*c = Cache{
 		lines:     reuse(c.lines, numSets*ways),
-		lastUse:   reuse(c.lastUse, numSets*ways),
 		ways:      ways,
 		setMask:   uint64(numSets - 1),
 		lineShift: shift,
@@ -79,22 +77,30 @@ func (c *Cache) index(lineAddr uint64) (base int, want uint64) {
 	return int(tag&c.setMask) * c.ways, tag<<2 | lineValid
 }
 
-// Lookup probes for lineAddr. On a hit it refreshes LRU state and, when
-// markDirty is set, marks the line dirty. It does not touch Stats.
+// Lookup probes for lineAddr. On a hit it moves the line to the front of its
+// set and, when markDirty is set, marks it dirty. It does not touch Stats.
 func (c *Cache) Lookup(lineAddr uint64, markDirty bool) bool {
 	base, want := c.index(lineAddr)
 	set := c.lines[base : base+c.ways]
 	for i, ln := range set {
 		if ln&^lineDirty == want {
-			c.useClock++
-			c.lastUse[base+i] = c.useClock
 			if markDirty {
-				set[i] |= lineDirty
+				ln |= lineDirty
 			}
+			toFront(set, i, ln)
 			return true
 		}
 	}
 	return false
+}
+
+// toFront moves set[0:i] one place back and writes ln at set[0]; a plain
+// loop, as copy() measured slower over at most ways-1 words.
+func toFront(set []uint64, i int, ln uint64) {
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = ln
 }
 
 // Contains probes for lineAddr without perturbing LRU or dirty state.
@@ -115,40 +121,31 @@ type Eviction struct {
 	Valid    bool // false when the fill used an empty way
 }
 
-// Fill installs lineAddr (evicting the LRU way if the set is full) and
+// Fill installs lineAddr (evicting the LRU line if the set is full) and
 // returns what was displaced. If the line is already present the call only
-// refreshes LRU/dirty state. It does not touch Stats.
+// refreshes recency/dirty state. It does not touch Stats.
 func (c *Cache) Fill(lineAddr uint64, dirty bool) Eviction {
 	base, want := c.index(lineAddr)
 	set := c.lines[base : base+c.ways]
-	use := c.lastUse[base : base+c.ways]
-	c.useClock++
 	var dirtyBit uint64
 	if dirty {
 		dirtyBit = lineDirty
 	}
-	victim := -1
+	victim := len(set) - 1
 	for i, ln := range set {
 		if ln&^lineDirty == want {
-			use[i] = c.useClock
-			set[i] |= dirtyBit
+			toFront(set, i, ln|dirtyBit)
 			return Eviction{}
 		}
 		if ln&lineValid == 0 {
-			if victim == -1 || set[victim]&lineValid != 0 {
-				victim = i
-			}
-			continue
-		}
-		if victim == -1 || (set[victim]&lineValid != 0 && use[i] < use[victim]) {
 			victim = i
+			break
 		}
 	}
 	ev := Eviction{}
 	if v := set[victim]; v&lineValid != 0 {
 		ev = Eviction{LineAddr: v >> 2 << c.lineShift, Dirty: v&lineDirty != 0, Valid: true}
 	}
-	set[victim] = want | dirtyBit
-	use[victim] = c.useClock
+	toFront(set, victim, want|dirtyBit)
 	return ev
 }

@@ -182,7 +182,7 @@ func TestMSHRMergeUnknownPanics(t *testing.T) {
 }
 
 // refCache is the tag store as a plain timestamp LRU, one struct a line:
-// the reference the packed store is checked against.
+// the reference the recency-ordered store is checked against.
 type refCache struct {
 	lines     []refLine
 	ways      int
@@ -255,10 +255,26 @@ func (c *refCache) fill(lineAddr uint64, dirty bool) Eviction {
 	return ev
 }
 
+// validPrefix reports the first set of c whose valid lines are not a prefix
+// of it, or -1 when every set keeps the invariant the recency order needs.
+func validPrefix(c *Cache) int {
+	for base := 0; base < len(c.lines); base += c.ways {
+		valid := true
+		for _, ln := range c.lines[base : base+c.ways] {
+			if ln&lineValid != 0 && !valid {
+				return base / c.ways
+			}
+			valid = ln&lineValid != 0
+		}
+	}
+	return -1
+}
+
 // FuzzCacheTags drives the packed tag store and refCache through the same
 // fuzzer-chosen sequence of lookups (clean or dirtying), probes and fills
 // (clean or dirty) on a fuzzer-chosen geometry, and requires every answer and
-// every eviction to agree. Addresses come from a few lines more than the
+// every eviction to agree, and every set's valid lines to stay a prefix of
+// it after each op. Addresses come from a few lines more than the
 // cache holds, in up to four kernel address spaces, so sets conflict and
 // high tag bits are set.
 func FuzzCacheTags(f *testing.F) {
@@ -289,6 +305,9 @@ func FuzzCacheTags(f *testing.F) {
 				if got, want := c.Fill(addr, k == 4), ref.fill(addr, k == 4); got != want {
 					t.Fatalf("op %d: Fill(%#x, %v) = %+v, reference %+v", op, addr, k == 4, got, want)
 				}
+			}
+			if set := validPrefix(c); set >= 0 {
+				t.Fatalf("op %d: set %d has a valid line after an invalid one: %#x", op, set, c.lines[set*ways:(set+1)*ways])
 			}
 		}
 	})
