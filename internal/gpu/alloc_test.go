@@ -36,12 +36,12 @@ func TestAllocationBudget(t *testing.T) {
 		spec          func() *kernel.Spec
 		allocs, bytes float64
 	}{
-		{"stencil", registry("stencil"), 800, 221_000},
-		{"sgemm", registry("sgemm"), 720, 205_000},
-		{"spmv", registry("spmv"), 975, 215_000},
-		{"nn", registry("nn"), 950, 194_000},
-		{"bfs", registry("bfs"), 985, 228_000},
-		{"chase", func() *kernel.Spec { return workloads.ChaseSpec(480, 1, 4) }, 670, 148_000},
+		{"stencil", registry("stencil"), 800, 205_000},
+		{"sgemm", registry("sgemm"), 720, 181_000},
+		{"spmv", registry("spmv"), 975, 195_000},
+		{"nn", registry("nn"), 950, 184_000},
+		{"bfs", registry("bfs"), 985, 206_000},
+		{"chase", func() *kernel.Spec { return workloads.ChaseSpec(480, 1, 4) }, 670, 147_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() {

@@ -169,6 +169,12 @@ func (wi *WarpInstr) ActiveLanes() int {
 	return bits.OnesCount32(wi.Mask)
 }
 
+// Regs returns one more than the highest register the instruction names as
+// its destination or a source (at least 1).
+func (wi *WarpInstr) Regs() int {
+	return int(max(wi.Dst, wi.Src[0], wi.Src[1], wi.Src[2])) + 1
+}
+
 // Reset clears the record so a reused buffer never leaks stale lane state
 // between instructions.
 func (wi *WarpInstr) Reset() {
@@ -201,8 +207,15 @@ type Cursor struct {
 // number of warps and simulations at once, and must be deterministic:
 // experiments compare scheduler policies on identical instruction streams,
 // so equal cursors must yield equal instructions.
+//
+// Regs is the program's register footprint: one more than the highest
+// register any instruction it produces names, for any cursor (at least 1).
+// The core sizes each warp's scoreboard to it, so a program must not name a
+// register at or above it. It is what the program names, not what its
+// kernel reserves (kernel.Spec.RegsPerThread, an occupancy input only).
 type Program interface {
 	Next(c *Cursor, buf *WarpInstr) bool
+	Regs() int
 }
 
 // SliceProgram is a Program backed by a pre-built instruction slice; the
@@ -210,6 +223,15 @@ type Program interface {
 // short fixed kernels.
 type SliceProgram struct {
 	Instrs []WarpInstr
+}
+
+// Regs implements Program: the highest register over Instrs, plus one.
+func (p *SliceProgram) Regs() int {
+	n := 1
+	for i := range p.Instrs {
+		n = max(n, p.Instrs[i].Regs())
+	}
+	return n
 }
 
 // Next implements Program.

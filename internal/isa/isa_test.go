@@ -134,6 +134,26 @@ func TestSliceProgram(t *testing.T) {
 	}
 }
 
+// TestSliceProgramRegs: the footprint is the highest register named, as a
+// destination or any source, plus one, and at least 1.
+func TestSliceProgramRegs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		b    *Builder
+		want int
+	}{
+		{"empty", NewBuilder(), 1},
+		{"r0 only", NewBuilder().IAlu(0, 0).Branch().Exit(), 1},
+		{"r63 destination", NewBuilder().IAlu(1).LoadGlobal(63, 0).Exit(), 64},
+		{"r63 third source", NewBuilder().FAlu(2, 1, 0, 63).Exit(), 64},
+		{"r5 store source", NewBuilder().IAlu(3).StoreGlobal(5, 0), 6},
+	} {
+		if got := tc.b.Build().Regs(); got != tc.want {
+			t.Errorf("%s: Regs() = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestBuilderIsolation(t *testing.T) {
 	b := NewBuilder().IAlu(1)
 	p1 := b.Build()

@@ -68,7 +68,10 @@ type Spec struct {
 	// warp size (the simulator does not model partially-filled warps; real
 	// kernels with ragged blocks round up, which only pads occupancy).
 	Block Dim3
-	// RegsPerThread is the architectural register demand per thread.
+	// RegsPerThread is the architectural register demand per thread, what
+	// the kernel reserves of the register file. It is an occupancy input
+	// only: the core sizes each warp's scoreboard to the registers its
+	// program names (isa.Program.Regs), which may be fewer.
 	RegsPerThread int
 	// SharedMemPerCTA is the scratchpad demand per CTA in bytes.
 	SharedMemPerCTA int

@@ -20,8 +20,19 @@ func (p *benchProg) Next(c *isa.Cursor, buf *isa.WarpInstr) bool {
 		c.Pos++
 		return true
 	}
-	*buf = isa.WarpInstr{Op: isa.OpFAlu, Dst: 1, Src: [3]isa.Reg{1}, Mask: isa.FullMask}
+	*buf = benchALU
 	return true
+}
+
+// benchALU is the dependent op benchProg repeats: r1 = f(r1).
+var benchALU = isa.WarpInstr{Op: isa.OpFAlu, Dst: 1, Src: [3]isa.Reg{1}, Mask: isa.FullMask}
+
+func (p *benchProg) Regs() int {
+	n := benchALU.Regs()
+	for i := range p.head {
+		n = max(n, p.head[i].Regs())
+	}
+	return n
 }
 
 // benchSM fills one SM with up to six CTAs of the given warp count, every

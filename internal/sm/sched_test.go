@@ -17,6 +17,8 @@ func (p loopProg) Next(_ *isa.Cursor, buf *isa.WarpInstr) bool {
 	return true
 }
 
+func (p loopProg) Regs() int { return p.wi.Regs() }
+
 // aluLoop is r1 = f(r2), forever: a warp running it is ready exactly when r2
 // is.
 var aluLoop = loopProg{isa.WarpInstr{Op: isa.OpFAlu, Dst: 1, Src: [3]isa.Reg{2}, Mask: isa.FullMask}}
@@ -31,13 +33,15 @@ func testSched(p Policy) *scheduler {
 func mkWarps(n int) []*Warp {
 	ws := make([]*Warp, n)
 	for i := range ws {
-		ws[i] = &Warp{
-			seq:  uint64(i),
-			cta:  &CTA{Arrival: uint64(i), BlockKey: uint64(i)},
-			prog: aluLoop,
-		}
+		ws[i] = aluWarp(uint64(i), &CTA{Arrival: uint64(i), BlockKey: uint64(i)}, 0)
 	}
 	return ws
+}
+
+// aluWarp is a warp of cta running aluLoop, with its scoreboard, as
+// SM.AddCTA would place it.
+func aluWarp(seq uint64, cta *CTA, warp int) *Warp {
+	return &Warp{seq: seq, cta: cta, at: isa.Cursor{Warp: warp}, prog: aluLoop, readyAt: make([]uint64, aluLoop.Regs())}
 }
 
 // block keeps w's aluLoop from issuing before cycle until.
@@ -133,12 +137,7 @@ func TestBAWSInterleavesGangWarps(t *testing.T) {
 	s := testSched(PolicyBAWS)
 	a := &CTA{BlockKey: 5, IndexInBlock: 0}
 	bb := &CTA{BlockKey: 5, IndexInBlock: 1}
-	warps := []*Warp{
-		{seq: 0, cta: a, at: isa.Cursor{Warp: 0}, prog: aluLoop},
-		{seq: 1, cta: a, at: isa.Cursor{Warp: 1}, prog: aluLoop},
-		{seq: 2, cta: bb, at: isa.Cursor{Warp: 0}, prog: aluLoop},
-		{seq: 3, cta: bb, at: isa.Cursor{Warp: 1}, prog: aluLoop},
-	}
+	warps := []*Warp{aluWarp(0, a, 0), aluWarp(1, a, 1), aluWarp(2, bb, 0), aluWarp(3, bb, 1)}
 	for _, w := range warps {
 		s.add(w)
 	}
@@ -158,8 +157,8 @@ func TestBAWSInterleavesGangWarps(t *testing.T) {
 
 func TestBAWSOlderBlockFirst(t *testing.T) {
 	s := testSched(PolicyBAWS)
-	old := &Warp{seq: 9, cta: &CTA{BlockKey: 1, IndexInBlock: 1}, at: isa.Cursor{Warp: 3}, prog: aluLoop}
-	young := &Warp{seq: 1, cta: &CTA{BlockKey: 2, IndexInBlock: 0}, at: isa.Cursor{Warp: 0}, prog: aluLoop}
+	old := aluWarp(9, &CTA{BlockKey: 1, IndexInBlock: 1}, 3)
+	young := aluWarp(1, &CTA{BlockKey: 2, IndexInBlock: 0}, 0)
 	s.add(young)
 	s.add(old)
 	w, _ := s.pick(0)

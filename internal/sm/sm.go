@@ -326,12 +326,22 @@ func (s *SM) AddCTA(spec *kernel.Spec, kernelIdx, ctaID int, addrBase uint64, bl
 			}
 		}
 	}
-	// Each warp's scoreboard is its kernel's register allocation, cut from
-	// the context's slab. Clearing the slab is the scoreboard reset.
-	perWarp := spec.RegsPerThread
-	if perWarp == 0 {
-		perWarp = isa.MaxRegs
+	// Whole-struct reset: a recycled warp must not leak stall state into
+	// its next life.
+	perWarp := 1
+	for i := 0; i < nw; i++ {
+		w := warps[i]
+		*w = Warp{
+			seq:  s.warpSeq,
+			cta:  cta,
+			prog: spec.Program(ctaID, i),
+			at:   isa.Cursor{CTA: ctaID, Warp: i},
+		}
+		s.warpSeq++
+		perWarp = max(perWarp, w.prog.Regs())
 	}
+	// Each warp's scoreboard holds the registers the widest program names,
+	// cut from the context's slab. Clearing the slab is the scoreboard reset.
 	if n := nw * perWarp; cap(regs) >= n {
 		regs = regs[:n]
 		clear(regs)
@@ -340,18 +350,8 @@ func (s *SM) AddCTA(spec *kernel.Spec, kernelIdx, ctaID int, addrBase uint64, bl
 	}
 	cta.regs = regs
 	for i := 0; i < nw; i++ {
-		w := warps[i]
-		// Whole-struct reset: a recycled warp must not leak stall state, or
-		// a scoreboard widened in its last life, into its next one.
-		*w = Warp{
-			seq:     s.warpSeq,
-			cta:     cta,
-			prog:    spec.Program(ctaID, i),
-			at:      isa.Cursor{CTA: ctaID, Warp: i},
-			readyAt: regs[i*perWarp : (i+1)*perWarp : (i+1)*perWarp],
-		}
-		s.warpSeq++
-		s.leastLoadedScheduler().add(w)
+		warps[i].readyAt = regs[i*perWarp : (i+1)*perWarp : (i+1)*perWarp]
+		s.leastLoadedScheduler().add(warps[i])
 	}
 	s.ctas = append(s.ctas, cta)
 	if kernelIdx >= 0 && kernelIdx < len(s.residentByKernel) {

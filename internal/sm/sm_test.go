@@ -475,52 +475,43 @@ func TestMixedKernelsResidentCounts(t *testing.T) {
 	}
 }
 
-// TestScoreboardWidensBeyondAllocation: a warp's scoreboard holds its
-// kernel's RegsPerThread entries, and a program that names registers beyond
-// them (warp 0 here: an ALU chain on r40 and a load into r50) runs exactly as
-// it does with the full isa.MaxRegs scoreboard (RegsPerThread 0). Only the
-// writing warp widens, and the next placement in the pooled context is cut
-// from the cleared slab again.
-func TestScoreboardWidensBeyondAllocation(t *testing.T) {
-	prog := func(ctaID, warp int) isa.Program {
-		b := isa.NewBuilder()
-		if warp == 0 {
-			b.LoadGlobal(50, 0)
-			for i := 0; i < 4; i++ {
-				b.FAlu(40, 40, 50)
-			}
-		}
-		b.FAlu(1, 2).FAlu(3, 1).Exit()
-		return b.Build()
+// TestScoreboardHoldsProgramRegs: a warp's scoreboard holds the registers
+// its program names (Regs), whatever its kernel declares. One program that
+// names r40 and r50 runs at RegsPerThread 0, 4 and 64 in the same cycles
+// with the same counters, each warp holding 51 entries. A later placement in
+// the pooled context of a program that names r3 cuts 4 entries a warp from
+// the same slab, cleared.
+func TestScoreboardHoldsProgramRegs(t *testing.T) {
+	b := isa.NewBuilder().LoadGlobal(50, 0)
+	for i := 0; i < 4; i++ {
+		b.FAlu(40, 40, 50)
 	}
-	run := func(regs int) (cycles uint64, c *rig, cta *CTA) {
+	prog := fixedProg(b.FAlu(1, 2).FAlu(3, 1).Exit())
+	run := func(regs int) (c *rig, cta *CTA) {
 		c = newRig(t, nil)
 		spec := specWith(2, prog)
 		spec.RegsPerThread = regs
 		cta = c.sm.AddCTA(spec, 0, 0, 0, 0, 0, c.now)
-		want := regs
-		if want == 0 {
-			want = isa.MaxRegs
-		}
-		for _, w := range cta.Warps() {
-			if len(w.readyAt) != want {
-				t.Fatalf("placed warp holds %d scoreboard entries, want %d", len(w.readyAt), want)
+		for i, w := range cta.Warps() {
+			if len(w.readyAt) != w.prog.Regs() || len(w.readyAt) != 51 {
+				t.Fatalf("RegsPerThread %d: warp %d holds %d scoreboard entries, program names %d, want 51",
+					regs, i, len(w.readyAt), w.prog.Regs())
 			}
 		}
 		c.runUntilDone(1, 100000)
-		return c.now, c, cta
+		return c, cta
 	}
-	full, fullRig, _ := run(0)
-	narrow, c, cta := run(4)
-	if narrow != full || c.sm.counters != fullRig.sm.counters {
-		t.Fatalf("4-register scoreboard: %d cycles %+v; full: %d cycles %+v",
-			narrow, c.sm.counters, full, fullRig.sm.counters)
+	ref, _ := run(64)
+	for _, regs := range []int{0, 4} {
+		c, _ := run(regs)
+		if c.now != ref.now || c.sm.counters != ref.sm.counters {
+			t.Fatalf("RegsPerThread %d: %d cycles %+v; at 64: %d cycles %+v",
+				regs, c.now, c.sm.counters, ref.now, ref.sm.counters)
+		}
 	}
-	if n0, n1 := len(cta.Warps()[0].readyAt), len(cta.Warps()[1].readyAt); n0 != isa.MaxRegs || n1 != 4 {
-		t.Fatalf("scoreboard entries after the run: warp 0 %d, warp 1 %d; want %d and 4", n0, n1, isa.MaxRegs)
-	}
+	c, cta := run(4)
 	c.sm.Recycle(cta)
-	again := c.sm.AddCTA(cta.Spec, 0, 1, 0, 0, 0, c.now)
+	again := c.sm.AddCTA(specWith(2, fixedProg(isa.NewBuilder().FAlu(3, 1).Exit())), 0, 1, 0, 0, 0, c.now)
 	if again != cta {
 		t.Fatal("placement did not reuse the pooled context")
 	}

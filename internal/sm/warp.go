@@ -49,32 +49,17 @@ type Warp struct {
 	finished bool
 
 	// readyAt[r] is the cycle register r's pending write completes;
-	// 0 means no write pending. Register 0 is hardwired ready. It holds the
-	// kernel's RegsPerThread entries, cut from the CTA's scoreboard slab; a
-	// register beyond them has never been written, so it reads as ready.
+	// 0 means no write pending. Register 0 is hardwired ready. It holds at
+	// least prog.Regs() entries, cut from the CTA's scoreboard slab, so
+	// every register the program names has one.
 	readyAt []uint64
 }
 
 // ready returns the cycle register r's pending write completes (0: none).
-func (w *Warp) ready(r isa.Reg) uint64 {
-	if int(r) < len(w.readyAt) {
-		return w.readyAt[r]
-	}
-	return 0
-}
+func (w *Warp) ready(r isa.Reg) uint64 { return w.readyAt[r] }
 
 // setReady records that register r's pending write completes at cycle at.
-// A program may name a register beyond its kernel's declared allocation:
-// the first write there widens this warp's scoreboard to isa.MaxRegs, which
-// leaves every other warp's, and the slab, as they were.
-func (w *Warp) setReady(r isa.Reg, at uint64) {
-	if int(r) >= len(w.readyAt) {
-		wide := make([]uint64, isa.MaxRegs)
-		copy(wide, w.readyAt)
-		w.readyAt = wide
-	}
-	w.readyAt[r] = at
-}
+func (w *Warp) setReady(r isa.Reg, at uint64) { w.readyAt[r] = at }
 
 // fetch ensures cur holds the next unissued instruction, decoded from the
 // SM's one fetch buffer (u.fetchBuf). A global op with active lanes is only
@@ -153,8 +138,8 @@ type CTA struct {
 
 	warps []*Warp
 	// regs is the scoreboard slab the warps' readyAt slices are cut from:
-	// RegsPerThread entries per warp, kept with the pooled context and
-	// cleared on placement.
+	// the largest Regs() among the warps' programs, per warp, kept with the
+	// pooled context and cleared on placement.
 	regs      []uint64
 	liveWarps int
 	barCount  int

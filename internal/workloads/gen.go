@@ -21,6 +21,8 @@ type loopProgram struct {
 	body     []Emit
 	epilogue []Emit
 	iters    int
+	// regs is the register footprint, counted by shared.
+	regs int
 }
 
 // The cursor phases of a loopProgram. Pos indexes the phase's Emit slice,
@@ -78,13 +80,29 @@ func (p *loopProgram) Next(c *isa.Cursor, buf *isa.WarpInstr) bool {
 	}
 }
 
+// Regs implements isa.Program.
+func (p *loopProgram) Regs() int { return p.regs }
+
 // instrPerWarp returns the dynamic instruction count the program will emit.
 func (p *loopProgram) instrPerWarp() int {
 	return len(p.prologue) + p.iters*len(p.body) + len(p.epilogue) + 1
 }
 
 // shared is the program factory that gives every warp the one template p.
-func shared(p isa.Program) kernel.ProgramFactory {
+// It counts p's register footprint first, while p is still private: an
+// Emit's registers are its constructor arguments, whatever the cursor, so
+// one call of each into a scratch record names them all (EXIT names none).
+func shared(p *loopProgram) kernel.ProgramFactory {
+	var buf isa.WarpInstr
+	var c isa.Cursor
+	p.regs = 1
+	for _, sec := range [][]Emit{p.prologue, p.body, p.epilogue} {
+		for _, emit := range sec {
+			buf.Reset()
+			emit(&buf, &c)
+			p.regs = max(p.regs, buf.Regs())
+		}
+	}
 	return func(int, int) isa.Program { return p }
 }
 

@@ -332,26 +332,31 @@ func TestWorkloadFootprintsStayInAddressSpace(t *testing.T) {
 }
 
 // TestRegistersWithinAllocation: every warp of every workload, at every
-// scale, names only registers below its kernel's RegsPerThread. The SM
-// sizes each warp's scoreboard to that allocation; a register beyond it
-// still simulates exactly, but widens that warp's scoreboard to
-// isa.MaxRegs.
+// scale, names only registers below its program's Regs(), which the SM
+// sizes each warp's scoreboard to, and that footprint fits the kernel's
+// RegsPerThread. shared counts Regs from one Emit call each at a zero
+// cursor, so this walk over every cursor is what holds that claim.
 func TestRegistersWithinAllocation(t *testing.T) {
 	for _, w := range All() {
 		for _, s := range []Scale{ScaleTest, ScaleSmall, ScaleFull} {
 			spec := w.Build(s)
-			top := isa.Reg(0)
 			var buf isa.WarpInstr
 			for cta := 0; cta < spec.NumCTAs(); cta++ {
 				for warp := 0; warp < spec.WarpsPerCTA(); warp++ {
+					p := spec.Program(cta, warp)
+					regs := p.Regs()
+					if regs > spec.RegsPerThread {
+						t.Fatalf("%s scale %d: CTA %d warp %d names %d registers, allocates %d per thread",
+							w.Name, s, cta, warp, regs, spec.RegsPerThread)
+					}
 					c := isa.Cursor{CTA: cta, Warp: warp}
-					for p := spec.Program(cta, warp); p.Next(&c, &buf); {
-						top = max(top, buf.Dst, buf.Src[0], buf.Src[1], buf.Src[2])
+					for p.Next(&c, &buf) {
+						if n := buf.Regs(); n > regs {
+							t.Fatalf("%s scale %d: CTA %d warp %d names r%d, Regs() = %d",
+								w.Name, s, cta, warp, n-1, regs)
+						}
 					}
 				}
-			}
-			if int(top) >= spec.RegsPerThread {
-				t.Errorf("%s scale %d: names r%d, allocates %d registers per thread", w.Name, s, top, spec.RegsPerThread)
 			}
 		}
 	}

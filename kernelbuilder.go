@@ -84,21 +84,16 @@ func (b *KernelBuilder) Build() (Kernel, error) {
 	return Kernel{spec: &spec}, nil
 }
 
-// checkRegisters walks the program of every warp of the grid and rejects a
-// register the core cannot track (isa.MaxRegs and up). The callback is
-// deterministic, so this dry run sees exactly what a run will execute.
+// checkRegisters builds the program of every warp of the grid and rejects
+// one that names a register the core cannot track (isa.MaxRegs and up). The
+// callback is deterministic, so each program's Regs is what a run will
+// execute.
 func checkRegisters(spec *kernel.Spec) error {
-	var wi isa.WarpInstr
 	for cta := 0; cta < spec.NumCTAs(); cta++ {
 		for w := 0; w < spec.WarpsPerCTA(); w++ {
-			c := isa.Cursor{CTA: cta, Warp: w}
-			for p := spec.Program(cta, w); p.Next(&c, &wi); {
-				for _, r := range [4]isa.Reg{wi.Dst, wi.Src[0], wi.Src[1], wi.Src[2]} {
-					if r >= isa.MaxRegs {
-						return fmt.Errorf("gpusched: kernel %s: CTA %d warp %d names register %d, above the %d registers a thread has (0..%d)",
-							spec.Name, cta, w, r, isa.MaxRegs, isa.MaxRegs-1)
-					}
-				}
+			if top := spec.Program(cta, w).Regs() - 1; top >= isa.MaxRegs {
+				return fmt.Errorf("gpusched: kernel %s: CTA %d warp %d names register %d, above the %d registers a thread has (0..%d)",
+					spec.Name, cta, w, top, isa.MaxRegs, isa.MaxRegs-1)
 			}
 		}
 	}

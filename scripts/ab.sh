@@ -10,10 +10,14 @@
 # tool's cache and files under its checkout (GOPROXY=off, local toolchain).
 # Pair i runs A first when i is odd and B first when it is even, each run
 # with the same seed and the benchmark's default length. Every record is kept
-# in .bench_build/ab/out/{a,b}-<i>.json. The script then prints
-# `gpubench -compare` over all pairs, and for each workload and end-to-end
-# metric (BENCHMARK.json) in how many pairs B's median beat A's. pairs
-# defaults to 3, workload to all and seed to 1.
+# in .bench_build/ab/out/{a,b}-<i>.json, its environment.git_commit set to
+# the code it measured: <rev>'s full sha for A, and for B the checkout's
+# HEAD, with -dirty appended when `git status --porcelain` lists anything
+# (the benchmark itself stamps the enclosing checkout's HEAD on both). The
+# script then prints the two commits, `gpubench -compare` over all pairs,
+# and for each workload and end-to-end metric (BENCHMARK.json) in how many
+# pairs B's median beat A's. pairs defaults to 3, workload to all and seed
+# to 1.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 [ $# -ge 1 ] && [ $# -le 4 ] || { echo "usage: $0 <rev> [pairs] [workload] [seed]" >&2; exit 2; }
@@ -21,6 +25,9 @@ rev=$(git rev-parse --verify "$1^{commit}")
 pairs=${2:-3}
 workload=${3:-all}
 seed=${4:-1}
+commit_a=$rev
+commit_b=$(git rev-parse HEAD)
+[ -z "$(git status --porcelain)" ] || commit_b+=-dirty
 
 ab="$PWD/.bench_build/ab"
 base="$ab/${rev:0:12}"
@@ -34,10 +41,12 @@ rm -rf "$out"
 mkdir -p "$out"
 
 bench() { # bench <a|b> <pair>
-	local tree=$PWD
-	[ "$1" = a ] && tree=$base
+	local tree=$PWD commit=$commit_b rec=$out/$1-$2.json
+	[ "$1" = a ] && tree=$base commit=$commit_a
 	echo "pair $2: $1" >&2
-	bash "$tree/benchmark/run.sh" -workload "$workload" -seed "$seed" -out "$out/$1-$2.json" >/dev/null
+	bash "$tree/benchmark/run.sh" -workload "$workload" -seed "$seed" -out "$rec" >/dev/null
+	jq --arg c "$commit" '.runs[].environment.git_commit = $c' "$rec" >"$rec.tmp"
+	mv "$rec.tmp" "$rec"
 }
 for ((i = 1; i <= pairs; i++)); do
 	if ((i % 2)); then bench a "$i"; bench b "$i"; else bench b "$i"; bench a "$i"; fi
@@ -47,6 +56,8 @@ done
 for s in a b; do
 	jq -s '{runs: [.[].runs[]]}' "$out/$s"-*.json >"$out/$s.json"
 done
+echo "A: $commit_a"
+echo "B: $commit_b"
 status=0
 "$PWD/.bench_build/gpubench" -compare "$out/a.json" "$out/b.json" || status=$?
 
