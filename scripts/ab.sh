@@ -25,7 +25,6 @@ rev=$(git rev-parse --verify "$1^{commit}")
 pairs=${2:-3}
 workload=${3:-all}
 seed=${4:-1}
-commit_a=$rev
 commit_b=$(git rev-parse HEAD)
 [ -z "$(git status --porcelain)" ] || commit_b+=-dirty
 
@@ -42,7 +41,7 @@ mkdir -p "$out"
 
 bench() { # bench <a|b> <pair>
 	local tree=$PWD commit=$commit_b rec=$out/$1-$2.json
-	[ "$1" = a ] && tree=$base commit=$commit_a
+	[ "$1" = a ] && tree=$base commit=$rev
 	echo "pair $2: $1" >&2
 	bash "$tree/benchmark/run.sh" -workload "$workload" -seed "$seed" -out "$rec" >/dev/null
 	jq --arg c "$commit" '.runs[].environment.git_commit = $c' "$rec" >"$rec.tmp"
@@ -56,7 +55,7 @@ done
 for s in a b; do
 	jq -s '{runs: [.[].runs[]]}' "$out/$s"-*.json >"$out/$s.json"
 done
-echo "A: $commit_a"
+echo "A: $rev"
 echo "B: $commit_b"
 status=0
 "$PWD/.bench_build/gpubench" -compare "$out/a.json" "$out/b.json" || status=$?
