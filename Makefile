@@ -38,9 +38,9 @@ race:
 # repository benchmark's own tests (a module of its own, so ./... does not
 # reach it), one iteration of every internal microbenchmark, short fuzz
 # smokes of the kernel-completion, request-wire, partition-wake,
-# recency-ordered-tag-store and refused-head properties, the results gate,
-# every example run end to end (the timeline CSVs they write are removed),
-# and the daemon and fleet smokes.
+# recency-ordered-tag-store, affine-coalescing and refused-head properties,
+# the results gate, every example run end to end (the timeline CSVs they
+# write are removed), and the daemon and fleet smokes.
 ci: lint
 	go build ./...
 	go test -race ./...
@@ -50,6 +50,7 @@ ci: lint
 	go test -run='^$$' -fuzz=FuzzRequestJSON -fuzztime=10s ./internal/sim
 	go test -run='^$$' -fuzz=FuzzPartitionWake -fuzztime=10s ./internal/mem
 	go test -run='^$$' -fuzz=FuzzCacheTags -fuzztime=10s ./internal/mem
+	go test -run='^$$' -fuzz=FuzzCoalesceAffine -fuzztime=10s ./internal/mem
 	go test -run='^$$' -fuzz=FuzzRefusedHeads -fuzztime=10s ./internal/gpu
 	$(MAKE) check-results
 	$(MAKE) examples

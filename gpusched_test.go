@@ -243,6 +243,33 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadMemoryConfig: a memory system the caches or DRAM
+// channels cannot be built on is an error from Run, not a panic.
+func TestRunRejectsBadMemoryConfig(t *testing.T) {
+	w, _ := gpusched.WorkloadByName("vadd")
+	for _, tc := range []struct {
+		name string
+		set  func(*gpusched.Config)
+		want string
+	}{
+		{"96-byte lines", func(c *gpusched.Config) { c.Mem.LineBytes = 96 }, "LineBytes 96"},
+		{"3 KB L1", func(c *gpusched.Config) { c.Mem.L1Bytes = 3 * 1024 }, "6 sets"},
+		{"3-way L2", func(c *gpusched.Config) { c.Mem.L2Ways = 3 }, "L2"},
+		{"no partitions", func(c *gpusched.Config) { c.Mem.Partitions = 0 }, "Partitions 0"},
+		{"no DRAM banks", func(c *gpusched.Config) { c.Mem.DRAMBanks = 0 }, "DRAMBanks 0"},
+		{"no crossbar queue", func(c *gpusched.Config) { c.Mem.XbarQueueCap = 0 }, "XbarQueueCap 0"},
+		{"no DRAM queue", func(c *gpusched.Config) { c.Mem.DRAMQueueCap = 0 }, "DRAMQueueCap 0"},
+		{"row under a line", func(c *gpusched.Config) { c.Mem.DRAMRowBytes = 64 }, "DRAMRowBytes 64"},
+	} {
+		cfg := tinyConfig()
+		tc.set(&cfg)
+		_, err := gpusched.Run(cfg, gpusched.Baseline(), w.Kernel(gpusched.SizeTiny))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestCustomHardwareConfig(t *testing.T) {
 	w, _ := gpusched.WorkloadByName("spmv")
 	run := func(l1Bytes int) gpusched.Result {

@@ -166,7 +166,8 @@ type GPU struct {
 }
 
 // New builds a GPU running specs (in launch order) under dispatcher d.
-// Every spec must validate and fit on an SM.
+// Every spec must validate and fit on an SM, and cfg.Mem must validate
+// (mem.Config.Validate): an error, not a panic while building the caches.
 func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 	return Renew(nil, cfg, d, specs...)
 }
@@ -193,6 +194,9 @@ func Renew(prev *GPU, cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GP
 	} else if per := (cfg.Core.Limits.MaxWarps + n - 1) / n; per > sm.MaxSchedulerWarps {
 		return nil, fmt.Errorf("gpu: %d warps per scheduler (MaxWarps %d over %d schedulers) exceeds the warp-set width %d",
 			per, cfg.Core.Limits.MaxWarps, n, sm.MaxSchedulerWarps)
+	}
+	if err := cfg.Mem.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = DefaultMaxCycles

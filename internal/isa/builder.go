@@ -49,17 +49,14 @@ func (b *Builder) alu(op Op, dst Reg, srcs []Reg) *Builder {
 // LoadGlobal appends a global load of one 4-byte word per lane starting at
 // base, contiguous across lanes (the perfectly-coalesced pattern).
 func (b *Builder) LoadGlobal(dst Reg, base uint32) *Builder {
-	wi := WarpInstr{Op: OpLoadGlobal, Dst: dst, Mask: FullMask}
-	fillLinear(&wi, base, 4)
-	b.instrs = append(b.instrs, wi)
-	return b
+	return b.LoadGlobalStride(dst, base, 4)
 }
 
 // LoadGlobalStride appends a global load with the given byte stride between
 // consecutive lanes (stride > 32 bytes produces uncoalesced traffic).
 func (b *Builder) LoadGlobalStride(dst Reg, base, stride uint32) *Builder {
 	wi := WarpInstr{Op: OpLoadGlobal, Dst: dst, Mask: FullMask}
-	fillLinear(&wi, base, stride)
+	FillLinear(&wi, base, stride)
 	b.instrs = append(b.instrs, wi)
 	return b
 }
@@ -73,25 +70,21 @@ func (b *Builder) LoadGlobalAddrs(dst Reg, addrs [WarpSize]uint32) *Builder {
 // StoreGlobal appends a coalesced global store.
 func (b *Builder) StoreGlobal(src Reg, base uint32) *Builder {
 	wi := WarpInstr{Op: OpStoreGlobal, Src: [3]Reg{src}, Mask: FullMask}
-	fillLinear(&wi, base, 4)
+	FillLinear(&wi, base, 4)
 	b.instrs = append(b.instrs, wi)
 	return b
 }
 
 // LoadShared appends a scratchpad load with the given bank-conflict degree
 // (1 = conflict-free).
-func (b *Builder) LoadShared(dst Reg, base uint32, conflict uint8) *Builder {
-	wi := WarpInstr{Op: OpLoadShared, Dst: dst, Mask: FullMask, BankConflict: conflict}
-	fillLinear(&wi, base, 4)
-	b.instrs = append(b.instrs, wi)
+func (b *Builder) LoadShared(dst Reg, conflict uint8) *Builder {
+	b.instrs = append(b.instrs, WarpInstr{Op: OpLoadShared, Dst: dst, Mask: FullMask, BankConflict: conflict})
 	return b
 }
 
 // StoreShared appends a scratchpad store with the given bank-conflict degree.
-func (b *Builder) StoreShared(src Reg, base uint32, conflict uint8) *Builder {
-	wi := WarpInstr{Op: OpStoreShared, Src: [3]Reg{src}, Mask: FullMask, BankConflict: conflict}
-	fillLinear(&wi, base, 4)
-	b.instrs = append(b.instrs, wi)
+func (b *Builder) StoreShared(src Reg, conflict uint8) *Builder {
+	b.instrs = append(b.instrs, WarpInstr{Op: OpStoreShared, Src: [3]Reg{src}, Mask: FullMask, BankConflict: conflict})
 	return b
 }
 
@@ -127,12 +120,8 @@ func (b *Builder) Build() *SliceProgram {
 	return &SliceProgram{Instrs: out}
 }
 
-func fillLinear(wi *WarpInstr, base, stride uint32) {
-	for lane := 0; lane < WarpSize; lane++ {
-		wi.Addrs[lane] = base + uint32(lane)*stride
-	}
+// FillLinear makes wi affine: lane l's address is base + l*stride. It
+// writes no lane of Addrs.
+func FillLinear(wi *WarpInstr, base, stride uint32) {
+	wi.Affine, wi.Base, wi.Stride = true, base, stride
 }
-
-// FillLinear populates per-lane addresses base + lane*stride on wi.
-// Exported for workload generators that build instructions directly.
-func FillLinear(wi *WarpInstr, base, stride uint32) { fillLinear(wi, base, stride) }

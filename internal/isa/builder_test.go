@@ -15,8 +15,8 @@ func TestBuilderAllForms(t *testing.T) {
 		LoadGlobalStride(5, 0, 64).
 		LoadGlobalAddrs(6, gather).
 		StoreGlobal(6, 4096).
-		LoadShared(7, 0, 2).
-		StoreShared(7, 0, 4).
+		LoadShared(7, 2).
+		StoreShared(7, 4).
 		Atomic(8, gather, 0xFF).
 		Branch().
 		Barrier().
@@ -36,11 +36,11 @@ func TestBuilderAllForms(t *testing.T) {
 			t.Errorf("instr %d op = %v, want %v", i, p.Instrs[i].Op, want)
 		}
 	}
-	if p.Instrs[4].Addrs[1] != 64 {
-		t.Errorf("stride load lane 1 addr = %d, want 64", p.Instrs[4].Addrs[1])
+	if p.Instrs[4].Addr(1) != 64 {
+		t.Errorf("stride load lane 1 addr = %d, want 64", p.Instrs[4].Addr(1))
 	}
-	if p.Instrs[5].Addrs[3] != 768 {
-		t.Errorf("gather lane 3 addr = %d, want 768", p.Instrs[5].Addrs[3])
+	if p.Instrs[5].Addr(3) != 768 {
+		t.Errorf("gather lane 3 addr = %d, want 768", p.Instrs[5].Addr(3))
 	}
 	if p.Instrs[6].Src[0] != 6 {
 		t.Errorf("store source = %v, want r6", p.Instrs[6].Src[0])

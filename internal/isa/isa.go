@@ -3,8 +3,9 @@
 //
 // The simulator is trace-shaped: kernels are expressed as per-warp streams of
 // WarpInstr records. Each record is one dynamic instruction for one warp —
-// the static opcode plus the per-lane state (active mask, per-lane addresses
-// for memory operations) that the core and memory system need for timing.
+// the static opcode plus the per-lane state (active mask, the addresses of a
+// global memory operation, as a lane formula or one per lane) that the core
+// and memory system need for timing.
 // Control flow is pre-lowered by the workload generators: loops arrive
 // unrolled and branch divergence is expressed through active masks, so the
 // core never re-executes or re-converges. This keeps the core model focused
@@ -136,13 +137,14 @@ const WarpSize = 32
 const FullMask uint32 = 0xFFFFFFFF
 
 // WarpInstr is one dynamic instruction for one warp. Programs fill these in
-// place: the core reuses one fetch buffer for every warp of an SM, so Next
-// must write every field (buf holds another warp's last instruction), and
-// the struct deliberately embeds its per-lane address array instead of
-// pointing to a heap slice. The core keeps only what it decodes, never the
-// lanes: it reads a global op's lanes when the op issues, from the buffer if
-// no other fetch has refilled it, else by calling Next again at the cursor
-// it fetched the op from.
+// place: the core reuses one fetch buffer for every warp of an SM, and the
+// struct deliberately embeds its per-lane address array instead of pointing
+// to a heap slice. A program writes every header field (Reset clears them
+// all) and, for a global op that is not Affine, the address of every active
+// lane; the lane array is never cleared, so a lane it does not write holds
+// another instruction's address. The core keeps only what it decodes, never
+// the lanes: when a global op issues, the LDST unit calls Next again at the
+// cursor it fetched the op from and coalesces what that gives.
 type WarpInstr struct {
 	// Op is the opcode class; it selects the pipeline and latency.
 	Op Op
@@ -150,18 +152,32 @@ type WarpInstr struct {
 	Dst Reg
 	// Src lists up to three source registers; 0 entries are ignored.
 	Src [3]Reg
+	// BankConflict is a shared op's bank-conflict degree: the number of
+	// serialized passes the LDST unit charges it, 0 counting as 1. The
+	// unit never reads a shared op's lanes.
+	BankConflict uint8
+	// Affine marks a global op whose lane l reads or writes
+	// Base + l*Stride (uint32 arithmetic, wrapping); Addrs is not read.
+	Affine bool
 	// Mask is the active-lane mask. Inactive lanes contribute no memory
 	// accesses. An instruction with Mask==0 is still issued (it models a
 	// fully-predicated-off instruction occupying an issue slot).
 	Mask uint32
-	// Addrs holds per-lane byte addresses for memory operations.
-	// For global ops these are offsets into the kernel's flat global
-	// address space; for shared ops, offsets into the CTA's scratchpad.
-	// Only entries whose lane bit is set in Mask are meaningful.
+	// Base and Stride are an Affine op's lane formula.
+	Base, Stride uint32
+	// Addrs holds the per-lane byte addresses of a global op that is not
+	// Affine: offsets into the kernel's flat global address space. Only
+	// entries whose lane bit is set in Mask are meaningful.
 	Addrs [WarpSize]uint32
-	// BankConflict optionally overrides the shared-memory conflict degree
-	// (number of serialized passes). 0 means "derive from Addrs".
-	BankConflict uint8
+}
+
+// Addr returns lane's address: from the formula of an Affine op, else from
+// Addrs.
+func (wi *WarpInstr) Addr(lane int) uint32 {
+	if wi.Affine {
+		return wi.Base + uint32(lane)*wi.Stride
+	}
+	return wi.Addrs[lane]
 }
 
 // ActiveLanes returns the number of enabled lanes.
@@ -175,10 +191,13 @@ func (wi *WarpInstr) Regs() int {
 	return int(max(wi.Dst, wi.Src[0], wi.Src[1], wi.Src[2])) + 1
 }
 
-// Reset clears the record so a reused buffer never leaks stale lane state
-// between instructions.
+// Reset clears the header, every field but Addrs, so a reused buffer never
+// leaks another instruction's op, registers, mask or formula. It leaves the
+// 128-byte lane array alone: only a non-affine global op reads it, and that
+// op writes its active lanes itself.
 func (wi *WarpInstr) Reset() {
-	*wi = WarpInstr{}
+	wi.Op, wi.Dst, wi.Src, wi.BankConflict = OpNop, 0, [3]Reg{}, 0
+	wi.Affine, wi.Mask, wi.Base, wi.Stride = false, 0, 0, 0
 }
 
 // Cursor is one warp's position in a Program. Programs are immutable and

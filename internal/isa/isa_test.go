@@ -102,12 +102,18 @@ func TestActiveLanesMatchesPopcount(t *testing.T) {
 	}
 }
 
+// TestWarpInstrReset: Reset clears every header field, the lane formula
+// included, and leaves the lane array to the next non-affine op to write.
 func TestWarpInstrReset(t *testing.T) {
-	wi := WarpInstr{Op: OpLoadGlobal, Dst: 5, Mask: FullMask}
+	wi := WarpInstr{Op: OpLoadGlobal, Dst: 5, Src: [3]Reg{1, 2, 3}, BankConflict: 2, Mask: FullMask}
+	FillLinear(&wi, 4096, 4)
 	wi.Addrs[3] = 12345
 	wi.Reset()
-	if wi.Op != OpNop || wi.Dst != 0 || wi.Mask != 0 || wi.Addrs[3] != 0 {
-		t.Errorf("Reset left state behind: %+v", wi)
+	if want := (WarpInstr{Addrs: wi.Addrs}); wi != want {
+		t.Errorf("Reset left header state behind: %+v", wi)
+	}
+	if wi.Addrs[3] != 12345 || wi.Addr(3) != 12345 {
+		t.Errorf("Reset touched the lanes: lane 3 = %d, want 12345", wi.Addr(3))
 	}
 }
 
@@ -172,8 +178,8 @@ func TestBuilderLinearAddresses(t *testing.T) {
 	wi := p.Instrs[0]
 	for lane := 0; lane < WarpSize; lane++ {
 		want := uint32(1000 + lane*4)
-		if wi.Addrs[lane] != want {
-			t.Fatalf("lane %d addr = %d, want %d", lane, wi.Addrs[lane], want)
+		if wi.Addr(lane) != want {
+			t.Fatalf("lane %d addr = %d, want %d", lane, wi.Addr(lane), want)
 		}
 	}
 }
@@ -182,8 +188,25 @@ func TestBuilderStrideAddresses(t *testing.T) {
 	p := NewBuilder().LoadGlobalStride(1, 0, 128).Build()
 	wi := p.Instrs[0]
 	for lane := 0; lane < WarpSize; lane++ {
-		if wi.Addrs[lane] != uint32(lane*128) {
-			t.Fatalf("lane %d addr = %d, want %d", lane, wi.Addrs[lane], lane*128)
+		if wi.Addr(lane) != uint32(lane*128) {
+			t.Fatalf("lane %d addr = %d, want %d", lane, wi.Addr(lane), lane*128)
+		}
+	}
+}
+
+// TestFillLinearIsAFormula: FillLinear writes the formula, not the lanes,
+// and a lane's address wraps around the 32-bit space as uint32 arithmetic
+// does.
+func TestFillLinearIsAFormula(t *testing.T) {
+	var wi WarpInstr
+	wi.Addrs[2] = 7
+	FillLinear(&wi, 0xFFFF_FFF0, 8)
+	if !wi.Affine || wi.Base != 0xFFFF_FFF0 || wi.Stride != 8 || wi.Addrs[2] != 7 {
+		t.Fatalf("FillLinear wrote %+v", wi)
+	}
+	for lane, want := range map[int]uint32{0: 0xFFFF_FFF0, 1: 0xFFFF_FFF8, 2: 0, 31: 232} {
+		if got := wi.Addr(lane); got != want {
+			t.Errorf("lane %d addr = %#x, want %#x", lane, got, want)
 		}
 	}
 }

@@ -1,31 +1,81 @@
 package mem
 
-import "gpusched/internal/isa"
+import (
+	"math"
+	"math/bits"
+
+	"gpusched/internal/isa"
+)
 
 // Coalesce reduces the active lanes of a warp memory instruction to the set
 // of distinct line addresses they touch, in first-lane order — the memory
 // transactions the access generates. base is the kernel's global address
-// offset added to every lane address. The result is appended to dst (which
-// may be reused across calls to avoid allocation).
+// offset added to every lane address. The lines are appended to dst (which
+// may be reused across calls to avoid allocation); they are distinct among
+// themselves, not from what dst already holds.
 //
 // A fully-coalesced 4-byte-per-lane access yields 1 transaction per 128B
 // line; a 128B-strided access yields 32. This 1..32 fan-out is exactly the
 // memory-divergence behaviour the workloads encode.
 func Coalesce(dst []uint64, wi *isa.WarpInstr, base uint64, lineBytes int) []uint64 {
+	if !wi.Affine {
+		return coalesceLanes(dst, &wi.Addrs, wi.Mask, base, lineBytes)
+	}
 	mask := wi.Mask
-	lineMask := ^uint64(lineBytes - 1)
-	for lane := 0; lane < isa.WarpSize; lane++ {
-		if mask&(1<<uint(lane)) == 0 {
-			continue
+	if mask == 0 {
+		return dst
+	}
+	first := bits.TrailingZeros32(mask)
+	span := uint64(31-bits.LeadingZeros32(mask)-first) * uint64(wi.Stride)
+	lo := uint64(wi.Addr(first))
+	if lo+span > math.MaxUint32 {
+		// The lane addresses wrap around the 32-bit space, so a line may
+		// come back after others: expand them.
+		var addrs [isa.WarpSize]uint32
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			addrs[l] = wi.Addr(l)
 		}
-		line := (base + uint64(wi.Addrs[lane])) & lineMask
+		return coalesceLanes(dst, &addrs, mask, base, lineBytes)
+	}
+	// The active lanes' addresses climb with the lane, so each lane's line
+	// is the previous lane's or one past every line so far.
+	lineMask := ^uint64(lineBytes - 1)
+	start := (base + lo) & lineMask
+	if m := mask >> first; m&(m+1) == 0 && uint64(wi.Stride) <= uint64(lineBytes) {
+		// Contiguous lanes, at most a line apart: every line from the first
+		// lane's to the last lane's.
+		end := (base + lo + span) & lineMask
+		for line := start; ; line += uint64(lineBytes) {
+			dst = append(dst, line)
+			if line == end {
+				return dst
+			}
+		}
+	}
+	dst = append(dst, start)
+	for m := mask & (mask - 1); m != 0; m &= m - 1 {
+		off := uint64(bits.TrailingZeros32(m)-first) * uint64(wi.Stride)
+		if line := (base + lo + off) & lineMask; line != dst[len(dst)-1] {
+			dst = append(dst, line)
+		}
+	}
+	return dst
+}
+
+// coalesceLanes is Coalesce over per-lane addresses.
+func coalesceLanes(dst []uint64, addrs *[isa.WarpSize]uint32, mask uint32, base uint64, lineBytes int) []uint64 {
+	lineMask := ^uint64(lineBytes - 1)
+	start := len(dst)
+	for m := mask; m != 0; m &= m - 1 {
+		line := (base + uint64(addrs[bits.TrailingZeros32(m)])) & lineMask
 		// Neighbouring lanes mostly share a line: a repeat of the last one
 		// needs no scan.
-		if n := len(dst); n > 0 && dst[n-1] == line {
+		if n := len(dst); n > start && dst[n-1] == line {
 			continue
 		}
 		found := false
-		for _, d := range dst {
+		for _, d := range dst[start:] {
 			if d == line {
 				found = true
 				break

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -113,6 +114,46 @@ func TestCoalesceProperties(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzCoalesceAffine checks Coalesce's arithmetic path for an affine record
+// against its per-lane path on the same lanes written out in Addrs: the same
+// lines in the same order. The line size is 1 to 256 bytes, and kind picks
+// the stride: 0, at most a line, over a line, or any 32-bit value (most of
+// which wrap around the 32-bit space within a warp). The seeds are the
+// cases a wrong shortcut gets wrong: lanes that wrap past 2^32, a mask with
+// holes at a stride under a line, a stride of two lines with every lane
+// active, a first active lane past lane 0, and a kernel base near 2^64.
+func FuzzCoalesceAffine(f *testing.F) {
+	f.Add(uint32(0), uint32(4), uint8(3), uint32(isa.FullMask), uint64(1<<32), uint8(7))
+	f.Add(uint32(7), uint32(0), uint8(0), uint32(0x8000_0001), uint64(0), uint8(7))
+	f.Add(uint32(0xFFFF_FF00), uint32(64), uint8(3), uint32(isa.FullMask), uint64(1<<32), uint8(7))
+	f.Add(uint32(0), uint32(64), uint8(3), uint32(0x11), uint64(0), uint8(7))
+	f.Add(uint32(0), uint32(127), uint8(2), uint32(isa.FullMask), uint64(0), uint8(7))
+	f.Add(uint32(0), uint32(64), uint8(3), uint32(0xF0), uint64(0), uint8(7))
+	f.Add(uint32(100), uint32(200), uint8(3), uint32(0xFFFF_0000), uint64(1<<64-256), uint8(8))
+	f.Fuzz(func(t *testing.T, base, stride uint32, kind uint8, mask uint32, addrBase uint64, shift uint8) {
+		lineBytes := 1 << (shift % 9)
+		switch kind % 4 {
+		case 0:
+			stride = 0
+		case 1:
+			stride = 1 + stride%uint32(lineBytes)
+		case 2:
+			stride = uint32(lineBytes) + 1 + stride%(1<<16)
+		}
+		affine := isa.WarpInstr{Op: isa.OpLoadGlobal, Mask: mask}
+		isa.FillLinear(&affine, base, stride)
+		lanes := isa.WarpInstr{Op: isa.OpLoadGlobal, Mask: mask}
+		for l := range lanes.Addrs {
+			lanes.Addrs[l] = base + uint32(l)*stride
+		}
+		got := Coalesce(nil, &affine, addrBase, lineBytes)
+		if want := Coalesce(nil, &lanes, addrBase, lineBytes); !slices.Equal(got, want) {
+			t.Fatalf("base %#x stride %#x mask %#x AddrBase %#x, %d-byte lines: affine gives %#x, lanes give %#x",
+				base, stride, mask, addrBase, lineBytes, got, want)
+		}
+	})
 }
 
 func TestPipeLatencyAndCapacity(t *testing.T) {

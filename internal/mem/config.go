@@ -9,7 +9,10 @@
 // the levers CTA scheduling pulls on.
 package mem
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config collects the memory-system parameters. The zero value is not
 // usable; start from DefaultConfig.
@@ -88,6 +91,37 @@ func DefaultConfig() Config {
 		DRAMtRowExtra: 30,
 		DRAMtBurst:    8,
 	}
+}
+
+// Validate reports a configuration the memory system cannot be built on:
+// a line size or a cache set count that is not a power of two, a cache
+// smaller than one set, a DRAM row shorter than a line, or no partitions,
+// DRAM banks or queue room.
+func (c *Config) Validate() error {
+	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
+	if !pow2(c.LineBytes) {
+		return fmt.Errorf("mem: LineBytes %d is not a power of two", c.LineBytes)
+	}
+	for _, cache := range []struct {
+		name        string
+		bytes, ways int
+	}{{"L1", c.L1Bytes, c.L1Ways}, {"L2", c.L2BytesPerPartition, c.L2Ways}} {
+		if cache.ways <= 0 || cache.bytes <= 0 {
+			return fmt.Errorf("mem: %s of %d bytes and %d ways", cache.name, cache.bytes, cache.ways)
+		}
+		if sets := cache.bytes / c.LineBytes / cache.ways; !pow2(sets) {
+			return fmt.Errorf("mem: %s of %d bytes, %d ways and %d-byte lines has %d sets, not a power of two",
+				cache.name, cache.bytes, cache.ways, c.LineBytes, sets)
+		}
+	}
+	if c.DRAMRowBytes < c.LineBytes {
+		return fmt.Errorf("mem: DRAMRowBytes %d is shorter than a line (%d)", c.DRAMRowBytes, c.LineBytes)
+	}
+	if c.Partitions <= 0 || c.DRAMBanks <= 0 || c.XbarQueueCap <= 0 || c.DRAMQueueCap <= 0 {
+		return fmt.Errorf("mem: Partitions %d, DRAMBanks %d, XbarQueueCap %d and DRAMQueueCap %d must all be positive",
+			c.Partitions, c.DRAMBanks, c.XbarQueueCap, c.DRAMQueueCap)
+	}
+	return nil
 }
 
 // LineShift returns log2(LineBytes). LineBytes must be a power of two.

@@ -146,7 +146,7 @@ func certScenarios() []certScenario {
 				if w == 0 {
 					chain(b, 30)
 				}
-				b.Barrier().LoadShared(2, 0, 2).FAlu(1, 2)
+				b.Barrier().LoadShared(2, 2).FAlu(1, 2)
 				if w == 3 {
 					loadThenUse(b, ctaID, w)
 				}

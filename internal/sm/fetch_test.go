@@ -8,15 +8,20 @@ import (
 	"gpusched/internal/mem"
 )
 
-// TestContextSizes pins the per-warp and per-queue-entry footprint: a warp
-// and a queued memory instruction keep the decoded instruction, never the
-// 32 lane addresses of an isa.WarpInstr.
+// TestContextSizes pins the per-warp, per-queue-entry and per-unit
+// footprint: a warp and a queued memory instruction keep the decoded
+// instruction, never the lane formula or the 32 lane addresses of an
+// isa.WarpInstr, and the LDST unit holds the SM's one fetch buffer and no
+// memo of what it last fetched.
 func TestContextSizes(t *testing.T) {
 	if n := unsafe.Sizeof(Warp{}); n > 128 {
 		t.Errorf("Warp is %d bytes, want at most 128", n)
 	}
 	if n := unsafe.Sizeof(ldstEntry{}); n > 72 {
 		t.Errorf("ldstEntry is %d bytes, want at most 72", n)
+	}
+	if n := unsafe.Sizeof(ldstUnit{}); n > 328 {
+		t.Errorf("ldstUnit is %d bytes, want at most 328", n)
 	}
 }
 
@@ -33,7 +38,8 @@ func (r *sendRecorder) Send(req mem.Request, now uint64) {
 
 // globalMix is the global-memory program of one warp, in a 16 KB region of
 // its own: a masked store, a divergent 32-line store and load in scrambled
-// lane order, a masked load, and fully predicated-off forms of each. Every
+// lane order, a masked load, fully predicated-off forms of each, and two
+// affine ops (a masked load and a store whose stride wraps). Every
 // instruction touches lines no other does, so each line a load names is a
 // cold miss the L1 sends, as every store line is (write-through).
 func globalMix(region uint32) []isa.WarpInstr {
@@ -52,8 +58,18 @@ func globalMix(region uint32) []isa.WarpInstr {
 	add(isa.OpLoadGlobal, 2, 0, isa.FullMask, func(l int) uint32 { return 2<<12 + uint32(l*13%32)*128 })
 	add(isa.OpLoadGlobal, 3, 0, 0x0000_FFFF, func(l int) uint32 { return 3<<12 + uint32(l)*64 })
 	add(isa.OpLoadGlobal, 4, 0, 0, func(l int) uint32 { return 3<<12 + uint32(l)*4 })
+	affine := func(op isa.Op, dst, src isa.Reg, mask, base, stride uint32) {
+		wi := isa.WarpInstr{Op: op, Dst: dst, Src: [3]isa.Reg{src}, Mask: mask}
+		isa.FillLinear(&wi, region+base, stride)
+		prog = append(prog, wi)
+	}
+	// Lanes 16..31 read one line; then lanes 0..31 descend through sixteen
+	// lines, 64 bytes apart, by a stride that wraps around the 32-bit space.
+	affine(isa.OpLoadGlobal, 6, 0, 0xFFFF_0000, 3<<12+1024-64, 4)
+	affine(isa.OpStoreGlobal, 0, 1, isa.FullMask, 3<<12+4092, 0xFFFF_FFC0)
 	prog = append(prog,
 		isa.WarpInstr{Op: isa.OpFAlu, Dst: 5, Src: [3]isa.Reg{2, 3, 4}, Mask: isa.FullMask},
+		isa.WarpInstr{Op: isa.OpFAlu, Dst: 7, Src: [3]isa.Reg{6}, Mask: isa.FullMask},
 		isa.WarpInstr{Op: isa.OpExit, Mask: isa.FullMask})
 	return prog
 }
@@ -72,8 +88,8 @@ func overlaps(a, b []uint64) bool {
 // two-warp CTAs, three resident at a time, each retired context recycled
 // into the next placement. Each warp's sends, in order, must be exactly the
 // lines mem.Coalesce gives for its full instructions: a global op's lanes
-// are read when it issues, from the SM's shared fetch buffer or by fetching
-// the op again, so this also checks that no warp sees another's lanes and
+// are read when it issues, by fetching the op again into the SM's shared
+// fetch buffer, so this also checks that no warp sees another's lanes and
 // that each op is stepped past exactly once. Every cycle, no line buffer the LDST queue
 // holds may share memory with another entry's or with any CTA context's
 // scoreboard slab, whether the context is resident, pooled or re-placed.

@@ -69,17 +69,12 @@ type ldstUnit struct {
 	linePool [][]uint64
 
 	// fetchBuf is the one buffer every warp of the SM fills from its
-	// program, at fetch and when the unit reads a global op's lanes. The
-	// schedulers tick in turn, and neither keeps the buffer past its own
-	// use, so they share it. It lives here rather than in SM, where its 192
-	// bytes took SM to a 640-byte heap slot; the unit is its only reader of
-	// lanes.
-	// peeked is the warp whose global op the buffer still holds, if any,
-	// and peekedNext the cursor past that op: the unit reads those lanes
-	// without fetching them again (Warp.lanes).
-	fetchBuf   isa.WarpInstr
-	peeked     *Warp
-	peekedNext isa.Cursor
+	// program, at fetch and when the unit reads a global op's lanes
+	// (Warp.lanes). The schedulers tick in turn, and neither keeps the
+	// buffer past its own use, so they share it. It lives here rather than
+	// in SM, where it took SM to a 640-byte heap slot; the unit is its only
+	// reader of lanes.
+	fetchBuf isa.WarpInstr
 
 	// freeGen advances whenever a queue slot or a pending-load token frees —
 	// the only ways canAccept turns true — so a stall certificate that rests

@@ -57,7 +57,7 @@ func TestSharedStoreNoToken(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.MaxPendingLoads = 1 })
 	b := isa.NewBuilder()
 	for i := 0; i < 10; i++ {
-		b.StoreShared(1, 0, 1)
+		b.StoreShared(1, 1)
 	}
 	b.Exit()
 	r.sm.AddCTA(specWith(2, fixedProg(b)), 0, 0, 0, 0, 0, r.now)

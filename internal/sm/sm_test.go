@@ -271,7 +271,7 @@ func TestSharedMemoryLatencyAndConflicts(t *testing.T) {
 		r := newRig(t, nil)
 		b := isa.NewBuilder()
 		for i := 0; i < 16; i++ {
-			b.LoadShared(1, 0, conflict)
+			b.LoadShared(1, conflict)
 		}
 		b.Exit()
 		r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)

@@ -63,38 +63,31 @@ func (w *Warp) setReady(r isa.Reg, at uint64) { w.readyAt[r] = at }
 
 // fetch ensures cur holds the next unissued instruction, decoded from the
 // SM's one fetch buffer (u.fetchBuf). A global op with active lanes is only
-// peeked at: at stays on it until the LDST unit reads its lanes (lanes), so
-// the warp never keeps them. Returns false when the program is exhausted
-// (treated as an implicit exit).
+// peeked at: at stays on it until the LDST unit fetches it again for its
+// lanes (lanes), so the warp never keeps them. Returns false when the
+// program is exhausted (treated as an implicit exit).
 func (w *Warp) fetch(u *ldstUnit) bool {
 	if w.curValid {
 		return true
 	}
 	buf, from := &u.fetchBuf, w.at
-	u.peeked = nil
 	if !w.prog.Next(&w.at, buf) {
 		return false
 	}
 	w.cur = instr{Op: buf.Op, Dst: buf.Dst, Src: buf.Src, BankConflict: buf.BankConflict, Mask: buf.Mask}
 	w.curValid = true
 	if buf.Op.IsGlobal() && buf.Mask != 0 {
-		u.peeked, u.peekedNext = w, w.at
 		w.at = from
 	}
 	return true
 }
 
-// lanes returns cur, an issued global op with active lanes, whole in the
-// fetch buffer and steps at past it. If another fetch has refilled the
-// buffer since w's, it fetches cur again: programs are deterministic, so
-// that gives the instruction fetch decoded cur from.
+// lanes fetches cur, an issued global op with active lanes, again into the
+// fetch buffer and steps at past it. Programs are deterministic, so that
+// gives the instruction fetch decoded cur from; an affine op's lanes are
+// then one formula.
 func (w *Warp) lanes(u *ldstUnit) *isa.WarpInstr {
-	if u.peeked == w {
-		w.at = u.peekedNext
-	} else {
-		w.prog.Next(&w.at, &u.fetchBuf)
-	}
-	u.peeked = nil
+	w.prog.Next(&w.at, &u.fetchBuf)
 	return &u.fetchBuf
 }
 

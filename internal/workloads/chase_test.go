@@ -26,11 +26,31 @@ func sliceChase(ctaID, w, warpsPerCTA, iters int) *isa.SliceProgram {
 	return &isa.SliceProgram{Instrs: instrs}
 }
 
+// sameInstr reports whether a and b are one instruction to the core: equal
+// op, registers, bank conflict and mask, and for a global op equal addresses
+// on every active lane, each read as a formula or from the lane array. A
+// non-global op must carry the same formula fields (none, once cleared).
+func sameInstr(a, b *isa.WarpInstr) bool {
+	if a.Op != b.Op || a.Dst != b.Dst || a.Src != b.Src || a.BankConflict != b.BankConflict || a.Mask != b.Mask {
+		return false
+	}
+	if !a.Op.IsGlobal() {
+		return a.Affine == b.Affine && a.Base == b.Base && a.Stride == b.Stride
+	}
+	for l := 0; l < isa.WarpSize; l++ {
+		if a.Mask&(1<<l) != 0 && a.Addr(l) != b.Addr(l) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestChaseStreamMatchesSlice: the lazy ChaseSpec program emits exactly the
 // instructions the materialized one did, into a buffer left dirty by the
 // previous call, and ends where it ended.
 func TestChaseStreamMatchesSlice(t *testing.T) {
-	junk := isa.WarpInstr{Op: isa.OpStoreShared, Dst: 9, Src: [3]isa.Reg{7, 8, 9}, Mask: 0x5, BankConflict: 3}
+	junk := isa.WarpInstr{Op: isa.OpStoreShared, Dst: 9, Src: [3]isa.Reg{7, 8, 9}, Mask: 0x5, BankConflict: 3,
+		Affine: true, Base: 0xDEADBEEF, Stride: 3}
 	for i := range junk.Addrs {
 		junk.Addrs[i] = 0xDEADBEEF
 	}
@@ -66,7 +86,7 @@ func TestChaseStreamMatchesSlice(t *testing.T) {
 				if !gok {
 					break
 				}
-				if g != w {
+				if !sameInstr(&g, &w) {
 					t.Fatalf("chase(%d,%d,%d) cta %d warp %d instr %d:\n lazy  %+v\n slice %+v",
 						tc.ctas, tc.warps, tc.iters, p.cta, p.warp, n, g, w)
 				}

@@ -141,8 +141,8 @@ func buildKMeans(s Scale) *kernel.Spec {
 	for k := 0; k < centroids; k++ {
 		line := uint32(regionB + k*128)
 		body = append(body,
-			// Broadcast load: every lane reads the centroid line.
-			ldgLanes(3, func(_ *isa.Cursor, lane int) uint32 { return line + uint32(lane%32)*4 }),
+			// Broadcast load: every warp reads the whole centroid line.
+			ldg(3, func(*isa.Cursor) uint32 { return line }),
 			alu(isa.OpFAlu, 4, 1, 3),
 			alu(isa.OpFAlu, 5, 4, 2),
 			alu(isa.OpFAlu, 6, 5, 6),

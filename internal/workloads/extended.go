@@ -68,12 +68,12 @@ func buildLUD(s Scale) *kernel.Spec {
 			iters: steps,
 			body: []Emit{
 				// Pivot row broadcast: all active lanes read one line.
-				ldgMasked(1, shrink, func(c *isa.Cursor, lane int) uint32 {
-					return regionA + uint32(c.Iter)*128 + uint32(lane%32)*4
+				ldgMasked(1, shrink, func(c *isa.Cursor) uint32 {
+					return regionA + uint32(c.Iter)*128
 				}),
 				// Own row elements.
-				ldgMasked(2, shrink, func(c *isa.Cursor, lane int) uint32 {
-					return regionB + warpBase(c, warpsPerCTA, 4) + uint32(c.Iter)*stride + uint32(lane)*4
+				ldgMasked(2, shrink, func(c *isa.Cursor) uint32 {
+					return regionB + warpBase(c, warpsPerCTA, 4) + uint32(c.Iter)*stride
 				}),
 				aluMasked(isa.OpFAlu, 3, shrink, 1, 2),
 				aluMasked(isa.OpFAlu, 4, shrink, 3, 4),
@@ -106,8 +106,8 @@ func buildSRAD(s Scale) *kernel.Spec {
 				ldg(1, rowLine(iters, regionA, 0)),
 				ldg(2, rowLine(iters, regionA, 1)),
 				ldg(3, rowLine(iters, regionA, 2)),
-				ldgLanes(4, func(c *isa.Cursor, lane int) uint32 {
-					return uint32(regionD) + uint32(c.CTA)*128 + uint32(lane%32)*4
+				ldg(4, func(c *isa.Cursor) uint32 {
+					return uint32(regionD) + uint32(c.CTA)*128
 				}),
 				alu(isa.OpFAlu, 5, 1, 2),
 				alu(isa.OpFAlu, 6, 3, 4),

@@ -35,8 +35,8 @@ func TestStreamclusterWindowsPrivateAndReused(t *testing.T) {
 		counts := map[uint32]int{}
 		total := 0
 		for _, wi := range drain(spec, cta, 0, 1_000_000) {
-			if wi.Op == isa.OpLoadGlobal && wi.Addrs[0] >= regionB && wi.Addrs[0] < regionC {
-				counts[wi.Addrs[0]/128]++
+			if wi.Op == isa.OpLoadGlobal && wi.Addr(0) >= regionB && wi.Addr(0) < regionC {
+				counts[wi.Addr(0)/128]++
 				total++
 			}
 		}
@@ -58,8 +58,8 @@ func TestStreamclusterWindowsPrivateAndReused(t *testing.T) {
 	counts := map[uint32]int{}
 	total := 0
 	for _, wi := range drain(specFull, 0, 0, 1_000_000) {
-		if wi.Op == isa.OpLoadGlobal && wi.Addrs[0] >= regionB && wi.Addrs[0] < regionC {
-			counts[wi.Addrs[0]/128]++
+		if wi.Op == isa.OpLoadGlobal && wi.Addr(0) >= regionB && wi.Addr(0) < regionC {
+			counts[wi.Addr(0)/128]++
 			total++
 		}
 	}
@@ -74,9 +74,9 @@ func TestSRADSharesRowsWithNeighbor(t *testing.T) {
 	lines := func(cta int) map[uint32]bool {
 		set := map[uint32]bool{}
 		for _, wi := range drain(spec, cta, 0, 1_000_000) {
-			if wi.Op == isa.OpLoadGlobal && wi.Addrs[0] < regionB {
+			if wi.Op == isa.OpLoadGlobal && wi.Addr(0) < regionB {
 				for l := 0; l < isa.WarpSize; l++ {
-					set[wi.Addrs[l]/128] = true
+					set[wi.Addr(l)/128] = true
 				}
 			}
 		}

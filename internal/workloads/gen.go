@@ -7,9 +7,15 @@ import (
 
 // Emit fills buf with one instruction for the warp at c. It reads the
 // warp's identity (c.CTA, c.Warp) and loop iteration (c.Iter), nothing else
-// of the cursor, and must overwrite every field of buf it relies on (buf is
-// reused).
+// of the cursor. buf arrives with its header cleared (isa.WarpInstr.Reset)
+// and its lanes holding another instruction's: an Emit sets the header
+// fields it needs, and a global op that is not affine writes every active
+// lane.
 type Emit func(buf *isa.WarpInstr, c *isa.Cursor)
+
+// Lanes writes the 32 lane addresses of a gather or an atomic for the warp
+// at c, in one call per instruction.
+type Lanes func(c *isa.Cursor, a *[isa.WarpSize]uint32)
 
 // loopProgram is the program shape every workload kernel uses: a prologue
 // executed once, a body repeated iters times, an epilogue, then EXIT. It is
@@ -154,30 +160,42 @@ func aluMasked(op isa.Op, dst isa.Reg, mask func(c *isa.Cursor) uint32, srcs ...
 
 // ldg emits a perfectly-coalesced global load: lane l reads base(c)+4l.
 func ldg(dst isa.Reg, base func(c *isa.Cursor) uint32) Emit {
+	return ldgStride(dst, base, 4)
+}
+
+// ldgStride emits a global load whose lane l reads base(c)+l*stride.
+func ldgStride(dst isa.Reg, base func(c *isa.Cursor) uint32, stride uint32) Emit {
 	return func(buf *isa.WarpInstr, c *isa.Cursor) {
 		buf.Op = isa.OpLoadGlobal
 		buf.Dst = dst
 		buf.Mask = isa.FullMask
-		isa.FillLinear(buf, base(c), 4)
+		isa.FillLinear(buf, base(c), stride)
 	}
 }
 
-// ldgLanes emits a global load with arbitrary per-lane addressing.
-func ldgLanes(dst isa.Reg, addr func(c *isa.Cursor, lane int) uint32) Emit {
-	return ldgMasked(dst, func(*isa.Cursor) uint32 { return isa.FullMask }, addr)
-}
-
-// ldgMasked is ldgLanes with a per-warp, per-iteration active mask.
-func ldgMasked(dst isa.Reg, mask func(c *isa.Cursor) uint32, addr func(c *isa.Cursor, lane int) uint32) Emit {
+// ldgMasked is ldg with a per-warp, per-iteration active mask.
+func ldgMasked(dst isa.Reg, mask, base func(c *isa.Cursor) uint32) Emit {
 	return func(buf *isa.WarpInstr, c *isa.Cursor) {
 		buf.Op = isa.OpLoadGlobal
 		buf.Dst = dst
 		buf.Mask = mask(c)
-		for l := 0; l < isa.WarpSize; l++ {
-			buf.Addrs[l] = addr(c, l)
-		}
+		isa.FillLinear(buf, base(c), 4)
 	}
 }
+
+// gather emits a global load with arbitrary per-lane addressing and a
+// per-warp, per-iteration active mask.
+func gather(dst isa.Reg, mask func(c *isa.Cursor) uint32, lanes Lanes) Emit {
+	return func(buf *isa.WarpInstr, c *isa.Cursor) {
+		buf.Op = isa.OpLoadGlobal
+		buf.Dst = dst
+		buf.Mask = mask(c)
+		lanes(c, &buf.Addrs)
+	}
+}
+
+// allLanes is the active mask of an unpredicated instruction.
+func allLanes(*isa.Cursor) uint32 { return isa.FullMask }
 
 // stg emits a perfectly-coalesced global store of src.
 func stg(src isa.Reg, base func(c *isa.Cursor) uint32) Emit {
@@ -220,14 +238,20 @@ func stsMasked(src isa.Reg, mask func(c *isa.Cursor) uint32) Emit {
 }
 
 // atom emits a global atomic RMW with arbitrary per-lane addressing.
-func atom(dst isa.Reg, addr func(c *isa.Cursor, lane int) uint32) Emit {
+func atom(dst isa.Reg, lanes Lanes) Emit {
 	return func(buf *isa.WarpInstr, c *isa.Cursor) {
 		buf.Op = isa.OpAtomicGlobal
 		buf.Dst = dst
 		buf.Mask = isa.FullMask
-		for l := 0; l < isa.WarpSize; l++ {
-			buf.Addrs[l] = addr(c, l)
-		}
+		lanes(c, &buf.Addrs)
+	}
+}
+
+// setGroup writes addr to group g of a's lanes, in groups of n: lanes g*n
+// up to g*n+n-1. The suite's gathers and atomics address clusters of lanes.
+func setGroup(a *[isa.WarpSize]uint32, g, n int, addr uint32) {
+	for l := g * n; l < g*n+n; l++ {
+		a[l] = addr
 	}
 }
 

@@ -44,11 +44,13 @@ func buildSPMV(s Scale) *kernel.Spec {
 			return region + warpBase(c, warpsPerCTA, 4) + uint32(c.Iter)*idxStride
 		}
 	}
-	gather := func(slot int) func(*isa.Cursor, int) uint32 {
-		return func(c *isa.Cursor, lane int) uint32 {
-			r := hash3(gwarp(c, warpsPerCTA), c.Iter*4+slot, lane/4)
-			window := uint32(regionB) + uint32(c.CTA)*windowBytes
-			return window + (r%(windowBytes/4))*4
+	cols := func(slot int) Lanes {
+		return func(c *isa.Cursor, a *[isa.WarpSize]uint32) {
+			gw, window := gwarp(c, warpsPerCTA), uint32(regionB)+uint32(c.CTA)*windowBytes
+			for g := 0; g < isa.WarpSize/4; g++ {
+				r := hash3(gw, c.Iter*4+slot, g)
+				setGroup(a, g, 4, window+(r%(windowBytes/4))*4)
+			}
 		}
 	}
 
@@ -61,8 +63,8 @@ func buildSPMV(s Scale) *kernel.Spec {
 			iters: rows,
 			body: []Emit{
 				ldg(1, row(regionA)),
-				ldgLanes(2, gather(0)),
-				ldgLanes(3, gather(1)),
+				gather(2, allLanes, cols(0)),
+				gather(3, allLanes, cols(1)),
 				alu(isa.OpFAlu, 4, 2, 1),
 				alu(isa.OpFAlu, 5, 3, 4),
 				alu(isa.OpFAlu, 6, 5, 6),
@@ -94,10 +96,13 @@ func buildBFS(s Scale) *kernel.Spec {
 		m := hash2(gwarp(c, warpsPerCTA), c.Iter)
 		return m | 0x0000FFFF | (m >> 7)
 	}
-	neighbor := func(slot int) func(*isa.Cursor, int) uint32 {
-		return func(c *isa.Cursor, lane int) uint32 {
-			r := hash3(gwarp(c, warpsPerCTA), c.Iter*2+slot, lane/4)
-			return regionB + (r%(graphBytes/4))*4
+	neighbor := func(slot int) Lanes {
+		return func(c *isa.Cursor, a *[isa.WarpSize]uint32) {
+			gw := gwarp(c, warpsPerCTA)
+			for g := 0; g < isa.WarpSize/4; g++ {
+				r := hash3(gw, c.Iter*2+slot, g)
+				setGroup(a, g, 4, regionB+(r%(graphBytes/4))*4)
+			}
 		}
 	}
 
@@ -110,8 +115,8 @@ func buildBFS(s Scale) *kernel.Spec {
 			iters: iters,
 			body: []Emit{
 				ldg(1, frontier(regionA)),
-				ldgMasked(2, mask, neighbor(0)),
-				ldgMasked(3, mask, neighbor(1)),
+				gather(2, mask, neighbor(0)),
+				gather(3, mask, neighbor(1)),
 				aluMasked(isa.OpIAlu, 4, mask, 2, 3),
 				aluMasked(isa.OpIAlu, 5, mask, 4, 1),
 				stg(5, frontier(regionC)),
@@ -134,9 +139,12 @@ func buildHisto(s Scale) *kernel.Spec {
 	in := func(c *isa.Cursor) uint32 {
 		return regionA + warpBase(c, warpsPerCTA, 4) + uint32(c.Iter)*stride
 	}
-	binAt := func(c *isa.Cursor, lane int) uint32 {
-		r := hash3(gwarp(c, warpsPerCTA), c.Iter, lane/8)
-		return regionB + (r%bins)*4
+	binAt := func(c *isa.Cursor, a *[isa.WarpSize]uint32) {
+		gw := gwarp(c, warpsPerCTA)
+		for g := 0; g < isa.WarpSize/8; g++ {
+			r := hash3(gw, c.Iter, g)
+			setGroup(a, g, 8, regionB+(r%bins)*4)
+		}
 	}
 
 	return &kernel.Spec{

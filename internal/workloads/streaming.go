@@ -61,9 +61,9 @@ func buildNN(s Scale) *kernel.Spec {
 	const warpsPerCTA = 4
 	totalWarps := ctas * warpsPerCTA
 	recStride := uint32(totalWarps * isa.WarpSize * 16) // bytes per step, 16B records
-	field := func(f uint32) func(*isa.Cursor, int) uint32 {
-		return func(c *isa.Cursor, lane int) uint32 {
-			return regionA + warpBase(c, warpsPerCTA, 16) + uint32(c.Iter)*recStride + uint32(lane)*16 + f*4
+	field := func(f uint32) func(*isa.Cursor) uint32 {
+		return func(c *isa.Cursor) uint32 {
+			return regionA + warpBase(c, warpsPerCTA, 16) + uint32(c.Iter)*recStride + f*4
 		}
 	}
 	out := func(c *isa.Cursor) uint32 {
@@ -78,10 +78,10 @@ func buildNN(s Scale) *kernel.Spec {
 		Program: shared(&loopProgram{
 			iters: iters,
 			body: []Emit{
-				ldgLanes(1, field(0)),
-				ldgLanes(2, field(1)),
-				ldgLanes(3, field(2)),
-				ldgLanes(4, field(3)),
+				ldgStride(1, field(0), 16),
+				ldgStride(2, field(1), 16),
+				ldgStride(3, field(2), 16),
+				ldgStride(4, field(3), 16),
 				alu(isa.OpFAlu, 5, 1, 2),
 				alu(isa.OpFAlu, 6, 3, 4),
 				alu(isa.OpFAlu, 7, 5, 6),

@@ -40,7 +40,9 @@ var pinnedStreams = map[string]string{
 }
 
 // hashInstr feeds the fields of wi the core reads into h: op, registers,
-// mask, bank conflict and the active lanes' addresses.
+// mask, bank conflict and the active lanes' addresses. Only a global op has
+// addresses; another op's active lanes hash as zeros, as they read when a
+// program cleared the whole record before every instruction.
 func hashInstr(h hash.Hash64, wi *isa.WarpInstr) {
 	var b [4]byte
 	h.Write([]byte{byte(wi.Op), byte(wi.Dst), byte(wi.Src[0]), byte(wi.Src[1]), byte(wi.Src[2]), wi.BankConflict})
@@ -48,7 +50,11 @@ func hashInstr(h hash.Hash64, wi *isa.WarpInstr) {
 	h.Write(b[:])
 	for l := 0; l < isa.WarpSize; l++ {
 		if wi.Mask&(1<<l) != 0 {
-			binary.LittleEndian.PutUint32(b[:], wi.Addrs[l])
+			addr := uint32(0)
+			if wi.Op.IsGlobal() {
+				addr = wi.Addr(l)
+			}
+			binary.LittleEndian.PutUint32(b[:], addr)
 			h.Write(b[:])
 		}
 	}

@@ -23,6 +23,15 @@ func drain(spec *kernel.Spec, cta, warp, cap int) []isa.WarpInstr {
 	return out
 }
 
+// lanes returns all 32 of wi's lane addresses, from its formula or its
+// lane array.
+func lanes(wi *isa.WarpInstr) (a [isa.WarpSize]uint32) {
+	for l := range a {
+		a[l] = wi.Addr(l)
+	}
+	return a
+}
+
 func TestCatalogIntegrity(t *testing.T) {
 	ws := All()
 	if len(ws) != 19 {
@@ -134,7 +143,7 @@ func TestProgramsDifferAcrossWarps(t *testing.T) {
 			if i >= len(b) {
 				break
 			}
-			if a[i].Op == isa.OpLoadGlobal && b[i].Op == isa.OpLoadGlobal && a[i].Addrs != b[i].Addrs {
+			if a[i].Op == isa.OpLoadGlobal && b[i].Op == isa.OpLoadGlobal && lanes(&a[i]) != lanes(&b[i]) {
 				differ = true
 				break
 			}
@@ -197,8 +206,8 @@ func TestSPMVWindowsArePrivate(t *testing.T) {
 	gatherAddrs := func(cta int) map[uint32]bool {
 		set := map[uint32]bool{}
 		for _, wi := range drain(spec, cta, 0, 1_000_000) {
-			if wi.Op == isa.OpLoadGlobal && wi.Addrs[0] >= regionB && wi.Addrs[0] < regionC {
-				for _, a := range wi.Addrs {
+			if wi.Op == isa.OpLoadGlobal && wi.Addr(0) >= regionB && wi.Addr(0) < regionC {
+				for _, a := range lanes(&wi) {
 					set[a/4096] = true // 4KB window granularity
 				}
 			}
@@ -232,7 +241,7 @@ func TestLocalityWorkloadsShareLinesAcrossCTAs(t *testing.T) {
 				if wi.Op == isa.OpLoadGlobal {
 					for l := 0; l < isa.WarpSize; l++ {
 						if wi.Mask&(1<<l) != 0 {
-							set[wi.Addrs[l]/128] = true
+							set[wi.Addr(l)/128] = true
 						}
 					}
 				}
@@ -322,8 +331,8 @@ func TestWorkloadFootprintsStayInAddressSpace(t *testing.T) {
 		for _, wi := range drain(s, s.NumCTAs()-1, s.WarpsPerCTA()-1, 2_000_000) {
 			if wi.Op.IsGlobal() {
 				for l := 0; l < isa.WarpSize; l++ {
-					if wi.Mask&(1<<l) != 0 && wi.Addrs[l] >= regionD+(1<<28) {
-						t.Fatalf("%s: address %#x outside region map", w.Name, wi.Addrs[l])
+					if wi.Mask&(1<<l) != 0 && wi.Addr(l) >= regionD+(1<<28) {
+						t.Fatalf("%s: address %#x outside region map", w.Name, wi.Addr(l))
 					}
 				}
 			}

@@ -170,13 +170,13 @@ func (p *ProgramBuilder) StoreGlobal(src uint8, base uint32) *ProgramBuilder {
 // LoadShared appends a scratchpad load with a bank-conflict degree
 // (1 = conflict-free, n = n serialized passes).
 func (p *ProgramBuilder) LoadShared(dst uint8, conflict uint8) *ProgramBuilder {
-	p.b.LoadShared(isa.Reg(dst), 0, conflict)
+	p.b.LoadShared(isa.Reg(dst), conflict)
 	return p
 }
 
 // StoreShared appends a scratchpad store with a bank-conflict degree.
 func (p *ProgramBuilder) StoreShared(src uint8, conflict uint8) *ProgramBuilder {
-	p.b.StoreShared(isa.Reg(src), 0, conflict)
+	p.b.StoreShared(isa.Reg(src), conflict)
 	return p
 }
 
