@@ -21,46 +21,31 @@ func Coalesce(dst []uint64, wi *isa.WarpInstr, base uint64, lineBytes int) []uin
 	if !wi.Affine {
 		return coalesceLanes(dst, &wi.Addrs, wi.Mask, base, lineBytes)
 	}
-	mask := wi.Mask
-	if mask == 0 {
-		return dst
-	}
-	first := bits.TrailingZeros32(mask)
-	span := uint64(31-bits.LeadingZeros32(mask)-first) * uint64(wi.Stride)
-	lo := uint64(wi.Addr(first))
-	if lo+span > math.MaxUint32 {
-		// The lane addresses wrap around the 32-bit space, so a line may
-		// come back after others: expand them.
-		var addrs [isa.WarpSize]uint32
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			addrs[l] = wi.Addr(l)
-		}
-		return coalesceLanes(dst, &addrs, mask, base, lineBytes)
-	}
-	// The active lanes' addresses climb with the lane, so each lane's line
-	// is the previous lane's or one past every line so far.
-	lineMask := ^uint64(lineBytes - 1)
-	start := (base + lo) & lineMask
-	if m := mask >> first; m&(m+1) == 0 && uint64(wi.Stride) <= uint64(lineBytes) {
-		// Contiguous lanes, at most a line apart: every line from the first
-		// lane's to the last lane's.
-		end := (base + lo + span) & lineMask
-		for line := start; ; line += uint64(lineBytes) {
-			dst = append(dst, line)
-			if line == end {
-				return dst
+	if wi.Mask != 0 {
+		first := bits.TrailingZeros32(wi.Mask)
+		m := wi.Mask >> first
+		lo := uint64(wi.Addr(first))
+		span := uint64(bits.Len32(m)-1) * uint64(wi.Stride)
+		if m&(m+1) == 0 && uint64(wi.Stride) <= uint64(lineBytes) && lo+span <= math.MaxUint32 {
+			// Contiguous lanes at most a line apart, their addresses
+			// climbing without wrapping around the 32-bit space: every line
+			// from the first lane's to the last lane's, each once.
+			lineMask := ^uint64(lineBytes - 1)
+			end := (base + lo + span) & lineMask
+			for line := (base + lo) & lineMask; ; line += uint64(lineBytes) {
+				dst = append(dst, line)
+				if line == end {
+					return dst
+				}
 			}
 		}
 	}
-	dst = append(dst, start)
-	for m := mask & (mask - 1); m != 0; m &= m - 1 {
-		off := uint64(bits.TrailingZeros32(m)-first) * uint64(wi.Stride)
-		if line := (base + lo + off) & lineMask; line != dst[len(dst)-1] {
-			dst = append(dst, line)
-		}
+	var addrs [isa.WarpSize]uint32
+	for m := wi.Mask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		addrs[l] = wi.Addr(l)
 	}
-	return dst
+	return coalesceLanes(dst, &addrs, wi.Mask, base, lineBytes)
 }
 
 // coalesceLanes is Coalesce over per-lane addresses.
