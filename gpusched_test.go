@@ -190,6 +190,32 @@ func TestKernelBuilder(t *testing.T) {
 	}
 }
 
+// A custom kernel is one program built at Build: the callback runs once per
+// warp of the grid there, and a run, which places every CTA, never calls it.
+func TestKernelBuilderBuildsOnce(t *testing.T) {
+	const ctas, warps = 120, 8
+	calls := 0
+	k := gpusched.NewKernelBuilder("saxpy", ctas, warps*32).
+		Program(func(ctaID, warp int, p *gpusched.ProgramBuilder) {
+			calls++
+			base := uint32((ctaID*warps + warp) * 128)
+			p.LoadGlobal(1, base).FMul(2, 1, 1).StoreGlobal(2, 1<<28+base)
+		}).
+		MustBuild()
+	for range 2 {
+		res, err := gpusched.Run(tinyConfig(), gpusched.Baseline(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.InstrIssued != ctas*warps*4 {
+			t.Fatalf("issued %d, want %d", res.InstrIssued, ctas*warps*4)
+		}
+	}
+	if calls != ctas*warps {
+		t.Fatalf("callback ran %d times over Build and two runs, want %d (once per warp)", calls, ctas*warps)
+	}
+}
+
 func TestKernelBuilderValidation(t *testing.T) {
 	if _, err := gpusched.NewKernelBuilder("bad", 4, 33).Build(); err == nil {
 		t.Error("ragged block accepted")

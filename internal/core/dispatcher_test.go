@@ -13,19 +13,16 @@ import (
 // uniformKernel builds a kernel of ctas blocks x warps warps whose every
 // warp runs `work` dependent FALUs then exits. regs tunes occupancy.
 func uniformKernel(name string, ctas, warps, work, regs int) *kernel.Spec {
+	b := isa.NewBuilder()
+	for i := 0; i < work; i++ {
+		b.FAlu(1, 1)
+	}
 	return &kernel.Spec{
 		Name:          name,
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warps * isa.WarpSize},
 		RegsPerThread: regs,
-		Program: func(ctaID, w int) isa.Program {
-			b := isa.NewBuilder()
-			for i := 0; i < work; i++ {
-				b.FAlu(1, 1)
-			}
-			b.Exit()
-			return b.Build()
-		},
+		Program:       b.Exit().Build(),
 	}
 }
 
@@ -298,20 +295,21 @@ func TestMixedPrioritizesKernelZeroRefills(t *testing.T) {
 // memBoundKernel builds a kernel whose warps spend almost all time waiting
 // on scattered loads (high issue-stall fraction).
 func memBoundKernel(ctas int) *kernel.Spec {
+	var progs []isa.Program
+	for gw := 0; gw < ctas*2; gw++ {
+		b := isa.NewBuilder()
+		for i := 0; i < 12; i++ {
+			b.LoadGlobalStride(1, uint32(gw*1<<16+i*4096), 512)
+			b.FAlu(2, 1)
+		}
+		progs = append(progs, b.Exit().Build())
+	}
 	return &kernel.Spec{
 		Name:          "membound",
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: 64},
 		RegsPerThread: 16,
-		Program: func(ctaID, w int) isa.Program {
-			b := isa.NewBuilder()
-			for i := 0; i < 12; i++ {
-				b.LoadGlobalStride(1, uint32((ctaID*2+w)*1<<16+i*4096), 512)
-				b.FAlu(2, 1)
-			}
-			b.Exit()
-			return b.Build()
-		},
+		Program:       isa.NewPerWarp(2, progs),
 	}
 }
 
@@ -341,19 +339,16 @@ func TestDynCTAThrottlesMemoryBound(t *testing.T) {
 func TestDynCTALeavesComputeBoundAlone(t *testing.T) {
 	// A kernel with abundant independent ALU work keeps issue slots busy;
 	// DynCTA must not throttle it to the floor.
+	b := isa.NewBuilder()
+	for i := 0; i < 120; i++ {
+		b.IAlu(isa.Reg(1+i%8), 0)
+	}
 	spec := &kernel.Spec{
 		Name:          "busy",
 		Grid:          kernel.Dim3{X: 96},
 		Block:         kernel.Dim3{X: 256},
 		RegsPerThread: 16,
-		Program: func(ctaID, w int) isa.Program {
-			b := isa.NewBuilder()
-			for i := 0; i < 120; i++ {
-				b.IAlu(isa.Reg(1+i%8), 0)
-			}
-			b.Exit()
-			return b.Build()
-		},
+		Program:       b.Exit().Build(),
 	}
 	d := core.NewDynCTA()
 	g := testGPU(t, d, sm.PolicyGTO, spec)

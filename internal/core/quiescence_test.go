@@ -113,6 +113,18 @@ func (m *refMachine) cycle(d Dispatcher, certify bool) {
 	m.now++
 }
 
+// perWarp is the program of a kernel of ctas blocks x warps warps whose
+// warp w of CTA c runs prog(c, w).
+func perWarp(ctas, warps int, prog func(ctaID, w int) isa.Program) isa.Program {
+	var all []isa.Program
+	for c := 0; c < ctas; c++ {
+		for w := 0; w < warps; w++ {
+			all = append(all, prog(c, w))
+		}
+	}
+	return isa.NewPerWarp(warps, all)
+}
+
 // quiescenceSpec is a kernel of ctas blocks x warps warps that alternates a
 // missing global load with dependent arithmetic, so CTAs live long enough
 // for the machine to fill and retire at scattered cycles.
@@ -122,7 +134,7 @@ func quiescenceSpec(name string, ctas, warps, iters, regs int) *kernel.Spec {
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: warps * isa.WarpSize},
 		RegsPerThread: regs,
-		Program: func(ctaID, w int) isa.Program {
+		Program: perWarp(ctas, warps, func(ctaID, w int) isa.Program {
 			b := isa.NewBuilder()
 			for i := 0; i < iters; i++ {
 				b.LoadGlobal(2, uint32(((ctaID*warps+w)*iters+i)*128))
@@ -131,7 +143,7 @@ func quiescenceSpec(name string, ctas, warps, iters, regs int) *kernel.Spec {
 			}
 			b.Exit()
 			return b.Build()
-		},
+		}),
 	}
 }
 

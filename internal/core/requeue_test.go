@@ -34,12 +34,7 @@ func requeueSpec(ctas int) *kernel.Spec {
 		Grid:          kernel.Dim3{X: ctas},
 		Block:         kernel.Dim3{X: isa.WarpSize},
 		RegsPerThread: 16,
-		Program: func(ctaID, w int) isa.Program {
-			b := isa.NewBuilder()
-			b.FAlu(1, 1)
-			b.Exit()
-			return b.Build()
-		},
+		Program:       isa.NewBuilder().FAlu(1, 1).Exit().Build(),
 	}
 }
 

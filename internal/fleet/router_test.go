@@ -426,6 +426,8 @@ func TestRouterRejectsMalformedBodies(t *testing.T) {
 		{`{"workloads":[]}`, 0},
 		{`not json`, 0},
 		{`{"workloads":["vadd"],"sched":"nope"}`, 0},
+		{`{"workloads":["vadd"],"cores":100000}`, 0},
+		{`{"workloads":["vadd"],"l1_bytes":3000}`, 0},
 		{`{"workloads":["vadd"],"timeout_ms":-1}`, 1},
 	} {
 		shardCode, want := postBody(t, f.shards[0].URL, c.body)

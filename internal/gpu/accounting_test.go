@@ -23,7 +23,7 @@ func expectedInstructions(t *testing.T, name string) uint64 {
 	for cta := 0; cta < spec.NumCTAs(); cta++ {
 		for warp := 0; warp < spec.WarpsPerCTA(); warp++ {
 			c := isa.Cursor{CTA: cta, Warp: warp}
-			for p := spec.Program(cta, warp); p.Next(&c, &buf); {
+			for spec.Program.Next(&c, &buf) {
 				total++
 			}
 		}

@@ -29,6 +29,26 @@ type Config struct {
 	MaxCycles uint64
 }
 
+// Validate reports a machine that cannot be built: a core count outside
+// 1..255 (the response-routing width), no schedulers, more warps per
+// scheduler than its warp set holds, or a memory system mem.Config.Validate
+// refuses.
+func (c *Config) Validate() error {
+	if c.NumCores <= 0 {
+		return fmt.Errorf("gpu: NumCores = %d", c.NumCores)
+	}
+	if c.NumCores > 255 {
+		return fmt.Errorf("gpu: NumCores %d exceeds response-routing width", c.NumCores)
+	}
+	if n := c.Core.NumSchedulers; n <= 0 {
+		return fmt.Errorf("gpu: NumSchedulers = %d", n)
+	} else if per := (c.Core.Limits.MaxWarps + n - 1) / n; per > sm.MaxSchedulerWarps {
+		return fmt.Errorf("gpu: %d warps per scheduler (MaxWarps %d over %d schedulers) exceeds the warp-set width %d",
+			per, c.Core.Limits.MaxWarps, n, sm.MaxSchedulerWarps)
+	}
+	return c.Mem.Validate()
+}
+
 // DefaultMaxCycles is the runaway-simulation cap applied when
 // Config.MaxCycles is zero — the single definition every layer shares.
 const DefaultMaxCycles uint64 = 20_000_000
@@ -166,8 +186,8 @@ type GPU struct {
 }
 
 // New builds a GPU running specs (in launch order) under dispatcher d.
-// Every spec must validate and fit on an SM, and cfg.Mem must validate
-// (mem.Config.Validate): an error, not a panic while building the caches.
+// Every spec must validate and fit on an SM, and cfg must validate
+// (Config.Validate): an error, not a panic while building the caches.
 func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 	return Renew(nil, cfg, d, specs...)
 }
@@ -180,23 +200,11 @@ func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 // is the returned GPU and nothing else may use it; on error prev is
 // untouched.
 func Renew(prev *GPU, cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
-	if cfg.NumCores <= 0 {
-		return nil, fmt.Errorf("gpu: NumCores = %d", cfg.NumCores)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("gpu: no kernels")
-	}
-	if cfg.NumCores > 255 {
-		return nil, fmt.Errorf("gpu: NumCores %d exceeds response-routing width", cfg.NumCores)
-	}
-	if n := cfg.Core.NumSchedulers; n <= 0 {
-		return nil, fmt.Errorf("gpu: NumSchedulers = %d", n)
-	} else if per := (cfg.Core.Limits.MaxWarps + n - 1) / n; per > sm.MaxSchedulerWarps {
-		return nil, fmt.Errorf("gpu: %d warps per scheduler (MaxWarps %d over %d schedulers) exceeds the warp-set width %d",
-			per, cfg.Core.Limits.MaxWarps, n, sm.MaxSchedulerWarps)
-	}
-	if err := cfg.Mem.Validate(); err != nil {
-		return nil, err
 	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = DefaultMaxCycles

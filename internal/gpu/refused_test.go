@@ -43,12 +43,10 @@ func refusedHeadsMachine(shape uint16) Config {
 // and their heads wait on MSHR entries, merge slots and request-queue space.
 func refusedHeadsSpec(seed uint64) *kernel.Spec {
 	const footprint = 1 << 14 // bytes: 128 lines
-	return &kernel.Spec{
-		Name:          "refused",
-		Grid:          kernel.Dim3{X: 6},
-		Block:         kernel.Dim3{X: 4 * isa.WarpSize},
-		RegsPerThread: 8,
-		Program: func(ctaID, w int) isa.Program {
+	const ctas, warps = 6, 4
+	var progs []isa.Program
+	for ctaID := 0; ctaID < ctas; ctaID++ {
+		for w := 0; w < warps; w++ {
 			rng := rand.New(rand.NewPCG(seed, uint64(ctaID*64+w)))
 			scattered := func() (a [isa.WarpSize]uint32) {
 				for l := range a {
@@ -72,9 +70,15 @@ func refusedHeadsSpec(seed uint64) *kernel.Spec {
 					b.IAlu(6, isa.Reg(1+rng.IntN(3)))
 				}
 			}
-			b.Exit()
-			return b.Build()
-		},
+			progs = append(progs, b.Exit().Build())
+		}
+	}
+	return &kernel.Spec{
+		Name:          "refused",
+		Grid:          kernel.Dim3{X: ctas},
+		Block:         kernel.Dim3{X: warps * isa.WarpSize},
+		RegsPerThread: 8,
+		Program:       isa.NewPerWarp(warps, progs),
 	}
 }
 

@@ -262,3 +262,30 @@ func (p *SliceProgram) Next(c *Cursor, buf *WarpInstr) bool {
 	c.Pos++
 	return true
 }
+
+// PerWarp is the program of a kernel whose warps run programs of their own:
+// warp w of CTA c runs Warps[c*WarpsPerCTA+w] from its own cursor. Build it
+// with NewPerWarp, which counts the widest footprint once.
+type PerWarp struct {
+	Warps       []Program
+	WarpsPerCTA int
+	regs        int
+}
+
+// NewPerWarp returns the program whose warps run warps, warpsPerCTA to a
+// CTA, in (CTA, warp) order.
+func NewPerWarp(warpsPerCTA int, warps []Program) *PerWarp {
+	p := &PerWarp{Warps: warps, WarpsPerCTA: warpsPerCTA, regs: 1}
+	for _, w := range warps {
+		p.regs = max(p.regs, w.Regs())
+	}
+	return p
+}
+
+// Regs implements Program: the widest footprint among Warps.
+func (p *PerWarp) Regs() int { return p.regs }
+
+// Next implements Program: it steps the cursor's warp's own program.
+func (p *PerWarp) Next(c *Cursor, buf *WarpInstr) bool {
+	return p.Warps[c.CTA*p.WarpsPerCTA+c.Warp].Next(c, buf)
+}

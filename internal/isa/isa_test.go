@@ -160,6 +160,45 @@ func TestSliceProgramRegs(t *testing.T) {
 	}
 }
 
+// TestPerWarp: a warp steps the program at its own (CTA, warp) index, with
+// its own cursor, and the footprint is the widest warp's.
+func TestPerWarp(t *testing.T) {
+	// Two CTAs of two warps; warp (c, w) runs w+1 ALU ops writing r(10c+w+1).
+	var warps []Program
+	for c := 0; c < 2; c++ {
+		for w := 0; w < 2; w++ {
+			b := NewBuilder()
+			for i := 0; i <= w; i++ {
+				b.IAlu(Reg(10*c + w + 1))
+			}
+			warps = append(warps, b.Exit().Build())
+		}
+	}
+	p := NewPerWarp(2, warps)
+	if got := p.Regs(); got != 13 {
+		t.Errorf("Regs() = %d, want 13 (r12 in CTA 1 warp 1)", got)
+	}
+	var buf WarpInstr
+	for c := 0; c < 2; c++ {
+		for w := 0; w < 2; w++ {
+			cur := Cursor{CTA: c, Warp: w}
+			n := 0
+			for p.Next(&cur, &buf) {
+				if buf.Op == OpIAlu && buf.Dst != Reg(10*c+w+1) {
+					t.Fatalf("CTA %d warp %d: instr %d writes r%d, want r%d", c, w, n, buf.Dst, 10*c+w+1)
+				}
+				n++
+			}
+			if n != w+2 {
+				t.Errorf("CTA %d warp %d ran %d instructions, want %d", c, w, n, w+2)
+			}
+		}
+	}
+	if got := NewPerWarp(1, nil).Regs(); got != 1 {
+		t.Errorf("empty PerWarp Regs() = %d, want 1", got)
+	}
+}
+
 func TestBuilderIsolation(t *testing.T) {
 	b := NewBuilder().IAlu(1)
 	p1 := b.Build()

@@ -50,15 +50,8 @@ func max1(v int) int {
 	return v
 }
 
-// ProgramFactory returns the instruction stream for one warp of one CTA.
-// ctaID is the linear CTA index within the grid; warpInCTA the warp's index
-// within its CTA. Factories must be deterministic in their arguments.
-// Programs are immutable and the warp's cursor carries its identity, so a
-// factory may return one program for every warp (the workloads do).
-type ProgramFactory func(ctaID, warpInCTA int) isa.Program
-
 // Spec describes one kernel launch: its shape, per-CTA resource appetite,
-// and the program generator. Specs are immutable once launched.
+// and its program. Specs are immutable once launched.
 type Spec struct {
 	// Name identifies the kernel in stats and reports.
 	Name string
@@ -82,8 +75,10 @@ type Spec struct {
 	// latency-sensitive kernel arriving while a batch kernel already owns
 	// every SM.
 	Arrival uint64
-	// Program gives each warp its instruction stream.
-	Program ProgramFactory
+	// Program is the kernel's one program. Every warp runs it from its own
+	// cursor, which carries the warp's CTA and index (isa.Cursor); a kernel
+	// whose warps run programs of their own uses isa.PerWarp.
+	Program isa.Program
 }
 
 // Validate checks the spec for internal consistency.
@@ -110,7 +105,7 @@ func (s *Spec) Validate() error {
 			s.Name, s.SharedMemPerCTA)
 	}
 	if s.Program == nil {
-		return fmt.Errorf("kernel %s: nil program factory", s.Name)
+		return fmt.Errorf("kernel %s: nil program", s.Name)
 	}
 	return nil
 }

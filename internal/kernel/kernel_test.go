@@ -14,9 +14,7 @@ func validSpec() *Spec {
 		Block:           Dim3{X: 128, Y: 1, Z: 1},
 		RegsPerThread:   16,
 		SharedMemPerCTA: 0,
-		Program: func(ctaID, warpInCTA int) isa.Program {
-			return isa.NewBuilder().Exit().Build()
-		},
+		Program:         isa.NewBuilder().Exit().Build(),
 	}
 }
 

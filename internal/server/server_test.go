@@ -176,21 +176,28 @@ func TestPreemptiveJobEndToEnd(t *testing.T) {
 // "simulation".
 func TestErrorShapes(t *testing.T) {
 	_, ts := newTestServer(t, sim.Options{}, nil)
+	_, failing := newTestServer(t, sim.Options{}, func(context.Context, sim.Request) (sim.Outcome, error) {
+		return sim.Outcome{}, errors.New("simulation failed")
+	})
 	cases := []struct {
+		url    string
 		body   string
 		status int
 		code   string
 	}{
-		{`{"workloads":["no-such"]}`, http.StatusBadRequest, "validation"},
-		{`{"workloads":[]}`, http.StatusBadRequest, "validation"},
-		{`not json`, http.StatusBadRequest, "validation"},
-		{`{"workloads":["vadd"],"sched":"nope"}`, http.StatusBadRequest, "validation"},
-		{`{"workloads":["vadd"],"timeout_ms":-1}`, http.StatusBadRequest, "validation"},
-		// An impossible machine is a simulation failure, not a validation one.
-		{`{"workloads":["vadd"],"scale":"tiny","cores":100000}`, http.StatusInternalServerError, "simulation"},
+		{ts.URL, `{"workloads":["no-such"]}`, http.StatusBadRequest, "validation"},
+		{ts.URL, `{"workloads":[]}`, http.StatusBadRequest, "validation"},
+		{ts.URL, `not json`, http.StatusBadRequest, "validation"},
+		{ts.URL, `{"workloads":["vadd"],"sched":"nope"}`, http.StatusBadRequest, "validation"},
+		{ts.URL, `{"workloads":["vadd"],"timeout_ms":-1}`, http.StatusBadRequest, "validation"},
+		// A machine that cannot be built is refused before it takes a
+		// worker: too many cores, and an L1 of 5 sets.
+		{ts.URL, `{"workloads":["vadd"],"scale":"tiny","cores":100000}`, http.StatusBadRequest, "validation"},
+		{ts.URL, `{"workloads":["vadd"],"scale":"tiny","l1_bytes":3000}`, http.StatusBadRequest, "validation"},
+		{failing.URL, tinyBody, http.StatusInternalServerError, "simulation"},
 	}
 	for _, c := range cases {
-		code, data, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/simulate", c.body)
+		code, data, _ := doJSON(t, http.MethodPost, c.url+"/v1/simulate", c.body)
 		if code != c.status {
 			t.Errorf("%s = %d, want %d (%s)", c.body, code, c.status, data)
 			continue

@@ -67,8 +67,9 @@ func (r Request) Key() string {
 }
 
 // Validate checks the request names known workloads, launches at least one
-// kernel, and overrides no size with a negative value: config ignores those,
-// so they would simulate the default machine under a key of their own.
+// kernel, overrides no size with a negative value (config ignores those, so
+// they would simulate the default machine under a key of their own), and
+// selects a machine that can be built (gpu.Config.Validate).
 func (r Request) Validate() error {
 	if len(r.Workloads) == 0 {
 		return fmt.Errorf("sim: request launches no workloads")
@@ -90,7 +91,8 @@ func (r Request) Validate() error {
 	if r.Cores < 0 || r.L1Bytes < 0 {
 		return fmt.Errorf("sim: request cores and l1_bytes must be >= 0 (got %d, %d)", r.Cores, r.L1Bytes)
 	}
-	return nil
+	cfg := r.config()
+	return cfg.Validate()
 }
 
 // config assembles the GPU configuration the request's overrides select.

@@ -585,3 +585,24 @@ func TestRequestJSONPreemptiveConvenience(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsUnbuildableMachine: a request whose overrides select a
+// machine gpu.Renew would refuse fails Validate, so a server answers it
+// with a 400 before it takes a worker.
+func TestValidateRejectsUnbuildableMachine(t *testing.T) {
+	for _, tc := range []struct {
+		req  sim.Request
+		want string
+	}{
+		{sim.Request{Workloads: []string{"vadd"}, Cores: 100000}, "NumCores 100000"},
+		{sim.Request{Workloads: []string{"vadd"}, L1Bytes: 3000}, "5 sets"},
+	} {
+		err := tc.req.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate(%+v) = %v, want an error naming %q", tc.req, err, tc.want)
+		}
+		if _, err := tc.req.Build(nil); err == nil {
+			t.Errorf("Build(%+v) succeeded", tc.req)
+		}
+	}
+}

@@ -51,7 +51,7 @@ func benchSM(policy Policy, warps int, head func(b *isa.Builder)) (*SM, *mem.Sys
 		Grid:          kernel.Dim3{X: 1024},
 		Block:         kernel.Dim3{X: warps * isa.WarpSize},
 		RegsPerThread: 8,
-		Program:       func(int, int) isa.Program { return prog },
+		Program:       prog,
 	}
 	for i := 0; i < 6 && s.CanAccept(spec); i++ {
 		s.AddCTA(spec, 0, i, 0, 0, 0, 0)

@@ -98,7 +98,7 @@ type certScenario struct {
 func certScenarios() []certScenario {
 	return []certScenario{
 		{"ldst-queue-full", func(c *Config) { c.LDSTQueueCap = 2 }, func(r *rig) {
-			spec := specWith(8, progOf(func(b *isa.Builder, ctaID, w int) {
+			spec := perWarpSpec(8, progOf(func(b *isa.Builder, ctaID, w int) {
 				for i := 0; i < 3; i++ { // 16 lines a load: the head holds the unit 16 cycles
 					b.LoadGlobalStride(isa.Reg(2+i), uint32((ctaID*8+w)<<20+i<<18), 256)
 				}
@@ -115,7 +115,7 @@ func certScenarios() []certScenario {
 			// two-level the active pair stalls on the LDST unit while six
 			// warps are pending, and with no warp to swap out the failed
 			// pick certifies.
-			spec := specWith(8, progOf(func(b *isa.Builder, ctaID, w int) {
+			spec := perWarpSpec(8, progOf(func(b *isa.Builder, ctaID, w int) {
 				for i := 0; i < 3; i++ {
 					wi := isa.WarpInstr{Op: isa.OpStoreGlobal, Src: [3]isa.Reg{1}, Mask: isa.FullMask}
 					isa.FillLinear(&wi, uint32(w<<20+i<<16), 256)
@@ -126,14 +126,14 @@ func certScenarios() []certScenario {
 			r.runUntilDone(1, 100000)
 		}},
 		{"pending-table", func(c *Config) { c.MaxPendingLoads = 1 }, func(r *rig) {
-			spec := specWith(4, progOf(func(b *isa.Builder, ctaID, w int) {
+			spec := perWarpSpec(4, progOf(func(b *isa.Builder, ctaID, w int) {
 				b.LoadGlobal(2, uint32(w)*4096).LoadGlobal(3, uint32(w)*4096+65536).FAlu(1, 2, 3)
 			}))
 			r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 			r.runUntilDone(1, 100000)
 		}},
 		{"sfu-interval", nil, func(r *rig) {
-			spec := specWith(8, progOf(func(b *isa.Builder, ctaID, w int) {
+			spec := perWarpSpec(8, progOf(func(b *isa.Builder, ctaID, w int) {
 				for i := 0; i < 10; i++ {
 					b.Sfu(isa.Reg(1+i%8), 0)
 				}
@@ -142,7 +142,7 @@ func certScenarios() []certScenario {
 			r.runUntilDone(1, 100000)
 		}},
 		{"barrier", nil, func(r *rig) {
-			spec := specWith(4, progOf(func(b *isa.Builder, ctaID, w int) {
+			spec := perWarpSpec(4, progOf(func(b *isa.Builder, ctaID, w int) {
 				if w == 0 {
 					chain(b, 30)
 				}
@@ -157,12 +157,12 @@ func certScenarios() []certScenario {
 			r.runUntilDone(2, 100000)
 		}},
 		{"two-kernels", nil, func(r *rig) {
-			mem := specWith(4, progOf(func(b *isa.Builder, ctaID, w int) {
+			mem := perWarpSpec(4, progOf(func(b *isa.Builder, ctaID, w int) {
 				for i := 0; i < 4; i++ {
 					b.LoadGlobal(2, uint32((ctaID*4+w)*4+i)*4096).FAlu(1, 2)
 				}
 			}))
-			alu := specWith(2, progOf(func(b *isa.Builder, ctaID, w int) { chain(b, 60) }))
+			alu := perWarpSpec(2, progOf(func(b *isa.Builder, ctaID, w int) { chain(b, 60) }))
 			r.sm.AddCTA(mem, 0, 0, 1<<33, 0, 0, r.now)
 			for i := 0; i < 50; i++ {
 				r.step()
@@ -174,7 +174,7 @@ func certScenarios() []certScenario {
 		{"drain", nil, func(r *rig) {
 			evicted := 0
 			r.sm.SetDrainHandler(func(int, *CTA) { evicted++ })
-			spec := specWith(2, progOf(func(b *isa.Builder, ctaID, w int) {
+			spec := perWarpSpec(2, progOf(func(b *isa.Builder, ctaID, w int) {
 				loadThenUse(b, ctaID, w)
 				chain(b, 40)
 			}))
@@ -194,7 +194,7 @@ func certScenarios() []certScenario {
 			r.runUntilDone(2, 100000)
 		}},
 		{"late-older-block", nil, func(r *rig) { // BAWS slots the second CTA's warps first
-			spec := specWith(4, progOf(func(b *isa.Builder, ctaID, w int) {
+			spec := perWarpSpec(4, progOf(func(b *isa.Builder, ctaID, w int) {
 				loadThenUse(b, ctaID, w)
 				b.Barrier()
 				chain(b, 10+10*w)
@@ -291,14 +291,14 @@ func TestStallCertificateInvalidationSites(t *testing.T) {
 	t.Run("load-return", func(t *testing.T) { // Warp.clearStall
 		r := newRig(t, nil)
 		r.beforeStep = checkCerts
-		r.sm.AddCTA(specWith(1, progOf(loadThenUse)), 0, 0, 0, 0, 0, r.now)
+		r.sm.AddCTA(perWarpSpec(1, progOf(loadThenUse)), 0, 0, 0, 0, 0, r.now)
 		r.runUntilDone(1, 10000)
 	})
 	t.Run("barrier-release", func(t *testing.T) { // releaseBarrier
 		r := newRig(t, nil)
 		r.beforeStep = checkCerts
 		// Warp 0 (scheduler 0) waits at the barrier for warp 1 (scheduler 1).
-		r.sm.AddCTA(specWith(2, progOf(func(b *isa.Builder, ctaID, w int) {
+		r.sm.AddCTA(perWarpSpec(2, progOf(func(b *isa.Builder, ctaID, w int) {
 			chain(b, 20*w)
 			b.Barrier()
 		})), 0, 0, 0, 0, 0, r.now)
@@ -307,21 +307,21 @@ func TestStallCertificateInvalidationSites(t *testing.T) {
 	t.Run("add", func(t *testing.T) { // scheduler.add
 		r := newRig(t, nil)
 		r.beforeStep = checkCerts
-		r.sm.AddCTA(specWith(1, progOf(loadThenUse)), 0, 0, 0, 0, 0, r.now)
+		r.sm.AddCTA(perWarpSpec(1, progOf(loadThenUse)), 0, 0, 0, 0, 0, r.now)
 		stepTo(r, 20)
 		if !standing(r, 0) {
 			t.Fatal("scheduler 0 holds no certificate while its only warp waits on memory")
 		}
 		// Two warps: the second lands on scheduler 0, ready to issue.
-		r.sm.AddCTA(specWith(2, progOf(func(b *isa.Builder, ctaID, w int) { chain(b, 5) })), 0, 1, 0, r.now, 0, r.now)
+		r.sm.AddCTA(perWarpSpec(2, progOf(func(b *isa.Builder, ctaID, w int) { chain(b, 5) })), 0, 1, 0, r.now, 0, r.now)
 		r.runUntilDone(2, 10000)
 	})
 	t.Run("remove", func(t *testing.T) { // scheduler.remove, by eviction
 		// The older CTA computes, the younger waits on memory; evicting the
 		// older one moves the stall attribution to the younger.
 		sweep(t, one, func(r *rig, at int) bool {
-			victim := r.sm.AddCTA(specWith(1, progOf(func(b *isa.Builder, ctaID, w int) { chain(b, 200) })), 0, 0, 0, 0, 0, r.now)
-			r.sm.AddCTA(specWith(1, progOf(loadThenUse)), 0, 1, 0, 0, 0, r.now)
+			victim := r.sm.AddCTA(perWarpSpec(1, progOf(func(b *isa.Builder, ctaID, w int) { chain(b, 200) })), 0, 0, 0, 0, 0, r.now)
+			r.sm.AddCTA(perWarpSpec(1, progOf(loadThenUse)), 0, 1, 0, 0, 0, r.now)
 			stepTo(r, at)
 			r.sm.DrainCTA(victim)
 			issued := r.sm.counters.InstrIssued
@@ -333,7 +333,7 @@ func TestStallCertificateInvalidationSites(t *testing.T) {
 	})
 	t.Run("drain", func(t *testing.T) { // SM.DrainCTA
 		sweep(t, nil, func(r *rig, at int) bool {
-			victim := r.sm.AddCTA(specWith(2, progOf(func(b *isa.Builder, ctaID, w int) { chain(b, 100) })), 0, 0, 0, 0, 0, r.now)
+			victim := r.sm.AddCTA(perWarpSpec(2, progOf(func(b *isa.Builder, ctaID, w int) { chain(b, 100) })), 0, 0, 0, 0, 0, r.now)
 			stepTo(r, at)
 			met := standing(r, 0) && standing(r, 1)
 			r.sm.DrainCTA(victim)
@@ -346,7 +346,7 @@ func TestStallCertificateInvalidationSites(t *testing.T) {
 		r.beforeStep = checkCerts
 		// Warp 0's 16-line load holds the one queue slot; warp 1, on the other
 		// scheduler, waits for it with nothing else to wake it.
-		r.sm.AddCTA(specWith(2, progOf(func(b *isa.Builder, ctaID, w int) {
+		r.sm.AddCTA(perWarpSpec(2, progOf(func(b *isa.Builder, ctaID, w int) {
 			b.LoadGlobalStride(2, uint32(w)<<20, 256).FAlu(1, 2)
 		})), 0, 0, 0, 0, 0, r.now)
 		r.runUntilDone(1, 10000)
@@ -356,7 +356,7 @@ func TestStallCertificateInvalidationSites(t *testing.T) {
 		r.beforeStep = checkCerts
 		// Warp 0's load holds the one pending-load token until it returns;
 		// warp 1, on the other scheduler, waits for the token.
-		r.sm.AddCTA(specWith(2, progOf(loadThenUse)), 0, 0, 0, 0, 0, r.now)
+		r.sm.AddCTA(perWarpSpec(2, progOf(loadThenUse)), 0, 0, 0, 0, 0, r.now)
 		r.runUntilDone(1, 10000)
 	})
 }

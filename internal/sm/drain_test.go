@@ -25,7 +25,7 @@ func TestDrainCTAEvictsAfterMemoryQuiesces(t *testing.T) {
 		b.FAlu(1, 2)
 	}
 	b.Exit()
-	spec := specWith(2, fixedProg(b))
+	spec := specWith(2, b.Build())
 	cta := r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 	for i := 0; i < 3; i++ {
 		r.step()
@@ -74,7 +74,7 @@ func TestDrainCTARacesNaturalCompletion(t *testing.T) {
 	b := isa.NewBuilder()
 	b.FAlu(1, 1)
 	b.Exit()
-	spec := specWith(1, fixedProg(b))
+	spec := specWith(1, b.Build())
 	cta := r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 1000)
 	// The CTA retired naturally before the (late) drain request landed: the
@@ -99,23 +99,17 @@ func TestDrainCTAWithBarrierParkedWarps(t *testing.T) {
 	// Warp 0 parks at the barrier immediately; warp 1 works through a long
 	// chain first. The drain hits while warp 0 is at the barrier, so
 	// eviction must unwind barrier bookkeeping without deadlock or panic.
-	spec := &kernel.Spec{
-		Name:          "bar",
-		Grid:          kernel.Dim3{X: 4},
-		Block:         kernel.Dim3{X: 2 * isa.WarpSize},
-		RegsPerThread: 16,
-		Program: func(ctaID, w int) isa.Program {
-			b := isa.NewBuilder()
-			if w == 1 {
-				for i := 0; i < 300; i++ {
-					b.FAlu(1, 1)
-				}
+	spec := perWarpSpec(2, func(ctaID, w int) isa.Program {
+		b := isa.NewBuilder()
+		if w == 1 {
+			for i := 0; i < 300; i++ {
+				b.FAlu(1, 1)
 			}
-			b.Barrier()
-			b.Exit()
-			return b.Build()
-		},
-	}
+		}
+		b.Barrier()
+		b.Exit()
+		return b.Build()
+	})
 	cta := r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 	for i := 0; i < 20; i++ {
 		r.step()
@@ -136,7 +130,7 @@ func TestDrainCTAWithBarrierParkedWarps(t *testing.T) {
 	b := isa.NewBuilder()
 	b.FAlu(1, 1)
 	b.Exit()
-	fresh := specWith(2, fixedProg(b))
+	fresh := specWith(2, b.Build())
 	r.sm.AddCTA(fresh, 1, 0, 0, r.now, 0, r.now)
 	r.runUntilDone(1, 5000)
 }
@@ -148,7 +142,7 @@ func TestDrainCTAWithoutMemoryEvictsNextTick(t *testing.T) {
 		b.FAlu(1, 1)
 	}
 	b.Exit()
-	spec := specWith(2, fixedProg(b))
+	spec := specWith(2, b.Build())
 	cta := r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 	for i := 0; i < 5; i++ {
 		r.step()
@@ -169,7 +163,7 @@ func TestNextEventPinnedWhileDraining(t *testing.T) {
 		b.FAlu(1, 1)
 	}
 	b.Exit()
-	spec := specWith(1, fixedProg(b))
+	spec := specWith(1, b.Build())
 	cta := r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 	r.step()
 	if !r.sm.DrainCTA(cta) {

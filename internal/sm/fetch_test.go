@@ -14,8 +14,8 @@ import (
 // isa.WarpInstr, and the LDST unit holds the SM's one fetch buffer and no
 // memo of what it last fetched.
 func TestContextSizes(t *testing.T) {
-	if n := unsafe.Sizeof(Warp{}); n > 128 {
-		t.Errorf("Warp is %d bytes, want at most 128", n)
+	if n := unsafe.Sizeof(Warp{}); n > 112 {
+		t.Errorf("Warp is %d bytes, want at most 112", n)
 	}
 	if n := unsafe.Sizeof(ldstEntry{}); n > 72 {
 		t.Errorf("ldstEntry is %d bytes, want at most 72", n)
@@ -104,7 +104,7 @@ func TestLDSTSendsCoalescedLanes(t *testing.T) {
 	rec := &sendRecorder{Sender: r.sys.Port(0)}
 	r.sm.l1 = mem.NewL1(r.sm.memCfg, 0, rec)
 	region := func(cta, w int) uint32 { return uint32(cta*warps+w) << 14 }
-	spec := specWith(warps, func(cta, w int) isa.Program {
+	spec := perWarpSpec(warps, func(cta, w int) isa.Program {
 		return &isa.SliceProgram{Instrs: globalMix(region(cta, w))}
 	})
 	lineBytes := r.sm.memCfg.LineBytes

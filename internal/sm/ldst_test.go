@@ -20,7 +20,7 @@ func TestPendingTableExhaustionStalls(t *testing.T) {
 			FAlu(3, 1, 2).
 			Exit().Build()
 	}
-	r.sm.AddCTA(specWith(4, prog), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(perWarpSpec(4, prog), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 50000)
 	if r.sm.counters.StallLDSTFull == 0 && r.sm.counters.StallScoreboard == 0 {
 		t.Error("no structural pressure recorded with a 1-entry pending table")
@@ -43,7 +43,7 @@ func TestLDSTQueueFullStallsCounted(t *testing.T) {
 		b.Exit()
 		return b.Build()
 	}
-	r.sm.AddCTA(specWith(4, prog), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(perWarpSpec(4, prog), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 100000)
 	if r.sm.counters.StallLDSTFull == 0 {
 		t.Fatal("no LDST-full stalls with a 1-deep queue and divergent loads")
@@ -60,7 +60,7 @@ func TestSharedStoreNoToken(t *testing.T) {
 		b.StoreShared(1, 1)
 	}
 	b.Exit()
-	r.sm.AddCTA(specWith(2, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(specWith(2, b.Build()), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 20000)
 	// Stores are fire-and-forget: drain the LDST queue after CTA exit.
 	for i := 0; i < 200; i++ {
@@ -78,7 +78,7 @@ func TestGlobalStoreBandwidthCounted(t *testing.T) {
 		b.StoreGlobal(1, uint32(i*128))
 	}
 	b.Exit()
-	r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(specWith(1, b.Build()), 0, 0, 0, 0, 0, r.now)
 	// Stores are fire-and-forget; drain the memory system too.
 	for r.now < 5000 {
 		r.step()
@@ -94,24 +94,20 @@ func TestAtomicSerializationCost(t *testing.T) {
 	// slower than the same pattern with plain loads (L2 RMW occupancy).
 	run := func(op isa.Op) uint64 {
 		r := newRig(t, func(c *Config) { c.NumSchedulers = 1 })
-		prog := func(ctaID, w int) isa.Program {
-			b := isa.NewBuilder()
-			var addrs [isa.WarpSize]uint32
-			for l := range addrs {
-				addrs[l] = 0 // everyone hits line 0
-			}
-			for i := 0; i < 4; i++ {
-				if op == isa.OpAtomicGlobal {
-					b.Atomic(1, addrs, isa.FullMask)
-				} else {
-					b.LoadGlobalAddrs(1, addrs)
-				}
-				b.FAlu(2, 1)
-			}
-			b.Exit()
-			return b.Build()
+		b := isa.NewBuilder()
+		var addrs [isa.WarpSize]uint32
+		for l := range addrs {
+			addrs[l] = 0 // everyone hits line 0
 		}
-		r.sm.AddCTA(specWith(8, prog), 0, 0, 0, 0, 0, r.now)
+		for i := 0; i < 4; i++ {
+			if op == isa.OpAtomicGlobal {
+				b.Atomic(1, addrs, isa.FullMask)
+			} else {
+				b.LoadGlobalAddrs(1, addrs)
+			}
+			b.FAlu(2, 1)
+		}
+		r.sm.AddCTA(specWith(8, b.Exit().Build()), 0, 0, 0, 0, 0, r.now)
 		r.runUntilDone(1, 200000)
 		return r.now
 	}
@@ -132,7 +128,7 @@ func TestActiveCycleAccounting(t *testing.T) {
 		t.Fatalf("idle core recorded %d active cycles", r.sm.counters.ActiveCycles)
 	}
 	b := isa.NewBuilder().IAlu(1, 0).Exit()
-	r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(specWith(1, b.Build()), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 1000)
 	if r.sm.counters.ActiveCycles == 0 {
 		t.Fatal("busy core recorded no active cycles")

@@ -17,7 +17,7 @@ func TestRenewReclaimsContexts(t *testing.T) {
 		b.LoadGlobalStride(1, uint32(i)*4096, 128).FAlu(2, 1)
 	}
 	b.StoreGlobal(2, 0).Exit()
-	spec := specWith(4, fixedProg(b))
+	spec := specWith(4, b.Build())
 
 	cycles := func(r *rig) uint64 {
 		start := r.now

@@ -38,10 +38,14 @@ func mkWarps(n int) []*Warp {
 	return ws
 }
 
-// aluWarp is a warp of cta running aluLoop, with its scoreboard, as
+// aluSpec is the kernel whose program is aluLoop.
+var aluSpec = &kernel.Spec{Program: aluLoop}
+
+// aluWarp is a warp of cta, made a CTA of aluSpec, with its scoreboard, as
 // SM.AddCTA would place it.
 func aluWarp(seq uint64, cta *CTA, warp int) *Warp {
-	return &Warp{seq: seq, cta: cta, at: isa.Cursor{Warp: warp}, prog: aluLoop, readyAt: make([]uint64, aluLoop.Regs())}
+	cta.Spec = aluSpec
+	return &Warp{seq: seq, cta: cta, at: isa.Cursor{Warp: warp}, readyAt: make([]uint64, aluLoop.Regs())}
 }
 
 // block keeps w's aluLoop from issuing before cycle until.
@@ -259,7 +263,7 @@ func TestWarpSetSlotMoves(t *testing.T) {
 // pending load parks the warp in loadWait until the load returns.
 func TestWarpStallCache(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.NumSchedulers = 1 })
-	r.sm.AddCTA(specWith(1, progOf(func(b *isa.Builder, ctaID, w int) {
+	r.sm.AddCTA(perWarpSpec(1, progOf(func(b *isa.Builder, ctaID, w int) {
 		b.FAlu(1).FAlu(2, 1).StoreGlobal(1, 0).LoadGlobal(3, 4096).FAlu(4, 3)
 	})), 0, 0, 0, 0, 0, r.now)
 	s := &r.sm.schedulers[0]
@@ -480,44 +484,38 @@ func randomSpec(rng *rand.Rand, seed int64) *kernel.Spec {
 	warps := 1 + rng.Intn(6)
 	phases := rng.Intn(3)
 	reg := func(r *rand.Rand) isa.Reg { return isa.Reg(1 + r.Intn(6)) }
-	return &kernel.Spec{
-		Name:          "random",
-		Grid:          kernel.Dim3{X: 64},
-		Block:         kernel.Dim3{X: warps * isa.WarpSize},
-		RegsPerThread: 16,
-		Program: func(ctaID, w int) isa.Program {
-			r := rand.New(rand.NewSource(seed*7919 + int64(ctaID)*64 + int64(w)))
-			b := isa.NewBuilder()
-			for p := 0; p <= phases; p++ {
-				for k := r.Intn(8); k > 0; k-- {
-					switch r.Intn(9) {
-					case 0, 1:
-						b.FAlu(reg(r), reg(r), reg(r))
-					case 2:
-						b.Sfu(reg(r), reg(r))
-					case 3:
-						b.LoadGlobal(reg(r), uint32(r.Intn(16))*128)
-					case 4:
-						b.LoadGlobalStride(reg(r), uint32(r.Intn(4))<<16, 256)
-					case 5:
-						dst := reg(r)
-						r.Intn(8) // a scratchpad offset shared ops no longer take; drawn so the seeded programs stay the same
-						b.LoadShared(dst, uint8(r.Intn(4)))
-					case 6:
-						b.StoreGlobal(reg(r), uint32(r.Intn(16))*128)
-					case 7:
-						b.StoreShared(reg(r), uint8(r.Intn(3)))
-					default:
-						b.Append(isa.WarpInstr{Op: isa.OpLoadGlobal, Dst: reg(r)})
-					}
-				}
-				if p < phases {
-					b.Barrier()
+	return perWarpSpec(warps, func(ctaID, w int) isa.Program {
+		r := rand.New(rand.NewSource(seed*7919 + int64(ctaID)*64 + int64(w)))
+		b := isa.NewBuilder()
+		for p := 0; p <= phases; p++ {
+			for k := r.Intn(8); k > 0; k-- {
+				switch r.Intn(9) {
+				case 0, 1:
+					b.FAlu(reg(r), reg(r), reg(r))
+				case 2:
+					b.Sfu(reg(r), reg(r))
+				case 3:
+					b.LoadGlobal(reg(r), uint32(r.Intn(16))*128)
+				case 4:
+					b.LoadGlobalStride(reg(r), uint32(r.Intn(4))<<16, 256)
+				case 5:
+					dst := reg(r)
+					r.Intn(8) // a scratchpad offset shared ops no longer take; drawn so the seeded programs stay the same
+					b.LoadShared(dst, uint8(r.Intn(4)))
+				case 6:
+					b.StoreGlobal(reg(r), uint32(r.Intn(16))*128)
+				case 7:
+					b.StoreShared(reg(r), uint8(r.Intn(3)))
+				default:
+					b.Append(isa.WarpInstr{Op: isa.OpLoadGlobal, Dst: reg(r)})
 				}
 			}
-			return b.Exit().Build()
-		},
-	}
+			if p < phases {
+				b.Barrier()
+			}
+		}
+		return b.Exit().Build()
+	})
 }
 
 // TestMaskPickMatchesListWalk drives seeded random runs of one SM — small

@@ -328,20 +328,13 @@ func (s *SM) AddCTA(spec *kernel.Spec, kernelIdx, ctaID int, addrBase uint64, bl
 	}
 	// Whole-struct reset: a recycled warp must not leak stall state into
 	// its next life.
-	perWarp := 1
 	for i := 0; i < nw; i++ {
-		w := warps[i]
-		*w = Warp{
-			seq:  s.warpSeq,
-			cta:  cta,
-			prog: spec.Program(ctaID, i),
-			at:   isa.Cursor{CTA: ctaID, Warp: i},
-		}
+		*warps[i] = Warp{seq: s.warpSeq, cta: cta, at: isa.Cursor{CTA: ctaID, Warp: i}}
 		s.warpSeq++
-		perWarp = max(perWarp, w.prog.Regs())
 	}
-	// Each warp's scoreboard holds the registers the widest program names,
-	// cut from the context's slab. Clearing the slab is the scoreboard reset.
+	// Each warp's scoreboard holds the registers the program names, cut
+	// from the context's slab. Clearing the slab is the scoreboard reset.
+	perWarp := spec.Program.Regs()
 	if n := nw * perWarp; cap(regs) >= n {
 		regs = regs[:n]
 		clear(regs)

@@ -54,8 +54,8 @@ func (r *rig) runUntilDone(n int, deadline uint64) {
 	r.t.Fatalf("only %d/%d CTAs completed by cycle %d", len(r.done), n, deadline)
 }
 
-// specWith builds a one-size kernel whose every warp runs the given program.
-func specWith(warps int, prog func(ctaID, warpInCTA int) isa.Program) *kernel.Spec {
+// specWith builds a one-size kernel of 64 CTAs whose every warp runs prog.
+func specWith(warps int, prog isa.Program) *kernel.Spec {
 	return &kernel.Spec{
 		Name:          "test",
 		Grid:          kernel.Dim3{X: 64},
@@ -65,11 +65,16 @@ func specWith(warps int, prog func(ctaID, warpInCTA int) isa.Program) *kernel.Sp
 	}
 }
 
-func fixedProg(b *isa.Builder) func(int, int) isa.Program {
-	instrs := b.Build().Instrs
-	return func(ctaID, warpInCTA int) isa.Program {
-		return &isa.SliceProgram{Instrs: instrs}
+// perWarpSpec builds specWith's kernel with warp w of CTA c running
+// prog(c, w).
+func perWarpSpec(warps int, prog func(ctaID, warpInCTA int) isa.Program) *kernel.Spec {
+	var all []isa.Program
+	for c := 0; c < 64; c++ {
+		for w := 0; w < warps; w++ {
+			all = append(all, prog(c, w))
+		}
 	}
+	return specWith(warps, isa.NewPerWarp(warps, all))
 }
 
 func TestALUChainLatency(t *testing.T) {
@@ -80,7 +85,7 @@ func TestALUChainLatency(t *testing.T) {
 		b.FAlu(1, 1)
 	}
 	b.Exit()
-	spec := specWith(1, fixedProg(b))
+	spec := specWith(1, b.Build())
 	r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 10000)
 	lat := r.sm.cfg.ALULatency
@@ -105,7 +110,7 @@ func TestIndependentWarpsHideLatency(t *testing.T) {
 			b.FAlu(1, 1)
 		}
 		b.Exit()
-		return specWith(8, fixedProg(b))
+		return specWith(8, b.Build())
 	}
 	r := newRig(t, nil)
 	spec := chained(20)
@@ -125,7 +130,7 @@ func TestDualIssue(t *testing.T) {
 		b.IAlu(isa.Reg(1+i%8), 0) // independent (distinct dsts, src r0)
 	}
 	b.Exit()
-	spec := specWith(8, fixedProg(b))
+	spec := specWith(8, b.Build())
 	r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 100000)
 	ipc := float64(r.sm.counters.InstrIssued) / float64(r.now)
@@ -151,7 +156,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 		return b.Build()
 	}
 	r := newRig(t, nil)
-	r.sm.AddCTA(specWith(2, prog), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(perWarpSpec(2, prog), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 100000)
 	minSlowArrival := uint64(work-1) * r.sm.cfg.ALULatency
 	if r.now < minSlowArrival {
@@ -164,7 +169,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 
 func TestCTACompletionFreesResources(t *testing.T) {
 	r := newRig(t, nil)
-	spec := specWith(2, fixedProg(isa.NewBuilder().IAlu(1, 0).Exit()))
+	spec := specWith(2, isa.NewBuilder().IAlu(1, 0).Exit().Build())
 	r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 	if r.sm.ResidentCTAs() != 1 || r.sm.Usage().Warps != 2 {
 		t.Fatalf("resident = %d, usage = %+v", r.sm.ResidentCTAs(), r.sm.Usage())
@@ -183,8 +188,8 @@ func TestCTACompletionFreesResources(t *testing.T) {
 
 func TestOccupancyEnforced(t *testing.T) {
 	r := newRig(t, nil)
-	spec := specWith(8, fixedProg(isa.NewBuilder().Barrier().Exit())) // 256 thr
-	for i := 0; i < 6; i++ {                                          // 1536/256 = 6 fit
+	spec := specWith(8, isa.NewBuilder().Barrier().Exit().Build()) // 256 thr
+	for i := 0; i < 6; i++ {                                       // 1536/256 = 6 fit
 		if !r.sm.CanAccept(spec) {
 			t.Fatalf("CTA %d rejected early", i)
 		}
@@ -207,7 +212,7 @@ func TestLoadMissBlocksDependent(t *testing.T) {
 		LoadGlobal(1, 0).
 		FAlu(2, 1). // depends on load
 		Exit()
-	r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(specWith(1, b.Build()), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 20000)
 	memCfg := r.sys.Config()
 	wantMin := 2*memCfg.XbarLatency + memCfg.L2Latency
@@ -230,7 +235,7 @@ func TestLoadHitFast(t *testing.T) {
 		LoadGlobal(3, 0). // same line: L1 hit
 		FAlu(4, 3).
 		Exit()
-	r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(specWith(1, b.Build()), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 20000)
 	if r.sm.L1Stats(r.now).Hits != 1 {
 		t.Fatalf("L1 hits = %d, want 1", r.sm.L1Stats(r.now).Hits)
@@ -246,7 +251,7 @@ func TestDivergentLoadOccupiesLDST(t *testing.T) {
 		addrs[i] = uint32(i * 4096) // distinct lines, same partition spread
 	}
 	b := isa.NewBuilder().LoadGlobalAddrs(1, addrs).FAlu(2, 1).Exit()
-	r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(specWith(1, b.Build()), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 50000)
 	l1 := r.sm.L1Stats(r.now)
 	if l1.Accesses != 32 {
@@ -259,7 +264,7 @@ func TestPredicatedOffMemOp(t *testing.T) {
 	b := isa.NewBuilder()
 	b.Append(isa.WarpInstr{Op: isa.OpLoadGlobal, Dst: 1, Mask: 0})
 	b.FAlu(2, 1).Exit()
-	r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(specWith(1, b.Build()), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 10000)
 	if r.sm.L1Stats(r.now).Accesses != 0 {
 		t.Fatal("mask-0 load reached the L1")
@@ -274,7 +279,7 @@ func TestSharedMemoryLatencyAndConflicts(t *testing.T) {
 			b.LoadShared(1, conflict)
 		}
 		b.Exit()
-		r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
+		r.sm.AddCTA(specWith(1, b.Build()), 0, 0, 0, 0, 0, r.now)
 		r.runUntilDone(1, 100000)
 		return r.now
 	}
@@ -293,7 +298,7 @@ func TestSFUInitiationInterval(t *testing.T) {
 		b.Sfu(isa.Reg(1+i%8), 0)
 	}
 	b.Exit()
-	spec := specWith(8, fixedProg(b))
+	spec := specWith(8, b.Build())
 	r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 100000)
 	// 80 SFU ops on 2 schedulers with interval 8 -> at least 80/2*8 cycles.
@@ -309,7 +314,7 @@ func TestWAWBlocksIssue(t *testing.T) {
 		LoadGlobal(1, 0). // long-latency write to r1
 		FAlu(1, 2).       // WAW on r1 must wait
 		Exit()
-	r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(specWith(1, b.Build()), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 20000)
 	memCfg := r.sys.Config()
 	if r.now < memCfg.XbarLatency*2 {
@@ -328,7 +333,7 @@ func TestGTOPrioritizesOlderCTA(t *testing.T) {
 			b.IAlu(isa.Reg(1+i%4), 0)
 		}
 		b.Exit()
-		return specWith(2, fixedProg(b))
+		return specWith(2, b.Build())
 	}
 	spec := longProg()
 	r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
@@ -348,7 +353,7 @@ func TestLRRSharesIssueSlots(t *testing.T) {
 		b.IAlu(isa.Reg(1+i%4), 0)
 	}
 	b.Exit()
-	spec := specWith(2, fixedProg(b))
+	spec := specWith(2, b.Build())
 	r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 	r.sm.AddCTA(spec, 0, 1, 0, 0, 0, r.now)
 	var doneAt []uint64
@@ -379,7 +384,7 @@ func TestBAWSInterleavesBlock(t *testing.T) {
 		b.IAlu(isa.Reg(1+i%4), 0)
 	}
 	b.Exit()
-	spec := specWith(1, fixedProg(b))
+	spec := specWith(1, b.Build())
 	// CTA 2 arrives first but with a later block key.
 	r.sm.AddCTA(spec, 0, 2, 0, 10, 0, r.now)
 	r.sm.AddCTA(spec, 0, 0, 0, 5, 0, r.now)
@@ -404,14 +409,14 @@ func TestEarlyExitDoesNotDeadlockBarrier(t *testing.T) {
 		return b.Build()
 	}
 	r := newRig(t, nil)
-	r.sm.AddCTA(specWith(2, prog), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(perWarpSpec(2, prog), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 10000)
 }
 
 func TestPerCTAIssueCounters(t *testing.T) {
 	r := newRig(t, nil)
 	b := isa.NewBuilder().IAlu(1, 0).IAlu(2, 0).Exit()
-	spec := specWith(1, fixedProg(b))
+	spec := specWith(1, b.Build())
 	cta := r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 10000)
 	if cta.Issued != 3 {
@@ -427,7 +432,7 @@ func TestStoreDoesNotBlockWarp(t *testing.T) {
 	// write to reach DRAM.
 	r := newRig(t, nil)
 	b := isa.NewBuilder().StoreGlobal(1, 0).Exit()
-	r.sm.AddCTA(specWith(1, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(specWith(1, b.Build()), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 200)
 }
 
@@ -441,7 +446,7 @@ func TestTwoLevelBarrierNoDeadlock(t *testing.T) {
 		c.NumSchedulers = 1
 	})
 	b := isa.NewBuilder().IAlu(1, 0).Barrier().IAlu(2, 0).Barrier().Exit()
-	r.sm.AddCTA(specWith(8, fixedProg(b)), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(specWith(8, b.Build()), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 100000)
 }
 
@@ -459,13 +464,13 @@ func TestTwoLevelSwapsOnMemoryStall(t *testing.T) {
 			FAlu(2, 1).
 			Exit().Build()
 	}
-	r.sm.AddCTA(specWith(8, prog), 0, 0, 0, 0, 0, r.now)
+	r.sm.AddCTA(perWarpSpec(8, prog), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 100000)
 }
 
 func TestMixedKernelsResidentCounts(t *testing.T) {
 	r := newRig(t, nil)
-	spec := specWith(2, fixedProg(isa.NewBuilder().Barrier().Exit()))
+	spec := specWith(2, isa.NewBuilder().Barrier().Exit().Build())
 	r.sm.AddCTA(spec, 0, 0, 0, 0, 0, r.now)
 	r.sm.AddCTA(spec, 1, 1, 1<<32, 0, 0, r.now)
 	r.sm.AddCTA(spec, 1, 2, 1<<32, 0, 0, r.now)
@@ -486,16 +491,16 @@ func TestScoreboardHoldsProgramRegs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.FAlu(40, 40, 50)
 	}
-	prog := fixedProg(b.FAlu(1, 2).FAlu(3, 1).Exit())
+	prog := b.FAlu(1, 2).FAlu(3, 1).Exit().Build()
 	run := func(regs int) (c *rig, cta *CTA) {
 		c = newRig(t, nil)
 		spec := specWith(2, prog)
 		spec.RegsPerThread = regs
 		cta = c.sm.AddCTA(spec, 0, 0, 0, 0, 0, c.now)
 		for i, w := range cta.Warps() {
-			if len(w.readyAt) != w.prog.Regs() || len(w.readyAt) != 51 {
+			if len(w.readyAt) != spec.Program.Regs() || len(w.readyAt) != 51 {
 				t.Fatalf("RegsPerThread %d: warp %d holds %d scoreboard entries, program names %d, want 51",
-					regs, i, len(w.readyAt), w.prog.Regs())
+					regs, i, len(w.readyAt), spec.Program.Regs())
 			}
 		}
 		c.runUntilDone(1, 100000)
@@ -511,7 +516,7 @@ func TestScoreboardHoldsProgramRegs(t *testing.T) {
 	}
 	c, cta := run(4)
 	c.sm.Recycle(cta)
-	again := c.sm.AddCTA(specWith(2, fixedProg(isa.NewBuilder().FAlu(3, 1).Exit())), 0, 1, 0, 0, 0, c.now)
+	again := c.sm.AddCTA(specWith(2, isa.NewBuilder().FAlu(3, 1).Exit().Build()), 0, 1, 0, 0, 0, c.now)
 	if again != cta {
 		t.Fatal("placement did not reuse the pooled context")
 	}

@@ -37,11 +37,11 @@ type Warp struct {
 	sched *scheduler
 	slot  int
 
-	// prog is the warp's program, which other warps may share; at is this
-	// warp's position in it and carries the warp's CTA and index. While cur
-	// is a global op with active lanes, at still points at it (see fetch).
-	prog isa.Program
-	at   isa.Cursor
+	// at is the warp's position in its kernel's program (cta.Spec.Program,
+	// which every warp of the kernel shares) and carries the warp's CTA and
+	// index. While cur is a global op with active lanes, at still points at
+	// it (see fetch).
+	at isa.Cursor
 	// cur is the fetched, unissued instruction while curValid holds.
 	cur      instr
 	curValid bool
@@ -49,8 +49,8 @@ type Warp struct {
 	finished bool
 
 	// readyAt[r] is the cycle register r's pending write completes;
-	// 0 means no write pending. Register 0 is hardwired ready. It holds at
-	// least prog.Regs() entries, cut from the CTA's scoreboard slab, so
+	// 0 means no write pending. Register 0 is hardwired ready. It holds
+	// the program's Regs() entries, cut from the CTA's scoreboard slab, so
 	// every register the program names has one.
 	readyAt []uint64
 }
@@ -71,7 +71,7 @@ func (w *Warp) fetch(u *ldstUnit) bool {
 		return true
 	}
 	buf, from := &u.fetchBuf, w.at
-	if !w.prog.Next(&w.at, buf) {
+	if !w.cta.Spec.Program.Next(&w.at, buf) {
 		return false
 	}
 	w.cur = instr{Op: buf.Op, Dst: buf.Dst, Src: buf.Src, BankConflict: buf.BankConflict, Mask: buf.Mask}
@@ -87,7 +87,7 @@ func (w *Warp) fetch(u *ldstUnit) bool {
 // gives the instruction fetch decoded cur from; an affine op's lanes are
 // then one formula.
 func (w *Warp) lanes(u *ldstUnit) *isa.WarpInstr {
-	w.prog.Next(&w.at, &u.fetchBuf)
+	w.cta.Spec.Program.Next(&w.at, &u.fetchBuf)
 	return &u.fetchBuf
 }
 

@@ -15,7 +15,7 @@ func BenchmarkLoopProgramNext(b *testing.B) {
 	for _, name := range []string{"sgemm", "kmeans", "spmv"} {
 		b.Run(name, func(b *testing.B) {
 			w, _ := ByName(name)
-			p := w.Build(ScaleSmall).Program(0, 0)
+			p := w.Build(ScaleSmall).Program
 			var ops []isa.Cursor
 			var buf isa.WarpInstr
 			for c, from := (isa.Cursor{}), (isa.Cursor{}); p.Next(&c, &buf); from = c {

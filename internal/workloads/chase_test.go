@@ -73,7 +73,7 @@ func TestChaseStreamMatchesSlice(t *testing.T) {
 			}
 		}
 		for _, p := range pairs {
-			got, want := spec.Program(p.cta, p.warp), sliceChase(p.cta, p.warp, tc.warps, tc.iters)
+			got, want := spec.Program, sliceChase(p.cta, p.warp, tc.warps, tc.iters)
 			gc, wc := isa.Cursor{CTA: p.cta, Warp: p.warp}, isa.Cursor{}
 			var g, w isa.WarpInstr
 			for n := 0; ; n++ {

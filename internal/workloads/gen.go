@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"gpusched/internal/isa"
-	"gpusched/internal/kernel"
-)
+import "gpusched/internal/isa"
 
 // Emit fills buf with one instruction for the warp at c. It reads the
 // warp's identity (c.CTA, c.Warp) and loop iteration (c.Iter), nothing else
@@ -94,11 +91,11 @@ func (p *loopProgram) instrPerWarp() int {
 	return len(p.prologue) + p.iters*len(p.body) + len(p.epilogue) + 1
 }
 
-// shared is the program factory that gives every warp the one template p.
-// It counts p's register footprint first, while p is still private: an
-// Emit's registers are its constructor arguments, whatever the cursor, so
-// one call of each into a scratch record names them all (EXIT names none).
-func shared(p *loopProgram) kernel.ProgramFactory {
+// shared returns p as its kernel's one program, which every warp runs. It
+// counts p's register footprint first, while p is still private: an Emit's
+// registers are its constructor arguments, whatever the cursor, so one call
+// of each into a scratch record names them all (EXIT names none).
+func shared(p *loopProgram) *loopProgram {
 	var buf isa.WarpInstr
 	var c isa.Cursor
 	p.regs = 1
@@ -109,7 +106,7 @@ func shared(p *loopProgram) kernel.ProgramFactory {
 			p.regs = max(p.regs, buf.Regs())
 		}
 	}
-	return func(int, int) isa.Program { return p }
+	return p
 }
 
 // gwarp is the grid-wide index of the warp at c, for a kernel of

@@ -65,7 +65,7 @@ func warpDigest(h hash.Hash64, spec *kernel.Spec, cta, warp int) {
 	var buf isa.WarpInstr
 	c := isa.Cursor{CTA: cta, Warp: warp}
 	n := uint32(0)
-	for p := spec.Program(cta, warp); p.Next(&c, &buf); n++ {
+	for ; spec.Program.Next(&c, &buf); n++ {
 		hashInstr(h, &buf)
 	}
 	var b [4]byte
@@ -103,23 +103,14 @@ func TestProgramStreams(t *testing.T) {
 	}
 }
 
-// TestSharedTemplates: at every scale, a registered workload hands every
-// (CTA, warp) the one program, and goroutines walking that program at once,
-// as the SMs of concurrent simulations do, each reproduce the pinned
+// TestSharedTemplates: at every scale, a registered workload's second Build
+// returns the program of its first, and goroutines walking that program at
+// once, as the SMs of concurrent simulations do, each reproduce the pinned
 // streams. Under -race this fails if a walk writes to the program.
 func TestSharedTemplates(t *testing.T) {
 	for _, w := range All() {
 		for s := ScaleTest; s <= ScaleFull; s++ {
-			spec := w.Build(s)
-			tpl := spec.Program(0, 0)
-			for c := 0; c < spec.NumCTAs(); c++ {
-				for wi := 0; wi < spec.WarpsPerCTA(); wi++ {
-					if spec.Program(c, wi) != tpl {
-						t.Fatalf("%s scale %d: CTA %d warp %d has a program of its own", w.Name, s, c, wi)
-					}
-				}
-			}
-			if w.Build(s).Program(0, 0) != tpl {
+			if w.Build(s).Program != w.Build(s).Program {
 				t.Fatalf("%s scale %d: a second Build has a program of its own", w.Name, s)
 			}
 		}

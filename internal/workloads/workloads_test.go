@@ -14,7 +14,7 @@ func drain(spec *kernel.Spec, cta, warp, cap int) []isa.WarpInstr {
 	var out []isa.WarpInstr
 	var buf isa.WarpInstr
 	c := isa.Cursor{CTA: cta, Warp: warp}
-	for p := spec.Program(cta, warp); p.Next(&c, &buf); {
+	for spec.Program.Next(&c, &buf) {
 		out = append(out, buf)
 		if len(out) > cap {
 			break
@@ -349,17 +349,16 @@ func TestRegistersWithinAllocation(t *testing.T) {
 	for _, w := range All() {
 		for _, s := range []Scale{ScaleTest, ScaleSmall, ScaleFull} {
 			spec := w.Build(s)
+			regs := spec.Program.Regs()
+			if regs > spec.RegsPerThread {
+				t.Fatalf("%s scale %d: program names %d registers, allocates %d per thread",
+					w.Name, s, regs, spec.RegsPerThread)
+			}
 			var buf isa.WarpInstr
 			for cta := 0; cta < spec.NumCTAs(); cta++ {
 				for warp := 0; warp < spec.WarpsPerCTA(); warp++ {
-					p := spec.Program(cta, warp)
-					regs := p.Regs()
-					if regs > spec.RegsPerThread {
-						t.Fatalf("%s scale %d: CTA %d warp %d names %d registers, allocates %d per thread",
-							w.Name, s, cta, warp, regs, spec.RegsPerThread)
-					}
 					c := isa.Cursor{CTA: cta, Warp: warp}
-					for p.Next(&c, &buf) {
+					for spec.Program.Next(&c, &buf) {
 						if n := buf.Regs(); n > regs {
 							t.Fatalf("%s scale %d: CTA %d warp %d names r%d, Regs() = %d",
 								w.Name, s, cta, warp, n-1, regs)

@@ -9,9 +9,10 @@ import (
 
 // KernelBuilder assembles a custom kernel for the simulator: a grid of
 // CTAs whose warps all execute a program you describe instruction by
-// instruction. The per-warp program is generated by a callback so address
+// instruction. Each warp's program is generated by a callback so address
 // patterns can depend on the CTA and warp identity — that dependence is
-// what gives a kernel its scheduling behaviour.
+// what gives a kernel its scheduling behaviour. Build runs the callback
+// once per warp; the kernel keeps the programs (isa.PerWarp).
 //
 //	k := gpusched.NewKernelBuilder("saxpy", 120, 256).
 //	    Regs(16).
@@ -52,52 +53,42 @@ func (b *KernelBuilder) SharedMem(bytes int) *KernelBuilder {
 }
 
 // Program sets the per-warp program generator. The callback must be
-// deterministic in (ctaID, warp): Build runs it once per warp to check the
-// registers it names, and a run calls it again for every warp it places.
+// deterministic in (ctaID, warp): Build runs it once for every warp of the
+// grid and keeps what it builds as the kernel's program, so a run never
+// calls it.
 func (b *KernelBuilder) Program(fn func(ctaID, warp int, p *ProgramBuilder)) *KernelBuilder {
 	b.program = fn
 	return b
 }
 
-// Build validates and returns the kernel.
+// Build builds every warp's program, rejecting one that names a register
+// the core cannot track (isa.MaxRegs and up), and validates the kernel.
 func (b *KernelBuilder) Build() (Kernel, error) {
 	if b.spec.Grid.X < 1 {
 		return Kernel{}, fmt.Errorf("gpusched: kernel %s: grid must have at least 1 CTA", b.spec.Name)
 	}
-	fn := b.program
-	if fn == nil {
-		fn = func(int, int, *ProgramBuilder) {}
-	}
 	spec := b.spec
-	spec.Program = func(ctaID, warp int) isa.Program {
-		pb := &ProgramBuilder{b: isa.NewBuilder()}
-		fn(ctaID, warp, pb)
-		pb.b.Exit()
-		return pb.b.Build()
+	nw := spec.WarpsPerCTA()
+	warps := make([]isa.Program, 0, spec.NumCTAs()*nw)
+	for cta := 0; cta < spec.NumCTAs(); cta++ {
+		for w := 0; w < nw; w++ {
+			pb := &ProgramBuilder{b: isa.NewBuilder()}
+			if b.program != nil {
+				b.program(cta, w, pb)
+			}
+			p := pb.b.Exit().Build()
+			if top := p.Regs() - 1; top >= isa.MaxRegs {
+				return Kernel{}, fmt.Errorf("gpusched: kernel %s: CTA %d warp %d names register %d, above the %d registers a thread has (0..%d)",
+					spec.Name, cta, w, top, isa.MaxRegs, isa.MaxRegs-1)
+			}
+			warps = append(warps, p)
+		}
 	}
+	spec.Program = isa.NewPerWarp(nw, warps)
 	if err := spec.Validate(); err != nil {
 		return Kernel{}, err
 	}
-	if err := checkRegisters(&spec); err != nil {
-		return Kernel{}, err
-	}
 	return Kernel{spec: &spec}, nil
-}
-
-// checkRegisters builds the program of every warp of the grid and rejects
-// one that names a register the core cannot track (isa.MaxRegs and up). The
-// callback is deterministic, so each program's Regs is what a run will
-// execute.
-func checkRegisters(spec *kernel.Spec) error {
-	for cta := 0; cta < spec.NumCTAs(); cta++ {
-		for w := 0; w < spec.WarpsPerCTA(); w++ {
-			if top := spec.Program(cta, w).Regs() - 1; top >= isa.MaxRegs {
-				return fmt.Errorf("gpusched: kernel %s: CTA %d warp %d names register %d, above the %d registers a thread has (0..%d)",
-					spec.Name, cta, w, top, isa.MaxRegs, isa.MaxRegs-1)
-			}
-		}
-	}
-	return nil
 }
 
 // MustBuild is Build, panicking on invalid specs.

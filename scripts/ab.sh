@@ -16,15 +16,18 @@
 # (the benchmark itself stamps the enclosing checkout's HEAD on both). The
 # script then prints the two commits, `gpubench -compare` over all pairs,
 # and for each workload and end-to-end metric (BENCHMARK.json) in how many
-# pairs B's median beat A's. pairs defaults to 3, workload to all and seed
-# to 1.
+# pairs B's median beat A's. pairs (a positive integer) defaults to 3,
+# workload to all and seed (an integer) to 1; any other pairs or seed exits
+# 2 with the usage line before anything runs.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
-[ $# -ge 1 ] && [ $# -le 4 ] || { echo "usage: $0 <rev> [pairs] [workload] [seed]" >&2; exit 2; }
-rev=$(git rev-parse --verify "$1^{commit}")
+usage() { echo "usage: $0 <rev> [pairs] [workload] [seed]; pairs a positive integer, seed an integer" >&2; exit 2; }
+[ $# -ge 1 ] && [ $# -le 4 ] || usage
 pairs=${2:-3}
 workload=${3:-all}
 seed=${4:-1}
+[[ $pairs =~ ^[1-9][0-9]*$ && $seed =~ ^-?[0-9]+$ ]] || usage
+rev=$(git rev-parse --verify "$1^{commit}")
 commit_b=$(git rev-parse HEAD)
 [ -z "$(git status --porcelain)" ] || commit_b+=-dirty
 
