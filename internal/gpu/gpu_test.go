@@ -517,9 +517,9 @@ func quiescenceCases() []quiescenceCase {
 		return func() []*kernel.Spec {
 			wa, _ := workloads.ByName(a)
 			wb, _ := workloads.ByName(b)
-			sb := wb.Build(workloads.ScaleTest)
+			sb := *wb.Build(workloads.ScaleTest)
 			sb.Arrival = arrival
-			return []*kernel.Spec{wa.Build(workloads.ScaleTest), sb}
+			return []*kernel.Spec{wa.Build(workloads.ScaleTest), &sb}
 		}
 	}
 	return []quiescenceCase{

@@ -133,8 +133,10 @@ func (r Request) Build(prev *gpu.GPU) (Machine, error) {
 	for i, n := range r.Workloads {
 		w, _ := workloads.ByName(n) // Validate checked every name
 		specs[i] = w.Build(r.Scale)
-		if i < len(r.Arrivals) {
-			specs[i].Arrival = r.Arrivals[i]
+		if i < len(r.Arrivals) && r.Arrivals[i] > 0 {
+			spec := *specs[i] // the catalog's spec is shared: never change it
+			spec.Arrival = r.Arrivals[i]
+			specs[i] = &spec
 		}
 	}
 	d := r.Sched.NewDispatcher()

@@ -606,3 +606,21 @@ func TestValidateRejectsUnbuildableMachine(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildLeavesCatalogSpecs: a request's arrivals land on copies of the
+// catalog's shared specs, so the catalog's own stay at arrival 0.
+func TestBuildLeavesCatalogSpecs(t *testing.T) {
+	r := sim.Request{Workloads: []string{"vadd", "spmv"}, Arrivals: []uint64{0, 500}, Scale: workloads.ScaleTest}
+	m, err := r.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := m.Run(); res.Kernels[1].LaunchCycle != 500 {
+		t.Errorf("spmv launched at %d, want 500", res.Kernels[1].LaunchCycle)
+	}
+	for _, n := range r.Workloads {
+		if w, _ := workloads.ByName(n); w.Build(workloads.ScaleTest).Arrival != 0 {
+			t.Errorf("%s: the catalog's spec arrives at %d after a request set an arrival", n, w.Build(workloads.ScaleTest).Arrival)
+		}
+	}
+}

@@ -67,9 +67,10 @@ type Workload struct {
 	Class Class
 	// InterCTALocality marks BCS candidates (consecutive CTAs share data).
 	InterCTALocality bool
-	// Build returns the kernel at the given scale: a copy of the spec
-	// built for that scale once, at registration, which the caller may
-	// change (the simulator sets Arrival).
+	// Build returns the kernel at the given scale: the spec built for that
+	// scale once, at registration, and shared by every caller, like its
+	// program. Never change it: a caller that sets Arrival sets it on a
+	// copy (sim.Request.Build).
 	Build func(Scale) *kernel.Spec
 }
 
@@ -77,15 +78,14 @@ var catalog []Workload
 
 func register(w Workload) {
 	// A builder is a pure function of the scale, and its program is one
-	// template shared by every warp, so each scale is built once, here.
-	// Build hands out copies: the simulator sets Arrival on its spec.
+	// template shared by every warp, so each scale is built once, here,
+	// and Build hands out that spec.
 	var specs [ScaleFull + 1]*kernel.Spec
 	for s := range specs {
 		specs[s] = w.Build(Scale(s))
 	}
 	w.Build = func(s Scale) *kernel.Spec {
-		spec := *specs[pick(s, int(ScaleTest), int(ScaleSmall), int(ScaleFull))]
-		return &spec
+		return specs[pick(s, int(ScaleTest), int(ScaleSmall), int(ScaleFull))]
 	}
 	catalog = append(catalog, w)
 }
