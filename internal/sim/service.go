@@ -264,7 +264,7 @@ func (s *Service) Stats() Stats {
 // execution.
 func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcome, error) {
 	if err := req.Validate(); err != nil {
-		return Outcome{}, err
+		return Outcome{}, fmt.Errorf("sim: %s: %w", key, err)
 	}
 	if s.cache != nil {
 		if out, ok := s.cache.load(key); ok {

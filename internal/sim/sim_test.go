@@ -364,19 +364,23 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 }
 
 // TestRunAllJoinsAllErrors: RunAll must surface every failure, not just
-// the first — paperbench reports each broken experiment by name.
+// the first, each naming its request's key — paperbench reports each broken
+// experiment by name.
 func TestRunAllJoinsAllErrors(t *testing.T) {
 	svc := sim.NewService(sim.Options{})
+	wide := tinyRequest("stencil", sim.Baseline())
+	wide.Cores = 300 // a machine Validate refuses
 	reqs := []sim.Request{
 		tinyRequest("vadd", sim.Baseline()),
 		tinyRequest("no-such-workload", sim.Baseline()),
 		tinyRequest("also-missing", sim.Baseline()),
+		wide,
 	}
 	err := svc.RunAll(context.Background(), reqs)
 	if err == nil {
 		t.Fatal("RunAll swallowed the errors")
 	}
-	for _, want := range []string{"no-such-workload", "also-missing"} {
+	for _, want := range []string{"no-such-workload", "also-missing", wide.Key()} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("joined error %q does not name %q", err, want)
 		}
