@@ -16,6 +16,7 @@ test:
 # is installed locally (CI pins and runs it unconditionally).
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+	test -z "$$(git ls-files '*.test')" || { echo "tracked test binaries:"; git ls-files '*.test'; exit 1; }
 	go vet ./...
 	go run ./cmd/gpulint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -34,7 +35,8 @@ lint:
 race:
 	go test -race -count=3 ./internal/fleet ./internal/server ./internal/sim ./internal/gpu ./internal/workloads
 
-# Mirror of .github/workflows/ci.yml: build, lint, race-enabled tests, the
+# Mirror of .github/workflows/ci.yml: build, lint (which also fails on a
+# tracked *.test binary), race-enabled tests, the
 # repository benchmark's own tests (a module of its own, so ./... does not
 # reach it), one iteration of every internal microbenchmark, short fuzz
 # smokes of the kernel-completion, request-wire, partition-wake,

@@ -10,8 +10,10 @@
 //
 // Simulation results persist under <out>/.simcache by default, so a rerun
 // (or a second experiment subset sharing runs with the first) skips
-// completed simulations. Failed experiments are reported on stderr and the
-// process exits non-zero, but the remaining experiments still run.
+// completed simulations. A machine the flags select but the simulator
+// cannot build (say -cores 300) is refused once, before any experiment
+// runs, with exit status 2. Failed experiments are reported on stderr and
+// the process exits 1, but the remaining experiments still run.
 package main
 
 import (
@@ -84,6 +86,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *progress {
 		opt.Progress = stderr
 	}
+	// Every experiment runs on the machine the flags select, so check it
+	// once here: otherwise each request of each batch fails on it alike.
+	// Any workload will do; the machine is what is checked.
+	if err := (sim.Request{Workloads: []string{"vadd"}, Scale: scaleVal, Cores: *cores}).Validate(); err != nil {
+		fmt.Fprintf(stderr, "paperbench: -cores %d: %v\n", *cores, err)
+		return 2
+	}
 
 	var selected []harness.Experiment
 	if *expFlag == "all" {
@@ -99,7 +108,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	h := harness.New(opt)
+	return runExperiments(harness.New(opt), selected, *outDir, stdout, stderr)
+}
+
+// runExperiments runs each of selected on h, rendering its table to stdout
+// and, unless outDir is empty, its CSV. A failed experiment does not stop
+// the others; they are summed up on stderr at the end, with exit status 1.
+func runExperiments(h *harness.Harness, selected []harness.Experiment, outDir string, stdout, stderr io.Writer) int {
 	var failures []string
 	for _, e := range selected {
 		start := time.Now()
@@ -112,8 +127,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		table.Render(stdout)
 		fmt.Fprintln(stdout)
 		fmt.Fprintf(stderr, "(%s in %.1fs)\n", e.ID, time.Since(start).Seconds())
-		if *outDir != "" {
-			if err := writeCSV(*outDir, e.ID, table); err != nil {
+		if outDir != "" {
+			if err := writeCSV(outDir, e.ID, table); err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gpusched/internal/harness"
+	"gpusched/internal/workloads"
 )
 
 func TestResolveCacheDir(t *testing.T) {
@@ -73,21 +77,42 @@ func TestRunOneExperimentWritesCSV(t *testing.T) {
 	}
 }
 
-// TestRunSurfacesExperimentErrors forces a failure (tiny core count cannot
-// be forced here, so use a bad experiment list instead) — covered above —
-// and verifies a failing simulation propagates as exit code 1 with a
-// summary. The cheapest way to make an experiment fail deterministically is
-// an out-of-range cores override: gpu.New rejects NumCores > 255.
+// TestRunSurfacesExperimentErrors: a failing experiment does not stop the
+// ones after it, and ends the run with exit code 1 and a summary naming it.
 func TestRunSurfacesExperimentErrors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds simulations")
-	}
+	table1, _ := harness.ByID("table1")
+	broken := harness.Experiment{ID: "broken", Run: func(*harness.Harness) (*harness.Table, error) {
+		return nil, errors.New("no such machine")
+	}}
 	var out, errb strings.Builder
-	code := run([]string{"-exp", "table2", "-scale", "test", "-out", "", "-cores", "300"}, &out, &errb)
+	h := harness.New(harness.Options{Scale: workloads.ScaleTest})
+	code := runExperiments(h, []harness.Experiment{broken, table1}, "", &out, &errb)
 	if code != 1 {
-		t.Fatalf("run with broken config = %d, want 1 (stderr %q)", code, errb.String())
+		t.Fatalf("run with a failing experiment = %d, want 1 (stderr %q)", code, errb.String())
 	}
-	if !strings.Contains(errb.String(), "experiments failed") {
+	if !strings.Contains(errb.String(), "1 of 2 experiments failed") || !strings.Contains(errb.String(), "broken: no such machine") {
 		t.Errorf("stderr missing failure summary: %q", errb.String())
+	}
+	if !strings.Contains(out.String(), "table1") {
+		t.Errorf("the experiment after the failure did not run:\n%s", out.String())
+	}
+}
+
+// TestRunRejectsBadMachine: a machine the flags select but the simulator
+// cannot build is reported once, in one line, before any experiment runs,
+// and exits 2 like any other bad flag.
+func TestRunRejectsBadMachine(t *testing.T) {
+	for _, cores := range []string{"300", "-1"} {
+		var out, errb strings.Builder
+		code := run([]string{"-exp", "fig9", "-scale", "tiny", "-out", "", "-cores", cores}, &out, &errb)
+		if code != 2 {
+			t.Errorf("-cores %s: exit %d, want 2 (stderr %q)", cores, code, errb.String())
+		}
+		if lines := strings.Count(errb.String(), "\n"); lines != 1 || !strings.Contains(errb.String(), "-cores "+cores) {
+			t.Errorf("-cores %s: stderr is %d lines, want one naming the flag: %q", cores, lines, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("-cores %s: an experiment ran: %q", cores, out.String())
+		}
 	}
 }

@@ -2,10 +2,11 @@
 // simulated SIMT cores.
 //
 // The simulator is trace-shaped: kernels are expressed as per-warp streams of
-// WarpInstr records. Each record is one dynamic instruction for one warp —
-// the static opcode plus the per-lane state (active mask, the addresses of a
-// global memory operation, as a lane formula or one per lane) that the core
-// and memory system need for timing.
+// dynamic instructions, each read in two parts. The header (Instr: opcode,
+// registers, active mask) is what every pipeline stage reads, and the core
+// decodes it at fetch; the addresses of a global memory operation (a lane
+// formula or one per lane, in WarpInstr) are produced only when the LDST
+// unit accepts the issued op.
 // Control flow is pre-lowered by the workload generators: loops arrive
 // unrolled and branch divergence is expressed through active masks, so the
 // core never re-executes or re-converges. This keeps the core model focused
@@ -136,16 +137,12 @@ const WarpSize = 32
 // FullMask is the active mask with all 32 lanes enabled.
 const FullMask uint32 = 0xFFFFFFFF
 
-// WarpInstr is one dynamic instruction for one warp. Programs fill these in
-// place: the core reuses one fetch buffer for every warp of an SM, and the
-// struct deliberately embeds its per-lane address array instead of pointing
-// to a heap slice. A program writes every header field (Reset clears them
-// all) and, for a global op that is not Affine, the address of every active
-// lane; the lane array is never cleared, so a lane it does not write holds
-// another instruction's address. The core keeps only what it decodes, never
-// the lanes: when a global op issues, the LDST unit calls Next again at the
-// cursor it fetched the op from and coalesces what that gives.
-type WarpInstr struct {
+// Instr is the decoded part of one dynamic warp instruction: the 12 bytes
+// every pipeline stage reads. The core keeps one per warp (the fetched,
+// unissued instruction) and one per queued memory instruction, decoded by
+// Program.Decode; for a global op it says which lanes are active but not
+// where they point, which only the LDST unit reads (WarpInstr).
+type Instr struct {
 	// Op is the opcode class; it selects the pipeline and latency.
 	Op Op
 	// Dst is the destination register (0 = none even for writing ops).
@@ -156,13 +153,37 @@ type WarpInstr struct {
 	// serialized passes the LDST unit charges it, 0 counting as 1. The
 	// unit never reads a shared op's lanes.
 	BankConflict uint8
-	// Affine marks a global op whose lane l reads or writes
-	// Base + l*Stride (uint32 arithmetic, wrapping); Addrs is not read.
-	Affine bool
 	// Mask is the active-lane mask. Inactive lanes contribute no memory
 	// accesses. An instruction with Mask==0 is still issued (it models a
 	// fully-predicated-off instruction occupying an issue slot).
 	Mask uint32
+}
+
+// ActiveLanes returns the number of enabled lanes.
+func (in *Instr) ActiveLanes() int {
+	return bits.OnesCount32(in.Mask)
+}
+
+// Regs returns one more than the highest register the instruction names as
+// its destination or a source (at least 1).
+func (in *Instr) Regs() int {
+	return int(max(in.Dst, in.Src[0], in.Src[1], in.Src[2])) + 1
+}
+
+// WarpInstr is one whole dynamic instruction for one warp: the header
+// (Instr) plus a global op's addresses, as a lane formula or one per lane.
+// Program.Next fills one; only the LDST unit asks for it, when it accepts an
+// issued global op, and it coalesces the lanes at once into line
+// transactions. The struct embeds its lane array instead of pointing to a
+// heap slice, so the unit reuses one buffer for every warp of its SM. Next
+// writes every field but Addrs, and for a global op that is not Affine the
+// address of every active lane; the lane array is never cleared, so a lane
+// it does not write holds another instruction's address.
+type WarpInstr struct {
+	Instr
+	// Affine marks a global op whose lane l reads or writes
+	// Base + l*Stride (uint32 arithmetic, wrapping); Addrs is not read.
+	Affine bool
 	// Base and Stride are an Affine op's lane formula.
 	Base, Stride uint32
 	// Addrs holds the per-lane byte addresses of a global op that is not
@@ -180,24 +201,10 @@ func (wi *WarpInstr) Addr(lane int) uint32 {
 	return wi.Addrs[lane]
 }
 
-// ActiveLanes returns the number of enabled lanes.
-func (wi *WarpInstr) ActiveLanes() int {
-	return bits.OnesCount32(wi.Mask)
-}
-
-// Regs returns one more than the highest register the instruction names as
-// its destination or a source (at least 1).
-func (wi *WarpInstr) Regs() int {
-	return int(max(wi.Dst, wi.Src[0], wi.Src[1], wi.Src[2])) + 1
-}
-
-// Reset clears the header, every field but Addrs, so a reused buffer never
-// leaks another instruction's op, registers, mask or formula. It leaves the
-// 128-byte lane array alone: only a non-affine global op reads it, and that
-// op writes its active lanes itself.
-func (wi *WarpInstr) Reset() {
-	wi.Op, wi.Dst, wi.Src, wi.BankConflict = OpNop, 0, [3]Reg{}, 0
-	wi.Affine, wi.Mask, wi.Base, wi.Stride = false, 0, 0, 0
+// FillLinear makes wi affine: lane l's address is base + l*stride. It
+// writes no lane of Addrs.
+func FillLinear(wi *WarpInstr, base, stride uint32) {
+	wi.Affine, wi.Base, wi.Stride = true, base, stride
 }
 
 // Cursor is one warp's position in a Program. Programs are immutable and
@@ -216,11 +223,16 @@ type Cursor struct {
 	Iter, Pos int
 }
 
-// Program is a lazily-evaluated warp instruction stream. Next fills buf
-// with the instruction at c, advances c past it, and reports whether one was
-// produced; after it returns false the warp has terminated (generators emit
-// OpExit as their final instruction, but the core also treats stream end as
-// exit).
+// Program is a lazily-evaluated warp instruction stream, read two ways.
+// Decode writes the header of the instruction at c into in, advances c past
+// it, and reports whether there was one; it runs no address code. The core
+// decodes every instruction a warp fetches this way. Next does the same
+// into buf with the instruction's addresses too; the LDST unit calls it,
+// at the cursor Decode read a global op from, when it accepts the issued
+// op. After either returns false the warp has terminated (generators emit
+// OpExit as their final instruction, but the core also treats stream end
+// as exit). At equal cursors the two give the same header and leave equal
+// cursors.
 //
 // Implementations never change themselves, so one program may serve any
 // number of warps and simulations at once, and must be deterministic:
@@ -233,32 +245,69 @@ type Cursor struct {
 // register at or above it. It is what the program names, not what its
 // kernel reserves (kernel.Spec.RegsPerThread, an occupancy input only).
 type Program interface {
+	Decode(c *Cursor, in *Instr) bool
 	Next(c *Cursor, buf *WarpInstr) bool
 	Regs() int
 }
 
-// SliceProgram is a Program backed by a pre-built instruction slice; the
-// cursor's Pos indexes it. It is the convenient form for tests and for
-// short fixed kernels.
+// SliceProgram is a Program backed by pre-built instructions; the cursor's
+// Pos indexes them. It is the form of tests and of custom kernels (Builder,
+// NewSliceProgram). It keeps each instruction's header and lane formula, and
+// 32 lane addresses only for a global op that is not affine.
 type SliceProgram struct {
-	Instrs []WarpInstr
+	instrs []Instr
+	addrs  []sliceAddr // one per instruction
+	lanes  [][WarpSize]uint32
 }
 
-// Regs implements Program: the highest register over Instrs, plus one.
+// sliceAddr is the address part of one SliceProgram instruction: the lane
+// formula, and for a global op that is not affine, 1 + the index of its
+// lanes in the program's lane arrays (0: none).
+type sliceAddr struct {
+	affine       bool
+	base, stride uint32
+	lanes        int32
+}
+
+// NewSliceProgram returns the program of instrs, in order.
+func NewSliceProgram(instrs ...WarpInstr) *SliceProgram {
+	var b Builder
+	for _, wi := range instrs {
+		b.Append(wi)
+	}
+	return &b.p
+}
+
+// Regs implements Program: the highest register over the program, plus one.
 func (p *SliceProgram) Regs() int {
 	n := 1
-	for i := range p.Instrs {
-		n = max(n, p.Instrs[i].Regs())
+	for i := range p.instrs {
+		n = max(n, p.instrs[i].Regs())
 	}
 	return n
 }
 
-// Next implements Program.
-func (p *SliceProgram) Next(c *Cursor, buf *WarpInstr) bool {
-	if c.Pos >= len(p.Instrs) {
+// Decode implements Program.
+func (p *SliceProgram) Decode(c *Cursor, in *Instr) bool {
+	if c.Pos >= len(p.instrs) {
 		return false
 	}
-	*buf = p.Instrs[c.Pos]
+	*in = p.instrs[c.Pos]
+	c.Pos++
+	return true
+}
+
+// Next implements Program.
+func (p *SliceProgram) Next(c *Cursor, buf *WarpInstr) bool {
+	if c.Pos >= len(p.instrs) {
+		return false
+	}
+	a := &p.addrs[c.Pos]
+	buf.Instr = p.instrs[c.Pos]
+	buf.Affine, buf.Base, buf.Stride = a.affine, a.base, a.stride
+	if a.lanes > 0 {
+		buf.Addrs = p.lanes[a.lanes-1]
+	}
 	c.Pos++
 	return true
 }
@@ -284,6 +333,11 @@ func NewPerWarp(warpsPerCTA int, warps []Program) *PerWarp {
 
 // Regs implements Program: the widest footprint among Warps.
 func (p *PerWarp) Regs() int { return p.regs }
+
+// Decode implements Program: it steps the cursor's warp's own program.
+func (p *PerWarp) Decode(c *Cursor, in *Instr) bool {
+	return p.Warps[c.CTA*p.WarpsPerCTA+c.Warp].Decode(c, in)
+}
 
 // Next implements Program: it steps the cursor's warp's own program.
 func (p *PerWarp) Next(c *Cursor, buf *WarpInstr) bool {

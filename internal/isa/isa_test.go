@@ -79,8 +79,8 @@ func TestActiveLanes(t *testing.T) {
 		{0x80000001, 2},
 	}
 	for _, c := range cases {
-		wi := WarpInstr{Mask: c.mask}
-		if got := wi.ActiveLanes(); got != c.want {
+		in := Instr{Mask: c.mask}
+		if got := in.ActiveLanes(); got != c.want {
 			t.Errorf("ActiveLanes(%#x) = %d, want %d", c.mask, got, c.want)
 		}
 	}
@@ -88,32 +88,17 @@ func TestActiveLanes(t *testing.T) {
 
 func TestActiveLanesMatchesPopcount(t *testing.T) {
 	f := func(mask uint32) bool {
-		wi := WarpInstr{Mask: mask}
+		in := Instr{Mask: mask}
 		want := 0
 		for i := 0; i < 32; i++ {
 			if mask&(1<<i) != 0 {
 				want++
 			}
 		}
-		return wi.ActiveLanes() == want
+		return in.ActiveLanes() == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestWarpInstrReset: Reset clears every header field, the lane formula
-// included, and leaves the lane array to the next non-affine op to write.
-func TestWarpInstrReset(t *testing.T) {
-	wi := WarpInstr{Op: OpLoadGlobal, Dst: 5, Src: [3]Reg{1, 2, 3}, BankConflict: 2, Mask: FullMask}
-	FillLinear(&wi, 4096, 4)
-	wi.Addrs[3] = 12345
-	wi.Reset()
-	if want := (WarpInstr{Addrs: wi.Addrs}); wi != want {
-		t.Errorf("Reset left header state behind: %+v", wi)
-	}
-	if wi.Addrs[3] != 12345 || wi.Addr(3) != 12345 {
-		t.Errorf("Reset touched the lanes: lane 3 = %d, want 12345", wi.Addr(3))
 	}
 }
 
@@ -204,17 +189,20 @@ func TestBuilderIsolation(t *testing.T) {
 	p1 := b.Build()
 	b.FAlu(2, 1)
 	p2 := b.Build()
-	if len(p1.Instrs) != 1 {
-		t.Errorf("earlier Build mutated: len = %d, want 1", len(p1.Instrs))
+	if len(p1.instrs) != 1 || len(p1.addrs) != 1 {
+		t.Errorf("earlier Build mutated: len = %d, want 1", len(p1.instrs))
 	}
-	if len(p2.Instrs) != 2 {
-		t.Errorf("later Build wrong: len = %d, want 2", len(p2.Instrs))
+	if len(p2.instrs) != 2 || len(p2.addrs) != 2 {
+		t.Errorf("later Build wrong: len = %d, want 2", len(p2.instrs))
+	}
+	b.Reset()
+	if b.Len() != 0 || len(b.Exit().Build().instrs) != 1 || len(p2.instrs) != 2 || p2.instrs[1].Op != OpFAlu {
+		t.Error("Reset did not empty the builder, or reached a built program")
 	}
 }
 
 func TestBuilderLinearAddresses(t *testing.T) {
-	p := NewBuilder().LoadGlobal(1, 1000).Build()
-	wi := p.Instrs[0]
+	wi := instrAt(NewBuilder().LoadGlobal(1, 1000).Build(), 0)
 	for lane := 0; lane < WarpSize; lane++ {
 		want := uint32(1000 + lane*4)
 		if wi.Addr(lane) != want {
@@ -224,8 +212,7 @@ func TestBuilderLinearAddresses(t *testing.T) {
 }
 
 func TestBuilderStrideAddresses(t *testing.T) {
-	p := NewBuilder().LoadGlobalStride(1, 0, 128).Build()
-	wi := p.Instrs[0]
+	wi := instrAt(NewBuilder().LoadGlobalStride(1, 0, 128).Build(), 0)
 	for lane := 0; lane < WarpSize; lane++ {
 		if wi.Addr(lane) != uint32(lane*128) {
 			t.Fatalf("lane %d addr = %d, want %d", lane, wi.Addr(lane), lane*128)
@@ -252,13 +239,20 @@ func TestFillLinearIsAFormula(t *testing.T) {
 
 func TestBuilderSourceRegisters(t *testing.T) {
 	p := NewBuilder().FAlu(4, 1, 2, 3).Build()
-	wi := p.Instrs[0]
+	wi := p.instrs[0]
 	if wi.Src != [3]Reg{1, 2, 3} {
 		t.Errorf("Src = %v, want [1 2 3]", wi.Src)
 	}
 	// More than 3 sources are truncated, not panicked on.
 	p = NewBuilder().FAlu(5, 1, 2, 3, 4).Build()
-	if p.Instrs[0].Src != [3]Reg{1, 2, 3} {
-		t.Errorf("overflow Src = %v, want [1 2 3]", p.Instrs[0].Src)
+	if p.instrs[0].Src != [3]Reg{1, 2, 3} {
+		t.Errorf("overflow Src = %v, want [1 2 3]", p.instrs[0].Src)
 	}
+}
+
+// instrAt returns instruction i of p, addresses included, as Next gives it.
+func instrAt(p *SliceProgram, i int) (wi WarpInstr) {
+	c := Cursor{Pos: i}
+	p.Next(&c, &wi)
+	return wi
 }

@@ -142,9 +142,9 @@ func FuzzCoalesceAffine(f *testing.F) {
 		case 2:
 			stride = uint32(lineBytes) + 1 + stride%(1<<16)
 		}
-		affine := isa.WarpInstr{Op: isa.OpLoadGlobal, Mask: mask}
+		affine := isa.WarpInstr{Instr: isa.Instr{Op: isa.OpLoadGlobal, Mask: mask}}
 		isa.FillLinear(&affine, base, stride)
-		lanes := isa.WarpInstr{Op: isa.OpLoadGlobal, Mask: mask}
+		lanes := isa.WarpInstr{Instr: isa.Instr{Op: isa.OpLoadGlobal, Mask: mask}}
 		for l := range lanes.Addrs {
 			lanes.Addrs[l] = base + uint32(l)*stride
 		}

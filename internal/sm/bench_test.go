@@ -12,28 +12,26 @@ import (
 // scheduler always has a scoreboard decision to make. One instance serves
 // every warp, as a workload's program template does: the instruction
 // records a tick reads stay in the host's cache.
-type benchProg struct{ head []isa.WarpInstr }
+type benchProg struct{ head *isa.SliceProgram }
+
+func (p *benchProg) Decode(c *isa.Cursor, in *isa.Instr) bool {
+	if !p.head.Decode(c, in) {
+		*in = benchALU
+	}
+	return true
+}
 
 func (p *benchProg) Next(c *isa.Cursor, buf *isa.WarpInstr) bool {
-	if c.Pos < len(p.head) {
-		*buf = p.head[c.Pos]
-		c.Pos++
-		return true
+	if !p.head.Next(c, buf) {
+		buf.Instr = benchALU
 	}
-	*buf = benchALU
 	return true
 }
 
 // benchALU is the dependent op benchProg repeats: r1 = f(r1).
-var benchALU = isa.WarpInstr{Op: isa.OpFAlu, Dst: 1, Src: [3]isa.Reg{1}, Mask: isa.FullMask}
+var benchALU = isa.Instr{Op: isa.OpFAlu, Dst: 1, Src: [3]isa.Reg{1}, Mask: isa.FullMask}
 
-func (p *benchProg) Regs() int {
-	n := benchALU.Regs()
-	for i := range p.head {
-		n = max(n, p.head[i].Regs())
-	}
-	return n
-}
+func (p *benchProg) Regs() int { return max(benchALU.Regs(), p.head.Regs()) }
 
 // benchSM fills one SM with up to six CTAs of the given warp count, every
 // warp running one shared benchProg.
@@ -45,7 +43,7 @@ func benchSM(policy Policy, warps int, head func(b *isa.Builder)) (*SM, *mem.Sys
 	s := New(0, &cfg, sys, 1, nil)
 	b := isa.NewBuilder()
 	head(b)
-	prog := &benchProg{head: b.Build().Instrs}
+	prog := &benchProg{head: b.Build()}
 	spec := &kernel.Spec{
 		Name:          "bench",
 		Grid:          kernel.Dim3{X: 1024},
@@ -98,7 +96,7 @@ func BenchmarkSchedulerPickStalled(b *testing.B) {
 	}
 	waiting, _ := benchSM(PolicyGTO, 8, func(*isa.Builder) {})
 	for _, w := range waiting.schedulers[0].warps {
-		w.fetch(waiting.ldst)
+		w.fetch()
 		w.setReady(1, notReady)
 	}
 	b.Run("served", func(b *testing.B) { pick(b, waiting, false, skipScoreboard) })

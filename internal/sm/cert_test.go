@@ -117,7 +117,7 @@ func certScenarios() []certScenario {
 			// pick certifies.
 			spec := perWarpSpec(8, progOf(func(b *isa.Builder, ctaID, w int) {
 				for i := 0; i < 3; i++ {
-					wi := isa.WarpInstr{Op: isa.OpStoreGlobal, Src: [3]isa.Reg{1}, Mask: isa.FullMask}
+					wi := isa.WarpInstr{Instr: isa.Instr{Op: isa.OpStoreGlobal, Src: [3]isa.Reg{1}, Mask: isa.FullMask}}
 					isa.FillLinear(&wi, uint32(w<<20+i<<16), 256)
 					b.Append(wi)
 				}

@@ -9,10 +9,10 @@ import (
 )
 
 // TestContextSizes pins the per-warp, per-queue-entry and per-unit
-// footprint: a warp and a queued memory instruction keep the decoded
-// instruction, never the lane formula or the 32 lane addresses of an
-// isa.WarpInstr, and the LDST unit holds the SM's one fetch buffer and no
-// memo of what it last fetched.
+// footprint: a warp and a queued memory instruction keep the 12-byte
+// header (isa.Instr), never the lane formula or the 32 lane addresses of an
+// isa.WarpInstr, and the LDST unit holds the SM's one address buffer and no
+// memo of what it last read.
 func TestContextSizes(t *testing.T) {
 	if n := unsafe.Sizeof(Warp{}); n > 112 {
 		t.Errorf("Warp is %d bytes, want at most 112", n)
@@ -45,7 +45,7 @@ func (r *sendRecorder) Send(req mem.Request, now uint64) {
 func globalMix(region uint32) []isa.WarpInstr {
 	var prog []isa.WarpInstr
 	add := func(op isa.Op, dst, src isa.Reg, mask uint32, addr func(lane int) uint32) {
-		wi := isa.WarpInstr{Op: op, Dst: dst, Src: [3]isa.Reg{src}, Mask: mask}
+		wi := isa.WarpInstr{Instr: isa.Instr{Op: op, Dst: dst, Src: [3]isa.Reg{src}, Mask: mask}}
 		for l := range wi.Addrs {
 			wi.Addrs[l] = region + addr(l)
 		}
@@ -59,7 +59,7 @@ func globalMix(region uint32) []isa.WarpInstr {
 	add(isa.OpLoadGlobal, 3, 0, 0x0000_FFFF, func(l int) uint32 { return 3<<12 + uint32(l)*64 })
 	add(isa.OpLoadGlobal, 4, 0, 0, func(l int) uint32 { return 3<<12 + uint32(l)*4 })
 	affine := func(op isa.Op, dst, src isa.Reg, mask, base, stride uint32) {
-		wi := isa.WarpInstr{Op: op, Dst: dst, Src: [3]isa.Reg{src}, Mask: mask}
+		wi := isa.WarpInstr{Instr: isa.Instr{Op: op, Dst: dst, Src: [3]isa.Reg{src}, Mask: mask}}
 		isa.FillLinear(&wi, region+base, stride)
 		prog = append(prog, wi)
 	}
@@ -68,9 +68,9 @@ func globalMix(region uint32) []isa.WarpInstr {
 	affine(isa.OpLoadGlobal, 6, 0, 0xFFFF_0000, 3<<12+1024-64, 4)
 	affine(isa.OpStoreGlobal, 0, 1, isa.FullMask, 3<<12+4092, 0xFFFF_FFC0)
 	prog = append(prog,
-		isa.WarpInstr{Op: isa.OpFAlu, Dst: 5, Src: [3]isa.Reg{2, 3, 4}, Mask: isa.FullMask},
-		isa.WarpInstr{Op: isa.OpFAlu, Dst: 7, Src: [3]isa.Reg{6}, Mask: isa.FullMask},
-		isa.WarpInstr{Op: isa.OpExit, Mask: isa.FullMask})
+		isa.WarpInstr{Instr: isa.Instr{Op: isa.OpFAlu, Dst: 5, Src: [3]isa.Reg{2, 3, 4}, Mask: isa.FullMask}},
+		isa.WarpInstr{Instr: isa.Instr{Op: isa.OpFAlu, Dst: 7, Src: [3]isa.Reg{6}, Mask: isa.FullMask}},
+		isa.WarpInstr{Instr: isa.Instr{Op: isa.OpExit, Mask: isa.FullMask}})
 	return prog
 }
 
@@ -88,8 +88,8 @@ func overlaps(a, b []uint64) bool {
 // two-warp CTAs, three resident at a time, each retired context recycled
 // into the next placement. Each warp's sends, in order, must be exactly the
 // lines mem.Coalesce gives for its full instructions: a global op's lanes
-// are read when it issues, by fetching the op again into the SM's shared
-// fetch buffer, so this also checks that no warp sees another's lanes and
+// are read when it issues, by reading the op whole into the SM's one
+// address buffer, so this also checks that no warp sees another's lanes and
 // that each op is stepped past exactly once. Every cycle, no line buffer the LDST queue
 // holds may share memory with another entry's or with any CTA context's
 // scoreboard slab, whether the context is resident, pooled or re-placed.
@@ -105,7 +105,7 @@ func TestLDSTSendsCoalescedLanes(t *testing.T) {
 	r.sm.l1 = mem.NewL1(r.sm.memCfg, 0, rec)
 	region := func(cta, w int) uint32 { return uint32(cta*warps+w) << 14 }
 	spec := perWarpSpec(warps, func(cta, w int) isa.Program {
-		return &isa.SliceProgram{Instrs: globalMix(region(cta, w))}
+		return isa.NewSliceProgram(globalMix(region(cta, w))...)
 	})
 	lineBytes := r.sm.memCfg.LineBytes
 	want := map[uint64][]uint64{} // by region

@@ -28,7 +28,7 @@ type ldstEntry struct {
 	finishAt uint64
 	// token indexes the pendingLoad table (loads/atomics only).
 	token    uint32
-	wi       instr
+	wi       isa.Instr
 	hasToken bool
 }
 
@@ -68,13 +68,12 @@ type ldstUnit struct {
 	// to popHead.
 	linePool [][]uint64
 
-	// fetchBuf is the one buffer every warp of the SM fills from its
-	// program, at fetch and when the unit reads a global op's lanes
-	// (Warp.lanes). The schedulers tick in turn, and neither keeps the
-	// buffer past its own use, so they share it. It lives here rather than
-	// in SM, where it took SM to a 640-byte heap slot; the unit is its only
-	// reader of lanes.
-	fetchBuf isa.WarpInstr
+	// addrBuf is the one buffer the unit reads every global op's addresses
+	// into, from the op's program when it accepts it (Warp.lanes), and
+	// coalesces at once; nothing else in the core reads an address. It
+	// lives here rather than in SM, where it took SM to a 640-byte heap
+	// slot.
+	addrBuf isa.WarpInstr
 
 	// freeGen advances whenever a queue slot or a pending-load token frees —
 	// the only ways canAccept turns true — so a stall certificate that rests
@@ -153,7 +152,7 @@ func ring(h, i, n int) int {
 // Caller checked canAccept. It is on the per-issue hot path: a global op's
 // lanes are coalesced into a buffer from the unit's pool and the entry is
 // written in place into the queue ring, so steady state allocates nothing.
-func (u *ldstUnit) accept(w *Warp, wi *instr, now uint64) {
+func (u *ldstUnit) accept(w *Warp, wi *isa.Instr, now uint64) {
 	if u.queue == nil {
 		u.queue = make([]ldstEntry, u.cap)
 	}
@@ -162,7 +161,7 @@ func (u *ldstUnit) accept(w *Warp, wi *instr, now uint64) {
 	*e = ldstEntry{warp: w, wi: *wi}
 	w.cta.memRefs++ // queue entry holds the warp until popHead
 	if wi.Op.IsGlobal() {
-		e.lines = mem.Coalesce(u.takeLines(), w.lanes(u), w.cta.AddrBase, u.sm.memCfg.LineBytes)
+		e.lines = mem.Coalesce(u.takeLines(), w.lanes(&u.addrBuf), w.cta.AddrBase, u.sm.memCfg.LineBytes)
 	}
 	if wi.Op.WritesRegister() {
 		tok := u.free[len(u.free)-1]

@@ -340,7 +340,7 @@ func (s *scheduler) canIssue(w *Warp, now uint64) (bool, skipReason) {
 		if s.barrier&b != 0 {
 			return false, skipBarrier
 		}
-		if !w.fetch(s.ldst) {
+		if !w.fetch() {
 			return false, skipFinished
 		}
 		if !s.operandsReady(w, now) {

@@ -10,18 +10,23 @@ import (
 )
 
 // loopProg issues the same instruction forever.
-type loopProg struct{ wi isa.WarpInstr }
+type loopProg struct{ in isa.Instr }
 
-func (p loopProg) Next(_ *isa.Cursor, buf *isa.WarpInstr) bool {
-	*buf = p.wi
+func (p loopProg) Decode(_ *isa.Cursor, in *isa.Instr) bool {
+	*in = p.in
 	return true
 }
 
-func (p loopProg) Regs() int { return p.wi.Regs() }
+func (p loopProg) Next(_ *isa.Cursor, buf *isa.WarpInstr) bool {
+	buf.Instr = p.in
+	return true
+}
+
+func (p loopProg) Regs() int { return p.in.Regs() }
 
 // aluLoop is r1 = f(r2), forever: a warp running it is ready exactly when r2
 // is.
-var aluLoop = loopProg{isa.WarpInstr{Op: isa.OpFAlu, Dst: 1, Src: [3]isa.Reg{2}, Mask: isa.FullMask}}
+var aluLoop = loopProg{isa.Instr{Op: isa.OpFAlu, Dst: 1, Src: [3]isa.Reg{2}, Mask: isa.FullMask}}
 
 // testSched is a scheduler over an idle LDST unit, for the direct tests.
 func testSched(p Policy) *scheduler {
@@ -332,7 +337,7 @@ func refPick(s *scheduler, now uint64) (*Warp, skipReason, stallCert) {
 			return false, skipDraining
 		case atBarrier(w):
 			return false, skipBarrier
-		case !w.fetch(s.ldst):
+		case !w.fetch():
 			return false, skipFinished
 		case !s.operandsReady(w, now):
 			return false, skipScoreboard
@@ -507,7 +512,7 @@ func randomSpec(rng *rand.Rand, seed int64) *kernel.Spec {
 				case 7:
 					b.StoreShared(reg(r), uint8(r.Intn(3)))
 				default:
-					b.Append(isa.WarpInstr{Op: isa.OpLoadGlobal, Dst: reg(r)})
+					b.Append(isa.WarpInstr{Instr: isa.Instr{Op: isa.OpLoadGlobal, Dst: reg(r)}})
 				}
 			}
 			if p < phases {

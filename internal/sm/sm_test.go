@@ -262,7 +262,7 @@ func TestDivergentLoadOccupiesLDST(t *testing.T) {
 func TestPredicatedOffMemOp(t *testing.T) {
 	r := newRig(t, nil)
 	b := isa.NewBuilder()
-	b.Append(isa.WarpInstr{Op: isa.OpLoadGlobal, Dst: 1, Mask: 0})
+	b.Append(isa.WarpInstr{Instr: isa.Instr{Op: isa.OpLoadGlobal, Dst: 1, Mask: 0}})
 	b.FAlu(2, 1).Exit()
 	r.sm.AddCTA(specWith(1, b.Build()), 0, 0, 0, 0, 0, r.now)
 	r.runUntilDone(1, 10000)

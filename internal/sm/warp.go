@@ -1,8 +1,6 @@
 package sm
 
 import (
-	"math/bits"
-
 	"gpusched/internal/isa"
 	"gpusched/internal/kernel"
 )
@@ -10,20 +8,6 @@ import (
 // notReady is the scoreboard sentinel for a register whose producing load
 // has not yet returned.
 const notReady = ^uint64(0)
-
-// instr is the part of a fetched isa.WarpInstr the core keeps: everything
-// canIssue, execute and the LDST unit read but a global op's lane
-// addresses, which the LDST unit reads at accept (Warp.lanes).
-type instr struct {
-	Op           isa.Op
-	Dst          isa.Reg
-	Src          [3]isa.Reg
-	BankConflict uint8
-	Mask         uint32
-}
-
-// ActiveLanes returns the number of enabled lanes.
-func (in *instr) ActiveLanes() int { return bits.OnesCount32(in.Mask) }
 
 // Warp is one resident warp context.
 type Warp struct {
@@ -42,8 +26,9 @@ type Warp struct {
 	// index. While cur is a global op with active lanes, at still points at
 	// it (see fetch).
 	at isa.Cursor
-	// cur is the fetched, unissued instruction while curValid holds.
-	cur      instr
+	// cur is the fetched, unissued instruction's header while curValid
+	// holds.
+	cur      isa.Instr
 	curValid bool
 
 	finished bool
@@ -61,34 +46,34 @@ func (w *Warp) ready(r isa.Reg) uint64 { return w.readyAt[r] }
 // setReady records that register r's pending write completes at cycle at.
 func (w *Warp) setReady(r isa.Reg, at uint64) { w.readyAt[r] = at }
 
-// fetch ensures cur holds the next unissued instruction, decoded from the
-// SM's one fetch buffer (u.fetchBuf). A global op with active lanes is only
-// peeked at: at stays on it until the LDST unit fetches it again for its
-// lanes (lanes), so the warp never keeps them. Returns false when the
-// program is exhausted (treated as an implicit exit).
-func (w *Warp) fetch(u *ldstUnit) bool {
+// fetch ensures cur holds the next unissued instruction, decoded straight
+// from the program: no address of a global op is produced here. A global op
+// with active lanes is only peeked at: at stays on it until the LDST unit
+// asks the program for its addresses (lanes), so the warp never keeps them.
+// Returns false when the program is exhausted (treated as an implicit
+// exit).
+func (w *Warp) fetch() bool {
 	if w.curValid {
 		return true
 	}
-	buf, from := &u.fetchBuf, w.at
-	if !w.cta.Spec.Program.Next(&w.at, buf) {
+	from := w.at
+	if !w.cta.Spec.Program.Decode(&w.at, &w.cur) {
 		return false
 	}
-	w.cur = instr{Op: buf.Op, Dst: buf.Dst, Src: buf.Src, BankConflict: buf.BankConflict, Mask: buf.Mask}
 	w.curValid = true
-	if buf.Op.IsGlobal() && buf.Mask != 0 {
+	if w.cur.Op.IsGlobal() && w.cur.Mask != 0 {
 		w.at = from
 	}
 	return true
 }
 
-// lanes fetches cur, an issued global op with active lanes, again into the
-// fetch buffer and steps at past it. Programs are deterministic, so that
-// gives the instruction fetch decoded cur from; an affine op's lanes are
+// lanes reads cur, an issued global op with active lanes, whole into buf,
+// addresses included, and steps at past it. Programs are deterministic, so
+// that is the instruction fetch decoded cur from; an affine op's lanes are
 // then one formula.
-func (w *Warp) lanes(u *ldstUnit) *isa.WarpInstr {
-	w.cta.Spec.Program.Next(&w.at, &u.fetchBuf)
-	return &u.fetchBuf
+func (w *Warp) lanes(buf *isa.WarpInstr) *isa.WarpInstr {
+	w.cta.Spec.Program.Next(&w.at, buf)
+	return buf
 }
 
 // CTAState is a resident CTA's position in the preemption lifecycle.

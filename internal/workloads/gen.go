@@ -2,13 +2,23 @@ package workloads
 
 import "gpusched/internal/isa"
 
-// Emit fills buf with one instruction for the warp at c. It reads the
-// warp's identity (c.CTA, c.Warp) and loop iteration (c.Iter), nothing else
-// of the cursor. buf arrives with its header cleared (isa.WarpInstr.Reset)
-// and its lanes holding another instruction's: an Emit sets the header
-// fields it needs, and a global op that is not affine writes every active
-// lane.
-type Emit func(buf *isa.WarpInstr, c *isa.Cursor)
+// Emit is one static instruction of a loopProgram: a constant header, plus
+// functions of the warp's cursor only for the parts that read it. Each
+// reads the warp's identity (c.CTA, c.Warp) and loop iteration (c.Iter),
+// nothing else of the cursor. An instruction with no function decodes with
+// one copy of its header.
+type Emit struct {
+	// in is the header; its Mask is the active mask when mask is nil.
+	in isa.Instr
+	// mask, if set, gives the active mask (divergence modeling).
+	mask func(c *isa.Cursor) uint32
+	// base, if set, makes a global op affine: lane l addresses
+	// base(c) + l*stride.
+	base   func(c *isa.Cursor) uint32
+	stride uint32
+	// lanes, if set, writes a gather's or an atomic's 32 lane addresses.
+	lanes Lanes
+}
 
 // Lanes writes the 32 lane addresses of a gather or an atomic for the warp
 // at c, in one call per instruction.
@@ -18,7 +28,9 @@ type Lanes func(c *isa.Cursor, a *[isa.WarpSize]uint32)
 // executed once, a body repeated iters times, an epilogue, then EXIT. It is
 // a template, built once per workload and scale and shared by every warp:
 // it materializes nothing and never changes, and each instruction is
-// produced on demand by an Emit closure from the warp's cursor.
+// produced on demand from its Emit and the warp's cursor. Decode copies the
+// header and calls at most the mask function; only Next, which the LDST
+// unit calls for a global op it accepts, runs the address functions.
 type loopProgram struct {
 	prologue []Emit
 	body     []Emit
@@ -38,49 +50,95 @@ const (
 	exited
 )
 
-// Next implements isa.Program.
-func (p *loopProgram) Next(c *isa.Cursor, buf *isa.WarpInstr) bool {
+// exit is the instruction a loopProgram ends with.
+var exit = Emit{in: isa.Instr{Op: isa.OpExit, Mask: isa.FullMask}}
+
+// at returns the Emit at c, nil once the warp has exited, without stepping
+// past it. Inside the body, where a warp spends most of its instructions,
+// that is one index; seek handles every other place.
+func (p *loopProgram) at(c *isa.Cursor) *Emit {
+	if c.Phase == inBody && c.Iter < p.iters && c.Pos < len(p.body) {
+		return &p.body[c.Pos]
+	}
+	return p.seek(c)
+}
+
+// seek moves c over the sections it has finished and returns the Emit at
+// it, nil once the warp has exited.
+func (p *loopProgram) seek(c *isa.Cursor) *Emit {
 	for {
 		switch c.Phase {
 		case inPrologue:
 			if c.Pos < len(p.prologue) {
-				buf.Reset()
-				p.prologue[c.Pos](buf, c)
-				c.Pos++
-				return true
+				return &p.prologue[c.Pos]
 			}
 			c.Phase, c.Pos = inBody, 0
 		case inBody:
-			if c.Iter >= p.iters || len(p.body) == 0 {
-				c.Phase, c.Pos = inEpilogue, 0
-				continue
+			if c.Iter < p.iters && len(p.body) > 0 {
+				return &p.body[c.Pos]
 			}
-			buf.Reset()
-			p.body[c.Pos](buf, c)
-			c.Pos++
-			if c.Pos == len(p.body) {
-				c.Pos = 0
-				c.Iter++
-			}
-			return true
+			c.Phase, c.Pos = inEpilogue, 0
 		case inEpilogue:
 			if c.Pos < len(p.epilogue) {
-				buf.Reset()
-				p.epilogue[c.Pos](buf, c)
-				c.Pos++
-				return true
+				return &p.epilogue[c.Pos]
 			}
 			c.Phase = atExit
 		case atExit:
-			buf.Reset()
-			buf.Op = isa.OpExit
-			buf.Mask = isa.FullMask
-			c.Phase = exited
-			return true
+			return &exit
 		default:
-			return false
+			return nil
 		}
 	}
+}
+
+// advance steps c past the Emit at returned.
+func (p *loopProgram) advance(c *isa.Cursor) {
+	switch c.Phase {
+	case inBody:
+		if c.Pos++; c.Pos == len(p.body) {
+			c.Pos = 0
+			c.Iter++
+		}
+	case atExit:
+		c.Phase = exited
+	default:
+		c.Pos++
+	}
+}
+
+// Decode implements isa.Program.
+func (p *loopProgram) Decode(c *isa.Cursor, in *isa.Instr) bool {
+	e := p.at(c)
+	if e == nil {
+		return false
+	}
+	*in = e.in
+	if e.mask != nil {
+		in.Mask = e.mask(c)
+	}
+	p.advance(c)
+	return true
+}
+
+// Next implements isa.Program.
+func (p *loopProgram) Next(c *isa.Cursor, buf *isa.WarpInstr) bool {
+	e := p.at(c)
+	if e == nil {
+		return false
+	}
+	buf.Instr = e.in
+	if e.mask != nil {
+		buf.Mask = e.mask(c)
+	}
+	buf.Affine, buf.Base, buf.Stride = false, 0, 0
+	switch {
+	case e.base != nil:
+		isa.FillLinear(buf, e.base(c), e.stride)
+	case e.lanes != nil:
+		e.lanes(c, &buf.Addrs)
+	}
+	p.advance(c)
+	return true
 }
 
 // Regs implements isa.Program.
@@ -93,17 +151,13 @@ func (p *loopProgram) instrPerWarp() int {
 
 // shared returns p as its kernel's one program, which every warp runs. It
 // counts p's register footprint first, while p is still private: an Emit's
-// registers are its constructor arguments, whatever the cursor, so one call
-// of each into a scratch record names them all (EXIT names none).
+// registers are in its constant header, whatever the cursor (EXIT names
+// none).
 func shared(p *loopProgram) *loopProgram {
-	var buf isa.WarpInstr
-	var c isa.Cursor
 	p.regs = 1
 	for _, sec := range [][]Emit{p.prologue, p.body, p.epilogue} {
-		for _, emit := range sec {
-			buf.Reset()
-			emit(&buf, &c)
-			p.regs = max(p.regs, buf.Regs())
+		for i := range sec {
+			p.regs = max(p.regs, sec[i].in.Regs())
 		}
 	}
 	return p
@@ -130,29 +184,22 @@ func warpOff(c *isa.Cursor) uint32 {
 
 // ---- Emit constructors ----
 
+// header is an instruction's constant part, all lanes active.
+func header(op isa.Op, dst isa.Reg, srcs ...isa.Reg) isa.Instr {
+	in := isa.Instr{Op: op, Dst: dst, Mask: isa.FullMask}
+	copy(in.Src[:], srcs)
+	return in
+}
+
 // alu emits an arithmetic op dst <- f(srcs), all lanes active.
 func alu(op isa.Op, dst isa.Reg, srcs ...isa.Reg) Emit {
-	var s [3]isa.Reg
-	copy(s[:], srcs)
-	return func(buf *isa.WarpInstr, _ *isa.Cursor) {
-		buf.Op = op
-		buf.Dst = dst
-		buf.Src = s
-		buf.Mask = isa.FullMask
-	}
+	return Emit{in: header(op, dst, srcs...)}
 }
 
 // aluMasked emits an arithmetic op whose active mask depends on the warp
 // and iteration (divergence modeling).
 func aluMasked(op isa.Op, dst isa.Reg, mask func(c *isa.Cursor) uint32, srcs ...isa.Reg) Emit {
-	var s [3]isa.Reg
-	copy(s[:], srcs)
-	return func(buf *isa.WarpInstr, c *isa.Cursor) {
-		buf.Op = op
-		buf.Dst = dst
-		buf.Src = s
-		buf.Mask = mask(c)
-	}
+	return Emit{in: header(op, dst, srcs...), mask: mask}
 }
 
 // ldg emits a perfectly-coalesced global load: lane l reads base(c)+4l.
@@ -162,86 +209,49 @@ func ldg(dst isa.Reg, base func(c *isa.Cursor) uint32) Emit {
 
 // ldgStride emits a global load whose lane l reads base(c)+l*stride.
 func ldgStride(dst isa.Reg, base func(c *isa.Cursor) uint32, stride uint32) Emit {
-	return func(buf *isa.WarpInstr, c *isa.Cursor) {
-		buf.Op = isa.OpLoadGlobal
-		buf.Dst = dst
-		buf.Mask = isa.FullMask
-		isa.FillLinear(buf, base(c), stride)
-	}
+	return Emit{in: header(isa.OpLoadGlobal, dst), base: base, stride: stride}
 }
 
 // ldgMasked is ldg with a per-warp, per-iteration active mask.
 func ldgMasked(dst isa.Reg, mask, base func(c *isa.Cursor) uint32) Emit {
-	return func(buf *isa.WarpInstr, c *isa.Cursor) {
-		buf.Op = isa.OpLoadGlobal
-		buf.Dst = dst
-		buf.Mask = mask(c)
-		isa.FillLinear(buf, base(c), 4)
-	}
+	return Emit{in: header(isa.OpLoadGlobal, dst), mask: mask, base: base, stride: 4}
 }
 
-// gather emits a global load with arbitrary per-lane addressing and a
-// per-warp, per-iteration active mask.
+// gather emits a global load with arbitrary per-lane addressing and, unless
+// mask is nil, a per-warp, per-iteration active mask.
 func gather(dst isa.Reg, mask func(c *isa.Cursor) uint32, lanes Lanes) Emit {
-	return func(buf *isa.WarpInstr, c *isa.Cursor) {
-		buf.Op = isa.OpLoadGlobal
-		buf.Dst = dst
-		buf.Mask = mask(c)
-		lanes(c, &buf.Addrs)
-	}
+	return Emit{in: header(isa.OpLoadGlobal, dst), mask: mask, lanes: lanes}
 }
-
-// allLanes is the active mask of an unpredicated instruction.
-func allLanes(*isa.Cursor) uint32 { return isa.FullMask }
 
 // stg emits a perfectly-coalesced global store of src.
 func stg(src isa.Reg, base func(c *isa.Cursor) uint32) Emit {
-	return func(buf *isa.WarpInstr, c *isa.Cursor) {
-		buf.Op = isa.OpStoreGlobal
-		buf.Src = [3]isa.Reg{src}
-		buf.Mask = isa.FullMask
-		isa.FillLinear(buf, base(c), 4)
-	}
+	return Emit{in: header(isa.OpStoreGlobal, 0, src), base: base, stride: 4}
 }
 
 // lds emits a scratchpad load with the given bank-conflict degree.
 func lds(dst isa.Reg, conflict uint8) Emit {
-	return func(buf *isa.WarpInstr, _ *isa.Cursor) {
-		buf.Op = isa.OpLoadShared
-		buf.Dst = dst
-		buf.Mask = isa.FullMask
-		buf.BankConflict = conflict
-	}
+	e := Emit{in: header(isa.OpLoadShared, dst)}
+	e.in.BankConflict = conflict
+	return e
 }
 
 // sts emits a scratchpad store with the given bank-conflict degree.
 func sts(src isa.Reg, conflict uint8) Emit {
-	return func(buf *isa.WarpInstr, _ *isa.Cursor) {
-		buf.Op = isa.OpStoreShared
-		buf.Src = [3]isa.Reg{src}
-		buf.Mask = isa.FullMask
-		buf.BankConflict = conflict
-	}
+	e := Emit{in: header(isa.OpStoreShared, 0, src)}
+	e.in.BankConflict = conflict
+	return e
 }
 
 // stsMasked emits a masked scratchpad store (reduction trees).
 func stsMasked(src isa.Reg, mask func(c *isa.Cursor) uint32) Emit {
-	return func(buf *isa.WarpInstr, c *isa.Cursor) {
-		buf.Op = isa.OpStoreShared
-		buf.Src = [3]isa.Reg{src}
-		buf.Mask = mask(c)
-		buf.BankConflict = 1
-	}
+	e := sts(src, 1)
+	e.mask = mask
+	return e
 }
 
 // atom emits a global atomic RMW with arbitrary per-lane addressing.
 func atom(dst isa.Reg, lanes Lanes) Emit {
-	return func(buf *isa.WarpInstr, c *isa.Cursor) {
-		buf.Op = isa.OpAtomicGlobal
-		buf.Dst = dst
-		buf.Mask = isa.FullMask
-		lanes(c, &buf.Addrs)
-	}
+	return Emit{in: header(isa.OpAtomicGlobal, dst), lanes: lanes}
 }
 
 // setGroup writes addr to group g of a's lanes, in groups of n: lanes g*n
@@ -253,21 +263,11 @@ func setGroup(a *[isa.WarpSize]uint32, g, n int, addr uint32) {
 }
 
 // bar emits a CTA barrier.
-func bar() Emit {
-	return func(buf *isa.WarpInstr, _ *isa.Cursor) {
-		buf.Op = isa.OpBarrier
-		buf.Mask = isa.FullMask
-	}
-}
+func bar() Emit { return Emit{in: header(isa.OpBarrier, 0)} }
 
 // branch emits a control instruction (issue-slot cost of the pre-lowered
 // loop back-edge).
-func branch() Emit {
-	return func(buf *isa.WarpInstr, _ *isa.Cursor) {
-		buf.Op = isa.OpBranch
-		buf.Mask = isa.FullMask
-	}
-}
+func branch() Emit { return Emit{in: header(isa.OpBranch, 0)} }
 
 // ---- deterministic pseudo-randomness ----
 

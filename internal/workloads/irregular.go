@@ -63,8 +63,8 @@ func buildSPMV(s Scale) *kernel.Spec {
 			iters: rows,
 			body: []Emit{
 				ldg(1, row(regionA)),
-				gather(2, allLanes, cols(0)),
-				gather(3, allLanes, cols(1)),
+				gather(2, nil, cols(0)),
+				gather(3, nil, cols(1)),
 				alu(isa.OpFAlu, 4, 2, 1),
 				alu(isa.OpFAlu, 5, 3, 4),
 				alu(isa.OpFAlu, 6, 5, 6),

@@ -286,11 +286,10 @@ func TestXs32NonZero(t *testing.T) {
 func TestLoopProgramPhases(t *testing.T) {
 	calls := []string{}
 	mk := func(tag string) Emit {
-		return func(buf *isa.WarpInstr, _ *isa.Cursor) {
-			buf.Op = isa.OpIAlu
-			buf.Mask = isa.FullMask
+		return aluMasked(isa.OpIAlu, 1, func(*isa.Cursor) uint32 {
 			calls = append(calls, tag)
-		}
+			return isa.FullMask
+		})
 	}
 	p := &loopProgram{
 		prologue: []Emit{mk("p")},

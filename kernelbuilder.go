@@ -12,7 +12,9 @@ import (
 // instruction. Each warp's program is generated by a callback so address
 // patterns can depend on the CTA and warp identity — that dependence is
 // what gives a kernel its scheduling behaviour. Build runs the callback
-// once per warp; the kernel keeps the programs (isa.PerWarp).
+// once per warp; the kernel keeps the programs (isa.PerWarp), each a header
+// and a lane formula per instruction, with 32 lane addresses only for
+// LoadGlobalLanes and Atomic.
 //
 //	k := gpusched.NewKernelBuilder("saxpy", 120, 256).
 //	    Regs(16).
@@ -55,7 +57,8 @@ func (b *KernelBuilder) SharedMem(bytes int) *KernelBuilder {
 // Program sets the per-warp program generator. The callback must be
 // deterministic in (ctaID, warp): Build runs it once for every warp of the
 // grid and keeps what it builds as the kernel's program, so a run never
-// calls it.
+// calls it. p is valid only during the call: Build reuses it for the next
+// warp.
 func (b *KernelBuilder) Program(fn func(ctaID, warp int, p *ProgramBuilder)) *KernelBuilder {
 	b.program = fn
 	return b
@@ -70,9 +73,12 @@ func (b *KernelBuilder) Build() (Kernel, error) {
 	spec := b.spec
 	nw := spec.WarpsPerCTA()
 	warps := make([]isa.Program, 0, spec.NumCTAs()*nw)
+	// One builder serves every warp: each program is copied out of it at
+	// its exact size, so the grid's programs share no growth slack.
+	pb := &ProgramBuilder{b: isa.NewBuilder()}
 	for cta := 0; cta < spec.NumCTAs(); cta++ {
 		for w := 0; w < nw; w++ {
-			pb := &ProgramBuilder{b: isa.NewBuilder()}
+			pb.b.Reset()
 			if b.program != nil {
 				b.program(cta, w, pb)
 			}
