@@ -11,13 +11,15 @@ build:
 test:
 	go test ./...
 
-# Static checks: vet, the in-tree gpulint suite (determinism and cache-key
+# Static checks: vet (of the benchmark module too, which compiles against
+# sim.Request, sim.SchedSpec and sm.Policy), the in-tree gpulint suite (determinism and cache-key
 # contracts; see DESIGN.md "Determinism contract"), and staticcheck when it
 # is installed locally (CI pins and runs it unconditionally).
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	test -z "$$(git ls-files '*.test')" || { echo "tracked test binaries:"; git ls-files '*.test'; exit 1; }
 	go vet ./...
+	go -C benchmark vet ./...
 	go run ./cmd/gpulint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

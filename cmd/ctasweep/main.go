@@ -27,11 +27,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ctasweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		sizeStr  = fs.String("size", "small", "problem size: "+sim.ScaleFlagHelp)
-		warpStr  = fs.String("warp", "gto", "warp scheduler: "+sim.WarpFlagHelp)
+		sizeStr  = fs.String("size", "small", "problem size (an unknown name prints the choices)")
 		cores    = fs.Int("cores", 15, "SM count")
 		schedStr = fs.String("sched", "", "also run each workload under this scheduler and report it against the sweep ("+sim.SchedFlagHelp+")")
+		base     sim.Request
 	)
+	fs.TextVar(&base.Warp, "warp", sm.PolicyGTO, "warp scheduler (an unknown name prints the choices)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -41,13 +42,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	base := sim.Request{Cores: *cores}
+	base.Cores = *cores
 	var err error
-	if base.Warp, err = sim.ParseWarpPolicy(*warpStr); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if base.Scale, err = sim.ParseScale(*sizeStr); err != nil {
+	if base.Scale, err = workloads.ParseScale(*sizeStr); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}

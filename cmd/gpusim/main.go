@@ -30,15 +30,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		workload = fs.String("workload", "vadd", "workload name (see -list)")
-		schedStr = fs.String("sched", "baseline", "CTA scheduler: "+sim.SchedFlagHelp)
-		warpStr  = fs.String("warp", "gto", "warp scheduler: "+sim.WarpFlagHelp)
-		sizeStr  = fs.String("size", "small", "problem size: "+sim.ScaleFlagHelp)
+		sizeStr  = fs.String("size", "small", "problem size (an unknown name prints the choices)")
 		cores    = fs.Int("cores", 15, "SM count")
 		engStats = fs.Bool("engine-stats", false, "also print how the cycle loop executed the run: cycles that ticked the dispatcher or an SM (ticked), only L2 partitions (batched) or nothing (fast-forwarded); dispatcher polls made and skipped; warp-scheduler walks vs certificate reads, and the warps the walks evaluated; L2 partition ticks against partition-cycles; SM ticks against SM-cycles")
 		list     = fs.Bool("list", false, "list workloads and exit")
 		traceOut = fs.String("trace", "", "write a per-epoch timeline CSV to this file")
 		epoch    = fs.Uint64("epoch", 1024, "trace sampling period in cycles")
+		req      sim.Request
 	)
+	fs.TextVar(&req.Sched, "sched", sim.Baseline(), "CTA scheduler: "+sim.SchedFlagHelp)
+	fs.TextVar(&req.Warp, "warp", sm.PolicyGTO, "warp scheduler (an unknown name prints the choices)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -60,17 +61,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown workload %q (use -list)\n", *workload)
 		return 2
 	}
-	req := sim.Request{Workloads: []string{w.Name}, Cores: *cores}
+	req.Workloads, req.Cores = []string{w.Name}, *cores
 	var err error
-	if req.Scale, err = sim.ParseScale(*sizeStr); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if req.Warp, err = sim.ParseWarpPolicy(*warpStr); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if req.Sched, err = sim.ParseSched(*schedStr); err != nil {
+	if req.Scale, err = workloads.ParseScale(*sizeStr); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
@@ -118,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	k := w.Build(req.Scale)
 	fmt.Fprintf(stdout, "workload        %s (%s), %d CTAs x %d threads\n", w.Name, w.ModeledOn, k.NumCTAs(), k.ThreadsPerCTA())
-	fmt.Fprintf(stdout, "scheduler       %s CTA dispatch, %s warps, %d SMs\n", req.Sched.Name(), *warpStr, m.NumCores())
+	fmt.Fprintf(stdout, "scheduler       %s CTA dispatch, %s warps, %d SMs\n", req.Sched.Name(), req.Warp, m.NumCores())
 	fmt.Fprintf(stdout, "cycles          %d (timed out: %v)\n", res.Cycles, res.TimedOut)
 	fmt.Fprintf(stdout, "instructions    %d warp (%d thread), IPC %.3f\n", res.InstrIssued, res.ThreadInstr, res.IPC)
 	fmt.Fprintf(stdout, "L1              %.1f%% hit, %.1f%% merged into in-flight fills\n", res.L1.HitRate()*100, res.L1.MergeRate()*100)

@@ -31,6 +31,7 @@ import (
 
 	"gpusched/internal/server"
 	"gpusched/internal/sim"
+	"gpusched/internal/workloads"
 )
 
 func main() {
@@ -163,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			MaxCycles: 20_000_000 + uint64(i),
 		}
 		if *scale != "" {
-			sc, err := sim.ParseScale(*scale)
+			sc, err := workloads.ParseScale(*scale)
 			if err != nil {
 				fmt.Fprintf(stderr, "loadgen: %v\n", err)
 				return 2

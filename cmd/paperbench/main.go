@@ -27,6 +27,7 @@ import (
 
 	"gpusched/internal/harness"
 	"gpusched/internal/sim"
+	"gpusched/internal/workloads"
 )
 
 func main() {
@@ -55,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		expFlag   = fs.String("exp", "all", "comma-separated experiment ids (or 'all')")
-		scale     = fs.String("scale", "full", "problem scale: "+sim.ScaleFlagHelp)
+		scale     = fs.String("scale", "full", "problem scale (an unknown name prints the choices)")
 		outDir    = fs.String("out", "results", "directory for CSV output ('' = none)")
 		cacheFlag = fs.String("cache", "auto", "simulation cache dir: auto = <out>/.simcache, off = disabled")
 		cores     = fs.Int("cores", 0, "override SM count (0 = default 15)")
@@ -73,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	scaleVal, err := sim.ParseScale(*scale)
+	scaleVal, err := workloads.ParseScale(*scale)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2

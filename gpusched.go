@@ -58,10 +58,13 @@ const (
 
 // ParseWarpPolicy parses a warp-scheduler name ("lrr", "gto", "baws",
 // "two-level").
-func ParseWarpPolicy(s string) (WarpPolicy, error) { return sim.ParseWarpPolicy(s) }
+func ParseWarpPolicy(s string) (p WarpPolicy, err error) {
+	err = p.UnmarshalText([]byte(s))
+	return p, err
+}
 
 // ParseSize parses a problem-scale name ("tiny", "small", "full").
-func ParseSize(s string) (Size, error) { return sim.ParseScale(s) }
+func ParseSize(s string) (Size, error) { return workloads.ParseScale(s) }
 
 // Config selects the simulated GPU: NumCores, the per-SM pipeline in Core
 // (Core.WarpPolicy is the warp scheduler on every SM), the memory

@@ -242,9 +242,15 @@ func TestKernelBuilderFootprint(t *testing.T) {
 	runtime.KeepAlive(k)
 	allocated := after.TotalAlloc - before.TotalAlloc
 	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	t.Logf("Build allocated %d bytes in %d objects and keeps %d bytes", allocated, after.Mallocs-before.Mallocs, kept)
+	objects := after.Mallocs - before.Mallocs
+	t.Logf("Build allocated %d bytes in %d objects and keeps %d bytes", allocated, objects, kept)
 	if allocated > 5_000_000 {
 		t.Errorf("Build allocated %d bytes, want at most 5 MB", allocated)
+	}
+	// An ALU op converts its sources on the stack: a slice per op would
+	// be 15,360 more objects here.
+	if objects > 4_000 {
+		t.Errorf("Build allocated %d objects, want at most 4,000", objects)
 	}
 	if kept > 1_500_000 {
 		t.Errorf("the kernel keeps %d bytes, want at most 1.5 MB", kept)
@@ -290,6 +296,27 @@ func TestKernelBuilderRejectsRegisterRange(t *testing.T) {
 		MustBuild()
 	if _, err := gpusched.Run(tinyConfig(), gpusched.Baseline(), k); err != nil {
 		t.Fatalf("register 63: %v", err)
+	}
+}
+
+// An ALU op given more sources than an instruction holds fails Build,
+// naming where it is, instead of losing the fourth source.
+func TestKernelBuilderRejectsFourSources(t *testing.T) {
+	_, err := gpusched.NewKernelBuilder("wide", 2, 64).
+		Program(func(ctaID, warp int, p *gpusched.ProgramBuilder) {
+			p.FAdd(1, 2, 3, 4)
+			if ctaID == 1 && warp == 0 {
+				p.FMul(1, 2, 3, 4, 5)
+			}
+		}).
+		Build()
+	if err == nil {
+		t.Fatal("Build accepted an op with four sources")
+	}
+	for _, part := range []string{"kernel wide", "CTA 1", "warp 0", "instruction 1", "4 sources"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q does not name %q", err, part)
+		}
 	}
 }
 

@@ -144,14 +144,13 @@ func TestSyncSimulate(t *testing.T) {
 	}
 }
 
-// TestPreemptiveJobEndToEnd runs a priority/deadline request: the
-// convenience fields fold into the preemptive sched spec (and its cache
-// key), the late arrival sets up the contention, and the simulation runs
-// to completion.
+// TestPreemptiveJobEndToEnd runs a priority/deadline request: the sched
+// spec carries both into the cache key, the late arrival sets up the
+// contention, and the simulation runs to completion.
 func TestPreemptiveJobEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, sim.Options{}, nil)
 	resp := simulate(t, ts.URL, `{"workloads":["spmv","vadd"],"arrivals":[0,500],"scale":"tiny","cores":4,`+
-		`"sched":"preemptive","priority_kernel":1,"deadline_cycles":200000}`)
+		`"sched":"preemptive:1:200000"}`)
 	if !strings.Contains(resp.Key, "preemptive:1:200000") {
 		t.Fatalf("key %q does not carry the preemptive spec", resp.Key)
 	}
@@ -162,12 +161,12 @@ func TestPreemptiveJobEndToEnd(t *testing.T) {
 		t.Fatalf("no outcome: %+v", resp)
 	}
 
-	// The convenience fields without the preemptive scheduler are a
-	// validation error, not a silent drop.
+	// The retired priority_kernel/deadline_cycles spelling is a validation
+	// error that names the one spelling, not a silent drop.
 	code, data, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/simulate",
-		`{"workloads":["vadd"],"scale":"tiny","cores":4,"priority_kernel":1}`)
-	if code != http.StatusBadRequest {
-		t.Fatalf("priority_kernel without preemptive sched = %d: %s", code, data)
+		`{"workloads":["spmv","vadd"],"scale":"tiny","cores":4,"sched":"preemptive","deadline_cycles":200000}`)
+	if code != http.StatusBadRequest || !strings.Contains(string(data), `preemptive:P:D`) {
+		t.Fatalf("retired deadline_cycles = %d: %s", code, data)
 	}
 }
 
@@ -190,6 +189,9 @@ func TestErrorShapes(t *testing.T) {
 		{ts.URL, `not json`, http.StatusBadRequest, "validation"},
 		{ts.URL, `{"workloads":["vadd"],"sched":"nope"}`, http.StatusBadRequest, "validation"},
 		{ts.URL, `{"workloads":["vadd"],"timeout_ms":-1}`, http.StatusBadRequest, "validation"},
+		// The retired priority/deadline spelling is refused, not run
+		// without its deadline.
+		{ts.URL, `{"workloads":["spmv","vadd"],"sched":"preemptive","priority_kernel":1}`, http.StatusBadRequest, "validation"},
 		// A machine that cannot be built is refused before it takes a
 		// worker: too many cores, and an L1 of 5 sets.
 		{ts.URL, `{"workloads":["vadd"],"scale":"tiny","cores":100000}`, http.StatusBadRequest, "validation"},

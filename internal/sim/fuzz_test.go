@@ -13,10 +13,11 @@ import (
 
 // FuzzRequestJSON fuzzes the wire form of Request for the property the
 // result cache depends on: unmarshal(marshal(r)) has r's cache key, and a
-// second marshal hop is a fixed point. This is the invariant the cachekey
-// analyzer enforces statically; the fuzzer enforces it dynamically (it is
-// what caught the wire form silently dropping a since-retired execution
-// flag).
+// second marshal hop is a fixed point. The wire form is Request's own
+// struct tags, so a new field travels without being named a second time;
+// this holds the names of sched, warp and scale to round trips (it is
+// what caught an earlier, field-by-field wire copy silently dropping a
+// since-retired execution flag).
 func FuzzRequestJSON(f *testing.F) {
 	f.Add("vadd", uint8(0), 0, 0, uint8(0), uint8(0), 0, 0, false, uint64(0), uint64(0))
 	f.Add("spmv", uint8(4), 2, 0, uint8(2), uint8(1), 8, 16<<10, true, uint64(5000), uint64(0))

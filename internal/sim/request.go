@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"gpusched/internal/core"
@@ -14,32 +17,88 @@ import (
 // Request describes one simulation: what to run and on which simulated
 // machine. The zero values of the override fields keep the Fermi-class
 // defaults, so a Request is fully described by its visible fields and
-// Key() can serve as a cache identity.
+// Key() can serve as a cache identity. Its JSON tags are the wire form
+// of gpuschedd and gpurouter: sched and warp travel as the names their CLI
+// flags accept (the types' text methods), scale by name too (MarshalJSON),
+// so a curl payload reads like a gpusim invocation.
 type Request struct {
 	// Workloads are the suite workloads to launch, in launch order.
-	Workloads []string
+	Workloads []string `json:"workloads"`
 	// Arrivals are per-workload dispatch-availability cycles, parallel to
 	// Workloads; a missing or zero entry means available at machine launch.
 	// Entries must be nondecreasing in launch order (the GPU keeps arrived
 	// kernels a prefix of the launch table). Late arrivals set up the
 	// preemption scenarios: a latency-sensitive kernel arriving while the
 	// batch kernel owns every SM.
-	Arrivals []uint64
+	Arrivals []uint64 `json:"arrivals,omitempty"`
 	// Sched is the CTA scheduling policy.
-	Sched SchedSpec
+	Sched SchedSpec `json:"sched"`
 	// Warp is the per-SM warp scheduling policy.
-	Warp sm.Policy
+	Warp sm.Policy `json:"warp"`
 	// Scale selects the problem size.
-	Scale workloads.Scale
+	Scale workloads.Scale `json:"scale"`
 	// Cores overrides the SM count (0 = the 15-SM default).
-	Cores int
+	Cores int `json:"cores,omitempty"`
 	// L1Bytes overrides the per-SM L1 capacity (0 = default; sensitivity
 	// studies).
-	L1Bytes int
+	L1Bytes int `json:"l1_bytes,omitempty"`
 	// DRAMSchedFCFS selects plain FCFS DRAM scheduling over FR-FCFS.
-	DRAMSchedFCFS bool
+	DRAMSchedFCFS bool `json:"dram_fcfs,omitempty"`
 	// MaxCycles overrides the simulation bound (0 = the 20M default).
-	MaxCycles uint64
+	MaxCycles uint64 `json:"max_cycles,omitempty"`
+}
+
+// wire is Request without its methods, so that encoding/json reads its
+// tags instead of calling MarshalJSON or UnmarshalJSON again.
+type wire Request
+
+// scaleName is a request's scale on the wire, by name. workloads.Scale has
+// no text form of its own: the benchmark's run records store it as a
+// number.
+type scaleName workloads.Scale
+
+func (s scaleName) MarshalText() ([]byte, error) { return []byte(workloads.Scale(s).String()), nil }
+
+func (s *scaleName) UnmarshalText(text []byte) error {
+	sc, err := workloads.ParseScale(string(text))
+	*s = scaleName(sc)
+	return err
+}
+
+// retired refuses a field the wire form no longer has, so that a body
+// naming it is never run without what it asked for.
+type retired struct{}
+
+func (retired) UnmarshalJSON([]byte) error {
+	return errors.New(`priority_kernel and deadline_cycles are retired: write "sched":"preemptive:P:D"`)
+}
+
+// MarshalJSON writes the request under its tags, with scale by name.
+func (r Request) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		wire
+		Scale scaleName `json:"scale"`
+	}{wire(r), scaleName(r.Scale)})
+}
+
+// UnmarshalJSON reads the wire form. Omitted fields keep their zero values
+// (baseline, lrr, tiny), and a bad name fails with the message its CLI flag
+// gives. Unknown fields are ignored, so a server reads envelope fields
+// (timeout_ms) from the same body, except the retired priority_kernel and
+// deadline_cycles.
+func (r *Request) UnmarshalJSON(data []byte) error {
+	var w struct {
+		PriorityKernel retired `json:"priority_kernel"`
+		DeadlineCycles retired `json:"deadline_cycles"`
+		wire
+		Scale scaleName `json:"scale"`
+	}
+	if err := json.Unmarshal(data, &w); err != nil {
+		return fmt.Errorf("sim: bad request JSON: %w", err)
+	}
+	*r = Request(w.wire)
+	r.Scale = workloads.Scale(w.Scale)
+	return nil
 }
 
 // Key returns the canonical identity of the request: two requests with
@@ -52,13 +111,13 @@ type Request struct {
 func (r Request) Key() string {
 	key := fmt.Sprintf("w=%s|sched=%s|warp=%s|scale=%s|cores=%d|l1=%d|fcfs=%t|max=%d",
 		strings.Join(r.Workloads, "+"), r.Sched, r.Warp,
-		ScaleName(r.Scale), r.Cores, r.L1Bytes, r.DRAMSchedFCFS, r.MaxCycles)
+		r.Scale, r.Cores, r.L1Bytes, r.DRAMSchedFCFS, r.MaxCycles)
 	// Appended rather than inlined so existing disk caches keep their keys
 	// for requests without arrivals, and only when some arrival is nonzero:
 	// all-zero arrivals are semantically the zero value and must key like it.
-	if arr := normalizeArrivals(r.Arrivals); arr != nil {
-		parts := make([]string, len(arr))
-		for i, a := range arr {
+	if slices.ContainsFunc(r.Arrivals, func(a uint64) bool { return a != 0 }) {
+		parts := make([]string, len(r.Arrivals))
+		for i, a := range r.Arrivals {
 			parts[i] = fmt.Sprintf("%d", a)
 		}
 		key += "|arr=" + strings.Join(parts, "+")

@@ -13,8 +13,6 @@ import (
 	"strings"
 
 	"gpusched/internal/core"
-	"gpusched/internal/sm"
-	"gpusched/internal/workloads"
 )
 
 // SchedKind enumerates the CTA scheduling policies.
@@ -234,6 +232,19 @@ func (s SchedSpec) String() string {
 	return fmt.Sprintf("%s:%d", e.canonical, s.arg())
 }
 
+// MarshalText writes the canonical string: a request's wire form.
+func (s SchedSpec) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText parses text with ParseSched.
+func (s *SchedSpec) UnmarshalText(text []byte) error {
+	v, err := ParseSched(string(text))
+	if err != nil {
+		return err
+	}
+	*s = v
+	return nil
+}
+
 // Name is the report/display identifier ("lcs-adaptive", "static-3").
 func (s SchedSpec) Name() string {
 	e := s.entry()
@@ -314,52 +325,4 @@ func ParseSched(s string) (SchedSpec, error) {
 		arg2 = v
 	}
 	return SchedSpec{Kind: e.kind, Arg: arg, Arg2: arg2}, nil
-}
-
-// WarpFlagHelp documents ParseWarpPolicy's accepted names.
-const WarpFlagHelp = "lrr | gto | baws | two-level"
-
-// ParseWarpPolicy parses a warp-scheduler name.
-func ParseWarpPolicy(s string) (sm.Policy, error) {
-	switch s {
-	case "lrr":
-		return sm.PolicyLRR, nil
-	case "gto":
-		return sm.PolicyGTO, nil
-	case "baws":
-		return sm.PolicyBAWS, nil
-	case "two-level", "twolevel":
-		return sm.PolicyTwoLevel, nil
-	}
-	return 0, fmt.Errorf("unknown warp policy %q (want %s)", s, WarpFlagHelp)
-}
-
-// ScaleFlagHelp documents ParseScale's accepted names.
-const ScaleFlagHelp = "tiny | small | full"
-
-// ParseScale parses a problem-scale name.
-func ParseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "tiny", "test":
-		return workloads.ScaleTest, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "full":
-		return workloads.ScaleFull, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q (want %s)", s, ScaleFlagHelp)
-}
-
-// ScaleName renders a scale for cache keys and reports.
-func ScaleName(sc workloads.Scale) string {
-	switch sc {
-	case workloads.ScaleTest:
-		return "tiny"
-	case workloads.ScaleSmall:
-		return "small"
-	case workloads.ScaleFull:
-		return "full"
-	default:
-		return fmt.Sprintf("scale-%d", int(sc))
-	}
 }

@@ -77,21 +77,6 @@ func TestParseSched(t *testing.T) {
 	}
 }
 
-// TestFlagHelpNamesParse holds the warp and scale help strings to their
-// parsers: every name a -warp or -size help lists must parse.
-func TestFlagHelpNamesParse(t *testing.T) {
-	for _, name := range strings.Split(sim.WarpFlagHelp, " | ") {
-		if _, err := sim.ParseWarpPolicy(name); err != nil {
-			t.Errorf("WarpFlagHelp lists %q: %v", name, err)
-		}
-	}
-	for _, name := range strings.Split(sim.ScaleFlagHelp, " | ") {
-		if _, err := sim.ParseScale(name); err != nil {
-			t.Errorf("ScaleFlagHelp lists %q: %v", name, err)
-		}
-	}
-}
-
 // TestSchedStringRoundTrips pins the cache-key rendering: parsing a spec's
 // String() must yield an equivalent spec, and defaults must normalize
 // (bcs == bcs:2 — same key, same simulation).
@@ -114,41 +99,6 @@ func TestSchedStringRoundTrips(t *testing.T) {
 	}
 	if sim.BCS(0).String() != sim.BCS(2).String() {
 		t.Errorf("BCS default width not normalized: %q vs %q", sim.BCS(0).String(), sim.BCS(2).String())
-	}
-}
-
-func TestParseWarpPolicy(t *testing.T) {
-	ok := map[string]sm.Policy{
-		"lrr": sm.PolicyLRR, "gto": sm.PolicyGTO, "baws": sm.PolicyBAWS,
-		"two-level": sm.PolicyTwoLevel, "twolevel": sm.PolicyTwoLevel,
-	}
-	for in, want := range ok {
-		got, err := sim.ParseWarpPolicy(in)
-		if err != nil || got != want {
-			t.Errorf("ParseWarpPolicy(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := sim.ParseWarpPolicy("nope"); err == nil {
-		t.Error("ParseWarpPolicy accepted junk")
-	}
-}
-
-func TestParseScale(t *testing.T) {
-	ok := map[string]workloads.Scale{
-		"tiny": workloads.ScaleTest, "test": workloads.ScaleTest,
-		"small": workloads.ScaleSmall, "full": workloads.ScaleFull,
-	}
-	for in, want := range ok {
-		got, err := sim.ParseScale(in)
-		if err != nil || got != want {
-			t.Errorf("ParseScale(%q) = %v, %v; want %v", in, got, err, want)
-		}
-		if in != "test" && sim.ScaleName(want) != in {
-			t.Errorf("ScaleName(%v) = %q, want %q", want, sim.ScaleName(want), in)
-		}
-	}
-	if _, err := sim.ParseScale("nope"); err == nil {
-		t.Error("ParseScale accepted junk")
 	}
 }
 
@@ -185,6 +135,44 @@ func TestRequestKeyDistinguishesInputs(t *testing.T) {
 	}
 	if base.Key() != tinyRequest("vadd", sim.Baseline()).Key() {
 		t.Error("identical requests produced different keys")
+	}
+}
+
+// TestRequestKeyText pins the exact text of Key: it names the disk-cache
+// file and the peer-cache address, and the router attests replies by it, so
+// a change to it orphans every cached result. Each body sets one field, or
+// spells a value by an alias, which must key like the canonical name.
+func TestRequestKeyText(t *testing.T) {
+	const base = "w=vadd|sched=baseline|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"
+	for _, c := range []struct{ body, key string }{
+		{`{"workloads":["vadd"]}`, base},
+		{`{"workloads":["vadd","spmv"]}`, "w=vadd+spmv|sched=baseline|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd","spmv"],"arrivals":[0,500]}`, "w=vadd+spmv|sched=baseline|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0|arr=0+500"},
+		{`{"workloads":["vadd","spmv"],"arrivals":[0,0]}`, "w=vadd+spmv|sched=baseline|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"sched":"lcs"}`, "w=vadd|sched=lcs|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"sched":"bcs"}`, "w=vadd|sched=bcs:2|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"sched":"static:3"}`, "w=vadd|sched=static:3|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"sched":"preempt"}`, "w=vadd|sched=preemptive:1|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"sched":"preemptive:2:60000"}`, "w=vadd|sched=preemptive:2:60000|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"warp":"gto"}`, "w=vadd|sched=baseline|warp=gto|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"warp":"baws"}`, "w=vadd|sched=baseline|warp=baws|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"warp":"twolevel"}`, "w=vadd|sched=baseline|warp=two-level|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"scale":"test"}`, base},
+		{`{"workloads":["vadd"],"scale":"small"}`, "w=vadd|sched=baseline|warp=lrr|scale=small|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"scale":"full"}`, "w=vadd|sched=baseline|warp=lrr|scale=full|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"cores":4}`, "w=vadd|sched=baseline|warp=lrr|scale=tiny|cores=4|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"l1_bytes":32768}`, "w=vadd|sched=baseline|warp=lrr|scale=tiny|cores=0|l1=32768|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"dram_fcfs":true}`, "w=vadd|sched=baseline|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=true|max=0"},
+		{`{"workloads":["vadd"],"max_cycles":5000}`, "w=vadd|sched=baseline|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=5000"},
+	} {
+		var r sim.Request
+		if err := json.Unmarshal([]byte(c.body), &r); err != nil {
+			t.Errorf("unmarshal %s: %v", c.body, err)
+			continue
+		}
+		if got := r.Key(); got != c.key {
+			t.Errorf("%s keys as\n  %q, want\n  %q", c.body, got, c.key)
+		}
 	}
 }
 
@@ -487,7 +475,7 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 			Workloads: []string{"spmv", "dct8x8"}, Arrivals: []uint64{0, 40000},
 			Sched: sim.Preemptive(1, 120000), Scale: workloads.ScaleSmall, Cores: 4,
 		},
-		// All-zero arrivals are the zero value: same key, same wire form.
+		// All-zero arrivals are the zero value: same key.
 		{Workloads: []string{"vadd"}, Arrivals: []uint64{0}},
 	}
 	for _, r := range reqs {
@@ -530,39 +518,10 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 		`{"workloads":["vadd"],"sched":"nope"}`,
 		`{"workloads":["vadd"],"warp":"nope"}`,
 		`{"workloads":["vadd"],"scale":"nope"}`,
-		`{"workloads":["vadd"],"cores":-1}`,
+		`{"workloads":["vadd"],"sched":3}`,
+		`{"workloads":["vadd"],"warp":""}`,
+		`{"workloads":["vadd"],"scale":""}`,
 		`{"workloads":"vadd"}`,
-	} {
-		var r sim.Request
-		if err := json.Unmarshal([]byte(bad), &r); err == nil {
-			t.Errorf("unmarshal accepted %s", bad)
-		}
-	}
-}
-
-// TestRequestJSONPreemptiveConvenience covers the priority_kernel /
-// deadline_cycles spelling: it folds into the preemptive sched spec, and is
-// rejected for any other scheduler.
-func TestRequestJSONPreemptiveConvenience(t *testing.T) {
-	var r sim.Request
-	in := `{"workloads":["spmv","dct8x8"],"sched":"preemptive","priority_kernel":1,"deadline_cycles":90000,"arrivals":[0,40000]}`
-	if err := json.Unmarshal([]byte(in), &r); err != nil {
-		t.Fatal(err)
-	}
-	if want := sim.Preemptive(1, 90000); r.Sched.String() != want.String() {
-		t.Errorf("folded sched = %q, want %q", r.Sched.String(), want.String())
-	}
-	if len(r.Arrivals) != 2 || r.Arrivals[1] != 40000 {
-		t.Errorf("arrivals = %v", r.Arrivals)
-	}
-	if err := r.Validate(); err != nil {
-		t.Errorf("valid preemptive request rejected: %v", err)
-	}
-	for _, bad := range []string{
-		`{"workloads":["vadd"],"priority_kernel":1}`,                       // needs preemptive sched
-		`{"workloads":["vadd"],"sched":"lcs","deadline_cycles":5}`,         // wrong scheduler
-		`{"workloads":["vadd"],"sched":"preemptive","priority_kernel":0}`,  // kernel 0 is already first
-		`{"workloads":["vadd"],"sched":"preemptive","deadline_cycles":-1}`, // negative deadline
 	} {
 		var r sim.Request
 		if err := json.Unmarshal([]byte(bad), &r); err == nil {
@@ -577,16 +536,49 @@ func TestRequestJSONPreemptiveConvenience(t *testing.T) {
 	if err := dec.Validate(); err == nil {
 		t.Error("decreasing arrivals passed Validate")
 	}
-	// Negative size overrides fail Validate on the Go path too, matching the
-	// wire rule: config ignores them, so they would simulate the default
-	// machine under a cores=-1 or l1=-1 key of their own.
-	for _, bad := range []sim.Request{
-		{Workloads: []string{"vadd"}, Cores: -1},
-		{Workloads: []string{"vadd"}, L1Bytes: -1},
+	// Negative size overrides decode but fail Validate: config ignores
+	// them, so they would simulate the default machine under a cores=-1 or
+	// l1=-1 key of their own.
+	for _, body := range []string{
+		`{"workloads":["vadd"],"cores":-1}`,
+		`{"workloads":["vadd"],"l1_bytes":-1}`,
 	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("Validate accepted %+v", bad)
+		var bad sim.Request
+		if err := json.Unmarshal([]byte(body), &bad); err != nil {
+			t.Fatalf("unmarshal %s: %v", body, err)
 		}
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted %s", body)
+		}
+	}
+}
+
+// TestRequestJSONRefusesRetiredFields: the retired priority_kernel and
+// deadline_cycles spelling is refused by the decode itself, whatever the
+// scheduler, so no hop can run such a body without its deadline; the one
+// spelling is "sched":"preemptive:P:D".
+func TestRequestJSONRefusesRetiredFields(t *testing.T) {
+	for _, bad := range []string{
+		`{"workloads":["spmv","vadd"],"sched":"preemptive","priority_kernel":1,"deadline_cycles":90000}`,
+		`{"workloads":["spmv","vadd"],"sched":"preemptive","priority_kernel":1}`,
+		`{"workloads":["vadd"],"sched":"lcs","deadline_cycles":5}`,
+		`{"workloads":["vadd"],"priority_kernel":null}`,
+	} {
+		var r sim.Request
+		err := json.Unmarshal([]byte(bad), &r)
+		if err == nil || !strings.Contains(err.Error(), `"sched":"preemptive:P:D"`) {
+			t.Errorf("unmarshal %s = %v, want an error naming the sched spelling", bad, err)
+		}
+	}
+	var r sim.Request
+	if err := json.Unmarshal([]byte(`{"workloads":["spmv","vadd"],"sched":"preemptive:1:90000","arrivals":[0,40000]}`), &r); err != nil {
+		t.Fatal(err)
+	}
+	if want := sim.Preemptive(1, 90000); r.Sched != want || len(r.Arrivals) != 2 || r.Arrivals[1] != 40000 {
+		t.Errorf("decoded sched %q arrivals %v, want %q and [0 40000]", r.Sched, r.Arrivals, want)
+	}
+	if err := r.Validate(); err != nil {
+		t.Errorf("valid preemptive request rejected: %v", err)
 	}
 }
 

@@ -9,7 +9,13 @@
 // them.
 package sm
 
-import "gpusched/internal/kernel"
+import (
+	"fmt"
+	"slices"
+	"strings"
+
+	"gpusched/internal/kernel"
+)
 
 // Policy selects the warp scheduling discipline of an SM.
 type Policy uint8
@@ -34,20 +40,40 @@ const (
 	PolicyTwoLevel
 )
 
+// policyNames is the one table of warp-policy names: String renders it and
+// the text methods read it, so a -warp flag, a request's wire form and its
+// cache key all spell a policy the same way.
+var policyNames = [...]string{PolicyLRR: "lrr", PolicyGTO: "gto", PolicyBAWS: "baws", PolicyTwoLevel: "two-level"}
+
 // String names the policy.
 func (p Policy) String() string {
-	switch p {
-	case PolicyLRR:
-		return "lrr"
-	case PolicyGTO:
-		return "gto"
-	case PolicyBAWS:
-		return "baws"
-	case PolicyTwoLevel:
-		return "two-level"
-	default:
-		return "policy?"
+	if int(p) < len(policyNames) {
+		return policyNames[p]
 	}
+	return "policy?"
+}
+
+// MarshalText writes the policy's name; a policy without one is an error.
+func (p Policy) MarshalText() ([]byte, error) {
+	if int(p) >= len(policyNames) {
+		return nil, fmt.Errorf("sm: warp policy %d has no name", p)
+	}
+	return []byte(policyNames[p]), nil
+}
+
+// UnmarshalText parses a policy name ("twolevel" is accepted for
+// "two-level").
+func (p *Policy) UnmarshalText(text []byte) error {
+	name := string(text)
+	if name == "twolevel" {
+		name = "two-level"
+	}
+	i := slices.Index(policyNames[:], name)
+	if i < 0 {
+		return fmt.Errorf("unknown warp policy %q (want %s)", text, strings.Join(policyNames[:], " | "))
+	}
+	*p = Policy(i)
+	return nil
 }
 
 // Config holds the per-SM pipeline parameters. Start from DefaultConfig.

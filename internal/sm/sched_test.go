@@ -210,15 +210,43 @@ func TestEmptySchedulerPick(t *testing.T) {
 
 func TestPolicyString(t *testing.T) {
 	cases := map[Policy]string{
-		PolicyLRR:  "lrr",
-		PolicyGTO:  "gto",
-		PolicyBAWS: "baws",
-		Policy(9):  "policy?",
+		PolicyLRR:      "lrr",
+		PolicyGTO:      "gto",
+		PolicyBAWS:     "baws",
+		PolicyTwoLevel: "two-level",
+		Policy(9):      "policy?",
 	}
 	for p, want := range cases {
 		if got := p.String(); got != want {
 			t.Errorf("Policy(%d).String() = %q, want %q", p, got, want)
 		}
+	}
+}
+
+// TestPolicyText: every policy's name parses back to it, "twolevel" is
+// accepted for two-level, anything else is refused, and a policy without
+// a name has no text form.
+func TestPolicyText(t *testing.T) {
+	for in, want := range map[string]Policy{
+		"lrr": PolicyLRR, "gto": PolicyGTO, "baws": PolicyBAWS,
+		"two-level": PolicyTwoLevel, "twolevel": PolicyTwoLevel,
+	} {
+		var got Policy
+		if err := got.UnmarshalText([]byte(in)); err != nil || got != want {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", in, got, err, want)
+		}
+		if text, err := want.MarshalText(); err != nil || (in != "twolevel" && string(text) != in) {
+			t.Errorf("%v.MarshalText() = %q, %v", want, text, err)
+		}
+	}
+	for _, bad := range []string{"", "nope", "GTO"} {
+		var p Policy
+		if err := p.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted", bad)
+		}
+	}
+	if _, err := Policy(9).MarshalText(); err == nil {
+		t.Error("Policy(9).MarshalText() succeeded")
 	}
 }
 

@@ -7,7 +7,10 @@
 package workloads
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"gpusched/internal/kernel"
 )
@@ -24,6 +27,32 @@ const (
 	// ScaleFull is the paper-experiment size.
 	ScaleFull
 )
+
+// scaleNames is the one table of scale names: String renders it and
+// ParseScale reads it. Scale has no text methods on purpose: the
+// benchmark's run records store a scale as a number.
+var scaleNames = [...]string{ScaleTest: "tiny", ScaleSmall: "small", ScaleFull: "full"}
+
+// String names the scale as the -size flags and a request's wire form spell
+// it.
+func (s Scale) String() string {
+	if s >= 0 && int(s) < len(scaleNames) {
+		return scaleNames[s]
+	}
+	return fmt.Sprintf("scale-%d", int(s))
+}
+
+// ParseScale parses a scale name ("test" is accepted for "tiny").
+func ParseScale(name string) (Scale, error) {
+	if name == "test" {
+		name = "tiny"
+	}
+	i := slices.Index(scaleNames[:], name)
+	if i < 0 {
+		return 0, fmt.Errorf("unknown scale %q (want %s)", name, strings.Join(scaleNames[:], " | "))
+	}
+	return Scale(i), nil
+}
 
 // pick returns the value for the scale.
 func pick(s Scale, test, small, full int) int {

@@ -32,6 +32,28 @@ func lanes(wi *isa.WarpInstr) (a [isa.WarpSize]uint32) {
 	return a
 }
 
+// TestParseScale: every scale's name parses back to it, "test" is
+// accepted for tiny, and anything else is refused.
+func TestParseScale(t *testing.T) {
+	for in, want := range map[string]Scale{"tiny": ScaleTest, "test": ScaleTest, "small": ScaleSmall, "full": ScaleFull} {
+		got, err := ParseScale(in)
+		if err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", in, got, err, want)
+		}
+		if in != "test" && want.String() != in {
+			t.Errorf("Scale(%d).String() = %q, want %q", want, want.String(), in)
+		}
+	}
+	for _, bad := range []string{"", "nope", "Tiny"} {
+		if _, err := ParseScale(bad); err == nil {
+			t.Errorf("ParseScale(%q) accepted", bad)
+		}
+	}
+	if got := Scale(7).String(); got != "scale-7" {
+		t.Errorf("Scale(7).String() = %q", got)
+	}
+}
+
 func TestCatalogIntegrity(t *testing.T) {
 	ws := All()
 	if len(ws) != 19 {

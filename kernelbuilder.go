@@ -65,7 +65,8 @@ func (b *KernelBuilder) Program(fn func(ctaID, warp int, p *ProgramBuilder)) *Ke
 }
 
 // Build builds every warp's program, rejecting one that names a register
-// the core cannot track (isa.MaxRegs and up), and validates the kernel.
+// the core cannot track (isa.MaxRegs and up) or gives an ALU op more
+// sources than an instruction holds, and validates the kernel.
 func (b *KernelBuilder) Build() (Kernel, error) {
 	if b.spec.Grid.X < 1 {
 		return Kernel{}, fmt.Errorf("gpusched: kernel %s: grid must have at least 1 CTA", b.spec.Name)
@@ -79,8 +80,13 @@ func (b *KernelBuilder) Build() (Kernel, error) {
 	for cta := 0; cta < spec.NumCTAs(); cta++ {
 		for w := 0; w < nw; w++ {
 			pb.b.Reset()
+			pb.wideSrcs = 0
 			if b.program != nil {
 				b.program(cta, w, pb)
+			}
+			if pb.wideSrcs > 0 {
+				return Kernel{}, fmt.Errorf("gpusched: kernel %s: CTA %d warp %d: instruction %d has %d sources, above the %d an instruction holds",
+					spec.Name, cta, w, pb.wideAt, pb.wideSrcs, len(isa.Instr{}.Src))
 			}
 			p := pb.b.Exit().Build()
 			if top := p.Regs() - 1; top >= isa.MaxRegs {
@@ -112,31 +118,55 @@ func (b *KernelBuilder) MustBuild() Kernel {
 // flat global memory.
 type ProgramBuilder struct {
 	b *isa.Builder
+	// wideAt is the first ALU op of the program given more sources than an
+	// instruction holds, and wideSrcs their number (0: none was), for
+	// Build to refuse.
+	wideAt, wideSrcs int
 }
 
-// IAdd appends an integer op dst <- f(srcs).
+// IAdd appends an integer op dst <- f(srcs), of at most three sources, as
+// do the other ALU ops.
 func (p *ProgramBuilder) IAdd(dst uint8, srcs ...uint8) *ProgramBuilder {
-	p.b.IAlu(isa.Reg(dst), regs(srcs)...)
+	var r [3]isa.Reg
+	p.b.IAlu(isa.Reg(dst), p.regs(&r, srcs)...)
 	return p
 }
 
 // FAdd appends a floating-point add-class op.
 func (p *ProgramBuilder) FAdd(dst uint8, srcs ...uint8) *ProgramBuilder {
-	p.b.FAlu(isa.Reg(dst), regs(srcs)...)
+	var r [3]isa.Reg
+	p.b.FAlu(isa.Reg(dst), p.regs(&r, srcs)...)
 	return p
 }
 
 // FMul appends a floating-point multiply-class op (same timing as FAdd on
 // the SP pipeline; both exist for readability).
 func (p *ProgramBuilder) FMul(dst uint8, srcs ...uint8) *ProgramBuilder {
-	p.b.FAlu(isa.Reg(dst), regs(srcs)...)
+	var r [3]isa.Reg
+	p.b.FAlu(isa.Reg(dst), p.regs(&r, srcs)...)
 	return p
 }
 
 // SFU appends a special-function op (rsqrt/exp/sin timing).
 func (p *ProgramBuilder) SFU(dst uint8, srcs ...uint8) *ProgramBuilder {
-	p.b.Sfu(isa.Reg(dst), regs(srcs)...)
+	var r [3]isa.Reg
+	p.b.Sfu(isa.Reg(dst), p.regs(&r, srcs)...)
 	return p
+}
+
+// regs converts an ALU op's sources into r, which the caller keeps on its
+// stack. Sources past the three an instruction holds are noted for Build.
+func (p *ProgramBuilder) regs(r *[3]isa.Reg, srcs []uint8) []isa.Reg {
+	if len(srcs) > len(r) {
+		if p.wideSrcs == 0 {
+			p.wideAt, p.wideSrcs = p.b.Len(), len(srcs)
+		}
+		srcs = srcs[:len(r)]
+	}
+	for i, s := range srcs {
+		r[i] = isa.Reg(s)
+	}
+	return r[:len(srcs)]
 }
 
 // LoadGlobal appends a coalesced global load: lane l reads base+4l.
@@ -187,12 +217,4 @@ func (p *ProgramBuilder) Atomic(dst uint8, addrs [32]uint32) *ProgramBuilder {
 func (p *ProgramBuilder) Barrier() *ProgramBuilder {
 	p.b.Barrier()
 	return p
-}
-
-func regs(in []uint8) []isa.Reg {
-	out := make([]isa.Reg, len(in))
-	for i, r := range in {
-		out[i] = isa.Reg(r)
-	}
-	return out
 }
