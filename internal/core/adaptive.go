@@ -18,8 +18,7 @@ import "gpusched/internal/sm"
 // killed). The first regressing step is undone and the limit locks. Cores
 // decide independently, exactly like LCS, and like LCS it throttles kernel 0.
 type AdaptiveLCS struct {
-	rr    RoundRobin
-	limit []int // 0 = still sampling
+	throttle
 	probe []adaptiveProbe
 }
 
@@ -43,27 +42,15 @@ const (
 // NewAdaptiveLCS returns the adaptive variant.
 func NewAdaptiveLCS() *AdaptiveLCS { return &AdaptiveLCS{} }
 
-// Limits returns the current per-core limits (0 = still sampling).
-func (a *AdaptiveLCS) Limits() []int { return a.limit }
-
 func (a *AdaptiveLCS) ensure(n int) {
-	if len(a.limit) < n {
-		a.limit = make([]int, n)
+	a.throttle.ensure(n)
+	if len(a.probe) < n {
 		a.probe = make([]adaptiveProbe, n)
 	}
 }
 
-// Tick implements Dispatcher (the same placement rule as LCS).
-func (a *AdaptiveLCS) Tick(m Machine) {
-	a.ensure(m.NumCores())
-	a.rr.fill(m, a.limit)
-}
-
-// NextDispatchEvent implements Dispatcher: like LCS, every internal
-// transition (initial decision, probe step, lock) happens in OnCTAComplete.
-func (a *AdaptiveLCS) NextDispatchEvent(uint64) uint64 { return NeverEvent }
-
-// OnCTAComplete implements Dispatcher.
+// OnCTAComplete implements Dispatcher. Like LCS, every internal transition
+// (initial decision, probe step, lock) happens here.
 func (a *AdaptiveLCS) OnCTAComplete(m Machine, coreID int, cta *sm.CTA) {
 	a.ensure(m.NumCores())
 	if cta.KernelIdx != 0 {

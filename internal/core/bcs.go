@@ -16,7 +16,7 @@ import "gpusched/internal/sm"
 // strand their remainder slots forever under that rule, so up to
 // (occupancy mod gang) unpaired "filler" CTAs per core are allowed.
 type BCS struct {
-	next int
+	RoundRobin
 	// BlockSize is the gang width (the paper pairs consecutive CTAs;
 	// default 2).
 	BlockSize int
@@ -47,33 +47,21 @@ func (b *BCS) Tick(m Machine) {
 		if ks.Exhausted() {
 			continue
 		}
-		gang := b.gangWidth()
-		if r := ks.Remaining(); r < gang {
-			gang = r // grid tail: partial gang
-		}
-		n := m.NumCores()
-		for i := 0; i < n; i++ {
-			c := m.Core((b.next + i) % n)
-			if !canAcceptN(c, ks, gang) {
-				continue
-			}
+		gang := min(b.gangWidth(), ks.Remaining()) // grid tail: partial gang
+		if c := b.scan(m, func(c *sm.SM) bool { return canAcceptN(c, ks, gang) }); c != nil {
 			key := m.Now()
 			for j := 0; j < gang; j++ {
 				place(m, ks, c, key, j)
 			}
-			b.next = (c.ID() + 1) % n
 			return
 		}
 		// No core fits a gang: fill a remainder slot if one exists.
-		for i := 0; i < n; i++ {
-			c := m.Core((b.next + i) % n)
-			rem := b.remainderSlots(c, ks)
-			if rem > b.unpaired[c.ID()] && c.CanAccept(ks.Spec) {
-				place(m, ks, c, m.Now(), fillerIndex)
-				b.unpaired[c.ID()]++
-				b.next = (c.ID() + 1) % n
-				return
-			}
+		c := b.scan(m, func(c *sm.SM) bool {
+			return b.remainderSlots(c, ks) > b.unpaired[c.ID()] && c.CanAccept(ks.Spec)
+		})
+		if c != nil {
+			place(m, ks, c, m.Now(), fillerIndex)
+			b.unpaired[c.ID()]++
 		}
 		return
 	}
@@ -89,10 +77,6 @@ func (b *BCS) remainderSlots(c *sm.SM, ks *KernelState) int {
 func canAcceptN(c *sm.SM, ks *KernelState, n int) bool {
 	return c.Usage().Add(ks.Spec, n).Fits(c.Limits())
 }
-
-// NextDispatchEvent implements Dispatcher: gang/filler bookkeeping moves
-// only on placements and completions.
-func (b *BCS) NextDispatchEvent(uint64) uint64 { return NeverEvent }
 
 // OnCTAComplete implements Dispatcher: retiring fillers reopen their slot.
 func (b *BCS) OnCTAComplete(m Machine, coreID int, cta *sm.CTA) {

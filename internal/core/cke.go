@@ -6,7 +6,7 @@ import "gpusched/internal/sm"
 // dispatched until every CTA of kernel i has retired. This is the
 // no-concurrent-kernel-execution baseline (CUDA's default stream).
 type Sequential struct {
-	rr RoundRobin
+	RoundRobin
 }
 
 // NewSequential returns the one-kernel-at-a-time dispatcher.
@@ -19,24 +19,18 @@ func (s *Sequential) Tick(m Machine) {
 			continue
 		}
 		if !ks.Exhausted() {
-			s.rr.fillKernel(m, ks, nil)
+			s.fillKernel(m, ks, nil)
 		}
 		return // a kernel still draining holds back the ones after it
 	}
 }
-
-// OnCTAComplete implements Dispatcher.
-func (s *Sequential) OnCTAComplete(Machine, int, *sm.CTA) {}
-
-// NextDispatchEvent implements Dispatcher: the kernel barrier advances
-// only when a CTA completes.
-func (s *Sequential) NextDispatchEvent(uint64) uint64 { return NeverEvent }
 
 // Spatial is inter-core concurrent kernel execution: the SMs are statically
 // partitioned between two kernels, each side filled to maximal occupancy.
 // This models the leftover/spatial CKE the paper compares mixed execution
 // against.
 type Spatial struct {
+	RoundRobin
 	// CoresForA is how many cores (from index 0) kernel 0 owns; the rest
 	// belong to kernel 1. Zero means an even split.
 	CoresForA int
@@ -71,19 +65,13 @@ func (s *Spatial) Tick(m Machine) {
 	}
 }
 
-// OnCTAComplete implements Dispatcher.
-func (s *Spatial) OnCTAComplete(Machine, int, *sm.CTA) {}
-
-// NextDispatchEvent implements Dispatcher: the core partition is static.
-func (s *Spatial) NextDispatchEvent(uint64) uint64 { return NeverEvent }
-
 // Mixed is the paper's mixed concurrent kernel execution: both kernels
 // co-reside on every SM. Kernel 0 (typically the one whose LCS profile
 // showed it cannot use full occupancy) is capped at LimitA CTAs per core;
 // kernel 1 fills whatever threads, registers, shared memory, and CTA slots
 // remain. Kernel 0 has refill priority, so its share never erodes.
 type Mixed struct {
-	rr RoundRobin
+	RoundRobin
 	// LimitA caps kernel 0's resident CTAs per core. It is normally the
 	// nOpt a solo LCS run decided for kernel 0.
 	LimitA int
@@ -92,30 +80,26 @@ type Mixed struct {
 // NewMixed returns a mixed-CKE dispatcher capping kernel 0 at limitA per SM.
 func NewMixed(limitA int) *Mixed { return &Mixed{LimitA: limitA} }
 
-// Tick implements Dispatcher.
+// Tick implements Dispatcher: the first core that takes kernel 0 (under its
+// cap) or kernel 1 gets kernel 0 if it fits there, else kernel 1.
 func (x *Mixed) Tick(m Machine) {
 	kernels := m.Kernels()
-	n := m.NumCores()
-	for i := 0; i < n; i++ {
-		c := m.Core((x.rr.next + i) % n)
-		// Kernel 0 first, up to its cap.
-		if len(kernels) > 0 {
-			ks := kernels[0]
-			if !ks.Exhausted() && c.ResidentOf(0) < x.limitA() && c.CanAccept(ks.Spec) {
-				place(m, ks, c, m.Now(), 0)
-				x.rr.next = (c.ID() + 1) % n
-				return
-			}
-		}
-		// Then kernel 1 into the leftovers.
-		if len(kernels) > 1 {
-			ks := kernels[1]
-			if !ks.Exhausted() && c.CanAccept(ks.Spec) {
-				place(m, ks, c, m.Now(), 0)
-				x.rr.next = (c.ID() + 1) % n
-				return
-			}
-		}
+	var a, b *KernelState // kernels 0 and 1 while they have CTAs left
+	if len(kernels) > 0 && !kernels[0].Exhausted() {
+		a = kernels[0]
+	}
+	if len(kernels) > 1 && !kernels[1].Exhausted() {
+		b = kernels[1]
+	}
+	takesA := func(c *sm.SM) bool { return a != nil && c.ResidentOf(0) < x.limitA() && c.CanAccept(a.Spec) }
+	c := x.scan(m, func(c *sm.SM) bool { return takesA(c) || b != nil && c.CanAccept(b.Spec) })
+	if c == nil {
+		return
+	}
+	if takesA(c) {
+		place(m, a, c, m.Now(), 0)
+	} else {
+		place(m, b, c, m.Now(), 0)
 	}
 }
 
@@ -125,9 +109,3 @@ func (x *Mixed) limitA() int {
 	}
 	return x.LimitA
 }
-
-// OnCTAComplete implements Dispatcher.
-func (x *Mixed) OnCTAComplete(Machine, int, *sm.CTA) {}
-
-// NextDispatchEvent implements Dispatcher: LimitA is fixed for the run.
-func (x *Mixed) NextDispatchEvent(uint64) uint64 { return NeverEvent }

@@ -16,9 +16,10 @@
 //     GPU by partitioning cores (spatial) or by co-residing on every core
 //     with LCS-derived per-kernel limits (mixed, the paper's proposal).
 //
-// RoundRobin, Limited, LCS, AdaptiveLCS and DynCTA place through one rule,
-// RoundRobin.fill; the throttling ones differ only in the per-core limits
-// on kernel 0 they hand it.
+// Every dispatcher but Spatial (fixed regions) places through one rotating
+// core scan, RoundRobin.scan, and keeps only its predicate. RoundRobin,
+// Limited and the LCS family (LCS, AdaptiveLCS, DynCTA) share one rule,
+// RoundRobin.fill, and differ only in the per-core limits on kernel 0.
 package core
 
 import (

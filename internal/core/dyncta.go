@@ -20,12 +20,11 @@ import (
 // observable — how often the core cannot issue — and produces the same
 // up/down behaviour.
 type DynCTA struct {
-	rr RoundRobin
+	throttle
 
 	// EpochCycles is the adjustment period (default 2048).
 	EpochCycles uint64
 
-	limit []int
 	epoch []dynEpoch
 }
 
@@ -47,12 +46,9 @@ const (
 // NewDynCTA returns the prior-work throttling dispatcher with defaults.
 func NewDynCTA() *DynCTA { return &DynCTA{EpochCycles: 2048} }
 
-// Limits returns the current per-core allowances (0 = not initialized).
-func (d *DynCTA) Limits() []int { return d.limit }
-
 func (d *DynCTA) ensure(n int) {
-	if len(d.limit) < n {
-		d.limit = make([]int, n)
+	d.throttle.ensure(n)
+	if len(d.epoch) < n {
 		d.epoch = make([]dynEpoch, n)
 	}
 }
@@ -70,7 +66,7 @@ func (d *DynCTA) Tick(m Machine) {
 			d.adjust(i, m.CoreCounters(i), now)
 		}
 	}
-	d.rr.fill(m, d.limit)
+	d.fill(m, d.limit)
 }
 
 func (d *DynCTA) epochCycles() uint64 {

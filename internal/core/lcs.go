@@ -27,34 +27,11 @@ import (
 // instructions issued" under a greedy warp scheduler); the clamp bound and
 // per-core decision are this implementation's reconstruction.
 type LCS struct {
-	rr RoundRobin
-	// limit[coreID] is the per-core CTA cap; 0 = undecided (use max).
-	limit []int
+	throttle
 }
 
 // NewLCS returns a lazy CTA scheduling dispatcher.
 func NewLCS() *LCS { return &LCS{} }
-
-// Limits returns the per-core decisions (0 = still sampling). The slice is
-// live; callers must not mutate it.
-func (l *LCS) Limits() []int { return l.limit }
-
-func (l *LCS) ensure(n int) {
-	if len(l.limit) < n {
-		l.limit = make([]int, n)
-	}
-}
-
-// Tick implements Dispatcher: baseline round-robin placement, except that a
-// decided core is not refilled beyond its limit.
-func (l *LCS) Tick(m Machine) {
-	l.ensure(m.NumCores())
-	l.rr.fill(m, l.limit)
-}
-
-// NextDispatchEvent implements Dispatcher: limits change only in
-// OnCTAComplete, and placement reads only machine state.
-func (l *LCS) NextDispatchEvent(uint64) uint64 { return NeverEvent }
 
 // OnCTAComplete implements Dispatcher: the first completion on a core ends
 // its sampling epoch and fixes the limit.

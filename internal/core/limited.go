@@ -1,14 +1,14 @@
 package core
 
-import "gpusched/internal/sm"
-
 // Limited is the static-throttling dispatcher used by the motivation and
 // oracle experiments: baseline round-robin placement, but no core ever
 // holds more than Limit CTAs of kernel 0. Sweeping Limit from 1 to the
 // occupancy maximum produces the paper's IPC-vs-CTA-count curves, and the
 // best point of that sweep is the "oracle static" LCS is judged against.
+// It embeds RoundRobin, not the LCS family's throttle, so a static run
+// reports no limit decisions.
 type Limited struct {
-	rr RoundRobin
+	RoundRobin
 	// Limit caps kernel 0's resident CTAs per core (0 = uncapped). It is
 	// read at the first Tick.
 	Limit int
@@ -26,11 +26,5 @@ func (l *Limited) Tick(m Machine) {
 			l.limit[i] = l.Limit
 		}
 	}
-	l.rr.fill(m, l.limit)
+	l.fill(m, l.limit)
 }
-
-// OnCTAComplete implements Dispatcher.
-func (l *Limited) OnCTAComplete(Machine, int, *sm.CTA) {}
-
-// NextDispatchEvent implements Dispatcher: the static cap is read-only.
-func (l *Limited) NextDispatchEvent(uint64) uint64 { return NeverEvent }

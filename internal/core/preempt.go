@@ -109,18 +109,13 @@ func (p *Preemptive) placeOne(m Machine) {
 		p.drainCore = -1 // campaign over: the priority kernel needs nothing
 		p.pressing = false
 	}
-	n := m.NumCores()
 	if pk != nil && !pk.Exhausted() {
-		for i := 0; i < n; i++ {
-			c := m.Core((p.rr.next + i) % n)
-			if c.CanAccept(pk.Spec) {
-				place(m, pk, c, m.Now(), 0)
-				p.rr.next = (c.ID() + 1) % n
-				if c.ID() == p.drainCore {
-					p.drainCore = -1 // campaign succeeded
-				}
-				return
+		if c := p.rr.scan(m, func(c *sm.SM) bool { return c.CanAccept(pk.Spec) }); c != nil {
+			place(m, pk, c, m.Now(), 0)
+			if c.ID() == p.drainCore {
+				p.drainCore = -1 // campaign succeeded
 			}
+			return
 		}
 	}
 	if p.pressing {
@@ -130,18 +125,11 @@ func (p *Preemptive) placeOne(m Machine) {
 		if ks.Idx == p.PriorityKernel || ks.Exhausted() {
 			continue
 		}
-		for i := 0; i < n; i++ {
-			c := m.Core((p.rr.next + i) % n)
-			if c.ID() == p.drainCore {
-				continue // reserved for the priority kernel
-			}
-			if c.CanAccept(ks.Spec) {
-				place(m, ks, c, m.Now(), 0)
-				p.rr.next = (c.ID() + 1) % n
-				return
-			}
+		// The drained core is reserved for the priority kernel.
+		if c := p.rr.scan(m, func(c *sm.SM) bool { return c.ID() != p.drainCore && c.CanAccept(ks.Spec) }); c != nil {
+			place(m, ks, c, m.Now(), 0)
 		}
-		return // cores full for the frontmost batch kernel: stop
+		return // placed, or cores full for the frontmost batch kernel: stop
 	}
 }
 

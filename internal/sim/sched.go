@@ -97,7 +97,7 @@ func Preemptive(priorityKernel, deadlineCycles int) SchedSpec {
 	return SchedSpec{Kind: SchedPreemptive, Arg: priorityKernel, Arg2: deadlineCycles}
 }
 
-// schedEntry is one registry row: names, argument rules, and factories.
+// schedEntry is one registry row: names, argument rules, and the factory.
 type schedEntry struct {
 	kind      SchedKind
 	canonical string   // parse name and cache-key prefix
@@ -114,7 +114,6 @@ type schedEntry struct {
 	// argInName embeds the arg in the display name ("static-3").
 	argInName bool
 	build     func(arg, arg2 int) core.Dispatcher
-	limits    func(core.Dispatcher) []int
 }
 
 var schedRegistry = []schedEntry{
@@ -125,19 +124,16 @@ var schedRegistry = []schedEntry{
 	},
 	{
 		kind: SchedLCS, canonical: "lcs", display: "lcs",
-		build:  func(int, int) core.Dispatcher { return core.NewLCS() },
-		limits: func(d core.Dispatcher) []int { return d.(*core.LCS).Limits() },
+		build: func(int, int) core.Dispatcher { return core.NewLCS() },
 	},
 	{
 		kind: SchedAdaptiveLCS, canonical: "adaptive", display: "lcs-adaptive",
 		aliases: []string{"lcs-adaptive"},
 		build:   func(int, int) core.Dispatcher { return core.NewAdaptiveLCS() },
-		limits:  func(d core.Dispatcher) []int { return d.(*core.AdaptiveLCS).Limits() },
 	},
 	{
 		kind: SchedDynCTA, canonical: "dyncta", display: "dyncta",
-		build:  func(int, int) core.Dispatcher { return core.NewDynCTA() },
-		limits: func(d core.Dispatcher) []int { return d.(*core.DynCTA).Limits() },
+		build: func(int, int) core.Dispatcher { return core.NewDynCTA() },
 	},
 	{
 		kind: SchedBCS, canonical: "bcs", display: "bcs",
@@ -261,13 +257,14 @@ func (s SchedSpec) NewDispatcher() core.Dispatcher {
 }
 
 // Limits extracts the per-core CTA limits a finished dispatcher decided.
-// ok reports whether the policy makes such decisions (the LCS family).
+// ok reports whether the policy makes such decisions: the LCS family, whose
+// dispatchers have a Limits method.
 func (s SchedSpec) Limits(d core.Dispatcher) (limits []int, ok bool) {
-	e := s.entry()
-	if e.limits == nil {
+	l, ok := d.(interface{ Limits() []int })
+	if !ok {
 		return nil, false
 	}
-	return e.limits(d), true
+	return l.Limits(), true
 }
 
 // SchedFlagHelp documents ParseSched's grammar for CLI -sched flags.
