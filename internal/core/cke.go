@@ -39,15 +39,16 @@ type Spatial struct {
 // NewSpatial returns an even-split spatial CKE dispatcher.
 func NewSpatial() *Spatial { return &Spatial{} }
 
-// Tick implements Dispatcher: one placement per kernel region per cycle.
+// Tick implements Dispatcher: one placement per kernel region per cycle. A
+// CoresForA beyond the core count gives kernel 0 every core.
 func (s *Spatial) Tick(m Machine) {
-	split := s.CoresForA
+	n := m.NumCores()
+	split := min(s.CoresForA, n)
 	if split <= 0 {
-		split = m.NumCores() / 2
+		split = n / 2
 	}
-	kernels := m.Kernels()
-	regions := [][2]int{{0, split}, {split, m.NumCores()}}
-	for ki, ks := range kernels {
+	regions := [][2]int{{0, split}, {split, n}}
+	for ki, ks := range m.Kernels() {
 		if ki >= len(regions) {
 			break
 		}

@@ -253,6 +253,23 @@ func TestSpatialRespectsPartition(t *testing.T) {
 	}
 }
 
+// TestSpatialSplitBeyondCores: a split naming more cores than the machine
+// has gives kernel 0 every core and reads no core past the last, even once
+// all of them are full.
+func TestSpatialSplitBeyondCores(t *testing.T) {
+	d := core.NewSpatial()
+	d.CoresForA = 100
+	g := testGPU(t, d, sm.PolicyGTO, uniformKernel("a", 64, 2, 60, 16))
+	used := map[int]bool{}
+	g.SetObserver(func(coreID int, cta *sm.CTA, now uint64) { used[coreID] = true })
+	if r := g.Run(); r.TimedOut {
+		t.Fatal("timed out")
+	}
+	if len(used) != g.NumCores() {
+		t.Errorf("kernel 0 ran on %d of %d cores, want all of them", len(used), g.NumCores())
+	}
+}
+
 func TestSequentialThreeKernels(t *testing.T) {
 	specs := []*kernel.Spec{
 		uniformKernel("a", 16, 2, 40, 16),

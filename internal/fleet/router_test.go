@@ -429,6 +429,8 @@ func TestRouterRejectsMalformedBodies(t *testing.T) {
 		{`{"workloads":["vadd"],"cores":100000}`, 0},
 		{`{"workloads":["vadd"],"l1_bytes":3000}`, 0},
 		{`{"workloads":["spmv","vadd"],"sched":"preemptive","priority_kernel":1}`, 0},
+		{`{"workloads":["vadd","kmeans"],"sched":"spatial:100","scale":"small"}`, 0},
+		{`{"workloads":["vadd","kmeans"],"sched":"spatial:15"}`, 0},
 		{`{"workloads":["vadd"],"timeout_ms":-1}`, 1},
 	} {
 		shardCode, want := postBody(t, f.shards[0].URL, c.body)

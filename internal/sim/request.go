@@ -127,8 +127,10 @@ func (r Request) Key() string {
 
 // Validate checks the request names known workloads, launches at least one
 // kernel, overrides no size with a negative value (config ignores those, so
-// they would simulate the default machine under a key of their own), and
-// selects a machine that can be built (gpu.Config.Validate).
+// they would simulate the default machine under a key of their own),
+// selects a machine that can be built (gpu.Config.Validate), and gives a
+// spatial split no more cores than that machine has and every launched
+// workload a core (else the run could only time out).
 func (r Request) Validate() error {
 	if len(r.Workloads) == 0 {
 		return fmt.Errorf("sim: request launches no workloads")
@@ -151,7 +153,34 @@ func (r Request) Validate() error {
 		return fmt.Errorf("sim: request cores and l1_bytes must be >= 0 (got %d, %d)", r.Cores, r.L1Bytes)
 	}
 	cfg := r.config()
-	return cfg.Validate()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	return r.checkSpatial(cfg.NumCores)
+}
+
+// checkSpatial refuses a spatial split the n-core machine cannot give:
+// more cores than it has, or a region left empty for a launched workload.
+// core.Spatial gives kernel 0 the first Arg cores (half of them when Arg is
+// 0) and kernel 1 the rest; a third kernel has no region.
+func (r Request) checkSpatial(n int) error {
+	if r.Sched.Kind != SchedSpatial {
+		return nil
+	}
+	split := r.Sched.Arg
+	if split > n {
+		return fmt.Errorf("sim: %s names %d cores of a %d-core machine", r.Sched, split, n)
+	}
+	if split == 0 {
+		split = n / 2
+	}
+	regions := []int{split, n - split} // cores of kernels 0 and 1
+	for i, w := range r.Workloads {
+		if i >= len(regions) || regions[i] == 0 {
+			return fmt.Errorf("sim: %s on a %d-core machine leaves workload %d (%s) no core", r.Sched, n, i, w)
+		}
+	}
+	return nil
 }
 
 // config assembles the GPU configuration the request's overrides select.
