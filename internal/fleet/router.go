@@ -169,7 +169,7 @@ func (rt *Router) forward(ctx context.Context, key string, body []byte) (*http.R
 // (server.Attests) and stores it. Either way it stamps the routing
 // headers so clients and load harnesses can see placement.
 func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, body, ok := server.ReadRequest(w, r)
+	req, _, body, ok := server.ReadRequest(w, r)
 	if !ok {
 		return
 	}

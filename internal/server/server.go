@@ -108,24 +108,25 @@ func WriteError(w http.ResponseWriter, status int, code, format string, args ...
 // maxBodyBytes bounds request bodies; simulation requests are tiny.
 const maxBodyBytes = 1 << 20
 
-// ReadRequest reads, decodes and validates a flat simulation-request
-// body, writing a structured 400 itself when the payload is bad. It
-// returns the body too, for a router to forward as is.
-func ReadRequest(w http.ResponseWriter, r *http.Request) (req sim.Request, body []byte, ok bool) {
+// ReadRequest reads, decodes (sim.DecodeBody, one pass) and validates a
+// flat simulation-request body, writing a structured 400 itself when the
+// payload is bad. It returns the envelope's timeout_ms, unchecked, and the
+// body too, for a router to forward as is.
+func ReadRequest(w http.ResponseWriter, r *http.Request) (req sim.Request, timeoutMS int64, body []byte, ok bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "validation", "reading body: %v", err)
-		return req, nil, false
+		return req, 0, nil, false
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	if req, timeoutMS, err = sim.DecodeBody(body); err != nil {
 		WriteError(w, http.StatusBadRequest, "validation", "%v", err)
-		return req, nil, false
+		return req, 0, nil, false
 	}
 	if err := req.Validate(); err != nil {
 		WriteError(w, http.StatusBadRequest, "validation", "%v", err)
-		return req, nil, false
+		return req, 0, nil, false
 	}
-	return req, body, true
+	return req, timeoutMS, body, true
 }
 
 // Attest stamps a reply to POST /v1/simulate with what it answers: the
@@ -146,22 +147,15 @@ func Attests(h http.Header, key string) bool {
 // outcome in one round trip. The simulation runs on the request's
 // context, so a client that disconnects cancels it.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, body, ok := ReadRequest(w, r)
+	req, timeoutMS, _, ok := ReadRequest(w, r)
 	if !ok {
 		return
 	}
-	var env struct {
-		TimeoutMS int64 `json:"timeout_ms"`
-	}
-	if err := json.Unmarshal(body, &env); err != nil {
-		WriteError(w, http.StatusBadRequest, "validation", "envelope: %v", err)
+	if timeoutMS < 0 {
+		WriteError(w, http.StatusBadRequest, "validation", "timeout_ms must be >= 0 (got %d)", timeoutMS)
 		return
 	}
-	if env.TimeoutMS < 0 {
-		WriteError(w, http.StatusBadRequest, "validation", "timeout_ms must be >= 0 (got %d)", env.TimeoutMS)
-		return
-	}
-	timeout := time.Duration(env.TimeoutMS) * time.Millisecond
+	timeout := time.Duration(timeoutMS) * time.Millisecond
 	if timeout <= 0 || timeout > s.cfg.SyncTimeout {
 		timeout = s.cfg.SyncTimeout
 	}

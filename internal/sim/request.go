@@ -81,24 +81,47 @@ func (r Request) MarshalJSON() ([]byte, error) {
 	}{wire(r), scaleName(r.Scale)})
 }
 
+// requestIn is what the wire form decodes into: the request's tags, scale
+// by name, and the retired fields, which refuse a body that names them.
+type requestIn struct {
+	PriorityKernel retired `json:"priority_kernel"`
+	DeadlineCycles retired `json:"deadline_cycles"`
+	wire
+	Scale scaleName `json:"scale"`
+}
+
+func (in requestIn) request() Request {
+	r := Request(in.wire)
+	r.Scale = workloads.Scale(in.Scale)
+	return r
+}
+
 // UnmarshalJSON reads the wire form. Omitted fields keep their zero values
 // (baseline, lrr, tiny), and a bad name fails with the message its CLI flag
-// gives. Unknown fields are ignored, so a server reads envelope fields
-// (timeout_ms) from the same body, except the retired priority_kernel and
+// gives. Unknown fields are ignored, except the retired priority_kernel and
 // deadline_cycles.
 func (r *Request) UnmarshalJSON(data []byte) error {
-	var w struct {
-		PriorityKernel retired `json:"priority_kernel"`
-		DeadlineCycles retired `json:"deadline_cycles"`
-		wire
-		Scale scaleName `json:"scale"`
-	}
-	if err := json.Unmarshal(data, &w); err != nil {
+	var in requestIn
+	if err := json.Unmarshal(data, &in); err != nil {
 		return fmt.Errorf("sim: bad request JSON: %w", err)
 	}
-	*r = Request(w.wire)
-	r.Scale = workloads.Scale(w.Scale)
+	*r = in.request()
 	return nil
+}
+
+// DecodeBody reads the body of a simulate call in one JSON pass: the
+// request in its wire form, as UnmarshalJSON reads it, and the envelope
+// field timeout_ms (0 when absent). Decoding into a Request instead would
+// have encoding/json check the body once more for the method.
+func DecodeBody(data []byte) (req Request, timeoutMS int64, err error) {
+	var body struct {
+		requestIn
+		TimeoutMS int64 `json:"timeout_ms"`
+	}
+	if err := json.Unmarshal(data, &body); err != nil {
+		return Request{}, 0, fmt.Errorf("sim: bad request JSON: %w", err)
+	}
+	return body.request(), body.TimeoutMS, nil
 }
 
 // Key returns the canonical identity of the request: two requests with

@@ -624,3 +624,24 @@ func TestBuildLeavesCatalogSpecs(t *testing.T) {
 		}
 	}
 }
+
+// decoded keeps BenchmarkDecodeBody's result alive.
+var decoded sim.Request
+
+// BenchmarkDecodeBody times one decode of a simulate body shaped like the
+// fleet-serve workload's: one workload under LCS, a MaxCycles salt and the
+// benchmark's bench_id, which the decode ignores.
+func BenchmarkDecodeBody(b *testing.B) {
+	body, err := json.Marshal(sim.Request{Workloads: []string{"stencil"}, Sched: sim.LCS(), Warp: sm.PolicyGTO, MaxCycles: 20_000_007})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body = append(body[:len(body)-1], `,"bench_id":17}`...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if decoded, _, err = sim.DecodeBody(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
