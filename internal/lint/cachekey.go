@@ -16,11 +16,11 @@ import (
 //
 // must reference every exported field of the package-local struct type T,
 // directly or through same-package functions it calls. internal/sim
-// annotates Request.Key and the JSON wire conversions with it: adding a
-// knob to Request without folding it into the canonical cache key (or the
-// wire form) then fails the build instead of silently serving stale cached
-// results — the exact incident class the PR 1 memo/disk cache and the PR 3
-// fast-forward both rely on never happening.
+// annotates Request.Key, SchedSpec.String and the cache-entry codec
+// (EncodeCacheEntry, DecodeCacheEntry) with it: adding a knob to Request or
+// SchedSpec without folding it into the canonical cache key then fails the
+// build instead of silently serving stale cached results, which the memo
+// and disk caches rely on never happening.
 var Cachekey = &analysis.Analyzer{
 	Name: "cachekey",
 	Doc: "functions annotated //gpulint:cachekey T must reference every exported field of struct T " +

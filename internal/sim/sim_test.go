@@ -593,9 +593,12 @@ func TestValidateRejectsUnbuildableMachine(t *testing.T) {
 		{sim.Request{Workloads: []string{"vadd"}, Cores: 100000}, "NumCores 100000"},
 		{sim.Request{Workloads: []string{"vadd"}, L1Bytes: 3000}, "5 sets"},
 		// A spatial split the machine cannot give: more cores than it
-		// has, or none left for the second workload.
+		// has, none left for the second workload, an even split of one
+		// core, or a third workload, which has no region.
 		{sim.Request{Workloads: []string{"vadd", "kmeans"}, Sched: sim.Spatial(100)}, "100 cores of a 15-core"},
 		{sim.Request{Workloads: []string{"vadd", "kmeans"}, Sched: sim.Spatial(15)}, "workload 1 (kmeans) no core"},
+		{sim.Request{Workloads: []string{"vadd"}, Sched: sim.Spatial(0), Cores: 1}, "workload 0 (vadd) no core"},
+		{sim.Request{Workloads: []string{"vadd", "kmeans", "spmv"}, Sched: sim.Spatial(0)}, "workload 2 (spmv) no core"},
 	} {
 		err := tc.req.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
