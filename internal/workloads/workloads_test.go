@@ -118,6 +118,45 @@ func TestAllSpecsValidateAndFit(t *testing.T) {
 	}
 }
 
+// TestWorkloadShapes pins each workload's launch shape at every scale:
+// CTAs, threads per CTA and warps per CTA, in the order tiny, small, full.
+func TestWorkloadShapes(t *testing.T) {
+	type shape struct{ ctas, threads, warps int }
+	want := map[string][3]shape{
+		"backprop":      {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"bfs":           {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"blackscholes":  {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"conv2d":        {{20, 256, 8}, {225, 256, 8}, {450, 256, 8}},
+		"dct8x8":        {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"histo":         {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"hotspot":       {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"kmeans":        {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"lud":           {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"nn":            {{32, 128, 4}, {360, 128, 4}, {720, 128, 4}},
+		"pathfinder":    {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"reduce":        {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"sgemm":         {{16, 256, 8}, {180, 256, 8}, {360, 256, 8}},
+		"spmv":          {{32, 128, 4}, {360, 128, 4}, {720, 128, 4}},
+		"srad":          {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"stencil":       {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"streamcluster": {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"transpose":     {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+		"vadd":          {{24, 256, 8}, {270, 256, 8}, {540, 256, 8}},
+	}
+	if len(want) != len(All()) {
+		t.Fatalf("table pins %d workloads, catalog has %d", len(want), len(All()))
+	}
+	for _, w := range All() {
+		for i, s := range []Scale{ScaleTest, ScaleSmall, ScaleFull} {
+			spec := w.Build(s)
+			got := shape{spec.NumCTAs(), spec.ThreadsPerCTA(), spec.WarpsPerCTA()}
+			if got != want[w.Name][i] {
+				t.Errorf("%s at %s: shape %+v, want %+v", w.Name, s, got, want[w.Name][i])
+			}
+		}
+	}
+}
+
 func TestProgramsTerminateWithExit(t *testing.T) {
 	for _, w := range All() {
 		spec := w.Build(ScaleTest)
