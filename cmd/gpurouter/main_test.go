@@ -109,7 +109,7 @@ func TestRouterDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("router never came up\nstdout: %s\nstderr: %s", stdout.String(), stderr.String())
 	}
 
-	body := `{"workloads":["vadd"],"scale":"test","cores":4}`
+	body := `{"workloads":["vadd"],"scale":"tiny","cores":4}`
 	for i := 0; i < 2; i++ {
 		resp, err := http.Post(base+"/v1/simulate", "application/json", strings.NewReader(body))
 		if err != nil {

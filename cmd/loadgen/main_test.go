@@ -108,7 +108,7 @@ func TestLoadgenAgainstFleet(t *testing.T) {
 			"-requests", "24",
 			"-unique", "4",
 			"-concurrency", "4",
-			"-scale", "test",
+			"-scale", "tiny",
 			"-min-dedup", "0.5",
 			"-json",
 		}, &stdout, &stderr)

@@ -58,7 +58,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 func TestRunOneExperimentWritesCSV(t *testing.T) {
 	dir := t.TempDir()
 	var out, errb strings.Builder
-	code := run([]string{"-exp", "table1", "-scale", "test", "-out", dir}, &out, &errb)
+	code := run([]string{"-exp", "table1", "-scale", "tiny", "-out", dir}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run = %d, stderr %q", code, errb.String())
 	}

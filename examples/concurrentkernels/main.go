@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	spa, err := gpusched.Run(cfg, gpusched.SpatialCKE(0), a, b)
+	spa, err := gpusched.Run(cfg, gpusched.SpatialCKE(), a, b)
 	if err != nil {
 		log.Fatal(err)
 	}

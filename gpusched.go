@@ -114,22 +114,19 @@ func StaticLimit(limit int) Scheduler { return sim.Static(limit) }
 // Sequential runs launched kernels one at a time (no CKE).
 func Sequential() Scheduler { return sim.Sequential() }
 
-// SpatialCKE partitions the SMs between two kernels (coresForFirst = 0
-// means an even split).
-func SpatialCKE(coresForFirst int) Scheduler { return sim.Spatial(coresForFirst) }
+// SpatialCKE splits the SMs evenly between two kernels.
+func SpatialCKE() Scheduler { return sim.Spatial() }
 
 // MixedCKE co-schedules two kernels on every SM, capping the first at
 // limitA CTAs per core (normally an LCS/AdaptiveLCS decision).
 func MixedCKE(limitA int) Scheduler { return sim.Mixed(limitA) }
 
 // Preemptive drains batch CTAs at CTA boundaries to serve the
-// latency-sensitive kernel at launch-table index priorityKernel (0 selects
-// the default, kernel 1). deadlineCycles > 0 makes preemption conditional:
-// batch work is only evicted while the online runtime predictor says the
-// priority kernel will miss that absolute deadline; 0 preempts eagerly.
-func Preemptive(priorityKernel, deadlineCycles int) Scheduler {
-	return sim.Preemptive(priorityKernel, deadlineCycles)
-}
+// latency-sensitive kernel 1. deadlineCycles > 0 makes preemption
+// conditional: batch work is only evicted while the online runtime
+// predictor says kernel 1 will miss that absolute deadline; 0 preempts
+// eagerly.
+func Preemptive(deadlineCycles int) Scheduler { return sim.Preemptive(deadlineCycles) }
 
 // KernelStats describes one kernel's outcome: its name, launch and done
 // cycles, instructions issued, CTA count, and drain-preemption evictions.

@@ -74,7 +74,7 @@ func TestSchedulerNames(t *testing.T) {
 		"bcs":          gpusched.BCS(2),
 		"static-3":     gpusched.StaticLimit(3),
 		"sequential":   gpusched.Sequential(),
-		"spatial":      gpusched.SpatialCKE(0),
+		"spatial":      gpusched.SpatialCKE(),
 		"mixed":        gpusched.MixedCKE(2),
 	}
 	for want, s := range cases {
@@ -98,7 +98,7 @@ func TestParseRoundTrips(t *testing.T) {
 	scheds := []gpusched.Scheduler{
 		gpusched.Baseline(), gpusched.LCS(), gpusched.AdaptiveLCS(), gpusched.DynCTA(),
 		gpusched.BCS(4), gpusched.StaticLimit(3), gpusched.Sequential(),
-		gpusched.SpatialCKE(5), gpusched.MixedCKE(2), gpusched.Preemptive(1, 5000),
+		gpusched.SpatialCKE(), gpusched.MixedCKE(2), gpusched.Preemptive(5000),
 	}
 	if len(listed) != len(scheds) {
 		t.Errorf("SchedulerFlagHelp lists %d schedulers, the constructors build %d", len(listed), len(scheds))

@@ -25,29 +25,22 @@ func (s *Sequential) Tick(m Machine) {
 	}
 }
 
-// Spatial is inter-core concurrent kernel execution: the SMs are statically
-// partitioned between two kernels, each side filled to maximal occupancy.
-// This models the leftover/spatial CKE the paper compares mixed execution
+// Spatial is inter-core concurrent kernel execution: the SMs are split
+// evenly between two kernels, kernel 0 owning the first half (rounded
+// down) and kernel 1 the rest, each side filled to maximal occupancy. This
+// models the leftover/spatial CKE the paper compares mixed execution
 // against.
 type Spatial struct {
 	RoundRobin
-	// CoresForA is how many cores (from index 0) kernel 0 owns; the rest
-	// belong to kernel 1. Zero means an even split.
-	CoresForA int
 }
 
-// NewSpatial returns an even-split spatial CKE dispatcher.
+// NewSpatial returns the even-split spatial CKE dispatcher.
 func NewSpatial() *Spatial { return &Spatial{} }
 
-// Tick implements Dispatcher: one placement per kernel region per cycle. A
-// CoresForA beyond the core count gives kernel 0 every core.
+// Tick implements Dispatcher: one placement per kernel region per cycle.
 func (s *Spatial) Tick(m Machine) {
 	n := m.NumCores()
-	split := min(s.CoresForA, n)
-	if split <= 0 {
-		split = n / 2
-	}
-	regions := [][2]int{{0, split}, {split, n}}
+	regions := [][2]int{{0, n / 2}, {n / 2, n}}
 	for ki, ks := range m.Kernels() {
 		if ki >= len(regions) {
 			break

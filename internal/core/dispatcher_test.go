@@ -19,8 +19,8 @@ func uniformKernel(name string, ctas, warps, work, regs int) *kernel.Spec {
 	}
 	return &kernel.Spec{
 		Name:          name,
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warps * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warps * isa.WarpSize,
 		RegsPerThread: regs,
 		Program:       b.Exit().Build(),
 	}
@@ -234,39 +234,20 @@ func TestBCSGangsShareCores(t *testing.T) {
 	}
 }
 
+// TestSpatialRespectsPartition: the even split gives kernel 0 the first
+// half of the cores and kernel 1 the rest.
 func TestSpatialRespectsPartition(t *testing.T) {
 	a := uniformKernel("a", 40, 2, 60, 16)
 	b := uniformKernel("b", 40, 2, 60, 16)
-	d := core.NewSpatial()
-	d.CoresForA = 1
-	g := testGPU(t, d, sm.PolicyGTO, a, b)
+	g := testGPU(t, core.NewSpatial(), sm.PolicyGTO, a, b)
+	half := g.NumCores() / 2
 	g.SetObserver(func(coreID int, cta *sm.CTA, now uint64) {
-		if cta.KernelIdx == 0 && coreID != 0 {
-			t.Errorf("kernel 0 CTA on core %d, partition is core 0 only", coreID)
-		}
-		if cta.KernelIdx == 1 && coreID == 0 {
-			t.Errorf("kernel 1 CTA on kernel 0's core")
+		if (coreID < half) != (cta.KernelIdx == 0) {
+			t.Errorf("kernel %d CTA on core %d; kernel 0 owns cores 0-%d", cta.KernelIdx, coreID, half-1)
 		}
 	})
 	if r := g.Run(); r.TimedOut {
 		t.Fatal("timed out")
-	}
-}
-
-// TestSpatialSplitBeyondCores: a split naming more cores than the machine
-// has gives kernel 0 every core and reads no core past the last, even once
-// all of them are full.
-func TestSpatialSplitBeyondCores(t *testing.T) {
-	d := core.NewSpatial()
-	d.CoresForA = 100
-	g := testGPU(t, d, sm.PolicyGTO, uniformKernel("a", 64, 2, 60, 16))
-	used := map[int]bool{}
-	g.SetObserver(func(coreID int, cta *sm.CTA, now uint64) { used[coreID] = true })
-	if r := g.Run(); r.TimedOut {
-		t.Fatal("timed out")
-	}
-	if len(used) != g.NumCores() {
-		t.Errorf("kernel 0 ran on %d of %d cores, want all of them", len(used), g.NumCores())
 	}
 }
 
@@ -323,8 +304,8 @@ func memBoundKernel(ctas int) *kernel.Spec {
 	}
 	return &kernel.Spec{
 		Name:          "membound",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: 64},
+		Grid:          ctas,
+		Block:         64,
 		RegsPerThread: 16,
 		Program:       isa.NewPerWarp(2, progs),
 	}
@@ -362,8 +343,8 @@ func TestDynCTALeavesComputeBoundAlone(t *testing.T) {
 	}
 	spec := &kernel.Spec{
 		Name:          "busy",
-		Grid:          kernel.Dim3{X: 96},
-		Block:         kernel.Dim3{X: 256},
+		Grid:          96,
+		Block:         256,
 		RegsPerThread: 16,
 		Program:       b.Exit().Build(),
 	}

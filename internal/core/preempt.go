@@ -2,8 +2,13 @@ package core
 
 import "gpusched/internal/sm"
 
-// Preemptive is the drain-based priority dispatcher: one kernel of the
-// launch table is latency-sensitive, the rest are batch. Placement always
+// priorityKernel is the launch-table index of the latency-sensitive kernel
+// Preemptive serves: kernel 1, the one that would otherwise wait behind
+// kernel 0's launch-order priority.
+const priorityKernel = 1
+
+// Preemptive is the drain-based priority dispatcher: kernel 1 of the launch
+// table is latency-sensitive, the rest are batch. Placement always
 // serves the priority kernel first; when it has pending work but no core can
 // accept a CTA, the dispatcher preempts batch CTAs at CTA boundaries —
 // drain/switch preemption in Pai et al.'s taxonomy: the victim stops issuing,
@@ -23,10 +28,6 @@ import "gpusched/internal/sm"
 type Preemptive struct {
 	rr RoundRobin
 
-	// PriorityKernel is the launch-table index of the latency-sensitive
-	// kernel (default 1: the kernel that would otherwise wait behind the
-	// batch kernel's launch-order priority).
-	PriorityKernel int
 	// DeadlineCycles is the priority kernel's absolute completion deadline
 	// in cycles from launch of the machine (all kernels arrive at cycle 0
 	// in this model). 0 means eager preemption.
@@ -56,14 +57,10 @@ type Preemptive struct {
 	pressing bool
 }
 
-// NewPreemptive returns the drain-preemption dispatcher. priority < 0
-// selects the default (kernel 1); deadline 0 means eager.
-func NewPreemptive(priority int, deadline uint64) *Preemptive {
-	if priority < 0 {
-		priority = 1
-	}
+// NewPreemptive returns the drain-preemption dispatcher; deadline 0 means
+// eager.
+func NewPreemptive(deadline uint64) *Preemptive {
 	return &Preemptive{
-		PriorityKernel: priority,
 		DeadlineCycles: deadline,
 		EpochCycles:    512,
 		drainCore:      -1,
@@ -78,13 +75,13 @@ func (p *Preemptive) epoch() uint64 {
 }
 
 // priorityState returns the priority kernel's state, nil when the launch
-// table has no such index (single-kernel runs degrade to round-robin).
+// table has no kernel 1 (single-kernel runs degrade to round-robin).
 func (p *Preemptive) priorityState(m Machine) *KernelState {
 	kernels := m.Kernels()
-	if p.PriorityKernel < 0 || p.PriorityKernel >= len(kernels) {
+	if len(kernels) <= priorityKernel {
 		return nil
 	}
-	return kernels[p.PriorityKernel]
+	return kernels[priorityKernel]
 }
 
 // Tick implements Dispatcher: epoch work (rate sampling + preemption
@@ -122,7 +119,7 @@ func (p *Preemptive) placeOne(m Machine) {
 		return // batch dispatch paused while the priority kernel needs slots
 	}
 	for _, ks := range m.Kernels() {
-		if ks.Idx == p.PriorityKernel || ks.Exhausted() {
+		if ks.Idx == priorityKernel || ks.Exhausted() {
 			continue
 		}
 		// The drained core is reserved for the priority kernel.
@@ -150,7 +147,7 @@ func (p *Preemptive) maybePreempt(m Machine, now uint64) {
 		}
 	}
 	if p.DeadlineCycles > 0 {
-		if done, ok := p.pred.PredictedDone(m, p.PriorityKernel, now); ok && done <= p.DeadlineCycles {
+		if done, ok := p.pred.PredictedDone(m, priorityKernel, now); ok && done <= p.DeadlineCycles {
 			p.pressing = false
 			return // on track: don't pay the preemption cost
 		}
@@ -165,7 +162,7 @@ func (p *Preemptive) maybePreempt(m Machine, now uint64) {
 	// behind each victim's memory quiesce — against a memory-bound batch
 	// kernel the priority kernel would trickle in one slot per round trip.
 	for _, cta := range m.Core(coreID).CTAs() {
-		if cta.KernelIdx == p.PriorityKernel || cta.State() != sm.CTARunning {
+		if cta.KernelIdx == priorityKernel || cta.State() != sm.CTARunning {
 			continue
 		}
 		if m.Preempt(coreID, cta) {
@@ -184,7 +181,7 @@ func (p *Preemptive) pickVictimCore(m Machine) int {
 	runningBatch := func(coreID int) int {
 		count := 0
 		for _, cta := range m.Core(coreID).CTAs() {
-			if cta.KernelIdx != p.PriorityKernel && cta.State() == sm.CTARunning {
+			if cta.KernelIdx != priorityKernel && cta.State() == sm.CTARunning {
 				count++
 			}
 		}

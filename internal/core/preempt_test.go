@@ -32,7 +32,7 @@ func TestPreemptiveImprovesPriorityTurnaround(t *testing.T) {
 	}
 
 	base := run(core.NewRoundRobin())
-	pd := core.NewPreemptive(1, 0) // eager: any pending priority work preempts
+	pd := core.NewPreemptive(0) // eager: any pending priority work preempts
 	pre := run(pd)
 
 	if pd.Drains == 0 {
@@ -100,7 +100,7 @@ func TestPreemptiveDeterminism(t *testing.T) {
 		run  func(*gpu.GPU, context.Context) (gpu.Result, error)
 	}{{"fast", (*gpu.GPU).RunContext}, {"reference", (*gpu.GPU).RunReference}} {
 		name := loop.name
-		d := &evictLogger{Preemptive: core.NewPreemptive(1, 0)}
+		d := &evictLogger{Preemptive: core.NewPreemptive(0)}
 		cfg := gpu.DefaultConfig()
 		cfg.NumCores = 4
 		cfg.MaxCycles = 5_000_000
@@ -149,7 +149,7 @@ func TestPreemptiveDeadlineGatesPreemption(t *testing.T) {
 	prio := uniformKernel("prio", 48, 4, 80, 32)
 	prio.Arrival = 4_000
 
-	eager := core.NewPreemptive(1, 0)
+	eager := core.NewPreemptive(0)
 	g := testGPU(t, eager, sm.PolicyGTO, batch, prio)
 	if r := g.Run(); r.TimedOut {
 		t.Fatal("eager run timed out")
@@ -158,7 +158,7 @@ func TestPreemptiveDeadlineGatesPreemption(t *testing.T) {
 		t.Fatal("eager config never preempted; the deadline comparison below is vacuous")
 	}
 
-	lax := core.NewPreemptive(1, 1<<40) // deadline far beyond any plausible makespan
+	lax := core.NewPreemptive(1 << 40) // deadline far beyond any plausible makespan
 	g = testGPU(t, lax, sm.PolicyGTO, batch, prio)
 	if r := g.Run(); r.TimedOut {
 		t.Fatal("lax-deadline run timed out")
@@ -172,7 +172,7 @@ func TestPreemptiveSingleKernelDegradesGracefully(t *testing.T) {
 	// Launch table without the priority index: behaves as plain placement,
 	// never preempts, completes.
 	spec := uniformKernel("k", 64, 2, 50, 16)
-	d := core.NewPreemptive(1, 0)
+	d := core.NewPreemptive(0)
 	g := testGPU(t, d, sm.PolicyGTO, spec)
 	r := g.Run()
 	if r.TimedOut {

@@ -131,8 +131,8 @@ func perWarp(ctas, warps int, prog func(ctaID, w int) isa.Program) isa.Program {
 func quiescenceSpec(name string, ctas, warps, iters, regs int) *kernel.Spec {
 	return &kernel.Spec{
 		Name:          name,
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warps * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warps * isa.WarpSize,
 		RegsPerThread: regs,
 		Program: perWarp(ctas, warps, func(ctaID, w int) isa.Program {
 			b := isa.NewBuilder()
@@ -164,7 +164,7 @@ func TestDispatcherQuiescenceContract(t *testing.T) {
 	}
 	shortEpochPreemptive := func(deadline uint64) func() Dispatcher {
 		return func() Dispatcher {
-			p := NewPreemptive(1, deadline)
+			p := NewPreemptive(deadline)
 			p.EpochCycles = 32
 			return p
 		}

@@ -31,8 +31,8 @@ func (f *fakeMachine) Preempt(coreID int, cta *sm.CTA) bool {
 func requeueSpec(ctas int) *kernel.Spec {
 	return &kernel.Spec{
 		Name:          "rq",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: isa.WarpSize},
+		Grid:          ctas,
+		Block:         isa.WarpSize,
 		RegsPerThread: 16,
 		Program:       isa.NewBuilder().FAlu(1, 1).Exit().Build(),
 	}

@@ -431,6 +431,8 @@ func TestRouterRejectsMalformedBodies(t *testing.T) {
 		{`{"workloads":["spmv","vadd"],"sched":"preemptive","priority_kernel":1}`, 0},
 		{`{"workloads":["vadd","kmeans"],"sched":"spatial:100","scale":"small"}`, 0},
 		{`{"workloads":["vadd","kmeans"],"sched":"spatial:15"}`, 0},
+		{`{"workloads":["vadd","kmeans","spmv"],"sched":"mixed:2","scale":"tiny","cores":4}`, 0},
+		{`{"workloads":["vadd","kmeans","spmv"],"sched":"spatial","scale":"tiny","cores":4}`, 0},
 		{`{"workloads":["vadd"],"timeout_ms":-1}`, 1},
 	} {
 		shardCode, want := postBody(t, f.shards[0].URL, c.body)

@@ -249,7 +249,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("unfittable kernel accepted")
 	}
 	bad := *spec
-	bad.Block = kernel.Dim3{X: 33}
+	bad.Block = 33
 	if _, err := New(testConfig(), core.NewRoundRobin(), &bad); err == nil {
 		t.Error("invalid spec accepted")
 	}
@@ -532,7 +532,7 @@ func quiescenceCases() []quiescenceCase {
 		{"sequential", func() core.Dispatcher { return core.NewSequential() }, two("vadd", "kmeans", 0)},
 		{"spatial", func() core.Dispatcher { return core.NewSpatial() }, two("vadd", "kmeans", 0)},
 		{"mixed-arrival", func() core.Dispatcher { return core.NewMixed(2) }, two("spmv", "blackscholes", 3000)},
-		{"preemptive-arrival", func() core.Dispatcher { return core.NewPreemptive(1, 0) }, two("spmv", "vadd", 3000)},
+		{"preemptive-arrival", func() core.Dispatcher { return core.NewPreemptive(0) }, two("spmv", "vadd", 3000)},
 	}
 }
 

@@ -75,8 +75,8 @@ func refusedHeadsSpec(seed uint64) *kernel.Spec {
 	}
 	return &kernel.Spec{
 		Name:          "refused",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warps * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warps * isa.WarpSize,
 		RegsPerThread: 8,
 		Program:       isa.NewPerWarp(warps, progs),
 	}

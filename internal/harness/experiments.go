@@ -397,7 +397,7 @@ func (h *Harness) Fig10MCKE() (*Table, error) {
 		for i, p := range ckePairs {
 			pair := []string{p[0], p[1]}
 			seq := r.get(h.multi(pair, sim.Sequential(), sm.PolicyGTO)).Result.Cycles
-			spa := stats.Speedup(seq, r.get(h.multi(pair, sim.Spatial(0), sm.PolicyGTO)).Result.Cycles)
+			spa := stats.Speedup(seq, r.get(h.multi(pair, sim.Spatial(), sm.PolicyGTO)).Result.Cycles)
 			mix := stats.Speedup(seq, r.get(h.multi(pair, sim.Mixed(limits[i]), sm.PolicyGTO)).Result.Cycles)
 			sp, mx = append(sp, spa), append(mx, mix)
 			t.Rows = append(t.Rows, []string{
@@ -571,7 +571,7 @@ func (h *Harness) Fig14Preemption() (*Table, error) {
 			// makespan after arrival; the predictor only preempts while it
 			// forecasts a miss.
 			deadline := int(arrival + 2*p.aloneP)
-			scheds := []sim.SchedSpec{sim.Baseline(), sim.Mixed(p.lim), sim.Preemptive(1, 0), sim.Preemptive(1, deadline)}
+			scheds := []sim.SchedSpec{sim.Baseline(), sim.Mixed(p.lim), sim.Preemptive(0), sim.Preemptive(deadline)}
 			for i, s := range scheds {
 				req := h.multi(p.pair, s, sm.PolicyGTO)
 				req.Arrivals = []uint64{0, arrival}

@@ -1,5 +1,5 @@
 // Package kernel models CUDA-style kernels: a grid of cooperative thread
-// arrays (CTAs), each CTA a fixed-shape block of threads grouped into warps.
+// arrays (CTAs), each CTA a block of threads grouped into warps.
 // It also owns the occupancy arithmetic — how many CTAs of a kernel fit on
 // one SM given its thread, register, shared-memory, and CTA-slot limits —
 // which is the resource model every CTA-scheduling policy negotiates with.
@@ -11,56 +11,17 @@ import (
 	"gpusched/internal/isa"
 )
 
-// Dim3 is a CUDA-style three-component extent. Unused components are 1.
-type Dim3 struct {
-	X, Y, Z int
-}
-
-// Count returns the total number of elements in the extent. Unset (zero)
-// components count as 1; a negative component makes the extent invalid and
-// Count returns 0.
-func (d Dim3) Count() int {
-	if d.X < 0 || d.Y < 0 || d.Z < 0 {
-		return 0
-	}
-	return max1(d.X) * max1(d.Y) * max1(d.Z)
-}
-
-// String renders the extent in CUDA launch syntax.
-func (d Dim3) String() string {
-	return fmt.Sprintf("(%d,%d,%d)", d.X, d.Y, d.Z)
-}
-
-// Linear returns the row-major linear index of coordinate c within d.
-func (d Dim3) Linear(c Dim3) int {
-	return (c.Z*max1(d.Y)+c.Y)*max1(d.X) + c.X
-}
-
-// Coord returns the coordinate of linear index i within d (inverse of Linear).
-func (d Dim3) Coord(i int) Dim3 {
-	x := max1(d.X)
-	y := max1(d.Y)
-	return Dim3{X: i % x, Y: (i / x) % y, Z: i / (x * y)}
-}
-
-func max1(v int) int {
-	if v < 1 {
-		return 1
-	}
-	return v
-}
-
 // Spec describes one kernel launch: its shape, per-CTA resource appetite,
 // and its program. Specs are immutable once launched.
 type Spec struct {
 	// Name identifies the kernel in stats and reports.
 	Name string
-	// Grid is the CTA grid extent.
-	Grid Dim3
-	// Block is the per-CTA thread extent. Count must be a multiple of the
+	// Grid is the number of CTAs in the launch.
+	Grid int
+	// Block is the number of threads per CTA. It must be a multiple of the
 	// warp size (the simulator does not model partially-filled warps; real
 	// kernels with ragged blocks round up, which only pads occupancy).
-	Block Dim3
+	Block int
 	// RegsPerThread is the architectural register demand per thread, what
 	// the kernel reserves of the register file. It is an occupancy input
 	// only: the core sizes each warp's scoreboard to the registers its
@@ -86,15 +47,15 @@ func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("kernel: spec has empty name")
 	}
-	if s.Grid.Count() <= 0 {
-		return fmt.Errorf("kernel %s: empty grid %v", s.Name, s.Grid)
+	if s.Grid <= 0 {
+		return fmt.Errorf("kernel %s: empty grid of %d CTAs", s.Name, s.Grid)
 	}
-	if s.Block.Count() <= 0 {
-		return fmt.Errorf("kernel %s: empty block %v", s.Name, s.Block)
+	if s.Block <= 0 {
+		return fmt.Errorf("kernel %s: empty block of %d threads", s.Name, s.Block)
 	}
-	if s.Block.Count()%isa.WarpSize != 0 {
+	if s.Block%isa.WarpSize != 0 {
 		return fmt.Errorf("kernel %s: block size %d not a multiple of warp size %d",
-			s.Name, s.Block.Count(), isa.WarpSize)
+			s.Name, s.Block, isa.WarpSize)
 	}
 	if s.RegsPerThread < 0 || s.RegsPerThread > isa.MaxRegs {
 		return fmt.Errorf("kernel %s: regs/thread %d outside [0,%d]",
@@ -111,14 +72,14 @@ func (s *Spec) Validate() error {
 }
 
 // NumCTAs returns the total CTA count of the launch.
-func (s *Spec) NumCTAs() int { return s.Grid.Count() }
+func (s *Spec) NumCTAs() int { return s.Grid }
 
 // ThreadsPerCTA returns the block size in threads.
-func (s *Spec) ThreadsPerCTA() int { return s.Block.Count() }
+func (s *Spec) ThreadsPerCTA() int { return s.Block }
 
 // WarpsPerCTA returns the number of warps per CTA.
 func (s *Spec) WarpsPerCTA() int {
-	return (s.Block.Count() + isa.WarpSize - 1) / isa.WarpSize
+	return (s.Block + isa.WarpSize - 1) / isa.WarpSize
 }
 
 // CoreLimits captures the per-SM capacities that bound occupancy.

@@ -10,52 +10,11 @@ import (
 func validSpec() *Spec {
 	return &Spec{
 		Name:            "k",
-		Grid:            Dim3{X: 10, Y: 1, Z: 1},
-		Block:           Dim3{X: 128, Y: 1, Z: 1},
+		Grid:            10,
+		Block:           128,
 		RegsPerThread:   16,
 		SharedMemPerCTA: 0,
 		Program:         isa.NewBuilder().Exit().Build(),
-	}
-}
-
-func TestDim3Count(t *testing.T) {
-	cases := []struct {
-		d    Dim3
-		want int
-	}{
-		{Dim3{X: 4, Y: 3, Z: 2}, 24},
-		{Dim3{X: 5}, 5},       // zero components treated as 1
-		{Dim3{X: 0, Y: 0}, 1}, // fully empty still counts one element
-		{Dim3{X: 7, Y: 1, Z: 1}, 7},
-	}
-	for _, c := range cases {
-		if got := c.d.Count(); got != c.want {
-			t.Errorf("%v.Count() = %d, want %d", c.d, got, c.want)
-		}
-	}
-}
-
-func TestDim3LinearCoordRoundTrip(t *testing.T) {
-	d := Dim3{X: 5, Y: 3, Z: 2}
-	for i := 0; i < d.Count(); i++ {
-		c := d.Coord(i)
-		if got := d.Linear(c); got != i {
-			t.Fatalf("Linear(Coord(%d)) = %d", i, got)
-		}
-		if c.X < 0 || c.X >= 5 || c.Y < 0 || c.Y >= 3 || c.Z < 0 || c.Z >= 2 {
-			t.Fatalf("Coord(%d) = %v out of bounds", i, c)
-		}
-	}
-}
-
-func TestDim3RoundTripProperty(t *testing.T) {
-	f := func(x, y, z uint8, idx uint16) bool {
-		d := Dim3{X: int(x%9) + 1, Y: int(y%9) + 1, Z: int(z%9) + 1}
-		i := int(idx) % d.Count()
-		return d.Linear(d.Coord(i)) == i
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -68,8 +27,10 @@ func TestSpecValidate(t *testing.T) {
 		mut  func(*Spec)
 	}{
 		{"empty name", func(s *Spec) { s.Name = "" }},
-		{"empty grid", func(s *Spec) { s.Grid = Dim3{X: -1} }},
-		{"ragged block", func(s *Spec) { s.Block = Dim3{X: 100} }},
+		{"empty grid", func(s *Spec) { s.Grid = 0 }},
+		{"negative grid", func(s *Spec) { s.Grid = -1 }},
+		{"empty block", func(s *Spec) { s.Block = 0 }},
+		{"ragged block", func(s *Spec) { s.Block = 100 }},
 		{"regs too high", func(s *Spec) { s.RegsPerThread = isa.MaxRegs + 1 }},
 		{"negative regs", func(s *Spec) { s.RegsPerThread = -1 }},
 		{"negative shmem", func(s *Spec) { s.SharedMemPerCTA = -4 }},
@@ -86,14 +47,14 @@ func TestSpecValidate(t *testing.T) {
 
 func TestSpecDerivedCounts(t *testing.T) {
 	s := validSpec()
-	s.Block = Dim3{X: 32, Y: 8, Z: 1} // 256 threads
+	s.Block = 256
 	if got := s.ThreadsPerCTA(); got != 256 {
 		t.Errorf("ThreadsPerCTA = %d, want 256", got)
 	}
 	if got := s.WarpsPerCTA(); got != 8 {
 		t.Errorf("WarpsPerCTA = %d, want 8", got)
 	}
-	s.Grid = Dim3{X: 6, Y: 7, Z: 1}
+	s.Grid = 42
 	if got := s.NumCTAs(); got != 42 {
 		t.Errorf("NumCTAs = %d, want 42", got)
 	}
@@ -117,19 +78,19 @@ func TestMaxResidentBindingConstraints(t *testing.T) {
 		wantWhy string
 	}{
 		{"cta slots bind small blocks", func(s *Spec) {
-			s.Block = Dim3{X: 32}
+			s.Block = 32
 			s.RegsPerThread = 8
 		}, 8, "cta-slots"},
 		{"threads bind large blocks", func(s *Spec) {
-			s.Block = Dim3{X: 512}
+			s.Block = 512
 			s.RegsPerThread = 8
 		}, 3, "threads"},
 		{"registers bind fat threads", func(s *Spec) {
-			s.Block = Dim3{X: 256}
+			s.Block = 256
 			s.RegsPerThread = 63
 		}, 2, "registers"},
 		{"shared memory binds", func(s *Spec) {
-			s.Block = Dim3{X: 64}
+			s.Block = 64
 			s.RegsPerThread = 8
 			s.SharedMemPerCTA = 16 * 1024
 		}, 3, "shared-mem"},
@@ -159,7 +120,7 @@ func TestMaxResidentAlwaysFits(t *testing.T) {
 	// more CTA does not.
 	f := func(blockWarps, regs, shmemKB uint8) bool {
 		s := validSpec()
-		s.Block = Dim3{X: (int(blockWarps%16) + 1) * 32}
+		s.Block = (int(blockWarps%16) + 1) * 32
 		s.RegsPerThread = int(regs%48) + 1
 		s.SharedMemPerCTA = int(shmemKB%48) * 1024
 		l := fermiLimits()
@@ -180,7 +141,7 @@ func TestMaxResidentAlwaysFits(t *testing.T) {
 
 func TestUsageAccumulation(t *testing.T) {
 	s := validSpec()
-	s.Block = Dim3{X: 128}
+	s.Block = 128
 	s.RegsPerThread = 20
 	s.SharedMemPerCTA = 1024
 	u := Usage{}.Add(s, 3)
@@ -192,10 +153,10 @@ func TestUsageAccumulation(t *testing.T) {
 
 func TestUsageMixedKernelsFit(t *testing.T) {
 	a := validSpec()
-	a.Block = Dim3{X: 256}
+	a.Block = 256
 	a.RegsPerThread = 16
 	b := validSpec()
-	b.Block = Dim3{X: 128}
+	b.Block = 128
 	b.RegsPerThread = 16
 	l := fermiLimits()
 	u := Usage{}.Add(a, 3).Add(b, 2)

@@ -56,9 +56,6 @@ type Diagnostic struct {
 
 // Directive kinds; see DESIGN.md "Determinism contract" for the grammar.
 const (
-	// KindOrderedIrrelevant suppresses a detmap finding on the same or next
-	// line: //gpulint:ordered-irrelevant <why order cannot matter>
-	KindOrderedIrrelevant = "ordered-irrelevant"
 	// KindAllow suppresses the named analyzers on the same or next line:
 	// //gpulint:allow analyzer[,analyzer] <reason>
 	KindAllow = "allow"

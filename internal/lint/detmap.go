@@ -14,11 +14,11 @@ import (
 // order-free. The analyzer accepts two escape hatches: a sort call later
 // in the same block (the collect-then-sort idiom), or wrapping maps.Keys
 // directly in slices.Sorted; anything else needs a
-// //gpulint:ordered-irrelevant justification comment.
+// //gpulint:allow detmap justification comment.
 var Detmap = &analysis.Analyzer{
 	Name: "detmap",
 	Doc: "flags range-over-map and unsorted maps.Keys/Values in deterministic packages; " +
-		"suppress with //gpulint:ordered-irrelevant <reason> after proving order cannot matter",
+		"suppress with //gpulint:allow detmap <reason> after proving order cannot matter",
 	Run: runDetmap,
 }
 
@@ -33,7 +33,7 @@ func runDetmap(pass *analysis.Pass) error {
 				if sortFollows(pass, n, stack) {
 					return true
 				}
-				pass.Reportf(n.Pos(), "range over map %s has nondeterministic order; iterate sorted keys, sort afterwards in this block, or justify with //gpulint:ordered-irrelevant", types.ExprString(n.X))
+				pass.Reportf(n.Pos(), "range over map %s has nondeterministic order; iterate sorted keys, sort afterwards in this block, or justify with //gpulint:allow detmap", types.ExprString(n.X))
 			case *ast.CallExpr:
 				name, ok := calleeOf(pass, n, "maps", "Keys", "Values")
 				if !ok {
@@ -44,7 +44,7 @@ func runDetmap(pass *analysis.Pass) error {
 						return true
 					}
 				}
-				pass.Reportf(n.Pos(), "maps.%s yields keys in nondeterministic order; wrap in slices.Sorted (or a SortedFunc variant) or justify with //gpulint:ordered-irrelevant", name)
+				pass.Reportf(n.Pos(), "maps.%s yields keys in nondeterministic order; wrap in slices.Sorted (or a SortedFunc variant) or justify with //gpulint:allow detmap", name)
 			}
 			return true
 		})

@@ -93,10 +93,7 @@ func Analyzers() []*analysis.Analyzer {
 // suppressionTargets resolves which analyzers a directive suppresses
 // (nil for non-suppressing directive kinds).
 func suppressionTargets(d analysis.Directive) []string {
-	switch d.Kind {
-	case analysis.KindOrderedIrrelevant:
-		return []string{Detmap.Name}
-	case analysis.KindAllow:
+	if d.Kind == analysis.KindAllow {
 		return d.Args
 	}
 	return nil
@@ -105,7 +102,7 @@ func suppressionTargets(d analysis.Directive) []string {
 // knownDirectives is the full annotation grammar, in the order the
 // unknown-directive diagnostic lists it.
 var knownDirectives = []string{
-	analysis.KindOrderedIrrelevant, analysis.KindAllow, analysis.KindCachekey,
+	analysis.KindAllow, analysis.KindCachekey,
 }
 
 // knownDirective reports whether the kind is part of the grammar.

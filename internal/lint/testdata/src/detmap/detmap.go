@@ -1,6 +1,6 @@
 // Package detmap exercises the detmap analyzer: range-over-map and
 // maps.Keys/Values are flagged unless the iteration is sorted afterwards,
-// wrapped in slices.Sorted, or justified with //gpulint:ordered-irrelevant.
+// wrapped in slices.Sorted, or justified with //gpulint:allow detmap.
 package detmap
 
 import (
@@ -28,7 +28,7 @@ func collectThenSort(m map[string]int) []string {
 
 func sumJustified(m map[string]int) int {
 	total := 0
-	//gpulint:ordered-irrelevant integer addition commutes; only the sum is observable
+	//gpulint:allow detmap integer addition commutes; only the sum is observable
 	for _, v := range m {
 		total += v
 	}
@@ -48,7 +48,7 @@ func valuesSorted(m map[string]int) []int {
 }
 
 func stale(m map[string]int) int {
-	//gpulint:ordered-irrelevant nothing on the next line iterates a map // want "unused //gpulint:ordered-irrelevant suppression"
+	//gpulint:allow detmap nothing on the next line iterates a map // want "unused //gpulint:allow suppression"
 	return len(m)
 }
 

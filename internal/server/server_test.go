@@ -144,14 +144,14 @@ func TestSyncSimulate(t *testing.T) {
 	}
 }
 
-// TestPreemptiveJobEndToEnd runs a priority/deadline request: the sched
-// spec carries both into the cache key, the late arrival sets up the
+// TestPreemptiveJobEndToEnd runs a deadline request: the sched spec
+// carries the deadline into the cache key, the late arrival sets up the
 // contention, and the simulation runs to completion.
 func TestPreemptiveJobEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, sim.Options{}, nil)
 	resp := simulate(t, ts.URL, `{"workloads":["spmv","vadd"],"arrivals":[0,500],"scale":"tiny","cores":4,`+
-		`"sched":"preemptive:1:200000"}`)
-	if !strings.Contains(resp.Key, "preemptive:1:200000") {
+		`"sched":"preemptive:200000"}`)
+	if !strings.Contains(resp.Key, "sched=preemptive:200000|") {
 		t.Fatalf("key %q does not carry the preemptive spec", resp.Key)
 	}
 	if !strings.Contains(resp.Key, "arr=0+500") {
@@ -165,7 +165,7 @@ func TestPreemptiveJobEndToEnd(t *testing.T) {
 	// error that names the one spelling, not a silent drop.
 	code, data, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/simulate",
 		`{"workloads":["spmv","vadd"],"scale":"tiny","cores":4,"sched":"preemptive","deadline_cycles":200000}`)
-	if code != http.StatusBadRequest || !strings.Contains(string(data), `preemptive:P:D`) {
+	if code != http.StatusBadRequest || !strings.Contains(string(data), `preemptive:D`) {
 		t.Fatalf("retired deadline_cycles = %d: %s", code, data)
 	}
 }
@@ -196,6 +196,13 @@ func TestErrorShapes(t *testing.T) {
 		// worker: too many cores, and an L1 of 5 sets.
 		{ts.URL, `{"workloads":["vadd"],"scale":"tiny","cores":100000}`, http.StatusBadRequest, "validation"},
 		{ts.URL, `{"workloads":["vadd"],"scale":"tiny","l1_bytes":3000}`, http.StatusBadRequest, "validation"},
+		// A third workload under a policy that places two, and the
+		// retired second argument and alias spellings.
+		{ts.URL, `{"workloads":["vadd","kmeans","spmv"],"sched":"mixed:2","scale":"tiny","cores":4}`, http.StatusBadRequest, "validation"},
+		{ts.URL, `{"workloads":["vadd","kmeans","spmv"],"sched":"spatial","scale":"tiny","cores":4}`, http.StatusBadRequest, "validation"},
+		{ts.URL, `{"workloads":["vadd","kmeans"],"sched":"spatial:8"}`, http.StatusBadRequest, "validation"},
+		{ts.URL, `{"workloads":["spmv","vadd"],"sched":"preemptive:1:200000"}`, http.StatusBadRequest, "validation"},
+		{ts.URL, `{"workloads":["vadd"],"scale":"test"}`, http.StatusBadRequest, "validation"},
 		{failing.URL, tinyBody, http.StatusInternalServerError, "simulation"},
 	}
 	for _, c := range cases {

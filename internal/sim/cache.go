@@ -11,11 +11,12 @@ import (
 
 // CacheVersion is the on-disk format/semantics version. Bump it whenever
 // simulator behaviour changes in a result-visible way (timing model edits,
-// new counters, workload generator changes): every stale entry then misses
-// and is resimulated. Entries also self-invalidate when any request input
-// changes, because the full Key() is part of the filename hash and is
-// verified on load.
-const CacheVersion = 1
+// new counters, workload generator changes), or a key's text comes to name
+// another simulation: every stale entry then misses and is resimulated.
+// Entries also self-invalidate when any request input changes, because the
+// full Key() is part of the filename hash and is verified on load.
+// Version 2: "preemptive:N" names a deadline, no longer a priority kernel.
+const CacheVersion = 2
 
 // CacheEntry is the JSON envelope of one cached simulation. It is both
 // the on-disk format and the wire form of the peer-cache protocol

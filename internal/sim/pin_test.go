@@ -43,10 +43,10 @@ func TestSchedulerOutcomesPinned(t *testing.T) {
 		{"spatial", 500, 10311, []kernelPin{{10310, 0}, {4272, 0}}, nil},
 		{"mixed:2", 0, 7806, []kernelPin{{7805, 0}, {3576, 0}}, nil},
 		{"mixed:2", 500, 8180, []kernelPin{{8179, 0}, {4133, 0}}, nil},
-		{"preemptive:1", 0, 8973, []kernelPin{{8972, 0}, {3922, 0}}, nil},
-		{"preemptive:1", 500, 8247, []kernelPin{{8246, 15}, {4425, 0}}, nil},
-		{"preemptive:1:20000", 0, 8973, []kernelPin{{8972, 0}, {3922, 0}}, nil},
-		{"preemptive:1:20000", 500, 7896, []kernelPin{{7895, 10}, {4550, 0}}, nil},
+		{"preemptive", 0, 8973, []kernelPin{{8972, 0}, {3922, 0}}, nil},
+		{"preemptive", 500, 8247, []kernelPin{{8246, 15}, {4425, 0}}, nil},
+		{"preemptive:20000", 0, 8973, []kernelPin{{8972, 0}, {3922, 0}}, nil},
+		{"preemptive:20000", 500, 7896, []kernelPin{{7895, 10}, {4550, 0}}, nil},
 	} {
 		spec, err := sim.ParseSched(tc.sched)
 		if err != nil {

@@ -70,7 +70,7 @@ func (s *scaleName) UnmarshalText(text []byte) error {
 type retired struct{}
 
 func (retired) UnmarshalJSON([]byte) error {
-	return errors.New(`priority_kernel and deadline_cycles are retired: write "sched":"preemptive:P:D"`)
+	return errors.New(`priority_kernel and deadline_cycles are retired: write "sched":"preemptive:D"`)
 }
 
 // MarshalJSON writes the request under its tags, with scale by name.
@@ -149,11 +149,11 @@ func (r Request) Key() string {
 }
 
 // Validate checks the request names known workloads, launches at least one
-// kernel, overrides no size with a negative value (config ignores those, so
-// they would simulate the default machine under a key of their own),
-// selects a machine that can be built (gpu.Config.Validate), and gives a
-// spatial split no more cores than that machine has and every launched
-// workload a core (else the run could only time out).
+// kernel and no more than its scheduler places, overrides no size with a
+// negative value (config ignores those, so they would simulate the default
+// machine under a key of their own), selects a machine that can be built
+// (gpu.Config.Validate), and, under spatial, gives kernel 0 a core (else
+// the run could only time out).
 func (r Request) Validate() error {
 	if len(r.Workloads) == 0 {
 		return fmt.Errorf("sim: request launches no workloads")
@@ -162,6 +162,9 @@ func (r Request) Validate() error {
 		if _, ok := workloads.ByName(n); !ok {
 			return fmt.Errorf("sim: unknown workload %q", n)
 		}
+	}
+	if p := r.Sched.entry().places; p > 0 && len(r.Workloads) > p {
+		return fmt.Errorf("sim: %s places %d workloads, the request launches %d", r.Sched, p, len(r.Workloads))
 	}
 	if len(r.Arrivals) > len(r.Workloads) {
 		return fmt.Errorf("sim: %d arrivals for %d workloads", len(r.Arrivals), len(r.Workloads))
@@ -179,29 +182,10 @@ func (r Request) Validate() error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	return r.checkSpatial(cfg.NumCores)
-}
-
-// checkSpatial refuses a spatial split the n-core machine cannot give:
-// more cores than it has, or a region left empty for a launched workload.
-// core.Spatial gives kernel 0 the first Arg cores (half of them when Arg is
-// 0) and kernel 1 the rest; a third kernel has no region.
-func (r Request) checkSpatial(n int) error {
-	if r.Sched.Kind != SchedSpatial {
-		return nil
-	}
-	split := r.Sched.Arg
-	if split > n {
-		return fmt.Errorf("sim: %s names %d cores of a %d-core machine", r.Sched, split, n)
-	}
-	if split == 0 {
-		split = n / 2
-	}
-	regions := []int{split, n - split} // cores of kernels 0 and 1
-	for i, w := range r.Workloads {
-		if i >= len(regions) || regions[i] == 0 {
-			return fmt.Errorf("sim: %s on a %d-core machine leaves workload %d (%s) no core", r.Sched, n, i, w)
-		}
+	// core.Spatial gives kernel 0 the first half of the cores, rounded
+	// down: none of one core.
+	if r.Sched.Kind == SchedSpatial && cfg.NumCores < 2 {
+		return fmt.Errorf("sim: %s on a %d-core machine leaves workload 0 (%s) no core", r.Sched, cfg.NumCores, r.Workloads[0])
 	}
 	return nil
 }

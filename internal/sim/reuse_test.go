@@ -41,7 +41,7 @@ func reuseSequence() []sim.Request {
 		fcfs,
 		one("conv2d", sim.BCS(2), sm.PolicyBAWS, 2),
 		one("spmv", sim.LCS(), sm.PolicyGTO, 0),
-		pair(sim.Preemptive(1, 0), 3000),
+		pair(sim.Preemptive(0), 3000),
 		one("kmeans", sim.AdaptiveLCS(), sm.PolicyTwoLevel, 2),
 		timeout,
 		one("sgemm", sim.Baseline(), sm.PolicyGTO, 0),

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -33,32 +34,25 @@ const (
 	SchedStatic
 	// SchedSequential runs launched kernels one at a time.
 	SchedSequential
-	// SchedSpatial partitions the SMs between two kernels (Arg = cores for
-	// the first kernel, 0 = even split).
+	// SchedSpatial splits the SMs evenly between two kernels.
 	SchedSpatial
 	// SchedMixed co-schedules two kernels per SM (Arg = first kernel's
 	// CTA limit).
 	SchedMixed
-	// SchedPreemptive is drain/switch CTA preemption: the priority kernel
-	// (Arg, default 1) steals slots from batch kernels; Arg2, when nonzero,
-	// is the deadline in cycles that gates preemption through the online
-	// runtime predictor (0 = eager).
+	// SchedPreemptive is drain/switch CTA preemption: kernel 1 steals slots
+	// from the batch kernels; Arg, when nonzero, is the deadline in cycles
+	// that gates preemption through the online runtime predictor (0 =
+	// eager).
 	SchedPreemptive
 )
 
-// SchedSpec is a CTA scheduling policy plus its parameter — the typed form
-// of strings like "bcs:2" or "static:3".
+// SchedSpec is a CTA scheduling policy plus its one parameter — the typed
+// form of strings like "bcs:2" or "static:3".
 type SchedSpec struct {
 	Kind SchedKind
-	// Arg parameterizes the policy: BCS gang width, static limit, spatial
-	// cores-for-first, mixed limit, preemptive priority-kernel index.
-	// 0 selects the policy default.
+	// Arg parameterizes the policy: BCS gang width, static limit, mixed
+	// limit, preemptive deadline. 0 selects the policy default.
 	Arg int
-	// Arg2 is the second parameter of two-argument policies (preemptive
-	// deadline cycles); 0 selects the policy default. Policies without a
-	// second argument normalize it away: the dispatcher never reads it, so
-	// the canonical string (and thus the cache key) ignores it too.
-	Arg2 int
 }
 
 // Typed constructors, mirroring the policies of internal/core.
@@ -84,61 +78,59 @@ func Static(limit int) SchedSpec { return SchedSpec{Kind: SchedStatic, Arg: limi
 // Sequential runs kernels one at a time (no CKE).
 func Sequential() SchedSpec { return SchedSpec{Kind: SchedSequential} }
 
-// Spatial partitions the SMs (coresForFirst = 0 means an even split).
-func Spatial(coresForFirst int) SchedSpec { return SchedSpec{Kind: SchedSpatial, Arg: coresForFirst} }
+// Spatial splits the SMs evenly between two kernels.
+func Spatial() SchedSpec { return SchedSpec{Kind: SchedSpatial} }
 
 // Mixed co-schedules two kernels per SM, capping the first at limitA.
 func Mixed(limitA int) SchedSpec { return SchedSpec{Kind: SchedMixed, Arg: limitA} }
 
-// Preemptive drains batch CTAs to serve kernel priorityKernel (0 = the
-// default, kernel 1). deadlineCycles > 0 gates preemption on the online
-// predictor missing that absolute deadline; 0 preempts eagerly.
-func Preemptive(priorityKernel, deadlineCycles int) SchedSpec {
-	return SchedSpec{Kind: SchedPreemptive, Arg: priorityKernel, Arg2: deadlineCycles}
+// Preemptive drains batch CTAs to serve kernel 1. deadlineCycles > 0 gates
+// preemption on the online predictor missing that absolute deadline; 0
+// preempts eagerly.
+func Preemptive(deadlineCycles int) SchedSpec {
+	return SchedSpec{Kind: SchedPreemptive, Arg: deadlineCycles}
 }
 
-// schedEntry is one registry row: names, argument rules, and the factory.
+// schedEntry is one registry row: names, argument rules, arity and the
+// factory.
 type schedEntry struct {
 	kind      SchedKind
-	canonical string   // parse name and cache-key prefix
-	display   string   // report name ("lcs-adaptive" for "adaptive")
-	aliases   []string // accepted parse synonyms
+	canonical string // parse name and cache-key prefix
+	display   string // report name ("lcs-adaptive" for "adaptive")
 	// arg handling: takesArg policies render "name:arg" keys; needsArg
 	// rejects a bare name at parse time; defaultArg normalizes Arg == 0.
-	// takesArg2 policies additionally accept "name:arg:arg2" (arg2 == 0 is
-	// the default and is omitted from the canonical string).
 	takesArg   bool
-	takesArg2  bool
 	needsArg   bool
 	defaultArg int
 	// argInName embeds the arg in the display name ("static-3").
 	argInName bool
-	build     func(arg, arg2 int) core.Dispatcher
+	// places is how many launched workloads the policy places (0: all of
+	// them); Request.Validate refuses more.
+	places int
+	build  func(arg int) core.Dispatcher
 }
 
 var schedRegistry = []schedEntry{
 	{
 		kind: SchedBaseline, canonical: "baseline", display: "baseline",
-		aliases: []string{"base", "rr"},
-		build:   func(int, int) core.Dispatcher { return core.NewRoundRobin() },
+		build: func(int) core.Dispatcher { return core.NewRoundRobin() },
 	},
 	{
 		kind: SchedLCS, canonical: "lcs", display: "lcs",
-		build: func(int, int) core.Dispatcher { return core.NewLCS() },
+		build: func(int) core.Dispatcher { return core.NewLCS() },
 	},
 	{
 		kind: SchedAdaptiveLCS, canonical: "adaptive", display: "lcs-adaptive",
-		aliases: []string{"lcs-adaptive"},
-		build:   func(int, int) core.Dispatcher { return core.NewAdaptiveLCS() },
+		build: func(int) core.Dispatcher { return core.NewAdaptiveLCS() },
 	},
 	{
 		kind: SchedDynCTA, canonical: "dyncta", display: "dyncta",
-		build: func(int, int) core.Dispatcher { return core.NewDynCTA() },
+		build: func(int) core.Dispatcher { return core.NewDynCTA() },
 	},
 	{
 		kind: SchedBCS, canonical: "bcs", display: "bcs",
 		takesArg: true, defaultArg: 2,
-		build: func(arg, _ int) core.Dispatcher {
+		build: func(arg int) core.Dispatcher {
 			b := core.NewBCS()
 			if arg > 0 {
 				b.BlockSize = arg
@@ -149,34 +141,26 @@ var schedRegistry = []schedEntry{
 	{
 		kind: SchedStatic, canonical: "static", display: "static",
 		takesArg: true, needsArg: true, argInName: true,
-		build: func(arg, _ int) core.Dispatcher { return core.NewLimited(arg) },
+		build: func(arg int) core.Dispatcher { return core.NewLimited(arg) },
 	},
 	{
 		kind: SchedSequential, canonical: "sequential", display: "sequential",
-		aliases: []string{"seq"},
-		build:   func(int, int) core.Dispatcher { return core.NewSequential() },
+		build: func(int) core.Dispatcher { return core.NewSequential() },
 	},
 	{
 		kind: SchedSpatial, canonical: "spatial", display: "spatial",
-		takesArg: true,
-		build: func(arg, _ int) core.Dispatcher {
-			s := core.NewSpatial()
-			s.CoresForA = arg
-			return s
-		},
+		places: 2,
+		build:  func(int) core.Dispatcher { return core.NewSpatial() },
 	},
 	{
 		kind: SchedMixed, canonical: "mixed", display: "mixed",
-		takesArg: true,
-		build:    func(arg, _ int) core.Dispatcher { return core.NewMixed(arg) },
+		takesArg: true, places: 2,
+		build: func(arg int) core.Dispatcher { return core.NewMixed(arg) },
 	},
 	{
 		kind: SchedPreemptive, canonical: "preemptive", display: "preemptive",
-		aliases:  []string{"preempt"},
-		takesArg: true, takesArg2: true, defaultArg: 1,
-		build: func(arg, arg2 int) core.Dispatcher {
-			return core.NewPreemptive(arg, uint64(arg2))
-		},
+		takesArg: true,
+		build:    func(arg int) core.Dispatcher { return core.NewPreemptive(uint64(arg)) },
 	},
 }
 
@@ -193,37 +177,22 @@ func (s SchedSpec) entry() schedEntry {
 
 // arg returns the normalized policy argument (defaults applied).
 func (s SchedSpec) arg() int {
-	e := s.entry()
-	if s.Arg == 0 && e.defaultArg != 0 {
-		return e.defaultArg
+	if s.Arg == 0 {
+		return s.entry().defaultArg
 	}
 	return s.Arg
 }
 
-// arg2 returns the normalized second argument: policies without one read it
-// as 0 whatever the field holds (NewDispatcher never passes it through), so
-// normalizing keeps the canonical string aligned with behavior.
-func (s SchedSpec) arg2() int {
-	if !s.entry().takesArg2 {
-		return 0
-	}
-	return s.Arg2
-}
-
-// String renders the canonical "name" / "name:arg" / "name:arg:arg2" form
-// used in cache keys; ParseSched inverts it. The cachekey annotation pins
-// every exported SchedSpec field into this rendering: a policy parameter
-// that does not reach the string would alias distinct simulations in the
-// result cache.
+// String renders the canonical "name" / "name:arg" form used in cache keys;
+// ParseSched inverts it. The cachekey annotation pins every exported
+// SchedSpec field into this rendering: a policy parameter that does not
+// reach the string would alias distinct simulations in the result cache.
 //
 //gpulint:cachekey SchedSpec
 func (s SchedSpec) String() string {
 	e := s.entry()
 	if !e.takesArg {
 		return e.canonical
-	}
-	if a2 := s.arg2(); a2 != 0 {
-		return fmt.Sprintf("%s:%d:%d", e.canonical, s.arg(), a2)
 	}
 	return fmt.Sprintf("%s:%d", e.canonical, s.arg())
 }
@@ -253,7 +222,7 @@ func (s SchedSpec) Name() string {
 // NewDispatcher instantiates the policy. Each simulation needs a fresh
 // dispatcher: they carry per-run state.
 func (s SchedSpec) NewDispatcher() core.Dispatcher {
-	return s.entry().build(s.arg(), s.arg2())
+	return s.entry().build(s.arg())
 }
 
 // Limits extracts the per-core CTA limits a finished dispatcher decided.
@@ -268,39 +237,20 @@ func (s SchedSpec) Limits(d core.Dispatcher) (limits []int, ok bool) {
 }
 
 // SchedFlagHelp documents ParseSched's grammar for CLI -sched flags.
-const SchedFlagHelp = "baseline | lcs | adaptive | dyncta | bcs[:N] | static:N | sequential | spatial[:N] | mixed[:N] | preemptive[:P[:D]]"
+const SchedFlagHelp = "baseline | lcs | adaptive | dyncta | bcs[:N] | static:N | sequential | spatial | mixed[:N] | preemptive[:D]"
 
 // ParseSched parses the scheduler DSL ("lcs", "bcs:4", "static:3",
-// "preemptive:1:60000", ...). This is the only scheduler parser in the
-// tree; every entry point delegates here.
+// "preemptive:60000", ...). This is the only scheduler parser in the tree;
+// every entry point delegates here.
 func ParseSched(s string) (SchedSpec, error) {
 	name, argStr, hasArg := strings.Cut(s, ":")
-	argStr, arg2Str, hasArg2 := strings.Cut(argStr, ":")
-	var e *schedEntry
-	for i := range schedRegistry {
-		cand := &schedRegistry[i]
-		if cand.canonical == name {
-			e = cand
-			break
-		}
-		for _, a := range cand.aliases {
-			if a == name {
-				e = cand
-				break
-			}
-		}
-		if e != nil {
-			break
-		}
-	}
-	if e == nil {
+	i := slices.IndexFunc(schedRegistry, func(e schedEntry) bool { return e.canonical == name })
+	if i < 0 {
 		return SchedSpec{}, fmt.Errorf("unknown scheduler %q (want %s)", name, SchedFlagHelp)
 	}
+	e := schedRegistry[i]
 	if hasArg && !e.takesArg {
 		return SchedSpec{}, fmt.Errorf("scheduler %q takes no argument", name)
-	}
-	if hasArg2 && !e.takesArg2 {
-		return SchedSpec{}, fmt.Errorf("scheduler %q takes no second argument", name)
 	}
 	if e.needsArg && !hasArg {
 		return SchedSpec{}, fmt.Errorf("scheduler %q needs an argument, e.g. %s:3", name, e.canonical)
@@ -313,13 +263,5 @@ func ParseSched(s string) (SchedSpec, error) {
 		}
 		arg = v
 	}
-	arg2 := 0
-	if hasArg2 {
-		v, err := strconv.Atoi(arg2Str)
-		if err != nil || v < 0 {
-			return SchedSpec{}, fmt.Errorf("bad second argument %q for scheduler %q", arg2Str, name)
-		}
-		arg2 = v
-	}
-	return SchedSpec{Kind: e.kind, Arg: arg, Arg2: arg2}, nil
+	return SchedSpec{Kind: e.kind, Arg: arg}, nil
 }

@@ -183,7 +183,8 @@ func (s *Service) CacheEntryBytes(addr string) ([]byte, bool) {
 // unknown workload, a kernel that does not fit the machine, a timed-out
 // run, or a canceled context fail this request without poisoning the
 // Service. Cancellation errors are not memoized, so a later identical
-// request runs afresh.
+// request runs afresh; nor is a simulation that panicked: its waiters get
+// an error, the key is forgotten, and the panic goes on up Run's caller.
 func (s *Service) Run(ctx context.Context, req Request) (Outcome, error) {
 	key := req.Key()
 	s.mu.Lock()
@@ -204,18 +205,26 @@ func (s *Service) Run(ctx context.Context, req Request) (Outcome, error) {
 		}
 	}
 
-	f.out, f.err = s.simulate(ctx, req, key)
-	s.mu.Lock()
-	if f.err != nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
-		delete(s.flights, key)
-	} else {
-		s.done = append(s.done, key)
-		s.evictLocked()
-	}
-	s.mu.Unlock()
-	close(f.ready)
+	var st Stats
+	f.err = errAbandoned // what waiters see if simulate panics
+	defer func() {
+		s.mu.Lock()
+		s.stats.Add(st)
+		if errors.Is(f.err, errAbandoned) || errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+			delete(s.flights, key)
+		} else {
+			s.done = append(s.done, key)
+			s.evictLocked()
+		}
+		s.mu.Unlock()
+		close(f.ready)
+	}()
+	f.out, st, f.err = s.simulate(ctx, req, key)
 	return f.out, f.err
 }
+
+// errAbandoned fails the waiters of a flight whose simulation panicked.
+var errAbandoned = errors.New("sim: simulation panicked")
 
 // evictLocked enforces Options.MaxFlights by dropping the oldest completed
 // flights. In-progress flights are never in the done queue, so they are
@@ -260,18 +269,17 @@ func (s *Service) Stats() Stats {
 	return s.stats
 }
 
-// simulate is the cache-miss path: disk lookup, then a bounded simulator
-// execution.
-func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcome, error) {
+// simulate is the cache-miss path: disk lookup, peer fetch, then a bounded
+// simulator execution. st is what it adds to the Service's counters; Run
+// adds it when it settles the flight.
+func (s *Service) simulate(ctx context.Context, req Request, key string) (out Outcome, st Stats, err error) {
 	if err := req.Validate(); err != nil {
-		return Outcome{}, fmt.Errorf("sim: %s: %w", key, err)
+		return Outcome{}, st, fmt.Errorf("sim: %s: %w", key, err)
 	}
 	if s.cache != nil {
 		if out, ok := s.cache.load(key); ok {
-			s.mu.Lock()
-			s.stats.DiskHits++
-			s.mu.Unlock()
-			return out, nil
+			st.DiskHits = 1
+			return out, st, nil
 		}
 	}
 	// Local miss: ask the fleet peers before paying for a simulation. The
@@ -279,13 +287,11 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 	// next request from its own disk.
 	if s.opt.PeerFetch != nil {
 		if out, ok := s.opt.PeerFetch(ctx, key); ok {
-			s.mu.Lock()
-			s.stats.PeerHits++
-			s.mu.Unlock()
+			st.PeerHits = 1
 			if s.cache != nil {
-				s.recordEvictions(s.cache.store(key, out))
+				st.DiskEvictions = s.cache.store(key, out)
 			}
-			return out, nil
+			return out, st, nil
 		}
 	}
 
@@ -294,7 +300,7 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
 	case <-ctx.Done():
-		return Outcome{}, ctx.Err()
+		return Outcome{}, st, ctx.Err()
 	}
 
 	prev, _ := machines.Get().(*gpu.GPU)
@@ -303,31 +309,26 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 		if prev != nil {
 			machines.Put(prev) // gpu.Renew leaves prev untouched on error
 		}
-		return Outcome{}, fmt.Errorf("sim: %s: %w", key, err)
+		return Outcome{}, st, fmt.Errorf("sim: %s: %w", key, err)
 	}
 	start := time.Now()
 	raw, err := m.RunContext(ctx)
-	elapsed := time.Since(start)
+	st.WallSeconds = time.Since(start).Seconds()
+	st.SimCycles = raw.Cycles
 	// Neither the Result nor the dispatcher's limits refer into the machine,
 	// so the next simulation may be built in it however this run ended. A
 	// run that panicked does not get here and leaves the pool alone.
 	machines.Put(m.GPU)
-	s.mu.Lock()
-	s.stats.WallSeconds += elapsed.Seconds()
-	s.stats.SimCycles += raw.Cycles
-	s.mu.Unlock()
 	if err != nil {
-		return Outcome{}, fmt.Errorf("sim: %s: %w", key, err)
+		return Outcome{}, st, fmt.Errorf("sim: %s: %w", key, err)
 	}
-	s.mu.Lock()
-	s.stats.Simulated++
+	st.Simulated = 1
 	if prev != nil {
-		s.stats.Reused++
+		st.Reused = 1
 	}
-	s.mu.Unlock()
-	out, err := m.finish(key, raw)
+	out, err = m.finish(key, raw)
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, st, err
 	}
 	if s.opt.Progress != nil {
 		s.progressMu.Lock()
@@ -335,9 +336,9 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 		s.progressMu.Unlock()
 	}
 	if s.cache != nil {
-		s.recordEvictions(s.cache.store(key, out))
+		st.DiskEvictions = s.cache.store(key, out)
 	}
-	return out, nil
+	return out, st, nil
 }
 
 // Reference is the request-level oracle: req simulated on the reference
@@ -355,14 +356,4 @@ func Reference(ctx context.Context, req Request) (Outcome, error) {
 		return Outcome{}, err
 	}
 	return m.finish(req.Key(), raw)
-}
-
-// recordEvictions folds a store's eviction count into the stats.
-func (s *Service) recordEvictions(n int) {
-	if n == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.stats.DiskEvictions += n
-	s.mu.Unlock()
 }

@@ -35,24 +35,17 @@ func TestParseSched(t *testing.T) {
 		dispatcher core.Dispatcher // the type NewDispatcher builds
 	}{
 		{"baseline", "baseline", &core.RoundRobin{}},
-		{"base", "baseline", &core.RoundRobin{}},
-		{"rr", "baseline", &core.RoundRobin{}},
 		{"lcs", "lcs", &core.LCS{}},
 		{"adaptive", "lcs-adaptive", &core.AdaptiveLCS{}},
-		{"lcs-adaptive", "lcs-adaptive", &core.AdaptiveLCS{}},
 		{"dyncta", "dyncta", &core.DynCTA{}},
 		{"bcs", "bcs", &core.BCS{}},
 		{"bcs:4", "bcs", &core.BCS{}},
 		{"static:3", "static-3", &core.Limited{}},
 		{"sequential", "sequential", &core.Sequential{}},
-		{"seq", "sequential", &core.Sequential{}},
 		{"spatial", "spatial", &core.Spatial{}},
-		{"spatial:8", "spatial", &core.Spatial{}},
 		{"mixed:2", "mixed", &core.Mixed{}},
 		{"preemptive", "preemptive", &core.Preemptive{}},
-		{"preempt", "preemptive", &core.Preemptive{}},
-		{"preemptive:2", "preemptive", &core.Preemptive{}},
-		{"preemptive:1:60000", "preemptive", &core.Preemptive{}},
+		{"preemptive:60000", "preemptive", &core.Preemptive{}},
 	}
 	for _, c := range ok {
 		s, err := sim.ParseSched(c.in)
@@ -67,9 +60,12 @@ func TestParseSched(t *testing.T) {
 			t.Errorf("ParseSched(%q) dispatcher = %s, want %s", c.in, got, want)
 		}
 	}
+	// One spelling per name, one argument at most: the retired aliases,
+	// a spatial split and a second preemptive argument are refused.
 	for _, bad := range []string{
 		"", "nope", "static", "static:x", "static:-1", "bcs:y", "lcs:3",
-		"preemptive:x", "preemptive:1:y", "preemptive:1:-5", "bcs:2:3", "lcs:1:2",
+		"preemptive:x", "preemptive:-5", "preemptive:1:60000", "bcs:2:3", "lcs:1:2",
+		"spatial:8", "spatial:0", "base", "rr", "lcs-adaptive", "seq", "preempt",
 	} {
 		if _, err := sim.ParseSched(bad); err == nil {
 			t.Errorf("ParseSched(%q) accepted", bad)
@@ -84,8 +80,8 @@ func TestSchedStringRoundTrips(t *testing.T) {
 	specs := []sim.SchedSpec{
 		sim.Baseline(), sim.LCS(), sim.AdaptiveLCS(), sim.DynCTA(),
 		sim.BCS(0), sim.BCS(4), sim.Static(3), sim.Sequential(),
-		sim.Spatial(0), sim.Mixed(2),
-		sim.Preemptive(1, 0), sim.Preemptive(2, 0), sim.Preemptive(1, 60000),
+		sim.Spatial(), sim.Mixed(2),
+		sim.Preemptive(0), sim.Preemptive(60000),
 	}
 	for _, s := range specs {
 		back, err := sim.ParseSched(s.String())
@@ -140,8 +136,7 @@ func TestRequestKeyDistinguishesInputs(t *testing.T) {
 
 // TestRequestKeyText pins the exact text of Key: it names the disk-cache
 // file and the peer-cache address, and the router attests replies by it, so
-// a change to it orphans every cached result. Each body sets one field, or
-// spells a value by an alias, which must key like the canonical name.
+// a change to it orphans every cached result. Each body sets one field.
 func TestRequestKeyText(t *testing.T) {
 	const base = "w=vadd|sched=baseline|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"
 	for _, c := range []struct{ body, key string }{
@@ -152,12 +147,13 @@ func TestRequestKeyText(t *testing.T) {
 		{`{"workloads":["vadd"],"sched":"lcs"}`, "w=vadd|sched=lcs|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
 		{`{"workloads":["vadd"],"sched":"bcs"}`, "w=vadd|sched=bcs:2|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
 		{`{"workloads":["vadd"],"sched":"static:3"}`, "w=vadd|sched=static:3|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
-		{`{"workloads":["vadd"],"sched":"preempt"}`, "w=vadd|sched=preemptive:1|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
-		{`{"workloads":["vadd"],"sched":"preemptive:2:60000"}`, "w=vadd|sched=preemptive:2:60000|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"sched":"spatial"}`, "w=vadd|sched=spatial|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"sched":"preemptive"}`, "w=vadd|sched=preemptive:0|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"sched":"preemptive:60000"}`, "w=vadd|sched=preemptive:60000|warp=lrr|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
 		{`{"workloads":["vadd"],"warp":"gto"}`, "w=vadd|sched=baseline|warp=gto|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
 		{`{"workloads":["vadd"],"warp":"baws"}`, "w=vadd|sched=baseline|warp=baws|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
-		{`{"workloads":["vadd"],"warp":"twolevel"}`, "w=vadd|sched=baseline|warp=two-level|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
-		{`{"workloads":["vadd"],"scale":"test"}`, base},
+		{`{"workloads":["vadd"],"warp":"two-level"}`, "w=vadd|sched=baseline|warp=two-level|scale=tiny|cores=0|l1=0|fcfs=false|max=0"},
+		{`{"workloads":["vadd"],"scale":"tiny"}`, base},
 		{`{"workloads":["vadd"],"scale":"small"}`, "w=vadd|sched=baseline|warp=lrr|scale=small|cores=0|l1=0|fcfs=false|max=0"},
 		{`{"workloads":["vadd"],"scale":"full"}`, "w=vadd|sched=baseline|warp=lrr|scale=full|cores=0|l1=0|fcfs=false|max=0"},
 		{`{"workloads":["vadd"],"cores":4}`, "w=vadd|sched=baseline|warp=lrr|scale=tiny|cores=4|l1=0|fcfs=false|max=0"},
@@ -473,7 +469,7 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 		},
 		{
 			Workloads: []string{"spmv", "dct8x8"}, Arrivals: []uint64{0, 40000},
-			Sched: sim.Preemptive(1, 120000), Scale: workloads.ScaleSmall, Cores: 4,
+			Sched: sim.Preemptive(120000), Scale: workloads.ScaleSmall, Cores: 4,
 		},
 		// All-zero arrivals are the zero value: same key.
 		{Workloads: []string{"vadd"}, Arrivals: []uint64{0}},
@@ -519,6 +515,9 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 		`{"workloads":["vadd"],"warp":"nope"}`,
 		`{"workloads":["vadd"],"scale":"nope"}`,
 		`{"workloads":["vadd"],"sched":3}`,
+		`{"workloads":["vadd"],"sched":"rr"}`,
+		`{"workloads":["vadd"],"warp":"twolevel"}`,
+		`{"workloads":["vadd"],"scale":"test"}`,
 		`{"workloads":["vadd"],"warp":""}`,
 		`{"workloads":["vadd"],"scale":""}`,
 		`{"workloads":"vadd"}`,
@@ -556,7 +555,7 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 // TestRequestJSONRefusesRetiredFields: the retired priority_kernel and
 // deadline_cycles spelling is refused by the decode itself, whatever the
 // scheduler, so no hop can run such a body without its deadline; the one
-// spelling is "sched":"preemptive:P:D".
+// spelling is "sched":"preemptive:D".
 func TestRequestJSONRefusesRetiredFields(t *testing.T) {
 	for _, bad := range []string{
 		`{"workloads":["spmv","vadd"],"sched":"preemptive","priority_kernel":1,"deadline_cycles":90000}`,
@@ -566,15 +565,15 @@ func TestRequestJSONRefusesRetiredFields(t *testing.T) {
 	} {
 		var r sim.Request
 		err := json.Unmarshal([]byte(bad), &r)
-		if err == nil || !strings.Contains(err.Error(), `"sched":"preemptive:P:D"`) {
+		if err == nil || !strings.Contains(err.Error(), `"sched":"preemptive:D"`) {
 			t.Errorf("unmarshal %s = %v, want an error naming the sched spelling", bad, err)
 		}
 	}
 	var r sim.Request
-	if err := json.Unmarshal([]byte(`{"workloads":["spmv","vadd"],"sched":"preemptive:1:90000","arrivals":[0,40000]}`), &r); err != nil {
+	if err := json.Unmarshal([]byte(`{"workloads":["spmv","vadd"],"sched":"preemptive:90000","arrivals":[0,40000]}`), &r); err != nil {
 		t.Fatal(err)
 	}
-	if want := sim.Preemptive(1, 90000); r.Sched != want || len(r.Arrivals) != 2 || r.Arrivals[1] != 40000 {
+	if want := sim.Preemptive(90000); r.Sched != want || len(r.Arrivals) != 2 || r.Arrivals[1] != 40000 {
 		t.Errorf("decoded sched %q arrivals %v, want %q and [0 40000]", r.Sched, r.Arrivals, want)
 	}
 	if err := r.Validate(); err != nil {
@@ -592,13 +591,8 @@ func TestValidateRejectsUnbuildableMachine(t *testing.T) {
 	}{
 		{sim.Request{Workloads: []string{"vadd"}, Cores: 100000}, "NumCores 100000"},
 		{sim.Request{Workloads: []string{"vadd"}, L1Bytes: 3000}, "5 sets"},
-		// A spatial split the machine cannot give: more cores than it
-		// has, none left for the second workload, an even split of one
-		// core, or a third workload, which has no region.
-		{sim.Request{Workloads: []string{"vadd", "kmeans"}, Sched: sim.Spatial(100)}, "100 cores of a 15-core"},
-		{sim.Request{Workloads: []string{"vadd", "kmeans"}, Sched: sim.Spatial(15)}, "workload 1 (kmeans) no core"},
-		{sim.Request{Workloads: []string{"vadd"}, Sched: sim.Spatial(0), Cores: 1}, "workload 0 (vadd) no core"},
-		{sim.Request{Workloads: []string{"vadd", "kmeans", "spmv"}, Sched: sim.Spatial(0)}, "workload 2 (spmv) no core"},
+		// An even split of one core gives kernel 0 none.
+		{sim.Request{Workloads: []string{"vadd"}, Sched: sim.Spatial(), Cores: 1}, "workload 0 (vadd) no core"},
 	} {
 		err := tc.req.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -607,6 +601,65 @@ func TestValidateRejectsUnbuildableMachine(t *testing.T) {
 		if _, err := tc.req.Build(nil); err == nil {
 			t.Errorf("Build(%+v) succeeded", tc.req)
 		}
+	}
+}
+
+// TestValidateRefusesUnplacedWorkloads: spatial and mixed place kernels 0
+// and 1 only, so a third workload is refused before it takes a worker
+// instead of running until it times out; two are fine, and so are three
+// under a policy that places every kernel.
+func TestValidateRefusesUnplacedWorkloads(t *testing.T) {
+	for _, sched := range []string{"mixed:2", "spatial"} {
+		var r sim.Request
+		body := `{"workloads":["vadd","kmeans","spmv"],"sched":"` + sched + `","scale":"tiny","cores":4}`
+		if err := json.Unmarshal([]byte(body), &r); err != nil {
+			t.Fatalf("unmarshal %s: %v", body, err)
+		}
+		if err := r.Validate(); err == nil || !strings.Contains(err.Error(), "places 2 workloads, the request launches 3") {
+			t.Errorf("Validate(%s) = %v, want the arity refusal", body, err)
+		}
+		if _, err := r.Build(nil); err == nil {
+			t.Errorf("Build(%s) succeeded", body)
+		}
+		r.Workloads = r.Workloads[:2]
+		if err := r.Validate(); err != nil {
+			t.Errorf("%s with two workloads: %v", sched, err)
+		}
+	}
+	three := sim.Request{Workloads: []string{"vadd", "kmeans", "spmv"}, Sched: sim.Sequential()}
+	if err := three.Validate(); err != nil {
+		t.Errorf("sequential with three workloads: %v", err)
+	}
+}
+
+// TestPanickedSimulationLeavesKeyAnswerable: a simulation that panics
+// passes the panic up its own Run and forgets its flight, so the next
+// identical request simulates instead of waiting out its deadline.
+func TestPanickedSimulationLeavesKeyAnswerable(t *testing.T) {
+	var calls sync.Map
+	svc := sim.NewService(sim.Options{PeerFetch: func(ctx context.Context, key string) (sim.Outcome, bool) {
+		if _, again := calls.LoadOrStore(key, true); !again {
+			panic("peer fetch failed")
+		}
+		return sim.Outcome{}, false
+	}})
+	req := tinyRequest("vadd", sim.Baseline())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the first Run did not panic")
+			}
+		}()
+		_, _ = svc.Run(context.Background(), req)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	out, err := svc.Run(ctx, req)
+	if err != nil || out.Result.Cycles == 0 {
+		t.Fatalf("second Run = %d cycles, %v; want an outcome", out.Result.Cycles, err)
+	}
+	if st := svc.Stats(); st.Simulated != 1 || st.MemoHits != 0 {
+		t.Errorf("stats %+v, want one simulation and no memo hit", st)
 	}
 }
 

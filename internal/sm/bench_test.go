@@ -46,8 +46,8 @@ func benchSM(policy Policy, warps int, head func(b *isa.Builder)) (*SM, *mem.Sys
 	prog := &benchProg{head: b.Build()}
 	spec := &kernel.Spec{
 		Name:          "bench",
-		Grid:          kernel.Dim3{X: 1024},
-		Block:         kernel.Dim3{X: warps * isa.WarpSize},
+		Grid:          1024,
+		Block:         warps * isa.WarpSize,
 		RegsPerThread: 8,
 		Program:       prog,
 	}

@@ -61,14 +61,9 @@ func (p Policy) MarshalText() ([]byte, error) {
 	return []byte(policyNames[p]), nil
 }
 
-// UnmarshalText parses a policy name ("twolevel" is accepted for
-// "two-level").
+// UnmarshalText parses a policy name.
 func (p *Policy) UnmarshalText(text []byte) error {
-	name := string(text)
-	if name == "twolevel" {
-		name = "two-level"
-	}
-	i := slices.Index(policyNames[:], name)
+	i := slices.Index(policyNames[:], string(text))
 	if i < 0 {
 		return fmt.Errorf("unknown warp policy %q (want %s)", text, strings.Join(policyNames[:], " | "))
 	}

@@ -223,23 +223,23 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-// TestPolicyText: every policy's name parses back to it, "twolevel" is
-// accepted for two-level, anything else is refused, and a policy without
-// a name has no text form.
+// TestPolicyText: every policy's name parses back to it, anything else
+// (the retired "twolevel" too) is refused, and a policy without a name has
+// no text form.
 func TestPolicyText(t *testing.T) {
 	for in, want := range map[string]Policy{
 		"lrr": PolicyLRR, "gto": PolicyGTO, "baws": PolicyBAWS,
-		"two-level": PolicyTwoLevel, "twolevel": PolicyTwoLevel,
+		"two-level": PolicyTwoLevel,
 	} {
 		var got Policy
 		if err := got.UnmarshalText([]byte(in)); err != nil || got != want {
 			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", in, got, err, want)
 		}
-		if text, err := want.MarshalText(); err != nil || (in != "twolevel" && string(text) != in) {
+		if text, err := want.MarshalText(); err != nil || string(text) != in {
 			t.Errorf("%v.MarshalText() = %q, %v", want, text, err)
 		}
 	}
-	for _, bad := range []string{"", "nope", "GTO"} {
+	for _, bad := range []string{"", "nope", "GTO", "twolevel"} {
 		var p Policy
 		if err := p.UnmarshalText([]byte(bad)); err == nil {
 			t.Errorf("UnmarshalText(%q) accepted", bad)

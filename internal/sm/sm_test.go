@@ -58,8 +58,8 @@ func (r *rig) runUntilDone(n int, deadline uint64) {
 func specWith(warps int, prog isa.Program) *kernel.Spec {
 	return &kernel.Spec{
 		Name:          "test",
-		Grid:          kernel.Dim3{X: 64},
-		Block:         kernel.Dim3{X: warps * isa.WarpSize},
+		Grid:          64,
+		Block:         warps * isa.WarpSize,
 		RegsPerThread: 16,
 		Program:       prog,
 	}

@@ -19,8 +19,8 @@ func ChaseSpec(ctas, warpsPerCTA, iters int) *kernel.Spec {
 	}
 	return &kernel.Spec{
 		Name:          "chase",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warpsPerCTA * isa.WarpSize,
 		RegsPerThread: 8,
 		Program: shared(&loopProgram{
 			iters: iters,

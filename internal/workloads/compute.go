@@ -63,8 +63,8 @@ func buildSGEMM(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:            "sgemm",
-		Grid:            kernel.Dim3{X: ctas},
-		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:            ctas,
+		Block:           warpsPerCTA * isa.WarpSize,
 		RegsPerThread:   28,
 		SharedMemPerCTA: 2 * tileBytes,
 		Program: shared(&loopProgram{
@@ -111,8 +111,8 @@ func buildBlackScholes(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:          "blackscholes",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warpsPerCTA * isa.WarpSize,
 		RegsPerThread: 20,
 		Program:       shared(&loopProgram{iters: iters, body: body}),
 	}
@@ -152,8 +152,8 @@ func buildKMeans(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:          "kmeans",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warpsPerCTA * isa.WarpSize,
 		RegsPerThread: 18,
 		Program:       shared(&loopProgram{iters: iters, body: body}),
 	}

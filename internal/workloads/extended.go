@@ -60,8 +60,8 @@ func buildLUD(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:            "lud",
-		Grid:            kernel.Dim3{X: ctas},
-		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:            ctas,
+		Block:           warpsPerCTA * isa.WarpSize,
 		RegsPerThread:   18,
 		SharedMemPerCTA: 2 * 1024,
 		Program: shared(&loopProgram{
@@ -97,8 +97,8 @@ func buildSRAD(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:          "srad",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warpsPerCTA * isa.WarpSize,
 		RegsPerThread: 24,
 		Program: shared(&loopProgram{
 			iters: iters,
@@ -161,8 +161,8 @@ func buildBackprop(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:            "backprop",
-		Grid:            kernel.Dim3{X: ctas},
-		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:            ctas,
+		Block:           warpsPerCTA * isa.WarpSize,
 		RegsPerThread:   16,
 		SharedMemPerCTA: 1024,
 		Program:         shared(&loopProgram{iters: 1, body: body, epilogue: epilogue}),
@@ -197,8 +197,8 @@ func buildStreamcluster(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:          "streamcluster",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warpsPerCTA * isa.WarpSize,
 		RegsPerThread: 20,
 		Program: shared(&loopProgram{
 			iters: points,
@@ -257,8 +257,8 @@ func buildDCT8x8(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:            "dct8x8",
-		Grid:            kernel.Dim3{X: ctas},
-		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:            ctas,
+		Block:           warpsPerCTA * isa.WarpSize,
 		RegsPerThread:   22,
 		SharedMemPerCTA: 4 * 1024,
 		Program:         shared(&loopProgram{iters: tiles, body: body}),

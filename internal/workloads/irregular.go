@@ -56,8 +56,8 @@ func buildSPMV(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:          "spmv",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warpsPerCTA * isa.WarpSize,
 		RegsPerThread: 24,
 		Program: shared(&loopProgram{
 			iters: rows,
@@ -108,8 +108,8 @@ func buildBFS(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:          "bfs",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warpsPerCTA * isa.WarpSize,
 		RegsPerThread: 18,
 		Program: shared(&loopProgram{
 			iters: iters,
@@ -149,8 +149,8 @@ func buildHisto(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:          "histo",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warpsPerCTA * isa.WarpSize,
 		RegsPerThread: 14,
 		Program: shared(&loopProgram{
 			iters: iters,

@@ -65,8 +65,8 @@ func buildStencil(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:          "stencil",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warpsPerCTA * isa.WarpSize,
 		RegsPerThread: 16,
 		Program: shared(&loopProgram{
 			iters: iters,
@@ -108,8 +108,8 @@ func buildHotspot(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:          "hotspot",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warpsPerCTA * isa.WarpSize,
 		RegsPerThread: 20,
 		Program:       shared(&loopProgram{iters: iters, body: body}),
 	}
@@ -138,8 +138,8 @@ func buildConv2D(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:            "conv2d",
-		Grid:            kernel.Dim3{X: ctas},
-		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:            ctas,
+		Block:           warpsPerCTA * isa.WarpSize,
 		RegsPerThread:   24,
 		SharedMemPerCTA: 4 * 1024,
 		Program: shared(&loopProgram{
@@ -164,8 +164,8 @@ func buildPathfinder(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:            "pathfinder",
-		Grid:            kernel.Dim3{X: ctas},
-		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:            ctas,
+		Block:           warpsPerCTA * isa.WarpSize,
 		RegsPerThread:   16,
 		SharedMemPerCTA: 2 * 1024,
 		Program: shared(&loopProgram{

@@ -36,8 +36,8 @@ func buildVAdd(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:          "vadd",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warpsPerCTA * isa.WarpSize,
 		RegsPerThread: 12,
 		Program: shared(&loopProgram{
 			iters: iters,
@@ -72,8 +72,8 @@ func buildNN(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:          "nn",
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:          ctas,
+		Block:         warpsPerCTA * isa.WarpSize,
 		RegsPerThread: 16,
 		Program: shared(&loopProgram{
 			iters: iters,

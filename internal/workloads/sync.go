@@ -62,8 +62,8 @@ func buildReduce(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:            "reduce",
-		Grid:            kernel.Dim3{X: ctas},
-		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:            ctas,
+		Block:           warpsPerCTA * isa.WarpSize,
 		RegsPerThread:   14,
 		SharedMemPerCTA: 1024,
 		Program:         shared(&loopProgram{iters: 1, body: body, epilogue: epilogue}),
@@ -90,8 +90,8 @@ func buildTranspose(s Scale) *kernel.Spec {
 
 	return &kernel.Spec{
 		Name:            "transpose",
-		Grid:            kernel.Dim3{X: ctas},
-		Block:           kernel.Dim3{X: warpsPerCTA * isa.WarpSize},
+		Grid:            ctas,
+		Block:           warpsPerCTA * isa.WarpSize,
 		RegsPerThread:   16,
 		SharedMemPerCTA: 4 * 1024,
 		Program: shared(&loopProgram{

@@ -42,11 +42,8 @@ func (s Scale) String() string {
 	return fmt.Sprintf("scale-%d", int(s))
 }
 
-// ParseScale parses a scale name ("test" is accepted for "tiny").
+// ParseScale parses a scale name.
 func ParseScale(name string) (Scale, error) {
-	if name == "test" {
-		name = "tiny"
-	}
 	i := slices.Index(scaleNames[:], name)
 	if i < 0 {
 		return 0, fmt.Errorf("unknown scale %q (want %s)", name, strings.Join(scaleNames[:], " | "))

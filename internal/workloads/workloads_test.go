@@ -32,19 +32,19 @@ func lanes(wi *isa.WarpInstr) (a [isa.WarpSize]uint32) {
 	return a
 }
 
-// TestParseScale: every scale's name parses back to it, "test" is
-// accepted for tiny, and anything else is refused.
+// TestParseScale: every scale's name parses back to it, and anything else
+// (the retired "test" too) is refused.
 func TestParseScale(t *testing.T) {
-	for in, want := range map[string]Scale{"tiny": ScaleTest, "test": ScaleTest, "small": ScaleSmall, "full": ScaleFull} {
+	for in, want := range map[string]Scale{"tiny": ScaleTest, "small": ScaleSmall, "full": ScaleFull} {
 		got, err := ParseScale(in)
 		if err != nil || got != want {
 			t.Errorf("ParseScale(%q) = %v, %v; want %v", in, got, err, want)
 		}
-		if in != "test" && want.String() != in {
+		if want.String() != in {
 			t.Errorf("Scale(%d).String() = %q, want %q", want, want.String(), in)
 		}
 	}
-	for _, bad := range []string{"", "nope", "Tiny"} {
+	for _, bad := range []string{"", "nope", "Tiny", "test"} {
 		if _, err := ParseScale(bad); err == nil {
 			t.Errorf("ParseScale(%q) accepted", bad)
 		}

@@ -36,8 +36,8 @@ type KernelBuilder struct {
 func NewKernelBuilder(name string, ctas, threadsPerCTA int) *KernelBuilder {
 	return &KernelBuilder{spec: kernel.Spec{
 		Name:          name,
-		Grid:          kernel.Dim3{X: ctas},
-		Block:         kernel.Dim3{X: threadsPerCTA},
+		Grid:          ctas,
+		Block:         threadsPerCTA,
 		RegsPerThread: 16,
 	}}
 }
@@ -68,7 +68,7 @@ func (b *KernelBuilder) Program(fn func(ctaID, warp int, p *ProgramBuilder)) *Ke
 // the core cannot track (isa.MaxRegs and up) or gives an ALU op more
 // sources than an instruction holds, and validates the kernel.
 func (b *KernelBuilder) Build() (Kernel, error) {
-	if b.spec.Grid.X < 1 {
+	if b.spec.Grid < 1 {
 		return Kernel{}, fmt.Errorf("gpusched: kernel %s: grid must have at least 1 CTA", b.spec.Name)
 	}
 	spec := b.spec

@@ -44,6 +44,6 @@ curl -sf "http://$ADDR_R/readyz" >/dev/null || { echo "router never became ready
 # rate (delta of the fleet sim counters) comes in below 0.5, and any
 # request error is fatal inside loadgen itself.
 "$BIN/loadgen" -target "http://$ADDR_R" \
-  -requests 120 -unique 16 -concurrency 8 -scale test -min-dedup 0.5
+  -requests 120 -unique 16 -concurrency 8 -scale tiny -min-dedup 0.5
 
 echo "fleet smoke OK"
